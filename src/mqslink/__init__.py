@@ -17,14 +17,15 @@ from .circuit import (CapacitiveRegimeError, LinkCircuit, Spectrum,
                       transfer_ratio, transfer_ratio_untuned,
                       tune_capacitance, tx_power)
 from .constants import MU0
-from .field_coupling import (FLUX, NEUMANN, ConvergenceError, CouplingResult,
-                             FieldSample, GridSpec, SeparationError,
-                             SingularEvaluationError, b_field,
-                             coaxial_mutual_oracle, coupling_coefficient,
-                             field_map, flux_through, mutual_inductance)
+from .field_coupling import (FLUX, NEUMANN, SPECTRAL, ConvergenceError,
+                             CouplingResult, FieldSample, GridSpec,
+                             SeparationError, SingularEvaluationError,
+                             b_field, coaxial_mutual_oracle,
+                             coupling_coefficient, field_map, flux_through,
+                             mutual_inductance)
 from .geometry import (FLAT_SPIRAL, HELICAL, CoilSpec, FilamentCoil, Pose,
                        Scenario, apply_pose, build_filament_coil,
-                       scenario_poses, turn_radii)
+                       scenario_poses, turn_radii, winding_curve)
 from .link_analysis import (POWER, VOLTAGE, BandwidthStudy, CapacityReport,
                             DualModeReport, SweepResult, TruncatedBandError,
                             capacity_report, capacity_vs_bandwidth,

@@ -880,15 +880,15 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None,
             warn_list.append(f"{name} coil inductance is {est.source} and "
                              "low-confidence for this geometry")
 
-    m_cache: Dict[str, float] = {}
+    m_cache: Dict[str, float] = {"s": 0.0}
 
     def nominal_m() -> float:
         if "m" not in m_cache:
             t0 = time.perf_counter()
             m_cache["m"] = scenario_mutual_inductance(sc, config.segments_per_turn)
-            dt = time.perf_counter() - t0
-            timings.append(("mutual_inductance", dt))
-            _log.info("mutual inductance %.6g H (%.2f s)", m_cache["m"], dt)
+            m_cache["s"] = time.perf_counter() - t0
+            timings.append(("mutual_inductance", m_cache["s"]))
+            _log.info("mutual inductance %.6g H (%.2f s)", m_cache["m"], m_cache["s"])
         return m_cache["m"]
 
     def build_link(tuned: bool) -> LinkCircuit:
@@ -989,6 +989,7 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None,
 
     for req in config.requests:
         label = req.label
+        m_before = m_cache["s"]
         t0 = time.perf_counter()
         try:
             with warnings.catch_warnings(record=True) as caught:
@@ -1001,7 +1002,8 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None,
         except Exception as exc:
             failures.append(f"{label}: {exc}")
             _log.error("%s failed: %s", label, exc)
-        timings.append((label, time.perf_counter() - t0))
+        # exclusive: a nominal M computed on the way has its own entry
+        timings.append((label, time.perf_counter() - t0 - (m_cache["s"] - m_before)))
 
     report = RunReport(artifact_version=ARTIFACT_VERSION,
                        config_digest=config.config_digest,

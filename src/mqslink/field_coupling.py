@@ -1,10 +1,13 @@
 """Magnetic coupling between posed filament coils.
 
 Fields come from the exact finite straight-segment kernel, flux from
-per-turn disk quadrature, and mutual inductance from either the Neumann
-double line integral (default) or the flux route; the two routes
-cross-validate each other. A closed-form coaxial-loop formula built on
-AGM elliptic integrals is the analytic reference for the kernel.
+per-turn disk quadrature, and mutual inductance from one of three
+routes: the Neumann double line integral over the polylines (default),
+the same integral by Gauss-Legendre quadrature on the exact winding
+curve (spectral), or the flux route. The polyline routes are
+independent cross-checks of the spectral one. A closed-form
+coaxial-loop formula built on AGM elliptic integrals is the analytic
+reference for the kernel.
 
 Self-inductance is deliberately not computed here (the filament limit
 is singular); the lumped module owns it. The wire radius enters only as
@@ -13,6 +16,7 @@ an exclusion zone around each filament.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -24,6 +28,8 @@ from .geometry import FilamentCoil
 
 NEUMANN = "neumann"
 FLUX = "flux"
+SPECTRAL = "spectral"
+_METHODS = (NEUMANN, FLUX, SPECTRAL)
 
 # pair-evaluation budget per vectorized chunk; bounds temporaries to
 # ~100 MB and fixes the summation order regardless of problem size
@@ -35,6 +41,9 @@ _FLUX_LEVELS = ((8, 16), (16, 32), (32, 64), (64, 128))
 
 # Neumann refinement ladder: sub-chords per polyline segment
 _NEUMANN_LEVELS = (1, 2, 4, 8)
+
+# spectral refinement ladder: Gauss-Legendre nodes per turn
+_SPECTRAL_LEVELS = (8, 16, 32, 64)
 
 
 class SingularEvaluationError(Exception):
@@ -90,8 +99,8 @@ class CouplingResult:
     def __post_init__(self):
         if not math.isfinite(self.m):
             raise ValueError(f"m must be finite, got {self.m!r}")
-        if self.method not in (NEUMANN, FLUX):
-            raise ValueError(f"method must be {NEUMANN!r} or {FLUX!r}, got {self.method!r}")
+        if self.method not in _METHODS:
+            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if not (0.0 <= self.convergence_estimate < math.inf):
             raise ValueError(
                 f"convergence_estimate must be finite and >= 0, got {self.convergence_estimate!r}"
@@ -236,19 +245,35 @@ def _coupling_floor(tx: FilamentCoil, rx: FilamentCoil) -> float:
     return MU0 * math.pi * s_tx * s_rx / (2.0 * d_eff**3)
 
 
-def _check_separation(tx: FilamentCoil, rx: FilamentCoil) -> None:
+def _closest_approach(tx: FilamentCoil, rx: FilamentCoil) -> float:
     # polylines sampled at vertices + midpoints against the other
-    # coil's segments; filament model needs clearance beyond the
-    # mean wire diameter
+    # coil's segments
+    return min(
+        float(_distance_to_segments(
+            np.vstack([a.points, (a.segment_starts + a.segment_ends) / 2.0]),
+            b.segment_starts, b.segment_ends).min())
+        for a, b in ((tx, rx), (rx, tx)))
+
+
+def _check_separation(tx: FilamentCoil, rx: FilamentCoil) -> None:
+    # the filament model needs clearance beyond the mean wire diameter
     threshold = (tx.wire_diameter + rx.wire_diameter) / 2.0
-    for a, b in ((tx, rx), (rx, tx)):
-        probes = np.vstack([a.points, (a.segment_starts + a.segment_ends) / 2.0])
-        d = _distance_to_segments(probes, b.segment_starts, b.segment_ends)
-        if float(d.min()) <= threshold:
-            raise SeparationError(
-                f"coil separation {float(d.min()):.3e} m is within the combined "
-                f"wire exclusion {threshold:.3e} m; filament model invalid"
-            )
+    # each polyline lies in the ball about its mean vertex that reaches
+    # its farthest vertex; balls further apart than the threshold (with
+    # a margin far above rounding) settle the check without the
+    # pairwise pass
+    centers = [c.points.mean(axis=0) for c in (tx, rx)]
+    reach = sum(float(np.sqrt(np.max(np.sum((c.points - m) ** 2, axis=1))))
+                for c, m in zip((tx, rx), centers))
+    span = float(np.linalg.norm(centers[0] - centers[1]))
+    if span - reach > threshold + 1e-9 * (span + reach):
+        return
+    d = _closest_approach(tx, rx)
+    if d <= threshold:
+        raise SeparationError(
+            f"coil separation {d:.3e} m is within the combined "
+            f"wire exclusion {threshold:.3e} m; filament model invalid"
+        )
 
 
 def _turn_groups(coil: FilamentCoil):
@@ -281,6 +306,16 @@ def _disk_frames(coil: FilamentCoil):
     return frames
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    # imported on first use, so parsing a config never loads it
+    from numpy.polynomial.legendre import leggauss
+    nodes, weights = leggauss(n)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def flux_through(tx: FilamentCoil, rx: FilamentCoil, current: float,
                  tolerance: float = 1e-3) -> float:
     """Total flux (Wb) of the tx coil's field linked by every rx turn.
@@ -290,6 +325,12 @@ def flux_through(tx: FilamentCoil, rx: FilamentCoil, current: float,
     quadrature, refined until successive estimates agree within
     tolerance (judged against a dipole-scale floor near nulls).
     """
+    return _flux(tx, rx, current, tolerance)[0]
+
+
+def _flux(tx: FilamentCoil, rx: FilamentCoil, current: float,
+          tolerance: float) -> Tuple[float, float]:
+    # (flux, relative change of the last refinement)
     if tolerance <= 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
     _check_separation(tx, rx)
@@ -301,7 +342,7 @@ def flux_through(tx: FilamentCoil, rx: FilamentCoil, current: float,
     prev = None
     estimate = math.inf
     for n_r, n_t in _FLUX_LEVELS:
-        nodes, weights = np.polynomial.legendre.leggauss(n_r)
+        nodes, weights = _gauss_legendre(n_r)
         x = (nodes + 1.0) / 2.0            # radial fraction on (0, 1)
         w = weights / 2.0
         theta = 2.0 * math.pi * np.arange(n_t) / n_t
@@ -330,7 +371,7 @@ def flux_through(tx: FilamentCoil, rx: FilamentCoil, current: float,
         if prev is not None:
             estimate = abs(phi - prev) / max(abs(phi), floor) if max(abs(phi), floor) > 0 else 0.0
             if estimate <= tolerance:
-                return phi
+                return phi, estimate
         prev = phi
     raise ConvergenceError(
         f"flux quadrature did not reach tolerance {tolerance:g} "
@@ -346,6 +387,16 @@ def _sub_chords(coil: FilamentCoil, sub: int):
     mids = a[:, None, :] + step[:, None, :] * frac
     dl = np.broadcast_to(step[:, None, :], mids.shape)
     return mids.reshape(-1, 3), dl.reshape(-1, 3)
+
+
+def _curve_nodes(coil: FilamentCoil, n: int):
+    # n Gauss-Legendre nodes on each turn's 2 pi of winding angle:
+    # world points and tangent * weight, the line element per node
+    nodes, weights = _gauss_legendre(n)
+    turns = coil.spec.turns
+    phi = math.pi * (2.0 * np.arange(turns)[:, None] + 1.0 + nodes[None, :])
+    points, tangents = coil.curve(phi.ravel())
+    return points, tangents * np.tile(math.pi * weights, turns)[:, None]
 
 
 def _neumann_sum(m1: np.ndarray, d1: np.ndarray, m2: np.ndarray, d2: np.ndarray) -> float:
@@ -367,34 +418,47 @@ def mutual_inductance(tx: FilamentCoil, rx: FilamentCoil, method: str = NEUMANN,
 
     neumann: midpoint-rule double line integral over all segment pairs,
     refined by chord doubling until the change falls below tolerance.
-    flux: linked flux per unit current via flux_through. The two agree
-    within about 1% on non-pathological geometries; neumann is the
-    default and the more accurate of the pair.
+    spectral: the same double integral on the exact winding curves of
+    both coils, with Gauss-Legendre nodes per turn doubling from 8 to
+    64; it converges exponentially and needs coils that carry their
+    CoilSpec (build_filament_coil sets it). The polylines still serve
+    the separation check.
+    flux: linked flux per unit current via flux_through. The polyline
+    routes agree within about 1% on non-pathological geometries.
+
+    convergence_estimate is the relative change of the last refinement,
+    judged against a dipole-scale floor near symmetry nulls.
     """
-    if method not in (NEUMANN, FLUX):
-        raise ValueError(f"method must be {NEUMANN!r} or {FLUX!r}, got {method!r}")
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if tolerance <= 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
 
     if method == FLUX:
-        phi = flux_through(tx, rx, current=1.0, tolerance=tolerance)
-        return CouplingResult(m=phi, method=FLUX, convergence_estimate=tolerance)
+        phi, estimate = _flux(tx, rx, current=1.0, tolerance=tolerance)
+        return CouplingResult(m=phi, method=FLUX, convergence_estimate=estimate)
+
+    if method == SPECTRAL:
+        if tx.spec is None or rx.spec is None:
+            raise ValueError("the spectral route needs coils that carry their "
+                             "CoilSpec (build them with build_filament_coil)")
+        ladder, quadrature, name = _SPECTRAL_LEVELS, _curve_nodes, "Spectral"
+    else:
+        ladder, quadrature, name = _NEUMANN_LEVELS, _sub_chords, "Neumann"
 
     _check_separation(tx, rx)
     floor = _coupling_floor(tx, rx)
     prev = None
     estimate = math.inf
-    for sub in _NEUMANN_LEVELS:
-        m1, d1 = _sub_chords(tx, sub)
-        m2, d2 = _sub_chords(rx, sub)
-        m = _neumann_sum(m1, d1, m2, d2)
+    for level in ladder:
+        m = _neumann_sum(*quadrature(tx, level), *quadrature(rx, level))
         if prev is not None:
             estimate = abs(m - prev) / max(abs(m), floor)
             if estimate <= tolerance:
-                return CouplingResult(m=m, method=NEUMANN, convergence_estimate=estimate)
+                return CouplingResult(m=m, method=method, convergence_estimate=estimate)
         prev = m
     raise ConvergenceError(
-        f"Neumann refinement did not reach tolerance {tolerance:g} "
+        f"{name} refinement did not reach tolerance {tolerance:g} "
         f"(last relative change {estimate:.3e})",
         value=prev, estimate=estimate,
     )

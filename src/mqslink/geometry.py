@@ -140,6 +140,10 @@ class FilamentCoil:
     points[i] to points[i+1], so consecutive segments share a vertex and
     the path is connected by construction. ``turn_centers`` and ``axis``
     describe the per-turn spanning disks used for flux integration.
+    ``spec``, when known, is the winding the polyline samples, and
+    ``rotation`` and ``origin`` place that winding's local frame in the
+    world (world = rotation @ local + origin), so ``curve`` can evaluate
+    the exact winding at any angle.
     """
 
     points: np.ndarray            # (P, 3) vertices, m
@@ -148,9 +152,17 @@ class FilamentCoil:
     axis: np.ndarray              # (3,) unit coil axis
     wire_length: float            # m
     wire_diameter: float          # m, exclusion radius for field evaluation
+    spec: Optional[CoilSpec] = None
+    rotation: Optional[np.ndarray] = None   # (3, 3), identity when None
+    origin: Optional[np.ndarray] = None     # (3,) m, zero when None
 
     def __post_init__(self):
-        for name in ("points", "turn_radii", "turn_centers", "axis"):
+        if self.rotation is None:
+            object.__setattr__(self, "rotation", np.eye(3))
+        if self.origin is None:
+            object.__setattr__(self, "origin", np.zeros(3))
+        for name in ("points", "turn_radii", "turn_centers", "axis",
+                     "rotation", "origin"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -170,6 +182,19 @@ class FilamentCoil:
     @property
     def segment_ends(self) -> np.ndarray:
         return self.points[1:]
+
+    def curve(self, phi) -> tuple[np.ndarray, np.ndarray]:
+        """World points and d/dphi tangents of the exact winding at phi.
+
+        phi (rad) runs from 0 at the inner end to 2*pi*turns at the
+        outer end; see winding_curve. A coil built without its spec has
+        no curve and raises ValueError.
+        """
+        if self.spec is None:
+            raise ValueError("coil carries no winding curve: it was built "
+                             "without a CoilSpec")
+        points, tangents = winding_curve(self.spec, phi)
+        return points @ self.rotation.T + self.origin, tangents @ self.rotation.T
 
 
 @dataclass(frozen=True)
@@ -216,15 +241,44 @@ def turn_radii(spec: CoilSpec) -> np.ndarray:
     return spec.inner_radius + np.arange(spec.turns) * spec.pitch
 
 
+def winding_curve(spec: CoilSpec, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Points and d/dphi tangents of a coil's winding, in its local frame.
+
+    The flat spiral's radius grows linearly with the winding angle,
+    r(phi) = r_0 + (r_last - r_0) * phi / (2 pi N), from the first to
+    the last turn radius, so each turn's mean radius equals its nominal
+    turn radius. The helical shape is the same winding projected onto a
+    sphere of ``sphere_radius``: the projected radius is unchanged and
+    the point sags along -z by z = -(R - sqrt(R^2 - r^2)).
+
+    phi is an array of angles (rad) on [0, 2 pi N]; both results have
+    shape (len(phi), 3).
+    """
+    phi = np.asarray(phi, dtype=float)
+    radii = turn_radii(spec)
+    slope = (radii[-1] - radii[0]) / (2.0 * math.pi * spec.turns)    # dr/dphi
+    # not radii[0] + slope * phi: this grouping is the rounding the
+    # frozen polyline values were computed with
+    r = radii[0] + (radii[-1] - radii[0]) * (phi / (2.0 * math.pi * spec.turns))
+    z = dz = np.zeros_like(r)
+    if spec.shape == HELICAL:
+        r_sphere = spec.sphere_radius if spec.sphere_radius is not None else DEFAULT_SPHERE_RADIUS
+        root = np.sqrt(r_sphere**2 - r**2)
+        z = -(r_sphere - root)
+        # the sag turns vertical where the winding meets the equator
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dz = -slope * r / root
+    cos, sin = np.cos(phi), np.sin(phi)
+    points = np.column_stack([r * cos, r * sin, z])
+    tangents = np.column_stack([slope * cos - r * sin, slope * sin + r * cos, dz])
+    return points, tangents
+
+
 def build_filament_coil(spec: CoilSpec, segments_per_turn: int = 720) -> FilamentCoil:
     """Discretize a coil spec into a filament polyline in its local frame.
 
-    The flat spiral winds through the full turn count with the radius
-    growing linearly from the first to the last turn radius, so each
-    turn's mean radius equals its nominal turn radius. The helical shape
-    is the same winding projected onto a sphere of ``sphere_radius``: the
-    projected radii are unchanged and each point sags along -z by the
-    sphere's height deficit at its radius.
+    The vertices sample winding_curve at equal angle steps; the coil
+    keeps its spec so the exact curve stays available downstream.
 
     Parameters
     ----------
@@ -237,16 +291,10 @@ def build_filament_coil(spec: CoilSpec, segments_per_turn: int = 720) -> Filamen
         raise ValueError(
             f"segments_per_turn must be >= 16, got {segments_per_turn!r}"
         )
-    radii = turn_radii(spec)
     n_seg = spec.turns * segments_per_turn
     phi = np.linspace(0.0, 2.0 * math.pi * spec.turns, n_seg + 1)
-    frac = phi / phi[-1]
-    r = radii[0] + (radii[-1] - radii[0]) * frac
-    z = np.zeros_like(r)
-    if spec.shape == HELICAL:
-        r_sphere = spec.sphere_radius if spec.sphere_radius is not None else DEFAULT_SPHERE_RADIUS
-        z = -(r_sphere - np.sqrt(r_sphere**2 - r**2))
-    points = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    points, _ = winding_curve(spec, phi)
+    z = points[:, 2]
 
     seg_lengths = np.linalg.norm(np.diff(points, axis=0), axis=1)
     wire_length = float(np.sum(seg_lengths))
@@ -259,11 +307,12 @@ def build_filament_coil(spec: CoilSpec, segments_per_turn: int = 720) -> Filamen
 
     return FilamentCoil(
         points=points,
-        turn_radii=radii,
+        turn_radii=turn_radii(spec),
         turn_centers=centers,
         axis=np.array([0.0, 0.0, 1.0]),
         wire_length=wire_length,
         wire_diameter=spec.wire_diameter,
+        spec=spec,
     )
 
 
@@ -278,6 +327,9 @@ def apply_pose(coil: FilamentCoil, pose: Pose) -> FilamentCoil:
         axis=coil.axis @ rot.T,
         wire_length=coil.wire_length,
         wire_diameter=coil.wire_diameter,
+        spec=coil.spec,
+        rotation=rot @ coil.rotation,
+        origin=coil.origin @ rot.T + center,
     )
 
 

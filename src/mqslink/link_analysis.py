@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import Scenario, apply_pose, build_filament_coil, scenario_poses
 from .lumped import ac_resistance, estimate_inductance
-from .field_coupling import (ConvergenceError, SeparationError,
+from .field_coupling import (SPECTRAL, ConvergenceError, SeparationError,
                              SingularEvaluationError, mutual_inductance)
 from .circuit import (LinkCircuit, Spectrum, default_grid, frequency_sweep,
                       received_power, receiver_capacitance, tune_capacitance)
@@ -282,11 +282,16 @@ def scenario_link(sc: Scenario, m: float, tuned: bool = True) -> LinkCircuit:
 
 def scenario_mutual_inductance(sc: Scenario, segments_per_turn: int = 360,
                                tolerance: float = 1e-3) -> float:
-    """M (H) of the scenario's posed coil pair by Neumann integration."""
+    """M (H) of the scenario's posed coil pair.
+
+    The Neumann integral runs on the exact winding curves (the spectral
+    route); segments_per_turn sets only the polylines that the
+    separation check uses.
+    """
     tx_pose, rx_pose = scenario_poses(sc)
     tx = apply_pose(build_filament_coil(sc.tx, segments_per_turn), tx_pose)
     rx = apply_pose(build_filament_coil(sc.rx, segments_per_turn), rx_pose)
-    return mutual_inductance(tx, rx, tolerance=tolerance).m
+    return mutual_inductance(tx, rx, method=SPECTRAL, tolerance=tolerance).m
 
 
 def _summarize_spectrum(spectrum: Spectrum, value: float, v_source: float, r_load: float,

@@ -5,11 +5,13 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mqslink import cli
 from mqslink.cli import (DEFAULT_CONFIG, ConfigError, _fmt, _json_text,
                          emit_field_map_csv, main, parse_config, run_scenario)
 from mqslink.field_coupling import FieldSample
@@ -418,6 +420,45 @@ def test_console_module_smoke():
     proc = subprocess.run([sys.executable, "-m", "mqslink.cli", "defaults"],
                           capture_output=True, text=True, check=True)
     assert proc.stdout == DEFAULT_CONFIG
+
+
+def test_package_runs_as_a_module_without_warnings():
+    proc = subprocess.run([sys.executable, "-m", "mqslink", "defaults"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == DEFAULT_CONFIG
+
+
+def test_validate_leaves_the_quadrature_module_unloaded(tmp_path):
+    config = write_config(tmp_path, SMALL_RUN)
+    code = ("import sys; from mqslink.cli import main; "
+            f"main(['validate', {str(config)!r}]); "
+            "print('numpy.polynomial' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_timings_are_exclusive_per_layer(tmp_path, monkeypatch):
+    # a slow nominal M makes double counting visible: it runs inside
+    # the spectrum request, which must not book it a second time
+    exact = cli.scenario_mutual_inductance
+
+    def slow(*args, **kwargs):
+        time.sleep(0.3)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "scenario_mutual_inductance", slow)
+    config = parse_config(write_config(tmp_path, SMALL_RUN),
+                          allow_defaults=True)
+    t0 = time.perf_counter()
+    report = run_scenario(config, out_dir=str(tmp_path / "out"))
+    wall = time.perf_counter() - t0
+    timings = dict(report.timings_s)
+    assert timings["mutual_inductance"] >= 0.3
+    assert 0.0 <= timings["spectrum"]
+    assert timings["spectrum"] + timings["mutual_inductance"] <= wall
 
 
 def test_run_scenario_returns_the_report(tmp_path):

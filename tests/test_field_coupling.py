@@ -1,19 +1,24 @@
 """Field evaluation and mutual inductance: kernel, routes, oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mqslink import field_coupling
 from mqslink.constants import MU0
-from mqslink.field_coupling import (FLUX, NEUMANN, ConvergenceError,
+from mqslink.field_coupling import (FLUX, NEUMANN, SPECTRAL, ConvergenceError,
                                     CouplingResult, FieldSample, GridSpec,
                                     SeparationError, SingularEvaluationError,
+                                    _check_separation, _closest_approach,
                                     _ellipke, b_field, coaxial_mutual_oracle,
                                     coupling_coefficient, field_map,
                                     flux_through, mutual_inductance)
-from mqslink.geometry import (CoilSpec, Pose, Scenario, apply_pose,
+from mqslink.geometry import (HELICAL, CoilSpec, Pose, Scenario, apply_pose,
                               build_filament_coil, scenario_poses)
 
 RX = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
@@ -25,6 +30,9 @@ NOMINAL = Scenario(tx=TX, rx=RX, x_eye=92e-3, z_eye=150e-3, tx_angle_deg=40.0,
 
 M_NOMINAL = 3.9074457990719537e-10    # neumann, 360 segments/turn, tol 1e-3
 M_FLUX_NOMINAL = 3.884767803916267e-10
+# neumann at 360 and 720 segments/turn, Richardson-extrapolated:
+# (4 M(720) - M(360)) / 3, since the polyline error falls as segments^-2
+M_NOMINAL_EXTRAPOLATED = 3.9078144520416973e-10
 
 
 def _loop(radius, segments=360, wire=1e-4):
@@ -33,10 +41,10 @@ def _loop(radius, segments=360, wire=1e-4):
     return build_filament_coil(spec, segments_per_turn=segments)
 
 
-def _nominal_pair(segments_per_turn=360):
+def _nominal_pair(segments_per_turn=360, rx_spec=RX):
     tx_pose, rx_pose = scenario_poses(NOMINAL)
     tx = apply_pose(build_filament_coil(TX, segments_per_turn), tx_pose)
-    rx = apply_pose(build_filament_coil(RX, segments_per_turn), rx_pose)
+    rx = apply_pose(build_filament_coil(rx_spec, segments_per_turn), rx_pose)
     return tx, rx
 
 
@@ -255,6 +263,168 @@ def test_interleaved_coils_are_rejected():
                    Pose(tilt_angle_deg=90.0))
     with pytest.raises(SeparationError):
         mutual_inductance(a, b)
+
+
+def test_flux_route_reports_the_change_it_measured():
+    # the rx disk passes 5 mm from the tx wire, so the flux ladder has
+    # real work to do
+    a = _loop(0.03, segments=180)
+    b = apply_pose(_loop(0.028, segments=180), Pose(center=(0.0, 0.0, 0.005)))
+    result = mutual_inductance(a, b, method=FLUX, tolerance=1e-3)
+    assert 0.0 < result.convergence_estimate < 1e-3
+    assert result.convergence_estimate != 1e-3
+    tight = mutual_inductance(a, b, method=FLUX,
+                              tolerance=result.convergence_estimate / 10)
+    assert abs(tight.m - result.m) <= result.convergence_estimate * abs(result.m)
+
+
+# ------------------------------------------------- spectral route
+
+def test_spectral_matches_the_coaxial_oracle_on_the_kernel_grid():
+    # the criterion-04 grid of one-turn coaxial loops; at tolerance 1e-5
+    # every pose stops on a level whose error is below 1e-9
+    r1 = 0.05
+    base = _loop(r1, segments=90)
+    for ratio in (0.05, 0.2, 1.0):
+        for zr in (0.5, 1.0, 5.0):
+            inner = apply_pose(_loop(ratio * r1, segments=90),
+                               Pose(center=(0, 0, zr * r1)))
+            result = mutual_inductance(base, inner, method=SPECTRAL, tolerance=1e-5)
+            want = coaxial_mutual_oracle(r1, ratio * r1, zr * r1)
+            err = abs(result.m - want) / abs(want)
+            assert result.method == SPECTRAL
+            assert err <= 1e-9, (ratio, zr, err)
+            assert err <= result.convergence_estimate, (ratio, zr, err)
+
+
+def test_spectral_nominal_coupling_matches_the_extrapolated_polyline():
+    tx, rx = _nominal_pair(180)
+    result = mutual_inductance(tx, rx, method=SPECTRAL)
+    assert result.method == SPECTRAL
+    assert 0 < result.convergence_estimate < 1e-3
+    assert result.m == pytest.approx(M_NOMINAL_EXTRAPOLATED, rel=1e-8)
+
+
+def test_spectral_follows_the_helical_sag():
+    # the raw polyline is still ~2e-5 off at 720 segments/turn; its
+    # Richardson extrapolation from 180 and 360 is the reference
+    helical = replace(RX, shape=HELICAL, sphere_radius=12e-3)
+    m = {}
+    for spt in (180, 360):
+        m[spt] = mutual_inductance(*_nominal_pair(spt, helical)).m
+    reference = (4.0 * m[360] - m[180]) / 3.0
+    got = mutual_inductance(*_nominal_pair(180, helical), method=SPECTRAL).m
+    assert got == pytest.approx(reference, rel=1e-7)
+    flat = mutual_inductance(*_nominal_pair(180), method=SPECTRAL).m
+    assert abs(got - flat) > 1e-4 * abs(flat)        # the sag matters
+
+
+def _random_pair(rng):
+    a = apply_pose(build_filament_coil(TX, 90),
+                   Pose(tilt_angle_deg=rng.uniform(0, 90)))
+    b = apply_pose(build_filament_coil(RX, 90),
+                   Pose(center=(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1),
+                                rng.uniform(0.05, 0.2)),
+                        tilt_angle_deg=rng.uniform(0, 360)))
+    return a, b
+
+
+def test_spectral_reciprocity_is_exact():
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        a, b = _random_pair(rng)
+        m_ab = mutual_inductance(a, b, method=SPECTRAL).m
+        m_ba = mutual_inductance(b, a, method=SPECTRAL).m
+        assert m_ab == pytest.approx(m_ba, rel=1e-12)
+
+
+def test_spectral_coupling_is_invariant_under_rigid_motion():
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        a, b = _random_pair(rng)
+        motion = Pose(center=tuple(rng.uniform(-1.0, 1.0, 3)),
+                      tilt_angle_deg=rng.uniform(0, 360))
+        m = mutual_inductance(a, b, method=SPECTRAL).m
+        moved = mutual_inductance(apply_pose(a, motion), apply_pose(b, motion),
+                                  method=SPECTRAL).m
+        assert moved == pytest.approx(m, rel=1e-12)
+
+
+def test_spectral_sign_flips_when_the_receiver_turns_over():
+    a = _loop(0.03, segments=90)
+    up = Pose(center=(0.01, 0.0, 0.04), tilt_angle_deg=30.0)
+    down = Pose(center=(0.01, 0.0, 0.04), tilt_angle_deg=210.0)
+    m_up = mutual_inductance(a, apply_pose(_loop(0.01, segments=90), up),
+                             method=SPECTRAL, tolerance=1e-9).m
+    m_down = mutual_inductance(a, apply_pose(_loop(0.01, segments=90), down),
+                               method=SPECTRAL, tolerance=1e-9).m
+    assert m_up > 0 > m_down
+    assert m_down == pytest.approx(-m_up, rel=1e-9)
+    # a spiral turned over is not the same wire reversed, but the sign
+    # still follows the axis
+    tx_pose, rx_pose = scenario_poses(NOMINAL)
+    tx = apply_pose(build_filament_coil(TX, 90), tx_pose)
+    flipped = apply_pose(build_filament_coil(RX, 90),
+                         replace(rx_pose, tilt_angle_deg=270.0))
+    m_flipped = mutual_inductance(tx, flipped, method=SPECTRAL).m
+    assert m_flipped == pytest.approx(-M_NOMINAL_EXTRAPOLATED, rel=1e-2)
+
+
+def test_spectral_route_needs_the_winding_curve():
+    tx, rx = _nominal_pair(90)
+    with pytest.raises(ValueError, match="CoilSpec"):
+        mutual_inductance(tx, replace(rx, spec=None), method=SPECTRAL)
+    # the polyline routes do without it
+    assert mutual_inductance(tx, replace(rx, spec=None)).m > 0
+
+
+def test_spectral_unreachable_tolerance_raises_with_the_last_estimate():
+    tx, rx = _nominal_pair(90)
+    with pytest.raises(ConvergenceError) as err:
+        mutual_inductance(tx, rx, method=SPECTRAL, tolerance=1e-16)
+    assert err.value.value == pytest.approx(M_NOMINAL_EXTRAPOLATED, rel=1e-8)
+    assert err.value.estimate > 1e-16
+
+
+def test_spectral_route_still_checks_separation():
+    a = _loop(0.02, segments=90, wire=0.5e-3)
+    b = apply_pose(_loop(0.02, segments=90, wire=0.5e-3),
+                   Pose(tilt_angle_deg=90.0))
+    with pytest.raises(SeparationError):
+        mutual_inductance(a, b, method=SPECTRAL)
+
+
+# ------------------------------------------------- separation check
+
+def test_far_coils_skip_the_pairwise_separation_pass(monkeypatch):
+    def pairwise(*args):
+        raise AssertionError("pairwise pass ran for well separated coils")
+
+    monkeypatch.setattr(field_coupling, "_closest_approach", pairwise)
+    _check_separation(*_nominal_pair(90))
+
+
+_SMALL = CoilSpec(turns=2, inner_radius=8e-3, wire_diameter=1e-3,
+                  wire_spacing=0.5e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(center=st.tuples(*[st.floats(-0.02, 0.02)] * 3),
+       scale=st.sampled_from([1.0, 10.0]),
+       tilt_a=st.floats(0.0, 360.0), tilt_b=st.floats(0.0, 360.0))
+def test_separation_early_out_agrees_with_the_exact_pass(center, scale,
+                                                         tilt_a, tilt_b):
+    a = apply_pose(build_filament_coil(_SMALL, 24), Pose(tilt_angle_deg=tilt_a))
+    b = apply_pose(build_filament_coil(_SMALL, 24),
+                   Pose(center=tuple(scale * c for c in center),
+                        tilt_angle_deg=tilt_b))
+    exact = _closest_approach(a, b) <= _SMALL.wire_diameter
+    try:
+        _check_separation(a, b)
+    except SeparationError:
+        assert exact
+    else:
+        assert not exact
 
 
 def test_coupling_coefficient_normalizes_m():

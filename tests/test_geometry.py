@@ -7,7 +7,8 @@ import pytest
 
 from mqslink.geometry import (DEFAULT_SPHERE_RADIUS, FLAT_SPIRAL, HELICAL,
                               CoilSpec, Pose, Scenario, apply_pose,
-                              build_filament_coil, scenario_poses, turn_radii)
+                              build_filament_coil, scenario_poses, turn_radii,
+                              winding_curve)
 
 RX = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
               wire_spacing=0.5e-3)
@@ -84,6 +85,44 @@ def test_helical_sag_follows_the_sphere():
     sag = DEFAULT_SPHERE_RADIUS - math.sqrt(DEFAULT_SPHERE_RADIUS**2 - r_max**2)
     assert float(coil.points[:, 2].min()) == pytest.approx(-sag, rel=1e-9)
     assert np.all(coil.points[:, 2] <= 0.0)
+
+
+HELICAL_RX = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
+                      wire_spacing=0.5e-3, shape=HELICAL)
+
+
+@pytest.mark.parametrize("spec", [RX, HELICAL_RX], ids=["flat", "helical"])
+def test_vertices_sample_the_winding_curve(spec):
+    coil = build_filament_coil(spec, segments_per_turn=64)
+    phi = np.linspace(0.0, 2.0 * math.pi * spec.turns, spec.turns * 64 + 1)
+    points, _ = winding_curve(spec, phi)
+    np.testing.assert_array_equal(coil.points, points)
+    assert coil.spec is spec
+
+
+@pytest.mark.parametrize("spec", [RX, HELICAL_RX], ids=["flat", "helical"])
+def test_curve_tangents_are_the_angle_derivative(spec):
+    phi = np.linspace(0.1, 2.0 * math.pi * spec.turns - 0.1, 50)
+    h = 1e-6
+    _, tangents = winding_curve(spec, phi)
+    ahead, _ = winding_curve(spec, phi + h)
+    behind, _ = winding_curve(spec, phi - h)
+    np.testing.assert_allclose(tangents, (ahead - behind) / (2 * h),
+                               rtol=0, atol=1e-9 * spec.outer_diameter)
+
+
+def test_posed_curve_follows_the_posed_vertices():
+    coil = build_filament_coil(HELICAL_RX, segments_per_turn=32)
+    posed = apply_pose(apply_pose(coil, Pose(center=(0.01, -0.02, 0.03),
+                                             tilt_angle_deg=35.0)),
+                       Pose(center=(0.1, 0.0, 0.2), tilt_angle_deg=-70.0))
+    phi = np.linspace(0.0, 2.0 * math.pi * HELICAL_RX.turns, 5 * 32 + 1)
+    points, tangents = posed.curve(phi)
+    np.testing.assert_allclose(points, posed.points, rtol=0, atol=1e-15)
+    # rotation keeps tangent lengths
+    _, local = winding_curve(HELICAL_RX, phi)
+    np.testing.assert_allclose(np.linalg.norm(tangents, axis=1),
+                               np.linalg.norm(local, axis=1), rtol=1e-14)
 
 
 def test_refinement_halves_the_chord_error():
