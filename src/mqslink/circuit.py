@@ -6,7 +6,9 @@ form (no matrix solve, no division-by-zero frequencies as long as the
 terminations are resistive). With the capacitors absent and lossless
 coils it reduces algebraically to the classical untuned two-mesh
 transfer expression, and that reduction is enforced by tests rather
-than assumed.
+than assumed. Each coil's loss is either a fixed resistance or the
+skin-effect resistance of its CoilSpec, evaluated on the whole
+frequency grid at once.
 
 Amplitude convention: v_source is a peak amplitude; powers use the
 (1/2)*Re(V*conj(I)) peak convention throughout.
@@ -17,9 +19,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
+
+from .geometry import CoilSpec
+from .lumped import ac_resistance
 
 FrequencyLike = Union[float, np.ndarray]
 
@@ -32,9 +37,9 @@ class CapacitiveRegimeError(Exception):
 class LinkCircuit:
     """Lumped model of the full link at one geometric configuration.
 
-    Coil losses can be fixed numbers (r_coil_tx / r_coil_rx) or
-    frequency-dependent callables (esr_tx / esr_rx, scalar Hz -> ohm);
-    a callable takes precedence over the fixed value on its side.
+    Coil losses are fixed (r_coil_tx / r_coil_rx) unless esr_tx / esr_rx
+    holds a CoilSpec; that side then uses the coil's skin-effect
+    resistance, evaluated on the whole frequency grid at once.
     c_tx / c_rx are the series tuning capacitors; absent (None) means
     that side is untuned, the capacitor position shorted. Parasitic
     capacitances, when given, sit in parallel with their coil.
@@ -52,8 +57,8 @@ class LinkCircuit:
     v_source: float = 1.0
     parasitic_tx: Optional[float] = None
     parasitic_rx: Optional[float] = None
-    esr_tx: Optional[Callable[[float], float]] = None
-    esr_rx: Optional[Callable[[float], float]] = None
+    esr_tx: Optional[CoilSpec] = None
+    esr_rx: Optional[CoilSpec] = None
 
     def __post_init__(self):
         if self.l_tx <= 0 or self.l_rx <= 0:
@@ -73,22 +78,22 @@ class LinkCircuit:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be > 0 when given, got {value!r}")
+        for name in ("esr_tx", "esr_rx"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, CoilSpec):
+                raise TypeError(f"{name} must be a CoilSpec or None, got {value!r}")
 
     def coil_resistance_tx(self, f: FrequencyLike) -> np.ndarray:
-        if self.esr_tx is None:
-            return np.broadcast_to(float(self.r_coil_tx), np.shape(f)).astype(float) \
-                if np.ndim(f) else np.float64(self.r_coil_tx)
-        if np.ndim(f) == 0:
-            return np.float64(self.esr_tx(float(f)))
-        return np.array([self.esr_tx(float(x)) for x in np.asarray(f).ravel()]).reshape(np.shape(f))
+        return _coil_resistance(self.esr_tx, self.r_coil_tx, f)
 
     def coil_resistance_rx(self, f: FrequencyLike) -> np.ndarray:
-        if self.esr_rx is None:
-            return np.broadcast_to(float(self.r_coil_rx), np.shape(f)).astype(float) \
-                if np.ndim(f) else np.float64(self.r_coil_rx)
-        if np.ndim(f) == 0:
-            return np.float64(self.esr_rx(float(f)))
-        return np.array([self.esr_rx(float(x)) for x in np.asarray(f).ravel()]).reshape(np.shape(f))
+        return _coil_resistance(self.esr_rx, self.r_coil_rx, f)
+
+
+def _coil_resistance(spec: Optional[CoilSpec], r_fixed: float, f: FrequencyLike) -> np.ndarray:
+    """Coil loss (ohm) at each f: the spec's skin-effect ESR, else r_fixed."""
+    r = r_fixed if spec is None else ac_resistance(spec, f)
+    return np.broadcast_to(r, np.shape(f)).astype(float)[()]
 
 
 @dataclass(frozen=True, eq=False)

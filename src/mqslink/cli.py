@@ -12,6 +12,7 @@ nominal values; the presence of a request section ([spectrum],
 [sweep tx_angle], [field_map], ...) asks for that analysis. Outputs
 are CSV/JSON files written atomically (temp file, then rename) plus a
 report.json manifest, which is written even when requests fail.
+Sweeps run serially; --threads N is accepted for compatibility.
 """
 
 from __future__ import annotations
@@ -856,8 +857,7 @@ def _apply_esr_mode(link: LinkCircuit, config: ScenarioConfig) -> LinkCircuit:
     return link
 
 
-def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None,
-                 threads: Optional[int] = None) -> RunReport:
+def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> RunReport:
     """Execute the config's requests in declared order; write all outputs.
 
     Each request is isolated: one failing is recorded in the report's
@@ -910,8 +910,7 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None,
                 sc, req.axis, req.values(),
                 segments_per_turn=config.segments_per_turn, grid=grid,
                 noise_floor_dbv=config.noise_floor_dbv,
-                convention=config.snr_convention, max_workers=threads,
-                link_template=template)
+                convention=config.snr_convention, link_template=template)
             warn_list.extend(f"sweep {req.axis}: {note}" for note in sweep.notes)
             fname = f"sweep_{req.axis}.csv"
             emit_sweep_csv(sweep, out / fname)
@@ -1025,7 +1024,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_run.add_argument("--out", default=None, metavar="DIR",
                        help="output directory (overrides [output] directory)")
     p_run.add_argument("--threads", type=int, default=None, metavar="N",
-                       help="worker threads for sweep points (default serial)")
+                       help="accepted for compatibility; sweeps run serially")
     p_run.add_argument("--log", default="WARNING", type=str.upper,
                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
                        metavar="LEVEL", help="log level (default WARNING)")
@@ -1059,7 +1058,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
 
-    report = run_scenario(config, out_dir=args.out, threads=args.threads)
+    report = run_scenario(config, out_dir=args.out)
     for failure in report.failures:
         print(f"failed: {failure}", file=sys.stderr)
     out = args.out if args.out is not None else config.output_dir

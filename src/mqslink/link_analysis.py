@@ -12,14 +12,14 @@ sweep tables should be read.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import Scenario, apply_pose, build_filament_coil, scenario_poses
-from .lumped import ac_resistance, estimate_inductance
+from .lumped import estimate_inductance
 from .field_coupling import (SPECTRAL, ConvergenceError, SeparationError,
                              SingularEvaluationError, mutual_inductance)
 from .circuit import (LinkCircuit, Spectrum, default_grid, frequency_sweep,
@@ -258,8 +258,8 @@ def scenario_link(sc: Scenario, m: float, tuned: bool = True) -> LinkCircuit:
     """Assemble the LinkCircuit a scenario implies at mutual inductance m.
 
     Inductances come from the coil specs unless the scenario carries
-    measured overrides; coil losses are the skin-effect resistance
-    re-evaluated at each solver frequency; tuning capacitors (when
+    measured overrides; coil losses are the coil specs' skin-effect
+    resistance, evaluated on the whole solver grid; tuning capacitors (when
     tuned) resonate both meshes at the scenario's tuned_frequency using
     those same inductances.
     """
@@ -275,8 +275,7 @@ def scenario_link(sc: Scenario, m: float, tuned: bool = True) -> LinkCircuit:
         c_tx=c_tx, c_rx=c_rx, v_source=sc.v_source,
         parasitic_tx=sc.tx.parasitic_capacitance,
         parasitic_rx=sc.rx.parasitic_capacitance,
-        esr_tx=lambda f, spec=sc.tx: ac_resistance(spec, f),
-        esr_rx=lambda f, spec=sc.rx: ac_resistance(spec, f),
+        esr_tx=sc.tx, esr_rx=sc.rx,
     )
 
 
@@ -324,7 +323,6 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float],
                        segments_per_turn: int = 360, tolerance: float = 1e-3,
                        grid=None, noise_floor_dbv: float = DEFAULT_NOISE_FLOOR_DBV,
                        convention: str = VOLTAGE,
-                       max_workers: Optional[int] = None,
                        link_template: Optional[LinkCircuit] = None) -> SweepResult:
     """Re-pose the geometry along one axis and summarize each link.
 
@@ -348,37 +346,24 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float],
     sweep_grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     # fixes tuning; m replaced per point
     nominal = scenario_link(sc, m=0.0) if link_template is None else replace(link_template, m=0.0)
-    notes = []
-
-    def run_point(value: float):
-        variant = _scenario_variant(sc, axis, value)
-        m = scenario_mutual_inductance(variant, segments_per_turn, tolerance)
-        link = replace(nominal, m=m)
-        return frequency_sweep(link, sweep_grid)
-
-    def one(value: float):
+    rows, notes = [], []
+    for value in vals:
         try:
-            return _summarize_spectrum(run_point(value), value, sc.v_source, sc.r_load,
-                                       noise_floor_dbv, convention), None
+            m = scenario_mutual_inductance(_scenario_variant(sc, axis, value),
+                                           segments_per_turn, tolerance)
+            spectrum = frequency_sweep(replace(nominal, m=m), sweep_grid)
+            rows.append(_summarize_spectrum(spectrum, value, sc.v_source, sc.r_load,
+                                            noise_floor_dbv, convention))
         except (ConvergenceError, SeparationError, SingularEvaluationError) as exc:
-            return SweepRow(value, None, None, None, None, None), \
-                f"{axis} = {value:g} {unit}: point masked: {exc}"
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(one, vals))
-    else:
-        outcomes = [one(v) for v in vals]
-
-    rows = tuple(row for row, _ in outcomes)
-    notes.extend(note for _, note in outcomes if note)
+            rows.append(SweepRow(value, None, None, None, None, None))
+            notes.append(f"{axis} = {value:g} {unit}: point masked: {exc}")
     if axis == LATERAL and any(v == 0.0 for v in vals):
         notes.append("lateral = 0 places the receiver on the transmitter axis; "
                      "not a wearable placement, kept and flagged")
     elif sc.x_eye == 0.0:
         notes.append("x_eye = 0 places the receiver on the transmitter axis; "
                      "not a wearable placement, kept and flagged")
-    return SweepResult(param=axis, unit=unit, rows=rows, notes=tuple(notes))
+    return SweepResult(param=axis, unit=unit, rows=tuple(rows), notes=tuple(notes))
 
 
 def resistance_sweep(link: LinkCircuit, field: str, values: Sequence[float],
@@ -437,7 +422,11 @@ class DualModeReport:
 
 
 def dual_mode_report(link: LinkCircuit, r_load_grid=None, grid=None) -> DualModeReport:
-    """Pick power-mode and comm-mode loads from a log-spaced R_load scan."""
+    """Pick power-mode and comm-mode loads from a log-spaced R_load scan.
+
+    The saturated voltage is read at the largest load; a warning says so
+    when it still rises by more than 1% over the top decade of loads.
+    """
     loads = (np.logspace(-1, 4, 101) if r_load_grid is None
              else np.asarray(r_load_grid, dtype=float))
     if np.any(loads <= 0) or len(loads) < 2 or np.any(np.diff(loads) <= 0):
@@ -453,6 +442,11 @@ def dual_mode_report(link: LinkCircuit, r_load_grid=None, grid=None) -> DualMode
         p_rx[i] = received_power(v, float(r))
     i_power = int(np.argmax(p_rx))
     v_sat = v_rx[-1]
+    i_top = int(np.searchsorted(loads, loads[-1] / 10.0))   # 0 when under a decade
+    if v_sat > 1.01 * v_rx[i_top]:
+        warnings.warn(f"received voltage still rises {v_sat / v_rx[i_top] - 1.0:.1%} over "
+                      f"{loads[i_top]:g}-{loads[-1]:g} ohm; comm mode assumes saturation",
+                      stacklevel=2)
     reaching = np.nonzero(v_rx >= 0.95 * v_sat)[0]
     i_comm = int(reaching[0])
     return DualModeReport(

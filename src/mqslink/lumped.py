@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .constants import MU0
 from .geometry import CoilSpec, FLAT_SPIRAL
 
@@ -137,17 +139,18 @@ def estimate_inductance(spec: CoilSpec, override: Optional[float] = None) -> Ind
     return InductanceEstimate(current_sheet_inductance(spec), flag, CURRENT_SHEET)
 
 
-def skin_depth(f: float, sigma: float) -> float:
-    """Skin depth delta = 1/sqrt(pi f sigma mu0) (m)."""
-    if f <= 0:
-        raise ValueError(f"frequency must be > 0, got {f!r}")
+def skin_depth(f, sigma: float):
+    """Skin depth delta = 1/sqrt(pi f sigma mu0) (m); f may be an array."""
+    if np.any(np.asarray(f) <= 0):
+        raise ValueError(f"frequency must be > 0, got {float(np.min(f))!r}")
     if sigma <= 0:
         raise ValueError(f"conductivity must be > 0, got {sigma!r}")
-    return 1.0 / math.sqrt(math.pi * f * sigma * MU0)
+    delta = 1.0 / np.sqrt(math.pi * np.asarray(f, dtype=float) * sigma * MU0)
+    return float(delta) if np.ndim(f) == 0 else delta
 
 
-def ac_resistance(spec: CoilSpec, f: float) -> float:
-    """Skin-effect series resistance (ohm).
+def ac_resistance(spec: CoilSpec, f):
+    """Skin-effect series resistance (ohm); f may be an array.
 
     R = (1/(sigma*delta)) * N*(D_o - N(d+s))/d, where N*(D_o - N(d+s))
     approximates the total wire length over the conduction cross-section
@@ -155,8 +158,6 @@ def ac_resistance(spec: CoilSpec, f: float) -> float:
     identity sqrt(f pi mu0 / sigma) = 1/(sigma*delta) holds exactly;
     proximity-effect losses are not modeled, so this is an underestimate.
     """
-    if f <= 0:
-        raise ValueError(f"frequency must be > 0, got {f!r}")
     prefactor = 1.0 / (spec.conductivity * skin_depth(f, spec.conductivity))
     depth = _radial_depth(spec)
     return prefactor * spec.turns * (spec.outer_diameter - depth) / spec.wire_diameter

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mqslink import circuit
 from mqslink.circuit import (CapacitiveRegimeError, LinkCircuit, Spectrum,
                              default_grid, extract_inductance,
                              frequency_sweep, path_loss_db, received_power,
@@ -36,8 +39,7 @@ def _nominal_link(tuned=True, **overrides):
     kwargs = dict(
         l_tx=L_TX, l_rx=L_RX, m=M_NOMINAL, r_source=50.0, r_load=1e3,
         c_tx=C_TX if tuned else None, c_rx=C_RX if tuned else None,
-        esr_tx=lambda f: ac_resistance(TX, f),
-        esr_rx=lambda f: ac_resistance(RX, f),
+        esr_tx=TX, esr_rx=RX,
     )
     kwargs.update(overrides)
     return LinkCircuit(**kwargs)
@@ -95,11 +97,12 @@ def test_general_solver_reduces_to_the_untuned_form():
             r_coil_tx=rng.uniform(0, 10), r_coil_rx=rng.uniform(0, 10),
         )
         if rng.uniform() < 0.5:
-            r1, r2 = rng.uniform(0.1, 5, 2)
-            link = LinkCircuit(
-                **{**link.__dict__,
-                   "esr_tx": lambda f, r=r1: r * math.sqrt(f / 26e6),
-                   "esr_rx": lambda f, r=r2: r * math.sqrt(f / 26e6)})
+            esr_tx, esr_rx = (CoilSpec(turns=int(rng.integers(1, 8)),
+                                       inner_radius=rng.uniform(2e-3, 0.1),
+                                       wire_diameter=rng.uniform(0.05e-3, 0.5e-3),
+                                       wire_spacing=rng.uniform(0.0, 1e-3))
+                              for _ in range(2))
+            link = LinkCircuit(**{**link.__dict__, "esr_tx": esr_tx, "esr_rx": esr_rx})
         freqs = np.sort(10 ** rng.uniform(4, 8, 7))
         np.testing.assert_allclose(transfer_ratio(link, freqs),
                                    transfer_ratio_untuned(link, freqs),
@@ -132,13 +135,36 @@ def test_tuning_gain_is_frozen():
     assert gain == pytest.approx(40.193717628242005, abs=1e-9)
 
 
-def test_callable_esr_takes_precedence_over_the_fixed_value():
+def test_spec_esr_takes_precedence_over_the_fixed_value():
     link = _nominal_link(tuned=False, r_coil_tx=3.0,
-                         esr_tx=lambda f: 7.0, esr_rx=None, r_coil_rx=0.0)
-    assert float(link.coil_resistance_tx(26e6)) == 7.0
+                         esr_tx=TX, esr_rx=None, r_coil_rx=0.0)
+    assert float(link.coil_resistance_tx(26e6)) == ac_resistance(TX, 26e6)
     assert float(link.coil_resistance_rx(26e6)) == 0.0
     arr = link.coil_resistance_tx(np.array([1e6, 2e6]))
-    np.testing.assert_allclose(arr, [7.0, 7.0])
+    np.testing.assert_allclose(arr, [ac_resistance(TX, 1e6), ac_resistance(TX, 2e6)],
+                               rtol=0.0, atol=0.0)
+
+
+def test_a_sweep_evaluates_each_coil_loss_once_on_the_whole_grid(monkeypatch):
+    calls = []
+
+    def counting(spec, f):
+        calls.append((spec, np.shape(f)))
+        return ac_resistance(spec, f)
+
+    monkeypatch.setattr(circuit, "ac_resistance", counting)
+    grid = default_grid()
+    frequency_sweep(_nominal_link(), grid)
+    assert len(calls) == 2
+    assert {spec for spec, _ in calls} == {TX, RX}
+    assert all(shape == grid.shape for _, shape in calls)
+
+
+def test_esr_fields_reject_anything_but_a_spec():
+    with pytest.raises(TypeError, match="esr_tx"):
+        _nominal_link(esr_tx=lambda f: 1.0)
+    with pytest.raises(TypeError, match="esr_rx"):
+        _nominal_link(esr_rx=2.5)
 
 
 def test_transfer_ratio_scalar_and_array_agree():
@@ -197,6 +223,88 @@ def test_tx_power_vectorizes():
     assert p.shape == (3,)
     assert p[1] == pytest.approx(tx_power(link, 26e6), rel=1e-15)
     assert isinstance(tx_power(link, 26e6), float)
+
+
+_SPECS = st.builds(CoilSpec, turns=st.integers(1, 7),
+                   inner_radius=st.floats(2e-3, 0.1),
+                   wire_diameter=st.floats(0.05e-3, 0.5e-3),
+                   wire_spacing=st.floats(0.0, 1e-3))
+
+
+@st.composite
+def _random_links(draw, parasitics):
+    """A link with random values, and a grid spanning +-50% around its f0.
+
+    Coil loss is drawn either as a CoilSpec's skin-effect ESR or as
+    fixed resistances. Parasitics, when drawn, are at most a tenth of
+    the capacitance that tunes their coil to f0, which keeps each
+    coil's self-resonance above the grid.
+    """
+    l_tx, l_rx = (10 ** draw(st.floats(-7, -4)) for _ in range(2))
+    f0 = 10 ** draw(st.floats(6, 8))
+    c_tx, c_rx = tune_capacitance(l_tx, f0), tune_capacitance(l_rx, f0)
+    kwargs = dict(l_tx=l_tx, l_rx=l_rx,
+                  m=draw(st.floats(-0.5, 0.5)) * math.sqrt(l_tx * l_rx),
+                  r_source=10 ** draw(st.floats(0, 3)),
+                  r_load=10 ** draw(st.floats(0, 4)),
+                  v_source=draw(st.floats(0.1, 10)))
+    if draw(st.booleans()):
+        kwargs.update(c_tx=c_tx, c_rx=c_rx)
+    if draw(st.booleans()):
+        kwargs.update(esr_tx=draw(_SPECS), esr_rx=draw(_SPECS))
+    else:
+        kwargs.update(r_coil_tx=draw(st.floats(0, 10)), r_coil_rx=draw(st.floats(0, 10)))
+    if parasitics:
+        for side, c in (("parasitic_tx", c_tx), ("parasitic_rx", c_rx)):
+            kwargs[side] = draw(st.none() | st.floats(-3, -1).map(lambda e, c=c: c * 10 ** e))
+    return LinkCircuit(**kwargs), np.linspace(0.5 * f0, 1.5 * f0, 201)
+
+
+def _assert_power_balance(link, f, dissipated):
+    p_in = tx_power(link, f)
+    np.testing.assert_allclose(dissipated, p_in, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_links(parasitics=False))
+def test_power_balance_without_parasitics(drawn):
+    # every term from public outputs: i_in from z11, the receive-mesh
+    # current from V_rx across the load
+    link, f = drawn
+    spectrum = frequency_sweep(link, f)
+    i_in = link.v_source / (spectrum.z11 + link.r_source)
+    i_rx = spectrum.h * link.v_source / link.r_load
+    dissipated = 0.5 * (np.abs(i_in) ** 2 * (link.r_source + link.coil_resistance_tx(f))
+                        + np.abs(i_rx) ** 2 * (link.coil_resistance_rx(f) + link.r_load))
+    _assert_power_balance(link, f, dissipated)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_links(parasitics=True))
+def test_power_balance_with_parasitics(drawn):
+    # branch currents from a direct solve of the circuit equations;
+    # unknowns are I_in, V_1, I_coil1, V_2, I_coil2, I_load, where V_k is
+    # the voltage across coil k and its parasitic
+    link, f = drawn
+    jw = 2j * math.pi * f
+    r_tx, r_rx = link.coil_resistance_tx(f), link.coil_resistance_rx(f)
+    z_src = link.r_source + (1 / (jw * link.c_tx) if link.c_tx else 0)
+    z_load = link.r_load + (1 / (jw * link.c_rx) if link.c_rx else 0)
+    y_tx = jw * (link.parasitic_tx or 0.0)
+    y_rx = jw * (link.parasitic_rx or 0.0)
+    a = np.zeros((len(f), 6, 6), dtype=complex)
+    a[:, 0, 0], a[:, 0, 1] = z_src, 1.0                       # source loop
+    a[:, 1, 0], a[:, 1, 1], a[:, 1, 2] = 1.0, -y_tx, -1.0     # node 1
+    a[:, 2, 1], a[:, 2, 2], a[:, 2, 4] = 1.0, -(r_tx + jw * link.l_tx), -jw * link.m
+    a[:, 3, 3], a[:, 3, 4], a[:, 3, 2] = 1.0, -(r_rx + jw * link.l_rx), -jw * link.m
+    a[:, 4, 3], a[:, 4, 4], a[:, 4, 5] = y_rx, 1.0, 1.0       # node 2
+    a[:, 5, 3], a[:, 5, 5] = 1.0, -z_load                     # load branch
+    b = np.zeros((len(f), 6, 1), dtype=complex)
+    b[:, 0, 0] = link.v_source
+    i_in, _, i_tx, _, i_rx, i_load = np.moveaxis(np.linalg.solve(a, b)[..., 0], -1, 0)
+    dissipated = 0.5 * (np.abs(i_in) ** 2 * link.r_source + np.abs(i_tx) ** 2 * r_tx
+                        + np.abs(i_rx) ** 2 * r_rx + np.abs(i_load) ** 2 * link.r_load)
+    _assert_power_balance(link, f, dissipated)
 
 
 def test_received_power_is_amplitude_squared_over_load():

@@ -461,6 +461,15 @@ def test_timings_are_exclusive_per_layer(tmp_path, monkeypatch):
     assert timings["spectrum"] + timings["mutual_inductance"] <= wall
 
 
+def test_unsaturated_dual_mode_scan_is_reported_as_a_warning(tmp_path):
+    config = parse_config(write_config(tmp_path, "[dual_mode]\nload_max = 10 ohm\n"),
+                          allow_defaults=True)
+    report = run_scenario(config, out_dir=str(tmp_path / "out"))
+    assert report.failures == ()
+    rising = [w for w in report.warnings if "still rises" in w]
+    assert len(rising) == 1 and rising[0].startswith("dual_mode: ")
+
+
 def test_run_scenario_returns_the_report(tmp_path):
     config = parse_config(write_config(tmp_path, SMALL_RUN),
                           allow_defaults=True)

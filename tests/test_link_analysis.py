@@ -1,6 +1,8 @@
 """Bandwidth, capacity, and parametric sweep layers."""
 
 import math
+import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -154,10 +156,22 @@ def test_scenario_link_wires_the_lumped_pieces():
     assert link.c_tx == pytest.approx(tune_capacitance(35e-6, 26e6), rel=1e-15)
     assert link.c_rx == pytest.approx(link.l_tx * link.c_tx / link.l_rx,
                                       rel=1e-15)
-    assert link.esr_tx(26e6) == pytest.approx(ac_resistance(TX, 26e6),
-                                              rel=1e-15)
-    assert link.esr_rx(13e6) == pytest.approx(ac_resistance(RX, 13e6),
-                                              rel=1e-15)
+    assert link.esr_tx == TX and link.esr_rx == RX
+    assert link.coil_resistance_tx(26e6) == pytest.approx(ac_resistance(TX, 26e6),
+                                                          rel=1e-15)
+    assert link.coil_resistance_rx(13e6) == pytest.approx(ac_resistance(RX, 13e6),
+                                                          rel=1e-15)
+
+
+def test_scenario_link_is_a_hashable_picklable_value():
+    link = scenario_link(NOMINAL, m=M_NOMINAL)
+    assert link == scenario_link(NOMINAL, m=M_NOMINAL)
+    assert hash(link) == hash(scenario_link(NOMINAL, m=M_NOMINAL))
+    restored = pickle.loads(pickle.dumps(link))
+    assert restored == link and hash(restored) == hash(link)
+    grid = np.linspace(25e6, 27e6, 101)
+    assert frequency_sweep(restored, grid).h.tolist() == \
+        frequency_sweep(link, grid).h.tolist()
 
 
 def test_untuned_scenario_link_has_no_capacitors():
@@ -197,15 +211,6 @@ def test_angle_sweep_rows_are_ordered_and_live():
         assert row.peak_db < 0
         assert row.p_rx_w > 0
         assert 25e6 <= row.peak_freq_hz <= 27e6
-
-
-def test_thread_pool_does_not_change_the_numbers():
-    grid = np.linspace(25e6, 27e6, 101)
-    kwargs = dict(segments_per_turn=96, grid=grid)
-    serial = misalignment_sweep(NOMINAL, TX_ANGLE, [20.0, 40.0, 60.0], **kwargs)
-    pooled = misalignment_sweep(NOMINAL, TX_ANGLE, [20.0, 40.0, 60.0],
-                                max_workers=3, **kwargs)
-    assert serial.rows == pooled.rows
 
 
 def test_unreachable_tolerance_masks_points_instead_of_failing():
@@ -281,6 +286,22 @@ def test_dual_mode_loads_split_as_designed():
     assert report.p_rx_power_mode >= report.p_rx_comm_mode
     assert report.v_rx_comm_mode > report.v_rx_power_mode
     assert report.v_rx_comm_mode > 0.9 * report.v_rx_power_mode
+
+
+def test_dual_mode_warns_when_the_loads_stop_short_of_saturation():
+    link = scenario_link(NOMINAL, m=M_NOMINAL)
+    with pytest.warns(UserWarning, match="still rises .* over 1-10 ohm"):
+        dual_mode_report(link, r_load_grid=np.geomspace(0.1, 10.0, 31))
+    # under a decade, the rise is judged over the whole scan
+    with pytest.warns(UserWarning, match="over 2-10 ohm"):
+        dual_mode_report(link, r_load_grid=np.geomspace(2.0, 10.0, 9))
+
+
+def test_dual_mode_default_loads_saturate_without_warning():
+    link = scenario_link(NOMINAL, m=M_NOMINAL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dual_mode_report(link)
 
 
 def test_dual_mode_rejects_bad_load_grids():

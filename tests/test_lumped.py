@@ -151,6 +151,35 @@ def test_ac_resistance_uses_the_same_skin_depth_kernel():
     assert ac_resistance(RX, f) == pytest.approx(expected, rel=1e-14)
 
 
+def test_array_frequencies_match_scalar_calls_bit_for_bit():
+    f = np.concatenate([np.linspace(20e6, 30e6, 1001),
+                        np.random.default_rng(5).uniform(1e3, 1e9, 200)])
+    delta = skin_depth(f, COPPER_CONDUCTIVITY)
+    assert delta.shape == f.shape
+    assert delta.tolist() == [skin_depth(x, COPPER_CONDUCTIVITY) for x in f.tolist()]
+    # the scalar path keeps the math.sqrt kernel's values and type
+    assert [skin_depth(x, COPPER_CONDUCTIVITY) for x in f.tolist()] == \
+        [1.0 / math.sqrt(math.pi * x * COPPER_CONDUCTIVITY * MU0) for x in f.tolist()]
+    assert type(skin_depth(26e6, COPPER_CONDUCTIVITY)) is float
+    for spec in (RX, TX):
+        r = ac_resistance(spec, f)
+        assert r.tolist() == [ac_resistance(spec, x) for x in f.tolist()]
+        assert type(ac_resistance(spec, 26e6)) is float
+    grid = ac_resistance(RX, f[:1200].reshape(12, 100))
+    assert grid.shape == (12, 100)
+    assert grid.ravel().tolist() == ac_resistance(RX, f[:1200]).tolist()
+
+
+def test_array_frequencies_with_a_nonpositive_element_raise():
+    grid = np.array([0.0, 1e6, 2e6])
+    with pytest.raises(ValueError, match="frequency"):
+        skin_depth(grid, COPPER_CONDUCTIVITY)
+    with pytest.raises(ValueError, match="frequency"):
+        ac_resistance(RX, grid)
+    with pytest.raises(ValueError, match="frequency"):
+        ac_resistance(RX, np.array([1e6, -2e6]))
+
+
 def test_quality_factor_identity():
     assert quality_factor(35e-6, 1.0, 26e6) == pytest.approx(
         5717.698629533423, rel=1e-12)
