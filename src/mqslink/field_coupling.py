@@ -1,13 +1,15 @@
 """Magnetic coupling between posed filament coils.
 
-Fields come from the exact finite straight-segment kernel, flux from
-per-turn disk quadrature, and mutual inductance from one of three
-routes: the Neumann double line integral over the polylines (default),
-the same integral by Gauss-Legendre quadrature on the exact winding
-curve (spectral), or the flux route. The polyline routes are
-independent cross-checks of the spectral one. A closed-form
-coaxial-loop formula built on AGM elliptic integrals is the analytic
-reference for the kernel.
+Fields come from the exact finite straight-segment kernel, evaluated in
+one chunked pass per block of points over the point-to-vertex offsets;
+the exact point-to-segment distance runs only for points near a vertex,
+to mask those inside a wire. Flux comes from per-turn disk quadrature,
+and mutual inductance from one of three routes: the Neumann double line
+integral over the polylines (default), the same integral by
+Gauss-Legendre quadrature on the exact winding curve (spectral), or the
+flux route. The polyline routes are independent cross-checks of the
+spectral one. A closed-form coaxial-loop formula built on AGM elliptic
+integrals is the analytic reference for the kernel.
 
 Self-inductance is deliberately not computed here (the filament limit
 is singular); the lumped module owns it. The wire radius enters only as
@@ -31,8 +33,9 @@ FLUX = "flux"
 SPECTRAL = "spectral"
 _METHODS = (NEUMANN, FLUX, SPECTRAL)
 
-# pair-evaluation budget per vectorized chunk; bounds temporaries to
-# ~100 MB and fixes the summation order regardless of problem size
+# pair budget per vectorized chunk (point-vertex pairs in the field
+# kernel, point-segment pairs elsewhere): 16 MB per (rows, vertices)
+# float64 plane, and a summation order fixed regardless of problem size
 _CHUNK_PAIRS = 2_000_000
 
 # quadrature ladder for flux disks: (radial Gauss-Legendre nodes,
@@ -151,26 +154,6 @@ class GridSpec:
         return np.column_stack([cols["x"], cols["y"], cols["z"]])
 
 
-def _segment_field(points: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                   current: float) -> np.ndarray:
-    # exact B of straight segments, summed; stable near-collinear form
-    seg = ends - starts
-    seg_len_sq = np.sum(seg * seg, axis=1)
-    out = np.zeros_like(points)
-    rows = max(1, _CHUNK_PAIRS // max(1, len(starts)))
-    for i0 in range(0, len(points), rows):
-        p = points[i0:i0 + rows]
-        r1 = p[:, None, :] - starts[None, :, :]
-        r2 = p[:, None, :] - ends[None, :, :]
-        l1 = np.sqrt(np.sum(r1 * r1, axis=2))
-        l2 = np.sqrt(np.sum(r2 * r2, axis=2))
-        lsum = l1 + l2
-        denom = l1 * l2 * (lsum * lsum - seg_len_sq[None, :])
-        scale = 2.0 * lsum / denom
-        out[i0:i0 + rows] = np.sum(np.cross(r1, r2) * scale[..., None], axis=1)
-    return MU0 * current / (4.0 * math.pi) * out
-
-
 def _distance_to_segments(points: np.ndarray, starts: np.ndarray,
                           ends: np.ndarray) -> np.ndarray:
     """Distance from each point to the nearest polyline segment."""
@@ -188,6 +171,67 @@ def _distance_to_segments(points: np.ndarray, starts: np.ndarray,
     return out
 
 
+def _coil_field(coil: FilamentCoil, points: np.ndarray,
+                current: float) -> Tuple[np.ndarray, np.ndarray]:
+    """B (tesla) of the coil at each of the (n, 3) points, and a mask.
+
+    valid[i] is False where points[i] lies within half a wire diameter
+    of a segment; b is zero there. Each block of points takes one pass
+    over point-to-vertex offsets: the exclusion mask, then the exact
+    finite-segment field (Hanson & Hirshman, Phys. Plasmas 9, 4410,
+    2002) summed over segments by matrix products.
+    """
+    starts, ends = coil.segment_starts, coil.segment_ends
+    seg = ends - starts
+    seg_len_sq = np.sum(seg * seg, axis=1)
+    exclusion = coil.wire_diameter / 2.0
+    # a point within `exclusion` of a segment lies within
+    # exclusion + len/2 of that segment's nearer end
+    reach = exclusion + math.sqrt(float(seg_len_sq.max())) / 2.0
+    b = np.zeros_like(points)
+    valid = np.ones(len(points), dtype=bool)
+    rows = max(1, _CHUNK_PAIRS // len(coil.points))
+    for i0 in range(0, len(points), rows):
+        p = points[i0:i0 + rows]
+        # point - vertex as x, y, z planes; segment s runs from vertex s
+        # to vertex s + 1, so its end distances are adjacent columns
+        rel = [p[:, k, None] - coil.points[:, k] for k in range(3)]
+        dist = rel[0] * rel[0]
+        dist += rel[1] * rel[1]
+        dist += rel[2] * rel[2]
+        np.sqrt(dist, out=dist)
+        # only points near a vertex (with a margin far above rounding)
+        # need the exact segment distance
+        nearest = dist.min(axis=1)
+        near = np.flatnonzero(nearest - reach <= 1e-9 * (nearest + reach))
+        if len(near):
+            d = _distance_to_segments(p[near], starts, ends)
+            valid[i0 + near[d <= exclusion]] = False
+        keep = valid[i0:i0 + rows]
+        if not keep.all():
+            rel, dist = [r[keep] for r in rel], dist[keep]
+        # half the weight (l1 + l2) / (l1 l2 ((l1 + l2)^2 - L^2)) of each
+        # pair, built in place; the 2 joins the constant below
+        l1, l2 = dist[:, :-1], dist[:, 1:]
+        w = l1 + l2
+        den = w * w
+        den -= seg_len_sq
+        den *= l1
+        den *= l2
+        w /= den
+        # m[k][:, j] = sum_s w_s (p - a_s)_k seg_sj: the field
+        # sum_s w_s seg_s x (p - a_s) taken from the offsets themselves,
+        # which keeps it accurate beside the wire, where re-centring on a
+        # distant origin would cancel several digits
+        m = [np.multiply(w, r[:, :-1], out=den) @ seg for r in rel]
+        b[i0:i0 + rows][keep] = np.column_stack([m[2][:, 1] - m[1][:, 2],
+                                                 m[0][:, 2] - m[2][:, 0],
+                                                 m[1][:, 0] - m[0][:, 1]])
+        # free this block's planes before the next block builds its own
+        del rel, dist, w, den
+    return MU0 * current / (2.0 * math.pi) * b, valid
+
+
 def b_field(coil: FilamentCoil, current: float, point) -> np.ndarray:
     """Magnetic flux density of the coil carrying `current`, in tesla.
 
@@ -198,15 +242,14 @@ def b_field(coil: FilamentCoil, current: float, point) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(point, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"point must be a 3-vector or (n, 3) array, got shape {np.shape(point)}")
-    exclusion = coil.wire_diameter / 2.0
-    dist = _distance_to_segments(pts, coil.segment_starts, coil.segment_ends)
-    if np.any(dist <= exclusion):
-        worst = float(dist.min())
+    b, valid = _coil_field(coil, pts, float(current))
+    if not valid.all():
+        worst = float(_distance_to_segments(pts[~valid], coil.segment_starts,
+                                            coil.segment_ends).min())
         raise SingularEvaluationError(
             f"evaluation point within {worst:.3e} m of the filament "
-            f"(exclusion zone {exclusion:.3e} m)"
+            f"(exclusion zone {coil.wire_diameter / 2.0:.3e} m)"
         )
-    b = _segment_field(pts, coil.segment_starts, coil.segment_ends, float(current))
     return b[0] if np.ndim(point) == 1 else b
 
 
@@ -217,21 +260,9 @@ def field_map(coil: FilamentCoil, current: float, grid: GridSpec) -> Tuple[Field
     None) rather than aborting the map.
     """
     pts = grid.points()
-    exclusion = coil.wire_diameter / 2.0
-    dist = _distance_to_segments(pts, coil.segment_starts, coil.segment_ends)
-    valid = dist > exclusion
-    b = np.zeros_like(pts)
-    if np.any(valid):
-        b[valid] = _segment_field(pts[valid], coil.segment_starts,
-                                  coil.segment_ends, float(current))
-    samples = []
-    for i in range(len(pts)):
-        pos = (float(pts[i, 0]), float(pts[i, 1]), float(pts[i, 2]))
-        if valid[i]:
-            samples.append(FieldSample(pos, (float(b[i, 0]), float(b[i, 1]), float(b[i, 2]))))
-        else:
-            samples.append(FieldSample(pos, None))
-    return tuple(samples)
+    b, valid = _coil_field(coil, pts, float(current))
+    return tuple(FieldSample(tuple(pos), tuple(bv) if ok else None)
+                 for pos, bv, ok in zip(pts.tolist(), b.tolist(), valid.tolist()))
 
 
 def _coupling_floor(tx: FilamentCoil, rx: FilamentCoil) -> float:
@@ -337,7 +368,6 @@ def _flux(tx: FilamentCoil, rx: FilamentCoil, current: float,
     frames = _disk_frames(rx)
     normal = rx.axis
     floor = _coupling_floor(tx, rx) * abs(float(current))
-    exclusion = tx.wire_diameter / 2.0
 
     prev = None
     estimate = math.inf
@@ -359,13 +389,14 @@ def _flux(tx: FilamentCoil, rx: FilamentCoil, current: float,
         pts = np.vstack(pts)
         areas = np.concatenate(areas)
 
-        d = _distance_to_segments(pts, tx.segment_starts, tx.segment_ends)
-        if float(d.min()) <= exclusion:
+        b, valid = _coil_field(tx, pts, float(current))
+        if not valid.all():
+            d = float(_distance_to_segments(pts[~valid], tx.segment_starts,
+                                            tx.segment_ends).min())
             raise SeparationError(
                 "receiver spanning surface enters the transmitter wire's "
-                f"exclusion zone (closest approach {float(d.min()):.3e} m)"
+                f"exclusion zone (closest approach {d:.3e} m)"
             )
-        b = _segment_field(pts, tx.segment_starts, tx.segment_ends, float(current))
         phi = float(np.sum((b @ normal) * areas))
 
         if prev is not None:

@@ -138,6 +138,142 @@ def test_field_inside_the_wire_is_refused():
         b_field(coil, 1.0, np.array([0.01, 0.0, 0.0]))
 
 
+def _loop_field(radius, current, p):
+    # closed-form B of a circular loop about +z at the origin, from
+    # K(k) and E(k) with k^2 = 4 a rho / beta^2
+    x, y, z = p
+    rho = math.hypot(x, y)
+    s = radius**2 + rho**2 + z**2
+    alpha_sq = s - 2.0 * radius * rho
+    beta = math.sqrt(s + 2.0 * radius * rho)
+    big_k, big_e = _ellipke(math.sqrt(1.0 - alpha_sq / beta**2))
+    scale = MU0 * current / (2.0 * math.pi * alpha_sq * beta)
+    b_z = scale * ((radius**2 - rho**2 - z**2) * big_e + alpha_sq * big_k)
+    b_rho = scale * z / rho * (s * big_e - alpha_sq * big_k)
+    return np.array([b_rho * x / rho, b_rho * y / rho, b_z])
+
+
+def test_off_axis_field_converges_to_the_closed_form_loop():
+    radius, wire = 0.01, 1e-4
+    exclusion = wire / 2.0
+    pts = np.array([
+        ((radius + dr) * math.cos(angle), (radius + dr) * math.sin(angle), z)
+        for angle in (0.3, 1.1, 2.5)
+        for dr, z in ((3 * exclusion, 0.0), (0.0, 4 * exclusion),
+                      (-3 * exclusion, 2 * exclusion), (0.004, 0.003),
+                      (-0.006, 0.002), (0.02, -0.01))])
+    want = np.array([_loop_field(radius, 1.5, p) for p in pts])
+    errs = []
+    for segments in (720, 1440):
+        got = b_field(_loop(radius, segments=segments, wire=wire), 1.5, pts)
+        errs.append(np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1))
+    # the inscribed polygon's error falls as segments^-2
+    assert np.all(errs[1] < 2e-4)
+    np.testing.assert_allclose(errs[0] / errs[1], 4.0, rtol=0.01)
+
+
+# --------------------------------------------------------------- kernel
+
+def _per_pair_field(coil, points, current):
+    # the direct form of the finite-segment kernel: every point-segment
+    # pair with its own cross(r1, r2); masked points stay zero
+    starts, ends = coil.segment_starts, coil.segment_ends
+    valid = field_coupling._distance_to_segments(points, starts, ends) > \
+        coil.wire_diameter / 2.0
+    p = points[valid]
+    r1 = p[:, None, :] - starts[None, :, :]
+    r2 = p[:, None, :] - ends[None, :, :]
+    l1 = np.sqrt(np.sum(r1 * r1, axis=2))
+    l2 = np.sqrt(np.sum(r2 * r2, axis=2))
+    lsum = l1 + l2
+    seg_len_sq = np.sum((ends - starts) ** 2, axis=1)
+    scale = 2.0 * lsum / (l1 * l2 * (lsum * lsum - seg_len_sq[None, :]))
+    b = np.zeros_like(points)
+    b[valid] = np.sum(np.cross(r1, r2) * scale[..., None], axis=1)
+    return MU0 * current / (4.0 * math.pi) * b, valid
+
+
+_FLAT = CoilSpec(turns=3, inner_radius=5e-3, wire_diameter=0.4e-3,
+                 wire_spacing=0.3e-3)
+_DOME = CoilSpec(turns=3, inner_radius=4e-3, wire_diameter=0.3e-3,
+                 wire_spacing=0.2e-3, shape=HELICAL, sphere_radius=8e-3)
+
+
+def _grazing_points(coil):
+    # a grid over the winding in the coil plane and across it, plus
+    # points at and around the exclusion radius from every third vertex
+    local = [GridSpec(plane, 0.0, -7e-3, 7e-3, 61, -7e-3, 7e-3, 61).points()
+             for plane in ("xy", "xz")]
+    grids = np.vstack(local) @ coil.rotation.T + coil.origin
+    rng = np.random.default_rng(5)
+    verts = coil.points[::3]
+    dirs = rng.standard_normal(verts.shape)
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    rings = [verts + f * coil.wire_diameter / 2.0 * dirs
+             for f in (0.999, 1.0, 1.001, 1.01, 1.5, 3.0)]
+    return np.vstack([grids] + rings)
+
+
+@pytest.mark.parametrize("spec", [_FLAT, _DOME], ids=["flat", "helical"])
+@pytest.mark.parametrize("tilt", [0.0, 37.0])
+def test_kernel_matches_the_per_pair_form(spec, tilt):
+    coil = apply_pose(build_filament_coil(spec, 64),
+                      Pose(center=(0.01, -0.002, 0.03), tilt_angle_deg=tilt))
+    pts = _grazing_points(coil)
+    b, valid = field_coupling._coil_field(coil, pts, 2.0)
+    want, want_valid = _per_pair_field(coil, pts, 2.0)
+    np.testing.assert_array_equal(valid, want_valid)
+    assert 0 < np.count_nonzero(~valid) < len(pts)
+    assert np.all(b[~valid] == 0.0)
+    err = np.linalg.norm(b - want, axis=1)[valid] / \
+        np.linalg.norm(want, axis=1)[valid]
+    assert err.max() <= 1e-11
+
+
+_MASK_COIL = apply_pose(
+    build_filament_coil(CoilSpec(turns=2, inner_radius=8e-3, wire_diameter=1e-3,
+                                 wire_spacing=0.5e-3), 24),
+    Pose(center=(0.003, 0.0, -0.002), tilt_angle_deg=25.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, _MASK_COIL.n_segments - 1),
+                          st.floats(0.0, 1.0), st.floats(0.0, 5.0),
+                          st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * math.pi)),
+                min_size=1, max_size=40))
+def test_vertex_early_out_masks_exactly_the_points_inside_the_wire(draws):
+    # points at 0..5 exclusion radii from a spot on a segment straddle
+    # both the exclusion radius and the early-out reach
+    # (exclusion + half a segment, about 3 exclusion radii here)
+    coil = _MASK_COIL
+    exclusion = coil.wire_diameter / 2.0
+    pts = []
+    for seg, t, dist, cos_polar, azimuth in draws:
+        on_wire = coil.points[seg] + t * (coil.points[seg + 1] - coil.points[seg])
+        sin_polar = math.sqrt(1.0 - cos_polar * cos_polar)
+        direction = np.array([sin_polar * math.cos(azimuth),
+                              sin_polar * math.sin(azimuth), cos_polar])
+        pts.append(on_wire + dist * exclusion * direction)
+    pts = np.array(pts)
+    _, valid = field_coupling._coil_field(coil, pts, 1.0)
+    exact = field_coupling._distance_to_segments(
+        pts, coil.segment_starts, coil.segment_ends)
+    np.testing.assert_array_equal(~valid, exact <= exclusion)
+
+
+def test_maps_far_from_the_wire_skip_the_segment_distance_pass(monkeypatch):
+    def pairwise(*args):
+        raise AssertionError("segment distance pass ran for points far from the wire")
+
+    monkeypatch.setattr(field_coupling, "_distance_to_segments", pairwise)
+    tx, _ = _nominal_pair(90)
+    grid = GridSpec(plane="xz", offset=0.0, axis1_start=-0.03, axis1_stop=0.03,
+                    axis1_points=9, axis2_start=0.02, axis2_stop=0.08,
+                    axis2_points=7)
+    samples = field_map(tx, 1.0, grid)
+    assert len(samples) == 63 and not any(s.masked for s in samples)
+
+
 # --------------------------------------------------------------- field_map
 
 def test_grid_points_run_row_major_with_axis1_slow():
