@@ -8,7 +8,10 @@ coils it reduces algebraically to the classical untuned two-mesh
 transfer expression, and that reduction is enforced by tests rather
 than assumed. Each coil's loss is either a fixed resistance or the
 skin-effect resistance of its CoilSpec, evaluated on the whole
-frequency grid at once.
+frequency grid at once. The terminations may also come as a (rows, 1)
+column that broadcasts elementwise against the grid, so one call
+solves a block of re-terminated links; on a grid of two or more points
+each row is bit-identical to the solve of its own link.
 
 Amplitude convention: v_source is a peak amplitude; powers use the
 (1/2)*Re(V*conj(I)) peak convention throughout.
@@ -96,6 +99,21 @@ def _coil_resistance(spec: Optional[CoilSpec], r_fixed: float, f: FrequencyLike)
     return np.broadcast_to(r, np.shape(f)).astype(float)[()]
 
 
+def _check_grid(f: np.ndarray) -> None:
+    """Raise ValueError unless f is a non-empty, positive, increasing 1-D grid."""
+    if f.ndim != 1 or len(f) < 1:
+        raise ValueError("frequency grid must be a non-empty 1-D array")
+    if np.any(f <= 0):
+        raise ValueError("frequencies must be > 0")
+    if len(f) > 1 and np.any(np.diff(f) <= 0):
+        raise ValueError("frequency grid must be strictly increasing")
+
+
+def _check_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("spectrum values must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Transfer ratio and input impedance on a frequency grid.
@@ -112,16 +130,11 @@ class Spectrum:
         f = np.asarray(self.frequencies, dtype=float)
         h = np.asarray(self.h, dtype=complex)
         z = np.asarray(self.z11, dtype=complex)
-        if f.ndim != 1 or len(f) < 1:
-            raise ValueError("frequency grid must be a non-empty 1-D array")
-        if np.any(f <= 0):
-            raise ValueError("frequencies must be > 0")
-        if len(f) > 1 and np.any(np.diff(f) <= 0):
-            raise ValueError("frequency grid must be strictly increasing")
+        _check_grid(f)
         if h.shape != f.shape or z.shape != f.shape:
             raise ValueError("h and z11 must match the frequency grid shape")
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(z))):
-            raise ValueError("spectrum values must be finite")
+        _check_finite(h)
+        _check_finite(z)
         for name, arr in (("frequencies", f), ("h", h), ("z11", z)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -130,18 +143,34 @@ class Spectrum:
         return len(self.frequencies)
 
 
-def _mesh_solve(link: LinkCircuit, f: FrequencyLike):
-    """Closed-form mesh solution; returns (h, z11, i_in) at each f."""
+def _mesh_solve(link: LinkCircuit, f: FrequencyLike, r_source=None, r_load=None):
+    """Closed-form mesh solution: (h, input_current) at each f.
+
+    r_source / r_load default to the link's own; either may instead be
+    a (rows, 1) column, which broadcasts against the (F,) grid so h
+    comes back as (rows, F), row k being the link re-terminated at the
+    k-th value. Every operation is elementwise and in the same order as
+    for a scalar termination, so with F >= 2 each row keeps the bits of
+    its own solve (with F == 1 numpy loops along the rows instead, and
+    a row may differ in the last bit). The terms that do not depend on
+    the terminations (jw, the capacitor impedances, z_l1/z_l2 with the
+    coil ESR, wm) stay (F,), and so does alpha1 when only r_load
+    varies. input_current() gives the source current i_in; it runs
+    only when called, so callers that read h alone skip the input-side
+    tail.
+    """
     farr = np.asarray(f, dtype=float)
     if np.any(farr <= 0):
         raise ValueError("frequency must be > 0")
+    r_source = link.r_source if r_source is None else r_source
+    r_load = link.r_load if r_load is None else r_load
     w = 2.0 * math.pi * farr
     jw = 1j * w
 
     z_ctx = 1.0 / (jw * link.c_tx) if link.c_tx is not None else 0.0
     z_crx = 1.0 / (jw * link.c_rx) if link.c_rx is not None else 0.0
-    z_s1 = link.r_source + z_ctx
-    z_s2 = link.r_load + z_crx
+    z_s1 = r_source + z_ctx
+    z_s2 = r_load + z_crx
     z_l1 = link.coil_resistance_tx(farr) + jw * link.l_tx
     z_l2 = link.coil_resistance_rx(farr) + jw * link.l_rx
 
@@ -152,21 +181,22 @@ def _mesh_solve(link: LinkCircuit, f: FrequencyLike):
     beta2 = jw_cp2 + 1.0 / z_s2
     d2 = 1.0 + beta2 * z_l2
     wm = w * link.m
-    denom = z_s1 + alpha1 * z_l1 + alpha1 * beta2 * wm * wm / d2
-
-    i_l1 = link.v_source / denom
+    # the denominator and V_rx stay unnamed, so a block's (rows, F)
+    # temporaries are freed as soon as they are used
+    i_l1 = link.v_source / (z_s1 + alpha1 * z_l1 + alpha1 * beta2 * wm * wm / d2)
     v2 = 1j * wm * i_l1 / d2
-    v_rx = v2 * link.r_load / z_s2
-    i_l2 = -beta2 * v2
-    v1 = z_l1 * i_l1 + 1j * wm * i_l2
-    i_in = i_l1 + jw_cp1 * v1
-    z11 = link.v_source / i_in - link.r_source
-    return v_rx / link.v_source, z11, i_in
+
+    def input_current():
+        i_l2 = -beta2 * v2
+        v1 = z_l1 * i_l1 + 1j * wm * i_l2
+        return i_l1 + jw_cp1 * v1
+
+    return v2 * r_load / z_s2 / link.v_source, input_current
 
 
 def transfer_ratio(link: LinkCircuit, f: FrequencyLike):
     """Complex V_rx/V_source at frequency f (scalar or array)."""
-    h, _, _ = _mesh_solve(link, f)
+    h, _ = _mesh_solve(link, f)
     return complex(h) if np.ndim(f) == 0 else h
 
 
@@ -234,7 +264,8 @@ def default_grid() -> np.ndarray:
 def frequency_sweep(link: LinkCircuit, grid) -> Spectrum:
     """Solve the mesh at every grid frequency; grid must be increasing."""
     farr = np.asarray(grid, dtype=float)
-    h, z11, _ = _mesh_solve(link, farr)
+    h, input_current = _mesh_solve(link, farr)
+    z11 = link.v_source / input_current() - link.r_source
     return Spectrum(frequencies=farr, h=h, z11=z11)
 
 
@@ -265,8 +296,8 @@ def received_power(v_rx, r_load: float) -> float:
 
 def tx_power(link: LinkCircuit, f: FrequencyLike):
     """Real power delivered by the source: (1/2) Re(V_source * conj(I_in))."""
-    _, _, i_in = _mesh_solve(link, f)
-    p = 0.5 * np.real(link.v_source * np.conj(i_in))
+    _, input_current = _mesh_solve(link, f)
+    p = 0.5 * np.real(link.v_source * np.conj(input_current()))
     return float(p) if np.ndim(f) == 0 else p
 
 

@@ -22,7 +22,8 @@ from .geometry import Scenario, apply_pose, build_filament_coil, scenario_poses
 from .lumped import estimate_inductance
 from .field_coupling import (SPECTRAL, ConvergenceError, SeparationError,
                              SingularEvaluationError, mutual_inductance)
-from .circuit import (LinkCircuit, Spectrum, default_grid, frequency_sweep,
+from .circuit import (LinkCircuit, Spectrum, _check_finite, _check_grid,
+                      _mesh_solve, default_grid, frequency_sweep,
                       received_power, receiver_capacitance, tune_capacitance)
 
 VOLTAGE = "voltage"
@@ -33,6 +34,13 @@ DEFAULT_NOISE_FLOOR_DBV = -85.0
 TX_ANGLE = "tx_angle"
 LATERAL = "lateral"
 AXIAL = "axial"
+
+# complex elements per (rows, F) temporary of a load scan, which solves
+# max(1, _SCAN_ELEMENTS // F) terminations per mesh solve: 4 rows (64 KiB
+# per temporary) on the default 1001-point grid. With one row per solve
+# a run of a 451-load and two 224-load scans took 1.3-2.2x as long; 8
+# rows saved a few percent more and raised its peak memory by 0.7 MiB.
+_SCAN_ELEMENTS = 4096
 
 # documented sweep domains: angle in deg, offsets in m
 _SWEEP_RANGES = {
@@ -180,8 +188,7 @@ def _band_edges(freqs: np.ndarray, mag_db: np.ndarray, drop_db: float) -> Tuple[
     return f_low, f_high
 
 
-def _mag_db(spectrum: Spectrum) -> np.ndarray:
-    mags = np.abs(spectrum.h)
+def _db(mags: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return 20.0 * np.log10(mags)
 
@@ -193,7 +200,7 @@ def three_db_bandwidth(spectrum: Spectrum) -> Tuple[float, float, float]:
     domain between grid points. A band running past the grid edge
     raises TruncatedBandError carrying whichever crossing was found.
     """
-    f_low, f_high = _band_edges(spectrum.frequencies, _mag_db(spectrum), 3.0)
+    f_low, f_high = _band_edges(spectrum.frequencies, _db(np.abs(spectrum.h)), 3.0)
     return f_low, f_high, f_high - f_low
 
 
@@ -218,7 +225,7 @@ def capacity_report(spectrum: Spectrum, noise_floor_dbv: float = DEFAULT_NOISE_F
                     source_level_dbv: float = 0.0,
                     convention: str = VOLTAGE) -> CapacityReport:
     """Budget at the 3 dB bandwidth of a spectrum's peak."""
-    mag = _mag_db(spectrum)
+    mag = _db(np.abs(spectrum.h))
     signal = float(np.max(mag)) + source_level_dbv
     _, _, bw = three_db_bandwidth(spectrum)
     snr = snr_db(signal, noise_floor_dbv)
@@ -238,7 +245,7 @@ def capacity_vs_bandwidth(spectrum: Spectrum, noise_floor_dbv: float = DEFAULT_N
     band at (peak - threshold) and the capacity at that reduced level.
     Rows whose band runs off the grid are masked, not dropped.
     """
-    mag = _mag_db(spectrum)
+    mag = _db(np.abs(spectrum.h))
     peak = float(np.max(mag)) + source_level_dbv
     rows = []
     for threshold in range(1, 31):
@@ -293,9 +300,10 @@ def scenario_mutual_inductance(sc: Scenario, segments_per_turn: int = 360,
     return mutual_inductance(tx, rx, method=SPECTRAL, tolerance=tolerance).m
 
 
-def _summarize_spectrum(spectrum: Spectrum, value: float, v_source: float, r_load: float,
-                        noise_floor_dbv: float, convention: str) -> SweepRow:
-    mags = np.abs(spectrum.h)
+def _sweep_row(value: float, freqs: np.ndarray, h: np.ndarray, v_source: float,
+               r_load: float, noise_floor_dbv: float, convention: str) -> SweepRow:
+    """Peak, 3 dB band and capacity of one transfer-ratio row h over freqs."""
+    mags = np.abs(h)
     pk = int(np.argmax(mags))
     v_peak = float(mags[pk]) * v_source
     if v_peak == 0.0:
@@ -303,12 +311,33 @@ def _summarize_spectrum(spectrum: Spectrum, value: float, v_source: float, r_loa
     peak_db = 20.0 * math.log10(v_peak)
     p_rx = received_power(v_peak, r_load)
     try:
-        _, _, bw = three_db_bandwidth(spectrum)
+        f_low, f_high = _band_edges(freqs, _db(mags), 3.0)
+        bw = f_high - f_low
         cap = channel_capacity(bw, snr_db(peak_db, noise_floor_dbv), convention)
     except TruncatedBandError:
         bw = None
         cap = None
-    return SweepRow(value, peak_db, float(spectrum.frequencies[pk]), bw, cap, p_rx)
+    return SweepRow(value, peak_db, float(freqs[pk]), bw, cap, p_rx)
+
+
+def _termination_blocks(link: LinkCircuit, field: str, values: np.ndarray,
+                        grid: np.ndarray):
+    """Yield (values block, h block) of the link re-terminated at each value.
+
+    field is r_source or r_load; values must be > 0. Each block solves
+    up to _SCAN_ELEMENTS // len(grid) values at once as a column of
+    terminations; on a grid of two or more points row k of h is
+    bit-identical to the h of frequency_sweep(replace(link,
+    field=value_k), grid). The grid and finiteness checks are the ones
+    a Spectrum makes.
+    """
+    _check_grid(grid)
+    rows = max(1, _SCAN_ELEMENTS // len(grid))
+    for start in range(0, len(values), rows):
+        block = values[start:start + rows]
+        h, _ = _mesh_solve(link, grid, **{field: block[:, None]})
+        _check_finite(h)
+        yield block, h
 
 
 def _scenario_variant(sc: Scenario, axis: str, value: float) -> Scenario:
@@ -352,8 +381,8 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float],
             m = scenario_mutual_inductance(_scenario_variant(sc, axis, value),
                                            segments_per_turn, tolerance)
             spectrum = frequency_sweep(replace(nominal, m=m), sweep_grid)
-            rows.append(_summarize_spectrum(spectrum, value, sc.v_source, sc.r_load,
-                                            noise_floor_dbv, convention))
+            rows.append(_sweep_row(value, spectrum.frequencies, spectrum.h, sc.v_source,
+                                   sc.r_load, noise_floor_dbv, convention))
         except (ConvergenceError, SeparationError, SingularEvaluationError) as exc:
             rows.append(SweepRow(value, None, None, None, None, None))
             notes.append(f"{axis} = {value:g} {unit}: point masked: {exc}")
@@ -379,11 +408,11 @@ def resistance_sweep(link: LinkCircuit, field: str, values: Sequence[float],
     if vals[0] <= 0:
         raise ValueError(f"{field} values must be > 0")
     rows = []
-    for v in vals:
-        varied = replace(link, **{field: v})
-        spectrum = frequency_sweep(varied, sweep_grid)
-        rows.append(_summarize_spectrum(spectrum, v, link.v_source, varied.r_load,
-                                        noise_floor_dbv, convention))
+    for block, h in _termination_blocks(link, field, np.array(vals), sweep_grid):
+        for v, row in zip(block.tolist(), h):
+            r_load = v if field == "r_load" else link.r_load
+            rows.append(_sweep_row(v, sweep_grid, row, link.v_source, r_load,
+                                   noise_floor_dbv, convention))
     return SweepResult(param=field, unit="ohm", rows=tuple(rows))
 
 
@@ -432,14 +461,10 @@ def dual_mode_report(link: LinkCircuit, r_load_grid=None, grid=None) -> DualMode
     if np.any(loads <= 0) or len(loads) < 2 or np.any(np.diff(loads) <= 0):
         raise ValueError("r_load grid must be > 0 and strictly increasing")
     sweep_grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    v_rx = np.empty(len(loads))
-    p_rx = np.empty(len(loads))
-    for i, r in enumerate(loads):
-        varied = replace(link, r_load=float(r))
-        spectrum = frequency_sweep(varied, sweep_grid)
-        v = float(np.max(np.abs(spectrum.h))) * link.v_source
-        v_rx[i] = v
-        p_rx[i] = received_power(v, float(r))
+    v_rx = np.concatenate([np.max(np.abs(h), axis=1) for _, h in
+                           _termination_blocks(link, "r_load", loads, sweep_grid)])
+    v_rx *= link.v_source
+    p_rx = np.array([received_power(v, r) for v, r in zip(v_rx.tolist(), loads.tolist())])
     i_power = int(np.argmax(p_rx))
     v_sat = v_rx[-1]
     i_top = int(np.searchsorted(loads, loads[-1] / 10.0))   # 0 when under a decade

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mqslink import circuit
@@ -279,32 +279,62 @@ def test_power_balance_without_parasitics(drawn):
     _assert_power_balance(link, f, dissipated)
 
 
+def _solve_extended(a, b):
+    """x with a @ x = b, batched over the first axis, in np.clongdouble.
+
+    Gaussian elimination with partial pivoting. Rounding in double
+    (np.linalg.solve) is amplified by the Q of a sharp link past the
+    1e-12 balance tolerance; long double carries 11 more bits on x86-64.
+    """
+    a, x = a.astype(np.clongdouble), b.astype(np.clongdouble)
+    batch, n = np.arange(len(a)), a.shape[1]
+    for k in range(n):
+        p = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+        a[batch, k], a[batch, p] = a[batch, p], a[batch, k]
+        x[batch, k], x[batch, p] = x[batch, p], x[batch, k]
+        factor = a[:, k + 1:, k] / a[:, k, k, None]
+        a[:, k + 1:] -= factor[:, :, None] * a[:, None, k]
+        x[:, k + 1:] -= factor * x[:, None, k]
+    for k in reversed(range(n)):
+        x[:, k] = (x[:, k] - np.sum(a[:, k, k + 1:] * x[:, k + 1:], axis=1)) / a[:, k, k]
+    return x
+
+
+_SHARP_F0 = 10 ** 7.75
+_SHARP_C = tune_capacitance(1e-4, _SHARP_F0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_random_links(parasitics=True))
+# Q ~ 3.5e4: a double-precision reference misses the balance by 1.4e-12 here
+@example((LinkCircuit(l_tx=1e-4, l_rx=1e-4, m=7.8125e-6, r_source=1.0, r_load=1.0,
+                      c_tx=_SHARP_C, c_rx=_SHARP_C, parasitic_rx=_SHARP_C * 10 ** -2.25),
+          np.linspace(0.5 * _SHARP_F0, 1.5 * _SHARP_F0, 201)))
 def test_power_balance_with_parasitics(drawn):
-    # branch currents from a direct solve of the circuit equations;
-    # unknowns are I_in, V_1, I_coil1, V_2, I_coil2, I_load, where V_k is
-    # the voltage across coil k and its parasitic
+    # branch currents from an extended-precision solve of the circuit
+    # equations at the double omega the solver uses; unknowns are I_in,
+    # V_1, I_coil1, V_2, I_coil2, I_load, where V_k is the voltage
+    # across coil k and its parasitic
     link, f = drawn
-    jw = 2j * math.pi * f
+    jw = 1j * (2.0 * math.pi * f).astype(np.longdouble)
     r_tx, r_rx = link.coil_resistance_tx(f), link.coil_resistance_rx(f)
     z_src = link.r_source + (1 / (jw * link.c_tx) if link.c_tx else 0)
     z_load = link.r_load + (1 / (jw * link.c_rx) if link.c_rx else 0)
     y_tx = jw * (link.parasitic_tx or 0.0)
     y_rx = jw * (link.parasitic_rx or 0.0)
-    a = np.zeros((len(f), 6, 6), dtype=complex)
+    a = np.zeros((len(f), 6, 6), dtype=np.clongdouble)
     a[:, 0, 0], a[:, 0, 1] = z_src, 1.0                       # source loop
     a[:, 1, 0], a[:, 1, 1], a[:, 1, 2] = 1.0, -y_tx, -1.0     # node 1
     a[:, 2, 1], a[:, 2, 2], a[:, 2, 4] = 1.0, -(r_tx + jw * link.l_tx), -jw * link.m
     a[:, 3, 3], a[:, 3, 4], a[:, 3, 2] = 1.0, -(r_rx + jw * link.l_rx), -jw * link.m
     a[:, 4, 3], a[:, 4, 4], a[:, 4, 5] = y_rx, 1.0, 1.0       # node 2
     a[:, 5, 3], a[:, 5, 5] = 1.0, -z_load                     # load branch
-    b = np.zeros((len(f), 6, 1), dtype=complex)
-    b[:, 0, 0] = link.v_source
-    i_in, _, i_tx, _, i_rx, i_load = np.moveaxis(np.linalg.solve(a, b)[..., 0], -1, 0)
+    b = np.zeros((len(f), 6), dtype=np.clongdouble)
+    b[:, 0] = link.v_source
+    i_in, _, i_tx, _, i_rx, i_load = _solve_extended(a, b).T
     dissipated = 0.5 * (np.abs(i_in) ** 2 * link.r_source + np.abs(i_tx) ** 2 * r_tx
                         + np.abs(i_rx) ** 2 * r_rx + np.abs(i_load) ** 2 * link.r_load)
-    _assert_power_balance(link, f, dissipated)
+    _assert_power_balance(link, f, dissipated.astype(float))
 
 
 def test_received_power_is_amplitude_squared_over_load():

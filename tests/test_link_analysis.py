@@ -7,14 +7,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mqslink.circuit import default_grid, frequency_sweep, tune_capacitance
+from mqslink import circuit, link_analysis
+from mqslink.circuit import (default_grid, frequency_sweep, received_power,
+                             tune_capacitance)
 from mqslink.field_coupling import mutual_inductance
 from mqslink.geometry import (CoilSpec, Scenario, apply_pose,
                               build_filament_coil, scenario_poses)
 from mqslink.link_analysis import (AXIAL, LATERAL, POWER, TX_ANGLE, VOLTAGE,
                                    BandwidthCapacityRow, BandwidthStudy,
-                                   CapacityReport, SweepResult, SweepRow,
+                                   CapacityReport, DualModeReport,
+                                   SweepResult, SweepRow,
                                    TruncatedBandError, capacity_report,
                                    capacity_vs_bandwidth, channel_capacity,
                                    dual_mode_report, impedance_sweep,
@@ -22,6 +27,7 @@ from mqslink.link_analysis import (AXIAL, LATERAL, POWER, TX_ANGLE, VOLTAGE,
                                    scenario_link, scenario_mutual_inductance,
                                    snr_db, three_db_bandwidth)
 from mqslink.lumped import ac_resistance
+from test_circuit import _random_links
 
 RX = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
               wire_spacing=0.5e-3)
@@ -310,3 +316,166 @@ def test_dual_mode_rejects_bad_load_grids():
         dual_mode_report(link, r_load_grid=[10.0, 5.0])
     with pytest.raises(ValueError, match="r_load grid"):
         dual_mode_report(link, r_load_grid=[0.0, 5.0])
+
+
+# ------------------------------------------------- per-load reference scans
+# The scans once re-solved the whole spectrum per load; these copies of
+# that loop are the reference the row-block scans must equal exactly.
+
+def _per_load_sweep(link, field, values, grid, convention):
+    rows = []
+    for v in sorted(float(v) for v in values):
+        varied = replace(link, **{field: v})
+        spectrum = frequency_sweep(varied, grid)
+        mags = np.abs(spectrum.h)
+        pk = int(np.argmax(mags))
+        v_peak = float(mags[pk]) * link.v_source
+        if v_peak == 0.0:
+            rows.append(SweepRow(v, None, None, None, None, None))
+            continue
+        peak_db = 20.0 * math.log10(v_peak)
+        try:
+            _, _, bw = three_db_bandwidth(spectrum)
+            cap = channel_capacity(bw, snr_db(peak_db, -85.0), convention)
+        except TruncatedBandError:
+            bw = cap = None
+        rows.append(SweepRow(v, peak_db, float(spectrum.frequencies[pk]), bw, cap,
+                             received_power(v_peak, varied.r_load)))
+    return tuple(rows)
+
+
+def _per_load_dual_mode(link, loads, grid):
+    v_rx = np.empty(len(loads))
+    p_rx = np.empty(len(loads))
+    for i, r in enumerate(loads):
+        spectrum = frequency_sweep(replace(link, r_load=float(r)), grid)
+        v = float(np.max(np.abs(spectrum.h))) * link.v_source
+        v_rx[i] = v
+        p_rx[i] = received_power(v, float(r))
+    i_power = int(np.argmax(p_rx))
+    v_sat = v_rx[-1]
+    i_top = int(np.searchsorted(loads, loads[-1] / 10.0))
+    if v_sat > 1.01 * v_rx[i_top]:
+        warnings.warn(f"received voltage still rises {v_sat / v_rx[i_top] - 1.0:.1%} over "
+                      f"{loads[i_top]:g}-{loads[-1]:g} ohm; comm mode assumes saturation")
+    i_comm = int(np.nonzero(v_rx >= 0.95 * v_sat)[0][0])
+    return DualModeReport(float(loads[i_power]), float(loads[i_comm]),
+                          float(p_rx[i_power]), float(p_rx[i_comm]),
+                          float(v_rx[i_power]), float(v_rx[i_comm]))
+
+
+@st.composite
+def _scans(draw):
+    """A random link, a grid around its f0, sorted loads and a convention.
+
+    The link comes from the power-balance strategy: tuned or untuned,
+    spec or fixed ESR, with or without parasitics. On the larger grids
+    the load count is 1, block - 1, block or block + 1 for the rows the
+    scans solve per block on that grid. A one-point grid is left out:
+    there numpy runs the broadcast along the rows, through other SIMD
+    loops than the per-load solve, and a row may differ from it in the
+    last bit.
+    """
+    link, f = draw(_random_links(parasitics=True))
+    points = draw(st.sampled_from([2, 7, 201, 1001, 4097]))
+    block = max(1, link_analysis._SCAN_ELEMENTS // points)
+    edges = sorted({1, block - 1, block, block + 1} - {0})
+    count = draw(st.sampled_from(edges) if block <= 20 else st.integers(1, 3))
+    lo = 10 ** draw(st.floats(-2, 2))
+    values = np.geomspace(lo, lo * 10 ** draw(st.floats(1, 4)), count)
+    return (link, np.linspace(f[0], f[-1], points), values,
+            draw(st.sampled_from([VOLTAGE, POWER])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scans())
+def test_row_block_scans_equal_the_per_load_loop(drawn):
+    link, grid, values, convention = drawn
+    for field in ("r_source", "r_load"):
+        sweep = resistance_sweep(link, field, values, grid, convention=convention)
+        assert sweep.rows == _per_load_sweep(link, field, values, grid, convention)
+    loads = values if len(values) > 1 else np.array([values[0], 2.0 * values[0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = dual_mode_report(link, r_load_grid=loads, grid=grid)
+    with warnings.catch_warnings(record=True) as expected:
+        warnings.simplefilter("always")
+        reference = _per_load_dual_mode(link, loads, grid)
+    assert report == reference
+    assert [str(w.message) for w in caught] == [str(w.message) for w in expected]
+
+
+def test_load_scans_solve_in_bounded_blocks_without_frequency_sweep(monkeypatch):
+    sizes = []
+
+    def counting_solve(link, f, **terminations):
+        h, input_current = circuit._mesh_solve(link, f, **terminations)
+        sizes.append(h.size)
+        return h, input_current
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a load scan called frequency_sweep")
+
+    monkeypatch.setattr(link_analysis, "_mesh_solve", counting_solve)
+    monkeypatch.setattr(link_analysis, "frequency_sweep", forbidden)
+    link = scenario_link(NOMINAL, m=M_NOMINAL)
+    grid = default_grid()
+    dual_mode_report(link, r_load_grid=np.geomspace(0.1, 1e4, 451), grid=grid)
+    assert sum(sizes) == 451 * len(grid)
+    for field in ("r_source", "r_load"):
+        resistance_sweep(link, field, np.geomspace(1.0, 1e4, 224), grid)
+    assert sum(sizes) == (451 + 2 * 224) * len(grid)
+    assert max(sizes) <= link_analysis._SCAN_ELEMENTS
+
+
+def test_load_scans_keep_the_spectrum_checks(monkeypatch):
+    link = scenario_link(NOMINAL, m=M_NOMINAL)
+    with pytest.raises(ValueError, match="increasing"):
+        resistance_sweep(link, "r_load", [1.0], grid=[26e6, 25e6])
+    with pytest.raises(ValueError, match="increasing"):
+        dual_mode_report(link, r_load_grid=[1.0, 2.0], grid=[26e6, 26e6])
+
+    def non_finite(link, f, **terminations):
+        h, input_current = circuit._mesh_solve(link, f, **terminations)
+        h[-1, 0] = np.nan
+        return h, input_current
+
+    monkeypatch.setattr(link_analysis, "_mesh_solve", non_finite)
+    with pytest.raises(ValueError, match="finite"):
+        resistance_sweep(link, "r_source", [10.0, 20.0])
+    with pytest.raises(ValueError, match="finite"):
+        dual_mode_report(link)
+
+
+def test_dual_mode_finds_the_closed_form_optimum_load():
+    # at the tuned f0 without parasitics both meshes are resistive, so
+    # V_rx = wM V R/((R_s+R_1)(R_2+R) + (wM)^2) = V_lim R/(R + R*), with
+    # V_lim = wM V/(R_s+R_1) and R* = R_2 + (wM)^2/(R_s+R_1) the load of
+    # maximum V_rx^2/R (Zargham & Gulak, IEEE TBioCAS 6(3), 2012)
+    link = scenario_link(NOMINAL, m=M_NOMINAL)
+    assert link.parasitic_tx is None and link.parasitic_rx is None
+    f0 = NOMINAL.tuned_frequency
+    wm = 2.0 * math.pi * f0 * M_NOMINAL
+    r_total = link.r_source + ac_resistance(TX, f0)
+    r_star = ac_resistance(RX, f0) + wm * wm / r_total
+    v_lim = wm * link.v_source / r_total
+    assert r_star == pytest.approx(0.54312, abs=5e-6)
+    assert 20.0 * math.log10(v_lim) == pytest.approx(PEAK_DBV, abs=5e-3)
+
+    loads = np.geomspace(0.01, 1e4, 2001)
+    step = loads[1] / loads[0]
+    report = dual_mode_report(link, r_load_grid=loads, grid=[f0])
+    # power mode: V_rx^2/R = V_lim^2 u/(R*(1+u)^2) with u = R/R* is
+    # symmetric in log u, so the grid picks the load nearest R* in log
+    # distance, and there V_rx is V_lim/2 to within a grid step
+    nearest = loads[np.argmin(np.abs(np.log(loads / r_star)))]
+    assert r_star / step < nearest < r_star * step
+    assert report.power_mode_r_load == nearest
+    assert v_lim / 2 / step < report.v_rx_power_mode < v_lim / 2 * step
+    # comm mode: the first load at or past the 95% crossing of V_rx(R_max)
+    v_sat = v_lim * loads[-1] / (loads[-1] + r_star)
+    assert v_lim * (1.0 - r_star / loads[-1]) < v_sat < v_lim
+    c = 0.95 * v_sat
+    r_comm = c * r_star / (v_lim - c)
+    assert r_comm <= report.comm_mode_r_load < r_comm * step
+    assert c <= report.v_rx_comm_mode < c * step
