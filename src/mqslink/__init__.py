@@ -17,7 +17,7 @@ from .circuit import (CapacitiveRegimeError, LinkCircuit, Spectrum,
                       transfer_ratio, transfer_ratio_untuned,
                       tune_capacitance, tx_power)
 from .constants import MU0
-from .field_coupling import (FLUX, NEUMANN, SPECTRAL, ConvergenceError,
+from .field_coupling import (FLUX, SPECTRAL, ConvergenceError,
                              CouplingResult, FieldSample, GridSpec,
                              SeparationError, SingularEvaluationError,
                              b_field, coaxial_mutual_oracle,

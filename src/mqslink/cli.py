@@ -39,9 +39,8 @@ from .circuit import LinkCircuit, Spectrum, frequency_sweep, path_loss_db
 from .field_coupling import FieldSample, GridSpec, field_map
 from .geometry import (FLAT_SPIRAL, HELICAL, CoilSpec, Scenario, apply_pose,
                        build_filament_coil, scenario_poses)
-from .link_analysis import (_SWEEP_RANGES, DEFAULT_NOISE_FLOOR_DBV, POWER,
-                            VOLTAGE, BandwidthStudy, SweepResult,
-                            TruncatedBandError, capacity_report,
+from .link_analysis import (_SWEEP_RANGES, POWER, VOLTAGE, BandwidthStudy,
+                            SweepResult, TruncatedBandError, capacity_report,
                             capacity_vs_bandwidth, dual_mode_report,
                             misalignment_sweep, resistance_sweep,
                             scenario_link, scenario_mutual_inductance)
@@ -250,31 +249,11 @@ _ANALYSIS_SCHEMA = {
 
 _OUTPUT_SCHEMA = {"directory": ("string", None)}
 
-# built from the same unit arithmetic the parser uses, so a config file
-# spelling these values parses to bit-identical floats
-_MM = _UNITS["length"]["mm"]
-_TX_DEFAULTS = {
-    "turns": 5, "inner_radius": 60 * _MM, "wire_diameter": 0.137 * _MM,
-    "wire_spacing": 0.5 * _MM, "shape": FLAT_SPIRAL, "sphere_radius": None,
-    "conductivity": 5.8e7, "inductance_override": 35 * _UNITS["inductance"]["uH"],
-    "parasitic_capacitance": None,
-}
-_RX_DEFAULTS = dict(_TX_DEFAULTS, inner_radius=4 * _MM, inductance_override=None)
-_PLACEMENT_DEFAULTS = {"x_eye": 92 * _MM, "z_eye": 150 * _MM, "tx_angle": 40.0}
-_CIRCUIT_DEFAULTS = {
-    "r_source": 50.0, "r_load": 1 * _UNITS["resistance"]["kohm"],
-    "tuned_frequency": 26 * _UNITS["frequency"]["MHz"],
-    "source_amplitude": 1.0, "esr_mode": "frequency",
-    "r_coil_tx": None, "r_coil_rx": None,
-}
-_GRID_DEFAULTS = {"start": 20 * _UNITS["frequency"]["MHz"],
-                  "stop": 30 * _UNITS["frequency"]["MHz"], "points": 1001}
-_ANALYSIS_DEFAULTS = {"noise_floor": DEFAULT_NOISE_FLOOR_DBV,
-                      "snr_convention": VOLTAGE, "segments_per_turn": 360}
-_OUTPUT_DEFAULTS = {"directory": "out"}
-
-_SCENARIO_SECTIONS = ("tx_coil", "rx_coil", "placement", "circuit",
-                      "frequency_grid", "analysis", "output")
+_SCENARIO_SCHEMAS = {"tx_coil": _COIL_SCHEMA, "rx_coil": _COIL_SCHEMA,
+                     "placement": _PLACEMENT_SCHEMA, "circuit": _CIRCUIT_SCHEMA,
+                     "frequency_grid": _GRID_SCHEMA, "analysis": _ANALYSIS_SCHEMA,
+                     "output": _OUTPUT_SCHEMA}
+_SCENARIO_SECTIONS = tuple(_SCENARIO_SCHEMAS)
 
 _SWEEP_AXES = ("tx_angle", "lateral", "axial")
 _SWEEP_SIDES = ("r_source", "r_load")
@@ -287,13 +266,15 @@ _REQUEST_SECTIONS = (("spectrum", "capacity", "dual_mode", "field_map")
 class _Reader:
     """One config file: raw text, configparser view, and line numbers."""
 
-    def __init__(self, path: Union[str, Path], allow_defaults: bool):
+    def __init__(self, path: Union[str, Path], allow_defaults: bool,
+                 raw: Optional[bytes] = None):
         self.path = str(path)
         self.allow_defaults = allow_defaults
-        try:
-            raw = Path(path).read_bytes()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}")
+        if raw is None:
+            try:
+                raw = Path(path).read_bytes()
+            except OSError as exc:
+                raise ConfigError(f"cannot read config: {exc}")
         self.digest = hashlib.sha256(raw).hexdigest()
         try:
             text = raw.decode("utf-8")
@@ -520,18 +501,13 @@ def parse_config(path: Union[str, Path], allow_defaults: bool = False) -> Scenar
                         f"unknown section [{name}]; known sections: "
                         f"{', '.join(list(_SCENARIO_SECTIONS) + list(_REQUEST_SECTIONS))}")
 
-    tx, l_tx_override = _coil_spec(reader, "tx_coil", _TX_DEFAULTS)
-    rx, l_rx_override = _coil_spec(reader, "rx_coil", _RX_DEFAULTS)
-    placement = reader.section("placement", _PLACEMENT_SCHEMA,
-                               _PLACEMENT_DEFAULTS, scenario_section=True)
-    circuit = reader.section("circuit", _CIRCUIT_SCHEMA, _CIRCUIT_DEFAULTS,
-                             scenario_section=True)
-    grid = reader.section("frequency_grid", _GRID_SCHEMA, _GRID_DEFAULTS,
-                          scenario_section=True)
-    analysis = reader.section("analysis", _ANALYSIS_SCHEMA, _ANALYSIS_DEFAULTS,
-                              scenario_section=True)
-    output = reader.section("output", _OUTPUT_SCHEMA, _OUTPUT_DEFAULTS,
-                            scenario_section=True)
+    defaults = _builtin_defaults()
+    tx, l_tx_override = _coil_spec(reader, "tx_coil", defaults["tx_coil"])
+    rx, l_rx_override = _coil_spec(reader, "rx_coil", defaults["rx_coil"])
+    placement, circuit, grid, analysis, output = (
+        reader.section(name, _SCENARIO_SCHEMAS[name], defaults[name],
+                       scenario_section=True)
+        for name in ("placement", "circuit", "frequency_grid", "analysis", "output"))
 
     if circuit["esr_mode"] == "fixed":
         for key in ("r_coil_tx", "r_coil_rx"):
@@ -720,6 +696,19 @@ modes = tuned untuned
 # load_max = 10 kohm
 # points = 101
 """
+
+
+def _builtin_defaults() -> Dict[str, Dict]:
+    """Scenario section values of DEFAULT_CONFIG, parsed strictly.
+
+    The fallbacks of allow_defaults come from the text `mqslink
+    defaults` prints, through the parser's own unit arithmetic, so that
+    text parses to the same values by construction.
+    """
+    reader = _Reader("<defaults>", allow_defaults=False,
+                     raw=DEFAULT_CONFIG.encode("utf-8"))
+    return {name: reader.section(name, schema, {}, scenario_section=True)
+            for name, schema in _SCENARIO_SCHEMAS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,10 @@ Fields come from the exact finite straight-segment kernel, evaluated in
 one chunked pass per block of points over the point-to-vertex offsets;
 the exact point-to-segment distance runs only for points near a vertex,
 to mask those inside a wire. Flux comes from per-turn disk quadrature,
-and mutual inductance from one of three routes: the Neumann double line
-integral over the polylines (default), the same integral by
-Gauss-Legendre quadrature on the exact winding curve (spectral), or the
-flux route. The polyline routes are independent cross-checks of the
-spectral one. A closed-form coaxial-loop formula built on AGM elliptic
+and mutual inductance from one of two routes: the Neumann double line
+integral by Gauss-Legendre quadrature on the exact winding curve
+(spectral, the default), or the flux route, an independent cross-check
+of it. A closed-form coaxial-loop formula built on AGM elliptic
 integrals is the analytic reference for the kernel.
 
 Self-inductance is deliberately not computed here (the filament limit
@@ -28,10 +27,9 @@ import numpy as np
 from .constants import MU0
 from .geometry import FilamentCoil
 
-NEUMANN = "neumann"
-FLUX = "flux"
 SPECTRAL = "spectral"
-_METHODS = (NEUMANN, FLUX, SPECTRAL)
+FLUX = "flux"
+_METHODS = (SPECTRAL, FLUX)
 
 # pair budget per vectorized chunk (point-vertex pairs in the field
 # kernel, point-segment pairs elsewhere): 16 MB per (rows, vertices)
@@ -41,9 +39,6 @@ _CHUNK_PAIRS = 2_000_000
 # quadrature ladder for flux disks: (radial Gauss-Legendre nodes,
 # uniform angular nodes), each level doubling the previous
 _FLUX_LEVELS = ((8, 16), (16, 32), (32, 64), (64, 128))
-
-# Neumann refinement ladder: sub-chords per polyline segment
-_NEUMANN_LEVELS = (1, 2, 4, 8)
 
 # spectral refinement ladder: Gauss-Legendre nodes per turn
 _SPECTRAL_LEVELS = (8, 16, 32, 64)
@@ -411,15 +406,6 @@ def _flux(tx: FilamentCoil, rx: FilamentCoil, current: float,
     )
 
 
-def _sub_chords(coil: FilamentCoil, sub: int):
-    a = coil.segment_starts
-    step = (coil.segment_ends - a) / sub
-    frac = (np.arange(sub) + 0.5)[None, :, None]
-    mids = a[:, None, :] + step[:, None, :] * frac
-    dl = np.broadcast_to(step[:, None, :], mids.shape)
-    return mids.reshape(-1, 3), dl.reshape(-1, 3)
-
-
 def _curve_nodes(coil: FilamentCoil, n: int):
     # n Gauss-Legendre nodes on each turn's 2 pi of winding angle:
     # world points and tangent * weight, the line element per node
@@ -443,19 +429,17 @@ def _neumann_sum(m1: np.ndarray, d1: np.ndarray, m2: np.ndarray, d2: np.ndarray)
     return MU0 / (4.0 * math.pi) * total
 
 
-def mutual_inductance(tx: FilamentCoil, rx: FilamentCoil, method: str = NEUMANN,
+def mutual_inductance(tx: FilamentCoil, rx: FilamentCoil, method: str = SPECTRAL,
                       tolerance: float = 1e-3) -> CouplingResult:
     """Mutual inductance between two posed coils, signed by orientation.
 
-    neumann: midpoint-rule double line integral over all segment pairs,
-    refined by chord doubling until the change falls below tolerance.
-    spectral: the same double integral on the exact winding curves of
-    both coils, with Gauss-Legendre nodes per turn doubling from 8 to
-    64; it converges exponentially and needs coils that carry their
-    CoilSpec (build_filament_coil sets it). The polylines still serve
-    the separation check.
-    flux: linked flux per unit current via flux_through. The polyline
-    routes agree within about 1% on non-pathological geometries.
+    spectral: the Neumann double line integral on the exact winding
+    curves of both coils, with Gauss-Legendre nodes per turn doubling
+    from 8 to 64; it converges exponentially and needs coils that carry
+    their CoilSpec (build_filament_coil sets it). The polylines serve
+    only the separation check.
+    flux: linked flux per unit current via flux_through. It agrees with
+    the spectral route within about 1% on non-pathological geometries.
 
     convergence_estimate is the relative change of the last refinement,
     judged against a dipole-scale floor near symmetry nulls.
@@ -469,27 +453,22 @@ def mutual_inductance(tx: FilamentCoil, rx: FilamentCoil, method: str = NEUMANN,
         phi, estimate = _flux(tx, rx, current=1.0, tolerance=tolerance)
         return CouplingResult(m=phi, method=FLUX, convergence_estimate=estimate)
 
-    if method == SPECTRAL:
-        if tx.spec is None or rx.spec is None:
-            raise ValueError("the spectral route needs coils that carry their "
-                             "CoilSpec (build them with build_filament_coil)")
-        ladder, quadrature, name = _SPECTRAL_LEVELS, _curve_nodes, "Spectral"
-    else:
-        ladder, quadrature, name = _NEUMANN_LEVELS, _sub_chords, "Neumann"
-
+    if tx.spec is None or rx.spec is None:
+        raise ValueError("the spectral route needs coils that carry their "
+                         "CoilSpec (build them with build_filament_coil)")
     _check_separation(tx, rx)
     floor = _coupling_floor(tx, rx)
     prev = None
     estimate = math.inf
-    for level in ladder:
-        m = _neumann_sum(*quadrature(tx, level), *quadrature(rx, level))
+    for n in _SPECTRAL_LEVELS:
+        m = _neumann_sum(*_curve_nodes(tx, n), *_curve_nodes(rx, n))
         if prev is not None:
             estimate = abs(m - prev) / max(abs(m), floor)
             if estimate <= tolerance:
-                return CouplingResult(m=m, method=method, convergence_estimate=estimate)
+                return CouplingResult(m=m, method=SPECTRAL, convergence_estimate=estimate)
         prev = m
     raise ConvergenceError(
-        f"{name} refinement did not reach tolerance {tolerance:g} "
+        f"Spectral refinement did not reach tolerance {tolerance:g} "
         f"(last relative change {estimate:.3e})",
         value=prev, estimate=estimate,
     )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import Scenario, apply_pose, build_filament_coil, scenario_poses
 from .lumped import estimate_inductance
-from .field_coupling import (SPECTRAL, ConvergenceError, SeparationError,
+from .field_coupling import (ConvergenceError, SeparationError,
                              SingularEvaluationError, mutual_inductance)
 from .circuit import (LinkCircuit, Spectrum, _check_finite, _check_grid,
                       _mesh_solve, default_grid, frequency_sweep,
@@ -297,7 +297,7 @@ def scenario_mutual_inductance(sc: Scenario, segments_per_turn: int = 360,
     tx_pose, rx_pose = scenario_poses(sc)
     tx = apply_pose(build_filament_coil(sc.tx, segments_per_turn), tx_pose)
     rx = apply_pose(build_filament_coil(sc.rx, segments_per_turn), rx_pose)
-    return mutual_inductance(tx, rx, method=SPECTRAL, tolerance=tolerance).m
+    return mutual_inductance(tx, rx, tolerance=tolerance).m
 
 
 def _sweep_row(value: float, freqs: np.ndarray, h: np.ndarray, v_source: float,

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from mqslink import field_coupling
 from mqslink.constants import MU0
-from mqslink.field_coupling import (FLUX, NEUMANN, SPECTRAL, ConvergenceError,
+from mqslink.field_coupling import (FLUX, SPECTRAL, ConvergenceError,
                                     CouplingResult, FieldSample, GridSpec,
                                     SeparationError, SingularEvaluationError,
                                     _check_separation, _closest_approach,
-                                    _ellipke, b_field, coaxial_mutual_oracle,
+                                    _coupling_floor, _ellipke, _neumann_sum,
+                                    b_field, coaxial_mutual_oracle,
                                     coupling_coefficient, field_map,
                                     flux_through, mutual_inductance)
 from mqslink.geometry import (HELICAL, CoilSpec, Pose, Scenario, apply_pose,
@@ -28,9 +29,13 @@ TX = CoilSpec(turns=5, inner_radius=60e-3, wire_diameter=0.137e-3,
 NOMINAL = Scenario(tx=TX, rx=RX, x_eye=92e-3, z_eye=150e-3, tx_angle_deg=40.0,
                    l_tx_override=35e-6)
 
-M_NOMINAL = 3.9074457990719537e-10    # neumann, 360 segments/turn, tol 1e-3
+# pytest.approx adds an absolute tolerance of 1e-12 unless given one,
+# which would swamp any relative tolerance on inductances of ~1e-10 H;
+# every approx in this file passes abs=0
+
+M_NOMINAL = 3.9074457990719537e-10    # _polyline_neumann, 360 segments/turn
 M_FLUX_NOMINAL = 3.884767803916267e-10
-# neumann at 360 and 720 segments/turn, Richardson-extrapolated:
+# _polyline_neumann at 360 and 720 segments/turn, Richardson-extrapolated:
 # (4 M(720) - M(360)) / 3, since the polyline error falls as segments^-2
 M_NOMINAL_EXTRAPOLATED = 3.9078144520416973e-10
 
@@ -63,8 +68,8 @@ def test_elliptic_integrals_match_scipy():
 
 def test_elliptic_limits():
     big_k, big_e = _ellipke(0.0)
-    assert big_k == pytest.approx(math.pi / 2, rel=1e-15)
-    assert big_e == pytest.approx(math.pi / 2, rel=1e-15)
+    assert big_k == pytest.approx(math.pi / 2, rel=1e-15, abs=0)
+    assert big_e == pytest.approx(math.pi / 2, rel=1e-15, abs=0)
 
 
 def test_oracle_is_symmetric_in_the_radii():
@@ -77,14 +82,14 @@ def test_oracle_octave_decay_in_the_far_field():
     z = 20 * 0.01
     ratio = coaxial_mutual_oracle(0.01, 0.01, z) / \
         coaxial_mutual_oracle(0.01, 0.01, 2 * z)
-    assert ratio == pytest.approx(8.0, rel=0.01)
+    assert ratio == pytest.approx(8.0, rel=0.01, abs=0)
 
 
 def test_oracle_far_field_matches_the_dipole_formula():
     # M -> mu0*pi*r1^2*r2^2 / (2 z^3) for z >> r
     r1, r2, z = 0.01, 0.003, 0.5
     dipole = MU0 * math.pi * r1**2 * r2**2 / (2.0 * z**3)
-    assert coaxial_mutual_oracle(r1, r2, z) == pytest.approx(dipole, rel=2e-3)
+    assert coaxial_mutual_oracle(r1, r2, z) == pytest.approx(dipole, rel=2e-3, abs=0)
 
 
 def test_oracle_rejects_touching_loops():
@@ -103,7 +108,7 @@ def test_loop_center_field_matches_the_analytic_value():
     coil = _loop(0.01, segments=720)
     b = b_field(coil, 1.0, np.zeros(3))
     assert b.shape == (3,)
-    assert b[2] == pytest.approx(MU0 * 1.0 / (2 * 0.01), rel=1e-4)
+    assert b[2] == pytest.approx(MU0 * 1.0 / (2 * 0.01), rel=1e-4, abs=0)
     assert abs(b[0]) < 1e-12 * abs(b[2])
     assert abs(b[1]) < 1e-12 * abs(b[2])
 
@@ -114,7 +119,7 @@ def test_on_axis_field_matches_the_analytic_profile():
     for z in (0.01, 0.05, 0.2):
         b = b_field(coil, 2.0, np.array([0.0, 0.0, z]))
         expected = MU0 * 2.0 * r**2 / (2.0 * (r**2 + z**2) ** 1.5)
-        assert b[2] == pytest.approx(expected, rel=1e-4)
+        assert b[2] == pytest.approx(expected, rel=1e-4, abs=0)
 
 
 def test_field_scales_linearly_with_current():
@@ -326,27 +331,56 @@ def test_field_sample_masked_property():
 
 # ------------------------------------------------- mutual inductance
 
+def _sub_chords(coil, sub):
+    # each polyline segment cut into `sub` equal chords: midpoints and
+    # line elements
+    a = coil.segment_starts
+    step = (coil.segment_ends - a) / sub
+    frac = (np.arange(sub) + 0.5)[None, :, None]
+    mids = a[:, None, :] + step[:, None, :] * frac
+    dl = np.broadcast_to(step[:, None, :], mids.shape)
+    return mids.reshape(-1, 3), dl.reshape(-1, 3)
+
+
+def _polyline_neumann(tx, rx, tolerance=1e-3):
+    # the polyline reference: the midpoint-rule Neumann double line
+    # integral over every segment pair, refined by chord doubling
+    # (1, 2, 4, 8 chords per segment) until the relative change, judged
+    # against the dipole-scale floor, falls below tolerance; returns
+    # (M, last relative change)
+    _check_separation(tx, rx)
+    floor = _coupling_floor(tx, rx)
+    prev = None
+    for sub in (1, 2, 4, 8):
+        m = _neumann_sum(*_sub_chords(tx, sub), *_sub_chords(rx, sub))
+        if prev is not None:
+            estimate = abs(m - prev) / max(abs(m), floor)
+            if estimate <= tolerance:
+                return m, estimate
+        prev = m
+    raise ConvergenceError(f"polyline reference missed tolerance {tolerance:g}",
+                           value=prev, estimate=estimate)
+
+
 def test_neumann_matches_the_coaxial_oracle():
     a = _loop(0.03, segments=720)
     b = apply_pose(_loop(0.01, segments=720), Pose(center=(0, 0, 0.04)))
-    got = mutual_inductance(a, b).m
+    got, _ = _polyline_neumann(a, b)
     want = coaxial_mutual_oracle(0.03, 0.01, 0.04)
-    assert got == pytest.approx(want, rel=1e-4)
+    assert got == pytest.approx(want, rel=1e-4, abs=0)
 
 
 def test_nominal_coupling_is_frozen():
-    tx, rx = _nominal_pair()
-    result = mutual_inductance(tx, rx)
-    assert result.method == NEUMANN
-    assert result.m == pytest.approx(M_NOMINAL, rel=1e-11)
-    assert 0 < result.convergence_estimate < 1e-3
+    m, estimate = _polyline_neumann(*_nominal_pair())
+    assert m == pytest.approx(M_NOMINAL, rel=1e-11, abs=0)
+    assert 0 < estimate < 1e-3
 
 
 def test_flux_route_agrees_with_neumann_on_the_nominal_pose():
     tx, rx = _nominal_pair()
     result = mutual_inductance(tx, rx, method=FLUX)
     assert result.method == FLUX
-    assert result.m == pytest.approx(M_FLUX_NOMINAL, rel=1e-11)
+    assert result.m == pytest.approx(M_FLUX_NOMINAL, rel=1e-11, abs=0)
     assert abs(result.m - M_NOMINAL) / abs(M_NOMINAL) < 0.01
 
 
@@ -354,7 +388,7 @@ def test_flux_through_is_mutual_inductance_times_current():
     a = _loop(0.03, segments=180)
     b = apply_pose(_loop(0.012, segments=180), Pose(center=(0.01, 0, 0.05)))
     m = mutual_inductance(a, b, method=FLUX).m
-    assert flux_through(a, b, 2.5) == pytest.approx(2.5 * m, rel=1e-12)
+    assert flux_through(a, b, 2.5) == pytest.approx(2.5 * m, rel=1e-12, abs=0)
 
 
 def test_reciprocity_of_the_neumann_route():
@@ -363,7 +397,7 @@ def test_reciprocity_of_the_neumann_route():
                    Pose(center=(0.01, 0.005, 0.06), tilt_angle_deg=70.0))
     m_ab = mutual_inductance(a, b).m
     m_ba = mutual_inductance(b, a).m
-    assert m_ab == pytest.approx(m_ba, rel=5e-3)
+    assert m_ab == pytest.approx(m_ba, rel=5e-3, abs=0)
 
 
 def test_orthogonal_centered_pose_couples_to_nothing():
@@ -382,23 +416,6 @@ def test_convergence_estimate_bounds_the_next_refinement():
     coarse = mutual_inductance(a, b, tolerance=1e-3)
     fine = mutual_inductance(a, b, tolerance=coarse.convergence_estimate / 10)
     assert abs(fine.m - coarse.m) <= 2 * coarse.convergence_estimate * abs(coarse.m)
-
-
-def test_unreachable_tolerance_raises_with_the_last_estimate():
-    a = _loop(0.02, segments=24)
-    b = apply_pose(_loop(0.008, segments=24), Pose(center=(0.005, 0, 0.03)))
-    with pytest.raises(ConvergenceError) as err:
-        mutual_inductance(a, b, tolerance=1e-15)
-    assert math.isfinite(err.value.value)
-    assert err.value.estimate > 1e-15
-
-
-def test_interleaved_coils_are_rejected():
-    a = _loop(0.02, segments=90, wire=0.5e-3)
-    b = apply_pose(_loop(0.02, segments=90, wire=0.5e-3),
-                   Pose(tilt_angle_deg=90.0))
-    with pytest.raises(SeparationError):
-        mutual_inductance(a, b)
 
 
 def test_flux_route_reports_the_change_it_measured():
@@ -433,12 +450,58 @@ def test_spectral_matches_the_coaxial_oracle_on_the_kernel_grid():
             assert err <= result.convergence_estimate, (ratio, zr, err)
 
 
+def _tilted_loop_oracle(r_p, r_s, pose, nodes=128):
+    # M of a loop of radius r_s placed by pose against a loop of radius
+    # r_p at the origin about +z: the primary's closed-form vector
+    # potential A_phi = mu0/(pi k) sqrt(r_p/rho) ((1 - k^2/2) K(k) - E(k)),
+    # k^2 = 4 r_p rho/((r_p + rho)^2 + z^2), integrated once around the
+    # secondary as M = sum A_phi (x dy - y dx)/rho (Babic, Sirois, Akyel &
+    # Girardi, IEEE Trans. Magn. 46(9), 2010) by the periodic trapezoid
+    # rule, exponentially convergent for a secondary clear of the
+    # primary's wire and axis
+    t = 2.0 * math.pi * np.arange(nodes) / nodes
+    rot = pose.rotation_matrix()
+    ring = np.outer(np.cos(t), rot[:, 0]) + np.outer(np.sin(t), rot[:, 1])
+    x, y, z = (np.array(pose.center) + r_s * ring).T
+    dl = r_s * (np.outer(-np.sin(t), rot[:, 0]) + np.outer(np.cos(t), rot[:, 1]))
+    rho = np.hypot(x, y)
+    k_sq = 4.0 * r_p * rho / ((r_p + rho) ** 2 + z * z)
+    a_phi = MU0 / (math.pi * np.sqrt(k_sq)) * np.sqrt(r_p / rho) * \
+        ((1.0 - k_sq / 2.0) * scipy.special.ellipk(k_sq) - scipy.special.ellipe(k_sq))
+    return float(np.sum(a_phi * (x * dl[:, 1] - y * dl[:, 0]) / rho)) * 2.0 * math.pi / nodes
+
+
+def test_tilted_loop_oracle_reduces_to_the_coaxial_formula():
+    for r_s, z in ((0.01, 0.04), (0.03, 0.015), (0.05, 0.2)):
+        assert _tilted_loop_oracle(0.03, r_s, Pose(center=(0.0, 0.0, z))) == \
+            pytest.approx(coaxial_mutual_oracle(0.03, r_s, z), rel=1e-13, abs=0)
+
+
+def test_spectral_matches_the_closed_form_on_tilted_offset_loops():
+    # random tilts and azimuths; the secondary's centre sits 20-50 mm off
+    # the primary's axis and 40-80 mm above its plane, so it clears both
+    # the primary's wire and its axis
+    r_p, r_s = 0.03, 0.01
+    base = _loop(r_p, segments=90)
+    rng = np.random.default_rng(8)
+    for _ in range(8):
+        azimuth = rng.uniform(0.0, 2.0 * math.pi)
+        offset = rng.uniform(0.02, 0.05)
+        pose = Pose(center=(offset * math.cos(azimuth), offset * math.sin(azimuth),
+                            rng.uniform(0.04, 0.08)),
+                    tilt_angle_deg=rng.uniform(0.0, 360.0))
+        got = mutual_inductance(base, apply_pose(_loop(r_s, segments=90), pose),
+                                tolerance=1e-9).m
+        want = _tilted_loop_oracle(r_p, r_s, pose)
+        assert got == pytest.approx(want, rel=1e-12, abs=0), pose
+
+
 def test_spectral_nominal_coupling_matches_the_extrapolated_polyline():
     tx, rx = _nominal_pair(180)
     result = mutual_inductance(tx, rx, method=SPECTRAL)
     assert result.method == SPECTRAL
     assert 0 < result.convergence_estimate < 1e-3
-    assert result.m == pytest.approx(M_NOMINAL_EXTRAPOLATED, rel=1e-8)
+    assert result.m == pytest.approx(M_NOMINAL_EXTRAPOLATED, rel=1e-8, abs=0)
 
 
 def test_spectral_follows_the_helical_sag():
@@ -447,10 +510,10 @@ def test_spectral_follows_the_helical_sag():
     helical = replace(RX, shape=HELICAL, sphere_radius=12e-3)
     m = {}
     for spt in (180, 360):
-        m[spt] = mutual_inductance(*_nominal_pair(spt, helical)).m
+        m[spt], _ = _polyline_neumann(*_nominal_pair(spt, helical))
     reference = (4.0 * m[360] - m[180]) / 3.0
     got = mutual_inductance(*_nominal_pair(180, helical), method=SPECTRAL).m
-    assert got == pytest.approx(reference, rel=1e-7)
+    assert got == pytest.approx(reference, rel=1e-7, abs=0)
     flat = mutual_inductance(*_nominal_pair(180), method=SPECTRAL).m
     assert abs(got - flat) > 1e-4 * abs(flat)        # the sag matters
 
@@ -471,7 +534,7 @@ def test_spectral_reciprocity_is_exact():
         a, b = _random_pair(rng)
         m_ab = mutual_inductance(a, b, method=SPECTRAL).m
         m_ba = mutual_inductance(b, a, method=SPECTRAL).m
-        assert m_ab == pytest.approx(m_ba, rel=1e-12)
+        assert m_ab == pytest.approx(m_ba, rel=1e-12, abs=0)
 
 
 def test_spectral_coupling_is_invariant_under_rigid_motion():
@@ -483,7 +546,7 @@ def test_spectral_coupling_is_invariant_under_rigid_motion():
         m = mutual_inductance(a, b, method=SPECTRAL).m
         moved = mutual_inductance(apply_pose(a, motion), apply_pose(b, motion),
                                   method=SPECTRAL).m
-        assert moved == pytest.approx(m, rel=1e-12)
+        assert moved == pytest.approx(m, rel=1e-12, abs=0)
 
 
 def test_spectral_sign_flips_when_the_receiver_turns_over():
@@ -495,7 +558,7 @@ def test_spectral_sign_flips_when_the_receiver_turns_over():
     m_down = mutual_inductance(a, apply_pose(_loop(0.01, segments=90), down),
                                method=SPECTRAL, tolerance=1e-9).m
     assert m_up > 0 > m_down
-    assert m_down == pytest.approx(-m_up, rel=1e-9)
+    assert m_down == pytest.approx(-m_up, rel=1e-9, abs=0)
     # a spiral turned over is not the same wire reversed, but the sign
     # still follows the axis
     tx_pose, rx_pose = scenario_poses(NOMINAL)
@@ -503,31 +566,45 @@ def test_spectral_sign_flips_when_the_receiver_turns_over():
     flipped = apply_pose(build_filament_coil(RX, 90),
                          replace(rx_pose, tilt_angle_deg=270.0))
     m_flipped = mutual_inductance(tx, flipped, method=SPECTRAL).m
-    assert m_flipped == pytest.approx(-M_NOMINAL_EXTRAPOLATED, rel=1e-2)
+    assert m_flipped == pytest.approx(-M_NOMINAL_EXTRAPOLATED, rel=1e-2, abs=0)
 
 
 def test_spectral_route_needs_the_winding_curve():
     tx, rx = _nominal_pair(90)
     with pytest.raises(ValueError, match="CoilSpec"):
-        mutual_inductance(tx, replace(rx, spec=None), method=SPECTRAL)
-    # the polyline routes do without it
-    assert mutual_inductance(tx, replace(rx, spec=None)).m > 0
+        mutual_inductance(tx, replace(rx, spec=None))
+    # the flux route does without it
+    assert mutual_inductance(tx, replace(rx, spec=None), method=FLUX).m > 0
+
+
+def test_unknown_method_is_refused():
+    tx, rx = _nominal_pair(90)
+    with pytest.raises(ValueError, match="'spectral', 'flux'"):
+        mutual_inductance(tx, rx, method="neumann")
 
 
 def test_spectral_unreachable_tolerance_raises_with_the_last_estimate():
     tx, rx = _nominal_pair(90)
     with pytest.raises(ConvergenceError) as err:
-        mutual_inductance(tx, rx, method=SPECTRAL, tolerance=1e-16)
-    assert err.value.value == pytest.approx(M_NOMINAL_EXTRAPOLATED, rel=1e-8)
+        mutual_inductance(tx, rx, tolerance=1e-16)
+    assert err.value.value == pytest.approx(M_NOMINAL_EXTRAPOLATED, rel=1e-8, abs=0)
+    assert err.value.estimate > 1e-16
+    # a pair of coarse loops converges to 6.9e-16 and still misses 1e-16
+    a = _loop(0.02, segments=24)
+    b = apply_pose(_loop(0.008, segments=24), Pose(center=(0.005, 0, 0.03)))
+    with pytest.raises(ConvergenceError) as err:
+        mutual_inductance(a, b, tolerance=1e-16)
+    assert math.isfinite(err.value.value)
     assert err.value.estimate > 1e-16
 
 
 def test_spectral_route_still_checks_separation():
+    # interleaved loops: each passes through the other's wire
     a = _loop(0.02, segments=90, wire=0.5e-3)
     b = apply_pose(_loop(0.02, segments=90, wire=0.5e-3),
                    Pose(tilt_angle_deg=90.0))
     with pytest.raises(SeparationError):
-        mutual_inductance(a, b, method=SPECTRAL)
+        mutual_inductance(a, b)
 
 
 # ------------------------------------------------- separation check
@@ -566,7 +643,7 @@ def test_separation_early_out_agrees_with_the_exact_pass(center, scale,
 def test_coupling_coefficient_normalizes_m():
     k = coupling_coefficient(M_NOMINAL, 35e-6, 3.816942603467716e-07)
     expected = M_NOMINAL / math.sqrt(35e-6 * 3.816942603467716e-07)
-    assert k == pytest.approx(expected, rel=1e-12)
+    assert k == pytest.approx(expected, rel=1e-12, abs=0)
     assert 0.0 < k < 1.0
     assert coupling_coefficient(-M_NOMINAL, 35e-6, 3.8e-7) > 0
 
@@ -582,6 +659,6 @@ def test_coupling_result_validation():
     with pytest.raises(ValueError, match="method"):
         CouplingResult(m=1e-9, method="guess", convergence_estimate=0.0)
     with pytest.raises(ValueError, match="convergence_estimate"):
-        CouplingResult(m=1e-9, method=NEUMANN, convergence_estimate=-1.0)
+        CouplingResult(m=1e-9, method=SPECTRAL, convergence_estimate=-1.0)
     with pytest.raises(ValueError, match="k"):
-        CouplingResult(m=1e-9, method=NEUMANN, convergence_estimate=0.0, k=1.5)
+        CouplingResult(m=1e-9, method=SPECTRAL, convergence_estimate=0.0, k=1.5)
