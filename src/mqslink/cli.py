@@ -770,41 +770,50 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _csv_text(header: str, rows) -> str:
+    """CSV text: the header, then one line per row of cells.
+
+    A row of finite floats is written through one %.17g template; any
+    other row (a None, a string, an int or a non-finite float in it) is
+    joined cell by cell through _fmt. Both give the same text.
+    """
+    template = ",".join(["%.17g"] * (header.count(",") + 1))
+    lines = [header]
+    for cells in rows:
+        if all(type(c) is float for c in cells) and math.isfinite(sum(cells)):
+            lines.append(template % cells)
+        else:
+            lines.append(",".join([_fmt(c) for c in cells]))
+    return "\n".join(lines) + "\n"
+
+
 def emit_spectrum_csv(spectrum: Spectrum, path: Path) -> None:
-    lines = ["frequency_hz,h_real,h_imag,h_mag_db,z11_real_ohm,z11_imag_ohm"]
-    for f, h, z in zip(spectrum.frequencies, spectrum.h, spectrum.z11):
-        mag_db = path_loss_db(complex(h))
-        lines.append(",".join((_fmt(float(f)), _fmt(float(h.real)),
-                               _fmt(float(h.imag)), _fmt(mag_db),
-                               _fmt(float(z.real)), _fmt(float(z.imag)))))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    h, z = spectrum.h, spectrum.z11
+    rows = zip(spectrum.frequencies.tolist(), h.real.tolist(), h.imag.tolist(),
+               [path_loss_db(v) for v in h.tolist()],
+               z.real.tolist(), z.imag.tolist())
+    _atomic_write(path, _csv_text(
+        "frequency_hz,h_real,h_imag,h_mag_db,z11_real_ohm,z11_imag_ohm", rows))
 
 
 def emit_sweep_csv(sweep: SweepResult, path: Path) -> None:
-    lines = ["param,param_unit,peak_db,peak_freq_hz,bw3db_hz,capacity_bps,p_rx_w"]
-    for row in sweep.rows:
-        lines.append(",".join((_fmt(row.value), sweep.unit, _fmt(row.peak_db),
-                               _fmt(row.peak_freq_hz), _fmt(row.bw3db_hz),
-                               _fmt(row.capacity_bps), _fmt(row.p_rx_w))))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = ((row.value, sweep.unit, row.peak_db, row.peak_freq_hz,
+             row.bw3db_hz, row.capacity_bps, row.p_rx_w) for row in sweep.rows)
+    _atomic_write(path, _csv_text(
+        "param,param_unit,peak_db,peak_freq_hz,bw3db_hz,capacity_bps,p_rx_w", rows))
 
 
 def emit_field_map_csv(samples: Sequence[FieldSample], path: Path) -> None:
-    lines = ["x,y,z,Bx,By,Bz"]
-    for s in samples:
-        cells = [_fmt(c) for c in s.position]
-        cells += ["", "", ""] if s.b is None else [_fmt(c) for c in s.b]
-        lines.append(",".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    masked = (None, None, None)
+    rows = (s.position + (masked if s.b is None else s.b) for s in samples)
+    _atomic_write(path, _csv_text("x,y,z,Bx,By,Bz", rows))
 
 
 def emit_capacity_csv(study: BandwidthStudy, path: Path) -> None:
-    lines = ["threshold_db,f_low_hz,f_high_hz,bandwidth_hz,signal_dbv,capacity_bps"]
-    for row in study.rows:
-        lines.append(",".join((_fmt(row.threshold_db), _fmt(row.f_low_hz),
-                               _fmt(row.f_high_hz), _fmt(row.bandwidth_hz),
-                               _fmt(row.signal_dbv), _fmt(row.capacity_bps))))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = ((row.threshold_db, row.f_low_hz, row.f_high_hz, row.bandwidth_hz,
+             row.signal_dbv, row.capacity_bps) for row in study.rows)
+    _atomic_write(path, _csv_text(
+        "threshold_db,f_low_hz,f_high_hz,bandwidth_hz,signal_dbv,capacity_bps", rows))
 
 
 @dataclass(frozen=True)

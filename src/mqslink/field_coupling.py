@@ -1,14 +1,17 @@
 """Magnetic coupling between posed filament coils.
 
 Fields come from the exact finite straight-segment kernel, evaluated in
-one chunked pass per block of points over the point-to-vertex offsets;
-the exact point-to-segment distance runs only for points near a vertex,
-to mask those inside a wire. Flux comes from per-turn disk quadrature,
-and mutual inductance from one of two routes: the Neumann double line
-integral by Gauss-Legendre quadrature on the exact winding curve
-(spectral, the default), or the flux route, an independent cross-check
-of it. A closed-form coaxial-loop formula built on AGM elliptic
-integrals is the analytic reference for the kernel.
+one pass per block of points over the point-to-vertex offsets; blocks
+are sized so their planes stay in a core's L2 cache, which leaves B's
+last bits to the BLAS summation order of each block's rows. The exact
+point-to-segment distance runs only for points near a vertex, to mask
+those inside a wire, and is elementwise, so masks do not depend on the
+blocking. Flux comes from per-turn disk quadrature, and mutual
+inductance from one of two routes: the Neumann double line integral by
+Gauss-Legendre quadrature on the exact winding curve (spectral, the
+default), or the flux route, an independent cross-check of it. A
+closed-form coaxial-loop formula built on AGM elliptic integrals is the
+analytic reference for the kernel.
 
 Self-inductance is deliberately not computed here (the filament limit
 is singular); the lumped module owns it. The wire radius enters only as
@@ -31,8 +34,13 @@ SPECTRAL = "spectral"
 FLUX = "flux"
 _METHODS = (SPECTRAL, FLUX)
 
-# pair budget per vectorized chunk (point-vertex pairs in the field
-# kernel, point-segment pairs elsewhere): 16 MB per (rows, vertices)
+# pair budget per block of the field kernel (point-vertex pairs) and of
+# the segment distance pass (point-segment pairs): 256 KiB per float64
+# plane, so a block's half-dozen planes stay in a core's L2 cache
+# instead of streaming through it once per elementwise pass
+_BLOCK_PAIRS = 32_768
+
+# pair budget per chunk of the Neumann sum: 16 MB per (rows, nodes)
 # float64 plane, and a summation order fixed regardless of problem size
 _CHUNK_PAIRS = 2_000_000
 
@@ -155,7 +163,7 @@ def _distance_to_segments(points: np.ndarray, starts: np.ndarray,
     seg = ends - starts
     seg_len_sq = np.maximum(np.sum(seg * seg, axis=1), 1e-300)
     out = np.empty(len(points))
-    rows = max(1, _CHUNK_PAIRS // max(1, len(starts)))
+    rows = max(1, _BLOCK_PAIRS // max(1, len(starts)))
     for i0 in range(0, len(points), rows):
         p = points[i0:i0 + rows]
         w = p[:, None, :] - starts[None, :, :]
@@ -185,7 +193,7 @@ def _coil_field(coil: FilamentCoil, points: np.ndarray,
     reach = exclusion + math.sqrt(float(seg_len_sq.max())) / 2.0
     b = np.zeros_like(points)
     valid = np.ones(len(points), dtype=bool)
-    rows = max(1, _CHUNK_PAIRS // len(coil.points))
+    rows = max(1, _BLOCK_PAIRS // len(coil.points))
     for i0 in range(0, len(points), rows):
         p = points[i0:i0 + rows]
         # point - vertex as x, y, z planes; segment s runs from vertex s

@@ -49,14 +49,14 @@ def _nominal_link(tuned=True, **overrides):
 
 def test_tuning_capacitance_frozen_and_by_hand():
     c = tune_capacitance(L_TX, 26e6)
-    assert c == pytest.approx(C_TX, rel=1e-15)
+    assert c == pytest.approx(C_TX, rel=1e-15, abs=0)
     assert c == pytest.approx(1.0 / ((2 * math.pi * 26e6) ** 2 * L_TX),
-                              rel=1e-15)
+                              rel=1e-15, abs=0)
 
 
 def test_receiver_capacitance_matches_the_resonances():
     c_rx = receiver_capacitance(L_TX, C_TX, L_RX)
-    assert c_rx == pytest.approx(C_RX, rel=1e-15)
+    assert c_rx == pytest.approx(C_RX, rel=1e-15, abs=0)
     f_tx = 1.0 / (2 * math.pi * math.sqrt(L_TX * C_TX))
     f_rx = 1.0 / (2 * math.pi * math.sqrt(L_RX * c_rx))
     assert abs(f_tx - f_rx) / f_tx < 1e-14
@@ -209,7 +209,7 @@ def test_source_power_anchor_at_low_frequency():
     # P = 0.5 * 1 V^2 / 50 ohm = 10 mW
     link = LinkCircuit(l_tx=L_TX, l_rx=L_RX, m=0.0, r_source=50.0,
                        r_load=1e3)
-    assert tx_power(link, 1e-3) == pytest.approx(0.01, rel=1e-12)
+    assert tx_power(link, 1e-3) == pytest.approx(0.01, rel=1e-12, abs=0)
 
 
 def test_source_power_at_the_tuned_peak_is_frozen():
@@ -221,7 +221,7 @@ def test_tx_power_vectorizes():
     link = _nominal_link()
     p = tx_power(link, np.array([25e6, 26e6, 27e6]))
     assert p.shape == (3,)
-    assert p[1] == pytest.approx(tx_power(link, 26e6), rel=1e-15)
+    assert p[1] == pytest.approx(tx_power(link, 26e6), rel=1e-15, abs=0)
     assert isinstance(tx_power(link, 26e6), float)
 
 
@@ -356,7 +356,7 @@ def test_path_loss_handles_zeros_and_scales():
 def test_inductance_extraction_round_trips():
     f = 26e6
     z = 5.0 + 1j * 2 * math.pi * f * L_TX
-    assert extract_inductance(z, f) == pytest.approx(L_TX, rel=1e-15)
+    assert extract_inductance(z, f) == pytest.approx(L_TX, rel=1e-15, abs=0)
 
 
 def test_extraction_refuses_capacitive_impedances():

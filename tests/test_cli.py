@@ -11,10 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mqslink import cli
-from mqslink.cli import (DEFAULT_CONFIG, ConfigError, _fmt, _json_text,
-                         emit_field_map_csv, main, parse_config, run_scenario)
+from mqslink.cli import (DEFAULT_CONFIG, ConfigError, _csv_text, _fmt,
+                         _json_text, emit_field_map_csv, main, parse_config,
+                         run_scenario)
 from mqslink.field_coupling import FieldSample
 
 SMALL_RUN = """\
@@ -214,6 +217,27 @@ def test_csv_cells_round_trip_doubles():
     assert _fmt(float("nan")) == ""
     assert _fmt(float("-inf")) == ""
     assert _fmt(26000000.0) == "26000000"
+
+
+_FLOAT_CELLS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 7, 1.7976931348623157e308])
+_ANY_CELLS = (_FLOAT_CELLS | st.none() | st.integers() | st.booleans()
+              | st.text(alphabet="abz Ω_-.", max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(*[_FLOAT_CELLS] * n) | st.tuples(*[_ANY_CELLS] * n), max_size=8))))
+@example((3, [(-0.0, 5e-324, 0.1), (float("nan"), 1.0, 2.0),
+              (float("inf"), float("-inf"), 0.5), (None, 1.5, "ohm"),
+              (10**17, True, 2.5), (1.7976931348623157e308, 1.7976931348623157e308, 1.0)]))
+def test_csv_rows_read_as_if_each_cell_went_through_fmt(case):
+    # the one-template fast path and the cell-by-cell fallback must
+    # write the same text
+    n, rows = case
+    header = ",".join(f"c{i}" for i in range(n))
+    want = "\n".join([header] + [",".join(_fmt(c) for c in row) for row in rows])
+    assert _csv_text(header, rows) == want + "\n"
 
 
 def test_json_emitter_and_masking():

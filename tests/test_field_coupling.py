@@ -179,9 +179,11 @@ def test_off_axis_field_converges_to_the_closed_form_loop():
 
 # --------------------------------------------------------------- kernel
 
-def _per_pair_field(coil, points, current):
+def _per_pair_field(coil, points, current, magnitudes=False):
     # the direct form of the finite-segment kernel: every point-segment
-    # pair with its own cross(r1, r2); masked points stay zero
+    # pair with its own cross(r1, r2); masked points stay zero. With
+    # magnitudes (and a positive current), the sum of each segment's
+    # |contribution| instead of B
     starts, ends = coil.segment_starts, coil.segment_ends
     valid = field_coupling._distance_to_segments(points, starts, ends) > \
         coil.wire_diameter / 2.0
@@ -193,8 +195,11 @@ def _per_pair_field(coil, points, current):
     lsum = l1 + l2
     seg_len_sq = np.sum((ends - starts) ** 2, axis=1)
     scale = 2.0 * lsum / (l1 * l2 * (lsum * lsum - seg_len_sq[None, :]))
-    b = np.zeros_like(points)
-    b[valid] = np.sum(np.cross(r1, r2) * scale[..., None], axis=1)
+    terms = np.cross(r1, r2) * scale[..., None]
+    if magnitudes:
+        terms = np.linalg.norm(terms, axis=2)
+    b = np.zeros((len(points),) + terms.shape[2:])
+    b[valid] = np.sum(terms, axis=1)
     return MU0 * current / (4.0 * math.pi) * b, valid
 
 
@@ -233,6 +238,36 @@ def test_kernel_matches_the_per_pair_form(spec, tilt):
     err = np.linalg.norm(b - want, axis=1)[valid] / \
         np.linalg.norm(want, axis=1)[valid]
     assert err.max() <= 1e-11
+
+
+@pytest.mark.parametrize("spec", [_FLAT, _DOME], ids=["flat", "helical"])
+def test_kernel_blocks_leave_masks_and_fields_unchanged(spec, monkeypatch):
+    # one row per block, the default budget, and the whole grid in one
+    # block: masks and segment distances are elementwise, so they must
+    # not move; B may move in its last bits, as BLAS sums each block's
+    # rows in its own order. That rounding is relative to the sum of the
+    # segments' |contributions|, which near a field null is up to ~2e3
+    # times |B| on these grids, so it is measured against that sum
+    coil = apply_pose(build_filament_coil(spec, 64),
+                      Pose(center=(0.01, -0.002, 0.03), tilt_angle_deg=37.0))
+    pts = _grazing_points(coil)
+    starts, ends = coil.segment_starts, coil.segment_ends
+    rows = field_coupling._BLOCK_PAIRS // len(coil.points)
+    assert 1 < rows < len(pts) and len(pts) % rows
+    runs = []
+    for budget in (1, field_coupling._BLOCK_PAIRS, len(pts) * len(coil.points)):
+        monkeypatch.setattr(field_coupling, "_BLOCK_PAIRS", budget)
+        runs.append((*field_coupling._coil_field(coil, pts, 2.0),
+                     field_coupling._distance_to_segments(pts, starts, ends)))
+    (b, valid, dist), others = runs[0], runs[1:]
+    assert 0 < np.count_nonzero(~valid) < len(pts)
+    scale = _per_pair_field(coil, pts, 2.0, magnitudes=True)[0][valid]
+    for b_other, valid_other, dist_other in others:
+        np.testing.assert_array_equal(valid_other, valid)
+        np.testing.assert_array_equal(dist_other, dist)
+        assert np.all(b_other[~valid] == 0.0)
+        err = np.linalg.norm(b_other - b, axis=1)[valid] / scale
+        assert err.max() <= 1e-14
 
 
 _MASK_COIL = apply_pose(

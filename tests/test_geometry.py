@@ -172,7 +172,7 @@ def test_pose_preserves_lengths_and_translates_centers():
                                   tilt_angle_deg=37.0))
     assert posed.wire_length == coil.wire_length
     seg = np.linalg.norm(np.diff(posed.points, axis=0), axis=1)
-    assert np.sum(seg) == pytest.approx(coil.wire_length, rel=1e-12)
+    assert np.sum(seg) == pytest.approx(coil.wire_length, rel=1e-12, abs=0)
     rng = np.random.default_rng(7)
     for _ in range(5):
         tilt = float(rng.uniform(0, 180))

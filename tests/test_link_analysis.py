@@ -156,17 +156,17 @@ def test_threshold_study_best_is_none_when_everything_is_masked():
 def test_scenario_link_wires_the_lumped_pieces():
     link = scenario_link(NOMINAL, m=M_NOMINAL)
     assert link.l_tx == 35e-6                       # measured override wins
-    assert link.l_rx == pytest.approx(3.816942603467716e-07, rel=1e-12)
+    assert link.l_rx == pytest.approx(3.816942603467716e-07, rel=1e-12, abs=0)
     assert link.m == M_NOMINAL
     assert link.r_source == 50.0 and link.r_load == 1e3
-    assert link.c_tx == pytest.approx(tune_capacitance(35e-6, 26e6), rel=1e-15)
+    assert link.c_tx == pytest.approx(tune_capacitance(35e-6, 26e6), rel=1e-15, abs=0)
     assert link.c_rx == pytest.approx(link.l_tx * link.c_tx / link.l_rx,
-                                      rel=1e-15)
+                                      rel=1e-15, abs=0)
     assert link.esr_tx == TX and link.esr_rx == RX
     assert link.coil_resistance_tx(26e6) == pytest.approx(ac_resistance(TX, 26e6),
-                                                          rel=1e-15)
+                                                          rel=1e-15, abs=0)
     assert link.coil_resistance_rx(13e6) == pytest.approx(ac_resistance(RX, 13e6),
-                                                          rel=1e-15)
+                                                          rel=1e-15, abs=0)
 
 
 def test_scenario_link_is_a_hashable_picklable_value():

@@ -18,6 +18,10 @@ RX = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
 TX = CoilSpec(turns=5, inner_radius=60e-3, wire_diameter=0.137e-3,
               wire_spacing=0.5e-3)
 
+# pytest.approx adds an absolute tolerance of 1e-12 unless given one,
+# which would swamp any relative tolerance on microhenries or on skin
+# depths of ~1e-5 m; every approx in this file passes abs=0
+
 # frozen reference values for the two build coils
 WHEELER_RX = 3.8587851286822313e-07
 SHEET_RX = 3.816942603467716e-07
@@ -28,17 +32,17 @@ R_TX_26MHZ = 5.98080731103523
 
 
 def test_wheeler_rx_value_frozen():
-    assert wheeler_inductance(RX) == pytest.approx(WHEELER_RX, rel=1e-12)
+    assert wheeler_inductance(RX) == pytest.approx(WHEELER_RX, rel=1e-12, abs=0)
 
 
 def test_current_sheet_values_frozen():
-    assert current_sheet_inductance(RX) == pytest.approx(SHEET_RX, rel=1e-12)
-    assert current_sheet_inductance(TX) == pytest.approx(SHEET_TX, rel=1e-12)
+    assert current_sheet_inductance(RX) == pytest.approx(SHEET_RX, rel=1e-12, abs=0)
+    assert current_sheet_inductance(TX) == pytest.approx(SHEET_TX, rel=1e-12, abs=0)
 
 
 def test_the_two_formulas_agree_on_the_small_coil():
     # independent fits to the same physics; ~1% apart on a well-filled spiral
-    assert wheeler_inductance(RX) == pytest.approx(SHEET_RX, rel=0.05)
+    assert wheeler_inductance(RX) == pytest.approx(SHEET_RX, rel=0.05, abs=0)
 
 
 def test_wheeler_hand_computed_single_turn():
@@ -48,7 +52,7 @@ def test_wheeler_hand_computed_single_turn():
     d_o = 22e-3
     np_ = 1e-3
     expected = 1 * (d_o - np_) ** 2 / (16 * d_o + 28 * np_) * 39.37e-6
-    assert wheeler_inductance(spec) == pytest.approx(expected, rel=1e-12)
+    assert wheeler_inductance(spec) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_current_sheet_hand_computed():
@@ -60,7 +64,7 @@ def test_current_sheet_hand_computed():
     d_avg = (d_o + d_i) / 2.0
     expected = MU0 * 16 * d_avg / 2.0 * (math.log(2.46 / gamma)
                                          + 0.2 * gamma**2)
-    assert current_sheet_inductance(spec) == pytest.approx(expected, rel=1e-12)
+    assert current_sheet_inductance(spec) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_inductance_scales_as_turns_squared():
@@ -71,8 +75,8 @@ def test_inductance_scales_as_turns_squared():
         spec = CoilSpec(turns=n, inner_radius=20e-3, wire_diameter=0.1e-3,
                         wire_spacing=20e-3 / n - 0.1e-3)
         vals.append(current_sheet_inductance(spec) / n**2)
-    assert vals[0] == pytest.approx(vals[1], rel=1e-9)
-    assert vals[1] == pytest.approx(vals[2], rel=1e-9)
+    assert vals[0] == pytest.approx(vals[1], rel=1e-9, abs=0)
+    assert vals[1] == pytest.approx(vals[2], rel=1e-9, abs=0)
 
 
 def test_wheeler_rejects_helical_shapes():
@@ -106,7 +110,7 @@ def test_estimate_prefers_a_supplied_measurement():
 
 def test_estimate_falls_back_to_current_sheet_with_flag():
     est = estimate_inductance(TX)
-    assert est.value == pytest.approx(SHEET_TX, rel=1e-12)
+    assert est.value == pytest.approx(SHEET_TX, rel=1e-12, abs=0)
     assert est.source == CURRENT_SHEET
     assert est.validity_flag == LOW_CONFIDENCE
     assert estimate_inductance(RX).validity_flag == TRUSTED
@@ -114,12 +118,12 @@ def test_estimate_falls_back_to_current_sheet_with_flag():
 
 def test_skin_depth_frozen_and_scaling():
     assert skin_depth(26e6, COPPER_CONDUCTIVITY) == pytest.approx(
-        SKIN_26MHZ, rel=1e-12)
+        SKIN_26MHZ, rel=1e-12, abs=0)
     # delta ~ 1/sqrt(f)
     assert skin_depth(26e6 / 4, COPPER_CONDUCTIVITY) == pytest.approx(
-        2 * SKIN_26MHZ, rel=1e-12)
+        2 * SKIN_26MHZ, rel=1e-12, abs=0)
     assert skin_depth(1e6, COPPER_CONDUCTIVITY) == pytest.approx(
-        1.0 / math.sqrt(math.pi * 1e6 * COPPER_CONDUCTIVITY * MU0), rel=1e-15)
+        1.0 / math.sqrt(math.pi * 1e6 * COPPER_CONDUCTIVITY * MU0), rel=1e-15, abs=0)
 
 
 def test_skin_depth_rejects_nonpositive_inputs():
@@ -130,8 +134,8 @@ def test_skin_depth_rejects_nonpositive_inputs():
 
 
 def test_ac_resistance_frozen_values():
-    assert ac_resistance(RX, 26e6) == pytest.approx(R_RX_26MHZ, rel=1e-12)
-    assert ac_resistance(TX, 26e6) == pytest.approx(R_TX_26MHZ, rel=1e-12)
+    assert ac_resistance(RX, 26e6) == pytest.approx(R_RX_26MHZ, rel=1e-12, abs=0)
+    assert ac_resistance(TX, 26e6) == pytest.approx(R_TX_26MHZ, rel=1e-12, abs=0)
 
 
 def test_ac_resistance_grows_as_sqrt_frequency():
@@ -139,7 +143,7 @@ def test_ac_resistance_grows_as_sqrt_frequency():
     for _ in range(10):
         f = float(rng.uniform(1e6, 50e6))
         ratio = ac_resistance(RX, 4 * f) / ac_resistance(RX, f)
-        assert ratio == pytest.approx(2.0, rel=1e-12)
+        assert ratio == pytest.approx(2.0, rel=1e-12, abs=0)
 
 
 def test_ac_resistance_uses_the_same_skin_depth_kernel():
@@ -148,7 +152,7 @@ def test_ac_resistance_uses_the_same_skin_depth_kernel():
     delta = skin_depth(f, RX.conductivity)
     run = RX.turns * (RX.outer_diameter - RX.turns * RX.pitch)
     expected = run / (RX.conductivity * delta * RX.wire_diameter)
-    assert ac_resistance(RX, f) == pytest.approx(expected, rel=1e-14)
+    assert ac_resistance(RX, f) == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 def test_array_frequencies_match_scalar_calls_bit_for_bit():
@@ -182,18 +186,18 @@ def test_array_frequencies_with_a_nonpositive_element_raise():
 
 def test_quality_factor_identity():
     assert quality_factor(35e-6, 1.0, 26e6) == pytest.approx(
-        5717.698629533423, rel=1e-12)
+        5717.698629533423, rel=1e-12, abs=0)
     with pytest.raises(ValueError):
         quality_factor(35e-6, 0.0, 26e6)
 
 
 def test_lumped_coil_assembles_consistently():
     lc = lumped_coil(RX, 26e6)
-    assert lc.inductance == pytest.approx(SHEET_RX, rel=1e-12)
-    assert lc.series_resistance == pytest.approx(R_RX_26MHZ, rel=1e-12)
+    assert lc.inductance == pytest.approx(SHEET_RX, rel=1e-12, abs=0)
+    assert lc.series_resistance == pytest.approx(R_RX_26MHZ, rel=1e-12, abs=0)
     assert lc.quality_factor == pytest.approx(
-        2 * math.pi * 26e6 * lc.inductance / lc.series_resistance, rel=1e-12)
-    assert lc.skin_depth == pytest.approx(SKIN_26MHZ, rel=1e-12)
+        2 * math.pi * 26e6 * lc.inductance / lc.series_resistance, rel=1e-12, abs=0)
+    assert lc.skin_depth == pytest.approx(SKIN_26MHZ, rel=1e-12, abs=0)
     assert lc.frequency == 26e6
     assert lc.validity_flag == TRUSTED
     assert lc.source == CURRENT_SHEET
