@@ -18,11 +18,10 @@ from .circuit import (CapacitiveRegimeError, LinkCircuit, Spectrum,
                       tune_capacitance, tx_power)
 from .constants import MU0
 from .field_coupling import (FLUX, SPECTRAL, ConvergenceError,
-                             CouplingResult, FieldSample, GridSpec,
-                             SeparationError, SingularEvaluationError,
-                             b_field, coaxial_mutual_oracle,
-                             coupling_coefficient, field_map, flux_through,
-                             mutual_inductance)
+                             CouplingResult, GridSpec, SeparationError,
+                             SingularEvaluationError, b_field,
+                             coaxial_mutual_oracle, coupling_coefficient,
+                             field_map, flux_through, mutual_inductance)
 from .geometry import (FLAT_SPIRAL, HELICAL, CoilSpec, FilamentCoil, Pose,
                        Scenario, apply_pose, build_filament_coil,
                        scenario_poses, turn_radii, winding_curve)

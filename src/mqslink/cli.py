@@ -9,10 +9,13 @@ Configs are INI files. Every dimensioned value carries a unit tag
 Scenario sections ([tx_coil], [rx_coil], [placement], [circuit],
 [frequency_grid], [analysis], [output]) fall back to the built-in
 nominal values; the presence of a request section ([spectrum],
-[sweep tx_angle], [field_map], ...) asks for that analysis. Outputs
-are CSV/JSON files written atomically (temp file, then rename) plus a
-report.json manifest, which is written even when requests fail.
-Sweeps run serially; --threads N is accepted for compatibility.
+[sweep tx_angle], [field_map], ...) asks for that analysis. Each
+request section is one class in REQUESTS, which maps section names to
+classes: the class parses and checks its section, and its run method
+computes the analysis and writes its files. Outputs are CSV/JSON files
+written atomically (temp file, then rename) plus a report.json
+manifest, which is written even when requests fail. Sweeps run
+serially; --threads N is accepted for compatibility.
 """
 
 from __future__ import annotations
@@ -29,14 +32,15 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, ClassVar, Dict, List, Optional, Protocol,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
 from .circuit import LinkCircuit, Spectrum, frequency_sweep, path_loss_db
-from .field_coupling import FieldSample, GridSpec, field_map
+from .field_coupling import GridSpec, field_map
 from .geometry import (FLAT_SPIRAL, HELICAL, CoilSpec, Scenario, apply_pose,
                        build_filament_coil, scenario_poses)
 from .link_analysis import (_SWEEP_RANGES, POWER, VOLTAGE, BandwidthStudy,
@@ -83,102 +87,19 @@ _UNITS: Dict[str, Dict[str, float]] = {
 _REQUIRED = object()
 
 
-# ---------------------------------------------------------------------------
-# requests
+class Request(Protocol):
+    """A request section, parsed by its class's parse(reader, name).
 
-@dataclass(frozen=True)
-class SpectrumRequest:
-    modes: Tuple[str, ...] = ("tuned", "untuned")
+    run computes the analysis, writes its files into `out`, appends the
+    report's warnings to `warn_list` and returns the names of the files
+    it wrote; build_link(tuned) gives the nominal link.
+    """
 
-    @property
-    def label(self) -> str:
-        return "spectrum"
+    label: str                    # the section name
 
-
-@dataclass(frozen=True)
-class MisalignmentSweepRequest:
-    axis: str
-    start: float
-    stop: float
-    step: float
-
-    @property
-    def label(self) -> str:
-        return f"sweep {self.axis}"
-
-    def values(self) -> np.ndarray:
-        n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        vals = self.start + self.step * np.arange(n)
-        vals[-1] = min(vals[-1], self.stop)   # accumulation must not pass stop
-        return vals
-
-
-@dataclass(frozen=True)
-class ResistanceSweepRequest:
-    side: str                     # r_source or r_load
-    start: float
-    stop: float
-    points: int
-    spacing: str = "log"
-
-    @property
-    def label(self) -> str:
-        return f"sweep {self.side}"
-
-    def values(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.start, self.stop, self.points)
-        return np.linspace(self.start, self.stop, self.points)
-
-
-@dataclass(frozen=True)
-class FieldMapRequest:
-    coil: str = "tx"
-    plane: str = "xz"
-    offset: float = 0.0
-    axis1_start: float = -0.15
-    axis1_stop: float = 0.15
-    axis1_points: int = 31
-    axis2_start: float = 0.05
-    axis2_stop: float = 0.25
-    axis2_points: int = 21
-    current: float = 1.0
-
-    @property
-    def label(self) -> str:
-        return "field_map"
-
-    def grid_spec(self) -> GridSpec:
-        return GridSpec(plane=self.plane, offset=self.offset,
-                        axis1_start=self.axis1_start, axis1_stop=self.axis1_stop,
-                        axis1_points=self.axis1_points,
-                        axis2_start=self.axis2_start, axis2_stop=self.axis2_stop,
-                        axis2_points=self.axis2_points)
-
-
-@dataclass(frozen=True)
-class CapacityRequest:
-    @property
-    def label(self) -> str:
-        return "capacity"
-
-
-@dataclass(frozen=True)
-class DualModeRequest:
-    load_min: float = 0.1
-    load_max: float = 1e4
-    points: int = 101
-
-    @property
-    def label(self) -> str:
-        return "dual_mode"
-
-    def loads(self) -> np.ndarray:
-        return np.geomspace(self.load_min, self.load_max, self.points)
-
-
-Request = Union[SpectrumRequest, MisalignmentSweepRequest, ResistanceSweepRequest,
-                FieldMapRequest, CapacityRequest, DualModeRequest]
+    def run(self, config: ScenarioConfig, grid: np.ndarray, out: Path,
+            build_link: Callable[[bool], LinkCircuit],
+            warn_list: List[str]) -> Tuple[str, ...]: ...
 
 
 @dataclass(frozen=True)
@@ -255,12 +176,16 @@ _SCENARIO_SCHEMAS = {"tx_coil": _COIL_SCHEMA, "rx_coil": _COIL_SCHEMA,
                      "output": _OUTPUT_SCHEMA}
 _SCENARIO_SECTIONS = tuple(_SCENARIO_SCHEMAS)
 
-_SWEEP_AXES = ("tx_angle", "lateral", "axial")
-_SWEEP_SIDES = ("r_source", "r_load")
-
-_REQUEST_SECTIONS = (("spectrum", "capacity", "dual_mode", "field_map")
-                     + tuple(f"sweep {a}" for a in _SWEEP_AXES)
-                     + tuple(f"sweep {s}" for s in _SWEEP_SIDES))
+# Scenario field -> the (section, key) it is read from
+_SCENARIO_KEYS = {
+    "x_eye": ("placement", "x_eye"),
+    "z_eye": ("placement", "z_eye"),
+    "tx_angle_deg": ("placement", "tx_angle"),
+    "r_source": ("circuit", "r_source"),
+    "r_load": ("circuit", "r_load"),
+    "tuned_frequency": ("circuit", "tuned_frequency"),
+    "v_source": ("circuit", "source_amplitude"),
+}
 
 
 class _Reader:
@@ -399,87 +324,6 @@ def _coil_spec(reader: _Reader, section: str,
     return spec, override
 
 
-def _misalignment_request(reader: _Reader, name: str, axis: str) -> MisalignmentSweepRequest:
-    dim = "angle" if axis == "tx_angle" else "length"
-    schema = {"start": ("quantity", dim), "stop": ("quantity", dim),
-              "step": ("quantity", dim)}
-    vals = reader.section(name, schema, {}, scenario_section=False)
-    lo, hi, unit = _SWEEP_RANGES[axis]
-    if vals["step"] <= 0:
-        reader.fail(name, "step", f"[{name}] step must be > 0")
-    if vals["stop"] < vals["start"]:
-        reader.fail(name, "stop", f"[{name}] stop must be >= start")
-    if vals["start"] < lo or vals["stop"] > hi:
-        reader.fail(name, None,
-                    f"[{name}] range must lie within [{lo:g}, {hi:g}] {unit}")
-    return MisalignmentSweepRequest(axis=axis, start=vals["start"],
-                                    stop=vals["stop"], step=vals["step"])
-
-
-def _resistance_request(reader: _Reader, name: str, side: str) -> ResistanceSweepRequest:
-    schema = {"start": ("quantity", "resistance"), "stop": ("quantity", "resistance"),
-              "points": ("count", None), "spacing": ("enum", ("log", "linear"))}
-    vals = reader.section(name, schema, {"spacing": "log"}, scenario_section=False)
-    if vals["start"] <= 0:
-        reader.fail(name, "start", f"[{name}] start must be > 0")
-    if vals["stop"] <= vals["start"]:
-        reader.fail(name, "stop", f"[{name}] stop must be > start")
-    if vals["points"] < 2:
-        reader.fail(name, "points", f"[{name}] points must be >= 2")
-    return ResistanceSweepRequest(side=side, start=vals["start"], stop=vals["stop"],
-                                  points=vals["points"], spacing=vals["spacing"])
-
-
-def _field_map_request(reader: _Reader) -> FieldMapRequest:
-    schema = {
-        "coil": ("enum", ("tx", "rx")),
-        "plane": ("enum", ("xy", "xz", "yz")),
-        "offset": ("quantity", "length"),
-        "axis1_start": ("quantity", "length"),
-        "axis1_stop": ("quantity", "length"),
-        "axis1_points": ("count", None),
-        "axis2_start": ("quantity", "length"),
-        "axis2_stop": ("quantity", "length"),
-        "axis2_points": ("count", None),
-        "current": ("quantity", "current"),
-    }
-    defaults = {"coil": "tx", "offset": 0.0, "current": 1.0}
-    vals = reader.section("field_map", schema, defaults, scenario_section=False)
-    req = FieldMapRequest(**vals)
-    try:
-        req.grid_spec()
-    except ValueError as exc:
-        raise reader.anchored("field_map", str(exc))
-    return req
-
-
-def _spectrum_request(reader: _Reader) -> SpectrumRequest:
-    schema = {"modes": ("string", None)}
-    vals = reader.section("spectrum", schema, {"modes": "tuned untuned"},
-                          scenario_section=False)
-    tokens = tuple(t for t in re.split(r"[,\s]+", vals["modes"].lower()) if t)
-    if not tokens or any(t not in ("tuned", "untuned") for t in tokens):
-        reader.fail("spectrum", "modes",
-                    "[spectrum] modes must be a subset of: tuned untuned")
-    if len(set(tokens)) != len(tokens):
-        reader.fail("spectrum", "modes", "[spectrum] modes repeats a mode")
-    return SpectrumRequest(modes=tokens)
-
-
-def _dual_mode_request(reader: _Reader) -> DualModeRequest:
-    schema = {"load_min": ("quantity", "resistance"),
-              "load_max": ("quantity", "resistance"),
-              "points": ("count", None)}
-    defaults = {"load_min": 0.1, "load_max": 1e4, "points": 101}
-    vals = reader.section("dual_mode", schema, defaults, scenario_section=False)
-    if vals["load_min"] <= 0 or vals["load_max"] <= vals["load_min"]:
-        reader.fail("dual_mode", None,
-                    "[dual_mode] needs 0 < load_min < load_max")
-    if vals["points"] < 2:
-        reader.fail("dual_mode", "points", "[dual_mode] points must be >= 2")
-    return DualModeRequest(**vals)
-
-
 def parse_config(path: Union[str, Path], allow_defaults: bool = False) -> ScenarioConfig:
     """Read and validate a config file into a ScenarioConfig.
 
@@ -494,12 +338,11 @@ def parse_config(path: Union[str, Path], allow_defaults: bool = False) -> Scenar
     reader = _Reader(path, allow_defaults)
     parser = reader.parser
 
-    known = set(_SCENARIO_SECTIONS) | set(_REQUEST_SECTIONS)
+    known = _SCENARIO_SECTIONS + tuple(REQUESTS)
     for name in parser.sections():
         if name not in known:
-            reader.fail(name, None,
-                        f"unknown section [{name}]; known sections: "
-                        f"{', '.join(list(_SCENARIO_SECTIONS) + list(_REQUEST_SECTIONS))}")
+            reader.fail(name, None, f"unknown section [{name}]; known sections: "
+                                    f"{', '.join(known)}")
 
     defaults = _builtin_defaults()
     tx, l_tx_override = _coil_spec(reader, "tx_coil", defaults["tx_coil"])
@@ -532,43 +375,22 @@ def parse_config(path: Union[str, Path], allow_defaults: bool = False) -> Scenar
         reader.fail("analysis", "segments_per_turn",
                     "[analysis] segments_per_turn must be >= 16")
 
+    read = {"placement": placement, "circuit": circuit}
     try:
-        scenario = Scenario(tx=tx, rx=rx, x_eye=placement["x_eye"],
-                            z_eye=placement["z_eye"],
-                            tx_angle_deg=placement["tx_angle"],
-                            r_source=circuit["r_source"], r_load=circuit["r_load"],
-                            tuned_frequency=circuit["tuned_frequency"],
-                            v_source=circuit["source_amplitude"],
-                            l_tx_override=l_tx_override,
-                            l_rx_override=l_rx_override)
+        scenario = Scenario(tx=tx, rx=rx, l_tx_override=l_tx_override,
+                            l_rx_override=l_rx_override,
+                            **{field: read[section][key]
+                               for field, (section, key) in _SCENARIO_KEYS.items()})
     except ValueError as exc:
         message = str(exc)
-        for section in ("placement", "circuit"):
-            if any(key in message for key in
-                   list(_PLACEMENT_SCHEMA if section == "placement" else _CIRCUIT_SCHEMA)):
-                raise reader.anchored(section, message)
+        for field, (section, key) in _SCENARIO_KEYS.items():
+            if message.startswith(field):
+                reader.fail(section, key, message)
         raise ConfigError(message, reader.path)
 
-    requests: List[Request] = []
-    for name in parser.sections():          # file order = execution order
-        if name in _SCENARIO_SECTIONS:
-            continue
-        if name == "spectrum":
-            requests.append(_spectrum_request(reader))
-        elif name == "capacity":
-            for key in parser.options(name):
-                reader.fail(name, key, f"[capacity] takes no keys; got {key!r}")
-            requests.append(CapacityRequest())
-        elif name == "dual_mode":
-            requests.append(_dual_mode_request(reader))
-        elif name == "field_map":
-            requests.append(_field_map_request(reader))
-        elif name.startswith("sweep "):
-            target = name.split(" ", 1)[1]
-            if target in _SWEEP_AXES:
-                requests.append(_misalignment_request(reader, name, target))
-            else:
-                requests.append(_resistance_request(reader, name, target))
+    # file order = execution order
+    requests = tuple(REQUESTS[name].parse(reader, name)
+                     for name in parser.sections() if name in REQUESTS)
 
     return ScenarioConfig(
         scenario=scenario, esr_mode=circuit["esr_mode"],
@@ -577,7 +399,7 @@ def parse_config(path: Union[str, Path], allow_defaults: bool = False) -> Scenar
         grid_points=grid["points"], noise_floor_dbv=analysis["noise_floor"],
         snr_convention=analysis["snr_convention"],
         segments_per_turn=analysis["segments_per_turn"],
-        output_dir=output["directory"], requests=tuple(requests),
+        output_dir=output["directory"], requests=requests,
         config_digest=reader.digest)
 
 
@@ -803,9 +625,9 @@ def emit_sweep_csv(sweep: SweepResult, path: Path) -> None:
         "param,param_unit,peak_db,peak_freq_hz,bw3db_hz,capacity_bps,p_rx_w", rows))
 
 
-def emit_field_map_csv(samples: Sequence[FieldSample], path: Path) -> None:
-    masked = (None, None, None)
-    rows = (s.position + (masked if s.b is None else s.b) for s in samples)
+def emit_field_map_csv(points: np.ndarray, b: np.ndarray, path: Path) -> None:
+    """One row per point; a masked (NaN) B row gets empty cells."""
+    rows = map(tuple, np.hstack([points, b]).tolist())
     _atomic_write(path, _csv_text("x,y,z,Bx,By,Bz", rows))
 
 
@@ -855,6 +677,258 @@ def _apply_esr_mode(link: LinkCircuit, config: ScenarioConfig) -> LinkCircuit:
     return link
 
 
+# ---------------------------------------------------------------------------
+# requests: one class per request section (see Request)
+
+@dataclass(frozen=True)
+class SpectrumRequest:
+    """[spectrum]: the link's transfer spectrum, tuned and/or untuned."""
+
+    modes: Tuple[str, ...]
+    label: ClassVar[str] = "spectrum"
+
+    @classmethod
+    def parse(cls, reader: _Reader, name: str) -> SpectrumRequest:
+        vals = reader.section(name, {"modes": ("string", None)},
+                              {"modes": "tuned untuned"}, scenario_section=False)
+        tokens = tuple(t for t in re.split(r"[,\s]+", vals["modes"].lower()) if t)
+        if not tokens or any(t not in ("tuned", "untuned") for t in tokens):
+            reader.fail(name, "modes",
+                        "[spectrum] modes must be a subset of: tuned untuned")
+        if len(set(tokens)) != len(tokens):
+            reader.fail(name, "modes", "[spectrum] modes repeats a mode")
+        return cls(modes=tokens)
+
+    def run(self, config, grid, out, build_link, warn_list):
+        files = []
+        for mode in self.modes:
+            spectrum = frequency_sweep(build_link(mode == "tuned"), grid)
+            fname = f"spectrum_{mode}.csv"
+            emit_spectrum_csv(spectrum, out / fname)
+            files.append(fname)
+        return tuple(files)
+
+
+@dataclass(frozen=True)
+class MisalignmentSweepRequest:
+    """[sweep tx_angle|lateral|axial]: the link at each pose on one axis."""
+
+    axis: str
+    start: float
+    stop: float
+    step: float
+
+    @property
+    def label(self) -> str:
+        return f"sweep {self.axis}"
+
+    @classmethod
+    def parse(cls, reader: _Reader, name: str) -> MisalignmentSweepRequest:
+        axis = name.split(" ", 1)[1]
+        dim = "angle" if axis == "tx_angle" else "length"
+        schema = {"start": ("quantity", dim), "stop": ("quantity", dim),
+                  "step": ("quantity", dim)}
+        vals = reader.section(name, schema, {}, scenario_section=False)
+        lo, hi, unit = _SWEEP_RANGES[axis]
+        if vals["step"] <= 0:
+            reader.fail(name, "step", f"[{name}] step must be > 0")
+        if vals["stop"] < vals["start"]:
+            reader.fail(name, "stop", f"[{name}] stop must be >= start")
+        if vals["start"] < lo or vals["stop"] > hi:
+            reader.fail(name, None,
+                        f"[{name}] range must lie within [{lo:g}, {hi:g}] {unit}")
+        return cls(axis=axis, **vals)
+
+    def values(self) -> np.ndarray:
+        n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        vals = self.start + self.step * np.arange(n)
+        vals[-1] = min(vals[-1], self.stop)   # accumulation must not pass stop
+        return vals
+
+    def run(self, config, grid, out, build_link, warn_list):
+        sc = config.scenario
+        template = _apply_esr_mode(scenario_link(sc, m=0.0, tuned=True), config)
+        sweep = misalignment_sweep(
+            sc, self.axis, self.values(),
+            segments_per_turn=config.segments_per_turn, grid=grid,
+            noise_floor_dbv=config.noise_floor_dbv,
+            convention=config.snr_convention, link_template=template)
+        warn_list.extend(f"{self.label}: {note}" for note in sweep.notes)
+        fname = f"sweep_{self.axis}.csv"
+        emit_sweep_csv(sweep, out / fname)
+        return (fname,)
+
+
+@dataclass(frozen=True)
+class ResistanceSweepRequest:
+    """[sweep r_source|r_load]: the nominal link over one termination."""
+
+    side: str
+    start: float
+    stop: float
+    points: int
+    spacing: str                  # log | linear
+
+    @property
+    def label(self) -> str:
+        return f"sweep {self.side}"
+
+    @classmethod
+    def parse(cls, reader: _Reader, name: str) -> ResistanceSweepRequest:
+        schema = {"start": ("quantity", "resistance"),
+                  "stop": ("quantity", "resistance"),
+                  "points": ("count", None), "spacing": ("enum", ("log", "linear"))}
+        vals = reader.section(name, schema, {"spacing": "log"}, scenario_section=False)
+        if vals["start"] <= 0:
+            reader.fail(name, "start", f"[{name}] start must be > 0")
+        if vals["stop"] <= vals["start"]:
+            reader.fail(name, "stop", f"[{name}] stop must be > start")
+        if vals["points"] < 2:
+            reader.fail(name, "points", f"[{name}] points must be >= 2")
+        return cls(side=name.split(" ", 1)[1], **vals)
+
+    def values(self) -> np.ndarray:
+        if self.spacing == "log":
+            return np.geomspace(self.start, self.stop, self.points)
+        return np.linspace(self.start, self.stop, self.points)
+
+    def run(self, config, grid, out, build_link, warn_list):
+        sweep = resistance_sweep(build_link(True), self.side, self.values(),
+                                 grid=grid, noise_floor_dbv=config.noise_floor_dbv,
+                                 convention=config.snr_convention)
+        fname = f"sweep_{self.side}.csv"
+        emit_sweep_csv(sweep, out / fname)
+        return (fname,)
+
+
+@dataclass(frozen=True)
+class FieldMapRequest:
+    """[field_map]: B of one coil, posed, on a planar grid."""
+
+    coil: str                     # tx | rx
+    grid: GridSpec
+    current: float
+    label: ClassVar[str] = "field_map"
+
+    @classmethod
+    def parse(cls, reader: _Reader, name: str) -> FieldMapRequest:
+        schema = {
+            "coil": ("enum", ("tx", "rx")),
+            "plane": ("enum", ("xy", "xz", "yz")),
+            "offset": ("quantity", "length"),
+            "axis1_start": ("quantity", "length"),
+            "axis1_stop": ("quantity", "length"),
+            "axis1_points": ("count", None),
+            "axis2_start": ("quantity", "length"),
+            "axis2_stop": ("quantity", "length"),
+            "axis2_points": ("count", None),
+            "current": ("quantity", "current"),
+        }
+        defaults = {"coil": "tx", "offset": 0.0, "current": 1.0}
+        vals = reader.section(name, schema, defaults, scenario_section=False)
+        coil, current = vals.pop("coil"), vals.pop("current")
+        try:
+            return cls(coil=coil, grid=GridSpec(**vals), current=current)
+        except ValueError as exc:
+            raise reader.anchored(name, str(exc))
+
+    def run(self, config, grid, out, build_link, warn_list):
+        sc = config.scenario
+        tx_pose, rx_pose = scenario_poses(sc)
+        spec, pose = (sc.tx, tx_pose) if self.coil == "tx" else (sc.rx, rx_pose)
+        coil = apply_pose(build_filament_coil(spec, config.segments_per_turn), pose)
+        b = field_map(coil, self.current, self.grid)
+        masked = int(np.isnan(b[:, 0]).sum())
+        if masked:
+            warn_list.append(f"field_map: {masked} of {len(b)} points "
+                             "inside the wire exclusion zone are masked")
+        emit_field_map_csv(self.grid.points(), b, out / "field_map.csv")
+        return ("field_map.csv",)
+
+
+@dataclass(frozen=True)
+class CapacityRequest:
+    """[capacity]: Shannon capacity against bandwidth on the tuned link."""
+
+    label: ClassVar[str] = "capacity"
+
+    @classmethod
+    def parse(cls, reader: _Reader, name: str) -> CapacityRequest:
+        for key in reader.parser.options(name):
+            reader.fail(name, key, f"[capacity] takes no keys; got {key!r}")
+        return cls()
+
+    def run(self, config, grid, out, build_link, warn_list):
+        spectrum = frequency_sweep(build_link(True), grid)
+        study = capacity_vs_bandwidth(spectrum,
+                                      noise_floor_dbv=config.noise_floor_dbv,
+                                      convention=config.snr_convention)
+        masked = sum(1 for row in study.rows if row.masked)
+        if masked:
+            warn_list.append(f"capacity: {masked} threshold rows masked "
+                             "(band runs off the frequency grid)")
+        emit_capacity_csv(study, out / "capacity.csv")
+        try:
+            rep = capacity_report(spectrum, noise_floor_dbv=config.noise_floor_dbv,
+                                  convention=config.snr_convention)
+        except TruncatedBandError as exc:
+            warn_list.append(f"capacity: {exc}; capacity_report.json not written")
+            return ("capacity.csv",)
+        _atomic_write(out / "capacity_report.json", _json_text(asdict(rep)) + "\n")
+        return ("capacity.csv", "capacity_report.json")
+
+
+@dataclass(frozen=True)
+class DualModeRequest:
+    """[dual_mode]: the power-mode and comm-mode loads of the tuned link."""
+
+    load_min: float
+    load_max: float
+    points: int
+    label: ClassVar[str] = "dual_mode"
+
+    @classmethod
+    def parse(cls, reader: _Reader, name: str) -> DualModeRequest:
+        schema = {"load_min": ("quantity", "resistance"),
+                  "load_max": ("quantity", "resistance"),
+                  "points": ("count", None)}
+        defaults = {"load_min": 0.1, "load_max": 1e4, "points": 101}
+        vals = reader.section(name, schema, defaults, scenario_section=False)
+        if vals["load_min"] <= 0 or vals["load_max"] <= vals["load_min"]:
+            reader.fail(name, None, "[dual_mode] needs 0 < load_min < load_max")
+        if vals["points"] < 2:
+            reader.fail(name, "points", "[dual_mode] points must be >= 2")
+        return cls(**vals)
+
+    def run(self, config, grid, out, build_link, warn_list):
+        loads = np.geomspace(self.load_min, self.load_max, self.points)
+        dm = dual_mode_report(build_link(True), r_load_grid=loads, grid=grid)
+        payload = {
+            "power_mode_r_load_ohm": dm.power_mode_r_load,
+            "comm_mode_r_load_ohm": dm.comm_mode_r_load,
+            "p_rx_power_mode_w": dm.p_rx_power_mode,
+            "p_rx_comm_mode_w": dm.p_rx_comm_mode,
+            "v_rx_power_mode_v": dm.v_rx_power_mode,
+            "v_rx_comm_mode_v": dm.v_rx_comm_mode,
+        }
+        _atomic_write(out / "dual_mode.json", _json_text(payload) + "\n")
+        return ("dual_mode.json",)
+
+
+# request section name -> class, in the order error messages list them
+REQUESTS: Dict[str, type] = {
+    "spectrum": SpectrumRequest,
+    "capacity": CapacityRequest,
+    "dual_mode": DualModeRequest,
+    "field_map": FieldMapRequest,
+    "sweep tx_angle": MisalignmentSweepRequest,
+    "sweep lateral": MisalignmentSweepRequest,
+    "sweep axial": MisalignmentSweepRequest,
+    "sweep r_source": ResistanceSweepRequest,
+    "sweep r_load": ResistanceSweepRequest,
+}
+
+
 def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> RunReport:
     """Execute the config's requests in declared order; write all outputs.
 
@@ -892,98 +966,6 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> RunRe
     def build_link(tuned: bool) -> LinkCircuit:
         return _apply_esr_mode(scenario_link(sc, nominal_m(), tuned=tuned), config)
 
-    def execute(req: Request) -> Tuple[str, ...]:
-        if isinstance(req, SpectrumRequest):
-            files = []
-            for mode in req.modes:
-                spectrum = frequency_sweep(build_link(mode == "tuned"), grid)
-                fname = f"spectrum_{mode}.csv"
-                emit_spectrum_csv(spectrum, out / fname)
-                files.append(fname)
-            return tuple(files)
-
-        if isinstance(req, MisalignmentSweepRequest):
-            template = _apply_esr_mode(scenario_link(sc, m=0.0, tuned=True), config)
-            sweep = misalignment_sweep(
-                sc, req.axis, req.values(),
-                segments_per_turn=config.segments_per_turn, grid=grid,
-                noise_floor_dbv=config.noise_floor_dbv,
-                convention=config.snr_convention, link_template=template)
-            warn_list.extend(f"sweep {req.axis}: {note}" for note in sweep.notes)
-            fname = f"sweep_{req.axis}.csv"
-            emit_sweep_csv(sweep, out / fname)
-            return (fname,)
-
-        if isinstance(req, ResistanceSweepRequest):
-            sweep = resistance_sweep(build_link(tuned=True), req.side,
-                                     req.values(), grid=grid,
-                                     noise_floor_dbv=config.noise_floor_dbv,
-                                     convention=config.snr_convention)
-            fname = f"sweep_{req.side}.csv"
-            emit_sweep_csv(sweep, out / fname)
-            return (fname,)
-
-        if isinstance(req, FieldMapRequest):
-            tx_pose, rx_pose = scenario_poses(sc)
-            spec, pose = (sc.tx, tx_pose) if req.coil == "tx" else (sc.rx, rx_pose)
-            coil = apply_pose(build_filament_coil(spec, config.segments_per_turn),
-                              pose)
-            samples = field_map(coil, req.current, req.grid_spec())
-            masked = sum(1 for s in samples if s.masked)
-            if masked:
-                warn_list.append(f"field_map: {masked} of {len(samples)} points "
-                                 "inside the wire exclusion zone are masked")
-            emit_field_map_csv(samples, out / "field_map.csv")
-            return ("field_map.csv",)
-
-        if isinstance(req, CapacityRequest):
-            spectrum = frequency_sweep(build_link(tuned=True), grid)
-            study = capacity_vs_bandwidth(spectrum,
-                                          noise_floor_dbv=config.noise_floor_dbv,
-                                          convention=config.snr_convention)
-            masked = sum(1 for row in study.rows if row.masked)
-            if masked:
-                warn_list.append(f"capacity: {masked} threshold rows masked "
-                                 "(band runs off the frequency grid)")
-            emit_capacity_csv(study, out / "capacity.csv")
-            files = ["capacity.csv"]
-            try:
-                rep = capacity_report(spectrum,
-                                      noise_floor_dbv=config.noise_floor_dbv,
-                                      convention=config.snr_convention)
-            except TruncatedBandError as exc:
-                warn_list.append(f"capacity: {exc}; capacity_report.json "
-                                 "not written")
-            else:
-                payload = {
-                    "bandwidth_hz": rep.bandwidth_hz,
-                    "signal_dbv": rep.signal_dbv,
-                    "noise_floor_dbv": rep.noise_floor_dbv,
-                    "snr_db": rep.snr_db,
-                    "capacity_bps": rep.capacity_bps,
-                    "convention": rep.convention,
-                }
-                _atomic_write(out / "capacity_report.json",
-                              _json_text(payload) + "\n")
-                files.append("capacity_report.json")
-            return tuple(files)
-
-        if isinstance(req, DualModeRequest):
-            dm = dual_mode_report(build_link(tuned=True), r_load_grid=req.loads(),
-                                  grid=grid)
-            payload = {
-                "power_mode_r_load_ohm": dm.power_mode_r_load,
-                "comm_mode_r_load_ohm": dm.comm_mode_r_load,
-                "p_rx_power_mode_w": dm.p_rx_power_mode,
-                "p_rx_comm_mode_w": dm.p_rx_comm_mode,
-                "v_rx_power_mode_v": dm.v_rx_power_mode,
-                "v_rx_comm_mode_v": dm.v_rx_comm_mode,
-            }
-            _atomic_write(out / "dual_mode.json", _json_text(payload) + "\n")
-            return ("dual_mode.json",)
-
-        raise TypeError(f"unhandled request {req!r}")
-
     for req in config.requests:
         label = req.label
         m_before = m_cache["s"]
@@ -991,7 +973,7 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> RunRe
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                files = execute(req)
+                files = req.run(config, grid, out, build_link, warn_list)
             warn_list.extend(f"{label}: {w.message}" for w in caught)
             outputs.append((label, files))
             _log.info("%s -> %s (%.2f s)", label, ", ".join(files),

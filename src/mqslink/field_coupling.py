@@ -74,22 +74,6 @@ class ConvergenceError(Exception):
 
 
 @dataclass(frozen=True)
-class FieldSample:
-    """One field evaluation: position (m) and B (tesla), or a masked slot.
-
-    b is None when the sample fell inside a wire's exclusion zone and
-    was masked rather than evaluated.
-    """
-
-    position: Tuple[float, float, float]
-    b: Optional[Tuple[float, float, float]]
-
-    @property
-    def masked(self) -> bool:
-        return self.b is None
-
-
-@dataclass(frozen=True)
 class CouplingResult:
     """Mutual inductance (signed, H) with its convergence evidence.
 
@@ -256,16 +240,15 @@ def b_field(coil: FilamentCoil, current: float, point) -> np.ndarray:
     return b[0] if np.ndim(point) == 1 else b
 
 
-def field_map(coil: FilamentCoil, current: float, grid: GridSpec) -> Tuple[FieldSample, ...]:
-    """Sample B on a planar grid, row-major, masking singular points.
+def field_map(coil: FilamentCoil, current: float, grid: GridSpec) -> np.ndarray:
+    """B (tesla) at grid.points(), shape (n, 3), masking singular points.
 
-    Points inside the wire's exclusion zone become masked samples (b is
-    None) rather than aborting the map.
+    Rows for points inside the wire's exclusion zone are NaN rather than
+    aborting the map.
     """
-    pts = grid.points()
-    b, valid = _coil_field(coil, pts, float(current))
-    return tuple(FieldSample(tuple(pos), tuple(bv) if ok else None)
-                 for pos, bv, ok in zip(pts.tolist(), b.tolist(), valid.tolist()))
+    b, valid = _coil_field(coil, grid.points(), float(current))
+    b[~valid] = np.nan
+    return b
 
 
 def _coupling_floor(tx: FilamentCoil, rx: FilamentCoil) -> float:

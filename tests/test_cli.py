@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import re
+import runpy
 import subprocess
 import sys
 import time
@@ -18,7 +20,6 @@ from mqslink import cli
 from mqslink.cli import (DEFAULT_CONFIG, ConfigError, _csv_text, _fmt,
                          _json_text, emit_field_map_csv, main, parse_config,
                          run_scenario)
-from mqslink.field_coupling import FieldSample
 
 SMALL_RUN = """\
 [tx_coil]
@@ -75,6 +76,16 @@ axis2_stop = 150 mm
 axis2_points = 3
 current = 1 A
 """
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the scenario of DEFAULT_CONFIG with every commented request example
+# switched on, at 64 segments per turn on a 201-point frequency grid
+_head, _examples = DEFAULT_CONFIG.split("[capacity]\n")
+ALL_REQUESTS = (_head.replace("segments_per_turn = 360", "segments_per_turn = 64")
+                .replace("points = 1001", "points = 201")
+                + "[capacity]\n" + re.sub(r"^# (?=\[|\w+ = )", "", _examples, flags=re.M))
 
 
 def write_config(tmp_path, text, name="scenario.ini"):
@@ -161,6 +172,7 @@ def test_radian_angles_convert(tmp_path):
     ("[spectrum]\nmodes = sideways\n", "modes"),
     ("[dual_mode]\npoints = 3.5\n", "integer"),
     ("[circuit]\nr_load = 1 kohm\nr_load = 2 kohm\n", "r_load"),
+    ("[circuit]\nsource_amplitude = 0 V\n", r"\.ini:2: v_source must be > 0"),
 ])
 def test_bad_configs_are_rejected(tmp_path, snippet, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -252,10 +264,10 @@ def test_json_emitter_and_masking():
 
 
 def test_field_map_rows_mask_with_empty_cells(tmp_path):
-    samples = [FieldSample((0.05, 0.0, 0.1), (1e-9, 0.0, -2e-9)),
-               FieldSample((0.06, 0.0, 0.1), None)]
+    points = np.array([[0.05, 0.0, 0.1], [0.06, 0.0, 0.1]])
+    b = np.array([[1e-9, 0.0, -2e-9], [np.nan, np.nan, np.nan]])
     path = tmp_path / "field_map.csv"
-    emit_field_map_csv(samples, path)
+    emit_field_map_csv(points, b, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "x,y,z,Bx,By,Bz"
     assert lines[1].split(",")[3] == "1.0000000000000001e-09"
@@ -263,6 +275,54 @@ def test_field_map_rows_mask_with_empty_cells(tmp_path):
 
 
 # ------------------------------------------------------------ end to end
+
+def test_every_request_kind_runs_end_to_end(tmp_path):
+    sections = [name for name in re.findall(r"^\[(.+)\]$", ALL_REQUESTS, flags=re.M)
+                if name not in cli._SCENARIO_SECTIONS]
+    assert ALL_REQUESTS.count("segments_per_turn = 64") == 1
+    assert set(cli.REQUESTS) == set(sections)
+    config = parse_config(write_config(tmp_path, ALL_REQUESTS))
+    assert config.frequency_grid().size == 201
+    # file order, and each label is its section name
+    assert [r.label for r in config.requests] == sections
+    report = run_scenario(config, out_dir=str(tmp_path / "out"))
+    assert report.failures == ()
+    # the README's table of files per request
+    assert dict(report.outputs) == {
+        "spectrum": ("spectrum_tuned.csv", "spectrum_untuned.csv"),
+        "capacity": ("capacity.csv", "capacity_report.json"),
+        **{f"sweep {t}": (f"sweep_{t}.csv",)
+           for t in ("tx_angle", "lateral", "axial", "r_source", "r_load")},
+        "field_map": ("field_map.csv",),
+        "dual_mode": ("dual_mode.json",),
+    }
+    written = {f for _, files in report.outputs for f in files} | {"report.json"}
+    assert {p.name for p in (tmp_path / "out").iterdir()} == written
+
+
+def test_traced_run_sees_every_layer_it_patches(tmp_path, monkeypatch):
+    # bench/traced_run.py wraps mqslink.cli's module globals; a request
+    # that bound a layer function early, or a global that went away,
+    # would leave a span missing from the trace
+    script = ROOT / "bench" / "traced_run.py"
+    monkeypatch.setattr(sys, "path", list(sys.path))    # the script prepends src/
+    traced_run = runpy.run_path(str(script), run_name="traced_run")
+    patched = set()
+
+    class Names(traced_run["Tracer"]):
+        def patch(self, name, sites, attr, count=None):
+            patched.add(name)
+
+    traced_run["install"](Names())
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run([sys.executable, str(script),
+                           str(write_config(tmp_path, ALL_REQUESTS)),
+                           str(tmp_path / "out"), str(trace)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    spans = {span[0] for span in json.loads(trace.read_text())["spans"]}
+    assert patched and patched <= spans, patched - spans
+
 
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):

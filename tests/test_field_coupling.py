@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mqslink import field_coupling
 from mqslink.constants import MU0
 from mqslink.field_coupling import (FLUX, SPECTRAL, ConvergenceError,
-                                    CouplingResult, FieldSample, GridSpec,
+                                    CouplingResult, GridSpec,
                                     SeparationError, SingularEvaluationError,
                                     _check_separation, _closest_approach,
                                     _coupling_floor, _ellipke, _neumann_sum,
@@ -310,8 +310,8 @@ def test_maps_far_from_the_wire_skip_the_segment_distance_pass(monkeypatch):
     grid = GridSpec(plane="xz", offset=0.0, axis1_start=-0.03, axis1_stop=0.03,
                     axis1_points=9, axis2_start=0.02, axis2_stop=0.08,
                     axis2_points=7)
-    samples = field_map(tx, 1.0, grid)
-    assert len(samples) == 63 and not any(s.masked for s in samples)
+    b = field_map(tx, 1.0, grid)
+    assert b.shape == (63, 3) and np.isfinite(b).all()
 
 
 # --------------------------------------------------------------- field_map
@@ -348,20 +348,15 @@ def test_field_map_masks_points_on_the_wire_and_keeps_the_rest():
     grid = GridSpec(plane="xy", offset=0.0, axis1_start=0.009,
                     axis1_stop=0.011, axis1_points=3, axis2_start=-0.001,
                     axis2_stop=0.001, axis2_points=3)
-    samples = field_map(coil, 1.0, grid)
-    assert len(samples) == 9
-    masked = [s for s in samples if s.masked]
-    live = [s for s in samples if not s.masked]
-    assert masked and live
-    assert all(s.b is None for s in masked)
-    assert all(np.isfinite(s.b).all() for s in live)
-    assert any(abs(s.position[0] - 0.01) < 1e-12 and s.position[1] == 0.0
-               for s in masked)
-
-
-def test_field_sample_masked_property():
-    assert FieldSample((0, 0, 0), None).masked
-    assert not FieldSample((0, 0, 0), (0.0, 0.0, 1e-6)).masked
+    b = field_map(coil, 1.0, grid)
+    assert b.shape == (9, 3)
+    masked = np.isnan(b).any(axis=1)
+    assert masked.any() and not masked.all()
+    assert np.isnan(b[masked]).all()            # a masked row is NaN throughout
+    assert np.isfinite(b[~masked]).all()
+    pts = grid.points()
+    on_wire = (np.abs(pts[:, 0] - 0.01) < 1e-12) & (pts[:, 1] == 0.0)
+    assert on_wire.sum() == 1 and masked[on_wire].all()
 
 
 # ------------------------------------------------- mutual inductance
