@@ -11,8 +11,7 @@ laptop.
 
 from .cli import (ConfigError, RunReport, ScenarioConfig, main, parse_config,
                   run_scenario)
-from .circuit import (CapacitiveRegimeError, LinkCircuit, Spectrum,
-                      default_grid, extract_inductance, frequency_sweep,
+from .circuit import (LinkCircuit, Spectrum, default_grid, frequency_sweep,
                       path_loss_db, received_power, receiver_capacitance,
                       transfer_ratio, transfer_ratio_untuned,
                       tune_capacitance, tx_power)
@@ -21,7 +20,7 @@ from .field_coupling import (FLUX, SPECTRAL, ConvergenceError,
                              CouplingResult, GridSpec, SeparationError,
                              SingularEvaluationError, b_field,
                              coaxial_mutual_oracle, coupling_coefficient,
-                             field_map, flux_through, mutual_inductance)
+                             field_map, mutual_inductance)
 from .geometry import (FLAT_SPIRAL, HELICAL, CoilSpec, FilamentCoil, Pose,
                        Scenario, apply_pose, build_filament_coil,
                        scenario_poses, turn_radii, winding_curve)
@@ -29,12 +28,10 @@ from .link_analysis import (POWER, VOLTAGE, BandwidthStudy, CapacityReport,
                             DualModeReport, SweepResult, TruncatedBandError,
                             capacity_report, capacity_vs_bandwidth,
                             channel_capacity, dual_mode_report,
-                            impedance_sweep, misalignment_sweep,
-                            resistance_sweep, scenario_link,
-                            scenario_mutual_inductance, snr_db,
-                            three_db_bandwidth)
-from .lumped import (LumpedCoil, ac_resistance, current_sheet_inductance,
-                     estimate_inductance, lumped_coil, quality_factor,
-                     skin_depth, wheeler_inductance)
+                            misalignment_sweep, resistance_sweep,
+                            scenario_link, scenario_mutual_inductance,
+                            snr_db, three_db_bandwidth)
+from .lumped import (ac_resistance, current_sheet_inductance,
+                     estimate_inductance, skin_depth, wheeler_inductance)
 
 __version__ = "0.1.0"

@@ -32,10 +32,6 @@ from .lumped import ac_resistance
 FrequencyLike = Union[float, np.ndarray]
 
 
-class CapacitiveRegimeError(Exception):
-    """Inductance extraction attempted where the input looks capacitive."""
-
-
 @dataclass(frozen=True)
 class LinkCircuit:
     """Lumped model of the full link at one geometric configuration.
@@ -267,19 +263,6 @@ def frequency_sweep(link: LinkCircuit, grid) -> Spectrum:
     h, input_current = _mesh_solve(link, farr)
     z11 = link.v_source / input_current() - link.r_source
     return Spectrum(frequencies=farr, h=h, z11=z11)
-
-
-def extract_inductance(z11: complex, f: float) -> float:
-    """Inductance read off an inductive input impedance: L = Im(Z11)/(2 pi f)."""
-    if f <= 0:
-        raise ValueError(f"frequency must be > 0, got {f!r}")
-    im = complex(z11).imag
-    if im <= 0:
-        raise CapacitiveRegimeError(
-            f"Im(Z11) = {im!r} <= 0 at {f!r} Hz: impedance is capacitive here, "
-            "no inductance to extract"
-        )
-    return im / (2.0 * math.pi * f)
 
 
 def received_power(v_rx, r_load: float) -> float:

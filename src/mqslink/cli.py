@@ -1,6 +1,6 @@
 """Config-driven command line front end.
 
-    mqslink run <config> [--out DIR] [--threads N] [--log LEVEL]
+    mqslink run <config> [--out DIR] [--log LEVEL]
     mqslink validate <config>
     mqslink defaults
 
@@ -14,8 +14,7 @@ request section is one class in REQUESTS, which maps section names to
 classes: the class parses and checks its section, and its run method
 computes the analysis and writes its files. Outputs are CSV/JSON files
 written atomically (temp file, then rename) plus a report.json
-manifest, which is written even when requests fail. Sweeps run
-serially; --threads N is accepted for compatibility.
+manifest, which is written even when requests fail.
 """
 
 from __future__ import annotations
@@ -1003,8 +1002,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_run.add_argument("config", help="path to an INI config file")
     p_run.add_argument("--out", default=None, metavar="DIR",
                        help="output directory (overrides [output] directory)")
-    p_run.add_argument("--threads", type=int, default=None, metavar="N",
-                       help="accepted for compatibility; sweeps run serially")
     p_run.add_argument("--log", default="WARNING", type=str.upper,
                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
                        metavar="LEVEL", help="log level (default WARNING)")
@@ -1034,9 +1031,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     logging.basicConfig(level=getattr(logging, args.log),
                         format="%(levelname)s %(name)s: %(message)s")
-    if args.threads is not None and args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
 
     report = run_scenario(config, out_dir=args.out)
     for failure in report.failures:

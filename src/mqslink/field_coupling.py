@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -75,16 +75,11 @@ class ConvergenceError(Exception):
 
 @dataclass(frozen=True)
 class CouplingResult:
-    """Mutual inductance (signed, H) with its convergence evidence.
-
-    k is filled by coupling_coefficient when lumped inductances are
-    known; it stays None straight out of mutual_inductance.
-    """
+    """Mutual inductance (signed, H) with its convergence evidence."""
 
     m: float
     method: str
     convergence_estimate: float
-    k: Optional[float] = None
 
     def __post_init__(self):
         if not math.isfinite(self.m):
@@ -95,8 +90,6 @@ class CouplingResult:
             raise ValueError(
                 f"convergence_estimate must be finite and >= 0, got {self.convergence_estimate!r}"
             )
-        if self.k is not None and not (0.0 <= self.k < 1.0):
-            raise ValueError(f"k must lie in [0, 1), got {self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -333,27 +326,12 @@ def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def flux_through(tx: FilamentCoil, rx: FilamentCoil, current: float,
-                 tolerance: float = 1e-3) -> float:
-    """Total flux (Wb) of the tx coil's field linked by every rx turn.
-
-    Each rx turn spans a flat disk at its center, normal along the rx
-    axis; B.n is integrated by radial Gauss-Legendre x uniform-angle
-    quadrature, refined until successive estimates agree within
-    tolerance (judged against a dipole-scale floor near nulls).
-    """
-    return _flux(tx, rx, current, tolerance)[0]
-
-
-def _flux(tx: FilamentCoil, rx: FilamentCoil, current: float,
-          tolerance: float) -> Tuple[float, float]:
-    # (flux, relative change of the last refinement)
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
+def _flux(tx: FilamentCoil, rx: FilamentCoil, tolerance: float) -> Tuple[float, float]:
+    # (flux per ampere, relative change of the last refinement)
     _check_separation(tx, rx)
     frames = _disk_frames(rx)
     normal = rx.axis
-    floor = _coupling_floor(tx, rx) * abs(float(current))
+    floor = _coupling_floor(tx, rx)
 
     prev = None
     estimate = math.inf
@@ -375,7 +353,7 @@ def _flux(tx: FilamentCoil, rx: FilamentCoil, current: float,
         pts = np.vstack(pts)
         areas = np.concatenate(areas)
 
-        b, valid = _coil_field(tx, pts, float(current))
+        b, valid = _coil_field(tx, pts, 1.0)
         if not valid.all():
             d = float(_distance_to_segments(pts[~valid], tx.segment_starts,
                                             tx.segment_ends).min())
@@ -429,8 +407,11 @@ def mutual_inductance(tx: FilamentCoil, rx: FilamentCoil, method: str = SPECTRAL
     from 8 to 64; it converges exponentially and needs coils that carry
     their CoilSpec (build_filament_coil sets it). The polylines serve
     only the separation check.
-    flux: linked flux per unit current via flux_through. It agrees with
-    the spectral route within about 1% on non-pathological geometries.
+    flux: the tx field's flux per ampere through a flat disk spanning
+    each rx turn, B.n integrated by radial Gauss-Legendre x uniform-angle
+    quadrature and refined until successive estimates agree. It agrees
+    with the spectral route within about 1% on non-pathological
+    geometries.
 
     convergence_estimate is the relative change of the last refinement,
     judged against a dipole-scale floor near symmetry nulls.
@@ -441,7 +422,7 @@ def mutual_inductance(tx: FilamentCoil, rx: FilamentCoil, method: str = SPECTRAL
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
 
     if method == FLUX:
-        phi, estimate = _flux(tx, rx, current=1.0, tolerance=tolerance)
+        phi, estimate = _flux(tx, rx, tolerance)
         return CouplingResult(m=phi, method=FLUX, convergence_estimate=estimate)
 
     if tx.spec is None or rx.spec is None:

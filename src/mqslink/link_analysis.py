@@ -381,15 +381,15 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float],
             m = scenario_mutual_inductance(_scenario_variant(sc, axis, value),
                                            segments_per_turn, tolerance)
             spectrum = frequency_sweep(replace(nominal, m=m), sweep_grid)
-            rows.append(_sweep_row(value, spectrum.frequencies, spectrum.h, sc.v_source,
-                                   sc.r_load, noise_floor_dbv, convention))
+            rows.append(_sweep_row(value, spectrum.frequencies, spectrum.h, nominal.v_source,
+                                   nominal.r_load, noise_floor_dbv, convention))
         except (ConvergenceError, SeparationError, SingularEvaluationError) as exc:
             rows.append(SweepRow(value, None, None, None, None, None))
             notes.append(f"{axis} = {value:g} {unit}: point masked: {exc}")
     if axis == LATERAL and any(v == 0.0 for v in vals):
         notes.append("lateral = 0 places the receiver on the transmitter axis; "
                      "not a wearable placement, kept and flagged")
-    elif sc.x_eye == 0.0:
+    elif axis != LATERAL and sc.x_eye == 0.0:
         notes.append("x_eye = 0 places the receiver on the transmitter axis; "
                      "not a wearable placement, kept and flagged")
     return SweepResult(param=axis, unit=unit, rows=tuple(rows), notes=tuple(notes))
@@ -414,24 +414,6 @@ def resistance_sweep(link: LinkCircuit, field: str, values: Sequence[float],
             rows.append(_sweep_row(v, sweep_grid, row, link.v_source, r_load,
                                    noise_floor_dbv, convention))
     return SweepResult(param=field, unit="ohm", rows=tuple(rows))
-
-
-def impedance_sweep(link: LinkCircuit, r_source_values: Sequence[float],
-                    r_load_values: Sequence[float], grid=None,
-                    noise_floor_dbv: float = DEFAULT_NOISE_FLOOR_DBV,
-                    convention: str = VOLTAGE) -> Tuple[SweepResult, SweepResult]:
-    """Source- and load-resistance studies, the other side held nominal.
-
-    Returns (r_source sweep, r_load sweep); each row summarizes the
-    resonant peak of the re-terminated link.
-    """
-    sweep_grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    return (
-        resistance_sweep(link, "r_source", r_source_values, sweep_grid,
-                         noise_floor_dbv, convention),
-        resistance_sweep(link, "r_load", r_load_values, sweep_grid,
-                         noise_floor_dbv, convention),
-    )
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,14 @@
 """Lumped electrical parameters of spiral coils.
 
 Two inductance estimators (a modified Wheeler fit and the current-sheet
-expression), skin-effect AC resistance, and quality factor. The current
-sheet value is the default estimate; the Wheeler fit serves as a
-cross-check inside its validity region.
+expression) and skin-effect AC resistance. The current sheet value is
+the default estimate; the Wheeler fit serves as a cross-check inside
+its validity region.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -30,35 +29,6 @@ _MIN_DEPTH_RATIO = 0.2
 _MIN_TURNS = 3
 # wire much thicker than its spacing also leaves the fitted regime
 _DIAMETER_SPACING_FACTOR = 10.0
-
-
-@dataclass(frozen=True)
-class LumpedCoil:
-    """Electrical summary of one coil at a stated frequency."""
-
-    inductance: float          # H
-    series_resistance: float   # ohm
-    quality_factor: float
-    skin_depth: float          # m
-    frequency: float           # Hz
-    validity_flag: str         # trusted | low-confidence
-    source: str                # wheeler | current-sheet | user-supplied
-
-    def __post_init__(self):
-        if self.inductance <= 0:
-            raise ValueError(f"inductance must be > 0, got {self.inductance!r}")
-        if self.series_resistance <= 0:
-            raise ValueError(
-                f"series_resistance must be > 0, got {self.series_resistance!r}"
-            )
-        if self.skin_depth <= 0:
-            raise ValueError(f"skin_depth must be > 0, got {self.skin_depth!r}")
-        expected_q = quality_factor(self.inductance, self.series_resistance, self.frequency)
-        if abs(self.quality_factor - expected_q) > 1e-12 * abs(expected_q):
-            raise ValueError(
-                "quality_factor inconsistent with 2*pi*f*L/R: "
-                f"{self.quality_factor!r} vs {expected_q!r}"
-            )
 
 
 class InductanceEstimate(NamedTuple):
@@ -162,24 +132,3 @@ def ac_resistance(spec: CoilSpec, f):
     depth = _radial_depth(spec)
     return prefactor * spec.turns * (spec.outer_diameter - depth) / spec.wire_diameter
 
-
-def quality_factor(inductance: float, resistance: float, f: float) -> float:
-    """Q = 2 pi f L / R."""
-    if inductance <= 0 or resistance <= 0 or f <= 0:
-        raise ValueError("inductance, resistance, and frequency must all be > 0")
-    return 2.0 * math.pi * f * inductance / resistance
-
-
-def lumped_coil(spec: CoilSpec, f: float, override: Optional[float] = None) -> LumpedCoil:
-    """Assemble the full lumped summary of a coil at frequency f."""
-    est = estimate_inductance(spec, override)
-    r = ac_resistance(spec, f)
-    return LumpedCoil(
-        inductance=est.value,
-        series_resistance=r,
-        quality_factor=quality_factor(est.value, r, f),
-        skin_depth=skin_depth(f, spec.conductivity),
-        frequency=f,
-        validity_flag=est.validity_flag,
-        source=est.source,
-    )

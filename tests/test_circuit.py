@@ -8,8 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mqslink import circuit
-from mqslink.circuit import (CapacitiveRegimeError, LinkCircuit, Spectrum,
-                             default_grid, extract_inductance,
+from mqslink.circuit import (LinkCircuit, Spectrum, default_grid,
                              frequency_sweep, path_loss_db, received_power,
                              receiver_capacitance, transfer_ratio,
                              transfer_ratio_untuned, tune_capacitance,
@@ -349,21 +348,6 @@ def test_path_loss_handles_zeros_and_scales():
     assert path_loss_db(1.0) == 0.0
     assert path_loss_db(10 * 0.003) - path_loss_db(0.003) == \
         pytest.approx(20.0, abs=1e-12)
-
-
-# ------------------------------------------------------------- extraction
-
-def test_inductance_extraction_round_trips():
-    f = 26e6
-    z = 5.0 + 1j * 2 * math.pi * f * L_TX
-    assert extract_inductance(z, f) == pytest.approx(L_TX, rel=1e-15, abs=0)
-
-
-def test_extraction_refuses_capacitive_impedances():
-    with pytest.raises(CapacitiveRegimeError):
-        extract_inductance(5.0 - 1.0j, 26e6)
-    with pytest.raises(ValueError, match="frequency"):
-        extract_inductance(5.0 + 1.0j, 0.0)
 
 
 # ------------------------------------------------------------- validation

@@ -394,14 +394,11 @@ def test_no_temp_files_left_behind(small_run):
     assert strays == []
 
 
-def test_runs_are_byte_identical_across_threads(tmp_path):
+def test_repeated_runs_are_byte_identical(tmp_path):
     config = write_config(tmp_path, SMALL_RUN)
-    outs = []
-    for args in (["--out", str(tmp_path / "a")],
-                 ["--out", str(tmp_path / "b")],
-                 ["--out", str(tmp_path / "c"), "--threads", "3"]):
-        assert main(["run", str(config)] + args) == 0
-        outs.append(Path(args[1]))
+    outs = [tmp_path / name for name in ("a", "b", "c")]
+    for out in outs:
+        assert main(["run", str(config), "--out", str(out)]) == 0
     names = sorted(p.name for p in outs[0].iterdir())
     for other in outs[1:]:
         assert sorted(p.name for p in other.iterdir()) == names
@@ -433,13 +430,6 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
     assert f"{bad}:2:" in err
     assert main(["validate", str(bad)]) == 2
-
-
-def test_bad_thread_count_exits_2(tmp_path, capsys):
-    config = write_config(tmp_path, SMALL_RUN)
-    assert main(["run", str(config), "--threads", "0",
-                 "--out", str(tmp_path / "o")]) == 2
-    assert "threads" in capsys.readouterr().err
 
 
 def test_failing_request_is_isolated(tmp_path, capsys):

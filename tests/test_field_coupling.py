@@ -18,7 +18,7 @@ from mqslink.field_coupling import (FLUX, SPECTRAL, ConvergenceError,
                                     _coupling_floor, _ellipke, _neumann_sum,
                                     b_field, coaxial_mutual_oracle,
                                     coupling_coefficient, field_map,
-                                    flux_through, mutual_inductance)
+                                    mutual_inductance)
 from mqslink.geometry import (HELICAL, CoilSpec, Pose, Scenario, apply_pose,
                               build_filament_coil, scenario_poses)
 
@@ -414,13 +414,6 @@ def test_flux_route_agrees_with_neumann_on_the_nominal_pose():
     assert abs(result.m - M_NOMINAL) / abs(M_NOMINAL) < 0.01
 
 
-def test_flux_through_is_mutual_inductance_times_current():
-    a = _loop(0.03, segments=180)
-    b = apply_pose(_loop(0.012, segments=180), Pose(center=(0.01, 0, 0.05)))
-    m = mutual_inductance(a, b, method=FLUX).m
-    assert flux_through(a, b, 2.5) == pytest.approx(2.5 * m, rel=1e-12, abs=0)
-
-
 def test_reciprocity_of_the_neumann_route():
     a = apply_pose(_loop(0.02, segments=240), Pose(tilt_angle_deg=25.0))
     b = apply_pose(_loop(0.008, segments=240),
@@ -690,5 +683,3 @@ def test_coupling_result_validation():
         CouplingResult(m=1e-9, method="guess", convergence_estimate=0.0)
     with pytest.raises(ValueError, match="convergence_estimate"):
         CouplingResult(m=1e-9, method=SPECTRAL, convergence_estimate=-1.0)
-    with pytest.raises(ValueError, match="k"):
-        CouplingResult(m=1e-9, method=SPECTRAL, convergence_estimate=0.0, k=1.5)

@@ -22,8 +22,8 @@ from mqslink.link_analysis import (AXIAL, LATERAL, POWER, TX_ANGLE, VOLTAGE,
                                    SweepResult, SweepRow,
                                    TruncatedBandError, capacity_report,
                                    capacity_vs_bandwidth, channel_capacity,
-                                   dual_mode_report, impedance_sweep,
-                                   misalignment_sweep, resistance_sweep,
+                                   dual_mode_report, misalignment_sweep,
+                                   resistance_sweep,
                                    scenario_link, scenario_mutual_inductance,
                                    snr_db, three_db_bandwidth)
 from mqslink.lumped import ac_resistance
@@ -235,6 +235,24 @@ def test_on_axis_placement_is_flagged():
     sweep = misalignment_sweep(NOMINAL, LATERAL, [0.0, 0.092],
                                segments_per_turn=48, grid=grid)
     assert any("transmitter axis" in n for n in sweep.notes)
+    # a lateral sweep replaces x_eye, so x_eye = 0 alone places nothing on axis
+    sweep = misalignment_sweep(replace(NOMINAL, x_eye=0.0), LATERAL, [0.05, 0.1],
+                               segments_per_turn=48, grid=grid)
+    assert not any("transmitter axis" in n for n in sweep.notes)
+
+
+def test_link_template_sets_the_reported_termination():
+    grid = np.linspace(25e6, 27e6, 51)
+    template = replace(scenario_link(NOMINAL, m=0.0), r_load=10.0, v_source=2.0)
+    sweep = misalignment_sweep(NOMINAL, TX_ANGLE, [40.0], segments_per_turn=48,
+                               grid=grid, link_template=template)
+    (row,) = sweep.rows
+    m = scenario_mutual_inductance(NOMINAL, segments_per_turn=48)
+    h = frequency_sweep(replace(template, m=m), grid).h
+    assert row.peak_db == pytest.approx(20 * math.log10(2.0 * np.max(np.abs(h))),
+                                        rel=1e-12, abs=0)
+    assert row.p_rx_w == pytest.approx(received_power(10 ** (row.peak_db / 20), 10.0),
+                                       rel=1e-12, abs=0)
 
 
 def test_source_resistance_loads_the_resonator():
@@ -262,15 +280,6 @@ def test_resistance_sweep_validation():
         resistance_sweep(link, "r_load", [])
     with pytest.raises(ValueError, match="> 0"):
         resistance_sweep(link, "r_load", [0.0, 10.0])
-
-
-def test_impedance_sweep_bundles_both_sides():
-    link = scenario_link(NOMINAL, m=M_NOMINAL)
-    grid = np.linspace(25e6, 27e6, 101)
-    src, load = impedance_sweep(link, [25.0, 100.0], [500.0, 2e3], grid=grid)
-    assert src.param == "r_source" and load.param == "r_load"
-    assert src.values == (25.0, 100.0)
-    assert load.values == (500.0, 2000.0)
 
 
 def test_sweep_result_requires_ordered_rows():

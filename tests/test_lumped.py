@@ -1,4 +1,4 @@
-"""Lumped coil parameters: inductance formulas, skin effect, Q."""
+"""Lumped coil parameters: inductance formulas and skin effect."""
 
 import math
 
@@ -10,8 +10,7 @@ from mqslink.geometry import HELICAL, CoilSpec
 from mqslink.lumped import (CURRENT_SHEET, LOW_CONFIDENCE, TRUSTED,
                             USER_SUPPLIED, ac_resistance,
                             current_sheet_inductance, estimate_inductance,
-                            lumped_coil, quality_factor, skin_depth,
-                            wheeler_inductance, wheeler_validity)
+                            skin_depth, wheeler_inductance, wheeler_validity)
 
 RX = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
               wire_spacing=0.5e-3)
@@ -182,29 +181,3 @@ def test_array_frequencies_with_a_nonpositive_element_raise():
         ac_resistance(RX, grid)
     with pytest.raises(ValueError, match="frequency"):
         ac_resistance(RX, np.array([1e6, -2e6]))
-
-
-def test_quality_factor_identity():
-    assert quality_factor(35e-6, 1.0, 26e6) == pytest.approx(
-        5717.698629533423, rel=1e-12, abs=0)
-    with pytest.raises(ValueError):
-        quality_factor(35e-6, 0.0, 26e6)
-
-
-def test_lumped_coil_assembles_consistently():
-    lc = lumped_coil(RX, 26e6)
-    assert lc.inductance == pytest.approx(SHEET_RX, rel=1e-12, abs=0)
-    assert lc.series_resistance == pytest.approx(R_RX_26MHZ, rel=1e-12, abs=0)
-    assert lc.quality_factor == pytest.approx(
-        2 * math.pi * 26e6 * lc.inductance / lc.series_resistance, rel=1e-12, abs=0)
-    assert lc.skin_depth == pytest.approx(SKIN_26MHZ, rel=1e-12, abs=0)
-    assert lc.frequency == 26e6
-    assert lc.validity_flag == TRUSTED
-    assert lc.source == CURRENT_SHEET
-
-
-def test_lumped_coil_with_override_keeps_measured_value():
-    lc = lumped_coil(TX, 26e6, override=35e-6)
-    assert lc.inductance == 35e-6
-    assert lc.source == USER_SUPPLIED
-    assert lc.validity_flag == TRUSTED

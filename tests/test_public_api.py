@@ -1,0 +1,55 @@
+"""Every name the package re-exports is used by the program or kept on purpose."""
+
+import ast
+from pathlib import Path
+
+import mqslink
+
+PACKAGE = Path(mqslink.__file__).parent
+
+# Re-exports that no other module reads, each kept for a stated reason.
+KEPT = {
+    # acceptance oracles: closed forms the tests check the numerics against
+    "coaxial_mutual_oracle",
+    "transfer_ratio",
+    "transfer_ratio_untuned",
+    "tx_power",
+    # point-evaluation API behind bench/make_refs.py and the field tests
+    "b_field",
+    # k for the per-coil block of the run report (ROADMAP item 4)
+    "coupling_coefficient",
+    # Wheeler cross-check of the current-sheet estimate (ROADMAP item 1)
+    "wheeler_inductance",
+}
+
+
+def _reexports(tree: ast.Module):
+    return {alias.asname or alias.name
+            for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+def _loaded_names(tree: ast.Module):
+    # names read as bare names or as attributes; an import, a definition
+    # or a docstring mention does not count
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_every_reexport_is_used_or_kept_for_a_reason():
+    init = PACKAGE / "__init__.py"
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path != init:
+            used |= _loaded_names(ast.parse(path.read_text(encoding="utf-8")))
+    exported = _reexports(ast.parse(init.read_text(encoding="utf-8")))
+    assert KEPT <= exported, sorted(KEPT - exported)
+    unused = sorted(exported - used - KEPT)
+    assert unused == [], f"re-exported but used by no module: {unused}"
+    # an entry that the program now reads no longer needs its reason
+    assert sorted(KEPT & used) == []
