@@ -1,12 +1,21 @@
 """Magnetic coupling between posed filament coils.
 
-Fields come from the exact finite straight-segment kernel, evaluated in
-one pass per block of points over the point-to-vertex offsets; blocks
-are sized so their planes stay in a core's L2 cache, which leaves B's
-last bits to the BLAS summation order of each block's rows. The exact
-point-to-segment distance runs only for points near a vertex, to mask
-those inside a wire, and is elementwise, so masks do not depend on the
-blocking. Flux comes from per-turn disk quadrature, and mutual
+Fields come from Biot-Savart on the exact winding curve, by composite
+Gauss-Legendre panels of winding angle whose every panel halves from
+one level to the next; a point stops once its last halving moved B by
+at most 1e-10 relative, and that change (plus a rounding term) is its
+error estimate. Points clear of the wire share uniform panels, summed
+per block of points by matrix products over the point-to-node offsets;
+blocks are sized so their planes stay in a core's L2 cache, which
+leaves B's last bits to the BLAS summation order of each block's rows.
+A point near the wire starts from the uniform panels bisected only
+where they are long against their distance to it, so only the panels
+near it refine, and sums its own nodes in a fixed order. The polyline
+serves only the masks: the nearest-node distance, less the node gap and
+the chord sag, bounds the distance to the polyline from below, and the
+exact point-to-segment distance runs only for points that bound cannot
+clear; it is elementwise, so masks do not depend on the blocking. Flux
+comes from per-turn disk quadrature of that field, and mutual
 inductance from one of two routes: the Neumann double line integral by
 Gauss-Legendre quadrature on the exact winding curve (spectral, the
 default), or the flux route, an independent cross-check of it. A
@@ -22,23 +31,54 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .constants import MU0
-from .geometry import FilamentCoil
+from .geometry import CoilSpec, FilamentCoil, winding_curve
 
 SPECTRAL = "spectral"
 FLUX = "flux"
 _METHODS = (SPECTRAL, FLUX)
 
-# pair budget per block of the field kernel (point-vertex pairs) and of
+# pair budget per block of the field kernel (point-node pairs) and of
 # the segment distance pass (point-segment pairs): 256 KiB per float64
 # plane, so a block's half-dozen planes stay in a core's L2 cache
 # instead of streaming through it once per elementwise pass
 _BLOCK_PAIRS = 32_768
+
+# the field kernel's panels: Gauss-Legendre nodes per panel, panels per
+# turn at level 0 (each level halves them), and the narrowest panel a
+# point's own panels are bisected to (rad). Only a point on the curve
+# itself needs that floor, and the polyline mask lets one through only
+# when the chord sag exceeds the exclusion radius
+_PANEL_NODES = 16
+_BASE_PANELS = 2
+_MIN_WIDTH = 1e-9
+
+# a point's own level-0 panels are at most _PANEL_REACH times as long as
+# their distance from it; a point at least 1/_PANEL_REACH of a uniform
+# panel's length from the curve shares the uniform panels instead
+_PANEL_REACH = 32.0
+
+# field refinement: the level cap, the relative change of the last
+# halving a point stops at, and the floor of that change's scale, as a
+# fraction of the coil's centre-field scale mu0 N I / (2 r_mean)
+_FIELD_LEVELS = 6
+_FIELD_TOLERANCE = 1e-10
+_FIELD_FLOOR = 1e-3
+
+# points near the wire whose own panels are built at once, which bounds
+# the panel arrays whatever the map's size
+_OWN_POINTS = 1024
+
+# rounding of a node's position, relative to the winding's span: two
+# units of double precision, which tops the level-to-level jitter seen
+# beside the wire by 3x or more
+_ROUNDING = 2.0 * 2.0**-52
 
 # pair budget per chunk of the Neumann sum: 16 MB per (rows, nodes)
 # float64 plane, and a summation order fixed regardless of problem size
@@ -151,65 +191,263 @@ def _distance_to_segments(points: np.ndarray, starts: np.ndarray,
     return out
 
 
-def _coil_field(coil: FilamentCoil, points: np.ndarray,
-                current: float) -> Tuple[np.ndarray, np.ndarray]:
-    """B (tesla) of the coil at each of the (n, 3) points, and a mask.
+def _panel_nodes(spec: CoilSpec, start: np.ndarray, width: np.ndarray):
+    # _PANEL_NODES Gauss-Legendre nodes on each panel of winding angle
+    # [start, start + width]: local points and tangent * weight, the
+    # line element per node
+    nodes, weights = _gauss_legendre(_PANEL_NODES)
+    phi = start[:, None] + width[:, None] * ((nodes + 1.0) / 2.0)
+    points, tangents = winding_curve(spec, phi.ravel())
+    return points, tangents * (width[:, None] / 2.0 * weights).reshape(-1, 1)
 
-    valid[i] is False where points[i] lies within half a wire diameter
-    of a segment; b is zero there. Each block of points takes one pass
-    over point-to-vertex offsets: the exclusion mask, then the exact
-    finite-segment field (Hanson & Hirshman, Phys. Plasmas 9, 4410,
-    2002) summed over segments by matrix products.
+
+def _uniform_panels(turns: int, level: int) -> Tuple[np.ndarray, np.ndarray]:
+    # level 0 splits each turn into _BASE_PANELS equal panels, and each
+    # level halves them
+    count = turns * _BASE_PANELS << level
+    width = 2.0 * math.pi * turns / count
+    return np.arange(count) * width, np.full(count, width)
+
+
+def _node_sum(points: np.ndarray, nodes: np.ndarray, dl: np.ndarray,
+              skip_within: Optional[float] = None):
+    """sum dl x (p - r)/|p - r|^3 over the nodes, at each point.
+
+    With skip_within, also each point's nearest-node distance; rows
+    within skip_within of a node are left zero, which keeps points on
+    the wire out of the reciprocal.
     """
-    starts, ends = coil.segment_starts, coil.segment_ends
-    seg = ends - starts
-    seg_len_sq = np.sum(seg * seg, axis=1)
-    exclusion = coil.wire_diameter / 2.0
-    # a point within `exclusion` of a segment lies within
-    # exclusion + len/2 of that segment's nearer end
-    reach = exclusion + math.sqrt(float(seg_len_sq.max())) / 2.0
-    b = np.zeros_like(points)
-    valid = np.ones(len(points), dtype=bool)
-    rows = max(1, _BLOCK_PAIRS // len(coil.points))
+    b = np.zeros((len(points), 3))
+    nearest = np.full(len(points), math.inf)
+    rows = max(1, _BLOCK_PAIRS // len(nodes))
     for i0 in range(0, len(points), rows):
         p = points[i0:i0 + rows]
-        # point - vertex as x, y, z planes; segment s runs from vertex s
-        # to vertex s + 1, so its end distances are adjacent columns
-        rel = [p[:, k, None] - coil.points[:, k] for k in range(3)]
-        dist = rel[0] * rel[0]
-        dist += rel[1] * rel[1]
-        dist += rel[2] * rel[2]
-        np.sqrt(dist, out=dist)
-        # only points near a vertex (with a margin far above rounding)
-        # need the exact segment distance
-        nearest = dist.min(axis=1)
-        near = np.flatnonzero(nearest - reach <= 1e-9 * (nearest + reach))
-        if len(near):
-            d = _distance_to_segments(p[near], starts, ends)
-            valid[i0 + near[d <= exclusion]] = False
-        keep = valid[i0:i0 + rows]
-        if not keep.all():
-            rel, dist = [r[keep] for r in rel], dist[keep]
-        # half the weight (l1 + l2) / (l1 l2 ((l1 + l2)^2 - L^2)) of each
-        # pair, built in place; the 2 joins the constant below
-        l1, l2 = dist[:, :-1], dist[:, 1:]
-        w = l1 + l2
-        den = w * w
-        den -= seg_len_sq
-        den *= l1
-        den *= l2
-        w /= den
-        # m[k][:, j] = sum_s w_s (p - a_s)_k seg_sj: the field
-        # sum_s w_s seg_s x (p - a_s) taken from the offsets themselves,
-        # which keeps it accurate beside the wire, where re-centring on a
-        # distant origin would cancel several digits
-        m = [np.multiply(w, r[:, :-1], out=den) @ seg for r in rel]
+        # point - node as x, y, z planes
+        rel = [p[:, k, None] - nodes[:, k] for k in range(3)]
+        w = rel[0] * rel[0]
+        w += rel[1] * rel[1]
+        w += rel[2] * rel[2]
+        keep = slice(None)
+        if skip_within is not None:
+            near = np.sqrt(w.min(axis=1))
+            nearest[i0:i0 + rows] = near
+            keep = near > skip_within
+            if not keep.all():
+                rel, w = [r[keep] for r in rel], w[keep]
+        # |p - r|^-3, built in place
+        s = np.sqrt(w)
+        w *= s
+        np.reciprocal(w, out=w)
+        # m[k][:, j] = sum_n w_n (p - r_n)_k dl_nj: the cross product
+        # taken from the offsets themselves, which keeps it accurate
+        # beside the wire, where re-centring on a distant origin would
+        # cancel several digits
+        m = [np.multiply(w, r, out=s) @ dl for r in rel]
         b[i0:i0 + rows][keep] = np.column_stack([m[2][:, 1] - m[1][:, 2],
                                                  m[0][:, 2] - m[2][:, 0],
                                                  m[1][:, 0] - m[0][:, 1]])
         # free this block's planes before the next block builds its own
-        del rel, dist, w, den
-    return MU0 * current / (2.0 * math.pi) * b, valid
+        del rel, w, s
+    return b, nearest
+
+
+def _panel_distance(spec, points, owner, start, width, speed):
+    # a lower bound on the distance from points[owner] to each panel:
+    # every point of the panel lies within half its arc length
+    # (width * speed) of its middle
+    mid, _ = winding_curve(spec, start + width / 2.0)
+    gap = points[owner] - mid
+    return np.sqrt(np.sum(gap * gap, axis=1)) - width * (speed / 2.0)
+
+
+def _graded_panels(spec, points, speed):
+    # each point's level-0 panels: the uniform ones, bisected while wider
+    # than _PANEL_REACH times their distance to the point (in winding
+    # angle); sorted by point, then angle
+    start, width = _uniform_panels(spec.turns, 0)
+    owner = np.repeat(np.arange(len(points)), len(start))
+    start, width = np.tile(start, len(points)), np.tile(width, len(points))
+    reach = _PANEL_REACH / speed
+    done = []
+    while True:
+        dist = _panel_distance(spec, points, owner, start, width, speed)
+        split = (width > reach * dist) & (width > _MIN_WIDTH)
+        if not split.any():
+            break
+        done.append((owner[~split], start[~split], width[~split]))
+        owner, start, width = owner[split], start[split], width[split] / 2.0
+        owner = np.concatenate([owner, owner])
+        start = np.concatenate([start, start + width])
+        width = np.concatenate([width, width])
+    owner, start, width = (np.concatenate(a) for a in zip(*done, (owner, start, width)))
+    order = np.lexsort((start, owner))
+    return owner[order], start[order], width[order]
+
+
+def _panel_sum(spec, points, owner, start, width):
+    # each point's sum over its own panels and its nearest-node distance,
+    # in blocks of whole points within the pair budget; a point's nodes
+    # are summed in angle order whatever the blocking
+    heads = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+    ends = np.r_[heads[1:], len(owner)]
+    b = np.empty((len(heads), 3))
+    nearest = np.empty(len(heads))
+    limit = max(1, _BLOCK_PAIRS // _PANEL_NODES)
+    g0 = 0
+    while g0 < len(heads):
+        g1 = max(g0 + 1, int(np.searchsorted(ends, heads[g0] + limit, side="right")))
+        sl = slice(heads[g0], ends[g1 - 1])
+        nodes, dl = _panel_nodes(spec, start[sl], width[sl])
+        x, y, z = (np.repeat(points[owner[sl]], _PANEL_NODES, axis=0) - nodes).T
+        w = x * x + y * y + z * z
+        groups = (heads[g0:g1] - heads[g0]) * _PANEL_NODES
+        nearest[g0:g1] = np.sqrt(np.minimum.reduceat(w, groups))
+        w *= np.sqrt(w)
+        np.reciprocal(w, out=w)
+        dx, dy, dz = dl.T
+        for k, term in enumerate((dy * z - dz * y, dz * x - dx * z, dx * y - dy * x)):
+            term *= w
+            b[g0:g1, k] = np.add.reduceat(term, groups)
+        g0 = g1
+    return b, nearest
+
+
+class _Ladder:
+    """One kernel call's state: the points in the coil's local frame,
+    what they have reached so far, and the refinement settings."""
+
+    def __init__(self, coil: FilamentCoil, points: np.ndarray, tolerance):
+        spec = self.spec = coil.spec
+        self.local = (points - coil.origin) @ coil.rotation
+        self.b = np.zeros_like(self.local)
+        self.estimate = np.zeros(len(points))
+        self.tolerance = np.broadcast_to(
+            _FIELD_TOLERANCE if tolerance is None else tolerance, len(points))
+        # the winding's speed |dr/dphi| grows outward with its radius and
+        # sag, so its outer end bounds it
+        turns = spec.turns
+        self.speed = float(np.linalg.norm(winding_curve(spec, [2.0 * math.pi * turns])[1]))
+        self.floor = _FIELD_FLOOR * 2.0 * math.pi * turns / float(np.mean(coil.turn_radii))
+        # coordinate and winding-angle span, in metres, for the rounding
+        self.span = np.sqrt(np.sum(self.local * self.local, axis=1)) + \
+            float(np.max(coil.turn_radii)) * (1.0 + 2.0 * math.pi * turns)
+
+    def record(self, todo, cur, prev, ratio):
+        # keep the level just summed for the points in todo and return
+        # which go on. A point's estimate is the relative change of its
+        # last halving plus its rounding: node positions carry an error
+        # of about eps times the winding's span, which moves B by that
+        # over the nearest node's distance (ratio is span over distance)
+        change = np.sqrt(np.sum((cur - prev) ** 2, axis=1))
+        scale = np.maximum(np.sqrt(np.sum(cur * cur, axis=1)), self.floor)
+        self.b[todo] = cur
+        self.estimate[todo] = change / scale + _ROUNDING * ratio
+        return self.estimate[todo] > self.tolerance[todo]
+
+    def shared(self, todo, b0, dist):
+        # points that share the uniform panels, from their level-0 sums;
+        # dist bounds each one's distance to the curve from below
+        self.b[todo], prev = b0, b0
+        ratio = self.span[todo] / dist
+        for level in range(1, _FIELD_LEVELS):
+            if not len(todo):
+                break
+            nodes, dl = _panel_nodes(self.spec, *_uniform_panels(self.spec.turns, level))
+            cur, _ = _node_sum(self.local[todo], nodes, dl)
+            go = self.record(todo, cur, prev, ratio)
+            todo, prev, ratio = todo[go], cur[go], ratio[go]
+
+    def own(self, todo):
+        # points that halve their own panels; owners index todo
+        points = self.local[todo]
+        owner, start, width = _graded_panels(self.spec, points, self.speed)
+        for level in range(_FIELD_LEVELS):
+            if not len(todo):
+                break
+            if level:
+                owner, width = owner.repeat(2), width.repeat(2) / 2.0
+                start = start.repeat(2) + np.tile([0.0, 1.0], len(width) // 2) * width
+            cur, near = _panel_sum(self.spec, points, owner, start, width)
+            if level:
+                go = self.record(todo, cur, prev, self.span[todo] / near)
+            else:
+                self.b[todo], go = cur, np.ones(len(todo), dtype=bool)
+            # renumber the panels of the points that go on
+            todo, prev, points = todo[go], cur[go], points[go]
+            keep = go[owner]
+            owner = (np.cumsum(go) - 1)[owner[keep]]
+            start, width = start[keep], width[keep]
+
+
+def _curve_field(coil: FilamentCoil, points: np.ndarray, tolerance=None):
+    """B per ampere (T/A) of the exact winding at the (n, 3) points.
+
+    Returns (b, valid, estimate). valid[i] is False where points[i] lies
+    within half a wire diameter of the polyline; b is zero there. Each
+    level sums Biot-Savart, mu0/4pi sum dl x (p - r)/|p - r|^3, over
+    Gauss-Legendre panels of winding angle, and halves every panel for
+    the next. Points clear of the wire share uniform panels; each point
+    near it starts from the uniform panels bisected where they reach
+    beyond _PANEL_REACH times their distance to it, so only the panels
+    near it refine. A point stops once its estimate, the change of its
+    last halving relative to max(|B|, a floor at the coil's field
+    scale) plus its rounding, is at most `tolerance` (a scalar or one
+    per point; _FIELD_TOLERANCE by default). Points still above it at
+    the level cap keep their last estimate.
+    """
+    if coil.spec is None:
+        raise ValueError("the field kernel needs a coil that carries its "
+                         "CoilSpec (build it with build_filament_coil)")
+    ladder = _Ladder(coil, points, tolerance)
+    turns, speed = coil.spec.turns, ladder.speed
+
+    # level 0 on the uniform panels, with the nearest-node distance. A
+    # point of the curve lies within `slack` of a node (half the widest
+    # node gap, or the gap at a panel's end), and the polyline within
+    # `sag` of the curve: each chord's arc, no longer than its angle
+    # times the speed, stays inside the ellipse with the chord's ends as
+    # foci
+    start, width = _uniform_panels(turns, 0)
+    frac = (_gauss_legendre(_PANEL_NODES)[0] + 1.0) / 2.0
+    slack = width[0] * speed * max(np.diff(frac).max() / 2.0, frac[0])
+    chord = np.sqrt(np.sum((coil.segment_ends - coil.segment_starts) ** 2, axis=1))
+    arc = 2.0 * math.pi * turns / coil.n_segments * speed
+    sag = float(np.sqrt(np.maximum(arc * arc - chord * chord, 0.0)).max()) / 2.0
+    exclusion = coil.wire_diameter / 2.0
+    reach = exclusion + slack + sag
+    # points further than `clear` from every node lie at least
+    # 1/_PANEL_REACH of a uniform panel's length from the curve, and
+    # share the uniform panels; level 0 sums only those
+    clear = max(reach, width[0] * speed / _PANEL_REACH + slack)
+    b0, nearest = _node_sum(ladder.local, *_panel_nodes(coil.spec, start, width),
+                            skip_within=clear)
+    # only points the bound cannot clear (with a margin far above
+    # rounding) need the exact segment distance
+    valid = np.ones(len(points), dtype=bool)
+    unsure = np.flatnonzero(nearest - reach <= 1e-9 * (nearest + reach))
+    if len(unsure):
+        d = _distance_to_segments(points[unsure], coil.segment_starts, coil.segment_ends)
+        valid[unsure[d <= exclusion]] = False
+    shared = nearest > clear
+    shared[unsure] = False
+
+    todo = np.flatnonzero(shared)
+    ladder.shared(todo, b0[todo], nearest[todo] - slack)
+    # every other valid point, a bounded number at a time
+    todo = np.flatnonzero(valid & ~shared)
+    for i0 in range(0, len(todo), _OWN_POINTS):
+        ladder.own(todo[i0:i0 + _OWN_POINTS])
+    b = ladder.b @ coil.rotation.T
+    b[~valid] = 0.0
+    return MU0 / (4.0 * math.pi) * b, valid, ladder.estimate
+
+
+def _warn_unconverged(estimate: np.ndarray, valid: np.ndarray) -> None:
+    over = valid & (estimate > _FIELD_TOLERANCE)
+    if over.any():
+        warnings.warn(f"{int(over.sum())} of {len(estimate)} points stopped at the "
+                      f"refinement cap above tolerance {_FIELD_TOLERANCE:g} "
+                      f"(worst estimate {float(estimate[over].max()):.3e})")
 
 
 def b_field(coil: FilamentCoil, current: float, point) -> np.ndarray:
@@ -217,12 +455,14 @@ def b_field(coil: FilamentCoil, current: float, point) -> np.ndarray:
 
     point may be a single 3-vector or an (n, 3) array; the result
     matches its shape. Evaluation within half a wire diameter of any
-    segment raises SingularEvaluationError.
+    polyline segment raises SingularEvaluationError. B comes from the
+    exact winding curve, so the coil must carry its CoilSpec; points
+    that stop at the refinement cap above tolerance raise a warning.
     """
     pts = np.atleast_2d(np.asarray(point, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"point must be a 3-vector or (n, 3) array, got shape {np.shape(point)}")
-    b, valid = _coil_field(coil, pts, float(current))
+    b, valid, estimate = _curve_field(coil, pts)
     if not valid.all():
         worst = float(_distance_to_segments(pts[~valid], coil.segment_starts,
                                             coil.segment_ends).min())
@@ -230,6 +470,8 @@ def b_field(coil: FilamentCoil, current: float, point) -> np.ndarray:
             f"evaluation point within {worst:.3e} m of the filament "
             f"(exclusion zone {coil.wire_diameter / 2.0:.3e} m)"
         )
+    _warn_unconverged(estimate, valid)
+    b *= float(current)
     return b[0] if np.ndim(point) == 1 else b
 
 
@@ -237,9 +479,12 @@ def field_map(coil: FilamentCoil, current: float, grid: GridSpec) -> np.ndarray:
     """B (tesla) at grid.points(), shape (n, 3), masking singular points.
 
     Rows for points inside the wire's exclusion zone are NaN rather than
-    aborting the map.
+    aborting the map. Points that stop at the refinement cap above
+    tolerance raise one warning with their count and worst estimate.
     """
-    b, valid = _coil_field(coil, grid.points(), float(current))
+    b, valid, estimate = _curve_field(coil, grid.points())
+    _warn_unconverged(estimate, valid)
+    b *= float(current)
     b[~valid] = np.nan
     return b
 
@@ -353,7 +598,7 @@ def _flux(tx: FilamentCoil, rx: FilamentCoil, tolerance: float) -> Tuple[float, 
         pts = np.vstack(pts)
         areas = np.concatenate(areas)
 
-        b, valid = _coil_field(tx, pts, 1.0)
+        b, valid, _ = _curve_field(tx, pts)
         if not valid.all():
             d = float(_distance_to_segments(pts[~valid], tx.segment_starts,
                                             tx.segment_ends).min())
@@ -408,10 +653,11 @@ def mutual_inductance(tx: FilamentCoil, rx: FilamentCoil, method: str = SPECTRAL
     their CoilSpec (build_filament_coil sets it). The polylines serve
     only the separation check.
     flux: the tx field's flux per ampere through a flat disk spanning
-    each rx turn, B.n integrated by radial Gauss-Legendre x uniform-angle
-    quadrature and refined until successive estimates agree. It agrees
-    with the spectral route within about 1% on non-pathological
-    geometries.
+    each rx polyline turn, B.n integrated by radial Gauss-Legendre x
+    uniform-angle quadrature and refined until successive estimates
+    agree. B comes from the tx winding curve, so the tx must carry its
+    CoilSpec. It agrees with the spectral route within about 1% on
+    non-pathological geometries.
 
     convergence_estimate is the relative change of the last refinement,
     judged against a dipole-scale floor near symmetry nulls.

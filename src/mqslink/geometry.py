@@ -284,8 +284,9 @@ def build_filament_coil(spec: CoilSpec, segments_per_turn: int = 720) -> Filamen
     ----------
     spec : CoilSpec
     segments_per_turn : int
-        Straight segments per turn; at least 16. The default 720 keeps
-        the polyline's field error comfortably below 0.1%.
+        Straight segments per turn; at least 16. The polyline sets the
+        wire exclusion masks and the coil separation check; fields and
+        mutual inductance come from the exact winding curve.
     """
     if segments_per_turn < 16:
         raise ValueError(

@@ -5,7 +5,6 @@ even under captured output, then asserts. Tolerances are part of the
 contract; loosening them here is a release decision, not a test fix.
 """
 
-import hashlib
 import json
 import math
 import time

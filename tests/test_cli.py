@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mqslink import cli
+from mqslink import cli, field_coupling
 from mqslink.cli import (DEFAULT_CONFIG, ConfigError, _csv_text, _fmt,
                          _json_text, emit_field_map_csv, main, parse_config,
                          run_scenario)
@@ -477,6 +477,35 @@ axis2_points = 2
     assert [o["request"] for o in report["outputs"]] == ["field_map"]
     assert (out / "field_map.csv").exists()
     assert not (out / "spectrum_tuned.csv").exists()
+
+
+def test_field_map_warns_of_points_stopped_at_the_refinement_cap(tmp_path, monkeypatch):
+    # no estimate meets a zero tolerance, so every point refines to the
+    # cap; the map is still written, and the report says how far off
+    monkeypatch.setattr(field_coupling, "_FIELD_TOLERANCE", 0.0)
+    config = parse_text(tmp_path, """\
+[analysis]
+segments_per_turn = 32
+
+[field_map]
+coil = rx
+plane = xy
+offset = 5 mm
+axis1_start = -3 mm
+axis1_stop = 3 mm
+axis1_points = 2
+axis2_start = -3 mm
+axis2_stop = 3 mm
+axis2_points = 3
+""")
+    report = run_scenario(config, tmp_path / "out")
+    assert report.failures == ()
+    capped = [w for w in report.warnings if "refinement cap" in w]
+    assert len(capped) == 1
+    assert re.fullmatch(r"field_map: 6 of 6 points stopped at the refinement cap "
+                        r"above tolerance 0 \(worst estimate \d\.\d{3}e-\d\d\)",
+                        capped[0]), capped
+    assert len((tmp_path / "out" / "field_map.csv").read_text().splitlines()) == 7
 
 
 def test_output_directory_from_config(tmp_path, monkeypatch):

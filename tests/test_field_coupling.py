@@ -34,7 +34,7 @@ NOMINAL = Scenario(tx=TX, rx=RX, x_eye=92e-3, z_eye=150e-3, tx_angle_deg=40.0,
 # every approx in this file passes abs=0
 
 M_NOMINAL = 3.9074457990719537e-10    # _polyline_neumann, 360 segments/turn
-M_FLUX_NOMINAL = 3.884767803916267e-10
+M_FLUX_NOMINAL = 3.884941691187825e-10  # tx field from the exact winding
 # _polyline_neumann at 360 and 720 segments/turn, Richardson-extrapolated:
 # (4 M(720) - M(360)) / 3, since the polyline error falls as segments^-2
 M_NOMINAL_EXTRAPOLATED = 3.9078144520416973e-10
@@ -108,7 +108,7 @@ def test_loop_center_field_matches_the_analytic_value():
     coil = _loop(0.01, segments=720)
     b = b_field(coil, 1.0, np.zeros(3))
     assert b.shape == (3,)
-    assert b[2] == pytest.approx(MU0 * 1.0 / (2 * 0.01), rel=1e-4, abs=0)
+    assert b[2] == pytest.approx(MU0 * 1.0 / (2 * 0.01), rel=1e-12, abs=0)
     assert abs(b[0]) < 1e-12 * abs(b[2])
     assert abs(b[1]) < 1e-12 * abs(b[2])
 
@@ -119,7 +119,7 @@ def test_on_axis_field_matches_the_analytic_profile():
     for z in (0.01, 0.05, 0.2):
         b = b_field(coil, 2.0, np.array([0.0, 0.0, z]))
         expected = MU0 * 2.0 * r**2 / (2.0 * (r**2 + z**2) ** 1.5)
-        assert b[2] == pytest.approx(expected, rel=1e-4, abs=0)
+        assert b[2] == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_field_scales_linearly_with_current():
@@ -135,6 +135,12 @@ def test_field_accepts_point_batches():
     b = b_field(coil, 1.0, pts)
     assert b.shape == (3, 3)
     np.testing.assert_allclose(b[0], b_field(coil, 1.0, pts[0]), rtol=1e-14)
+
+
+def test_field_needs_the_winding_curve():
+    coil = replace(_loop(0.01), spec=None)
+    with pytest.raises(ValueError, match="CoilSpec"):
+        b_field(coil, 1.0, np.zeros(3))
 
 
 def test_field_inside_the_wire_is_refused():
@@ -168,16 +174,55 @@ def test_off_axis_field_converges_to_the_closed_form_loop():
                       (-3 * exclusion, 2 * exclusion), (0.004, 0.003),
                       (-0.006, 0.002), (0.02, -0.01))])
     want = np.array([_loop_field(radius, 1.5, p) for p in pts])
+    # B comes from the exact circle, so only quadrature error is left,
+    # even three exclusion radii from the wire
+    got = b_field(_loop(radius, wire=wire), 1.5, pts)
+    err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert err.max() <= 1e-10
+    # the polyline reference's inscribed polygon is off by segments^-2
     errs = []
     for segments in (720, 1440):
-        got = b_field(_loop(radius, segments=segments, wire=wire), 1.5, pts)
-        errs.append(np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1))
-    # the inscribed polygon's error falls as segments^-2
+        poly, _ = _per_pair_field(_loop(radius, segments=segments, wire=wire), pts, 1.5)
+        errs.append(np.linalg.norm(poly - want, axis=1) / np.linalg.norm(want, axis=1))
     assert np.all(errs[1] < 2e-4)
     np.testing.assert_allclose(errs[0] / errs[1], 4.0, rtol=0.01)
 
 
 # --------------------------------------------------------------- kernel
+
+def _polyline_field(coil, points, current):
+    """B (tesla) of the coil's polyline at the (n, 3) points, and a mask.
+
+    The reference kernel: the exact finite-segment field of every
+    polyline segment (Hanson & Hirshman, Phys. Plasmas 9, 4410, 2002),
+    one pass per block of points over point-to-vertex offsets, summed
+    over segments by matrix products. valid[i] is False where points[i]
+    lies within half a wire diameter of a segment; b is zero there.
+    """
+    starts, ends = coil.segment_starts, coil.segment_ends
+    seg = ends - starts
+    seg_len_sq = np.sum(seg * seg, axis=1)
+    valid = field_coupling._distance_to_segments(points, starts, ends) > \
+        coil.wire_diameter / 2.0
+    b = np.zeros_like(points)
+    rows = max(1, field_coupling._BLOCK_PAIRS // len(coil.points))
+    for i0 in range(0, len(points), rows):
+        keep = valid[i0:i0 + rows]
+        p = points[i0:i0 + rows][keep]
+        # segment s runs from vertex s to vertex s + 1, so its end
+        # distances are adjacent columns
+        rel = [p[:, k, None] - coil.points[:, k] for k in range(3)]
+        dist = np.sqrt(rel[0] * rel[0] + rel[1] * rel[1] + rel[2] * rel[2])
+        l1, l2 = dist[:, :-1], dist[:, 1:]
+        # half the weight (l1 + l2) / (l1 l2 ((l1 + l2)^2 - L^2)) of each
+        # pair; the 2 joins the constant below
+        w = (l1 + l2) / (l1 * l2 * ((l1 + l2) ** 2 - seg_len_sq))
+        m = [(w * r[:, :-1]) @ seg for r in rel]
+        b[i0:i0 + rows][keep] = np.column_stack([m[2][:, 1] - m[1][:, 2],
+                                                 m[0][:, 2] - m[2][:, 0],
+                                                 m[1][:, 0] - m[0][:, 1]])
+    return MU0 * current / (2.0 * math.pi) * b, valid
+
 
 def _per_pair_field(coil, points, current, magnitudes=False):
     # the direct form of the finite-segment kernel: every point-segment
@@ -227,10 +272,11 @@ def _grazing_points(coil):
 @pytest.mark.parametrize("spec", [_FLAT, _DOME], ids=["flat", "helical"])
 @pytest.mark.parametrize("tilt", [0.0, 37.0])
 def test_kernel_matches_the_per_pair_form(spec, tilt):
+    # the polyline reference kernel against its direct form
     coil = apply_pose(build_filament_coil(spec, 64),
                       Pose(center=(0.01, -0.002, 0.03), tilt_angle_deg=tilt))
     pts = _grazing_points(coil)
-    b, valid = field_coupling._coil_field(coil, pts, 2.0)
+    b, valid = _polyline_field(coil, pts, 2.0)
     want, want_valid = _per_pair_field(coil, pts, 2.0)
     np.testing.assert_array_equal(valid, want_valid)
     assert 0 < np.count_nonzero(~valid) < len(pts)
@@ -240,34 +286,79 @@ def test_kernel_matches_the_per_pair_form(spec, tilt):
     assert err.max() <= 1e-11
 
 
+def _level0_nodes(coil):
+    return coil.spec.turns * field_coupling._BASE_PANELS * field_coupling._PANEL_NODES
+
+
 @pytest.mark.parametrize("spec", [_FLAT, _DOME], ids=["flat", "helical"])
 def test_kernel_blocks_leave_masks_and_fields_unchanged(spec, monkeypatch):
-    # one row per block, the default budget, and the whole grid in one
-    # block: masks and segment distances are elementwise, so they must
-    # not move; B may move in its last bits, as BLAS sums each block's
-    # rows in its own order. That rounding is relative to the sum of the
-    # segments' |contributions|, which near a field null is up to ~2e3
-    # times |B| on these grids, so it is measured against that sum
+    # one row per block, the default budget, and the whole grid's first
+    # level in one block: masks, segment distances and the sums over a
+    # point's own panels are elementwise, so they must not move; B may
+    # move in its last bits, as BLAS sums each block's rows over the
+    # shared panels in its own order. That rounding is relative to the
+    # sum of the segments' |contributions|, which near a field null is
+    # up to ~2e3 times |B| on these grids, so it is measured against
+    # that sum
     coil = apply_pose(build_filament_coil(spec, 64),
                       Pose(center=(0.01, -0.002, 0.03), tilt_angle_deg=37.0))
     pts = _grazing_points(coil)
     starts, ends = coil.segment_starts, coil.segment_ends
-    rows = field_coupling._BLOCK_PAIRS // len(coil.points)
+    rows = field_coupling._BLOCK_PAIRS // _level0_nodes(coil)
     assert 1 < rows < len(pts) and len(pts) % rows
     runs = []
-    for budget in (1, field_coupling._BLOCK_PAIRS, len(pts) * len(coil.points)):
+    for budget in (1, field_coupling._BLOCK_PAIRS, len(pts) * _level0_nodes(coil)):
         monkeypatch.setattr(field_coupling, "_BLOCK_PAIRS", budget)
-        runs.append((*field_coupling._coil_field(coil, pts, 2.0),
+        runs.append((*field_coupling._curve_field(coil, pts)[:2],
                      field_coupling._distance_to_segments(pts, starts, ends)))
     (b, valid, dist), others = runs[0], runs[1:]
     assert 0 < np.count_nonzero(~valid) < len(pts)
-    scale = _per_pair_field(coil, pts, 2.0, magnitudes=True)[0][valid]
+    scale = _per_pair_field(coil, pts, 1.0, magnitudes=True)[0][valid]
     for b_other, valid_other, dist_other in others:
         np.testing.assert_array_equal(valid_other, valid)
         np.testing.assert_array_equal(dist_other, dist)
         assert np.all(b_other[~valid] == 0.0)
         err = np.linalg.norm(b_other - b, axis=1)[valid] / scale
         assert err.max() <= 1e-14
+
+
+@pytest.mark.parametrize("spec", [_FLAT, _DOME], ids=["flat", "helical"])
+def test_estimates_bound_the_error_of_one_more_level(spec):
+    # a tolerance just under each point's estimate sends it one level
+    # past where it stopped
+    coil = apply_pose(build_filament_coil(spec, 64),
+                      Pose(center=(0.01, -0.002, 0.03), tilt_angle_deg=37.0))
+    pts = _grazing_points(coil)
+    b, valid, estimate = field_coupling._curve_field(coil, pts)
+    finer, _, _ = field_coupling._curve_field(
+        coil, pts, tolerance=np.where(valid, estimate * (1.0 - 1e-9), 1.0))
+    err = np.linalg.norm(b - finer, axis=1)[valid] / np.linalg.norm(finer, axis=1)[valid]
+    assert np.all(estimate[valid] <= field_coupling._FIELD_TOLERANCE)
+    assert np.all(err <= estimate[valid])
+
+
+def test_field_is_invariant_under_rigid_motion():
+    # B of a posed coil at p is R B of the unposed coil at R^T (p - t),
+    # beside the wire and away from it, for rotations about any axis
+    rng = np.random.default_rng(13)
+    base = build_filament_coil(_DOME, 64)
+    local = np.vstack([_grazing_points(base), rng.uniform(-0.02, 0.02, (40, 3))])
+    # clear of the exclusion radius by a margin, so no mask is in doubt
+    clear = field_coupling._distance_to_segments(
+        local, base.segment_starts, base.segment_ends) > base.wire_diameter
+    local = local[clear][::5]
+    for _ in range(3):
+        rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        rot *= np.linalg.det(rot)
+        shift = rng.uniform(-0.05, 0.05, 3)
+        coil = replace(base, points=base.points @ rot.T + shift,
+                       turn_centers=base.turn_centers @ rot.T + shift,
+                       axis=base.axis @ rot.T, rotation=rot, origin=shift)
+        pts = local @ rot.T + shift
+        moved = b_field(coil, 2.0, pts)
+        still = b_field(base, 2.0, (pts - shift) @ rot) @ rot.T
+        err = np.linalg.norm(moved - still, axis=1) / np.linalg.norm(still, axis=1)
+        assert err.max() <= 1e-12
 
 
 _MASK_COIL = apply_pose(
@@ -283,8 +374,9 @@ _MASK_COIL = apply_pose(
                 min_size=1, max_size=40))
 def test_vertex_early_out_masks_exactly_the_points_inside_the_wire(draws):
     # points at 0..5 exclusion radii from a spot on a segment straddle
-    # both the exclusion radius and the early-out reach
-    # (exclusion + half a segment, about 3 exclusion radii here)
+    # both the exclusion radius and the early-out reach (exclusion plus
+    # the level-0 node slack and the chord sag, about 4 exclusion radii
+    # here)
     coil = _MASK_COIL
     exclusion = coil.wire_diameter / 2.0
     pts = []
@@ -295,7 +387,7 @@ def test_vertex_early_out_masks_exactly_the_points_inside_the_wire(draws):
                               sin_polar * math.sin(azimuth), cos_polar])
         pts.append(on_wire + dist * exclusion * direction)
     pts = np.array(pts)
-    _, valid = field_coupling._coil_field(coil, pts, 1.0)
+    _, valid, _ = field_coupling._curve_field(coil, pts)
     exact = field_coupling._distance_to_segments(
         pts, coil.segment_starts, coil.segment_ends)
     np.testing.assert_array_equal(~valid, exact <= exclusion)
@@ -596,7 +688,10 @@ def test_spectral_route_needs_the_winding_curve():
     tx, rx = _nominal_pair(90)
     with pytest.raises(ValueError, match="CoilSpec"):
         mutual_inductance(tx, replace(rx, spec=None))
-    # the flux route does without it
+    # the flux route takes the tx field from the tx winding curve; the rx
+    # enters only through disks spanning its polyline turns
+    with pytest.raises(ValueError, match="CoilSpec"):
+        mutual_inductance(replace(tx, spec=None), rx, method=FLUX)
     assert mutual_inductance(tx, replace(rx, spec=None), method=FLUX).m > 0
 
 

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from mqslink.geometry import (DEFAULT_SPHERE_RADIUS, FLAT_SPIRAL, HELICAL,
-                              CoilSpec, Pose, Scenario, apply_pose,
-                              build_filament_coil, scenario_poses, turn_radii,
-                              winding_curve)
+from mqslink.geometry import (DEFAULT_SPHERE_RADIUS, HELICAL, CoilSpec, Pose,
+                              Scenario, apply_pose, build_filament_coil,
+                              scenario_poses, turn_radii, winding_curve)
 
 RX = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
               wire_spacing=0.5e-3)
