@@ -1,17 +1,15 @@
-"""Resonant two-coil circuit: coupled series-series meshes.
+"""Resonant two-coil circuit: the terminated series-series link.
 
-The general solver handles series tuning capacitors on both sides plus
-optional parallel parasitic capacitances across each coil, in closed
-form (no matrix solve, no division-by-zero frequencies as long as the
-terminations are resistive). With the capacitors absent and lossless
-coils it reduces algebraically to the classical untuned two-mesh
-transfer expression, and that reduction is enforced by tests rather
-than assumed. Each coil's loss is either a fixed resistance or the
-skin-effect resistance of its CoilSpec, evaluated on the whole
-frequency grid at once. The terminations may also come as a (rows, 1)
-column that broadcasts elementwise against the grid, so one call
-solves a block of re-terminated links; on a grid of two or more points
-each row is bit-identical to the solve of its own link.
+Each side is a series tuning capacitor and a coil with its ESR (fixed,
+or its CoilSpec's skin-effect resistance), with an optional parasitic
+capacitance across the coil; the source resistance and the load close
+the sides. The response is bilinear in those two terminations (Pozar,
+Microwave Engineering, 4th ed., 2012, sec. 4.3): one denominator
+D = R_L*(R_s*c11 + c01) + (R_s*c10 + c00) with frequency-only
+coefficients, formed once per grid, so each termination (a scalar or a
+(rows, 1) column) costs a few elementwise operations. Without the
+capacitors and coil loss it reduces to the classical untuned two-mesh
+transfer expression, which tests enforce rather than assume.
 
 Amplitude convention: v_source is a peak amplitude; powers use the
 (1/2)*Re(V*conj(I)) peak convention throughout.
@@ -139,60 +137,60 @@ class Spectrum:
         return len(self.frequencies)
 
 
-def _mesh_solve(link: LinkCircuit, f: FrequencyLike, r_source=None, r_load=None):
-    """Closed-form mesh solution: (h, input_current) at each f.
+def _link_terms(link: LinkCircuit, f: FrequencyLike):
+    """(jwM, c11, c10, c01, c00) of the link on f, and i_in at its own terminations.
 
-    r_source / r_load default to the link's own; either may instead be
-    a (rows, 1) column, which broadcasts against the (F,) grid so h
-    comes back as (rows, F), row k being the link re-terminated at the
-    k-th value. Every operation is elementwise and in the same order as
-    for a scalar termination, so with F >= 2 each row keeps the bits of
-    its own solve (with F == 1 numpy loops along the rows instead, and
-    a row may differ in the last bit). The terms that do not depend on
-    the terminations (jw, the capacitor impedances, z_l1/z_l2 with the
-    coil ESR, wm) stay (F,), and so does alpha1 when only r_load
-    varies. input_current() gives the source current i_in; it runs
-    only when called, so callers that read h alone skip the input-side
-    tail.
+    With Z = R(f) + jwL per coil, X = 1/(jwC) per tuning capacitor and
+    Y = jwC_p per parasitic (each 0 when absent), s1 = 1 + Y1*Z1,
+    s0 = s1*X1 + Z1, a0 = 1 + Y1*X1 and likewise t1, t0, u0 on the rx,
+    D = (R_s*s1 + s0)(R_L*t1 + t0) + (wM)^2*(R_s*Y1 + a0)(R_L*Y2 + u0)
+    is collected by powers of R_s and R_L; i_in = V*(R_L*c11 + c10)/D.
+    The terms are formed in long double and rounded once: near a Q ~
+    3.5e4 resonance one ulp of L or C moves the source power by 1e-12,
+    and i_in, a ratio of large reactive terms, loses its small real part
+    in double (1.3e-12 at wL/R = 8000).
     """
     farr = np.asarray(f, dtype=float)
     if np.any(farr <= 0):
         raise ValueError("frequency must be > 0")
-    r_source = link.r_source if r_source is None else r_source
-    r_load = link.r_load if r_load is None else r_load
-    w = 2.0 * math.pi * farr
+    w = (2.0 * math.pi * farr).astype(np.longdouble)
     jw = 1j * w
-
-    z_ctx = 1.0 / (jw * link.c_tx) if link.c_tx is not None else 0.0
-    z_crx = 1.0 / (jw * link.c_rx) if link.c_rx is not None else 0.0
-    z_s1 = r_source + z_ctx
-    z_s2 = r_load + z_crx
-    z_l1 = link.coil_resistance_tx(farr) + jw * link.l_tx
-    z_l2 = link.coil_resistance_rx(farr) + jw * link.l_rx
-
-    jw_cp1 = jw * link.parasitic_tx if link.parasitic_tx is not None else 0.0
-    jw_cp2 = jw * link.parasitic_rx if link.parasitic_rx is not None else 0.0
-
-    alpha1 = 1.0 + jw_cp1 * z_s1
-    beta2 = jw_cp2 + 1.0 / z_s2
-    d2 = 1.0 + beta2 * z_l2
+    z1 = link.coil_resistance_tx(farr) + jw * link.l_tx
+    z2 = link.coil_resistance_rx(farr) + jw * link.l_rx
+    x1 = 1.0 / (jw * link.c_tx) if link.c_tx is not None else 0.0
+    x2 = 1.0 / (jw * link.c_rx) if link.c_rx is not None else 0.0
+    y1 = jw * link.parasitic_tx if link.parasitic_tx is not None else 0.0
+    y2 = jw * link.parasitic_rx if link.parasitic_rx is not None else 0.0
     wm = w * link.m
-    # the denominator and V_rx stay unnamed, so a block's (rows, F)
-    # temporaries are freed as soon as they are used
-    i_l1 = link.v_source / (z_s1 + alpha1 * z_l1 + alpha1 * beta2 * wm * wm / d2)
-    v2 = 1j * wm * i_l1 / d2
+    ww = wm * wm
+    s1, t1 = 1.0 + y1 * z1, 1.0 + y2 * z2
+    s0, t0 = s1 * x1 + z1, t1 * x2 + z2
+    a0, u0 = 1.0 + y1 * x1, 1.0 + y2 * x2
+    c11, c10 = s1 * t1 + ww * (y1 * y2), s1 * t0 + ww * (y1 * u0)
+    c01, c00 = s0 * t1 + ww * (a0 * y2), s0 * t0 + ww * (a0 * u0)
+    n = link.r_load * c11 + c10
+    i_in = link.v_source * n / (link.r_source * n + (link.r_load * c01 + c00))
+    return (tuple(np.asarray(t, dtype=complex) for t in (1j * wm, c11, c10, c01, c00)),
+            np.asarray(i_in, dtype=complex))
 
-    def input_current():
-        i_l2 = -beta2 * v2
-        v1 = z_l1 * i_l1 + 1j * wm * i_l2
-        return i_l1 + jw_cp1 * v1
 
-    return v2 * r_load / z_s2 / link.v_source, input_current
+def _terminated(terms, r_source, r_load):
+    """h = jwM*R_L/D of the link with coefficients terms, closed by R_s and R_L.
+
+    Either termination may be a (rows, 1) column; h is then (rows, F).
+    The operations are elementwise and in the order of a scalar
+    termination, so with F >= 2 each row keeps the bits of its own
+    solve (with F == 1 numpy loops along the rows instead, and a row may
+    differ in the last bit).
+    """
+    jwm, c11, c10, c01, c00 = terms
+    return jwm * r_load / (r_load * (r_source * c11 + c01) + (r_source * c10 + c00))
 
 
 def transfer_ratio(link: LinkCircuit, f: FrequencyLike):
     """Complex V_rx/V_source at frequency f (scalar or array)."""
-    h, _ = _mesh_solve(link, f)
+    terms, _ = _link_terms(link, f)
+    h = _terminated(terms, link.r_source, link.r_load)
     return complex(h) if np.ndim(f) == 0 else h
 
 
@@ -258,10 +256,11 @@ def default_grid() -> np.ndarray:
 
 
 def frequency_sweep(link: LinkCircuit, grid) -> Spectrum:
-    """Solve the mesh at every grid frequency; grid must be increasing."""
+    """Solve the link at every grid frequency; grid must be increasing."""
     farr = np.asarray(grid, dtype=float)
-    h, input_current = _mesh_solve(link, farr)
-    z11 = link.v_source / input_current() - link.r_source
+    terms, i_in = _link_terms(link, farr)
+    h = _terminated(terms, link.r_source, link.r_load)
+    z11 = link.v_source / i_in - link.r_source
     return Spectrum(frequencies=farr, h=h, z11=z11)
 
 
@@ -279,8 +278,8 @@ def received_power(v_rx, r_load: float) -> float:
 
 def tx_power(link: LinkCircuit, f: FrequencyLike):
     """Real power delivered by the source: (1/2) Re(V_source * conj(I_in))."""
-    _, input_current = _mesh_solve(link, f)
-    p = 0.5 * np.real(link.v_source * np.conj(input_current()))
+    _, i_in = _link_terms(link, f)
+    p = 0.5 * np.real(link.v_source * np.conj(i_in))
     return float(p) if np.ndim(f) == 0 else p
 
 

@@ -23,7 +23,7 @@ from .lumped import estimate_inductance
 from .field_coupling import (ConvergenceError, SeparationError,
                              SingularEvaluationError, mutual_inductance)
 from .circuit import (LinkCircuit, Spectrum, _check_finite, _check_grid,
-                      _mesh_solve, default_grid, frequency_sweep,
+                      _link_terms, _terminated, default_grid, frequency_sweep,
                       received_power, receiver_capacitance, tune_capacitance)
 
 VOLTAGE = "voltage"
@@ -35,11 +35,11 @@ TX_ANGLE = "tx_angle"
 LATERAL = "lateral"
 AXIAL = "axial"
 
-# complex elements per (rows, F) temporary of a load scan, which solves
-# max(1, _SCAN_ELEMENTS // F) terminations per mesh solve: 4 rows (64 KiB
-# per temporary) on the default 1001-point grid. With one row per solve
-# a run of a 451-load and two 224-load scans took 1.3-2.2x as long; 8
-# rows saved a few percent more and raised its peak memory by 0.7 MiB.
+# complex elements per (rows, F) temporary of a load scan, which
+# terminates max(1, _SCAN_ELEMENTS // F) values per block: 4 rows on the
+# 1001-point grid. A 451-load and two 224-load scans (2 shared cores)
+# took 51 ms at 1 row, 42 at 4, 38 at 8, 36 at 16 and 51 at 65; the
+# traced peak is 0.70 MiB up to 4 rows, 0.79 at 8 and 1.3 at 16.
 _SCAN_ELEMENTS = 4096
 
 # documented sweep domains: angle in deg, offsets in m
@@ -324,18 +324,19 @@ def _termination_blocks(link: LinkCircuit, field: str, values: np.ndarray,
                         grid: np.ndarray):
     """Yield (values block, h block) of the link re-terminated at each value.
 
-    field is r_source or r_load; values must be > 0. Each block solves
-    up to _SCAN_ELEMENTS // len(grid) values at once as a column of
-    terminations; on a grid of two or more points row k of h is
-    bit-identical to the h of frequency_sweep(replace(link,
-    field=value_k), grid). The grid and finiteness checks are the ones
-    a Spectrum makes.
+    field is r_source or r_load; values must be > 0. The coefficients,
+    coil ESR included, are formed once per scan, and each block takes up
+    to _SCAN_ELEMENTS // len(grid) values. With two or more grid points
+    row k is bit-identical to frequency_sweep(replace(link,
+    field=value_k), grid).h. The grid and finiteness checks are a Spectrum's.
     """
     _check_grid(grid)
+    terms, _ = _link_terms(link, grid)
     rows = max(1, _SCAN_ELEMENTS // len(grid))
     for start in range(0, len(values), rows):
         block = values[start:start + rows]
-        h, _ = _mesh_solve(link, grid, **{field: block[:, None]})
+        h = _terminated(terms, **{"r_source": link.r_source, "r_load": link.r_load,
+                                  field: block[:, None]})
         _check_finite(h)
         yield block, h
 

@@ -299,22 +299,14 @@ def _solve_extended(a, b):
     return x
 
 
-_SHARP_F0 = 10 ** 7.75
-_SHARP_C = tune_capacitance(1e-4, _SHARP_F0)
+def _extended_branch_currents(link, f):
+    """(I_in, I_coil1, I_coil2, I_load) from the circuit equations in long double.
 
-
-@settings(max_examples=200, deadline=None)
-@given(_random_links(parasitics=True))
-# Q ~ 3.5e4: a double-precision reference misses the balance by 1.4e-12 here
-@example((LinkCircuit(l_tx=1e-4, l_rx=1e-4, m=7.8125e-6, r_source=1.0, r_load=1.0,
-                      c_tx=_SHARP_C, c_rx=_SHARP_C, parasitic_rx=_SHARP_C * 10 ** -2.25),
-          np.linspace(0.5 * _SHARP_F0, 1.5 * _SHARP_F0, 201)))
-def test_power_balance_with_parasitics(drawn):
-    # branch currents from an extended-precision solve of the circuit
-    # equations at the double omega the solver uses; unknowns are I_in,
-    # V_1, I_coil1, V_2, I_coil2, I_load, where V_k is the voltage
-    # across coil k and its parasitic
-    link, f = drawn
+    The six unknowns are I_in, V_1, I_coil1, V_2, I_coil2 and I_load,
+    where V_k is the voltage across coil k and its parasitic. The
+    equations are built at the double omega the solver uses and solved
+    by _solve_extended.
+    """
     jw = 1j * (2.0 * math.pi * f).astype(np.longdouble)
     r_tx, r_rx = link.coil_resistance_tx(f), link.coil_resistance_rx(f)
     z_src = link.r_source + (1 / (jw * link.c_tx) if link.c_tx else 0)
@@ -331,9 +323,58 @@ def test_power_balance_with_parasitics(drawn):
     b = np.zeros((len(f), 6), dtype=np.clongdouble)
     b[:, 0] = link.v_source
     i_in, _, i_tx, _, i_rx, i_load = _solve_extended(a, b).T
+    return i_in, i_tx, i_rx, i_load
+
+
+_SHARP_F0 = 10 ** 7.75
+_SHARP_C = tune_capacitance(1e-4, _SHARP_F0)
+# Q ~ 3.5e4: a double-precision reference misses the balance by 1.4e-12 here
+_SHARP_LINK = (LinkCircuit(l_tx=1e-4, l_rx=1e-4, m=7.8125e-6, r_source=1.0, r_load=1.0,
+                           c_tx=_SHARP_C, c_rx=_SHARP_C, parasitic_rx=_SHARP_C * 10 ** -2.25),
+               np.linspace(0.5 * _SHARP_F0, 1.5 * _SHARP_F0, 201))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_links(parasitics=True))
+@example(_SHARP_LINK)
+def test_power_balance_with_parasitics(drawn):
+    # branch currents from an extended-precision solve of the circuit
+    # equations
+    link, f = drawn
+    i_in, i_tx, i_rx, i_load = _extended_branch_currents(link, f)
+    r_tx, r_rx = link.coil_resistance_tx(f), link.coil_resistance_rx(f)
     dissipated = 0.5 * (np.abs(i_in) ** 2 * link.r_source + np.abs(i_tx) ** 2 * r_tx
                         + np.abs(i_rx) ** 2 * r_rx + np.abs(i_load) ** 2 * link.r_load)
     _assert_power_balance(link, f, dissipated.astype(float))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_links(parasitics=True))
+@example(_SHARP_LINK)
+def test_h_and_source_current_match_the_extended_precision_solve(drawn):
+    link, f = drawn
+    i_in, _, _, i_load = _extended_branch_currents(link, f)
+    terms, i_in_solved = circuit._link_terms(link, f)
+    h = circuit._terminated(terms, link.r_source, link.r_load)
+    np.testing.assert_allclose(h, (i_load * link.r_load / link.v_source).astype(complex),
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(i_in_solved, i_in.astype(complex), rtol=1e-12, atol=0.0)
+
+
+def test_tuned_link_at_f0_meets_the_reflected_impedance_closed_form():
+    # at f0 both meshes are resistive, so the source sees the tx loss
+    # plus the reflected (w0 M)^2/(R_2 + R_L), and V_rx follows from the
+    # two resistive meshes coupled by j w0 M
+    link = _nominal_link()
+    assert link.parasitic_tx is None and link.parasitic_rx is None
+    f0 = 26e6
+    spectrum = frequency_sweep(link, [f0])
+    wm = 2.0 * math.pi * f0 * M_NOMINAL
+    r1, r2 = ac_resistance(TX, f0), ac_resistance(RX, f0)
+    np.testing.assert_allclose(spectrum.z11, [r1 + wm * wm / (r2 + link.r_load)],
+                               rtol=1e-12, atol=0.0)
+    h = 1j * wm * link.r_load / ((link.r_source + r1) * (link.r_load + r2) + wm * wm)
+    np.testing.assert_allclose(spectrum.h, [h], rtol=1e-12, atol=0.0)
 
 
 def test_received_power_is_amplitude_squared_over_load():

@@ -417,15 +417,15 @@ def test_row_block_scans_equal_the_per_load_loop(drawn):
 def test_load_scans_solve_in_bounded_blocks_without_frequency_sweep(monkeypatch):
     sizes = []
 
-    def counting_solve(link, f, **terminations):
-        h, input_current = circuit._mesh_solve(link, f, **terminations)
+    def counting_blocks(terms, r_source, r_load):
+        h = circuit._terminated(terms, r_source, r_load)
         sizes.append(h.size)
-        return h, input_current
+        return h
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a load scan called frequency_sweep")
 
-    monkeypatch.setattr(link_analysis, "_mesh_solve", counting_solve)
+    monkeypatch.setattr(link_analysis, "_terminated", counting_blocks)
     monkeypatch.setattr(link_analysis, "frequency_sweep", forbidden)
     link = scenario_link(NOMINAL, m=M_NOMINAL)
     grid = default_grid()
@@ -437,6 +437,28 @@ def test_load_scans_solve_in_bounded_blocks_without_frequency_sweep(monkeypatch)
     assert max(sizes) <= link_analysis._SCAN_ELEMENTS
 
 
+def test_load_scans_evaluate_each_coil_loss_once_on_the_whole_grid(monkeypatch):
+    calls = []
+
+    def counting(spec, f):
+        calls.append((spec, np.shape(f)))
+        return ac_resistance(spec, f)
+
+    monkeypatch.setattr(circuit, "ac_resistance", counting)
+    link = scenario_link(NOMINAL, m=M_NOMINAL)
+    grid = default_grid()
+    dual_mode_report(link, r_load_grid=np.geomspace(0.1, 1e4, 451), grid=grid)
+    scans = [list(calls)]
+    for field in ("r_source", "r_load"):
+        calls.clear()
+        resistance_sweep(link, field, np.geomspace(1.0, 1e4, 224), grid)
+        scans.append(list(calls))
+    for scan in scans:
+        assert len(scan) == 2
+        assert {spec for spec, _ in scan} == {TX, RX}
+        assert all(shape == grid.shape for _, shape in scan)
+
+
 def test_load_scans_keep_the_spectrum_checks(monkeypatch):
     link = scenario_link(NOMINAL, m=M_NOMINAL)
     with pytest.raises(ValueError, match="increasing"):
@@ -444,12 +466,12 @@ def test_load_scans_keep_the_spectrum_checks(monkeypatch):
     with pytest.raises(ValueError, match="increasing"):
         dual_mode_report(link, r_load_grid=[1.0, 2.0], grid=[26e6, 26e6])
 
-    def non_finite(link, f, **terminations):
-        h, input_current = circuit._mesh_solve(link, f, **terminations)
+    def non_finite(terms, r_source, r_load):
+        h = circuit._terminated(terms, r_source, r_load)
         h[-1, 0] = np.nan
-        return h, input_current
+        return h
 
-    monkeypatch.setattr(link_analysis, "_mesh_solve", non_finite)
+    monkeypatch.setattr(link_analysis, "_terminated", non_finite)
     with pytest.raises(ValueError, match="finite"):
         resistance_sweep(link, "r_source", [10.0, 20.0])
     with pytest.raises(ValueError, match="finite"):
