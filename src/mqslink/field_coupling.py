@@ -5,9 +5,13 @@ Gauss-Legendre panels of winding angle whose every panel halves from
 one level to the next; a point stops once its last halving moved B by
 at most 1e-10 relative, and that change (plus a rounding term) is its
 error estimate. Points clear of the wire share uniform panels, summed
-per block of points by matrix products over the point-to-node offsets;
-blocks are sized so their planes stay in a core's L2 cache, which
-leaves B's last bits to the BLAS summation order of each block's rows.
+per block of points by matrix products over the point-to-node offsets.
+Every pair kernel (those sums, the exact point-to-segment distance and
+the Neumann sum) builds its offsets as one contiguous (points, nodes)
+plane per coordinate, from contiguous coordinate rows, in a buffer
+allocated once per call and reused by every block. The field blocks
+are sized so their planes stay in a core's L2 cache, which leaves B's
+last bits to the BLAS summation order of each block's rows.
 A point near the wire starts from the uniform panels bisected only
 where they are long against their distance to it, so only the panels
 near it refine, and sums its own nodes in a fixed order. The polyline
@@ -46,8 +50,9 @@ _METHODS = (SPECTRAL, FLUX)
 
 # pair budget per block of the field kernel (point-node pairs) and of
 # the segment distance pass (point-segment pairs): 256 KiB per float64
-# plane, so a block's half-dozen planes stay in a core's L2 cache
-# instead of streaming through it once per elementwise pass
+# plane, so a block's five planes, allocated once per call and reused
+# by every block, stay in a core's L2 cache instead of streaming
+# through it once per elementwise pass
 _BLOCK_PAIRS = 32_768
 
 # the field kernel's panels: Gauss-Legendre nodes per panel, panels per
@@ -179,15 +184,33 @@ def _distance_to_segments(points: np.ndarray, starts: np.ndarray,
     """Distance from each point to the nearest polyline segment."""
     seg = ends - starts
     seg_len_sq = np.maximum(np.sum(seg * seg, axis=1), 1e-300)
+    pt, st, sg = (np.ascontiguousarray(a.T) for a in (points, starts, seg))
     out = np.empty(len(points))
     rows = max(1, _BLOCK_PAIRS // max(1, len(starts)))
+    # planes: point - start as x, y, z (then point - closest), the
+    # segment parameter t, and one scratch plane
+    buf = np.empty((5, min(rows, len(points)), len(starts)))
     for i0 in range(0, len(points), rows):
-        p = points[i0:i0 + rows]
-        w = p[:, None, :] - starts[None, :, :]
-        t = np.clip(np.sum(w * seg[None, :, :], axis=2) / seg_len_sq[None, :], 0.0, 1.0)
-        closest = starts[None, :, :] + t[..., None] * seg[None, :, :]
-        d = np.sqrt(np.sum((p[:, None, :] - closest) ** 2, axis=2))
-        out[i0:i0 + rows] = d.min(axis=1)
+        p = pt[:, i0:i0 + rows]
+        *w, t, tmp = buf[:, :p.shape[1]]
+        for k in range(3):
+            np.subtract.outer(p[k], st[k], out=w[k])
+        # t = clip((w . seg) / |seg|^2), summed (x + y) + z
+        np.multiply(w[0], sg[0], out=t)
+        for k in (1, 2):
+            t += np.multiply(w[k], sg[k], out=tmp)
+        t /= seg_len_sq
+        np.clip(t, 0.0, 1.0, out=t)
+        # |point - (start + t seg)|^2, summed (x + y) + z; sqrt is
+        # monotone, so it is taken after the minimum
+        for k in range(3):
+            np.multiply(t, sg[k], out=w[k])
+            w[k] += st[k]
+            np.subtract(p[k, :, None], w[k], out=w[k])
+            w[k] *= w[k]
+        w[0] += w[1]
+        w[0] += w[2]
+        out[i0:i0 + rows] = np.sqrt(w[0].min(axis=1))
     return out
 
 
@@ -219,23 +242,32 @@ def _node_sum(points: np.ndarray, nodes: np.ndarray, dl: np.ndarray,
     """
     b = np.zeros((len(points), 3))
     nearest = np.full(len(points), math.inf)
+    pt, nt = np.ascontiguousarray(points.T), np.ascontiguousarray(nodes.T)
     rows = max(1, _BLOCK_PAIRS // len(nodes))
+    # planes: point - node as x, y, z, then r^2 (turned into |r|^-3 in
+    # place), and one for sqrt(r^2) and then each w * r in turn
+    buf = np.empty((5, min(rows, len(points)), len(nodes)))
     for i0 in range(0, len(points), rows):
-        p = points[i0:i0 + rows]
-        # point - node as x, y, z planes
-        rel = [p[:, k, None] - nodes[:, k] for k in range(3)]
-        w = rel[0] * rel[0]
-        w += rel[1] * rel[1]
-        w += rel[2] * rel[2]
+        p = pt[:, i0:i0 + rows]
+        *rel, w, s = buf[:, :p.shape[1]]
+        for k in range(3):
+            np.subtract.outer(p[k], nt[k], out=rel[k])
+        np.multiply(rel[0], rel[0], out=w)
+        for k in (1, 2):
+            w += np.multiply(rel[k], rel[k], out=s)
         keep = slice(None)
         if skip_within is not None:
             near = np.sqrt(w.min(axis=1))
             nearest[i0:i0 + rows] = near
             keep = near > skip_within
             if not keep.all():
-                rel, w = [r[keep] for r in rel], w[keep]
+                # move the kept rows to the top of each plane
+                kept = np.count_nonzero(keep)
+                for plane in buf[:4, :p.shape[1]]:
+                    plane[:kept] = plane[keep]
+                *rel, w, s = buf[:, :kept]
         # |p - r|^-3, built in place
-        s = np.sqrt(w)
+        np.sqrt(w, out=s)
         w *= s
         np.reciprocal(w, out=w)
         # m[k][:, j] = sum_n w_n (p - r_n)_k dl_nj: the cross product
@@ -246,8 +278,6 @@ def _node_sum(points: np.ndarray, nodes: np.ndarray, dl: np.ndarray,
         b[i0:i0 + rows][keep] = np.column_stack([m[2][:, 1] - m[1][:, 2],
                                                  m[0][:, 2] - m[2][:, 0],
                                                  m[1][:, 0] - m[0][:, 1]])
-        # free this block's planes before the next block builds its own
-        del rel, w, s
     return b, nearest
 
 
@@ -632,14 +662,25 @@ def _curve_nodes(coil: FilamentCoil, n: int):
 
 def _neumann_sum(m1: np.ndarray, d1: np.ndarray, m2: np.ndarray, d2: np.ndarray) -> float:
     total = 0.0
+    a, da, b, db = (np.ascontiguousarray(v.T) for v in (m1, d1, m2, d2))
     rows = max(1, _CHUNK_PAIRS // len(m2))
+    # planes |r - r'| and t . t', each summed (x + y) + z, and a scratch
+    # plane
+    buf = np.empty((3, min(rows, len(m1)), len(m2)))
     for i0 in range(0, len(m1), rows):
-        p = m1[i0:i0 + rows]
-        dv = d1[i0:i0 + rows]
-        diff = p[:, None, :] - m2[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        dots = np.sum(dv[:, None, :] * d2[None, :, :], axis=2)
-        total += float(np.sum(dots / dist))
+        p, dp = a[:, i0:i0 + rows], da[:, i0:i0 + rows]
+        dist, dots, tmp = buf[:, :p.shape[1]]
+        np.subtract.outer(p[0], b[0], out=tmp)
+        np.multiply(tmp, tmp, out=dist)
+        for k in (1, 2):
+            np.subtract.outer(p[k], b[k], out=tmp)
+            dist += np.multiply(tmp, tmp, out=tmp)
+        np.sqrt(dist, out=dist)
+        np.multiply.outer(dp[0], db[0], out=dots)
+        for k in (1, 2):
+            dots += np.multiply.outer(dp[k], db[k], out=tmp)
+        dots /= dist
+        total += float(np.sum(dots))
     return MU0 / (4.0 * math.pi) * total
 
 

@@ -1,6 +1,7 @@
 """Field evaluation and mutual inductance: kernel, routes, oracle."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -320,6 +321,155 @@ def test_kernel_blocks_leave_masks_and_fields_unchanged(spec, monkeypatch):
         assert np.all(b_other[~valid] == 0.0)
         err = np.linalg.norm(b_other - b, axis=1)[valid] / scale
         assert err.max() <= 1e-14
+
+
+# The pair kernels in their broadcast form: per block, offsets from
+# strided node columns or (rows, N, 3) temporaries, and fresh planes.
+# Each reads the module's block budget when called, so it blocks as the
+# kernel does; the kernels must reproduce them bit for bit.
+
+def _broadcast_node_sum(points, nodes, dl, skip_within=None):
+    b = np.zeros((len(points), 3))
+    nearest = np.full(len(points), math.inf)
+    rows = max(1, field_coupling._BLOCK_PAIRS // len(nodes))
+    for i0 in range(0, len(points), rows):
+        p = points[i0:i0 + rows]
+        rel = [p[:, k, None] - nodes[:, k] for k in range(3)]
+        w = rel[0] * rel[0]
+        w += rel[1] * rel[1]
+        w += rel[2] * rel[2]
+        keep = slice(None)
+        if skip_within is not None:
+            near = np.sqrt(w.min(axis=1))
+            nearest[i0:i0 + rows] = near
+            keep = near > skip_within
+            if not keep.all():
+                rel, w = [r[keep] for r in rel], w[keep]
+        s = np.sqrt(w)
+        w *= s
+        np.reciprocal(w, out=w)
+        m = [np.multiply(w, r, out=s) @ dl for r in rel]
+        b[i0:i0 + rows][keep] = np.column_stack([m[2][:, 1] - m[1][:, 2],
+                                                 m[0][:, 2] - m[2][:, 0],
+                                                 m[1][:, 0] - m[0][:, 1]])
+    return b, nearest
+
+
+def _broadcast_neumann_sum(m1, d1, m2, d2):
+    total = 0.0
+    rows = max(1, field_coupling._CHUNK_PAIRS // len(m2))
+    for i0 in range(0, len(m1), rows):
+        diff = m1[i0:i0 + rows, None, :] - m2[None, :, :]
+        dist = np.sqrt(np.sum(diff * diff, axis=2))
+        dots = np.sum(d1[i0:i0 + rows, None, :] * d2[None, :, :], axis=2)
+        total += float(np.sum(dots / dist))
+    return MU0 / (4.0 * math.pi) * total
+
+
+def _broadcast_distance(points, starts, ends):
+    seg = ends - starts
+    seg_len_sq = np.maximum(np.sum(seg * seg, axis=1), 1e-300)
+    out = np.empty(len(points))
+    rows = max(1, field_coupling._BLOCK_PAIRS // max(1, len(starts)))
+    for i0 in range(0, len(points), rows):
+        p = points[i0:i0 + rows]
+        w = p[:, None, :] - starts[None, :, :]
+        t = np.clip(np.sum(w * seg[None, :, :], axis=2) / seg_len_sq[None, :], 0.0, 1.0)
+        closest = starts[None, :, :] + t[..., None] * seg[None, :, :]
+        d = np.sqrt(np.sum((p[:, None, :] - closest) ** 2, axis=2))
+        out[i0:i0 + rows] = d.min(axis=1)
+    return out
+
+
+def _shared_panels(coil, level):
+    return field_coupling._panel_nodes(
+        coil.spec, *field_coupling._uniform_panels(coil.spec.turns, level))
+
+
+# near-node distance that drops rows of the grazing points' blocks
+_SKIP = 2e-3
+
+
+@pytest.mark.parametrize("block_pairs", [None, 1000], ids=["default", "small"])
+def test_pair_kernels_match_their_broadcast_form(block_pairs, monkeypatch):
+    # a ragged last block, blocks with rows dropped between kept ones,
+    # and (with a small budget) many blocks
+    if block_pairs is not None:
+        monkeypatch.setattr(field_coupling, "_BLOCK_PAIRS", block_pairs)
+    coil = build_filament_coil(_DOME, 64)
+    pts = _grazing_points(coil)
+    nodes, dl = _shared_panels(coil, 0)
+    rows = field_coupling._BLOCK_PAIRS // len(nodes)
+    assert 1 < rows < len(pts) and len(pts) % rows
+    want = _broadcast_node_sum(pts, nodes, dl, skip_within=_SKIP)
+    dropped = want[1] <= _SKIP
+    assert any(blk.any() and not blk[0] and not blk[-1]
+               for blk in np.split(dropped, range(rows, len(pts), rows)))
+    for got, ref in zip(field_coupling._node_sum(pts, nodes, dl, skip_within=_SKIP), want):
+        assert np.array_equal(got, ref)
+    nodes, dl = _shared_panels(coil, 2)
+    assert np.array_equal(field_coupling._node_sum(pts, nodes, dl)[0],
+                          _broadcast_node_sum(pts, nodes, dl)[0])
+    starts, ends = coil.segment_starts, coil.segment_ends
+    assert np.array_equal(field_coupling._distance_to_segments(pts, starts, ends),
+                          _broadcast_distance(pts, starts, ends))
+
+
+def test_pair_kernels_match_their_broadcast_form_at_one_point():
+    coil = build_filament_coil(_DOME, 64)
+    pt = np.array([[0.003, -0.001, 0.002]])
+    nodes, dl = _shared_panels(coil, 1)
+    for skip in (None, _SKIP, 1.0):
+        for got, ref in zip(field_coupling._node_sum(pt, nodes, dl, skip_within=skip),
+                            _broadcast_node_sum(pt, nodes, dl, skip_within=skip)):
+            assert np.array_equal(got, ref)
+    assert np.array_equal(
+        field_coupling._distance_to_segments(pt, coil.segment_starts, coil.segment_ends),
+        _broadcast_distance(pt, coil.segment_starts, coil.segment_ends))
+
+
+@pytest.mark.parametrize("tilted", [False, True], ids=["nominal", "tilted"])
+def test_neumann_sum_matches_its_broadcast_form(tilted, monkeypatch):
+    tx, rx = _nominal_pair(90)
+    if tilted:
+        rx = apply_pose(build_filament_coil(RX, 90),
+                        Pose(center=(0.03, -0.02, 0.12), tilt_angle_deg=63.0))
+    for chunk in (None, 1000):
+        if chunk is not None:
+            # 3 rows a chunk at 64 nodes per turn, the last one ragged
+            monkeypatch.setattr(field_coupling, "_CHUNK_PAIRS", chunk)
+        for n in (8, 16, 32, 64):
+            args = (*field_coupling._curve_nodes(tx, n), *field_coupling._curve_nodes(rx, n))
+            assert _neumann_sum(*args) == _broadcast_neumann_sum(*args)
+
+
+def test_pair_kernels_keep_block_sized_buffers(monkeypatch):
+    # numpy reports its buffers to tracemalloc. Whole-grid planes would
+    # take 20k points x 96 nodes x 8 bytes = 15 MB each; each kernel's
+    # peak stays within 8 planes of its block budget plus what scales
+    # with the points alone (contiguous copies of their coordinates and
+    # the per-point results)
+    coil = build_filament_coil(_DOME, 64)
+    pts = np.random.default_rng(3).uniform(-0.02, 0.02, (20_000, 3))
+    nodes, dl = _shared_panels(coil, 0)
+    monkeypatch.setattr(field_coupling, "_CHUNK_PAIRS", 32_768)
+    calls = [
+        (lambda: field_coupling._node_sum(pts, nodes, dl, skip_within=_SKIP),
+         field_coupling._BLOCK_PAIRS, 7 * 8 * len(pts)),
+        (lambda: field_coupling._distance_to_segments(pts, coil.segment_starts,
+                                                      coil.segment_ends),
+         field_coupling._BLOCK_PAIRS, 4 * 8 * len(pts)),
+        (lambda: _neumann_sum(pts, pts, nodes, dl),
+         field_coupling._CHUNK_PAIRS, 6 * 8 * len(pts)),
+    ]
+    for call, pairs, per_point in calls:
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * pairs * 8 + per_point
 
 
 @pytest.mark.parametrize("spec", [_FLAT, _DOME], ids=["flat", "helical"])
