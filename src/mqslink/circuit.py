@@ -137,6 +137,11 @@ class Spectrum:
         return len(self.frequencies)
 
 
+# frexp exponent that _link_terms lifts a smaller |wM| to: h is degree 0
+# in the five terms, so a common power of two leaves it unchanged
+_JWM_MIN_EXP = -511
+
+
 def _link_terms(link: LinkCircuit, f: FrequencyLike):
     """(jwM, c11, c10, c01, c00) of the link on f, and i_in at its own terminations.
 
@@ -148,7 +153,11 @@ def _link_terms(link: LinkCircuit, f: FrequencyLike):
     The terms are formed in long double and rounded once: near a Q ~
     3.5e4 resonance one ulp of L or C moves the source power by 1e-12,
     and i_in, a ratio of large reactive terms, loses its small real part
-    in double (1.3e-12 at wL/R = 8000).
+    in double (1.3e-12 at wL/R = 8000). Where |wM| < 2**-512, the five
+    terms at that frequency are scaled by the power of two that lifts
+    |wM| into [2**-512, 2**-511), which leaves h as it is in exact
+    arithmetic: rounded unscaled, a wM in double's subnormal range keeps
+    few bits (a 3.5e-12 error at wM = 7e-313).
     """
     farr = np.asarray(f, dtype=float)
     if np.any(farr <= 0):
@@ -176,7 +185,13 @@ def _link_terms(link: LinkCircuit, f: FrequencyLike):
         c01, c00 = s0 * t1 + ww * (a0 * y2), s0 * t0 + ww * (a0 * u0)
     n = link.r_load * c11 + c10
     i_in = link.v_source * n / (link.r_source * n + (link.r_load * c01 + c00))
-    return (tuple(np.asarray(t, dtype=complex) for t in (1j * wm, c11, c10, c01, c00)),
+    terms = (1j * wm, c11, c10, c01, c00)
+    lift = np.maximum(0, _JWM_MIN_EXP - np.frexp(np.abs(wm))[1])
+    if np.any(lift):
+        # np.where: a product with 1 could flip the sign of a zero part
+        scale = np.ldexp(np.longdouble(1), lift)
+        terms = tuple(np.where(lift > 0, t * scale, t) for t in terms)
+    return (tuple(np.asarray(t, dtype=complex) for t in terms),
             np.asarray(i_in, dtype=complex))
 
 

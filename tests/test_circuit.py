@@ -348,9 +348,17 @@ def test_power_balance_with_parasitics(drawn):
     _assert_power_balance(link, f, dissipated.astype(float))
 
 
+# wM = 7e-313 rounds into double's subnormal range unless _link_terms
+# lifts the terms
+_SUBNORMAL_WM_LINK = (LinkCircuit(l_tx=1e-6, l_rx=1e-6, m=2.22507e-319, r_source=1.0,
+                                  r_load=1.0, r_coil_tx=0.0, r_coil_rx=0.0),
+                      np.linspace(5e5, 1.5e6, 201))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_random_links(parasitics=True))
 @example(_SHARP_LINK)
+@example(_SUBNORMAL_WM_LINK)
 def test_h_and_source_current_match_the_extended_precision_solve(drawn):
     link, f = drawn
     i_in, _, _, i_load = _extended_branch_currents(link, f)
@@ -380,12 +388,17 @@ def _general_terms_without_parasitics(link, f):
     c01, c00 = s0 * t1 + ww * (a0 * y2), s0 * t0 + ww * (a0 * u0)
     n = link.r_load * c11 + c10
     i_in = link.v_source * n / (link.r_source * n + (link.r_load * c01 + c00))
-    return [np.asarray(t, dtype=complex) for t in (1j * wm, c11, c10, c01, c00, i_in)]
+    terms = [1j * wm, c11, c10, c01, c00]
+    # the power of two that lifts |wM| below 2**-512 into [2**-512, 2**-511)
+    lift = np.maximum(0, -511 - np.frexp(np.abs(wm))[1])
+    terms = [np.where(lift > 0, t * np.ldexp(np.longdouble(1), lift), t) for t in terms]
+    return [np.asarray(t, dtype=complex) for t in (*terms, i_in)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_random_links(parasitics=False))
 @example((_nominal_link(), default_grid()))
+@example(_SUBNORMAL_WM_LINK)
 def test_terms_without_parasitics_equal_the_general_form(drawn):
     # the short form _link_terms takes when no parasitic is set must
     # keep every bit of the general expressions
