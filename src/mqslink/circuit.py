@@ -168,21 +168,15 @@ def _link_terms(link: LinkCircuit, f: FrequencyLike):
     z2 = link.coil_resistance_rx(farr) + jw * link.l_rx
     x1 = 1.0 / (jw * link.c_tx) if link.c_tx is not None else 0.0
     x2 = 1.0 / (jw * link.c_rx) if link.c_rx is not None else 0.0
+    y1 = jw * link.parasitic_tx if link.parasitic_tx is not None else 0.0
+    y2 = jw * link.parasitic_rx if link.parasitic_rx is not None else 0.0
     wm = w * link.m
     ww = wm * wm
-    if link.parasitic_tx is None and link.parasitic_rx is None:
-        # Y1 = Y2 = 0: s1 = t1 = a0 = u0 = 1 and every Y term drops,
-        # which leaves the same values as the general form
-        s0, t0 = x1 + z1, x2 + z2
-        c11, c10, c01, c00 = np.ones_like(s0), t0, s0, s0 * t0 + ww
-    else:
-        y1 = jw * link.parasitic_tx if link.parasitic_tx is not None else 0.0
-        y2 = jw * link.parasitic_rx if link.parasitic_rx is not None else 0.0
-        s1, t1 = 1.0 + y1 * z1, 1.0 + y2 * z2
-        s0, t0 = s1 * x1 + z1, t1 * x2 + z2
-        a0, u0 = 1.0 + y1 * x1, 1.0 + y2 * x2
-        c11, c10 = s1 * t1 + ww * (y1 * y2), s1 * t0 + ww * (y1 * u0)
-        c01, c00 = s0 * t1 + ww * (a0 * y2), s0 * t0 + ww * (a0 * u0)
+    s1, t1 = 1.0 + y1 * z1, 1.0 + y2 * z2
+    s0, t0 = s1 * x1 + z1, t1 * x2 + z2
+    a0, u0 = 1.0 + y1 * x1, 1.0 + y2 * x2
+    c11, c10 = s1 * t1 + ww * (y1 * y2), s1 * t0 + ww * (y1 * u0)
+    c01, c00 = s0 * t1 + ww * (a0 * y2), s0 * t0 + ww * (a0 * u0)
     n = link.r_load * c11 + c10
     i_in = link.v_source * n / (link.r_source * n + (link.r_load * c01 + c00))
     terms = (1j * wm, c11, c10, c01, c00)

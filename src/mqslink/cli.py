@@ -625,17 +625,9 @@ def emit_sweep_csv(sweep: SweepResult, path: Path) -> None:
 
 
 def emit_field_map_csv(points: np.ndarray, b: np.ndarray, path: Path) -> None:
-    """One row per point; a masked (NaN) B row gets empty cells.
-
-    The text is _csv_text's, with the finite rows picked once for the
-    whole array instead of row by row.
-    """
-    cells = np.hstack([points, b])
-    template = ",".join(["%.17g"] * cells.shape[1])
-    lines = ["x,y,z,Bx,By,Bz"]
-    lines += [template % tuple(row) if finite else ",".join([_fmt(c) for c in row])
-              for row, finite in zip(cells.tolist(), np.isfinite(cells).all(axis=1).tolist())]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """One row per point; a masked (NaN) B row gets empty cells."""
+    rows = map(tuple, np.hstack([points, b]).tolist())
+    _atomic_write(path, _csv_text("x,y,z,Bx,By,Bz", rows))
 
 
 def emit_capacity_csv(study: BandwidthStudy, path: Path) -> None:

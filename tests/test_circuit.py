@@ -369,46 +369,6 @@ def test_h_and_source_current_match_the_extended_precision_solve(drawn):
     np.testing.assert_allclose(i_in_solved, i_in.astype(complex), rtol=1e-12, atol=0.0)
 
 
-def _general_terms_without_parasitics(link, f):
-    # the general coefficients of _link_terms with Y1 = Y2 = 0, term by
-    # term, in long double
-    w = (2.0 * math.pi * f).astype(np.longdouble)
-    jw = 1j * w
-    z1 = link.coil_resistance_tx(f) + jw * link.l_tx
-    z2 = link.coil_resistance_rx(f) + jw * link.l_rx
-    x1 = 1.0 / (jw * link.c_tx) if link.c_tx is not None else 0.0
-    x2 = 1.0 / (jw * link.c_rx) if link.c_rx is not None else 0.0
-    y1 = y2 = 0.0
-    wm = w * link.m
-    ww = wm * wm
-    s1, t1 = 1.0 + y1 * z1, 1.0 + y2 * z2
-    s0, t0 = s1 * x1 + z1, t1 * x2 + z2
-    a0, u0 = 1.0 + y1 * x1, 1.0 + y2 * x2
-    c11, c10 = s1 * t1 + ww * (y1 * y2), s1 * t0 + ww * (y1 * u0)
-    c01, c00 = s0 * t1 + ww * (a0 * y2), s0 * t0 + ww * (a0 * u0)
-    n = link.r_load * c11 + c10
-    i_in = link.v_source * n / (link.r_source * n + (link.r_load * c01 + c00))
-    terms = [1j * wm, c11, c10, c01, c00]
-    # the power of two that lifts |wM| below 2**-512 into [2**-512, 2**-511)
-    lift = np.maximum(0, -511 - np.frexp(np.abs(wm))[1])
-    terms = [np.where(lift > 0, t * np.ldexp(np.longdouble(1), lift), t) for t in terms]
-    return [np.asarray(t, dtype=complex) for t in (*terms, i_in)]
-
-
-@settings(max_examples=200, deadline=None)
-@given(_random_links(parasitics=False))
-@example((_nominal_link(), default_grid()))
-@example(_SUBNORMAL_WM_LINK)
-def test_terms_without_parasitics_equal_the_general_form(drawn):
-    # the short form _link_terms takes when no parasitic is set must
-    # keep every bit of the general expressions
-    link, f = drawn
-    terms, i_in = circuit._link_terms(link, f)
-    want = _general_terms_without_parasitics(link, f)
-    for got, ref in zip((*terms, i_in), want):
-        assert got.tobytes() == ref.tobytes()
-
-
 def test_tuned_link_at_f0_meets_the_reflected_impedance_closed_form():
     # at f0 both meshes are resistive, so the source sees the tx loss
     # plus the reflected (w0 M)^2/(R_2 + R_L), and V_rx follows from the
