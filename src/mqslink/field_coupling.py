@@ -42,17 +42,18 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .constants import MU0
-from .geometry import CoilSpec, FilamentCoil, winding_curve
+from .geometry import CoilSpec, FilamentCoil, turn_radii, winding_curve
 
 SPECTRAL = "spectral"
 FLUX = "flux"
 _METHODS = (SPECTRAL, FLUX)
 
-# pair budget per block of the field kernel (point-node pairs) and of
-# the segment distance pass (point-segment pairs): 256 KiB per float64
-# plane, so a block's five planes, allocated once per call and reused
-# by every block, stay in a core's L2 cache instead of streaming
-# through it once per elementwise pass
+# pair budget per block of every pair kernel: the field kernel
+# (point-node pairs), the segment distance pass (point-segment pairs)
+# and the Neumann sum (node-node pairs). 256 KiB per float64 plane, so
+# a block's planes, allocated once per call and reused by every block,
+# stay in a core's L2 cache instead of streaming through it once per
+# elementwise pass
 _BLOCK_PAIRS = 32_768
 
 # the field kernel's panels: Gauss-Legendre nodes per panel, panels per
@@ -84,10 +85,6 @@ _OWN_POINTS = 1024
 # units of double precision, which tops the level-to-level jitter seen
 # beside the wire by 3x or more
 _ROUNDING = 2.0 * 2.0**-52
-
-# pair budget per chunk of the Neumann sum: 16 MB per (rows, nodes)
-# float64 plane, and a summation order fixed regardless of problem size
-_CHUNK_PAIRS = 2_000_000
 
 # quadrature ladder for flux disks: (radial Gauss-Legendre nodes,
 # uniform angular nodes), each level doubling the previous
@@ -348,6 +345,7 @@ class _Ladder:
 
     def __init__(self, coil: FilamentCoil, points: np.ndarray, tolerance):
         spec = self.spec = coil.spec
+        radii = turn_radii(spec)
         self.local = (points - coil.origin) @ coil.rotation
         self.b = np.zeros_like(self.local)
         self.estimate = np.zeros(len(points))
@@ -357,10 +355,10 @@ class _Ladder:
         # sag, so its outer end bounds it
         turns = spec.turns
         self.speed = float(np.linalg.norm(winding_curve(spec, [2.0 * math.pi * turns])[1]))
-        self.floor = _FIELD_FLOOR * 2.0 * math.pi * turns / float(np.mean(coil.turn_radii))
+        self.floor = _FIELD_FLOOR * 2.0 * math.pi * turns / float(np.mean(radii))
         # coordinate and winding-angle span, in metres, for the rounding
         self.span = np.sqrt(np.sum(self.local * self.local, axis=1)) + \
-            float(np.max(coil.turn_radii)) * (1.0 + 2.0 * math.pi * turns)
+            float(np.max(radii)) * (1.0 + 2.0 * math.pi * turns)
 
     def record(self, todo, cur, prev, ratio):
         # keep the level just summed for the points in todo and return
@@ -425,9 +423,6 @@ def _curve_field(coil: FilamentCoil, points: np.ndarray, tolerance=None):
     per point; _FIELD_TOLERANCE by default). Points still above it at
     the level cap keep their last estimate.
     """
-    if coil.spec is None:
-        raise ValueError("the field kernel needs a coil that carries its "
-                         "CoilSpec (build it with build_filament_coil)")
     ladder = _Ladder(coil, points, tolerance)
     turns, speed = coil.spec.turns, ladder.speed
 
@@ -486,8 +481,8 @@ def b_field(coil: FilamentCoil, current: float, point) -> np.ndarray:
     point may be a single 3-vector or an (n, 3) array; the result
     matches its shape. Evaluation within half a wire diameter of any
     polyline segment raises SingularEvaluationError. B comes from the
-    exact winding curve, so the coil must carry its CoilSpec; points
-    that stop at the refinement cap above tolerance raise a warning.
+    exact winding curve; points that stop at the refinement cap above
+    tolerance raise a warning.
     """
     pts = np.atleast_2d(np.asarray(point, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -522,11 +517,11 @@ def field_map(coil: FilamentCoil, current: float, grid: GridSpec) -> np.ndarray:
 def _coupling_floor(tx: FilamentCoil, rx: FilamentCoil) -> float:
     # dipole-scale coupling magnitude; the convergence denominator so
     # symmetry nulls (M -> 0) are not chased to relative precision
-    d = float(np.linalg.norm(rx.turn_centers.mean(axis=0) - tx.turn_centers.mean(axis=0)))
-    reach = max(float(tx.turn_radii.max()), float(rx.turn_radii.max()))
-    d_eff = max(d, reach)
-    s_tx = float(np.sum(tx.turn_radii**2))
-    s_rx = float(np.sum(rx.turn_radii**2))
+    d = float(np.linalg.norm(rx.origin - tx.origin))
+    r_tx, r_rx = turn_radii(tx.spec), turn_radii(rx.spec)
+    d_eff = max(d, float(r_tx.max()), float(r_rx.max()))
+    s_tx = float(np.sum(r_tx**2))
+    s_rx = float(np.sum(r_rx**2))
     return MU0 * math.pi * s_tx * s_rx / (2.0 * d_eff**3)
 
 
@@ -561,34 +556,26 @@ def _check_separation(tx: FilamentCoil, rx: FilamentCoil) -> None:
         )
 
 
-def _turn_groups(coil: FilamentCoil):
-    # vertex index ranges of each turn; the builder keeps a fixed
-    # vertex count per turn
-    n_turns = len(coil.turn_radii)
-    per_turn = coil.n_segments // n_turns
-    for i in range(n_turns):
-        yield coil.points[i * per_turn:(i + 1) * per_turn + 1]
-
-
 def _disk_frames(coil: FilamentCoil):
     """Per-turn (center, radius, e1, e2) for flat spanning disks.
 
-    The disk radius is the mean perpendicular distance of that turn's
-    vertices from the coil axis, which tracks the winding's actual
-    in-plane growth; normals share the coil axis.
+    The radius is the winding's at the turn's mid-angle: it grows
+    linearly with angle, so that is its mean over the turn. The center
+    sits on the coil axis at the mean height of the turn's vertices;
+    normals share the coil axis.
     """
+    spec, spt = coil.spec, coil.segments_per_turn
     n = coil.axis
     helper = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
     e1 = np.cross(n, helper)
     e1 = e1 / np.linalg.norm(e1)
     e2 = np.cross(n, e1)
-    frames = []
-    for center, verts in zip(coil.turn_centers, _turn_groups(coil)):
-        rel = verts - center
-        radial = rel - np.outer(rel @ n, n)
-        radius = float(np.sqrt(np.sum(radial * radial, axis=1)).mean())
-        frames.append((center, radius, e1, e2))
-    return frames
+    mid, _ = winding_curve(spec, 2.0 * math.pi * (np.arange(spec.turns) + 0.5))
+    radii = np.hypot(mid[:, 0], mid[:, 1])
+    phi = np.linspace(0.0, 2.0 * math.pi * spec.turns, len(coil.points))
+    height = winding_curve(spec, phi)[0][:, 2]
+    return [(coil.origin + n * float(np.mean(height[i * spt:(i + 1) * spt + 1])),
+             float(radii[i]), e1, e2) for i in range(spec.turns)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -663,7 +650,7 @@ def _curve_nodes(coil: FilamentCoil, n: int):
 def _neumann_sum(m1: np.ndarray, d1: np.ndarray, m2: np.ndarray, d2: np.ndarray) -> float:
     total = 0.0
     a, da, b, db = (np.ascontiguousarray(v.T) for v in (m1, d1, m2, d2))
-    rows = max(1, _CHUNK_PAIRS // len(m2))
+    rows = max(1, _BLOCK_PAIRS // len(m2))
     # planes |r - r'| and t . t', each summed (x + y) + z, and a scratch
     # plane
     buf = np.empty((3, min(rows, len(m1)), len(m2)))
@@ -690,15 +677,13 @@ def mutual_inductance(tx: FilamentCoil, rx: FilamentCoil, method: str = SPECTRAL
 
     spectral: the Neumann double line integral on the exact winding
     curves of both coils, with Gauss-Legendre nodes per turn doubling
-    from 8 to 64; it converges exponentially and needs coils that carry
-    their CoilSpec (build_filament_coil sets it). The polylines serve
-    only the separation check.
+    from 8 to 64; it converges exponentially. The polylines serve only
+    the separation check.
     flux: the tx field's flux per ampere through a flat disk spanning
-    each rx polyline turn, B.n integrated by radial Gauss-Legendre x
+    each rx turn, B.n integrated by radial Gauss-Legendre x
     uniform-angle quadrature and refined until successive estimates
-    agree. B comes from the tx winding curve, so the tx must carry its
-    CoilSpec. It agrees with the spectral route within about 1% on
-    non-pathological geometries.
+    agree. B comes from the tx winding curve. It agrees with the
+    spectral route within about 1% on non-pathological geometries.
 
     convergence_estimate is the relative change of the last refinement,
     judged against a dipole-scale floor near symmetry nulls.
@@ -712,9 +697,6 @@ def mutual_inductance(tx: FilamentCoil, rx: FilamentCoil, method: str = SPECTRAL
         phi, estimate = _flux(tx, rx, tolerance)
         return CouplingResult(m=phi, method=FLUX, convergence_estimate=estimate)
 
-    if tx.spec is None or rx.spec is None:
-        raise ValueError("the spectral route needs coils that carry their "
-                         "CoilSpec (build them with build_filament_coil)")
     _check_separation(tx, rx)
     floor = _coupling_floor(tx, rx)
     prev = None

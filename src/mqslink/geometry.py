@@ -11,7 +11,7 @@ axis; tilt 90 points the axis along +x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -134,42 +134,49 @@ class Pose:
 
 @dataclass(frozen=True, eq=False)
 class FilamentCoil:
-    """Polyline discretization of a posed coil.
+    """A coil's winding placed in the world: its spec plus a pose.
 
-    ``points`` are the (P, 3) polyline vertices; segment i runs from
-    points[i] to points[i+1], so consecutive segments share a vertex and
-    the path is connected by construction. ``turn_centers`` and ``axis``
-    describe the per-turn spanning disks used for flux integration.
-    ``spec``, when known, is the winding the polyline samples, and
-    ``rotation`` and ``origin`` place that winding's local frame in the
-    world (world = rotation @ local + origin), so ``curve`` can evaluate
-    the exact winding at any angle.
+    ``rotation`` and ``origin`` place the local frame of the winding
+    ``spec`` describes in the world (world = rotation @ local + origin),
+    and ``curve`` evaluates that exact winding at any angle. ``points``
+    is derived: the (P, 3) polyline vertices, the curve sampled at
+    ``segments_per_turn`` equal angle steps per turn. Segment i runs
+    from points[i] to points[i+1], so the path is connected by
+    construction. The polyline sets only the wire exclusion masks and
+    the coil separation check; fields and mutual inductance come from
+    the curve.
     """
 
-    points: np.ndarray            # (P, 3) vertices, m
-    turn_radii: np.ndarray        # (N,) per-turn radii, m
-    turn_centers: np.ndarray      # (N, 3) disk centers, m
-    axis: np.ndarray              # (3,) unit coil axis
-    wire_length: float            # m
-    wire_diameter: float          # m, exclusion radius for field evaluation
-    spec: Optional[CoilSpec] = None
-    rotation: Optional[np.ndarray] = None   # (3, 3), identity when None
-    origin: Optional[np.ndarray] = None     # (3,) m, zero when None
+    spec: CoilSpec
+    segments_per_turn: int
+    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))   # (3, 3)
+    origin: np.ndarray = field(default_factory=lambda: np.zeros(3))   # (3,) m
+    points: np.ndarray = field(init=False, repr=False)                # (P, 3) m
 
     def __post_init__(self):
-        if self.rotation is None:
-            object.__setattr__(self, "rotation", np.eye(3))
-        if self.origin is None:
-            object.__setattr__(self, "origin", np.zeros(3))
-        for name in ("points", "turn_radii", "turn_centers", "axis",
-                     "rotation", "origin"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        if self.segments_per_turn < 16:
+            raise ValueError(
+                f"segments_per_turn must be >= 16, got {self.segments_per_turn!r}"
+            )
+        for name in ("rotation", "origin"):
+            arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.points.ndim != 2 or self.points.shape[1] != 3 or len(self.points) < 2:
-            raise ValueError("points must be an (P, 3) array with P >= 2")
-        if len(self.turn_centers) != len(self.turn_radii):
-            raise ValueError("turn_centers and turn_radii must have equal length")
+        turns = self.spec.turns
+        phi = np.linspace(0.0, 2.0 * math.pi * turns, turns * self.segments_per_turn + 1)
+        points, _ = self.curve(phi)
+        points.setflags(write=False)
+        object.__setattr__(self, "points", points)
+
+    @property
+    def axis(self) -> np.ndarray:
+        """(3,) unit coil axis: the local +z in the world."""
+        return self.rotation[:, 2]
+
+    @property
+    def wire_diameter(self) -> float:
+        """Exclusion diameter for field evaluation (m)."""
+        return self.spec.wire_diameter
 
     @property
     def n_segments(self) -> int:
@@ -187,12 +194,8 @@ class FilamentCoil:
         """World points and d/dphi tangents of the exact winding at phi.
 
         phi (rad) runs from 0 at the inner end to 2*pi*turns at the
-        outer end; see winding_curve. A coil built without its spec has
-        no curve and raises ValueError.
+        outer end; see winding_curve.
         """
-        if self.spec is None:
-            raise ValueError("coil carries no winding curve: it was built "
-                             "without a CoilSpec")
         points, tangents = winding_curve(self.spec, phi)
         return points @ self.rotation.T + self.origin, tangents @ self.rotation.T
 
@@ -246,10 +249,14 @@ def winding_curve(spec: CoilSpec, phi) -> tuple[np.ndarray, np.ndarray]:
 
     The flat spiral's radius grows linearly with the winding angle,
     r(phi) = r_0 + (r_last - r_0) * phi / (2 pi N), from the first to
-    the last turn radius, so each turn's mean radius equals its nominal
-    turn radius. The helical shape is the same winding projected onto a
-    sphere of ``sphere_radius``: the projected radius is unchanged and
-    the point sags along -z by z = -(R - sqrt(R^2 - r^2)).
+    the last turn radius. Turn i's mean radius is therefore its
+    mid-angle value r_0 + (r_last - r_0) (i + 1/2) / N, not its nominal
+    turn_radii value (4.2548 mm against 4.000 mm for the first turn of
+    a 5-turn coil from 4 mm at a 0.637 mm pitch); only the sum over all
+    turns matches, and the middle turn when N is odd. The helical shape
+    is the same winding projected onto a sphere of ``sphere_radius``:
+    the projected radius is unchanged and the point sags along -z by
+    z = -(R - sqrt(R^2 - r^2)).
 
     phi is an array of angles (rad) on [0, 2 pi N]; both results have
     shape (len(phi), 3).
@@ -274,64 +281,18 @@ def winding_curve(spec: CoilSpec, phi) -> tuple[np.ndarray, np.ndarray]:
     return points, tangents
 
 
-def build_filament_coil(spec: CoilSpec, segments_per_turn: int = 720) -> FilamentCoil:
-    """Discretize a coil spec into a filament polyline in its local frame.
-
-    The vertices sample winding_curve at equal angle steps; the coil
-    keeps its spec so the exact curve stays available downstream.
-
-    Parameters
-    ----------
-    spec : CoilSpec
-    segments_per_turn : int
-        Straight segments per turn; at least 16. The polyline sets the
-        wire exclusion masks and the coil separation check; fields and
-        mutual inductance come from the exact winding curve.
-    """
-    if segments_per_turn < 16:
-        raise ValueError(
-            f"segments_per_turn must be >= 16, got {segments_per_turn!r}"
-        )
-    n_seg = spec.turns * segments_per_turn
-    phi = np.linspace(0.0, 2.0 * math.pi * spec.turns, n_seg + 1)
-    points, _ = winding_curve(spec, phi)
-    z = points[:, 2]
-
-    seg_lengths = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    wire_length = float(np.sum(seg_lengths))
-
-    # one spanning disk per turn, at the turn's mean height
-    centers = np.zeros((spec.turns, 3))
-    for i in range(spec.turns):
-        turn_z = z[i * segments_per_turn : (i + 1) * segments_per_turn + 1]
-        centers[i, 2] = float(np.mean(turn_z))
-
-    return FilamentCoil(
-        points=points,
-        turn_radii=turn_radii(spec),
-        turn_centers=centers,
-        axis=np.array([0.0, 0.0, 1.0]),
-        wire_length=wire_length,
-        wire_diameter=spec.wire_diameter,
-        spec=spec,
-    )
+def build_filament_coil(spec: CoilSpec, segments_per_turn: int) -> FilamentCoil:
+    """The coil of `spec` in its local frame, its polyline sampling the
+    winding curve at `segments_per_turn` (at least 16) steps per turn."""
+    return FilamentCoil(spec, segments_per_turn)
 
 
 def apply_pose(coil: FilamentCoil, pose: Pose) -> FilamentCoil:
     """Rotate then translate a filament coil; lengths are preserved."""
     rot = pose.rotation_matrix()
     center = np.asarray(pose.center)
-    return FilamentCoil(
-        points=coil.points @ rot.T + center,
-        turn_radii=coil.turn_radii,
-        turn_centers=coil.turn_centers @ rot.T + center,
-        axis=coil.axis @ rot.T,
-        wire_length=coil.wire_length,
-        wire_diameter=coil.wire_diameter,
-        spec=coil.spec,
-        rotation=rot @ coil.rotation,
-        origin=coil.origin @ rot.T + center,
-    )
+    return replace(coil, rotation=rot @ coil.rotation,
+                   origin=coil.origin @ rot.T + center)
 
 
 def scenario_poses(sc: Scenario) -> tuple[Pose, Pose]:

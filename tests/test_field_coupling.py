@@ -138,12 +138,6 @@ def test_field_accepts_point_batches():
     np.testing.assert_allclose(b[0], b_field(coil, 1.0, pts[0]), rtol=1e-14)
 
 
-def test_field_needs_the_winding_curve():
-    coil = replace(_loop(0.01), spec=None)
-    with pytest.raises(ValueError, match="CoilSpec"):
-        b_field(coil, 1.0, np.zeros(3))
-
-
 def test_field_inside_the_wire_is_refused():
     coil = _loop(0.01, wire=1e-3)
     with pytest.raises(SingularEvaluationError):
@@ -357,7 +351,7 @@ def _broadcast_node_sum(points, nodes, dl, skip_within=None):
 
 def _broadcast_neumann_sum(m1, d1, m2, d2):
     total = 0.0
-    rows = max(1, field_coupling._CHUNK_PAIRS // len(m2))
+    rows = max(1, field_coupling._BLOCK_PAIRS // len(m2))
     for i0 in range(0, len(m1), rows):
         diff = m1[i0:i0 + rows, None, :] - m2[None, :, :]
         dist = np.sqrt(np.sum(diff * diff, axis=2))
@@ -434,16 +428,16 @@ def test_neumann_sum_matches_its_broadcast_form(tilted, monkeypatch):
     if tilted:
         rx = apply_pose(build_filament_coil(RX, 90),
                         Pose(center=(0.03, -0.02, 0.12), tilt_angle_deg=63.0))
-    for chunk in (None, 1000):
-        if chunk is not None:
-            # 3 rows a chunk at 64 nodes per turn, the last one ragged
-            monkeypatch.setattr(field_coupling, "_CHUNK_PAIRS", chunk)
+    for block in (None, 1000):
+        if block is not None:
+            # 3 rows a block at 64 nodes per turn, the last one ragged
+            monkeypatch.setattr(field_coupling, "_BLOCK_PAIRS", block)
         for n in (8, 16, 32, 64):
             args = (*field_coupling._curve_nodes(tx, n), *field_coupling._curve_nodes(rx, n))
             assert _neumann_sum(*args) == _broadcast_neumann_sum(*args)
 
 
-def test_pair_kernels_keep_block_sized_buffers(monkeypatch):
+def test_pair_kernels_keep_block_sized_buffers():
     # numpy reports its buffers to tracemalloc. Whole-grid planes would
     # take 20k points x 96 nodes x 8 bytes = 15 MB each; each kernel's
     # peak stays within 8 planes of its block budget plus what scales
@@ -452,7 +446,6 @@ def test_pair_kernels_keep_block_sized_buffers(monkeypatch):
     coil = build_filament_coil(_DOME, 64)
     pts = np.random.default_rng(3).uniform(-0.02, 0.02, (20_000, 3))
     nodes, dl = _shared_panels(coil, 0)
-    monkeypatch.setattr(field_coupling, "_CHUNK_PAIRS", 32_768)
     calls = [
         (lambda: field_coupling._node_sum(pts, nodes, dl, skip_within=_SKIP),
          field_coupling._BLOCK_PAIRS, 7 * 8 * len(pts)),
@@ -460,7 +453,7 @@ def test_pair_kernels_keep_block_sized_buffers(monkeypatch):
                                                       coil.segment_ends),
          field_coupling._BLOCK_PAIRS, 4 * 8 * len(pts)),
         (lambda: _neumann_sum(pts, pts, nodes, dl),
-         field_coupling._CHUNK_PAIRS, 6 * 8 * len(pts)),
+         field_coupling._BLOCK_PAIRS, 6 * 8 * len(pts)),
     ]
     for call, pairs, per_point in calls:
         tracemalloc.start()
@@ -501,9 +494,7 @@ def test_field_is_invariant_under_rigid_motion():
         rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         rot *= np.linalg.det(rot)
         shift = rng.uniform(-0.05, 0.05, 3)
-        coil = replace(base, points=base.points @ rot.T + shift,
-                       turn_centers=base.turn_centers @ rot.T + shift,
-                       axis=base.axis @ rot.T, rotation=rot, origin=shift)
+        coil = replace(base, rotation=rot, origin=shift)
         pts = local @ rot.T + shift
         moved = b_field(coil, 2.0, pts)
         still = b_field(base, 2.0, (pts - shift) @ rot) @ rot.T
@@ -654,6 +645,40 @@ def test_flux_route_agrees_with_neumann_on_the_nominal_pose():
     assert result.method == FLUX
     assert result.m == pytest.approx(M_FLUX_NOMINAL, rel=1e-11, abs=0)
     assert abs(result.m - M_NOMINAL) / abs(M_NOMINAL) < 0.01
+
+
+def _vertex_mean_disk_frames(coil):
+    # the flux disks from the polyline alone: each turn's center on the
+    # axis at its vertices' mean height, and its radius their mean
+    # distance from the axis
+    n, spt = coil.axis, coil.segments_per_turn
+    frames = []
+    for i in range(coil.spec.turns):
+        verts = coil.points[i * spt:(i + 1) * spt + 1]
+        center = coil.origin + n * float(np.mean((verts - coil.origin) @ n))
+        rel = verts - center
+        radial = rel - np.outer(rel @ n, n)
+        frames.append((center, float(np.sqrt(np.sum(radial * radial, axis=1)).mean())))
+    return frames
+
+
+@pytest.mark.parametrize("spec", [RX, replace(RX, shape=HELICAL)], ids=["flat", "helical"])
+@pytest.mark.parametrize("pose", [Pose(), Pose(center=(0.092, 0.0, 0.15), tilt_angle_deg=90.0),
+                                  Pose(center=(0.01, -0.02, 0.03), tilt_angle_deg=37.0)],
+                         ids=["local", "rx", "tilted"])
+def test_disk_frames_match_the_vertex_means(spec, pose):
+    # the mid-angle radius is the mean over the turn's vertices, since
+    # the radius grows linearly with angle
+    coil = apply_pose(build_filament_coil(spec, 64), pose)
+    frames = field_coupling._disk_frames(coil)
+    assert len(frames) == spec.turns
+    for (center, radius, e1, e2), (want_center, want_radius) in zip(
+            frames, _vertex_mean_disk_frames(coil)):
+        assert radius == pytest.approx(want_radius, rel=1e-14, abs=0)
+        np.testing.assert_allclose(center, want_center, rtol=1e-14,
+                                   atol=1e-14 * spec.outer_diameter)
+        np.testing.assert_allclose(np.array([e1 @ e1, e2 @ e2, e1 @ e2, e1 @ coil.axis]),
+                                   [1.0, 1.0, 0.0, 0.0], rtol=0, atol=1e-15)
 
 
 def test_reciprocity_of_the_neumann_route():
@@ -832,17 +857,6 @@ def test_spectral_sign_flips_when_the_receiver_turns_over():
                          replace(rx_pose, tilt_angle_deg=270.0))
     m_flipped = mutual_inductance(tx, flipped, method=SPECTRAL).m
     assert m_flipped == pytest.approx(-M_NOMINAL_EXTRAPOLATED, rel=1e-2, abs=0)
-
-
-def test_spectral_route_needs_the_winding_curve():
-    tx, rx = _nominal_pair(90)
-    with pytest.raises(ValueError, match="CoilSpec"):
-        mutual_inductance(tx, replace(rx, spec=None))
-    # the flux route takes the tx field from the tx winding curve; the rx
-    # enters only through disks spanning its polyline turns
-    with pytest.raises(ValueError, match="CoilSpec"):
-        mutual_inductance(replace(tx, spec=None), rx, method=FLUX)
-    assert mutual_inductance(tx, replace(rx, spec=None), method=FLUX).m > 0
 
 
 def test_unknown_method_is_refused():

@@ -54,11 +54,16 @@ def test_helical_coil_must_fit_on_its_sphere():
                  wire_spacing=0.5e-3, shape=HELICAL, sphere_radius=12e-3)
 
 
+def _wire_length(coil):
+    return float(np.sum(np.linalg.norm(np.diff(coil.points, axis=0), axis=1)))
+
+
 def test_wire_length_matches_per_turn_circumferences():
-    # linear radius growth makes each turn's mean radius its nominal one
+    # with linear radius growth each turn's mean radius is its mid-angle
+    # one, not its nominal one, but the sum over all turns matches
     coil = build_filament_coil(RX, segments_per_turn=720)
     expected = float(np.sum(2.0 * math.pi * turn_radii(RX)))
-    assert abs(coil.wire_length - expected) / expected < 1e-3
+    assert abs(_wire_length(coil) - expected) / expected < 1e-3
 
 
 def test_filament_starts_on_inner_radius_and_is_connected():
@@ -117,11 +122,24 @@ def test_posed_curve_follows_the_posed_vertices():
                        Pose(center=(0.1, 0.0, 0.2), tilt_angle_deg=-70.0))
     phi = np.linspace(0.0, 2.0 * math.pi * HELICAL_RX.turns, 5 * 32 + 1)
     points, tangents = posed.curve(phi)
-    np.testing.assert_allclose(points, posed.points, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(points, posed.points)
     # rotation keeps tangent lengths
     _, local = winding_curve(HELICAL_RX, phi)
     np.testing.assert_allclose(np.linalg.norm(tangents, axis=1),
                                np.linalg.norm(local, axis=1), rtol=1e-14)
+
+
+@pytest.mark.parametrize("spec", [RX, HELICAL_RX], ids=["flat", "helical"])
+@pytest.mark.parametrize("tilt", [0.0, 37.0, 90.0, 143.5, -61.0])
+def test_posed_vertices_are_the_local_vertices_moved(spec, tilt):
+    # the polyline a pose derives from the curve is, to the bit, the
+    # local vertices rotated and then translated
+    pose = Pose(center=(0.092, -0.004, 0.15), tilt_angle_deg=tilt)
+    posed = apply_pose(build_filament_coil(spec, 64), pose)
+    phi = np.linspace(0.0, 2.0 * math.pi * spec.turns, spec.turns * 64 + 1)
+    rot = pose.rotation_matrix()
+    moved = winding_curve(spec, phi)[0] @ rot.T + np.asarray(pose.center)
+    assert np.array_equal(posed.points, moved)
 
 
 def test_refinement_halves_the_chord_error():
@@ -129,7 +147,7 @@ def test_refinement_halves_the_chord_error():
     one = CoilSpec(turns=1, inner_radius=10e-3, wire_diameter=1e-4,
                    wire_spacing=0.0)
     exact = 2.0 * math.pi * 10e-3
-    err = [abs(build_filament_coil(one, n).wire_length - exact)
+    err = [abs(_wire_length(build_filament_coil(one, n)) - exact)
            for n in (32, 64, 128)]
     assert err[0] / err[1] == pytest.approx(4.0, rel=0.05)
     assert err[1] / err[2] == pytest.approx(4.0, rel=0.05)
@@ -169,9 +187,7 @@ def test_pose_preserves_lengths_and_translates_centers():
     coil = build_filament_coil(RX, segments_per_turn=48)
     posed = apply_pose(coil, Pose(center=(0.1, -0.02, 0.3),
                                   tilt_angle_deg=37.0))
-    assert posed.wire_length == coil.wire_length
-    seg = np.linalg.norm(np.diff(posed.points, axis=0), axis=1)
-    assert np.sum(seg) == pytest.approx(coil.wire_length, rel=1e-12, abs=0)
+    assert _wire_length(posed) == pytest.approx(_wire_length(coil), rel=1e-12, abs=0)
     rng = np.random.default_rng(7)
     for _ in range(5):
         tilt = float(rng.uniform(0, 180))
