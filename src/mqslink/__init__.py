@@ -16,11 +16,11 @@ from .circuit import (LinkCircuit, Spectrum, default_grid, frequency_sweep,
                       transfer_ratio, transfer_ratio_untuned,
                       tune_capacitance, tx_power)
 from .constants import MU0
-from .field_coupling import (FLUX, SPECTRAL, ConvergenceError,
-                             CouplingResult, GridSpec, SeparationError,
-                             SingularEvaluationError, b_field,
-                             coaxial_mutual_oracle, coupling_coefficient,
-                             field_map, mutual_inductance)
+from .field_coupling import (ConvergenceError, CouplingResult, GridSpec,
+                             SeparationError, SingularEvaluationError,
+                             b_field, coaxial_mutual_oracle,
+                             coupling_coefficient, field_map,
+                             mutual_inductance)
 from .geometry import (FLAT_SPIRAL, HELICAL, CoilSpec, FilamentCoil, Pose,
                        Scenario, apply_pose, build_filament_coil,
                        scenario_poses, turn_radii, winding_curve)

@@ -460,6 +460,7 @@ points = 1001
 [analysis]
 noise_floor = -85 dBV
 snr_convention = voltage
+# accepted (>= 16) but changes no result: B and M use the exact winding
 segments_per_turn = 360
 
 [output]
@@ -748,8 +749,7 @@ class MisalignmentSweepRequest:
         sc = config.scenario
         template = _apply_esr_mode(scenario_link(sc, m=0.0, tuned=True), config)
         sweep = misalignment_sweep(
-            sc, self.axis, self.values(),
-            segments_per_turn=config.segments_per_turn, grid=grid,
+            sc, self.axis, self.values(), grid=grid,
             noise_floor_dbv=config.noise_floor_dbv,
             convention=config.snr_convention, link_template=template)
         warn_list.extend(f"{self.label}: {note}" for note in sweep.notes)

@@ -1,12 +1,13 @@
 """Magnetic coupling between posed filament coils.
 
-Fields come from Biot-Savart on the exact winding curve, by composite
-Gauss-Legendre panels of winding angle whose every panel halves from
-one level to the next; a point stops once its last halving moved B by
-at most 1e-10 relative, and that change (plus a rounding term) is its
-error estimate. Points clear of the wire share uniform panels, summed
-per block of points by matrix products over the point-to-node offsets.
-Every pair kernel (those sums, the exact point-to-segment distance and
+A coil is its exact winding curve, and every result here comes from it.
+Fields come from Biot-Savart on that curve, by composite Gauss-Legendre
+panels of winding angle whose every panel halves from one level to the
+next; a point stops once its last halving moved B by at most 1e-10
+relative, and that change (plus a rounding term) is its error estimate.
+Points clear of the wire share uniform panels, summed per block of
+points by matrix products over the point-to-node offsets. Every pair
+kernel (those sums, the nearest-node search of the curve distance and
 the Neumann sum) builds its offsets as one contiguous (points, nodes)
 plane per coordinate, from contiguous coordinate rows, in a buffer
 allocated once per call and reused by every block. The field blocks
@@ -14,17 +15,16 @@ are sized so their planes stay in a core's L2 cache, which leaves B's
 last bits to the BLAS summation order of each block's rows.
 A point near the wire starts from the uniform panels bisected only
 where they are long against their distance to it, so only the panels
-near it refine, and sums its own nodes in a fixed order. The polyline
-serves only the masks: the nearest-node distance, less the node gap and
-the chord sag, bounds the distance to the polyline from below, and the
-exact point-to-segment distance runs only for points that bound cannot
-clear; it is elementwise, so masks do not depend on the blocking. Flux
-comes from per-turn disk quadrature of that field, and mutual
-inductance from one of two routes: the Neumann double line integral by
-Gauss-Legendre quadrature on the exact winding curve (spectral, the
-default), or the flux route, an independent cross-check of it. A
-closed-form coaxial-loop formula built on AGM elliptic integrals is the
-analytic reference for the kernel.
+near it refine, and sums its own nodes in a fixed order. The wire
+masks and the coil separation check read the distance to the curve:
+the nearest field node's distance, less the node slack, bounds it from
+below, and the exact distance (a nearest node polished by Gauss-Newton
+steps on the winding angle) runs only for points that bound cannot
+clear; it is elementwise, so masks do not depend on the blocking.
+Mutual inductance is the Neumann double line integral by Gauss-Legendre
+quadrature on the exact winding curves. A closed-form coaxial-loop
+formula built on AGM elliptic integrals is the analytic reference for
+the kernel.
 
 Self-inductance is deliberately not computed here (the filament limit
 is singular); the lumped module owns it. The wire radius enters only as
@@ -44,14 +44,10 @@ import numpy as np
 from .constants import MU0
 from .geometry import CoilSpec, FilamentCoil, turn_radii, winding_curve
 
-SPECTRAL = "spectral"
-FLUX = "flux"
-_METHODS = (SPECTRAL, FLUX)
-
-# pair budget per block of every pair kernel: the field kernel
-# (point-node pairs), the segment distance pass (point-segment pairs)
-# and the Neumann sum (node-node pairs). 256 KiB per float64 plane, so
-# a block's planes, allocated once per call and reused by every block,
+# pair budget per block of every pair kernel: the field kernel and the
+# curve distance's nearest-node search (point-node pairs) and the
+# Neumann sum (node-node pairs). 256 KiB per float64 plane, so a
+# block's planes, allocated once per call and reused by every block,
 # stay in a core's L2 cache instead of streaming through it once per
 # elementwise pass
 _BLOCK_PAIRS = 32_768
@@ -59,8 +55,8 @@ _BLOCK_PAIRS = 32_768
 # the field kernel's panels: Gauss-Legendre nodes per panel, panels per
 # turn at level 0 (each level halves them), and the narrowest panel a
 # point's own panels are bisected to (rad). Only a point on the curve
-# itself needs that floor, and the polyline mask lets one through only
-# when the chord sag exceeds the exclusion radius
+# itself would need that floor, and the exclusion mask, decided on the
+# curve, keeps every such point out; the floor is a guard
 _PANEL_NODES = 16
 _BASE_PANELS = 2
 _MIN_WIDTH = 1e-9
@@ -86,9 +82,17 @@ _OWN_POINTS = 1024
 # beside the wire by 3x or more
 _ROUNDING = 2.0 * 2.0**-52
 
-# quadrature ladder for flux disks: (radial Gauss-Legendre nodes,
-# uniform angular nodes), each level doubling the previous
-_FLUX_LEVELS = ((8, 16), (16, 32), (32, 64), (64, 128))
+# the curve distance: nodes per turn of its nearest-node search, and
+# the clipped Gauss-Newton steps that polish each candidate node. Each
+# step shrinks a candidate's angle error by about the distance over the
+# curve's radius of curvature, under 0.05 for every mask and
+# separation decision here (at most 0.14 mm against at least 4 mm)
+_DISTANCE_NODES = 64
+_DISTANCE_STEPS = 6
+
+# candidates the curve distance polishes at once (each carries about ten
+# doubles through its steps), so short blocks share the per-call cost
+_CANDIDATES = 4096
 
 # spectral refinement ladder: Gauss-Legendre nodes per turn
 _SPECTRAL_LEVELS = (8, 16, 32, 64)
@@ -120,14 +124,11 @@ class CouplingResult:
     """Mutual inductance (signed, H) with its convergence evidence."""
 
     m: float
-    method: str
     convergence_estimate: float
 
     def __post_init__(self):
         if not math.isfinite(self.m):
             raise ValueError(f"m must be finite, got {self.m!r}")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if not (0.0 <= self.convergence_estimate < math.inf):
             raise ValueError(
                 f"convergence_estimate must be finite and >= 0, got {self.convergence_estimate!r}"
@@ -174,41 +175,6 @@ class GridSpec:
         normal = ({"x", "y", "z"} - set(self.plane)).pop()
         cols[normal] = np.full(g1.size, float(self.offset))
         return np.column_stack([cols["x"], cols["y"], cols["z"]])
-
-
-def _distance_to_segments(points: np.ndarray, starts: np.ndarray,
-                          ends: np.ndarray) -> np.ndarray:
-    """Distance from each point to the nearest polyline segment."""
-    seg = ends - starts
-    seg_len_sq = np.maximum(np.sum(seg * seg, axis=1), 1e-300)
-    pt, st, sg = (np.ascontiguousarray(a.T) for a in (points, starts, seg))
-    out = np.empty(len(points))
-    rows = max(1, _BLOCK_PAIRS // max(1, len(starts)))
-    # planes: point - start as x, y, z (then point - closest), the
-    # segment parameter t, and one scratch plane
-    buf = np.empty((5, min(rows, len(points)), len(starts)))
-    for i0 in range(0, len(points), rows):
-        p = pt[:, i0:i0 + rows]
-        *w, t, tmp = buf[:, :p.shape[1]]
-        for k in range(3):
-            np.subtract.outer(p[k], st[k], out=w[k])
-        # t = clip((w . seg) / |seg|^2), summed (x + y) + z
-        np.multiply(w[0], sg[0], out=t)
-        for k in (1, 2):
-            t += np.multiply(w[k], sg[k], out=tmp)
-        t /= seg_len_sq
-        np.clip(t, 0.0, 1.0, out=t)
-        # |point - (start + t seg)|^2, summed (x + y) + z; sqrt is
-        # monotone, so it is taken after the minimum
-        for k in range(3):
-            np.multiply(t, sg[k], out=w[k])
-            w[k] += st[k]
-            np.subtract(p[k, :, None], w[k], out=w[k])
-            w[k] *= w[k]
-        w[0] += w[1]
-        w[0] += w[2]
-        out[i0:i0 + rows] = np.sqrt(w[0].min(axis=1))
-    return out
 
 
 def _panel_nodes(spec: CoilSpec, start: np.ndarray, width: np.ndarray):
@@ -339,6 +305,79 @@ def _panel_sum(spec, points, owner, start, width):
     return b, nearest
 
 
+def _top_speed(spec: CoilSpec) -> float:
+    # the winding's speed |dr/dphi| grows outward with its radius and
+    # sag, so its outer end bounds it
+    return float(np.linalg.norm(winding_curve(spec, [2.0 * math.pi * spec.turns])[1]))
+
+
+def _polish(spec: CoilSpec, local: np.ndarray, owner: np.ndarray, angle: np.ndarray,
+            out: np.ndarray) -> None:
+    # clipped Gauss-Newton steps on the winding angle from each candidate
+    # node, within half a node gap of it, _CANDIDATES at a time; each
+    # owner's entry of out drops to its nearest polished point
+    half = math.pi / _DISTANCE_NODES
+    for j in range(0, len(owner), _CANDIDATES):
+        who, phi = owner[j:j + _CANDIDATES], angle[j:j + _CANDIDATES]
+        target = local[who]
+        lo = np.maximum(phi - half, 0.0)
+        hi = np.minimum(phi + half, 2.0 * math.pi * spec.turns)
+        for _ in range(_DISTANCE_STEPS):
+            c, t = winding_curve(spec, phi)
+            c -= target
+            phi = np.clip(phi - np.sum(c * t, axis=1) / np.sum(t * t, axis=1), lo, hi)
+        c = winding_curve(spec, phi)[0] - target
+        np.minimum.at(out, who, np.sqrt(np.sum(c * c, axis=1)))
+
+
+def _curve_distance(coil: FilamentCoil, points: np.ndarray) -> np.ndarray:
+    """Distance from each of the (n, 3) points to the exact winding curve.
+
+    Every point of the curve lies within half a node gap of winding
+    angle, and so within `slack` (that half gap times the top speed), of
+    one of _DISTANCE_NODES nodes per turn. The nearest node's distance
+    bounds the answer from above, so only nodes within it plus `slack`
+    can hold the nearest point. Each such candidate is polished by
+    clipped Gauss-Newton steps on the angle, phi -= (c - p).c'/|c'|^2,
+    bracketed by its half gap, which converge while the distance is
+    below the curve's radius of curvature. Candidates are polished
+    _CANDIDATES at a time, gathered over blocks; every step is
+    elementwise, so the result depends neither on the blocking nor on
+    the batching.
+    """
+    spec = coil.spec
+    phi = np.arange(spec.turns * _DISTANCE_NODES + 1) * (2.0 * math.pi / _DISTANCE_NODES)
+    nodes = np.ascontiguousarray(winding_curve(spec, phi)[0].T)
+    slack = math.pi / _DISTANCE_NODES * _top_speed(spec)
+    local = (points - coil.origin) @ coil.rotation
+    pt = np.ascontiguousarray(local.T)
+    out = np.empty(len(points))
+    rows = max(1, _BLOCK_PAIRS // len(phi))
+    # planes: the squared distance, summed (x + y) + z, and a scratch
+    # plane
+    buf = np.empty((2, min(rows, len(points)), len(phi)))
+    owner, angle, pending = [], [], 0
+    for i0 in range(0, len(points), rows):
+        p = pt[:, i0:i0 + rows]
+        dist, tmp = buf[:, :p.shape[1]]
+        np.subtract.outer(p[0], nodes[0], out=tmp)
+        np.multiply(tmp, tmp, out=dist)
+        for k in (1, 2):
+            np.subtract.outer(p[k], nodes[k], out=tmp)
+            dist += np.multiply(tmp, tmp, out=tmp)
+        near = out[i0:i0 + rows] = np.sqrt(dist.min(axis=1))
+        # every row keeps at least its nearest node
+        row, col = np.nonzero(dist <= ((near + slack) ** 2)[:, None])
+        row += i0
+        owner.append(row)
+        angle.append(phi[col])
+        pending += len(row)
+        if pending >= _CANDIDATES or i0 + rows >= len(points):
+            _polish(spec, local, np.concatenate(owner), np.concatenate(angle), out)
+            owner, angle, pending = [], [], 0
+    return out
+
+
 class _Ladder:
     """One kernel call's state: the points in the coil's local frame,
     what they have reached so far, and the refinement settings."""
@@ -351,10 +390,8 @@ class _Ladder:
         self.estimate = np.zeros(len(points))
         self.tolerance = np.broadcast_to(
             _FIELD_TOLERANCE if tolerance is None else tolerance, len(points))
-        # the winding's speed |dr/dphi| grows outward with its radius and
-        # sag, so its outer end bounds it
         turns = spec.turns
-        self.speed = float(np.linalg.norm(winding_curve(spec, [2.0 * math.pi * turns])[1]))
+        self.speed = _top_speed(spec)
         self.floor = _FIELD_FLOOR * 2.0 * math.pi * turns / float(np.mean(radii))
         # coordinate and winding-angle span, in metres, for the rounding
         self.span = np.sqrt(np.sum(self.local * self.local, axis=1)) + \
@@ -411,8 +448,8 @@ def _curve_field(coil: FilamentCoil, points: np.ndarray, tolerance=None):
     """B per ampere (T/A) of the exact winding at the (n, 3) points.
 
     Returns (b, valid, estimate). valid[i] is False where points[i] lies
-    within half a wire diameter of the polyline; b is zero there. Each
-    level sums Biot-Savart, mu0/4pi sum dl x (p - r)/|p - r|^3, over
+    within half a wire diameter of the winding curve; b is zero there.
+    Each level sums Biot-Savart, mu0/4pi sum dl x (p - r)/|p - r|^3, over
     Gauss-Legendre panels of winding angle, and halves every panel for
     the next. Points clear of the wire share uniform panels; each point
     near it starts from the uniform panels bisected where they reach
@@ -428,18 +465,13 @@ def _curve_field(coil: FilamentCoil, points: np.ndarray, tolerance=None):
 
     # level 0 on the uniform panels, with the nearest-node distance. A
     # point of the curve lies within `slack` of a node (half the widest
-    # node gap, or the gap at a panel's end), and the polyline within
-    # `sag` of the curve: each chord's arc, no longer than its angle
-    # times the speed, stays inside the ellipse with the chord's ends as
-    # foci
+    # node gap, or the gap at a panel's end), so points further than
+    # `reach` from every node lie outside the exclusion zone
     start, width = _uniform_panels(turns, 0)
     frac = (_gauss_legendre(_PANEL_NODES)[0] + 1.0) / 2.0
     slack = width[0] * speed * max(np.diff(frac).max() / 2.0, frac[0])
-    chord = np.sqrt(np.sum((coil.segment_ends - coil.segment_starts) ** 2, axis=1))
-    arc = 2.0 * math.pi * turns / coil.n_segments * speed
-    sag = float(np.sqrt(np.maximum(arc * arc - chord * chord, 0.0)).max()) / 2.0
     exclusion = coil.wire_diameter / 2.0
-    reach = exclusion + slack + sag
+    reach = exclusion + slack
     # points further than `clear` from every node lie at least
     # 1/_PANEL_REACH of a uniform panel's length from the curve, and
     # share the uniform panels; level 0 sums only those
@@ -447,12 +479,11 @@ def _curve_field(coil: FilamentCoil, points: np.ndarray, tolerance=None):
     b0, nearest = _node_sum(ladder.local, *_panel_nodes(coil.spec, start, width),
                             skip_within=clear)
     # only points the bound cannot clear (with a margin far above
-    # rounding) need the exact segment distance
+    # rounding) need the exact curve distance
     valid = np.ones(len(points), dtype=bool)
     unsure = np.flatnonzero(nearest - reach <= 1e-9 * (nearest + reach))
     if len(unsure):
-        d = _distance_to_segments(points[unsure], coil.segment_starts, coil.segment_ends)
-        valid[unsure[d <= exclusion]] = False
+        valid[unsure[_curve_distance(coil, points[unsure]) <= exclusion]] = False
     shared = nearest > clear
     shared[unsure] = False
 
@@ -479,18 +510,16 @@ def b_field(coil: FilamentCoil, current: float, point) -> np.ndarray:
     """Magnetic flux density of the coil carrying `current`, in tesla.
 
     point may be a single 3-vector or an (n, 3) array; the result
-    matches its shape. Evaluation within half a wire diameter of any
-    polyline segment raises SingularEvaluationError. B comes from the
-    exact winding curve; points that stop at the refinement cap above
-    tolerance raise a warning.
+    matches its shape. Evaluation within half a wire diameter of the
+    winding curve raises SingularEvaluationError. Points that stop at
+    the refinement cap above tolerance raise a warning.
     """
     pts = np.atleast_2d(np.asarray(point, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"point must be a 3-vector or (n, 3) array, got shape {np.shape(point)}")
     b, valid, estimate = _curve_field(coil, pts)
     if not valid.all():
-        worst = float(_distance_to_segments(pts[~valid], coil.segment_starts,
-                                            coil.segment_ends).min())
+        worst = float(_curve_distance(coil, pts[~valid]).min())
         raise SingularEvaluationError(
             f"evaluation point within {worst:.3e} m of the filament "
             f"(exclusion zone {coil.wire_diameter / 2.0:.3e} m)"
@@ -526,26 +555,28 @@ def _coupling_floor(tx: FilamentCoil, rx: FilamentCoil) -> float:
 
 
 def _closest_approach(tx: FilamentCoil, rx: FilamentCoil) -> float:
-    # polylines sampled at vertices + midpoints against the other
-    # coil's segments
-    return min(
-        float(_distance_to_segments(
-            np.vstack([a.points, (a.segment_starts + a.segment_ends) / 2.0]),
-            b.segment_starts, b.segment_ends).min())
-        for a, b in ((tx, rx), (rx, tx)))
+    # each curve sampled at arc steps no longer than the combined wire
+    # exclusion, against the other's exact curve, both ways
+    step = (tx.wire_diameter + rx.wire_diameter) / 2.0
+    worst = math.inf
+    for a, b in ((tx, rx), (rx, tx)):
+        turns = a.spec.turns
+        per_turn = math.ceil(2.0 * math.pi * _top_speed(a.spec) / step)
+        samples, _ = a.curve(np.linspace(0.0, 2.0 * math.pi * turns, turns * per_turn + 1))
+        worst = min(worst, float(_curve_distance(b, samples).min()))
+    return worst
 
 
 def _check_separation(tx: FilamentCoil, rx: FilamentCoil) -> None:
     # the filament model needs clearance beyond the mean wire diameter
     threshold = (tx.wire_diameter + rx.wire_diameter) / 2.0
-    # each polyline lies in the ball about its mean vertex that reaches
-    # its farthest vertex; balls further apart than the threshold (with
-    # a margin far above rounding) settle the check without the
-    # pairwise pass
-    centers = [c.points.mean(axis=0) for c in (tx, rx)]
-    reach = sum(float(np.sqrt(np.max(np.sum((c.points - m) ** 2, axis=1))))
-                for c, m in zip((tx, rx), centers))
-    span = float(np.linalg.norm(centers[0] - centers[1]))
+    # |c(phi)| grows with phi for both shapes, so each coil lies in the
+    # ball about its origin that reaches its outer end; balls further
+    # apart than the threshold (with a margin far above rounding)
+    # settle the check without the pairwise pass
+    reach = sum(float(np.linalg.norm(winding_curve(c.spec, [2.0 * math.pi * c.spec.turns])[0]))
+                for c in (tx, rx))
+    span = float(np.linalg.norm(tx.origin - rx.origin))
     if span - reach > threshold + 1e-9 * (span + reach):
         return
     d = _closest_approach(tx, rx)
@@ -556,28 +587,6 @@ def _check_separation(tx: FilamentCoil, rx: FilamentCoil) -> None:
         )
 
 
-def _disk_frames(coil: FilamentCoil):
-    """Per-turn (center, radius, e1, e2) for flat spanning disks.
-
-    The radius is the winding's at the turn's mid-angle: it grows
-    linearly with angle, so that is its mean over the turn. The center
-    sits on the coil axis at the mean height of the turn's vertices;
-    normals share the coil axis.
-    """
-    spec, spt = coil.spec, coil.segments_per_turn
-    n = coil.axis
-    helper = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(n, helper)
-    e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
-    mid, _ = winding_curve(spec, 2.0 * math.pi * (np.arange(spec.turns) + 0.5))
-    radii = np.hypot(mid[:, 0], mid[:, 1])
-    phi = np.linspace(0.0, 2.0 * math.pi * spec.turns, len(coil.points))
-    height = winding_curve(spec, phi)[0][:, 2]
-    return [(coil.origin + n * float(np.mean(height[i * spt:(i + 1) * spt + 1])),
-             float(radii[i]), e1, e2) for i in range(spec.turns)]
-
-
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
     # imported on first use, so parsing a config never loads it
@@ -586,55 +595,6 @@ def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-def _flux(tx: FilamentCoil, rx: FilamentCoil, tolerance: float) -> Tuple[float, float]:
-    # (flux per ampere, relative change of the last refinement)
-    _check_separation(tx, rx)
-    frames = _disk_frames(rx)
-    normal = rx.axis
-    floor = _coupling_floor(tx, rx)
-
-    prev = None
-    estimate = math.inf
-    for n_r, n_t in _FLUX_LEVELS:
-        nodes, weights = _gauss_legendre(n_r)
-        x = (nodes + 1.0) / 2.0            # radial fraction on (0, 1)
-        w = weights / 2.0
-        theta = 2.0 * math.pi * np.arange(n_t) / n_t
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
-
-        pts = []
-        areas = []
-        for center, radius, e1, e2 in frames:
-            ring = (np.outer(cos_t, e1) + np.outer(sin_t, e2))    # (n_t, 3)
-            p = center + radius * x[:, None, None] * ring[None, :, :]
-            pts.append(p.reshape(-1, 3))
-            # r dr dtheta weights for this disk
-            areas.append(np.repeat(radius**2 * w * x, n_t) * (2.0 * math.pi / n_t))
-        pts = np.vstack(pts)
-        areas = np.concatenate(areas)
-
-        b, valid, _ = _curve_field(tx, pts)
-        if not valid.all():
-            d = float(_distance_to_segments(pts[~valid], tx.segment_starts,
-                                            tx.segment_ends).min())
-            raise SeparationError(
-                "receiver spanning surface enters the transmitter wire's "
-                f"exclusion zone (closest approach {d:.3e} m)"
-            )
-        phi = float(np.sum((b @ normal) * areas))
-
-        if prev is not None:
-            estimate = abs(phi - prev) / max(abs(phi), floor) if max(abs(phi), floor) > 0 else 0.0
-            if estimate <= tolerance:
-                return phi, estimate
-        prev = phi
-    raise ConvergenceError(
-        f"flux quadrature did not reach tolerance {tolerance:g} "
-        f"(last relative change {estimate:.3e})",
-        value=prev, estimate=estimate,
-    )
 
 
 def _curve_nodes(coil: FilamentCoil, n: int):
@@ -671,31 +631,20 @@ def _neumann_sum(m1: np.ndarray, d1: np.ndarray, m2: np.ndarray, d2: np.ndarray)
     return MU0 / (4.0 * math.pi) * total
 
 
-def mutual_inductance(tx: FilamentCoil, rx: FilamentCoil, method: str = SPECTRAL,
+def mutual_inductance(tx: FilamentCoil, rx: FilamentCoil,
                       tolerance: float = 1e-3) -> CouplingResult:
     """Mutual inductance between two posed coils, signed by orientation.
 
-    spectral: the Neumann double line integral on the exact winding
-    curves of both coils, with Gauss-Legendre nodes per turn doubling
-    from 8 to 64; it converges exponentially. The polylines serve only
-    the separation check.
-    flux: the tx field's flux per ampere through a flat disk spanning
-    each rx turn, B.n integrated by radial Gauss-Legendre x
-    uniform-angle quadrature and refined until successive estimates
-    agree. B comes from the tx winding curve. It agrees with the
-    spectral route within about 1% on non-pathological geometries.
+    The Neumann double line integral on the exact winding curves of both
+    coils, with Gauss-Legendre nodes per turn doubling from 8 to 64; it
+    converges exponentially. The coils must clear each other by more
+    than their mean wire diameter, or SeparationError is raised.
 
     convergence_estimate is the relative change of the last refinement,
     judged against a dipole-scale floor near symmetry nulls.
     """
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if tolerance <= 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
-
-    if method == FLUX:
-        phi, estimate = _flux(tx, rx, tolerance)
-        return CouplingResult(m=phi, method=FLUX, convergence_estimate=estimate)
 
     _check_separation(tx, rx)
     floor = _coupling_floor(tx, rx)
@@ -706,7 +655,7 @@ def mutual_inductance(tx: FilamentCoil, rx: FilamentCoil, method: str = SPECTRAL
         if prev is not None:
             estimate = abs(m - prev) / max(abs(m), floor)
             if estimate <= tolerance:
-                return CouplingResult(m=m, method=SPECTRAL, convergence_estimate=estimate)
+                return CouplingResult(m=m, convergence_estimate=estimate)
         prev = m
     raise ConvergenceError(
         f"Spectral refinement did not reach tolerance {tolerance:g} "

@@ -138,20 +138,17 @@ class FilamentCoil:
 
     ``rotation`` and ``origin`` place the local frame of the winding
     ``spec`` describes in the world (world = rotation @ local + origin),
-    and ``curve`` evaluates that exact winding at any angle. ``points``
-    is derived: the (P, 3) polyline vertices, the curve sampled at
-    ``segments_per_turn`` equal angle steps per turn. Segment i runs
-    from points[i] to points[i+1], so the path is connected by
-    construction. The polyline sets only the wire exclusion masks and
-    the coil separation check; fields and mutual inductance come from
-    the curve.
+    and ``curve`` evaluates that exact winding at any angle. Fields,
+    mutual inductance, the wire exclusion masks and the coil separation
+    check all come from that curve.
     """
 
     spec: CoilSpec
+    # accepted (>= 16) and counted by n_segments, but it changes no
+    # result; both go with the benchmark's own upkeep (ROADMAP item 10)
     segments_per_turn: int
     rotation: np.ndarray = field(default_factory=lambda: np.eye(3))   # (3, 3)
     origin: np.ndarray = field(default_factory=lambda: np.zeros(3))   # (3,) m
-    points: np.ndarray = field(init=False, repr=False)                # (P, 3) m
 
     def __post_init__(self):
         if self.segments_per_turn < 16:
@@ -162,11 +159,6 @@ class FilamentCoil:
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        turns = self.spec.turns
-        phi = np.linspace(0.0, 2.0 * math.pi * turns, turns * self.segments_per_turn + 1)
-        points, _ = self.curve(phi)
-        points.setflags(write=False)
-        object.__setattr__(self, "points", points)
 
     @property
     def axis(self) -> np.ndarray:
@@ -180,15 +172,8 @@ class FilamentCoil:
 
     @property
     def n_segments(self) -> int:
-        return len(self.points) - 1
-
-    @property
-    def segment_starts(self) -> np.ndarray:
-        return self.points[:-1]
-
-    @property
-    def segment_ends(self) -> np.ndarray:
-        return self.points[1:]
+        """turns * segments_per_turn."""
+        return self.spec.turns * self.segments_per_turn
 
     def curve(self, phi) -> tuple[np.ndarray, np.ndarray]:
         """World points and d/dphi tangents of the exact winding at phi.
@@ -282,8 +267,8 @@ def winding_curve(spec: CoilSpec, phi) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_filament_coil(spec: CoilSpec, segments_per_turn: int) -> FilamentCoil:
-    """The coil of `spec` in its local frame, its polyline sampling the
-    winding curve at `segments_per_turn` (at least 16) steps per turn."""
+    """The coil of `spec` in its local frame. `segments_per_turn` (at
+    least 16) is kept for its callers and changes no result."""
     return FilamentCoil(spec, segments_per_turn)
 
 

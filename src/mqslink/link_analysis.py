@@ -290,9 +290,8 @@ def scenario_mutual_inductance(sc: Scenario, segments_per_turn: int = 360,
                                tolerance: float = 1e-3) -> float:
     """M (H) of the scenario's posed coil pair.
 
-    The Neumann integral runs on the exact winding curves (the spectral
-    route); segments_per_turn sets only the polylines that the
-    separation check uses.
+    The Neumann integral runs on the exact winding curves. Kept for its
+    callers, segments_per_turn changes no result.
     """
     tx_pose, rx_pose = scenario_poses(sc)
     tx = apply_pose(build_filament_coil(sc.tx, segments_per_turn), tx_pose)
@@ -350,8 +349,8 @@ def _scenario_variant(sc: Scenario, axis: str, value: float) -> Scenario:
 
 
 def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float],
-                       segments_per_turn: int = 360, tolerance: float = 1e-3,
-                       grid=None, noise_floor_dbv: float = DEFAULT_NOISE_FLOOR_DBV,
+                       tolerance: float = 1e-3, grid=None,
+                       noise_floor_dbv: float = DEFAULT_NOISE_FLOOR_DBV,
                        convention: str = VOLTAGE,
                        link_template: Optional[LinkCircuit] = None) -> SweepResult:
     """Re-pose the geometry along one axis and summarize each link.
@@ -380,7 +379,7 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float],
     for value in vals:
         try:
             m = scenario_mutual_inductance(_scenario_variant(sc, axis, value),
-                                           segments_per_turn, tolerance)
+                                           tolerance=tolerance)
             spectrum = frequency_sweep(replace(nominal, m=m), sweep_grid)
             rows.append(_sweep_row(value, spectrum.frequencies, spectrum.h, nominal.v_source,
                                    nominal.r_load, noise_floor_dbv, convention))

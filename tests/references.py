@@ -1,0 +1,104 @@
+"""Test-side references built from a coil's exact winding curve.
+
+The polyline that the older kernels ran on, and the flux route to
+mutual inductance: both are cross-checks of the package's curve
+kernels, not part of the package.
+"""
+
+import math
+
+import numpy as np
+
+from mqslink.field_coupling import (ConvergenceError, SeparationError,
+                                    _check_separation, _coupling_floor,
+                                    _curve_distance, _curve_field,
+                                    _gauss_legendre)
+from mqslink.geometry import winding_curve
+
+# quadrature ladder for flux disks: (radial Gauss-Legendre nodes,
+# uniform angular nodes), each level doubling the previous
+FLUX_LEVELS = ((8, 16), (16, 32), (32, 64), (64, 128))
+
+
+def polyline(coil, per_turn):
+    """(turns * per_turn + 1, 3) vertices: the posed curve at equal angle
+    steps. Segment i runs from vertex i to vertex i + 1."""
+    turns = coil.spec.turns
+    return coil.curve(np.linspace(0.0, 2.0 * math.pi * turns, turns * per_turn + 1))[0]
+
+
+def disk_frames(coil, per_turn=360):
+    """Per-turn (center, radius, e1, e2) of flat spanning disks.
+
+    The radius is the winding's at the turn's mid-angle: it grows
+    linearly with angle, so that is its mean over the turn. The center
+    sits on the coil axis at the mean height of the turn's per_turn + 1
+    vertices; normals share the coil axis.
+    """
+    spec = coil.spec
+    n = coil.axis
+    helper = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    e1 = np.cross(n, helper)
+    e1 = e1 / np.linalg.norm(e1)
+    e2 = np.cross(n, e1)
+    mid, _ = winding_curve(spec, 2.0 * math.pi * (np.arange(spec.turns) + 0.5))
+    radii = np.hypot(mid[:, 0], mid[:, 1])
+    phi = np.linspace(0.0, 2.0 * math.pi * spec.turns, spec.turns * per_turn + 1)
+    height = winding_curve(spec, phi)[0][:, 2]
+    return [(coil.origin + n * float(np.mean(height[i * per_turn:(i + 1) * per_turn + 1])),
+             float(radii[i]), e1, e2) for i in range(spec.turns)]
+
+
+def flux_mutual_inductance(tx, rx, tolerance=1e-3):
+    """(M, relative change of the last refinement) by the flux route.
+
+    The tx field's flux per ampere through a flat disk spanning each rx
+    turn, B.n integrated by radial Gauss-Legendre x uniform-angle
+    quadrature and refined until successive estimates agree. B comes
+    from the tx winding curve. A spiral's turns are not flat disks, so
+    it agrees with the Neumann integral only to about 1%.
+    """
+    _check_separation(tx, rx)
+    frames = disk_frames(rx)
+    normal = rx.axis
+    floor = _coupling_floor(tx, rx)
+
+    prev = None
+    estimate = math.inf
+    for n_r, n_t in FLUX_LEVELS:
+        nodes, weights = _gauss_legendre(n_r)
+        x = (nodes + 1.0) / 2.0            # radial fraction on (0, 1)
+        w = weights / 2.0
+        theta = 2.0 * math.pi * np.arange(n_t) / n_t
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+
+        pts = []
+        areas = []
+        for center, radius, e1, e2 in frames:
+            ring = (np.outer(cos_t, e1) + np.outer(sin_t, e2))    # (n_t, 3)
+            p = center + radius * x[:, None, None] * ring[None, :, :]
+            pts.append(p.reshape(-1, 3))
+            # r dr dtheta weights for this disk
+            areas.append(np.repeat(radius**2 * w * x, n_t) * (2.0 * math.pi / n_t))
+        pts = np.vstack(pts)
+        areas = np.concatenate(areas)
+
+        b, valid, _ = _curve_field(tx, pts)
+        if not valid.all():
+            d = float(_curve_distance(tx, pts[~valid]).min())
+            raise SeparationError(
+                "receiver spanning surface enters the transmitter wire's "
+                f"exclusion zone (closest approach {d:.3e} m)"
+            )
+        phi = float(np.sum((b @ normal) * areas))
+
+        if prev is not None:
+            estimate = abs(phi - prev) / max(abs(phi), floor)
+            if estimate <= tolerance:
+                return phi, estimate
+        prev = phi
+    raise ConvergenceError(
+        f"flux quadrature did not reach tolerance {tolerance:g} "
+        f"(last relative change {estimate:.3e})",
+        value=prev, estimate=estimate,
+    )

@@ -17,8 +17,7 @@ from mqslink.circuit import (LinkCircuit, default_grid, frequency_sweep,
                              received_power, receiver_capacitance,
                              transfer_ratio, transfer_ratio_untuned,
                              tune_capacitance, tx_power)
-from mqslink.field_coupling import (FLUX, coaxial_mutual_oracle,
-                                    mutual_inductance)
+from mqslink.field_coupling import coaxial_mutual_oracle, mutual_inductance
 from mqslink.geometry import (CoilSpec, Pose, Scenario, apply_pose,
                               build_filament_coil)
 from mqslink.link_analysis import (TX_ANGLE, AXIAL, capacity_vs_bandwidth,
@@ -28,6 +27,7 @@ from mqslink.link_analysis import (TX_ANGLE, AXIAL, capacity_vs_bandwidth,
 from mqslink.lumped import (LOW_CONFIDENCE, current_sheet_inductance,
                             estimate_inductance)
 from mqslink.cli import main as cli_main
+from references import flux_mutual_inductance
 
 RX = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
               wire_spacing=0.5e-3)
@@ -121,7 +121,7 @@ def test_criterion_04_coupling_kernel(capsys):
                                     rng.uniform(0.050, 0.080)),
                             tilt_angle_deg=rng.uniform(0, 90)))
         m_n = mutual_inductance(a, b).m
-        m_f = mutual_inductance(a, b, method=FLUX).m
+        m_f, _ = flux_mutual_inductance(a, b)
         worst_routes = max(worst_routes, abs(m_f - m_n) / abs(m_n))
         if i % 5 == 0:
             m_r = mutual_inductance(b, a).m
@@ -177,14 +177,12 @@ def test_criterion_06_resonant_gain(capsys, nominal_m):
 
 def test_criterion_07_robustness(capsys):
     angles = misalignment_sweep(NOMINAL, TX_ANGLE,
-                                [20.0, 30.0, 40.0, 50.0, 60.0],
-                                segments_per_turn=180)
+                                [20.0, 30.0, 40.0, 50.0, 60.0])
     peaks = [r.peak_db for r in angles.rows]
     spread = max(peaks) - min(peaks)
 
     axial = misalignment_sweep(NOMINAL, AXIAL,
-                               [0.100, 0.150, 0.200, 0.250, 0.300],
-                               segments_per_turn=180)
+                               [0.100, 0.150, 0.200, 0.250, 0.300])
     mags = [10 ** (r.peak_db / 20.0) for r in axial.rows]
     monotone = all(b < a for a, b in zip(mags, mags[1:]))
     ok = spread <= 10.0 and monotone

@@ -412,6 +412,78 @@ def test_repeated_runs_are_byte_identical(tmp_path):
                 assert a.read_bytes() == b.read_bytes()
 
 
+# the tx flat in the xy plane, and a field map across its five turns
+# near the winding angle pi/16, where a 16-gon's chords sag 1.2 mm off
+# the curve
+NO_SPT_EFFECT = """\
+[tx_coil]
+turns = 5
+inner_radius = 60 mm
+wire_diameter = 0.137 mm
+wire_spacing = 0.5 mm
+inductance_override = 35 uH
+
+[rx_coil]
+turns = 5
+inner_radius = 4 mm
+wire_diameter = 0.137 mm
+wire_spacing = 0.5 mm
+
+[placement]
+x_eye = 92 mm
+z_eye = 150 mm
+tx_angle = 0 deg
+
+[frequency_grid]
+start = 25 MHz
+stop = 27 MHz
+points = 51
+
+[analysis]
+segments_per_turn = {spt}
+
+[sweep tx_angle]
+start = 0 deg
+stop = 60 deg
+step = 30 deg
+
+[field_map]
+coil = tx
+plane = xy
+offset = 0 mm
+axis1_start = 58 mm
+axis1_stop = 62 mm
+axis1_points = 41
+axis2_start = 11.5 mm
+axis2_stop = 12.5 mm
+axis2_points = 11
+"""
+
+
+def test_segments_per_turn_moves_no_result(tmp_path):
+    # B, M and the wire masks all come from the exact winding, so the
+    # key changes no artifact byte; report.json differs only in its
+    # timings and in the digest of its (different) config file
+    outs = []
+    for spt in (16, 360):
+        config = write_config(tmp_path, NO_SPT_EFFECT.format(spt=spt), f"spt{spt}.ini")
+        outs.append(tmp_path / f"out{spt}")
+        assert main(["run", str(config), "--out", str(outs[-1])]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == ["field_map.csv", "report.json", "sweep_tx_angle.csv"]
+    assert sorted(p.name for p in outs[1].iterdir()) == names
+    reports = [json.loads((out / "report.json").read_text()) for out in outs]
+    for report in reports:
+        report.pop("timings_s")
+        report.pop("config_digest")
+    assert reports[0] == reports[1]
+    assert reports[0]["failures"] == []
+    masked = [w for w in reports[0]["warnings"] if "inside the wire" in w]
+    assert len(masked) == 1 and not masked[0].startswith("field_map: 0 of")
+    for name in ("field_map.csv", "sweep_tx_angle.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_validate_and_defaults_subcommands(tmp_path, capsys):
     config = write_config(tmp_path, SMALL_RUN)
     assert main(["validate", str(config)]) == 0

@@ -12,16 +12,18 @@ from hypothesis import strategies as st
 
 from mqslink import field_coupling
 from mqslink.constants import MU0
-from mqslink.field_coupling import (FLUX, SPECTRAL, ConvergenceError,
-                                    CouplingResult, GridSpec,
-                                    SeparationError, SingularEvaluationError,
+from mqslink.field_coupling import (ConvergenceError, CouplingResult,
+                                    GridSpec, SeparationError,
+                                    SingularEvaluationError,
                                     _check_separation, _closest_approach,
-                                    _coupling_floor, _ellipke, _neumann_sum,
-                                    b_field, coaxial_mutual_oracle,
+                                    _coupling_floor, _curve_distance,
+                                    _ellipke, _neumann_sum, b_field,
+                                    coaxial_mutual_oracle,
                                     coupling_coefficient, field_map,
                                     mutual_inductance)
 from mqslink.geometry import (HELICAL, CoilSpec, Pose, Scenario, apply_pose,
                               build_filament_coil, scenario_poses)
+from references import disk_frames, flux_mutual_inductance, polyline
 
 RX = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
               wire_spacing=0.5e-3)
@@ -35,22 +37,26 @@ NOMINAL = Scenario(tx=TX, rx=RX, x_eye=92e-3, z_eye=150e-3, tx_angle_deg=40.0,
 # every approx in this file passes abs=0
 
 M_NOMINAL = 3.9074457990719537e-10    # _polyline_neumann, 360 segments/turn
-M_FLUX_NOMINAL = 3.884941691187825e-10  # tx field from the exact winding
+M_FLUX_NOMINAL = 3.884941691187825e-10  # flux_mutual_inductance, tx curve field
 # _polyline_neumann at 360 and 720 segments/turn, Richardson-extrapolated:
 # (4 M(720) - M(360)) / 3, since the polyline error falls as segments^-2
 M_NOMINAL_EXTRAPOLATED = 3.9078144520416973e-10
 
 
-def _loop(radius, segments=360, wire=1e-4):
+# a coil still takes segments_per_turn, but no result depends on it
+_SPT = 16
+
+
+def _loop(radius, wire=1e-4):
     spec = CoilSpec(turns=1, inner_radius=radius, wire_diameter=wire,
                     wire_spacing=0.0)
-    return build_filament_coil(spec, segments_per_turn=segments)
+    return build_filament_coil(spec, _SPT)
 
 
-def _nominal_pair(segments_per_turn=360, rx_spec=RX):
+def _nominal_pair(rx_spec=RX):
     tx_pose, rx_pose = scenario_poses(NOMINAL)
-    tx = apply_pose(build_filament_coil(TX, segments_per_turn), tx_pose)
-    rx = apply_pose(build_filament_coil(rx_spec, segments_per_turn), rx_pose)
+    tx = apply_pose(build_filament_coil(TX, _SPT), tx_pose)
+    rx = apply_pose(build_filament_coil(rx_spec, _SPT), rx_pose)
     return tx, rx
 
 
@@ -106,7 +112,7 @@ def test_oracle_rejects_nonpositive_radii():
 # --------------------------------------------------------------- b_field
 
 def test_loop_center_field_matches_the_analytic_value():
-    coil = _loop(0.01, segments=720)
+    coil = _loop(0.01)
     b = b_field(coil, 1.0, np.zeros(3))
     assert b.shape == (3,)
     assert b[2] == pytest.approx(MU0 * 1.0 / (2 * 0.01), rel=1e-12, abs=0)
@@ -116,7 +122,7 @@ def test_loop_center_field_matches_the_analytic_value():
 
 def test_on_axis_field_matches_the_analytic_profile():
     r = 0.02
-    coil = _loop(r, segments=720)
+    coil = _loop(r)
     for z in (0.01, 0.05, 0.2):
         b = b_field(coil, 2.0, np.array([0.0, 0.0, z]))
         expected = MU0 * 2.0 * r**2 / (2.0 * (r**2 + z**2) ** 1.5)
@@ -171,13 +177,14 @@ def test_off_axis_field_converges_to_the_closed_form_loop():
     want = np.array([_loop_field(radius, 1.5, p) for p in pts])
     # B comes from the exact circle, so only quadrature error is left,
     # even three exclusion radii from the wire
-    got = b_field(_loop(radius, wire=wire), 1.5, pts)
+    loop = _loop(radius, wire=wire)
+    got = b_field(loop, 1.5, pts)
     err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
     assert err.max() <= 1e-10
     # the polyline reference's inscribed polygon is off by segments^-2
     errs = []
     for segments in (720, 1440):
-        poly, _ = _per_pair_field(_loop(radius, segments=segments, wire=wire), pts, 1.5)
+        poly, _ = _per_pair_field(loop, pts, 1.5, segments)
         errs.append(np.linalg.norm(poly - want, axis=1) / np.linalg.norm(want, axis=1))
     assert np.all(errs[1] < 2e-4)
     np.testing.assert_allclose(errs[0] / errs[1], 4.0, rtol=0.01)
@@ -185,28 +192,28 @@ def test_off_axis_field_converges_to_the_closed_form_loop():
 
 # --------------------------------------------------------------- kernel
 
-def _polyline_field(coil, points, current):
+def _polyline_field(coil, points, current, per_turn):
     """B (tesla) of the coil's polyline at the (n, 3) points, and a mask.
 
     The reference kernel: the exact finite-segment field of every
-    polyline segment (Hanson & Hirshman, Phys. Plasmas 9, 4410, 2002),
-    one pass per block of points over point-to-vertex offsets, summed
-    over segments by matrix products. valid[i] is False where points[i]
-    lies within half a wire diameter of a segment; b is zero there.
+    segment of polyline(coil, per_turn) (Hanson & Hirshman, Phys.
+    Plasmas 9, 4410, 2002), one pass per block of points over
+    point-to-vertex offsets, summed over segments by matrix products.
+    valid[i] is False where points[i] lies within half a wire diameter
+    of the curve; b is zero there.
     """
-    starts, ends = coil.segment_starts, coil.segment_ends
-    seg = ends - starts
+    verts = polyline(coil, per_turn)
+    seg = np.diff(verts, axis=0)
     seg_len_sq = np.sum(seg * seg, axis=1)
-    valid = field_coupling._distance_to_segments(points, starts, ends) > \
-        coil.wire_diameter / 2.0
+    valid = _curve_distance(coil, points) > coil.wire_diameter / 2.0
     b = np.zeros_like(points)
-    rows = max(1, field_coupling._BLOCK_PAIRS // len(coil.points))
+    rows = max(1, field_coupling._BLOCK_PAIRS // len(verts))
     for i0 in range(0, len(points), rows):
         keep = valid[i0:i0 + rows]
         p = points[i0:i0 + rows][keep]
         # segment s runs from vertex s to vertex s + 1, so its end
         # distances are adjacent columns
-        rel = [p[:, k, None] - coil.points[:, k] for k in range(3)]
+        rel = [p[:, k, None] - verts[:, k] for k in range(3)]
         dist = np.sqrt(rel[0] * rel[0] + rel[1] * rel[1] + rel[2] * rel[2])
         l1, l2 = dist[:, :-1], dist[:, 1:]
         # half the weight (l1 + l2) / (l1 l2 ((l1 + l2)^2 - L^2)) of each
@@ -219,14 +226,14 @@ def _polyline_field(coil, points, current):
     return MU0 * current / (2.0 * math.pi) * b, valid
 
 
-def _per_pair_field(coil, points, current, magnitudes=False):
+def _per_pair_field(coil, points, current, per_turn, magnitudes=False):
     # the direct form of the finite-segment kernel: every point-segment
     # pair with its own cross(r1, r2); masked points stay zero. With
     # magnitudes (and a positive current), the sum of each segment's
     # |contribution| instead of B
-    starts, ends = coil.segment_starts, coil.segment_ends
-    valid = field_coupling._distance_to_segments(points, starts, ends) > \
-        coil.wire_diameter / 2.0
+    verts = polyline(coil, per_turn)
+    starts, ends = verts[:-1], verts[1:]
+    valid = _curve_distance(coil, points) > coil.wire_diameter / 2.0
     p = points[valid]
     r1 = p[:, None, :] - starts[None, :, :]
     r2 = p[:, None, :] - ends[None, :, :]
@@ -256,7 +263,7 @@ def _grazing_points(coil):
              for plane in ("xy", "xz")]
     grids = np.vstack(local) @ coil.rotation.T + coil.origin
     rng = np.random.default_rng(5)
-    verts = coil.points[::3]
+    verts = polyline(coil, 64)[::3]
     dirs = rng.standard_normal(verts.shape)
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     rings = [verts + f * coil.wire_diameter / 2.0 * dirs
@@ -271,8 +278,8 @@ def test_kernel_matches_the_per_pair_form(spec, tilt):
     coil = apply_pose(build_filament_coil(spec, 64),
                       Pose(center=(0.01, -0.002, 0.03), tilt_angle_deg=tilt))
     pts = _grazing_points(coil)
-    b, valid = _polyline_field(coil, pts, 2.0)
-    want, want_valid = _per_pair_field(coil, pts, 2.0)
+    b, valid = _polyline_field(coil, pts, 2.0, 64)
+    want, want_valid = _per_pair_field(coil, pts, 2.0, 64)
     np.testing.assert_array_equal(valid, want_valid)
     assert 0 < np.count_nonzero(~valid) < len(pts)
     assert np.all(b[~valid] == 0.0)
@@ -288,7 +295,7 @@ def _level0_nodes(coil):
 @pytest.mark.parametrize("spec", [_FLAT, _DOME], ids=["flat", "helical"])
 def test_kernel_blocks_leave_masks_and_fields_unchanged(spec, monkeypatch):
     # one row per block, the default budget, and the whole grid's first
-    # level in one block: masks, segment distances and the sums over a
+    # level in one block: masks, curve distances and the sums over a
     # point's own panels are elementwise, so they must not move; B may
     # move in its last bits, as BLAS sums each block's rows over the
     # shared panels in its own order. That rounding is relative to the
@@ -298,17 +305,16 @@ def test_kernel_blocks_leave_masks_and_fields_unchanged(spec, monkeypatch):
     coil = apply_pose(build_filament_coil(spec, 64),
                       Pose(center=(0.01, -0.002, 0.03), tilt_angle_deg=37.0))
     pts = _grazing_points(coil)
-    starts, ends = coil.segment_starts, coil.segment_ends
     rows = field_coupling._BLOCK_PAIRS // _level0_nodes(coil)
     assert 1 < rows < len(pts) and len(pts) % rows
     runs = []
     for budget in (1, field_coupling._BLOCK_PAIRS, len(pts) * _level0_nodes(coil)):
         monkeypatch.setattr(field_coupling, "_BLOCK_PAIRS", budget)
         runs.append((*field_coupling._curve_field(coil, pts)[:2],
-                     field_coupling._distance_to_segments(pts, starts, ends)))
+                     field_coupling._curve_distance(coil, pts)))
     (b, valid, dist), others = runs[0], runs[1:]
     assert 0 < np.count_nonzero(~valid) < len(pts)
-    scale = _per_pair_field(coil, pts, 1.0, magnitudes=True)[0][valid]
+    scale = _per_pair_field(coil, pts, 1.0, 64, magnitudes=True)[0][valid]
     for b_other, valid_other, dist_other in others:
         np.testing.assert_array_equal(valid_other, valid)
         np.testing.assert_array_equal(dist_other, dist)
@@ -360,21 +366,6 @@ def _broadcast_neumann_sum(m1, d1, m2, d2):
     return MU0 / (4.0 * math.pi) * total
 
 
-def _broadcast_distance(points, starts, ends):
-    seg = ends - starts
-    seg_len_sq = np.maximum(np.sum(seg * seg, axis=1), 1e-300)
-    out = np.empty(len(points))
-    rows = max(1, field_coupling._BLOCK_PAIRS // max(1, len(starts)))
-    for i0 in range(0, len(points), rows):
-        p = points[i0:i0 + rows]
-        w = p[:, None, :] - starts[None, :, :]
-        t = np.clip(np.sum(w * seg[None, :, :], axis=2) / seg_len_sq[None, :], 0.0, 1.0)
-        closest = starts[None, :, :] + t[..., None] * seg[None, :, :]
-        d = np.sqrt(np.sum((p[:, None, :] - closest) ** 2, axis=2))
-        out[i0:i0 + rows] = d.min(axis=1)
-    return out
-
-
 def _shared_panels(coil, level):
     return field_coupling._panel_nodes(
         coil.spec, *field_coupling._uniform_panels(coil.spec.turns, level))
@@ -404,9 +395,6 @@ def test_pair_kernels_match_their_broadcast_form(block_pairs, monkeypatch):
     nodes, dl = _shared_panels(coil, 2)
     assert np.array_equal(field_coupling._node_sum(pts, nodes, dl)[0],
                           _broadcast_node_sum(pts, nodes, dl)[0])
-    starts, ends = coil.segment_starts, coil.segment_ends
-    assert np.array_equal(field_coupling._distance_to_segments(pts, starts, ends),
-                          _broadcast_distance(pts, starts, ends))
 
 
 def test_pair_kernels_match_their_broadcast_form_at_one_point():
@@ -417,16 +405,13 @@ def test_pair_kernels_match_their_broadcast_form_at_one_point():
         for got, ref in zip(field_coupling._node_sum(pt, nodes, dl, skip_within=skip),
                             _broadcast_node_sum(pt, nodes, dl, skip_within=skip)):
             assert np.array_equal(got, ref)
-    assert np.array_equal(
-        field_coupling._distance_to_segments(pt, coil.segment_starts, coil.segment_ends),
-        _broadcast_distance(pt, coil.segment_starts, coil.segment_ends))
 
 
 @pytest.mark.parametrize("tilted", [False, True], ids=["nominal", "tilted"])
 def test_neumann_sum_matches_its_broadcast_form(tilted, monkeypatch):
-    tx, rx = _nominal_pair(90)
+    tx, rx = _nominal_pair()
     if tilted:
-        rx = apply_pose(build_filament_coil(RX, 90),
+        rx = apply_pose(build_filament_coil(RX, _SPT),
                         Pose(center=(0.03, -0.02, 0.12), tilt_angle_deg=63.0))
     for block in (None, 1000):
         if block is not None:
@@ -445,13 +430,18 @@ def test_pair_kernels_keep_block_sized_buffers():
     # the per-point results)
     coil = build_filament_coil(_DOME, 64)
     pts = np.random.default_rng(3).uniform(-0.02, 0.02, (20_000, 3))
+    axis = np.outer(np.linspace(0.05, 1.0, 4_000), [0.0, 0.0, 1.0])
     nodes, dl = _shared_panels(coil, 0)
     calls = [
         (lambda: field_coupling._node_sum(pts, nodes, dl, skip_within=_SKIP),
          field_coupling._BLOCK_PAIRS, 7 * 8 * len(pts)),
-        (lambda: field_coupling._distance_to_segments(pts, coil.segment_starts,
-                                                      coil.segment_ends),
-         field_coupling._BLOCK_PAIRS, 4 * 8 * len(pts)),
+        # per point: its coordinates in the coil's frame, their
+        # contiguous copy and its distance. On the axis far out, every
+        # node of a block is a candidate to polish
+        (lambda: _curve_distance(coil, pts), field_coupling._BLOCK_PAIRS,
+         7 * 8 * len(pts)),
+        (lambda: _curve_distance(coil, axis), field_coupling._BLOCK_PAIRS,
+         7 * 8 * len(axis)),
         (lambda: _neumann_sum(pts, pts, nodes, dl),
          field_coupling._BLOCK_PAIRS, 6 * 8 * len(pts)),
     ]
@@ -487,8 +477,7 @@ def test_field_is_invariant_under_rigid_motion():
     base = build_filament_coil(_DOME, 64)
     local = np.vstack([_grazing_points(base), rng.uniform(-0.02, 0.02, (40, 3))])
     # clear of the exclusion radius by a margin, so no mask is in doubt
-    clear = field_coupling._distance_to_segments(
-        local, base.segment_starts, base.segment_ends) > base.wire_diameter
+    clear = _curve_distance(base, local) > base.wire_diameter
     local = local[clear][::5]
     for _ in range(3):
         rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -509,42 +498,94 @@ _MASK_COIL = apply_pose(
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, _MASK_COIL.n_segments - 1),
-                          st.floats(0.0, 1.0), st.floats(0.0, 5.0),
-                          st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * math.pi)),
+@given(st.lists(st.tuples(st.floats(0.0, 2.0 * math.pi * _MASK_COIL.spec.turns),
+                          st.floats(0.0, 5.0), st.floats(-1.0, 1.0),
+                          st.floats(0.0, 2.0 * math.pi)),
                 min_size=1, max_size=40))
 def test_vertex_early_out_masks_exactly_the_points_inside_the_wire(draws):
-    # points at 0..5 exclusion radii from a spot on a segment straddle
+    # points at 0..5 exclusion radii from a spot on the curve straddle
     # both the exclusion radius and the early-out reach (exclusion plus
-    # the level-0 node slack and the chord sag, about 4 exclusion radii
-    # here)
+    # the level-0 node slack, about 3 exclusion radii here)
     coil = _MASK_COIL
     exclusion = coil.wire_diameter / 2.0
     pts = []
-    for seg, t, dist, cos_polar, azimuth in draws:
-        on_wire = coil.points[seg] + t * (coil.points[seg + 1] - coil.points[seg])
+    for phi, dist, cos_polar, azimuth in draws:
+        on_wire = coil.curve([phi])[0][0]
         sin_polar = math.sqrt(1.0 - cos_polar * cos_polar)
         direction = np.array([sin_polar * math.cos(azimuth),
                               sin_polar * math.sin(azimuth), cos_polar])
         pts.append(on_wire + dist * exclusion * direction)
     pts = np.array(pts)
     _, valid, _ = field_coupling._curve_field(coil, pts)
-    exact = field_coupling._distance_to_segments(
-        pts, coil.segment_starts, coil.segment_ends)
-    np.testing.assert_array_equal(~valid, exact <= exclusion)
+    np.testing.assert_array_equal(~valid, _curve_distance(coil, pts) <= exclusion)
 
 
-def test_maps_far_from_the_wire_skip_the_segment_distance_pass(monkeypatch):
+def test_maps_far_from_the_wire_skip_the_curve_distance_pass(monkeypatch):
     def pairwise(*args):
-        raise AssertionError("segment distance pass ran for points far from the wire")
+        raise AssertionError("curve distance pass ran for points far from the wire")
 
-    monkeypatch.setattr(field_coupling, "_distance_to_segments", pairwise)
-    tx, _ = _nominal_pair(90)
+    monkeypatch.setattr(field_coupling, "_curve_distance", pairwise)
+    tx, _ = _nominal_pair()
     grid = GridSpec(plane="xz", offset=0.0, axis1_start=-0.03, axis1_stop=0.03,
                     axis1_points=9, axis2_start=0.02, axis2_stop=0.08,
                     axis2_points=7)
     b = field_map(tx, 1.0, grid)
     assert b.shape == (63, 3) and np.isfinite(b).all()
+
+
+def test_every_point_on_the_exact_curve_is_masked():
+    # the nominal tx at 64 segments/turn, where a 64-gon's chord sag
+    # (75 um) exceeds the wire radius (68.5 um): a mask decided on that
+    # polyline let 55 of these 202 points through, with meaningless B
+    tx = apply_pose(build_filament_coil(TX, 64), scenario_poses(NOMINAL)[0])
+    pts, _ = tx.curve(np.linspace(0.0, 2.0 * math.pi * TX.turns, 202))
+    _, valid, _ = field_coupling._curve_field(tx, pts)
+    assert not valid.any()
+    with pytest.raises(SingularEvaluationError):
+        b_field(tx, 1.0, pts[101])
+
+
+def test_curve_distance_of_one_turn_is_the_circle_distance():
+    # a one-turn winding has slope 0, so it is an exact circle of radius
+    # r. Points within a tenth of r of the wire, where the polish
+    # converges fast, on a posed loop
+    r = 0.01
+    pose = Pose(center=(0.02, -0.01, 0.05), tilt_angle_deg=37.0)
+    rng = np.random.default_rng(21)
+    d = r * np.geomspace(1e-3, 0.1, 300)
+    psi, theta = rng.uniform(0.0, 2.0 * math.pi, (2, len(d)))
+    rho, z = r + d * np.cos(psi), d * np.sin(psi)
+    local = np.column_stack([rho * np.cos(theta), rho * np.sin(theta), z])
+    pts = local @ pose.rotation_matrix().T + np.asarray(pose.center)
+    got = _curve_distance(apply_pose(_loop(r), pose), pts)
+    np.testing.assert_allclose(got, np.sqrt((rho - r) ** 2 + z * z), rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("spec", [TX, RX, replace(RX, shape=HELICAL)],
+                         ids=["tx", "rx", "helical"])
+def test_curve_distance_reads_an_offset_along_a_normal(spec):
+    # a point moved delta off the curve along a normal, delta below a
+    # quarter of the turn pitch, so the nearest point stays where it was
+    coil = apply_pose(build_filament_coil(spec, _SPT),
+                      Pose(center=(0.092, 0.0, 0.15), tilt_angle_deg=37.0))
+    rng = np.random.default_rng(17)
+    on, tangent = coil.curve(rng.uniform(0.0, 2.0 * math.pi * spec.turns, 400))
+    assert _curve_distance(coil, on).max() <= 1e-16
+    normal = rng.standard_normal(on.shape)
+    normal -= (np.sum(normal * tangent, axis=1) / np.sum(tangent * tangent, axis=1))[:, None] * \
+        tangent
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    delta = np.geomspace(1e-6, spec.pitch / 4.0, len(on))
+    got = _curve_distance(coil, on + delta[:, None] * normal)
+    np.testing.assert_allclose(got, delta, rtol=1e-9, atol=0)
+
+
+def test_closest_approach_of_coaxial_loops_is_the_closed_form():
+    for r1, r2, z in ((0.02, 0.0195, 0.001), (0.02, 0.021, 0.0), (0.02, 0.02, 0.002)):
+        a = _loop(r1)
+        b = apply_pose(_loop(r2), Pose(center=(0.0, 0.0, z)))
+        assert _closest_approach(a, b) == pytest.approx(math.hypot(r1 - r2, z),
+                                                        rel=1e-12, abs=0)
 
 
 # --------------------------------------------------------------- field_map
@@ -576,7 +617,7 @@ def test_grid_spec_validation(kwargs, match):
 
 
 def test_field_map_masks_points_on_the_wire_and_keeps_the_rest():
-    coil = _loop(0.01, segments=360, wire=1e-3)
+    coil = _loop(0.01, wire=1e-3)
     # middle column of axis1 passes exactly through the wire at (0.01, 0, 0)
     grid = GridSpec(plane="xy", offset=0.0, axis1_start=0.009,
                     axis1_stop=0.011, axis1_points=3, axis2_start=-0.001,
@@ -594,26 +635,28 @@ def test_field_map_masks_points_on_the_wire_and_keeps_the_rest():
 
 # ------------------------------------------------- mutual inductance
 
-def _sub_chords(coil, sub):
+def _sub_chords(verts, sub):
     # each polyline segment cut into `sub` equal chords: midpoints and
     # line elements
-    a = coil.segment_starts
-    step = (coil.segment_ends - a) / sub
+    a = verts[:-1]
+    step = (verts[1:] - a) / sub
     frac = (np.arange(sub) + 0.5)[None, :, None]
     mids = a[:, None, :] + step[:, None, :] * frac
     dl = np.broadcast_to(step[:, None, :], mids.shape)
     return mids.reshape(-1, 3), dl.reshape(-1, 3)
 
 
-def _polyline_neumann(tx, rx, tolerance=1e-3):
+def _polyline_neumann(tx, rx, per_turn, tolerance=1e-3):
     # the polyline reference: the midpoint-rule Neumann double line
-    # integral over every segment pair, refined by chord doubling
+    # integral over every segment pair of the coils' polylines at
+    # per_turn segments per turn, refined by chord doubling
     # (1, 2, 4, 8 chords per segment) until the relative change, judged
     # against the dipole-scale floor, falls below tolerance; returns
     # (M, last relative change)
     _check_separation(tx, rx)
     floor = _coupling_floor(tx, rx)
     prev = None
+    tx, rx = polyline(tx, per_turn), polyline(rx, per_turn)
     for sub in (1, 2, 4, 8):
         m = _neumann_sum(*_sub_chords(tx, sub), *_sub_chords(rx, sub))
         if prev is not None:
@@ -626,35 +669,33 @@ def _polyline_neumann(tx, rx, tolerance=1e-3):
 
 
 def test_neumann_matches_the_coaxial_oracle():
-    a = _loop(0.03, segments=720)
-    b = apply_pose(_loop(0.01, segments=720), Pose(center=(0, 0, 0.04)))
-    got, _ = _polyline_neumann(a, b)
+    a = _loop(0.03)
+    b = apply_pose(_loop(0.01), Pose(center=(0, 0, 0.04)))
+    got, _ = _polyline_neumann(a, b, 720)
     want = coaxial_mutual_oracle(0.03, 0.01, 0.04)
     assert got == pytest.approx(want, rel=1e-4, abs=0)
 
 
 def test_nominal_coupling_is_frozen():
-    m, estimate = _polyline_neumann(*_nominal_pair())
+    m, estimate = _polyline_neumann(*_nominal_pair(), 360)
     assert m == pytest.approx(M_NOMINAL, rel=1e-11, abs=0)
     assert 0 < estimate < 1e-3
 
 
 def test_flux_route_agrees_with_neumann_on_the_nominal_pose():
-    tx, rx = _nominal_pair()
-    result = mutual_inductance(tx, rx, method=FLUX)
-    assert result.method == FLUX
-    assert result.m == pytest.approx(M_FLUX_NOMINAL, rel=1e-11, abs=0)
-    assert abs(result.m - M_NOMINAL) / abs(M_NOMINAL) < 0.01
+    m, _ = flux_mutual_inductance(*_nominal_pair())
+    assert m == pytest.approx(M_FLUX_NOMINAL, rel=1e-11, abs=0)
+    assert abs(m - M_NOMINAL) / abs(M_NOMINAL) < 0.01
 
 
-def _vertex_mean_disk_frames(coil):
+def _vertex_mean_disk_frames(coil, per_turn):
     # the flux disks from the polyline alone: each turn's center on the
     # axis at its vertices' mean height, and its radius their mean
     # distance from the axis
-    n, spt = coil.axis, coil.segments_per_turn
+    n, points = coil.axis, polyline(coil, per_turn)
     frames = []
     for i in range(coil.spec.turns):
-        verts = coil.points[i * spt:(i + 1) * spt + 1]
+        verts = points[i * per_turn:(i + 1) * per_turn + 1]
         center = coil.origin + n * float(np.mean((verts - coil.origin) @ n))
         rel = verts - center
         radial = rel - np.outer(rel @ n, n)
@@ -669,11 +710,11 @@ def _vertex_mean_disk_frames(coil):
 def test_disk_frames_match_the_vertex_means(spec, pose):
     # the mid-angle radius is the mean over the turn's vertices, since
     # the radius grows linearly with angle
-    coil = apply_pose(build_filament_coil(spec, 64), pose)
-    frames = field_coupling._disk_frames(coil)
+    coil = apply_pose(build_filament_coil(spec, _SPT), pose)
+    frames = disk_frames(coil, 64)
     assert len(frames) == spec.turns
     for (center, radius, e1, e2), (want_center, want_radius) in zip(
-            frames, _vertex_mean_disk_frames(coil)):
+            frames, _vertex_mean_disk_frames(coil, 64)):
         assert radius == pytest.approx(want_radius, rel=1e-14, abs=0)
         np.testing.assert_allclose(center, want_center, rtol=1e-14,
                                    atol=1e-14 * spec.outer_diameter)
@@ -682,8 +723,8 @@ def test_disk_frames_match_the_vertex_means(spec, pose):
 
 
 def test_reciprocity_of_the_neumann_route():
-    a = apply_pose(_loop(0.02, segments=240), Pose(tilt_angle_deg=25.0))
-    b = apply_pose(_loop(0.008, segments=240),
+    a = apply_pose(_loop(0.02), Pose(tilt_angle_deg=25.0))
+    b = apply_pose(_loop(0.008),
                    Pose(center=(0.01, 0.005, 0.06), tilt_angle_deg=70.0))
     m_ab = mutual_inductance(a, b).m
     m_ba = mutual_inductance(b, a).m
@@ -701,8 +742,8 @@ def test_orthogonal_centered_pose_couples_to_nothing():
 
 
 def test_convergence_estimate_bounds_the_next_refinement():
-    a = _loop(0.02, segments=120)
-    b = apply_pose(_loop(0.008, segments=120), Pose(center=(0.005, 0, 0.03)))
+    a = _loop(0.02)
+    b = apply_pose(_loop(0.008), Pose(center=(0.005, 0, 0.03)))
     coarse = mutual_inductance(a, b, tolerance=1e-3)
     fine = mutual_inductance(a, b, tolerance=coarse.convergence_estimate / 10)
     assert abs(fine.m - coarse.m) <= 2 * coarse.convergence_estimate * abs(coarse.m)
@@ -711,14 +752,12 @@ def test_convergence_estimate_bounds_the_next_refinement():
 def test_flux_route_reports_the_change_it_measured():
     # the rx disk passes 5 mm from the tx wire, so the flux ladder has
     # real work to do
-    a = _loop(0.03, segments=180)
-    b = apply_pose(_loop(0.028, segments=180), Pose(center=(0.0, 0.0, 0.005)))
-    result = mutual_inductance(a, b, method=FLUX, tolerance=1e-3)
-    assert 0.0 < result.convergence_estimate < 1e-3
-    assert result.convergence_estimate != 1e-3
-    tight = mutual_inductance(a, b, method=FLUX,
-                              tolerance=result.convergence_estimate / 10)
-    assert abs(tight.m - result.m) <= result.convergence_estimate * abs(result.m)
+    a = _loop(0.03)
+    b = apply_pose(_loop(0.028), Pose(center=(0.0, 0.0, 0.005)))
+    m, estimate = flux_mutual_inductance(a, b, tolerance=1e-3)
+    assert 0.0 < estimate < 1e-3
+    tight, _ = flux_mutual_inductance(a, b, tolerance=estimate / 10)
+    assert abs(tight - m) <= estimate * abs(m)
 
 
 # ------------------------------------------------- spectral route
@@ -727,15 +766,14 @@ def test_spectral_matches_the_coaxial_oracle_on_the_kernel_grid():
     # the criterion-04 grid of one-turn coaxial loops; at tolerance 1e-5
     # every pose stops on a level whose error is below 1e-9
     r1 = 0.05
-    base = _loop(r1, segments=90)
+    base = _loop(r1)
     for ratio in (0.05, 0.2, 1.0):
         for zr in (0.5, 1.0, 5.0):
-            inner = apply_pose(_loop(ratio * r1, segments=90),
+            inner = apply_pose(_loop(ratio * r1),
                                Pose(center=(0, 0, zr * r1)))
-            result = mutual_inductance(base, inner, method=SPECTRAL, tolerance=1e-5)
+            result = mutual_inductance(base, inner, tolerance=1e-5)
             want = coaxial_mutual_oracle(r1, ratio * r1, zr * r1)
             err = abs(result.m - want) / abs(want)
-            assert result.method == SPECTRAL
             assert err <= 1e-9, (ratio, zr, err)
             assert err <= result.convergence_estimate, (ratio, zr, err)
 
@@ -772,7 +810,7 @@ def test_spectral_matches_the_closed_form_on_tilted_offset_loops():
     # the primary's axis and 40-80 mm above its plane, so it clears both
     # the primary's wire and its axis
     r_p, r_s = 0.03, 0.01
-    base = _loop(r_p, segments=90)
+    base = _loop(r_p)
     rng = np.random.default_rng(8)
     for _ in range(8):
         azimuth = rng.uniform(0.0, 2.0 * math.pi)
@@ -780,16 +818,15 @@ def test_spectral_matches_the_closed_form_on_tilted_offset_loops():
         pose = Pose(center=(offset * math.cos(azimuth), offset * math.sin(azimuth),
                             rng.uniform(0.04, 0.08)),
                     tilt_angle_deg=rng.uniform(0.0, 360.0))
-        got = mutual_inductance(base, apply_pose(_loop(r_s, segments=90), pose),
+        got = mutual_inductance(base, apply_pose(_loop(r_s), pose),
                                 tolerance=1e-9).m
         want = _tilted_loop_oracle(r_p, r_s, pose)
         assert got == pytest.approx(want, rel=1e-12, abs=0), pose
 
 
 def test_spectral_nominal_coupling_matches_the_extrapolated_polyline():
-    tx, rx = _nominal_pair(180)
-    result = mutual_inductance(tx, rx, method=SPECTRAL)
-    assert result.method == SPECTRAL
+    tx, rx = _nominal_pair()
+    result = mutual_inductance(tx, rx)
     assert 0 < result.convergence_estimate < 1e-3
     assert result.m == pytest.approx(M_NOMINAL_EXTRAPOLATED, rel=1e-8, abs=0)
 
@@ -800,11 +837,11 @@ def test_spectral_follows_the_helical_sag():
     helical = replace(RX, shape=HELICAL, sphere_radius=12e-3)
     m = {}
     for spt in (180, 360):
-        m[spt], _ = _polyline_neumann(*_nominal_pair(spt, helical))
+        m[spt], _ = _polyline_neumann(*_nominal_pair(helical), spt)
     reference = (4.0 * m[360] - m[180]) / 3.0
-    got = mutual_inductance(*_nominal_pair(180, helical), method=SPECTRAL).m
+    got = mutual_inductance(*_nominal_pair(helical)).m
     assert got == pytest.approx(reference, rel=1e-7, abs=0)
-    flat = mutual_inductance(*_nominal_pair(180), method=SPECTRAL).m
+    flat = mutual_inductance(*_nominal_pair()).m
     assert abs(got - flat) > 1e-4 * abs(flat)        # the sag matters
 
 
@@ -822,8 +859,8 @@ def test_spectral_reciprocity_is_exact():
     rng = np.random.default_rng(7)
     for _ in range(5):
         a, b = _random_pair(rng)
-        m_ab = mutual_inductance(a, b, method=SPECTRAL).m
-        m_ba = mutual_inductance(b, a, method=SPECTRAL).m
+        m_ab = mutual_inductance(a, b).m
+        m_ba = mutual_inductance(b, a).m
         assert m_ab == pytest.approx(m_ba, rel=1e-12, abs=0)
 
 
@@ -833,20 +870,17 @@ def test_spectral_coupling_is_invariant_under_rigid_motion():
         a, b = _random_pair(rng)
         motion = Pose(center=tuple(rng.uniform(-1.0, 1.0, 3)),
                       tilt_angle_deg=rng.uniform(0, 360))
-        m = mutual_inductance(a, b, method=SPECTRAL).m
-        moved = mutual_inductance(apply_pose(a, motion), apply_pose(b, motion),
-                                  method=SPECTRAL).m
+        m = mutual_inductance(a, b).m
+        moved = mutual_inductance(apply_pose(a, motion), apply_pose(b, motion)).m
         assert moved == pytest.approx(m, rel=1e-12, abs=0)
 
 
 def test_spectral_sign_flips_when_the_receiver_turns_over():
-    a = _loop(0.03, segments=90)
+    a = _loop(0.03)
     up = Pose(center=(0.01, 0.0, 0.04), tilt_angle_deg=30.0)
     down = Pose(center=(0.01, 0.0, 0.04), tilt_angle_deg=210.0)
-    m_up = mutual_inductance(a, apply_pose(_loop(0.01, segments=90), up),
-                             method=SPECTRAL, tolerance=1e-9).m
-    m_down = mutual_inductance(a, apply_pose(_loop(0.01, segments=90), down),
-                               method=SPECTRAL, tolerance=1e-9).m
+    m_up = mutual_inductance(a, apply_pose(_loop(0.01), up), tolerance=1e-9).m
+    m_down = mutual_inductance(a, apply_pose(_loop(0.01), down), tolerance=1e-9).m
     assert m_up > 0 > m_down
     assert m_down == pytest.approx(-m_up, rel=1e-9, abs=0)
     # a spiral turned over is not the same wire reversed, but the sign
@@ -855,25 +889,19 @@ def test_spectral_sign_flips_when_the_receiver_turns_over():
     tx = apply_pose(build_filament_coil(TX, 90), tx_pose)
     flipped = apply_pose(build_filament_coil(RX, 90),
                          replace(rx_pose, tilt_angle_deg=270.0))
-    m_flipped = mutual_inductance(tx, flipped, method=SPECTRAL).m
+    m_flipped = mutual_inductance(tx, flipped).m
     assert m_flipped == pytest.approx(-M_NOMINAL_EXTRAPOLATED, rel=1e-2, abs=0)
 
 
-def test_unknown_method_is_refused():
-    tx, rx = _nominal_pair(90)
-    with pytest.raises(ValueError, match="'spectral', 'flux'"):
-        mutual_inductance(tx, rx, method="neumann")
-
-
 def test_spectral_unreachable_tolerance_raises_with_the_last_estimate():
-    tx, rx = _nominal_pair(90)
+    tx, rx = _nominal_pair()
     with pytest.raises(ConvergenceError) as err:
         mutual_inductance(tx, rx, tolerance=1e-16)
     assert err.value.value == pytest.approx(M_NOMINAL_EXTRAPOLATED, rel=1e-8, abs=0)
     assert err.value.estimate > 1e-16
     # a pair of coarse loops converges to 6.9e-16 and still misses 1e-16
-    a = _loop(0.02, segments=24)
-    b = apply_pose(_loop(0.008, segments=24), Pose(center=(0.005, 0, 0.03)))
+    a = _loop(0.02)
+    b = apply_pose(_loop(0.008), Pose(center=(0.005, 0, 0.03)))
     with pytest.raises(ConvergenceError) as err:
         mutual_inductance(a, b, tolerance=1e-16)
     assert math.isfinite(err.value.value)
@@ -882,8 +910,8 @@ def test_spectral_unreachable_tolerance_raises_with_the_last_estimate():
 
 def test_spectral_route_still_checks_separation():
     # interleaved loops: each passes through the other's wire
-    a = _loop(0.02, segments=90, wire=0.5e-3)
-    b = apply_pose(_loop(0.02, segments=90, wire=0.5e-3),
+    a = _loop(0.02, wire=0.5e-3)
+    b = apply_pose(_loop(0.02, wire=0.5e-3),
                    Pose(tilt_angle_deg=90.0))
     with pytest.raises(SeparationError):
         mutual_inductance(a, b)
@@ -896,7 +924,7 @@ def test_far_coils_skip_the_pairwise_separation_pass(monkeypatch):
         raise AssertionError("pairwise pass ran for well separated coils")
 
     monkeypatch.setattr(field_coupling, "_closest_approach", pairwise)
-    _check_separation(*_nominal_pair(90))
+    _check_separation(*_nominal_pair())
 
 
 _SMALL = CoilSpec(turns=2, inner_radius=8e-3, wire_diameter=1e-3,
@@ -938,7 +966,5 @@ def test_coupling_coefficient_rejects_unphysical_m():
 
 
 def test_coupling_result_validation():
-    with pytest.raises(ValueError, match="method"):
-        CouplingResult(m=1e-9, method="guess", convergence_estimate=0.0)
     with pytest.raises(ValueError, match="convergence_estimate"):
-        CouplingResult(m=1e-9, method=SPECTRAL, convergence_estimate=-1.0)
+        CouplingResult(m=1e-9, convergence_estimate=-1.0)

@@ -8,6 +8,7 @@ import pytest
 from mqslink.geometry import (DEFAULT_SPHERE_RADIUS, HELICAL, CoilSpec, Pose,
                               Scenario, apply_pose, build_filament_coil,
                               scenario_poses, turn_radii, winding_curve)
+from references import polyline
 
 RX = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
               wire_spacing=0.5e-3)
@@ -54,41 +55,40 @@ def test_helical_coil_must_fit_on_its_sphere():
                  wire_spacing=0.5e-3, shape=HELICAL, sphere_radius=12e-3)
 
 
-def _wire_length(coil):
-    return float(np.sum(np.linalg.norm(np.diff(coil.points, axis=0), axis=1)))
+def _wire_length(coil, per_turn):
+    return float(np.sum(np.linalg.norm(np.diff(polyline(coil, per_turn), axis=0), axis=1)))
 
 
 def test_wire_length_matches_per_turn_circumferences():
     # with linear radius growth each turn's mean radius is its mid-angle
     # one, not its nominal one, but the sum over all turns matches
-    coil = build_filament_coil(RX, segments_per_turn=720)
+    coil = build_filament_coil(RX, 16)
     expected = float(np.sum(2.0 * math.pi * turn_radii(RX)))
-    assert abs(_wire_length(coil) - expected) / expected < 1e-3
+    assert abs(_wire_length(coil, 720) - expected) / expected < 1e-3
 
 
 def test_filament_starts_on_inner_radius_and_is_connected():
     coil = build_filament_coil(RX, segments_per_turn=64)
-    assert coil.points.shape == (5 * 64 + 1, 3)
+    # the count the benchmark reads; it sets no geometry
     assert coil.n_segments == 5 * 64
-    np.testing.assert_allclose(coil.points[0], [4e-3, 0.0, 0.0], atol=1e-15)
-    # consecutive segments share vertices by construction
-    np.testing.assert_array_equal(coil.segment_starts, coil.points[:-1])
-    np.testing.assert_array_equal(coil.segment_ends, coil.points[1:])
+    points, _ = coil.curve([0.0, 2.0 * math.pi * RX.turns])
+    np.testing.assert_allclose(points, [[4e-3, 0.0, 0.0], [turn_radii(RX)[-1], 0.0, 0.0]],
+                               rtol=0, atol=1e-15)
 
 
 def test_flat_spiral_is_planar():
-    coil = build_filament_coil(TX, segments_per_turn=90)
-    assert np.all(coil.points[:, 2] == 0.0)
+    coil = build_filament_coil(TX, 16)
+    assert np.all(polyline(coil, 90)[:, 2] == 0.0)
 
 
 def test_helical_sag_follows_the_sphere():
     spec = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
                     wire_spacing=0.5e-3, shape=HELICAL)
-    coil = build_filament_coil(spec, segments_per_turn=180)
+    points = polyline(build_filament_coil(spec, 16), 180)
     r_max = float(turn_radii(spec)[-1])
     sag = DEFAULT_SPHERE_RADIUS - math.sqrt(DEFAULT_SPHERE_RADIUS**2 - r_max**2)
-    assert float(coil.points[:, 2].min()) == pytest.approx(-sag, rel=1e-9)
-    assert np.all(coil.points[:, 2] <= 0.0)
+    assert float(points[:, 2].min()) == pytest.approx(-sag, rel=1e-9)
+    assert np.all(points[:, 2] <= 0.0)
 
 
 HELICAL_RX = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
@@ -97,10 +97,11 @@ HELICAL_RX = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
 
 @pytest.mark.parametrize("spec", [RX, HELICAL_RX], ids=["flat", "helical"])
 def test_vertices_sample_the_winding_curve(spec):
+    # an unposed coil's curve is its spec's winding, to the bit
     coil = build_filament_coil(spec, segments_per_turn=64)
     phi = np.linspace(0.0, 2.0 * math.pi * spec.turns, spec.turns * 64 + 1)
-    points, _ = winding_curve(spec, phi)
-    np.testing.assert_array_equal(coil.points, points)
+    for got, want in zip(coil.curve(phi), winding_curve(spec, phi)):
+        np.testing.assert_array_equal(got, want)
     assert coil.spec is spec
 
 
@@ -116,13 +117,16 @@ def test_curve_tangents_are_the_angle_derivative(spec):
 
 
 def test_posed_curve_follows_the_posed_vertices():
+    first, second = (Pose(center=(0.01, -0.02, 0.03), tilt_angle_deg=35.0),
+                     Pose(center=(0.1, 0.0, 0.2), tilt_angle_deg=-70.0))
     coil = build_filament_coil(HELICAL_RX, segments_per_turn=32)
-    posed = apply_pose(apply_pose(coil, Pose(center=(0.01, -0.02, 0.03),
-                                             tilt_angle_deg=35.0)),
-                       Pose(center=(0.1, 0.0, 0.2), tilt_angle_deg=-70.0))
+    posed = apply_pose(apply_pose(coil, first), second)
     phi = np.linspace(0.0, 2.0 * math.pi * HELICAL_RX.turns, 5 * 32 + 1)
     points, tangents = posed.curve(phi)
-    np.testing.assert_array_equal(points, posed.points)
+    # the two poses applied in turn to the local vertices
+    moved = apply_pose(coil, first).curve(phi)[0]
+    moved = moved @ second.rotation_matrix().T + np.asarray(second.center)
+    np.testing.assert_allclose(points, moved, rtol=0, atol=1e-16)
     # rotation keeps tangent lengths
     _, local = winding_curve(HELICAL_RX, phi)
     np.testing.assert_allclose(np.linalg.norm(tangents, axis=1),
@@ -135,11 +139,11 @@ def test_posed_vertices_are_the_local_vertices_moved(spec, tilt):
     # the polyline a pose derives from the curve is, to the bit, the
     # local vertices rotated and then translated
     pose = Pose(center=(0.092, -0.004, 0.15), tilt_angle_deg=tilt)
-    posed = apply_pose(build_filament_coil(spec, 64), pose)
+    posed = apply_pose(build_filament_coil(spec, 16), pose)
     phi = np.linspace(0.0, 2.0 * math.pi * spec.turns, spec.turns * 64 + 1)
     rot = pose.rotation_matrix()
     moved = winding_curve(spec, phi)[0] @ rot.T + np.asarray(pose.center)
-    assert np.array_equal(posed.points, moved)
+    assert np.array_equal(polyline(posed, 64), moved)
 
 
 def test_refinement_halves_the_chord_error():
@@ -147,8 +151,8 @@ def test_refinement_halves_the_chord_error():
     one = CoilSpec(turns=1, inner_radius=10e-3, wire_diameter=1e-4,
                    wire_spacing=0.0)
     exact = 2.0 * math.pi * 10e-3
-    err = [abs(_wire_length(build_filament_coil(one, n)) - exact)
-           for n in (32, 64, 128)]
+    coil = build_filament_coil(one, 16)
+    err = [abs(_wire_length(coil, n) - exact) for n in (32, 64, 128)]
     assert err[0] / err[1] == pytest.approx(4.0, rel=0.05)
     assert err[1] / err[2] == pytest.approx(4.0, rel=0.05)
 
@@ -161,7 +165,9 @@ def test_too_coarse_discretization_is_rejected():
 def test_filament_arrays_are_frozen():
     coil = build_filament_coil(RX, segments_per_turn=32)
     with pytest.raises(ValueError):
-        coil.points[0, 0] = 1.0
+        coil.rotation[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        coil.origin[0] = 1.0
 
 
 def test_tilt_rotates_axis_from_vertical_to_forward():
@@ -179,7 +185,7 @@ def test_two_quarter_tilts_compose_to_a_half_turn():
     twice = apply_pose(apply_pose(coil, Pose(tilt_angle_deg=90.0)),
                        Pose(tilt_angle_deg=90.0))
     once = apply_pose(coil, Pose(tilt_angle_deg=180.0))
-    np.testing.assert_allclose(twice.points, once.points, atol=1e-15)
+    np.testing.assert_allclose(polyline(twice, 48), polyline(once, 48), atol=1e-15)
     np.testing.assert_allclose(twice.axis, once.axis, atol=1e-15)
 
 
@@ -187,14 +193,14 @@ def test_pose_preserves_lengths_and_translates_centers():
     coil = build_filament_coil(RX, segments_per_turn=48)
     posed = apply_pose(coil, Pose(center=(0.1, -0.02, 0.3),
                                   tilt_angle_deg=37.0))
-    assert _wire_length(posed) == pytest.approx(_wire_length(coil), rel=1e-12, abs=0)
+    assert _wire_length(posed, 48) == pytest.approx(_wire_length(coil, 48), rel=1e-12, abs=0)
     rng = np.random.default_rng(7)
     for _ in range(5):
         tilt = float(rng.uniform(0, 180))
         center = tuple(rng.uniform(-0.2, 0.2, 3))
         p = apply_pose(coil, Pose(center=center, tilt_angle_deg=tilt))
-        d = np.linalg.norm(p.points - np.asarray(center), axis=1)
-        d0 = np.linalg.norm(coil.points, axis=1)
+        d = np.linalg.norm(polyline(p, 48) - np.asarray(center), axis=1)
+        d0 = np.linalg.norm(polyline(coil, 48), axis=1)
         np.testing.assert_allclose(d, d0, rtol=1e-12, atol=1e-15)
 
 

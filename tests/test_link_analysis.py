@@ -189,7 +189,7 @@ def test_scenario_mutual_inductance_matches_direct_composition():
     tx_pose, rx_pose = scenario_poses(NOMINAL)
     tx = apply_pose(build_filament_coil(TX, 120), tx_pose)
     rx = apply_pose(build_filament_coil(RX, 120), rx_pose)
-    direct = mutual_inductance(tx, rx, method="spectral", tolerance=1e-3).m
+    direct = mutual_inductance(tx, rx, tolerance=1e-3).m
     assert scenario_mutual_inductance(NOMINAL, segments_per_turn=120) == direct
 
 
@@ -208,8 +208,7 @@ def test_misalignment_sweep_validation():
 
 def test_angle_sweep_rows_are_ordered_and_live():
     grid = np.linspace(25e6, 27e6, 201)
-    sweep = misalignment_sweep(NOMINAL, TX_ANGLE, [60.0, 20.0, 40.0],
-                               segments_per_turn=96, grid=grid)
+    sweep = misalignment_sweep(NOMINAL, TX_ANGLE, [60.0, 20.0, 40.0], grid=grid)
     assert sweep.param == TX_ANGLE and sweep.unit == "deg"
     assert sweep.values == (20.0, 40.0, 60.0)
     assert not any(r.masked for r in sweep.rows)
@@ -221,8 +220,7 @@ def test_angle_sweep_rows_are_ordered_and_live():
 
 def test_unreachable_tolerance_masks_points_instead_of_failing():
     grid = np.linspace(25e6, 27e6, 51)
-    sweep = misalignment_sweep(NOMINAL, TX_ANGLE, [30.0, 50.0],
-                               segments_per_turn=24, tolerance=1e-15,
+    sweep = misalignment_sweep(NOMINAL, TX_ANGLE, [30.0, 50.0], tolerance=1e-15,
                                grid=grid)
     assert all(r.masked for r in sweep.rows)
     assert all(r.capacity_bps is None for r in sweep.rows)
@@ -232,20 +230,18 @@ def test_unreachable_tolerance_masks_points_instead_of_failing():
 
 def test_on_axis_placement_is_flagged():
     grid = np.linspace(25e6, 27e6, 51)
-    sweep = misalignment_sweep(NOMINAL, LATERAL, [0.0, 0.092],
-                               segments_per_turn=48, grid=grid)
+    sweep = misalignment_sweep(NOMINAL, LATERAL, [0.0, 0.092], grid=grid)
     assert any("transmitter axis" in n for n in sweep.notes)
     # a lateral sweep replaces x_eye, so x_eye = 0 alone places nothing on axis
-    sweep = misalignment_sweep(replace(NOMINAL, x_eye=0.0), LATERAL, [0.05, 0.1],
-                               segments_per_turn=48, grid=grid)
+    sweep = misalignment_sweep(replace(NOMINAL, x_eye=0.0), LATERAL, [0.05, 0.1], grid=grid)
     assert not any("transmitter axis" in n for n in sweep.notes)
 
 
 def test_link_template_sets_the_reported_termination():
     grid = np.linspace(25e6, 27e6, 51)
     template = replace(scenario_link(NOMINAL, m=0.0), r_load=10.0, v_source=2.0)
-    sweep = misalignment_sweep(NOMINAL, TX_ANGLE, [40.0], segments_per_turn=48,
-                               grid=grid, link_template=template)
+    sweep = misalignment_sweep(NOMINAL, TX_ANGLE, [40.0], grid=grid,
+                               link_template=template)
     (row,) = sweep.rows
     m = scenario_mutual_inductance(NOMINAL, segments_per_turn=48)
     h = frequency_sweep(replace(template, m=m), grid).h
