@@ -31,7 +31,7 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import (Callable, ClassVar, Dict, List, Optional, Protocol,
                     Sequence, Tuple, Union)
@@ -40,8 +40,8 @@ import numpy as np
 
 from .circuit import LinkCircuit, Spectrum, frequency_sweep, path_loss_db
 from .field_coupling import GridSpec, field_map
-from .geometry import (FLAT_SPIRAL, HELICAL, CoilSpec, Scenario, apply_pose,
-                       build_filament_coil, scenario_poses)
+from .geometry import (ESR_MODES, FLAT_SPIRAL, HELICAL, CoilSpec, Scenario,
+                       apply_pose, build_filament_coil, scenario_poses)
 from .link_analysis import (_SWEEP_RANGES, POWER, VOLTAGE, BandwidthStudy,
                             SweepResult, TruncatedBandError, capacity_report,
                             capacity_vs_bandwidth, dual_mode_report,
@@ -83,9 +83,6 @@ _UNITS: Dict[str, Dict[str, float]] = {
     "level": {"dBV": 1.0},
 }
 
-_REQUIRED = object()
-
-
 class Request(Protocol):
     """A request section, parsed by its class's parse(reader, name).
 
@@ -106,9 +103,6 @@ class ScenarioConfig:
     """A parsed config: the scenario, solver knobs, and requested analyses."""
 
     scenario: Scenario
-    esr_mode: str                 # frequency | fixed | none
-    r_coil_tx: Optional[float]
-    r_coil_rx: Optional[float]
     grid_start: float
     grid_stop: float
     grid_points: int
@@ -150,7 +144,7 @@ _CIRCUIT_SCHEMA = {
     "r_load": ("quantity", "resistance"),
     "tuned_frequency": ("quantity", "frequency"),
     "source_amplitude": ("quantity", "voltage"),
-    "esr_mode": ("enum", ("frequency", "fixed", "none")),
+    "esr_mode": ("enum", ESR_MODES),
     "r_coil_tx": ("optional_quantity", "resistance"),
     "r_coil_rx": ("optional_quantity", "resistance"),
 }
@@ -175,7 +169,7 @@ _SCENARIO_SCHEMAS = {"tx_coil": _COIL_SCHEMA, "rx_coil": _COIL_SCHEMA,
                      "output": _OUTPUT_SCHEMA}
 _SCENARIO_SECTIONS = tuple(_SCENARIO_SCHEMAS)
 
-# Scenario field -> the (section, key) it is read from
+# Scenario field -> the (section, key) it is read from; tx and rx are CoilSpecs
 _SCENARIO_KEYS = {
     "x_eye": ("placement", "x_eye"),
     "z_eye": ("placement", "z_eye"),
@@ -184,16 +178,19 @@ _SCENARIO_KEYS = {
     "r_load": ("circuit", "r_load"),
     "tuned_frequency": ("circuit", "tuned_frequency"),
     "v_source": ("circuit", "source_amplitude"),
+    "esr_mode": ("circuit", "esr_mode"),
+    "r_coil_tx": ("circuit", "r_coil_tx"),
+    "r_coil_rx": ("circuit", "r_coil_rx"),
+    "l_tx_override": ("tx_coil", "inductance_override"),
+    "l_rx_override": ("rx_coil", "inductance_override"),
 }
 
 
 class _Reader:
     """One config file: raw text, configparser view, and line numbers."""
 
-    def __init__(self, path: Union[str, Path], allow_defaults: bool,
-                 raw: Optional[bytes] = None):
+    def __init__(self, path: Union[str, Path], raw: Optional[bytes] = None):
         self.path = str(path)
-        self.allow_defaults = allow_defaults
         if raw is None:
             try:
                 raw = Path(path).read_bytes()
@@ -220,8 +217,10 @@ class _Reader:
                 key = stripped.split("=", 1)[0].strip().lower()
                 self.lines.setdefault((section, key), lineno)
 
+        # no header spells the empty default section, so [DEFAULT] is an
+        # ordinary (unknown) section rather than keys for every section
         self.parser = configparser.ConfigParser(
-            interpolation=None, delimiters=("=",),
+            interpolation=None, delimiters=("=",), default_section="",
             comment_prefixes=("#", ";"), inline_comment_prefixes=("#",))
         try:
             self.parser.read_string(text, source=self.path)
@@ -272,22 +271,19 @@ class _Reader:
             self.fail(section, key, f"{where}: cannot parse number {number!r}")
         return magnitude * units[unit]
 
-    def section(self, name: str, schema: Dict, defaults: Dict,
-                scenario_section: bool) -> Dict:
+    def section(self, name: str, schema: Dict, defaults: Dict) -> Dict:
+        """[name] read by schema, in SI units. A key the file leaves out
+        takes its value from defaults, and one with no default is required."""
         present = self.parser.has_section(name)
-        if not present and scenario_section and not self.allow_defaults:
-            raise ConfigError(f"missing required section [{name}]", self.path)
         out = {}
         for key, (kind, detail) in schema.items():
             if present and self.parser.has_option(name, key):
                 raw = self.parser.get(name, key).strip()
                 out[key] = self._value(name, key, raw, kind, detail)
-            else:
-                if scenario_section and not self.allow_defaults:
-                    self.fail(name, None, f"[{name}] is missing required key {key!r}")
-                if defaults.get(key, _REQUIRED) is _REQUIRED:
-                    self.fail(name, None, f"[{name}] requires key {key!r}")
+            elif key in defaults:
                 out[key] = defaults[key]
+            else:
+                self.fail(name, None, f"[{name}] requires key {key!r}")
         if present:
             for key in self.parser.options(name):
                 if key not in schema:
@@ -296,31 +292,16 @@ class _Reader:
                               f"allowed: {', '.join(sorted(schema))}")
         return out
 
-    def anchored(self, section: str, message: str) -> ConfigError:
-        """Anchor a validation message at the offending key when it names one."""
-        for (sec, key), line in self.lines.items():
-            if sec == section and key is not None and key in message:
-                return ConfigError(message, self.path, line)
-        return ConfigError(message, self.path, self.lines.get((section, None)))
-
-
-def _coil_spec(reader: _Reader, section: str,
-               defaults: Dict) -> Tuple[CoilSpec, Optional[float]]:
-    vals = reader.section(section, _COIL_SCHEMA, defaults, scenario_section=True)
-    override = vals.pop("inductance_override")
-    try:
-        spec = CoilSpec(turns=vals["turns"], inner_radius=vals["inner_radius"],
-                        wire_diameter=vals["wire_diameter"],
-                        wire_spacing=vals["wire_spacing"], shape=vals["shape"],
-                        sphere_radius=vals["sphere_radius"],
-                        conductivity=vals["conductivity"],
-                        parasitic_capacitance=vals["parasitic_capacitance"])
-    except ValueError as exc:
-        raise reader.anchored(section, str(exc))
-    if override is not None and override <= 0:
-        reader.fail(section, "inductance_override",
-                    f"[{section}] inductance_override must be > 0")
-    return spec, override
+    def build(self, section: str, cls, keys: Dict, **kwargs):
+        """cls(**kwargs). A ValueError fails at the first field its message
+        names, at keys[field] = (section, key) or else at [section] field."""
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            message = str(exc)
+            names = {f.name for f in fields(cls)}
+            field = next((w for w in re.findall(r"\w+", message) if w in names), None)
+            self.fail(*keys.get(field, (section, field)), message)
 
 
 def parse_config(path: Union[str, Path], allow_defaults: bool = False) -> ScenarioConfig:
@@ -329,12 +310,12 @@ def parse_config(path: Union[str, Path], allow_defaults: bool = False) -> Scenar
     With allow_defaults, absent scenario sections and keys fall back to
     the built-in nominal values (the ones `mqslink defaults` prints), so
     an empty file parses to the nominal scenario with no requests.
-    Without it, every scenario key must be written out. Request sections
-    are optional either way: presence requests the analysis. Unknown
-    sections or keys, untagged dimensioned values, and out-of-range
-    values are rejected with file:line anchored messages.
+    Without it there are no defaults: every scenario key must be written
+    out. Request sections are optional either way: presence requests the
+    analysis. Unknown sections or keys, untagged dimensioned values, and
+    out-of-range values are rejected with file:line anchored messages.
     """
-    reader = _Reader(path, allow_defaults)
+    reader = _Reader(path)
     parser = reader.parser
 
     known = _SCENARIO_SECTIONS + tuple(REQUESTS)
@@ -343,27 +324,16 @@ def parse_config(path: Union[str, Path], allow_defaults: bool = False) -> Scenar
             reader.fail(name, None, f"unknown section [{name}]; known sections: "
                                     f"{', '.join(known)}")
 
-    defaults = _builtin_defaults()
-    tx, l_tx_override = _coil_spec(reader, "tx_coil", defaults["tx_coil"])
-    rx, l_rx_override = _coil_spec(reader, "rx_coil", defaults["rx_coil"])
-    placement, circuit, grid, analysis, output = (
-        reader.section(name, _SCENARIO_SCHEMAS[name], defaults[name],
-                       scenario_section=True)
-        for name in ("placement", "circuit", "frequency_grid", "analysis", "output"))
+    defaults = _builtin_defaults() if allow_defaults else {}
+    read = {name: reader.section(name, schema, defaults.get(name, {}))
+            for name, schema in _SCENARIO_SCHEMAS.items()}
+    tx, rx = (reader.build(name, CoilSpec, {},
+                           **{f.name: read[name][f.name] for f in fields(CoilSpec)})
+              for name in ("tx_coil", "rx_coil"))
+    scenario = reader.build("circuit", Scenario, _SCENARIO_KEYS, tx=tx, rx=rx, **{
+        field: read[section][key] for field, (section, key) in _SCENARIO_KEYS.items()})
 
-    if circuit["esr_mode"] == "fixed":
-        for key in ("r_coil_tx", "r_coil_rx"):
-            if circuit[key] is None:
-                reader.fail("circuit", None,
-                            f"[circuit] esr_mode = fixed requires key {key!r}")
-            if circuit[key] < 0:
-                reader.fail("circuit", key, f"[circuit] {key} must be >= 0")
-    else:
-        for key in ("r_coil_tx", "r_coil_rx"):
-            if circuit[key] is not None:
-                reader.fail("circuit", key,
-                            f"[circuit] {key} is only valid with esr_mode = fixed")
-
+    grid, analysis = read["frequency_grid"], read["analysis"]
     if grid["points"] < 2:
         reader.fail("frequency_grid", "points",
                     "[frequency_grid] points must be >= 2")
@@ -374,31 +344,16 @@ def parse_config(path: Union[str, Path], allow_defaults: bool = False) -> Scenar
         reader.fail("analysis", "segments_per_turn",
                     "[analysis] segments_per_turn must be >= 16")
 
-    read = {"placement": placement, "circuit": circuit}
-    try:
-        scenario = Scenario(tx=tx, rx=rx, l_tx_override=l_tx_override,
-                            l_rx_override=l_rx_override,
-                            **{field: read[section][key]
-                               for field, (section, key) in _SCENARIO_KEYS.items()})
-    except ValueError as exc:
-        message = str(exc)
-        for field, (section, key) in _SCENARIO_KEYS.items():
-            if message.startswith(field):
-                reader.fail(section, key, message)
-        raise ConfigError(message, reader.path)
-
     # file order = execution order
     requests = tuple(REQUESTS[name].parse(reader, name)
                      for name in parser.sections() if name in REQUESTS)
 
     return ScenarioConfig(
-        scenario=scenario, esr_mode=circuit["esr_mode"],
-        r_coil_tx=circuit["r_coil_tx"], r_coil_rx=circuit["r_coil_rx"],
-        grid_start=grid["start"], grid_stop=grid["stop"],
+        scenario=scenario, grid_start=grid["start"], grid_stop=grid["stop"],
         grid_points=grid["points"], noise_floor_dbv=analysis["noise_floor"],
         snr_convention=analysis["snr_convention"],
         segments_per_turn=analysis["segments_per_turn"],
-        output_dir=output["directory"], requests=requests,
+        output_dir=read["output"]["directory"], requests=requests,
         config_digest=reader.digest)
 
 
@@ -527,9 +482,8 @@ def _builtin_defaults() -> Dict[str, Dict]:
     defaults` prints, through the parser's own unit arithmetic, so that
     text parses to the same values by construction.
     """
-    reader = _Reader("<defaults>", allow_defaults=False,
-                     raw=DEFAULT_CONFIG.encode("utf-8"))
-    return {name: reader.section(name, schema, {}, scenario_section=True)
+    reader = _Reader("<defaults>", raw=DEFAULT_CONFIG.encode("utf-8"))
+    return {name: reader.section(name, schema, {})
             for name, schema in _SCENARIO_SCHEMAS.items()}
 
 
@@ -665,19 +619,6 @@ def emit_report_json(report: RunReport, path: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# execution
-
-def _apply_esr_mode(link: LinkCircuit, config: ScenarioConfig) -> LinkCircuit:
-    if config.esr_mode == "fixed":
-        return replace(link, esr_tx=None, esr_rx=None,
-                       r_coil_tx=config.r_coil_tx, r_coil_rx=config.r_coil_rx)
-    if config.esr_mode == "none":
-        return replace(link, esr_tx=None, esr_rx=None,
-                       r_coil_tx=0.0, r_coil_rx=0.0)
-    return link
-
-
-# ---------------------------------------------------------------------------
 # requests: one class per request section (see Request)
 
 @dataclass(frozen=True)
@@ -690,7 +631,7 @@ class SpectrumRequest:
     @classmethod
     def parse(cls, reader: _Reader, name: str) -> SpectrumRequest:
         vals = reader.section(name, {"modes": ("string", None)},
-                              {"modes": "tuned untuned"}, scenario_section=False)
+                              {"modes": "tuned untuned"})
         tokens = tuple(t for t in re.split(r"[,\s]+", vals["modes"].lower()) if t)
         if not tokens or any(t not in ("tuned", "untuned") for t in tokens):
             reader.fail(name, "modes",
@@ -728,7 +669,7 @@ class MisalignmentSweepRequest:
         dim = "angle" if axis == "tx_angle" else "length"
         schema = {"start": ("quantity", dim), "stop": ("quantity", dim),
                   "step": ("quantity", dim)}
-        vals = reader.section(name, schema, {}, scenario_section=False)
+        vals = reader.section(name, schema, {})
         lo, hi, unit = _SWEEP_RANGES[axis]
         if vals["step"] <= 0:
             reader.fail(name, "step", f"[{name}] step must be > 0")
@@ -746,12 +687,10 @@ class MisalignmentSweepRequest:
         return vals
 
     def run(self, config, grid, out, build_link, warn_list):
-        sc = config.scenario
-        template = _apply_esr_mode(scenario_link(sc, m=0.0, tuned=True), config)
         sweep = misalignment_sweep(
-            sc, self.axis, self.values(), grid=grid,
+            config.scenario, self.axis, self.values(), grid=grid,
             noise_floor_dbv=config.noise_floor_dbv,
-            convention=config.snr_convention, link_template=template)
+            convention=config.snr_convention)
         warn_list.extend(f"{self.label}: {note}" for note in sweep.notes)
         fname = f"sweep_{self.axis}.csv"
         emit_sweep_csv(sweep, out / fname)
@@ -777,7 +716,7 @@ class ResistanceSweepRequest:
         schema = {"start": ("quantity", "resistance"),
                   "stop": ("quantity", "resistance"),
                   "points": ("count", None), "spacing": ("enum", ("log", "linear"))}
-        vals = reader.section(name, schema, {"spacing": "log"}, scenario_section=False)
+        vals = reader.section(name, schema, {"spacing": "log"})
         if vals["start"] <= 0:
             reader.fail(name, "start", f"[{name}] start must be > 0")
         if vals["stop"] <= vals["start"]:
@@ -824,12 +763,10 @@ class FieldMapRequest:
             "current": ("quantity", "current"),
         }
         defaults = {"coil": "tx", "offset": 0.0, "current": 1.0}
-        vals = reader.section(name, schema, defaults, scenario_section=False)
+        vals = reader.section(name, schema, defaults)
         coil, current = vals.pop("coil"), vals.pop("current")
-        try:
-            return cls(coil=coil, grid=GridSpec(**vals), current=current)
-        except ValueError as exc:
-            raise reader.anchored(name, str(exc))
+        return cls(coil=coil, grid=reader.build(name, GridSpec, {}, **vals),
+                   current=current)
 
     def run(self, config, grid, out, build_link, warn_list):
         sc = config.scenario
@@ -859,17 +796,17 @@ class CapacityRequest:
 
     def run(self, config, grid, out, build_link, warn_list):
         spectrum = frequency_sweep(build_link(True), grid)
-        study = capacity_vs_bandwidth(spectrum,
-                                      noise_floor_dbv=config.noise_floor_dbv,
-                                      convention=config.snr_convention)
+        budget = dict(noise_floor_dbv=config.noise_floor_dbv,
+                      source_level_dbv=20.0 * math.log10(config.scenario.v_source),
+                      convention=config.snr_convention)
+        study = capacity_vs_bandwidth(spectrum, **budget)
         masked = sum(1 for row in study.rows if row.masked)
         if masked:
             warn_list.append(f"capacity: {masked} threshold rows masked "
                              "(band runs off the frequency grid)")
         emit_capacity_csv(study, out / "capacity.csv")
         try:
-            rep = capacity_report(spectrum, noise_floor_dbv=config.noise_floor_dbv,
-                                  convention=config.snr_convention)
+            rep = capacity_report(spectrum, **budget)
         except TruncatedBandError as exc:
             warn_list.append(f"capacity: {exc}; capacity_report.json not written")
             return ("capacity.csv",)
@@ -892,7 +829,7 @@ class DualModeRequest:
                   "load_max": ("quantity", "resistance"),
                   "points": ("count", None)}
         defaults = {"load_min": 0.1, "load_max": 1e4, "points": 101}
-        vals = reader.section(name, schema, defaults, scenario_section=False)
+        vals = reader.section(name, schema, defaults)
         if vals["load_min"] <= 0 or vals["load_max"] <= vals["load_min"]:
             reader.fail(name, None, "[dual_mode] needs 0 < load_min < load_max")
         if vals["points"] < 2:
@@ -963,7 +900,7 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> RunRe
         return m_cache["m"]
 
     def build_link(tuned: bool) -> LinkCircuit:
-        return _apply_esr_mode(scenario_link(sc, nominal_m(), tuned=tuned), config)
+        return scenario_link(sc, nominal_m(), tuned=tuned)
 
     for req in config.requests:
         label = req.label

@@ -20,6 +20,7 @@ from .constants import COPPER_CONDUCTIVITY
 
 FLAT_SPIRAL = "flat-spiral"
 HELICAL = "helical"
+ESR_MODES = ("frequency", "fixed", "none")     # Scenario.esr_mode values
 
 # sphere radius used for helical coils when the spec does not supply one (m)
 DEFAULT_SPHERE_RADIUS = 12e-3
@@ -188,11 +189,15 @@ class FilamentCoil:
 @dataclass(frozen=True)
 class Scenario:
     """The necklace-to-lens link: two coil specs, relative placement, and
-    the circuit terminations used by downstream analyses.
+    the circuit terminations and coil losses used by downstream analyses.
 
     The receiver axis is horizontal (perpendicular to the untilted
     transmitter axis) by construction, matching the worn geometry: the
     lens faces forward while the necklace hangs roughly horizontally.
+
+    esr_mode sets the coil losses: each coil spec's skin-effect
+    resistance ("frequency"), the constant r_coil_tx and r_coil_rx,
+    which this mode alone takes and requires ("fixed"), or none ("none").
     """
 
     tx: CoilSpec
@@ -207,6 +212,9 @@ class Scenario:
     # measured inductances, when available, replace the formula values
     l_tx_override: Optional[float] = None   # H
     l_rx_override: Optional[float] = None   # H
+    esr_mode: str = "frequency"
+    r_coil_tx: Optional[float] = None       # ohm, fixed mode only
+    r_coil_rx: Optional[float] = None       # ohm, fixed mode only
 
     def __post_init__(self):
         if self.x_eye < 0:
@@ -222,6 +230,17 @@ class Scenario:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be > 0 when given, got {value!r}")
+        if self.esr_mode not in ESR_MODES:
+            raise ValueError(f"esr_mode must be one of {ESR_MODES}, got {self.esr_mode!r}")
+        fixed = self.esr_mode == "fixed"
+        for name in ("r_coil_tx", "r_coil_rx"):
+            value = getattr(self, name)
+            if fixed and value is None:
+                raise ValueError(f"{name} is required with esr_mode = fixed")
+            if not fixed and value is not None:
+                raise ValueError(f"{name} is only valid with esr_mode = fixed, got {value!r}")
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 def turn_radii(spec: CoilSpec) -> np.ndarray:

@@ -265,10 +265,11 @@ def scenario_link(sc: Scenario, m: float, tuned: bool = True) -> LinkCircuit:
     """Assemble the LinkCircuit a scenario implies at mutual inductance m.
 
     Inductances come from the coil specs unless the scenario carries
-    measured overrides; coil losses are the coil specs' skin-effect
-    resistance, evaluated on the whole solver grid; tuning capacitors (when
-    tuned) resonate both meshes at the scenario's tuned_frequency using
-    those same inductances.
+    measured overrides. Coil losses follow sc.esr_mode: the coil specs'
+    skin-effect resistance, evaluated on the whole solver grid
+    ("frequency"), the scenario's r_coil_tx / r_coil_rx ("fixed"), or
+    0.0 ("none"). Tuning capacitors (when tuned) resonate both meshes at
+    the scenario's tuned_frequency using those same inductances.
     """
     l_tx = estimate_inductance(sc.tx, sc.l_tx_override).value
     l_rx = estimate_inductance(sc.rx, sc.l_rx_override).value
@@ -276,13 +277,16 @@ def scenario_link(sc: Scenario, m: float, tuned: bool = True) -> LinkCircuit:
     if tuned:
         c_tx = tune_capacitance(l_tx, sc.tuned_frequency, parasitic=sc.tx.parasitic_capacitance)
         c_rx = receiver_capacitance(l_tx, c_tx, l_rx)
+    skin, fixed = sc.esr_mode == "frequency", sc.esr_mode == "fixed"
     return LinkCircuit(
         l_tx=l_tx, l_rx=l_rx, m=m,
         r_source=sc.r_source, r_load=sc.r_load,
         c_tx=c_tx, c_rx=c_rx, v_source=sc.v_source,
         parasitic_tx=sc.tx.parasitic_capacitance,
         parasitic_rx=sc.rx.parasitic_capacitance,
-        esr_tx=sc.tx, esr_rx=sc.rx,
+        r_coil_tx=sc.r_coil_tx if fixed else 0.0,
+        r_coil_rx=sc.r_coil_rx if fixed else 0.0,
+        esr_tx=sc.tx if skin else None, esr_rx=sc.rx if skin else None,
     )
 
 
@@ -351,8 +355,7 @@ def _scenario_variant(sc: Scenario, axis: str, value: float) -> Scenario:
 def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float],
                        tolerance: float = 1e-3, grid=None,
                        noise_floor_dbv: float = DEFAULT_NOISE_FLOOR_DBV,
-                       convention: str = VOLTAGE,
-                       link_template: Optional[LinkCircuit] = None) -> SweepResult:
+                       convention: str = VOLTAGE) -> SweepResult:
     """Re-pose the geometry along one axis and summarize each link.
 
     axis is tx_angle (deg, 0-90), lateral = x_eye (m, 0-0.2), or
@@ -360,8 +363,8 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float],
     once from the scenario's inductances and tuned_frequency and held
     fixed across the sweep: the worn device is tuned once, not per
     pose. Points whose field integration fails are masked rows, and
-    the sweep continues. link_template, when given, replaces the
-    scenario-derived circuit (its m is overwritten per point).
+    the sweep continues. Terminations, source and coil losses are sc's
+    (see scenario_link): set them on sc to sweep another link.
     """
     if axis not in _SWEEP_RANGES:
         raise ValueError(f"axis must be one of {sorted(_SWEEP_RANGES)}, got {axis!r}")
@@ -374,7 +377,7 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float],
 
     sweep_grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     # fixes tuning; m replaced per point
-    nominal = scenario_link(sc, m=0.0) if link_template is None else replace(link_template, m=0.0)
+    nominal = scenario_link(sc, m=0.0)
     rows, notes = [], []
     for value in vals:
         try:

@@ -1,5 +1,6 @@
 """Config parsing, file emission, and the command-line entry point."""
 
+import csv
 import hashlib
 import json
 import math
@@ -17,9 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mqslink import cli, field_coupling
+from mqslink.circuit import frequency_sweep
 from mqslink.cli import (DEFAULT_CONFIG, ConfigError, _csv_text, _fmt,
-                         _json_text, emit_field_map_csv, main, parse_config,
-                         run_scenario)
+                         _json_text, emit_field_map_csv, emit_spectrum_csv,
+                         emit_sweep_csv, main, parse_config, run_scenario)
+from mqslink.link_analysis import (misalignment_sweep, scenario_link,
+                                   scenario_mutual_inductance)
 
 SMALL_RUN = """\
 [tx_coil]
@@ -99,6 +103,12 @@ def parse_text(tmp_path, text, **kwargs):
     return parse_config(write_config(tmp_path, text), **kwargs)
 
 
+def small_scenario(circuit_lines, requests):
+    """SMALL_RUN's scenario with circuit_lines added to [circuit], then requests."""
+    head = SMALL_RUN.split("[spectrum]")[0]
+    return head.replace("[circuit]\n", "[circuit]\n" + circuit_lines) + requests
+
+
 # ---------------------------------------------------------------- parsing
 
 def test_builtin_defaults_round_trip(tmp_path):
@@ -173,6 +183,10 @@ def test_radian_angles_convert(tmp_path):
     ("[dual_mode]\npoints = 3.5\n", "integer"),
     ("[circuit]\nr_load = 1 kohm\nr_load = 2 kohm\n", "r_load"),
     ("[circuit]\nsource_amplitude = 0 V\n", r"\.ini:2: v_source must be > 0"),
+    # [DEFAULT] is an unknown section, not keys shared by every section
+    ("[DEFAULT]\nfoo = 1\n", r"\.ini:1: unknown section \[DEFAULT\]"),
+    ("[tx_coil]\nturns = 5\n[DEFAULT]\nwire_spacing = 2 mm\n",
+     r"\.ini:3: unknown section \[DEFAULT\]"),
 ])
 def test_bad_configs_are_rejected(tmp_path, snippet, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -214,9 +228,53 @@ esr_mode = fixed
 r_coil_tx = 6 ohm
 r_coil_rx = 0.5 ohm
 """)
-    assert config.esr_mode == "fixed"
-    assert config.r_coil_tx == 6.0
-    assert config.r_coil_rx == 0.5
+    assert config.scenario.esr_mode == "fixed"
+    assert config.scenario.r_coil_tx == 6.0
+    assert config.scenario.r_coil_rx == 0.5
+
+
+@pytest.mark.parametrize("esr_lines, r_tx, r_rx", [
+    ("esr_mode = fixed\nr_coil_tx = 6 ohm\nr_coil_rx = 0.5 ohm\n", 6.0, 0.5),
+    ("esr_mode = none\n", 0.0, 0.0),
+], ids=["fixed", "none"])
+def test_fixed_and_lossless_coils_run_end_to_end(tmp_path, esr_lines, r_tx, r_rx):
+    text = small_scenario(esr_lines, "[spectrum]\nmodes = tuned\n\n[sweep tx_angle]\n"
+                                     "start = 20 deg\nstop = 60 deg\nstep = 20 deg\n")
+    config = parse_config(write_config(tmp_path, text), allow_defaults=True)
+    out = tmp_path / "out"
+    assert run_scenario(config, out_dir=str(out)).failures == ()
+    sc, grid = config.scenario, config.frequency_grid()
+    # the coil losses set on the LinkCircuit directly, not through the config
+    m = scenario_mutual_inductance(sc, config.segments_per_turn)
+    link = replace(scenario_link(sc, m), esr_tx=None, esr_rx=None,
+                   r_coil_tx=r_tx, r_coil_rx=r_rx)
+    emit_spectrum_csv(frequency_sweep(link, grid), tmp_path / "spectrum.csv")
+    assert (out / "spectrum_tuned.csv").read_bytes() == \
+        (tmp_path / "spectrum.csv").read_bytes()
+    sweep = misalignment_sweep(sc, "tx_angle", [20.0, 40.0, 60.0], grid=grid,
+                               noise_floor_dbv=config.noise_floor_dbv,
+                               convention=config.snr_convention)
+    emit_sweep_csv(sweep, tmp_path / "sweep.csv")
+    assert (out / "sweep_tx_angle.csv").read_bytes() == \
+        (tmp_path / "sweep.csv").read_bytes()
+
+
+def test_capacity_budget_reads_the_source_amplitude(tmp_path):
+    # the report and the threshold table sit at the received level, as
+    # the sweep rows do, not at the 1 V transfer ratio
+    text = small_scenario("source_amplitude = 2 V\n", "[capacity]\n\n[sweep r_load]\n"
+                          "start = 500 ohm\nstop = 1.5 kohm\npoints = 3\nspacing = linear\n")
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+    row = list(csv.DictReader((out / "sweep_r_load.csv").read_text().splitlines()))[1]
+    assert float(row["param"]) == 1000.0                # the nominal r_load
+    report = json.loads((out / "capacity_report.json").read_text())
+    assert report["signal_dbv"] == pytest.approx(float(row["peak_db"]), rel=1e-12, abs=0)
+    assert report["capacity_bps"] == pytest.approx(float(row["capacity_bps"]),
+                                                   rel=1e-12, abs=0)
+    top = next(csv.DictReader((out / "capacity.csv").read_text().splitlines()))
+    assert float(top["signal_dbv"]) == pytest.approx(
+        report["signal_dbv"] - float(top["threshold_db"]), rel=1e-12, abs=0)
 
 
 # ------------------------------------------------------------- formatting

@@ -237,14 +237,13 @@ def test_on_axis_placement_is_flagged():
     assert not any("transmitter axis" in n for n in sweep.notes)
 
 
-def test_link_template_sets_the_reported_termination():
+def test_sweep_reports_the_scenario_termination():
     grid = np.linspace(25e6, 27e6, 51)
-    template = replace(scenario_link(NOMINAL, m=0.0), r_load=10.0, v_source=2.0)
-    sweep = misalignment_sweep(NOMINAL, TX_ANGLE, [40.0], grid=grid,
-                               link_template=template)
+    sc = replace(NOMINAL, r_load=10.0, v_source=2.0)
+    sweep = misalignment_sweep(sc, TX_ANGLE, [40.0], grid=grid)
     (row,) = sweep.rows
-    m = scenario_mutual_inductance(NOMINAL, segments_per_turn=48)
-    h = frequency_sweep(replace(template, m=m), grid).h
+    m = scenario_mutual_inductance(sc, segments_per_turn=48)
+    h = frequency_sweep(scenario_link(sc, m), grid).h
     assert row.peak_db == pytest.approx(20 * math.log10(2.0 * np.max(np.abs(h))),
                                         rel=1e-12, abs=0)
     assert row.p_rx_w == pytest.approx(received_power(10 ** (row.peak_db / 20), 10.0),
