@@ -7,8 +7,8 @@
 Configs are INI files. Every dimensioned value carries a unit tag
 ("60 mm", "26 MHz", "50 ohm"); bare numbers are reserved for counts.
 Scenario sections ([tx_coil], [rx_coil], [placement], [circuit],
-[frequency_grid], [analysis], [output]) fall back to the built-in
-nominal values; the presence of a request section ([spectrum],
+[frequency_grid], [analysis], [output]) fall back to DEFAULT_CONFIG,
+the nominal config `mqslink defaults` prints; the presence of a request section ([spectrum],
 [sweep tx_angle], [field_map], ...) asks for that analysis. Each
 request section is one class in REQUESTS, which maps section names to
 classes: the class parses and checks its section, and its run method
@@ -20,7 +20,6 @@ manifest, which is written even when requests fail.
 from __future__ import annotations
 
 import argparse
-import configparser
 import hashlib
 import json
 import logging
@@ -86,16 +85,15 @@ _UNITS: Dict[str, Dict[str, float]] = {
 class Request(Protocol):
     """A request section, parsed by its class's parse(reader, name).
 
-    run computes the analysis, writes its files into `out`, appends the
-    report's warnings to `warn_list` and returns the names of the files
-    it wrote; build_link(tuned) gives the nominal link.
+    run computes the analysis, writes its files into `out`, reports its
+    notes through warnings.warn and returns the names of the files it
+    wrote; build_link(tuned) gives the nominal link.
     """
 
     label: str                    # the section name
 
     def run(self, config: ScenarioConfig, grid: np.ndarray, out: Path,
-            build_link: Callable[[bool], LinkCircuit],
-            warn_list: List[str]) -> Tuple[str, ...]: ...
+            build_link: Callable[[bool], LinkCircuit]) -> Tuple[str, ...]: ...
 
 
 @dataclass(frozen=True)
@@ -187,7 +185,8 @@ _SCENARIO_KEYS = {
 
 
 class _Reader:
-    """One config file: raw text, configparser view, and line numbers."""
+    """One config file, read in one pass: each section's keys with their
+    raw value text, and the line of every section header and key."""
 
     def __init__(self, path: Union[str, Path], raw: Optional[bytes] = None):
         self.path = str(path)
@@ -202,32 +201,34 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config is not UTF-8: {exc}", self.path)
 
+        self.sections: Dict[str, Dict[str, str]] = {}
         self.lines: Dict[Tuple[str, Optional[str]], int] = {}
         section: Optional[str] = None
         for lineno, line in enumerate(text.splitlines(), 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith(("#", ";")):
+            line = re.split(r"\s#", line, maxsplit=1)[0].strip()
+            if not line or line.startswith(("#", ";")):
                 continue
-            header = re.match(r"\[(.+)\]\s*$", stripped)
+            header = re.fullmatch(r"\[(.+)\]", line)
+            key, eq, value = line.partition("=")
+            key = key.strip().lower()
+            if header and header[1] not in self.sections:
+                section = header[1]
+                self.sections[section] = {}
+                self.lines[section, None] = lineno
+                continue
             if header:
-                section = header.group(1).strip()
-                self.lines.setdefault((section, None), lineno)
+                error = f"repeated section {line}"
+            elif not eq or not key:
+                error = f"expected '[section]' or 'key = value', got {line!r}"
+            elif section is None:
+                error = f"key {key!r} comes before the first section"
+            elif key in self.sections[section]:
+                error = f"repeated key {key!r} in [{section}]"
+            else:
+                self.sections[section][key] = value.strip()
+                self.lines[section, key] = lineno
                 continue
-            if "=" in stripped and section is not None:
-                key = stripped.split("=", 1)[0].strip().lower()
-                self.lines.setdefault((section, key), lineno)
-
-        # no header spells the empty default section, so [DEFAULT] is an
-        # ordinary (unknown) section rather than keys for every section
-        self.parser = configparser.ConfigParser(
-            interpolation=None, delimiters=("=",), default_section="",
-            comment_prefixes=("#", ";"), inline_comment_prefixes=("#",))
-        try:
-            self.parser.read_string(text, source=self.path)
-        except configparser.Error as exc:
-            message = str(exc).replace("\n", "; ")
-            raise ConfigError(f"cannot parse config: {message}", self.path,
-                              getattr(exc, "lineno", None))
+            raise ConfigError(error, self.path, lineno)
 
     def fail(self, section: str, key: Optional[str], message: str) -> None:
         line = self.lines.get((section, key)) or self.lines.get((section, None))
@@ -269,27 +270,26 @@ class _Reader:
             magnitude = float(number)
         except ValueError:
             self.fail(section, key, f"{where}: cannot parse number {number!r}")
-        return magnitude * units[unit]
+        value = magnitude * units[unit]
+        if not math.isfinite(value):
+            self.fail(section, key, f"{where} must be finite; got {raw!r}")
+        return value
 
-    def section(self, name: str, schema: Dict, defaults: Dict) -> Dict:
+    def section(self, name: str, schema: Dict, defaults: Dict[str, str]) -> Dict:
         """[name] read by schema, in SI units. A key the file leaves out
-        takes its value from defaults, and one with no default is required."""
-        present = self.parser.has_section(name)
+        is read from its text in defaults; one with no default is required."""
+        given = self.sections.get(name, {})
         out = {}
         for key, (kind, detail) in schema.items():
-            if present and self.parser.has_option(name, key):
-                raw = self.parser.get(name, key).strip()
-                out[key] = self._value(name, key, raw, kind, detail)
-            elif key in defaults:
-                out[key] = defaults[key]
-            else:
+            raw = given.get(key, defaults.get(key))
+            if raw is None:
                 self.fail(name, None, f"[{name}] requires key {key!r}")
-        if present:
-            for key in self.parser.options(name):
-                if key not in schema:
-                    self.fail(name, key,
-                              f"unknown key {key!r} in [{name}]; "
-                              f"allowed: {', '.join(sorted(schema))}")
+            out[key] = self._value(name, key, raw, kind, detail)
+        for key in given:
+            if key not in schema:
+                self.fail(name, key,
+                          f"unknown key {key!r} in [{name}]; "
+                          f"allowed: {', '.join(sorted(schema))}")
         return out
 
     def build(self, section: str, cls, keys: Dict, **kwargs):
@@ -307,24 +307,25 @@ class _Reader:
 def parse_config(path: Union[str, Path], allow_defaults: bool = False) -> ScenarioConfig:
     """Read and validate a config file into a ScenarioConfig.
 
-    With allow_defaults, absent scenario sections and keys fall back to
-    the built-in nominal values (the ones `mqslink defaults` prints), so
-    an empty file parses to the nominal scenario with no requests.
-    Without it there are no defaults: every scenario key must be written
-    out. Request sections are optional either way: presence requests the
-    analysis. Unknown sections or keys, untagged dimensioned values, and
-    out-of-range values are rejected with file:line anchored messages.
+    With allow_defaults, an absent scenario section or key takes its
+    value text from DEFAULT_CONFIG (what `mqslink defaults` prints),
+    read by the same rules as the file, so an empty file parses to the
+    nominal scenario with no requests. Without it there are no scenario
+    defaults: every scenario key must be written out. Request sections
+    are optional either way: presence requests the analysis. Unknown
+    sections or keys, malformed lines, untagged dimensioned values, and
+    non-finite or out-of-range values are rejected with file:line
+    anchored messages.
     """
     reader = _Reader(path)
-    parser = reader.parser
-
     known = _SCENARIO_SECTIONS + tuple(REQUESTS)
-    for name in parser.sections():
+    for name in reader.sections:
         if name not in known:
             reader.fail(name, None, f"unknown section [{name}]; known sections: "
                                     f"{', '.join(known)}")
 
-    defaults = _builtin_defaults() if allow_defaults else {}
+    defaults = (_Reader("<defaults>", DEFAULT_CONFIG.encode("utf-8")).sections
+                if allow_defaults else {})
     read = {name: reader.section(name, schema, defaults.get(name, {}))
             for name, schema in _SCENARIO_SCHEMAS.items()}
     tx, rx = (reader.build(name, CoilSpec, {},
@@ -338,7 +339,7 @@ def parse_config(path: Union[str, Path], allow_defaults: bool = False) -> Scenar
         reader.fail("frequency_grid", "points",
                     "[frequency_grid] points must be >= 2")
     if not 0 < grid["start"] < grid["stop"]:
-        reader.fail("frequency_grid", None,
+        reader.fail("frequency_grid", "start" if grid["start"] <= 0 else "stop",
                     "[frequency_grid] needs 0 < start < stop")
     if analysis["segments_per_turn"] < 16:
         reader.fail("analysis", "segments_per_turn",
@@ -346,7 +347,7 @@ def parse_config(path: Union[str, Path], allow_defaults: bool = False) -> Scenar
 
     # file order = execution order
     requests = tuple(REQUESTS[name].parse(reader, name)
-                     for name in parser.sections() if name in REQUESTS)
+                     for name in reader.sections if name in REQUESTS)
 
     return ScenarioConfig(
         scenario=scenario, grid_start=grid["start"], grid_stop=grid["stop"],
@@ -473,18 +474,6 @@ modes = tuned untuned
 # load_max = 10 kohm
 # points = 101
 """
-
-
-def _builtin_defaults() -> Dict[str, Dict]:
-    """Scenario section values of DEFAULT_CONFIG, parsed strictly.
-
-    The fallbacks of allow_defaults come from the text `mqslink
-    defaults` prints, through the parser's own unit arithmetic, so that
-    text parses to the same values by construction.
-    """
-    reader = _Reader("<defaults>", raw=DEFAULT_CONFIG.encode("utf-8"))
-    return {name: reader.section(name, schema, {})
-            for name, schema in _SCENARIO_SCHEMAS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +629,7 @@ class SpectrumRequest:
             reader.fail(name, "modes", "[spectrum] modes repeats a mode")
         return cls(modes=tokens)
 
-    def run(self, config, grid, out, build_link, warn_list):
+    def run(self, config, grid, out, build_link):
         files = []
         for mode in self.modes:
             spectrum = frequency_sweep(build_link(mode == "tuned"), grid)
@@ -676,7 +665,7 @@ class MisalignmentSweepRequest:
         if vals["stop"] < vals["start"]:
             reader.fail(name, "stop", f"[{name}] stop must be >= start")
         if vals["start"] < lo or vals["stop"] > hi:
-            reader.fail(name, None,
+            reader.fail(name, "start" if vals["start"] < lo else "stop",
                         f"[{name}] range must lie within [{lo:g}, {hi:g}] {unit}")
         return cls(axis=axis, **vals)
 
@@ -686,12 +675,13 @@ class MisalignmentSweepRequest:
         vals[-1] = min(vals[-1], self.stop)   # accumulation must not pass stop
         return vals
 
-    def run(self, config, grid, out, build_link, warn_list):
+    def run(self, config, grid, out, build_link):
         sweep = misalignment_sweep(
             config.scenario, self.axis, self.values(), grid=grid,
             noise_floor_dbv=config.noise_floor_dbv,
             convention=config.snr_convention)
-        warn_list.extend(f"{self.label}: {note}" for note in sweep.notes)
+        for note in sweep.notes:
+            warnings.warn(note)
         fname = f"sweep_{self.axis}.csv"
         emit_sweep_csv(sweep, out / fname)
         return (fname,)
@@ -730,7 +720,7 @@ class ResistanceSweepRequest:
             return np.geomspace(self.start, self.stop, self.points)
         return np.linspace(self.start, self.stop, self.points)
 
-    def run(self, config, grid, out, build_link, warn_list):
+    def run(self, config, grid, out, build_link):
         sweep = resistance_sweep(build_link(True), self.side, self.values(),
                                  grid=grid, noise_floor_dbv=config.noise_floor_dbv,
                                  convention=config.snr_convention)
@@ -762,13 +752,13 @@ class FieldMapRequest:
             "axis2_points": ("count", None),
             "current": ("quantity", "current"),
         }
-        defaults = {"coil": "tx", "offset": 0.0, "current": 1.0}
+        defaults = {"coil": "tx", "offset": "0 mm", "current": "1 A"}
         vals = reader.section(name, schema, defaults)
         coil, current = vals.pop("coil"), vals.pop("current")
         return cls(coil=coil, grid=reader.build(name, GridSpec, {}, **vals),
                    current=current)
 
-    def run(self, config, grid, out, build_link, warn_list):
+    def run(self, config, grid, out, build_link):
         sc = config.scenario
         tx_pose, rx_pose = scenario_poses(sc)
         spec, pose = (sc.tx, tx_pose) if self.coil == "tx" else (sc.rx, rx_pose)
@@ -776,8 +766,8 @@ class FieldMapRequest:
         b = field_map(coil, self.current, self.grid)
         masked = int(np.isnan(b[:, 0]).sum())
         if masked:
-            warn_list.append(f"field_map: {masked} of {len(b)} points "
-                             "inside the wire exclusion zone are masked")
+            warnings.warn(f"{masked} of {len(b)} points inside the wire "
+                          "exclusion zone are masked")
         emit_field_map_csv(self.grid.points(), b, out / "field_map.csv")
         return ("field_map.csv",)
 
@@ -790,11 +780,11 @@ class CapacityRequest:
 
     @classmethod
     def parse(cls, reader: _Reader, name: str) -> CapacityRequest:
-        for key in reader.parser.options(name):
+        for key in reader.sections[name]:
             reader.fail(name, key, f"[capacity] takes no keys; got {key!r}")
         return cls()
 
-    def run(self, config, grid, out, build_link, warn_list):
+    def run(self, config, grid, out, build_link):
         spectrum = frequency_sweep(build_link(True), grid)
         budget = dict(noise_floor_dbv=config.noise_floor_dbv,
                       source_level_dbv=20.0 * math.log10(config.scenario.v_source),
@@ -802,13 +792,13 @@ class CapacityRequest:
         study = capacity_vs_bandwidth(spectrum, **budget)
         masked = sum(1 for row in study.rows if row.masked)
         if masked:
-            warn_list.append(f"capacity: {masked} threshold rows masked "
-                             "(band runs off the frequency grid)")
+            warnings.warn(f"{masked} threshold rows masked "
+                          "(band runs off the frequency grid)")
         emit_capacity_csv(study, out / "capacity.csv")
         try:
             rep = capacity_report(spectrum, **budget)
         except TruncatedBandError as exc:
-            warn_list.append(f"capacity: {exc}; capacity_report.json not written")
+            warnings.warn(f"{exc}; capacity_report.json not written")
             return ("capacity.csv",)
         _atomic_write(out / "capacity_report.json", _json_text(asdict(rep)) + "\n")
         return ("capacity.csv", "capacity_report.json")
@@ -828,15 +818,16 @@ class DualModeRequest:
         schema = {"load_min": ("quantity", "resistance"),
                   "load_max": ("quantity", "resistance"),
                   "points": ("count", None)}
-        defaults = {"load_min": 0.1, "load_max": 1e4, "points": 101}
+        defaults = {"load_min": "0.1 ohm", "load_max": "10 kohm", "points": "101"}
         vals = reader.section(name, schema, defaults)
         if vals["load_min"] <= 0 or vals["load_max"] <= vals["load_min"]:
-            reader.fail(name, None, "[dual_mode] needs 0 < load_min < load_max")
+            reader.fail(name, "load_min" if vals["load_min"] <= 0 else "load_max",
+                        "[dual_mode] needs 0 < load_min < load_max")
         if vals["points"] < 2:
             reader.fail(name, "points", "[dual_mode] points must be >= 2")
         return cls(**vals)
 
-    def run(self, config, grid, out, build_link, warn_list):
+    def run(self, config, grid, out, build_link):
         loads = np.geomspace(self.load_min, self.load_max, self.points)
         dm = dual_mode_report(build_link(True), r_load_grid=loads, grid=grid)
         payload = {
@@ -909,7 +900,7 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> RunRe
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                files = req.run(config, grid, out, build_link, warn_list)
+                files = req.run(config, grid, out, build_link)
             warn_list.extend(f"{label}: {w.message}" for w in caught)
             outputs.append((label, files))
             _log.info("%s -> %s (%.2f s)", label, ", ".join(files),

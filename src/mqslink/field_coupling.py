@@ -164,7 +164,7 @@ class GridSpec:
             if not isinstance(n, int) or n < 2:
                 raise ValueError(f"{name}_points must be an int >= 2, got {n!r}")
             if not start < stop:
-                raise ValueError(f"{name} range must satisfy start < stop, got [{start!r}, {stop!r}]")
+                raise ValueError(f"{name}_stop must be > {name}_start, got [{start!r}, {stop!r}]")
 
     def points(self) -> np.ndarray:
         """All sample positions, shape (axis1_points*axis2_points, 3)."""

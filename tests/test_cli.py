@@ -187,10 +187,73 @@ def test_radian_angles_convert(tmp_path):
     ("[DEFAULT]\nfoo = 1\n", r"\.ini:1: unknown section \[DEFAULT\]"),
     ("[tx_coil]\nturns = 5\n[DEFAULT]\nwire_spacing = 2 mm\n",
      r"\.ini:3: unknown section \[DEFAULT\]"),
+    # a non-finite number is rejected at its line
+    ("[circuit]\ntuned_frequency = nan MHz\n", r"\.ini:2: .* must be finite"),
+    ("[placement]\nx_eye = nan mm\n", r"\.ini:2: .* must be finite"),
+    ("[circuit]\nr_load = inf ohm\n", r"\.ini:2: .* must be finite"),
+    ("[tx_coil]\ninner_radius = nan mm\n", r"\.ini:2: .* must be finite"),
+    ("[analysis]\nnoise_floor = nan dBV\n", r"\.ini:2: .* must be finite"),
+    # a range error is reported at the key whose value is out of range
+    ("[sweep lateral]\nstart = -5 mm\nstop = 100 mm\nstep = 5 mm\n",
+     r"\.ini:2: .*must lie within"),
+    ("[sweep axial]\nstart = 100 mm\nstop = 400 mm\nstep = 50 mm\n",
+     r"\.ini:3: .*must lie within"),
+    ("[frequency_grid]\nstart = 0 MHz\n", r"\.ini:2: .*0 < start < stop"),
+    ("[frequency_grid]\nstart = 25 MHz\nstop = 21 MHz\n", r"\.ini:3: .*0 < start < stop"),
+    ("[dual_mode]\nload_min = 0 ohm\n", r"\.ini:2: .*0 < load_min < load_max"),
+    ("[dual_mode]\nload_min = 5 ohm\nload_max = 2 ohm\n",
+     r"\.ini:3: .*0 < load_min < load_max"),
+    ("[field_map]\nplane = xz\naxis1_start = 5 mm\naxis1_stop = 1 mm\naxis1_points = 3\n"
+     "axis2_start = 50 mm\naxis2_stop = 90 mm\naxis2_points = 3\n",
+     r"\.ini:4: axis1_stop must be > axis1_start"),
 ])
 def test_bad_configs_are_rejected(tmp_path, snippet, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_text(tmp_path, snippet)
+
+
+def _corruptions(line):
+    """Single-line corruptions of one config line, each paired with
+    whether it must fail at that line: a non-finite number must."""
+    header = re.fullmatch(r"\[(.+)\]", line)
+    if header:
+        yield f"[ {header[1]} ]", False
+        yield f"[{header[1]}", False
+        yield f"{line} # note", False
+    elif "=" in line:
+        yield line.replace("=", "", 1), False
+        number = re.fullmatch(r"(\w+ = )\S+( \S+)", line)
+        if number:
+            yield number[1] + "nan" + number[2], True
+            yield number[1] + "inf" + number[2], True
+    if line:
+        yield line + "\n" + line, False
+
+
+def test_every_rejected_config_names_its_line(tmp_path):
+    lines = ALL_REQUESTS.splitlines()
+    path = tmp_path / "corrupt.ini"
+    faults = []
+    for i, line in enumerate(lines):
+        for corrupt, non_finite in _corruptions(line):
+            path.write_text("\n".join(lines[:i] + [corrupt] + lines[i + 1:]) + "\n",
+                            encoding="utf-8")
+            try:
+                parse_config(path, allow_defaults=True)
+            except ConfigError as exc:
+                if exc.line is None or (non_finite and exc.line != i + 1):
+                    faults.append(f"line {i + 1} {corrupt!r}: {exc}")
+            else:
+                if non_finite:
+                    faults.append(f"line {i + 1} {corrupt!r} parsed")
+    assert not faults, f"{len(faults)} faults, first: {faults[:3]}"
+
+
+def test_indentation_and_inline_comments_carry_no_meaning(tmp_path):
+    config = parse_text(tmp_path, "[placement] # eye\nx_eye = 90 mm  # lateral\n"
+                                  "    Z_Eye = 0.2 m\n")
+    assert config.scenario.x_eye == pytest.approx(0.09)
+    assert config.scenario.z_eye == 0.2
 
 
 def test_errors_carry_the_offending_line(tmp_path):
