@@ -11,8 +11,9 @@ coefficients, formed once per grid, so each termination (a scalar or a
 capacitors and coil loss it reduces to the classical untuned two-mesh
 transfer expression, which tests enforce rather than assume.
 
-Amplitude convention: v_source is a peak amplitude; powers use the
-(1/2)*Re(V*conj(I)) peak convention throughout.
+Amplitude convention: v_source is a peak amplitude. tx_power is the cycle
+average (1/2)*Re(V*conj(I)); received_power (each sweep p_rx_w, dual-mode
+p_rx_*) is |V|^2/R, twice that, so a ratio of the two reads efficiency 2x high.
 """
 
 from __future__ import annotations

@@ -39,8 +39,8 @@ import numpy as np
 
 from .circuit import LinkCircuit, Spectrum, frequency_sweep, path_loss_db
 from .field_coupling import GridSpec, field_map
-from .geometry import (ESR_MODES, FLAT_SPIRAL, HELICAL, CoilSpec, Scenario,
-                       apply_pose, build_filament_coil, scenario_poses)
+from .geometry import (FLAT_SPIRAL, HELICAL, CoilSpec, Scenario, apply_pose,
+                       build_filament_coil, scenario_poses)
 from .link_analysis import (_SWEEP_RANGES, POWER, VOLTAGE, BandwidthStudy,
                             SweepResult, TruncatedBandError, capacity_report,
                             capacity_vs_bandwidth, dual_mode_report,
@@ -128,6 +128,7 @@ _COIL_SCHEMA = {
     "sphere_radius": ("optional_quantity", "length"),
     "conductivity": ("quantity", "conductivity"),
     "inductance_override": ("optional_quantity", "inductance"),
+    "resistance_override": ("optional_quantity", "resistance"),
     "parasitic_capacitance": ("optional_quantity", "capacitance"),
 }
 
@@ -142,9 +143,6 @@ _CIRCUIT_SCHEMA = {
     "r_load": ("quantity", "resistance"),
     "tuned_frequency": ("quantity", "frequency"),
     "source_amplitude": ("quantity", "voltage"),
-    "esr_mode": ("enum", ESR_MODES),
-    "r_coil_tx": ("optional_quantity", "resistance"),
-    "r_coil_rx": ("optional_quantity", "resistance"),
 }
 
 _GRID_SCHEMA = {
@@ -176,11 +174,6 @@ _SCENARIO_KEYS = {
     "r_load": ("circuit", "r_load"),
     "tuned_frequency": ("circuit", "tuned_frequency"),
     "v_source": ("circuit", "source_amplitude"),
-    "esr_mode": ("circuit", "esr_mode"),
-    "r_coil_tx": ("circuit", "r_coil_tx"),
-    "r_coil_rx": ("circuit", "r_coil_rx"),
-    "l_tx_override": ("tx_coil", "inductance_override"),
-    "l_rx_override": ("rx_coil", "inductance_override"),
 }
 
 
@@ -375,8 +368,9 @@ wire_spacing = 0.5 mm
 shape = flat-spiral
 sphere_radius = none
 conductivity = 5.8e7 S/m
-# measured value; the spiral formula is low-confidence at this aspect ratio
+# measured values, or none for the model; the L formula is low-confidence here
 inductance_override = 35 uH
+resistance_override = none
 parasitic_capacitance = none
 
 [rx_coil]
@@ -389,6 +383,7 @@ shape = flat-spiral
 sphere_radius = none
 conductivity = 5.8e7 S/m
 inductance_override = none
+resistance_override = none
 parasitic_capacitance = none
 
 [placement]
@@ -401,12 +396,6 @@ r_source = 50 ohm
 r_load = 1 kohm
 tuned_frequency = 26 MHz
 source_amplitude = 1 V
-# frequency: skin-effect coil loss at each solve frequency
-# fixed:     constant r_coil_tx / r_coil_rx (both required)
-# none:      lossless coils
-esr_mode = frequency
-r_coil_tx = none
-r_coil_rx = none
 
 [frequency_grid]
 start = 20 MHz
@@ -872,9 +861,8 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> RunRe
     failures: List[str] = []
     outputs: List[Tuple[str, Tuple[str, ...]]] = []
 
-    for name, spec, override in (("tx", sc.tx, sc.l_tx_override),
-                                 ("rx", sc.rx, sc.l_rx_override)):
-        est = estimate_inductance(spec, override)
+    for name, spec in (("tx", sc.tx), ("rx", sc.rx)):
+        est = estimate_inductance(spec)
         if est.validity_flag == LOW_CONFIDENCE:
             warn_list.append(f"{name} coil inductance is {est.source} and "
                              "low-confidence for this geometry")
@@ -960,7 +948,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=getattr(logging, args.log),
                         format="%(levelname)s %(name)s: %(message)s")
 
-    report = run_scenario(config, out_dir=args.out)
+    try:
+        report = run_scenario(config, out_dir=args.out)
+    except OSError as exc:        # an output directory that cannot be made
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for failure in report.failures:
         print(f"failed: {failure}", file=sys.stderr)
     out = args.out if args.out is not None else config.output_dir

@@ -20,7 +20,6 @@ from .constants import COPPER_CONDUCTIVITY
 
 FLAT_SPIRAL = "flat-spiral"
 HELICAL = "helical"
-ESR_MODES = ("frequency", "fixed", "none")     # Scenario.esr_mode values
 
 # sphere radius used for helical coils when the spec does not supply one (m)
 DEFAULT_SPHERE_RADIUS = 12e-3
@@ -28,7 +27,7 @@ DEFAULT_SPHERE_RADIUS = 12e-3
 
 @dataclass(frozen=True)
 class CoilSpec:
-    """Geometric and material description of a multi-turn spiral coil.
+    """A multi-turn spiral coil: its geometry, material and measured values.
 
     Parameters
     ----------
@@ -52,6 +51,10 @@ class CoilSpec:
         Measured self-capacitance (F). There is no predictive model for
         it here; when supplied it is placed in parallel with the coil by
         the circuit solver.
+    inductance_override, resistance_override : float, optional
+        Measured inductance (H) and series loss (ohm, constant over
+        frequency); when supplied they replace the current-sheet value
+        and the skin-effect resistance.
     """
 
     turns: int
@@ -62,6 +65,8 @@ class CoilSpec:
     sphere_radius: Optional[float] = None
     conductivity: float = COPPER_CONDUCTIVITY
     parasitic_capacitance: Optional[float] = None
+    inductance_override: Optional[float] = None
+    resistance_override: Optional[float] = None
 
     def __post_init__(self):
         if not isinstance(self.turns, int) or self.turns < 1:
@@ -76,12 +81,12 @@ class CoilSpec:
             raise ValueError(f"shape must be {FLAT_SPIRAL!r} or {HELICAL!r}, got {self.shape!r}")
         if self.conductivity <= 0:
             raise ValueError(f"conductivity must be > 0, got {self.conductivity!r}")
-        if self.sphere_radius is not None and self.sphere_radius <= 0:
-            raise ValueError(f"sphere_radius must be > 0, got {self.sphere_radius!r}")
-        if self.parasitic_capacitance is not None and self.parasitic_capacitance <= 0:
-            raise ValueError(
-                f"parasitic_capacitance must be > 0, got {self.parasitic_capacitance!r}"
-            )
+        for name in ("sphere_radius", "parasitic_capacitance", "inductance_override"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
+        if self.resistance_override is not None and self.resistance_override < 0:
+            raise ValueError(f"resistance_override must be >= 0, got {self.resistance_override!r}")
         if self.shape == HELICAL:
             # the outermost turn must still fit on the sphere
             r_sphere = self.sphere_radius if self.sphere_radius is not None else DEFAULT_SPHERE_RADIUS
@@ -188,16 +193,14 @@ class FilamentCoil:
 
 @dataclass(frozen=True)
 class Scenario:
-    """The necklace-to-lens link: two coil specs, relative placement, and
-    the circuit terminations and coil losses used by downstream analyses.
+    """The necklace-to-lens link: two coil specs, their relative
+    placement, and the circuit terminations and source.
 
-    The receiver axis is horizontal (perpendicular to the untilted
-    transmitter axis) by construction, matching the worn geometry: the
-    lens faces forward while the necklace hangs roughly horizontally.
-
-    esr_mode sets the coil losses: each coil spec's skin-effect
-    resistance ("frequency"), the constant r_coil_tx and r_coil_rx,
-    which this mode alone takes and requires ("fixed"), or none ("none").
+    Each coil's measured values (inductance, loss, self-capacitance)
+    sit on its CoilSpec. The receiver axis is horizontal (perpendicular
+    to the untilted transmitter axis) by construction, matching the worn
+    geometry: the lens faces forward while the necklace hangs roughly
+    horizontally.
     """
 
     tx: CoilSpec
@@ -209,12 +212,6 @@ class Scenario:
     r_load: float = 1000.0       # ohm
     tuned_frequency: float = 26e6  # Hz
     v_source: float = 1.0        # V peak
-    # measured inductances, when available, replace the formula values
-    l_tx_override: Optional[float] = None   # H
-    l_rx_override: Optional[float] = None   # H
-    esr_mode: str = "frequency"
-    r_coil_tx: Optional[float] = None       # ohm, fixed mode only
-    r_coil_rx: Optional[float] = None       # ohm, fixed mode only
 
     def __post_init__(self):
         if self.x_eye < 0:
@@ -226,21 +223,6 @@ class Scenario:
         for name in ("r_source", "r_load", "tuned_frequency", "v_source"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        for name in ("l_tx_override", "l_rx_override"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be > 0 when given, got {value!r}")
-        if self.esr_mode not in ESR_MODES:
-            raise ValueError(f"esr_mode must be one of {ESR_MODES}, got {self.esr_mode!r}")
-        fixed = self.esr_mode == "fixed"
-        for name in ("r_coil_tx", "r_coil_rx"):
-            value = getattr(self, name)
-            if fixed and value is None:
-                raise ValueError(f"{name} is required with esr_mode = fixed")
-            if not fixed and value is not None:
-                raise ValueError(f"{name} is only valid with esr_mode = fixed, got {value!r}")
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 def turn_radii(spec: CoilSpec) -> np.ndarray:

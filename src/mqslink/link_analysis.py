@@ -98,7 +98,8 @@ class CapacityReport:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Per-point summary of a sweep; None fields are masked values."""
+    """Per-point summary of a sweep. None fields are masked values; p_rx_w is
+    received_power, |V|^2/R_load with V a peak: twice the cycle average."""
 
     value: float
     peak_db: Optional[float]
@@ -264,29 +265,28 @@ def capacity_vs_bandwidth(spectrum: Spectrum, noise_floor_dbv: float = DEFAULT_N
 def scenario_link(sc: Scenario, m: float, tuned: bool = True) -> LinkCircuit:
     """Assemble the LinkCircuit a scenario implies at mutual inductance m.
 
-    Inductances come from the coil specs unless the scenario carries
-    measured overrides. Coil losses follow sc.esr_mode: the coil specs'
-    skin-effect resistance, evaluated on the whole solver grid
-    ("frequency"), the scenario's r_coil_tx / r_coil_rx ("fixed"), or
-    0.0 ("none"). Tuning capacitors (when tuned) resonate both meshes at
-    the scenario's tuned_frequency using those same inductances.
+    Each coil's inductance is estimate_inductance of its spec, a measured
+    inductance_override when given. Each coil's loss is its spec's
+    resistance_override when given, else its skin-effect resistance on
+    the whole solver grid. Tuning capacitors (when tuned) resonate both
+    meshes at the scenario's tuned_frequency using those inductances.
     """
-    l_tx = estimate_inductance(sc.tx, sc.l_tx_override).value
-    l_rx = estimate_inductance(sc.rx, sc.l_rx_override).value
+    l_tx = estimate_inductance(sc.tx).value
+    l_rx = estimate_inductance(sc.rx).value
     c_tx = c_rx = None
     if tuned:
         c_tx = tune_capacitance(l_tx, sc.tuned_frequency, parasitic=sc.tx.parasitic_capacitance)
         c_rx = receiver_capacitance(l_tx, c_tx, l_rx)
-    skin, fixed = sc.esr_mode == "frequency", sc.esr_mode == "fixed"
     return LinkCircuit(
         l_tx=l_tx, l_rx=l_rx, m=m,
         r_source=sc.r_source, r_load=sc.r_load,
         c_tx=c_tx, c_rx=c_rx, v_source=sc.v_source,
         parasitic_tx=sc.tx.parasitic_capacitance,
         parasitic_rx=sc.rx.parasitic_capacitance,
-        r_coil_tx=sc.r_coil_tx if fixed else 0.0,
-        r_coil_rx=sc.r_coil_rx if fixed else 0.0,
-        esr_tx=sc.tx if skin else None, esr_rx=sc.rx if skin else None,
+        r_coil_tx=sc.tx.resistance_override or 0.0,
+        r_coil_rx=sc.rx.resistance_override or 0.0,
+        esr_tx=sc.tx if sc.tx.resistance_override is None else None,
+        esr_rx=sc.rx if sc.rx.resistance_override is None else None,
     )
 
 
@@ -424,7 +424,8 @@ class DualModeReport:
     """Load resistances for the two operating modes of a shared link.
 
     power mode maximizes delivered power; comm mode is the smallest
-    load reaching 95% of the saturated received voltage.
+    load reaching 95% of the saturated received voltage. p_rx_* are
+    received_power values: |V|^2/R_load, twice the cycle average.
     """
 
     power_mode_r_load: float

@@ -9,7 +9,7 @@ its validity region.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,18 +93,16 @@ def current_sheet_inductance(spec: CoilSpec) -> float:
     return MU0 * spec.turns**2 * d_avg / 2.0 * (math.log(2.46 / gamma) + 0.2 * gamma**2)
 
 
-def estimate_inductance(spec: CoilSpec, override: Optional[float] = None) -> InductanceEstimate:
+def estimate_inductance(spec: CoilSpec) -> InductanceEstimate:
     """Best-available inductance with provenance.
 
-    A user-supplied override (e.g. a measured value) wins and is trusted;
-    otherwise the current-sheet value is returned, flagged by the Wheeler
-    fit's validity conditions since both formulas target the same coil
-    family and share their region of confidence.
+    The spec's inductance_override (e.g. a measured value) wins and is
+    trusted; otherwise the current-sheet value is returned, flagged by
+    the Wheeler fit's validity conditions since both formulas target
+    the same coil family and share their region of confidence.
     """
-    if override is not None:
-        if override <= 0:
-            raise ValueError(f"inductance override must be > 0, got {override!r}")
-        return InductanceEstimate(float(override), TRUSTED, USER_SUPPLIED)
+    if spec.inductance_override is not None:
+        return InductanceEstimate(float(spec.inductance_override), TRUSTED, USER_SUPPLIED)
     flag = wheeler_validity(spec)
     return InductanceEstimate(current_sheet_inductance(spec), flag, CURRENT_SHEET)
 

@@ -33,8 +33,8 @@ RX = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
               wire_spacing=0.5e-3)
 TX = CoilSpec(turns=5, inner_radius=60e-3, wire_diameter=0.137e-3,
               wire_spacing=0.5e-3)
-NOMINAL = Scenario(tx=TX, rx=RX, x_eye=92e-3, z_eye=150e-3, tx_angle_deg=40.0,
-                   l_tx_override=35e-6)
+NOMINAL = Scenario(tx=replace(TX, inductance_override=35e-6), rx=RX,
+                   x_eye=92e-3, z_eye=150e-3, tx_angle_deg=40.0)
 
 
 @pytest.fixture(scope="module")

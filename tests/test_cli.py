@@ -9,7 +9,7 @@ import runpy
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +18,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mqslink import cli, field_coupling
-from mqslink.circuit import frequency_sweep
+from mqslink.circuit import default_grid, frequency_sweep
 from mqslink.cli import (DEFAULT_CONFIG, ConfigError, _csv_text, _fmt,
                          _json_text, emit_field_map_csv, emit_spectrum_csv,
                          emit_sweep_csv, main, parse_config, run_scenario)
-from mqslink.link_analysis import (misalignment_sweep, scenario_link,
+from mqslink.geometry import CoilSpec, Scenario
+from mqslink.link_analysis import (DEFAULT_NOISE_FLOOR_DBV, VOLTAGE,
+                                   misalignment_sweep, scenario_link,
                                    scenario_mutual_inductance)
 
 SMALL_RUN = """\
@@ -122,6 +124,23 @@ def test_builtin_defaults_round_trip(tmp_path):
     assert from_empty.requests == ()
 
 
+def _bits(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+def test_library_defaults_equal_the_printed_defaults(tmp_path):
+    # the library repeats the nominal values of `mqslink defaults`;
+    # [rx_coil] leaves every defaulted CoilSpec field at its default
+    config = parse_text(tmp_path, "")
+    for cls, parsed in ((Scenario, config.scenario), (CoilSpec, config.scenario.rx)):
+        for f in fields(cls):
+            if f.default is not MISSING:
+                assert _bits(getattr(parsed, f.name)) == _bits(f.default), f.name
+    assert config.frequency_grid().tobytes() == default_grid().tobytes()
+    assert _bits(config.noise_floor_dbv) == _bits(DEFAULT_NOISE_FLOOR_DBV)
+    assert config.snr_convention == VOLTAGE
+
+
 def test_strict_mode_requires_the_scenario_sections(tmp_path):
     with pytest.raises(ConfigError, match=r"\[tx_coil\]"):
         parse_config(write_config(tmp_path, ""), allow_defaults=False)
@@ -169,8 +188,9 @@ def test_radian_angles_convert(tmp_path):
     ("[telemetry]\nrate = 1\n", "unknown section"),
     ("[tx_coil]\nturns = 0\n", "turns"),
     ("[tx_coil]\nturns = 2.5\n", "integer"),
-    ("[circuit]\nesr_mode = fixed\n", "r_coil"),
-    ("[circuit]\nesr_mode = frequency\nr_coil_tx = 1 ohm\n", "esr_mode"),
+    ("[circuit]\nesr_mode = fixed\n", r"\.ini:2: unknown key 'esr_mode' in \[circuit\]"),
+    ("[rx_coil]\nturns = 5\nresistance_override = -1 ohm\n",
+     r"\.ini:3: resistance_override must be >= 0"),
     ("[sweep tx_angle]\nstart = 10 deg\nstop = 95 deg\nstep = 5 deg\n",
      "within"),
     ("[sweep tx_angle]\nstart = 30 deg\nstop = 20 deg\nstep = 5 deg\n",
@@ -281,28 +301,26 @@ inductance_override = none
 """)
     assert config.scenario.rx.shape == "helical"
     assert config.scenario.rx.sphere_radius == pytest.approx(0.012)
-    assert config.scenario.l_rx_override is None
+    assert config.scenario.rx.inductance_override is None
 
 
 def test_fixed_esr_mode_carries_both_resistances(tmp_path):
     config = parse_text(tmp_path, """\
-[circuit]
-esr_mode = fixed
-r_coil_tx = 6 ohm
-r_coil_rx = 0.5 ohm
+[tx_coil]
+resistance_override = 6 ohm
+[rx_coil]
+resistance_override = 0.5 ohm
 """)
-    assert config.scenario.esr_mode == "fixed"
-    assert config.scenario.r_coil_tx == 6.0
-    assert config.scenario.r_coil_rx == 0.5
+    assert config.scenario.tx.resistance_override == 6.0
+    assert config.scenario.rx.resistance_override == 0.5
 
 
-@pytest.mark.parametrize("esr_lines, r_tx, r_rx", [
-    ("esr_mode = fixed\nr_coil_tx = 6 ohm\nr_coil_rx = 0.5 ohm\n", 6.0, 0.5),
-    ("esr_mode = none\n", 0.0, 0.0),
-], ids=["fixed", "none"])
-def test_fixed_and_lossless_coils_run_end_to_end(tmp_path, esr_lines, r_tx, r_rx):
-    text = small_scenario(esr_lines, "[spectrum]\nmodes = tuned\n\n[sweep tx_angle]\n"
-                                     "start = 20 deg\nstop = 60 deg\nstep = 20 deg\n")
+@pytest.mark.parametrize("r_tx, r_rx", [(6.0, 0.5), (0.0, 0.0)], ids=["fixed", "none"])
+def test_fixed_and_lossless_coils_run_end_to_end(tmp_path, r_tx, r_rx):
+    text = small_scenario("", "[spectrum]\nmodes = tuned\n\n[sweep tx_angle]\n"
+                              "start = 20 deg\nstop = 60 deg\nstep = 20 deg\n")
+    for coil, r in (("tx_coil", r_tx), ("rx_coil", r_rx)):
+        text = text.replace(f"[{coil}]\n", f"[{coil}]\nresistance_override = {r:g} ohm\n")
     config = parse_config(write_config(tmp_path, text), allow_defaults=True)
     out = tmp_path / "out"
     assert run_scenario(config, out_dir=str(out)).failures == ()
@@ -623,6 +641,17 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
     assert f"{bad}:2:" in err
     assert main(["validate", str(bad)]) == 2
+
+
+def test_an_output_path_that_cannot_be_made_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")
+    config = write_config(tmp_path, "[output]\ndirectory = taken\n")
+    for args in (["--out", str(tmp_path / "taken")], []):
+        assert main(["run", str(config), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "taken" in err
+        assert "Traceback" not in err
 
 
 def test_failing_request_is_isolated(tmp_path, capsys):

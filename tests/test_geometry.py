@@ -40,6 +40,9 @@ def test_diameter_properties():
     (dict(conductivity=0.0), "conductivity"),
     (dict(sphere_radius=-1e-3), "sphere_radius"),
     (dict(parasitic_capacitance=0.0), "parasitic_capacitance"),
+    (dict(inductance_override=0.0), "inductance_override"),
+    (dict(inductance_override=-1e-6), "inductance_override"),
+    (dict(resistance_override=-0.5), "resistance_override"),
 ])
 def test_coil_spec_rejects_bad_values_naming_the_field(kwargs, field):
     base = dict(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
@@ -230,13 +233,6 @@ def test_scenario_poses_place_tx_at_origin_and_rx_at_the_eye():
     (dict(r_load=-5.0), "r_load"),
     (dict(tuned_frequency=0.0), "tuned_frequency"),
     (dict(v_source=0.0), "v_source"),
-    (dict(l_tx_override=0.0), "l_tx_override"),
-    (dict(l_rx_override=-1e-6), "l_rx_override"),
-    (dict(esr_mode="skin"), "esr_mode"),
-    (dict(esr_mode="fixed", r_coil_rx=1.0), "r_coil_tx"),
-    (dict(esr_mode="fixed", r_coil_tx=1.0, r_coil_rx=-0.5), "r_coil_rx"),
-    (dict(r_coil_tx=1.0), "r_coil_tx"),
-    (dict(esr_mode="none", r_coil_rx=0.0), "r_coil_rx"),
 ])
 def test_scenario_rejects_bad_values_naming_the_field(kwargs, field):
     base = dict(tx=TX, rx=RX, x_eye=92e-3, z_eye=150e-3, tx_angle_deg=40.0)

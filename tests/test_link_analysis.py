@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqslink import circuit, link_analysis
-from mqslink.circuit import (default_grid, frequency_sweep, received_power,
+from mqslink.circuit import (LinkCircuit, default_grid, frequency_sweep,
+                             received_power, receiver_capacitance,
                              tune_capacitance)
 from mqslink.field_coupling import mutual_inductance
 from mqslink.geometry import (CoilSpec, Scenario, apply_pose,
@@ -26,15 +27,15 @@ from mqslink.link_analysis import (AXIAL, LATERAL, POWER, TX_ANGLE, VOLTAGE,
                                    resistance_sweep,
                                    scenario_link, scenario_mutual_inductance,
                                    snr_db, three_db_bandwidth)
-from mqslink.lumped import ac_resistance
+from mqslink.lumped import ac_resistance, current_sheet_inductance
 from test_circuit import _random_links
 
 RX = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
               wire_spacing=0.5e-3)
 TX = CoilSpec(turns=5, inner_radius=60e-3, wire_diameter=0.137e-3,
               wire_spacing=0.5e-3)
-NOMINAL = Scenario(tx=TX, rx=RX, x_eye=92e-3, z_eye=150e-3, tx_angle_deg=40.0,
-                   l_tx_override=35e-6)
+NOMINAL = Scenario(tx=replace(TX, inductance_override=35e-6), rx=RX,
+                   x_eye=92e-3, z_eye=150e-3, tx_angle_deg=40.0)
 
 M_NOMINAL = 3.9074457990719537e-10
 
@@ -162,11 +163,31 @@ def test_scenario_link_wires_the_lumped_pieces():
     assert link.c_tx == pytest.approx(tune_capacitance(35e-6, 26e6), rel=1e-15, abs=0)
     assert link.c_rx == pytest.approx(link.l_tx * link.c_tx / link.l_rx,
                                       rel=1e-15, abs=0)
-    assert link.esr_tx == TX and link.esr_rx == RX
+    assert link.esr_tx == NOMINAL.tx and link.esr_rx == RX
     assert link.coil_resistance_tx(26e6) == pytest.approx(ac_resistance(TX, 26e6),
                                                           rel=1e-15, abs=0)
     assert link.coil_resistance_rx(13e6) == pytest.approx(ac_resistance(RX, 13e6),
                                                           rel=1e-15, abs=0)
+
+
+def test_each_coil_takes_its_own_loss():
+    # a measured tx loss beside a skin-effect rx, and the other way round
+    l_rx = current_sheet_inductance(RX)
+    c_tx = tune_capacitance(35e-6, 26e6)
+    common = dict(l_tx=35e-6, l_rx=l_rx, m=M_NOMINAL, r_source=50.0, r_load=1e3,
+                  c_tx=c_tx, c_rx=receiver_capacitance(35e-6, c_tx, l_rx))
+    grid = default_grid()
+    for tx_ohm, rx_ohm, direct in (
+            (6.0, None, LinkCircuit(r_coil_tx=6.0, esr_rx=RX, **common)),
+            (None, 0.5, LinkCircuit(r_coil_rx=0.5, esr_tx=NOMINAL.tx, **common))):
+        sc = replace(NOMINAL, tx=replace(NOMINAL.tx, resistance_override=tx_ohm),
+                     rx=replace(RX, resistance_override=rx_ohm))
+        link = scenario_link(sc, m=M_NOMINAL)
+        assert link == direct
+        assert frequency_sweep(link, grid).h.tobytes() == \
+            frequency_sweep(direct, grid).h.tobytes()
+    assert link.coil_resistance_rx(26e6) == 0.5
+    assert link.coil_resistance_tx(26e6) == ac_resistance(NOMINAL.tx, 26e6)
 
 
 def test_scenario_link_is_a_hashable_picklable_value():
@@ -450,7 +471,7 @@ def test_load_scans_evaluate_each_coil_loss_once_on_the_whole_grid(monkeypatch):
         scans.append(list(calls))
     for scan in scans:
         assert len(scan) == 2
-        assert {spec for spec, _ in scan} == {TX, RX}
+        assert {spec for spec, _ in scan} == {NOMINAL.tx, RX}
         assert all(shape == grid.shape for _, shape in scan)
 
 

@@ -1,6 +1,7 @@
 """Lumped coil parameters: inductance formulas and skin effect."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ def test_validity_flags_low_turn_counts_and_fat_wire():
 
 
 def test_estimate_prefers_a_supplied_measurement():
-    est = estimate_inductance(TX, override=35e-6)
+    est = estimate_inductance(replace(TX, inductance_override=35e-6))
     assert est.value == 35e-6
     assert est.source == USER_SUPPLIED
     assert est.validity_flag == TRUSTED

@@ -1,6 +1,8 @@
-"""Every name the package re-exports is used by the program or kept on purpose."""
+"""The public surface: every name the package re-exports is used by the
+program or kept on purpose, and README's library sketch runs."""
 
 import ast
+import re
 from pathlib import Path
 
 import mqslink
@@ -53,3 +55,10 @@ def test_every_reexport_is_used_or_kept_for_a_reason():
     assert unused == [], f"re-exported but used by no module: {unused}"
     # an entry that the program now reads no longer needs its reason
     assert sorted(KEPT & used) == []
+
+
+def test_readme_library_sketch_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library sketch\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.S)[1]
+    exec(compile(code, "README.md", "exec"), {})
