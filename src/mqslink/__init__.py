@@ -13,8 +13,7 @@ from .cli import (ConfigError, RunReport, ScenarioConfig, main, parse_config,
                   run_scenario)
 from .circuit import (LinkCircuit, Spectrum, default_grid, frequency_sweep,
                       path_loss_db, received_power, receiver_capacitance,
-                      transfer_ratio, transfer_ratio_untuned,
-                      tune_capacitance, tx_power)
+                      transfer_ratio_untuned, tune_capacitance, tx_power)
 from .constants import MU0
 from .field_coupling import (ConvergenceError, CouplingResult, GridSpec,
                              SeparationError, SingularEvaluationError,
@@ -30,7 +29,7 @@ from .link_analysis import (POWER, VOLTAGE, BandwidthStudy, CapacityReport,
                             channel_capacity, dual_mode_report,
                             misalignment_sweep, resistance_sweep,
                             scenario_link, scenario_mutual_inductance,
-                            snr_db, three_db_bandwidth)
+                            snr_db)
 from .lumped import (ac_resistance, current_sheet_inductance,
                      estimate_inductance, skin_depth, wheeler_inductance)
 

@@ -41,7 +41,7 @@ from .circuit import LinkCircuit, Spectrum, frequency_sweep, path_loss_db
 from .field_coupling import GridSpec, field_map
 from .geometry import (FLAT_SPIRAL, HELICAL, CoilSpec, Scenario, apply_pose,
                        build_filament_coil, scenario_poses)
-from .link_analysis import (_SWEEP_RANGES, POWER, VOLTAGE, BandwidthStudy,
+from .link_analysis import (POWER, SWEEP_RANGES, VOLTAGE, BandwidthStudy,
                             SweepResult, TruncatedBandError, capacity_report,
                             capacity_vs_bandwidth, dual_mode_report,
                             misalignment_sweep, resistance_sweep,
@@ -648,7 +648,7 @@ class MisalignmentSweepRequest:
         schema = {"start": ("quantity", dim), "stop": ("quantity", dim),
                   "step": ("quantity", dim)}
         vals = reader.section(name, schema, {})
-        lo, hi, unit = _SWEEP_RANGES[axis]
+        lo, hi, unit = SWEEP_RANGES[axis]
         if vals["step"] <= 0:
             reader.fail(name, "step", f"[{name}] step must be > 0")
         if vals["stop"] < vals["start"]:
@@ -669,8 +669,6 @@ class MisalignmentSweepRequest:
             config.scenario, self.axis, self.values(), grid=grid,
             noise_floor_dbv=config.noise_floor_dbv,
             convention=config.snr_convention)
-        for note in sweep.notes:
-            warnings.warn(note)
         fname = f"sweep_{self.axis}.csv"
         emit_sweep_csv(sweep, out / fname)
         return (fname,)
@@ -776,7 +774,6 @@ class CapacityRequest:
     def run(self, config, grid, out, build_link):
         spectrum = frequency_sweep(build_link(True), grid)
         budget = dict(noise_floor_dbv=config.noise_floor_dbv,
-                      source_level_dbv=20.0 * math.log10(config.scenario.v_source),
                       convention=config.snr_convention)
         study = capacity_vs_bandwidth(spectrum, **budget)
         masked = sum(1 for row in study.rows if row.masked)

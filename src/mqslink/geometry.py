@@ -11,7 +11,7 @@ axis; tilt 90 points the axis along +x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -23,6 +23,15 @@ HELICAL = "helical"
 
 # sphere radius used for helical coils when the spec does not supply one (m)
 DEFAULT_SPHERE_RADIUS = 12e-3
+
+
+def check_finite_fields(value) -> None:
+    """Raise ValueError, naming the field, if a float field of the
+    dataclass instance value is NaN or infinite."""
+    for f in fields(value):
+        x = getattr(value, f.name)
+        if isinstance(x, float) and not math.isfinite(x):
+            raise ValueError(f"{f.name} must be finite, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +78,7 @@ class CoilSpec:
     resistance_override: Optional[float] = None
 
     def __post_init__(self):
+        check_finite_fields(self)
         if not isinstance(self.turns, int) or self.turns < 1:
             raise ValueError(f"turns must be an integer >= 1, got {self.turns!r}")
         if self.inner_radius <= 0:
@@ -214,6 +224,7 @@ class Scenario:
     v_source: float = 1.0        # V peak
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.x_eye < 0:
             raise ValueError(f"x_eye must be >= 0, got {self.x_eye!r}")
         if self.z_eye < 0:

@@ -2,11 +2,11 @@
 
 Bandwidth extraction, Shannon capacity under the voltage-ratio SNR
 reading (the power-ratio form is selectable), misalignment sweeps that
-rebuild the geometry per point, and source/load impedance studies.
+rebuild the geometry per point, and source/load impedance studies on
+circuit.termination_scan. Sweep notes are warnings.
 
-Levels are in dBV of the received amplitude; with a 1 V source this
-coincides numerically with the transfer ratio in dB, which is how the
-sweep tables should be read.
+Levels are in dBV of the received amplitude, |h| in dB plus
+20*log10(v_source); with a 1 V source they read as the transfer ratio.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .geometry import Scenario, apply_pose, build_filament_coil, scenario_poses
 from .lumped import estimate_inductance
 from .field_coupling import (ConvergenceError, SeparationError,
                              SingularEvaluationError, mutual_inductance)
-from .circuit import (LinkCircuit, Spectrum, _check_finite, _check_grid,
-                      _link_terms, _terminated, default_grid, frequency_sweep,
-                      received_power, receiver_capacitance, tune_capacitance)
+from .circuit import (LinkCircuit, Spectrum, default_grid, frequency_sweep,
+                      received_power, receiver_capacitance, termination_scan,
+                      tune_capacitance)
 
 VOLTAGE = "voltage"
 POWER = "power"
@@ -35,15 +35,8 @@ TX_ANGLE = "tx_angle"
 LATERAL = "lateral"
 AXIAL = "axial"
 
-# complex elements per (rows, F) temporary of a load scan, which
-# terminates max(1, _SCAN_ELEMENTS // F) values per block: 4 rows on the
-# 1001-point grid. A 451-load and two 224-load scans (2 shared cores)
-# took 51 ms at 1 row, 42 at 4, 38 at 8, 36 at 16 and 51 at 65; the
-# traced peak is 0.70 MiB up to 4 rows, 0.79 at 8 and 1.3 at 16.
-_SCAN_ELEMENTS = 4096
-
 # documented sweep domains: angle in deg, offsets in m
-_SWEEP_RANGES = {
+SWEEP_RANGES = {
     TX_ANGLE: (0.0, 90.0, "deg"),
     LATERAL: (0.0, 0.200, "m"),
     AXIAL: (0.050, 0.300, "m"),
@@ -51,16 +44,8 @@ _SWEEP_RANGES = {
 
 
 class TruncatedBandError(Exception):
-    """A threshold band ran past the grid edge.
-
-    f_low / f_high hold the crossings that were found (None on the
-    truncated side), so callers can keep the partial result.
-    """
-
-    def __init__(self, message: str, f_low: Optional[float], f_high: Optional[float]):
-        super().__init__(message)
-        self.f_low = f_low
-        self.f_high = f_high
+    """A threshold band ran past the grid edge; the message names the
+    truncated side (low, high or both)."""
 
 
 def _snr_linear(snr_db: float, convention: str) -> float:
@@ -120,16 +105,11 @@ class SweepResult:
     param: str
     unit: str
     rows: Tuple[SweepRow, ...]
-    notes: Tuple[str, ...] = ()
 
     def __post_init__(self):
         values = [r.value for r in self.rows]
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("sweep rows must be ordered by strictly increasing parameter value")
-
-    @property
-    def values(self) -> Tuple[float, ...]:
-        return tuple(r.value for r in self.rows)
 
 
 @dataclass(frozen=True)
@@ -152,14 +132,6 @@ class BandwidthCapacityRow:
 class BandwidthStudy:
     rows: Tuple[BandwidthCapacityRow, ...]
 
-    @property
-    def best(self) -> Optional[BandwidthCapacityRow]:
-        """Row of maximum capacity, or None when every row is masked."""
-        live = [r for r in self.rows if not r.masked]
-        if not live:
-            return None
-        return max(live, key=lambda r: r.capacity_bps)
-
 
 def _band_edges(freqs: np.ndarray, mag_db: np.ndarray, drop_db: float) -> Tuple[float, float]:
     """Outermost crossings of (peak - drop_db), linear interpolation in dB."""
@@ -168,41 +140,20 @@ def _band_edges(freqs: np.ndarray, mag_db: np.ndarray, drop_db: float) -> Tuple[
     above = mag_db >= thr
     i_lo = int(np.argmax(above))                      # first index at/above
     i_hi = len(above) - 1 - int(np.argmax(above[::-1]))  # last index at/above
-    left_trunc = i_lo == 0
-    right_trunc = i_hi == len(above) - 1
-
-    f_low = f_high = None
-    if not left_trunc:
-        m0, m1 = mag_db[i_lo - 1], mag_db[i_lo]
-        t = (thr - m0) / (m1 - m0)
-        f_low = float(freqs[i_lo - 1] + t * (freqs[i_lo] - freqs[i_lo - 1]))
-    if not right_trunc:
-        m0, m1 = mag_db[i_hi], mag_db[i_hi + 1]
-        t = (thr - m0) / (m1 - m0)
-        f_high = float(freqs[i_hi] + t * (freqs[i_hi + 1] - freqs[i_hi]))
-    if left_trunc or right_trunc:
-        sides = [s for s, trunc in (("low", left_trunc), ("high", right_trunc)) if trunc]
+    sides = [s for s, trunc in (("low", i_lo == 0), ("high", i_hi == len(above) - 1))
+             if trunc]
+    if sides:
         raise TruncatedBandError(
-            f"{drop_db:g} dB band extends past the grid edge on the {' and '.join(sides)} side",
-            f_low=f_low, f_high=f_high,
-        )
+            f"{drop_db:g} dB band extends past the grid edge on the {' and '.join(sides)} side")
+    j = np.array([i_lo - 1, i_hi])        # each edge lies in [j, j + 1]
+    t = (thr - mag_db[j]) / (mag_db[j + 1] - mag_db[j])
+    f_low, f_high = (freqs[j] + t * (freqs[j + 1] - freqs[j])).tolist()
     return f_low, f_high
 
 
 def _db(mags: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return 20.0 * np.log10(mags)
-
-
-def three_db_bandwidth(spectrum: Spectrum) -> Tuple[float, float, float]:
-    """(f_low, f_high, width) of the band within 3 dB of the peak.
-
-    Crossings are the outermost ones, interpolated linearly in the dB
-    domain between grid points. A band running past the grid edge
-    raises TruncatedBandError carrying whichever crossing was found.
-    """
-    f_low, f_high = _band_edges(spectrum.frequencies, _db(np.abs(spectrum.h)), 3.0)
-    return f_low, f_high, f_high - f_low
 
 
 def snr_db(signal_dbv: float, noise_floor_dbv: float) -> float:
@@ -223,12 +174,15 @@ def channel_capacity(bw: float, snr_db: float, convention: str = VOLTAGE) -> flo
 
 
 def capacity_report(spectrum: Spectrum, noise_floor_dbv: float = DEFAULT_NOISE_FLOOR_DBV,
-                    source_level_dbv: float = 0.0,
                     convention: str = VOLTAGE) -> CapacityReport:
-    """Budget at the 3 dB bandwidth of a spectrum's peak."""
+    """Budget at the 3 dB bandwidth of a spectrum's peak, whose level is
+    |h| in dB plus 20*log10(spectrum.v_source). The band's outermost
+    crossings interpolate linearly in dB; past a grid edge the band
+    raises TruncatedBandError."""
     mag = _db(np.abs(spectrum.h))
-    signal = float(np.max(mag)) + source_level_dbv
-    _, _, bw = three_db_bandwidth(spectrum)
+    f_low, f_high = _band_edges(spectrum.frequencies, mag, 3.0)
+    bw = f_high - f_low
+    signal = float(np.max(mag)) + 20.0 * math.log10(spectrum.v_source)
     snr = snr_db(signal, noise_floor_dbv)
     return CapacityReport(
         bandwidth_hz=bw, signal_dbv=signal, noise_floor_dbv=noise_floor_dbv,
@@ -238,16 +192,16 @@ def capacity_report(spectrum: Spectrum, noise_floor_dbv: float = DEFAULT_NOISE_F
 
 
 def capacity_vs_bandwidth(spectrum: Spectrum, noise_floor_dbv: float = DEFAULT_NOISE_FLOOR_DBV,
-                          source_level_dbv: float = 0.0,
                           convention: str = VOLTAGE) -> BandwidthStudy:
     """Capacity across detection thresholds 1..30 dB below the peak.
 
     Widening the accepted band costs signal level; each row reports the
-    band at (peak - threshold) and the capacity at that reduced level.
-    Rows whose band runs off the grid are masked, not dropped.
+    band at (peak - threshold) and the capacity at that reduced level,
+    the peak level as in capacity_report. Rows whose band runs off the
+    grid are masked, not dropped.
     """
     mag = _db(np.abs(spectrum.h))
-    peak = float(np.max(mag)) + source_level_dbv
+    peak = float(np.max(mag)) + 20.0 * math.log10(spectrum.v_source)
     rows = []
     for threshold in range(1, 31):
         signal = peak - threshold
@@ -323,27 +277,6 @@ def _sweep_row(value: float, freqs: np.ndarray, h: np.ndarray, v_source: float,
     return SweepRow(value, peak_db, float(freqs[pk]), bw, cap, p_rx)
 
 
-def _termination_blocks(link: LinkCircuit, field: str, values: np.ndarray,
-                        grid: np.ndarray):
-    """Yield (values block, h block) of the link re-terminated at each value.
-
-    field is r_source or r_load; values must be > 0. The coefficients,
-    coil ESR included, are formed once per scan, and each block takes up
-    to _SCAN_ELEMENTS // len(grid) values. With two or more grid points
-    row k is bit-identical to frequency_sweep(replace(link,
-    field=value_k), grid).h. The grid and finiteness checks are a Spectrum's.
-    """
-    _check_grid(grid)
-    terms, _ = _link_terms(link, grid)
-    rows = max(1, _SCAN_ELEMENTS // len(grid))
-    for start in range(0, len(values), rows):
-        block = values[start:start + rows]
-        h = _terminated(terms, **{"r_source": link.r_source, "r_load": link.r_load,
-                                  field: block[:, None]})
-        _check_finite(h)
-        yield block, h
-
-
 def _scenario_variant(sc: Scenario, axis: str, value: float) -> Scenario:
     if axis == TX_ANGLE:
         return replace(sc, tx_angle_deg=value)
@@ -363,12 +296,13 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float],
     once from the scenario's inductances and tuned_frequency and held
     fixed across the sweep: the worn device is tuned once, not per
     pose. Points whose field integration fails are masked rows, and
-    the sweep continues. Terminations, source and coil losses are sc's
-    (see scenario_link): set them on sc to sweep another link.
+    the sweep continues; a masked point or an on-axis receiver is a
+    warning. Terminations, source and coil losses are sc's (see
+    scenario_link): set them on sc to sweep another link.
     """
-    if axis not in _SWEEP_RANGES:
-        raise ValueError(f"axis must be one of {sorted(_SWEEP_RANGES)}, got {axis!r}")
-    lo, hi, unit = _SWEEP_RANGES[axis]
+    if axis not in SWEEP_RANGES:
+        raise ValueError(f"axis must be one of {sorted(SWEEP_RANGES)}, got {axis!r}")
+    lo, hi, unit = SWEEP_RANGES[axis]
     vals = sorted(float(v) for v in values)
     if not vals:
         raise ValueError("values must be non-empty")
@@ -378,7 +312,7 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float],
     sweep_grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     # fixes tuning; m replaced per point
     nominal = scenario_link(sc, m=0.0)
-    rows, notes = [], []
+    rows = []
     for value in vals:
         try:
             m = scenario_mutual_inductance(_scenario_variant(sc, axis, value),
@@ -388,14 +322,14 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float],
                                    nominal.r_load, noise_floor_dbv, convention))
         except (ConvergenceError, SeparationError, SingularEvaluationError) as exc:
             rows.append(SweepRow(value, None, None, None, None, None))
-            notes.append(f"{axis} = {value:g} {unit}: point masked: {exc}")
+            warnings.warn(f"{axis} = {value:g} {unit}: point masked: {exc}", stacklevel=2)
     if axis == LATERAL and any(v == 0.0 for v in vals):
-        notes.append("lateral = 0 places the receiver on the transmitter axis; "
-                     "not a wearable placement, kept and flagged")
+        warnings.warn("lateral = 0 places the receiver on the transmitter axis; "
+                      "not a wearable placement, kept and flagged", stacklevel=2)
     elif axis != LATERAL and sc.x_eye == 0.0:
-        notes.append("x_eye = 0 places the receiver on the transmitter axis; "
-                     "not a wearable placement, kept and flagged")
-    return SweepResult(param=axis, unit=unit, rows=tuple(rows), notes=tuple(notes))
+        warnings.warn("x_eye = 0 places the receiver on the transmitter axis; "
+                      "not a wearable placement, kept and flagged", stacklevel=2)
+    return SweepResult(param=axis, unit=unit, rows=tuple(rows))
 
 
 def resistance_sweep(link: LinkCircuit, field: str, values: Sequence[float],
@@ -411,7 +345,7 @@ def resistance_sweep(link: LinkCircuit, field: str, values: Sequence[float],
     if vals[0] <= 0:
         raise ValueError(f"{field} values must be > 0")
     rows = []
-    for block, h in _termination_blocks(link, field, np.array(vals), sweep_grid):
+    for block, h in termination_scan(link, field, np.array(vals), sweep_grid):
         for v, row in zip(block.tolist(), h):
             r_load = v if field == "r_load" else link.r_load
             rows.append(_sweep_row(v, sweep_grid, row, link.v_source, r_load,
@@ -448,7 +382,7 @@ def dual_mode_report(link: LinkCircuit, r_load_grid=None, grid=None) -> DualMode
         raise ValueError("r_load grid must be > 0 and strictly increasing")
     sweep_grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     v_rx = np.concatenate([np.max(np.abs(h), axis=1) for _, h in
-                           _termination_blocks(link, "r_load", loads, sweep_grid)])
+                           termination_scan(link, "r_load", loads, sweep_grid)])
     v_rx *= link.v_source
     p_rx = np.array([received_power(v, r) for v, r in zip(v_rx.tolist(), loads.tolist())])
     i_power = int(np.argmax(p_rx))

@@ -19,7 +19,6 @@ from .geometry import CoilSpec, FLAT_SPIRAL
 TRUSTED = "trusted"
 LOW_CONFIDENCE = "low-confidence"
 
-WHEELER = "wheeler"
 CURRENT_SHEET = "current-sheet"
 USER_SUPPLIED = "user-supplied"
 

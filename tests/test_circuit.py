@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from mqslink import circuit
 from mqslink.circuit import (LinkCircuit, Spectrum, default_grid,
                              frequency_sweep, path_loss_db, received_power,
-                             receiver_capacitance, transfer_ratio,
-                             transfer_ratio_untuned, tune_capacitance,
-                             tx_power)
+                             receiver_capacitance, transfer_ratio_untuned,
+                             tune_capacitance, tx_power)
 from mqslink.geometry import CoilSpec
 from mqslink.lumped import ac_resistance
 
@@ -103,7 +102,7 @@ def test_general_solver_reduces_to_the_untuned_form():
                               for _ in range(2))
             link = LinkCircuit(**{**link.__dict__, "esr_tx": esr_tx, "esr_rx": esr_rx})
         freqs = np.sort(10 ** rng.uniform(4, 8, 7))
-        np.testing.assert_allclose(transfer_ratio(link, freqs),
+        np.testing.assert_allclose(frequency_sweep(link, freqs).h,
                                    transfer_ratio_untuned(link, freqs),
                                    rtol=1e-12, atol=0.0)
 
@@ -166,19 +165,10 @@ def test_esr_fields_reject_anything_but_a_spec():
         _nominal_link(esr_rx=2.5)
 
 
-def test_transfer_ratio_scalar_and_array_agree():
-    link = _nominal_link()
-    h = transfer_ratio(link, 26e6)
-    assert isinstance(h, complex)
-    harr = transfer_ratio(link, np.array([25e6, 26e6, 27e6]))
-    assert harr.shape == (3,)
-    assert harr[1] == pytest.approx(h, rel=1e-15)
-
-
 def test_solver_rejects_nonpositive_frequencies():
     link = _nominal_link()
     with pytest.raises(ValueError, match="frequency"):
-        transfer_ratio(link, 0.0)
+        frequency_sweep(link, [0.0])
     with pytest.raises(ValueError, match="frequency"):
         transfer_ratio_untuned(_nominal_link(tuned=False), -1e6)
 
@@ -195,8 +185,8 @@ def test_parasitics_reshape_the_response():
     plain = _nominal_link()
     shunted = _nominal_link(parasitic_tx=5e-12, parasitic_rx=2e-12)
     f = default_grid()
-    h0 = transfer_ratio(plain, f)
-    h1 = transfer_ratio(shunted, f)
+    h0 = frequency_sweep(plain, f).h
+    h1 = frequency_sweep(shunted, f).h
     assert np.max(np.abs(h0 - h1)) > 0
     assert np.all(np.isfinite(h1))
 
@@ -410,6 +400,10 @@ def test_path_loss_handles_zeros_and_scales():
     (dict(v_source=0.0), "v_source"),
     (dict(c_tx=0.0), "c_tx"),
     (dict(parasitic_rx=-1e-12), "parasitic_rx"),
+    *((dict([(name, bad)]), f"^{name} must be finite")
+      for name in ("l_tx", "l_rx", "m", "r_source", "r_load", "r_coil_tx", "r_coil_rx",
+                   "c_tx", "c_rx", "v_source", "parasitic_tx", "parasitic_rx")
+      for bad in (math.nan, math.inf)),
 ])
 def test_link_circuit_rejects_bad_values(overrides, match):
     base = dict(l_tx=L_TX, l_rx=L_RX, m=M_NOMINAL, r_source=50.0, r_load=1e3)
@@ -429,8 +423,11 @@ def test_spectrum_validation():
         Spectrum(frequencies=f, h=good[:4], z11=good)
     with pytest.raises(ValueError, match="finite"):
         Spectrum(frequencies=f, h=np.full(5, np.inf, dtype=complex), z11=good)
+    for bad, match in ((0.0, "> 0"), (-1.0, "> 0"), (math.nan, "finite"), (math.inf, "finite")):
+        with pytest.raises(ValueError, match=f"^v_source must be {match}"):
+            Spectrum(frequencies=f, h=good, z11=good, v_source=bad)
     spec = Spectrum(frequencies=f, h=good, z11=good)
-    assert len(spec) == 5
+    assert len(spec) == 5 and spec.v_source == 1.0
     with pytest.raises(ValueError):
         spec.h[0] = 0.0
 

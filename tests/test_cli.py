@@ -24,8 +24,8 @@ from mqslink.cli import (DEFAULT_CONFIG, ConfigError, _csv_text, _fmt,
                          emit_sweep_csv, main, parse_config, run_scenario)
 from mqslink.geometry import CoilSpec, Scenario
 from mqslink.link_analysis import (DEFAULT_NOISE_FLOOR_DBV, VOLTAGE,
-                                   misalignment_sweep, scenario_link,
-                                   scenario_mutual_inductance)
+                                   dual_mode_report, misalignment_sweep,
+                                   scenario_link, scenario_mutual_inductance)
 
 SMALL_RUN = """\
 [tx_coil]
@@ -139,6 +139,11 @@ def test_library_defaults_equal_the_printed_defaults(tmp_path):
     assert config.frequency_grid().tobytes() == default_grid().tobytes()
     assert _bits(config.noise_floor_dbv) == _bits(DEFAULT_NOISE_FLOOR_DBV)
     assert config.snr_convention == VOLTAGE
+    # dual_mode_report's default loads are an empty [dual_mode]'s loads
+    (request,) = parse_text(tmp_path, "[dual_mode]\n").requests
+    link = scenario_link(config.scenario, scenario_mutual_inductance(config.scenario))
+    loads = np.geomspace(request.load_min, request.load_max, request.points)
+    assert dual_mode_report(link) == dual_mode_report(link, r_load_grid=loads)
 
 
 def test_strict_mode_requires_the_scenario_sections(tmp_path):

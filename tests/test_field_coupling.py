@@ -606,6 +606,11 @@ def test_grid_points_run_row_major_with_axis1_slow():
     (dict(axis1_points=1), "axis1_points"),
     (dict(axis2_points=1), "axis2_points"),
     (dict(axis1_start=1.0, axis1_stop=-1.0), "axis1"),
+    (dict(offset=math.nan), "^offset must be finite"),
+    (dict(offset=math.inf), "^offset must be finite"),
+    (dict(offset=-math.inf), "^offset must be finite"),
+    (dict(axis1_start=-math.inf), "^axis1_start must be finite"),
+    (dict(axis1_stop=math.inf), "^axis1_stop must be finite"),
 ])
 def test_grid_spec_validation(kwargs, match):
     base = dict(plane="xy", offset=0.0, axis1_start=-1.0, axis1_stop=1.0,

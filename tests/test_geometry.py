@@ -43,6 +43,11 @@ def test_diameter_properties():
     (dict(inductance_override=0.0), "inductance_override"),
     (dict(inductance_override=-1e-6), "inductance_override"),
     (dict(resistance_override=-0.5), "resistance_override"),
+    *((dict([(name, bad)]), f"^{name} must be finite")
+      for name in ("inner_radius", "wire_diameter", "wire_spacing", "sphere_radius",
+                   "conductivity", "parasitic_capacitance", "inductance_override",
+                   "resistance_override")
+      for bad in (math.nan, math.inf)),
 ])
 def test_coil_spec_rejects_bad_values_naming_the_field(kwargs, field):
     base = dict(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
@@ -233,6 +238,9 @@ def test_scenario_poses_place_tx_at_origin_and_rx_at_the_eye():
     (dict(r_load=-5.0), "r_load"),
     (dict(tuned_frequency=0.0), "tuned_frequency"),
     (dict(v_source=0.0), "v_source"),
+    *((dict([(name, bad)]), f"^{name} must be finite")
+      for name in ("x_eye", "z_eye", "r_source", "r_load", "tuned_frequency", "v_source")
+      for bad in (math.nan, math.inf)),
 ])
 def test_scenario_rejects_bad_values_naming_the_field(kwargs, field):
     base = dict(tx=TX, rx=RX, x_eye=92e-3, z_eye=150e-3, tx_angle_deg=40.0)

@@ -18,7 +18,6 @@ from mqslink.field_coupling import mutual_inductance
 from mqslink.geometry import (CoilSpec, Scenario, apply_pose,
                               build_filament_coil, scenario_poses)
 from mqslink.link_analysis import (AXIAL, LATERAL, POWER, TX_ANGLE, VOLTAGE,
-                                   BandwidthCapacityRow, BandwidthStudy,
                                    CapacityReport, DualModeReport,
                                    SweepResult, SweepRow,
                                    TruncatedBandError, capacity_report,
@@ -26,7 +25,7 @@ from mqslink.link_analysis import (AXIAL, LATERAL, POWER, TX_ANGLE, VOLTAGE,
                                    dual_mode_report, misalignment_sweep,
                                    resistance_sweep,
                                    scenario_link, scenario_mutual_inductance,
-                                   snr_db, three_db_bandwidth)
+                                   snr_db)
 from mqslink.lumped import ac_resistance, current_sheet_inductance
 from test_circuit import _random_links
 
@@ -55,7 +54,9 @@ def nominal_spectrum():
 # -------------------------------------------------------------- bandwidth
 
 def test_three_db_band_of_the_nominal_link(nominal_spectrum):
-    f_low, f_high, width = three_db_bandwidth(nominal_spectrum)
+    row = capacity_vs_bandwidth(nominal_spectrum).rows[2]
+    assert row.threshold_db == 3.0
+    f_low, f_high, width = row.f_low_hz, row.f_high_hz, row.bandwidth_hz
     assert f_low == pytest.approx(BW3_LOW, rel=1e-12)
     assert f_high == pytest.approx(BW3_HIGH, rel=1e-12)
     assert width == pytest.approx(BW3_WIDTH, rel=1e-12)
@@ -66,19 +67,15 @@ def test_band_running_off_the_grid_raises_with_partial_edges():
     link = scenario_link(NOMINAL, m=M_NOMINAL)
     # grid stops before the upper 3 dB crossing
     spectrum = frequency_sweep(link, np.linspace(25.5e6, 26.0e6, 201))
-    with pytest.raises(TruncatedBandError) as err:
-        three_db_bandwidth(spectrum)
-    assert err.value.f_low == pytest.approx(BW3_LOW, rel=1e-6)
-    assert err.value.f_high is None
-    assert "high" in str(err.value)
+    with pytest.raises(TruncatedBandError, match="on the high side"):
+        capacity_report(spectrum)
 
 
 def test_fully_truncated_band_reports_both_sides():
     link = scenario_link(NOMINAL, m=M_NOMINAL)
     spectrum = frequency_sweep(link, np.linspace(25.95e6, 26.05e6, 101))
-    with pytest.raises(TruncatedBandError) as err:
-        three_db_bandwidth(spectrum)
-    assert err.value.f_low is None and err.value.f_high is None
+    with pytest.raises(TruncatedBandError, match="on the low and high side"):
+        capacity_report(spectrum)
 
 
 # --------------------------------------------------------------- capacity
@@ -114,7 +111,7 @@ def test_capacity_report_of_the_nominal_link(nominal_spectrum):
 
 def test_source_level_shifts_the_budget(nominal_spectrum):
     base = capacity_report(nominal_spectrum)
-    hot = capacity_report(nominal_spectrum, source_level_dbv=20.0)
+    hot = capacity_report(replace(nominal_spectrum, v_source=10.0))
     assert hot.signal_dbv == pytest.approx(base.signal_dbv + 20.0)
     assert hot.snr_db == pytest.approx(base.snr_db + 20.0)
     assert hot.capacity_bps > base.capacity_bps
@@ -139,17 +136,12 @@ def test_threshold_study_masks_offgrid_rows_and_ranks_the_rest(nominal_spectrum)
     live = [r for r in study.rows if not r.masked]
     widths = [r.bandwidth_hz for r in live]
     assert all(b > a for a, b in zip(widths, widths[1:]))
-    assert study.best.threshold_db == 28.0
+    assert max(live, key=lambda r: r.capacity_bps).threshold_db == 28.0
     t3 = next(r for r in study.rows if r.threshold_db == 3.0)
     t12 = next(r for r in study.rows if r.threshold_db == 12.0)
     assert t3.capacity_bps == pytest.approx(1000699.0097581774, rel=1e-9)
     assert t12.capacity_bps == pytest.approx(2559445.899513709, rel=1e-9)
     assert t12.capacity_bps > t3.capacity_bps
-
-
-def test_threshold_study_best_is_none_when_everything_is_masked():
-    row = BandwidthCapacityRow(1.0, None, None, None, None, None)
-    assert BandwidthStudy(rows=(row,)).best is None
 
 
 # ---------------------------------------------------------- scenario link
@@ -231,7 +223,7 @@ def test_angle_sweep_rows_are_ordered_and_live():
     grid = np.linspace(25e6, 27e6, 201)
     sweep = misalignment_sweep(NOMINAL, TX_ANGLE, [60.0, 20.0, 40.0], grid=grid)
     assert sweep.param == TX_ANGLE and sweep.unit == "deg"
-    assert sweep.values == (20.0, 40.0, 60.0)
+    assert [r.value for r in sweep.rows] == [20.0, 40.0, 60.0]
     assert not any(r.masked for r in sweep.rows)
     for row in sweep.rows:
         assert row.peak_db < 0
@@ -241,21 +233,23 @@ def test_angle_sweep_rows_are_ordered_and_live():
 
 def test_unreachable_tolerance_masks_points_instead_of_failing():
     grid = np.linspace(25e6, 27e6, 51)
-    sweep = misalignment_sweep(NOMINAL, TX_ANGLE, [30.0, 50.0], tolerance=1e-15,
-                               grid=grid)
+    with pytest.warns(UserWarning) as caught:
+        sweep = misalignment_sweep(NOMINAL, TX_ANGLE, [30.0, 50.0], tolerance=1e-15,
+                                   grid=grid)
     assert all(r.masked for r in sweep.rows)
     assert all(r.capacity_bps is None for r in sweep.rows)
-    assert len(sweep.notes) == 2
-    assert all("masked" in n for n in sweep.notes)
+    assert len(caught) == 2
+    assert all("masked" in str(w.message) for w in caught)
 
 
 def test_on_axis_placement_is_flagged():
     grid = np.linspace(25e6, 27e6, 51)
-    sweep = misalignment_sweep(NOMINAL, LATERAL, [0.0, 0.092], grid=grid)
-    assert any("transmitter axis" in n for n in sweep.notes)
+    with pytest.warns(UserWarning, match="transmitter axis"):
+        misalignment_sweep(NOMINAL, LATERAL, [0.0, 0.092], grid=grid)
     # a lateral sweep replaces x_eye, so x_eye = 0 alone places nothing on axis
-    sweep = misalignment_sweep(replace(NOMINAL, x_eye=0.0), LATERAL, [0.05, 0.1], grid=grid)
-    assert not any("transmitter axis" in n for n in sweep.notes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        misalignment_sweep(replace(NOMINAL, x_eye=0.0), LATERAL, [0.05, 0.1], grid=grid)
 
 
 def test_sweep_reports_the_scenario_termination():
@@ -360,7 +354,7 @@ def _per_load_sweep(link, field, values, grid, convention):
             continue
         peak_db = 20.0 * math.log10(v_peak)
         try:
-            _, _, bw = three_db_bandwidth(spectrum)
+            bw = capacity_report(spectrum).bandwidth_hz
             cap = channel_capacity(bw, snr_db(peak_db, -85.0), convention)
         except TruncatedBandError:
             bw = cap = None
@@ -403,7 +397,7 @@ def _scans(draw):
     """
     link, f = draw(_random_links(parasitics=True))
     points = draw(st.sampled_from([2, 7, 201, 1001, 4097]))
-    block = max(1, link_analysis._SCAN_ELEMENTS // points)
+    block = max(1, circuit._SCAN_ELEMENTS // points)
     edges = sorted({1, block - 1, block, block + 1} - {0})
     count = draw(st.sampled_from(edges) if block <= 20 else st.integers(1, 3))
     lo = 10 ** draw(st.floats(-2, 2))
@@ -433,15 +427,17 @@ def test_row_block_scans_equal_the_per_load_loop(drawn):
 def test_load_scans_solve_in_bounded_blocks_without_frequency_sweep(monkeypatch):
     sizes = []
 
+    terminated = circuit._terminated
+
     def counting_blocks(terms, r_source, r_load):
-        h = circuit._terminated(terms, r_source, r_load)
+        h = terminated(terms, r_source, r_load)
         sizes.append(h.size)
         return h
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a load scan called frequency_sweep")
 
-    monkeypatch.setattr(link_analysis, "_terminated", counting_blocks)
+    monkeypatch.setattr(circuit, "_terminated", counting_blocks)
     monkeypatch.setattr(link_analysis, "frequency_sweep", forbidden)
     link = scenario_link(NOMINAL, m=M_NOMINAL)
     grid = default_grid()
@@ -450,7 +446,7 @@ def test_load_scans_solve_in_bounded_blocks_without_frequency_sweep(monkeypatch)
     for field in ("r_source", "r_load"):
         resistance_sweep(link, field, np.geomspace(1.0, 1e4, 224), grid)
     assert sum(sizes) == (451 + 2 * 224) * len(grid)
-    assert max(sizes) <= link_analysis._SCAN_ELEMENTS
+    assert max(sizes) <= circuit._SCAN_ELEMENTS
 
 
 def test_load_scans_evaluate_each_coil_loss_once_on_the_whole_grid(monkeypatch):
@@ -482,12 +478,14 @@ def test_load_scans_keep_the_spectrum_checks(monkeypatch):
     with pytest.raises(ValueError, match="increasing"):
         dual_mode_report(link, r_load_grid=[1.0, 2.0], grid=[26e6, 26e6])
 
+    terminated = circuit._terminated
+
     def non_finite(terms, r_source, r_load):
-        h = circuit._terminated(terms, r_source, r_load)
+        h = terminated(terms, r_source, r_load)
         h[-1, 0] = np.nan
         return h
 
-    monkeypatch.setattr(link_analysis, "_terminated", non_finite)
+    monkeypatch.setattr(circuit, "_terminated", non_finite)
     with pytest.raises(ValueError, match="finite"):
         resistance_sweep(link, "r_source", [10.0, 20.0])
     with pytest.raises(ValueError, match="finite"):

@@ -1,0 +1,44 @@
+"""Names across src/ modules: no module imports another module's private
+name, and every module-level name is read somewhere in the repository."""
+
+import ast
+from pathlib import Path
+
+from test_public_api import _loaded_names
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src").rglob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_no_module_in_src_imports_a_private_name():
+    # tests/ is exempt: tests/references.py builds on kernel internals on purpose
+    private = [f"{path.relative_to(ROOT)}:{node.lineno}: {alias.name}"
+               for path in SRC for node in ast.walk(_tree(path))
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
+def _defined(tree: ast.Module):
+    # top-level functions, classes and assigned names, with their lines
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield node.lineno, target.id
+
+
+def test_every_module_level_name_in_src_is_read():
+    readers = [*SRC, *(ROOT / "tests").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
+    read = set().union(*(_loaded_names(_tree(path)) for path in readers))
+    unread = [f"{path.relative_to(ROOT)}:{line}: {name}"
+              for path in SRC for line, name in _defined(_tree(path))
+              if name not in read and not name.startswith("__")]
+    assert unread == []

@@ -13,7 +13,6 @@ PACKAGE = Path(mqslink.__file__).parent
 KEPT = {
     # acceptance oracles: closed forms the tests check the numerics against
     "coaxial_mutual_oracle",
-    "transfer_ratio",
     "transfer_ratio_untuned",
     "tx_power",
     # point-evaluation API behind bench/make_refs.py and the field tests
