@@ -23,13 +23,12 @@ from .field_coupling import (ConvergenceError, CouplingResult, GridSpec,
 from .geometry import (FLAT_SPIRAL, HELICAL, CoilSpec, FilamentCoil, Pose,
                        Scenario, apply_pose, build_filament_coil,
                        scenario_poses, turn_radii, winding_curve)
-from .link_analysis import (POWER, VOLTAGE, BandwidthStudy, CapacityReport,
-                            DualModeReport, SweepResult, TruncatedBandError,
-                            capacity_report, capacity_vs_bandwidth,
-                            channel_capacity, dual_mode_report,
-                            misalignment_sweep, resistance_sweep,
-                            scenario_link, scenario_mutual_inductance,
-                            snr_db)
+from .link_analysis import (POWER, VOLTAGE, CapacityReport, DualModeReport,
+                            SweepResult, TruncatedBandError, capacity_report,
+                            capacity_vs_bandwidth, channel_capacity,
+                            dual_mode_report, misalignment_sweep,
+                            resistance_sweep, scenario_link,
+                            scenario_mutual_inductance, snr_db)
 from .lumped import (ac_resistance, current_sheet_inductance,
                      estimate_inductance, skin_depth, wheeler_inductance)
 

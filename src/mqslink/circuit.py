@@ -329,9 +329,9 @@ def tx_power(link: LinkCircuit, f: FrequencyLike):
     return float(p) if np.ndim(f) == 0 else p
 
 
-def path_loss_db(h) -> float:
-    """20 log10 |h|; exact zeros return -inf as a masked-value sentinel."""
-    mag = abs(h)
-    if mag == 0.0:
-        return float("-inf")
-    return 20.0 * math.log10(mag)
+def path_loss_db(h):
+    """20 log10 |h| of a scalar, or elementwise of an array: the package's one
+    amplitude-to-dB route. Exact zeros return -inf as a masked-value sentinel."""
+    with np.errstate(divide="ignore"):
+        db = 20.0 * np.log10(np.abs(h))
+    return float(db) if np.ndim(db) == 0 else db

@@ -41,7 +41,7 @@ from .circuit import LinkCircuit, Spectrum, frequency_sweep, path_loss_db
 from .field_coupling import GridSpec, field_map
 from .geometry import (FLAT_SPIRAL, HELICAL, CoilSpec, Scenario, apply_pose,
                        build_filament_coil, scenario_poses)
-from .link_analysis import (POWER, SWEEP_RANGES, VOLTAGE, BandwidthStudy,
+from .link_analysis import (POWER, SWEEP_RANGES, VOLTAGE, BandwidthCapacityRow,
                             SweepResult, TruncatedBandError, capacity_report,
                             capacity_vs_bandwidth, dual_mode_report,
                             misalignment_sweep, resistance_sweep,
@@ -544,7 +544,7 @@ def _csv_text(header: str, rows) -> str:
 def emit_spectrum_csv(spectrum: Spectrum, path: Path) -> None:
     h, z = spectrum.h, spectrum.z11
     rows = zip(spectrum.frequencies.tolist(), h.real.tolist(), h.imag.tolist(),
-               [path_loss_db(v) for v in h.tolist()],
+               path_loss_db(h).tolist(),
                z.real.tolist(), z.imag.tolist())
     _atomic_write(path, _csv_text(
         "frequency_hz,h_real,h_imag,h_mag_db,z11_real_ohm,z11_imag_ohm", rows))
@@ -563,9 +563,9 @@ def emit_field_map_csv(points: np.ndarray, b: np.ndarray, path: Path) -> None:
     _atomic_write(path, _csv_text("x,y,z,Bx,By,Bz", rows))
 
 
-def emit_capacity_csv(study: BandwidthStudy, path: Path) -> None:
+def emit_capacity_csv(study: Sequence[BandwidthCapacityRow], path: Path) -> None:
     rows = ((row.threshold_db, row.f_low_hz, row.f_high_hz, row.bandwidth_hz,
-             row.signal_dbv, row.capacity_bps) for row in study.rows)
+             row.signal_dbv, row.capacity_bps) for row in study)
     _atomic_write(path, _csv_text(
         "threshold_db,f_low_hz,f_high_hz,bandwidth_hz,signal_dbv,capacity_bps", rows))
 
@@ -776,7 +776,7 @@ class CapacityRequest:
         budget = dict(noise_floor_dbv=config.noise_floor_dbv,
                       convention=config.snr_convention)
         study = capacity_vs_bandwidth(spectrum, **budget)
-        masked = sum(1 for row in study.rows if row.masked)
+        masked = sum(1 for row in study if row.masked)
         if masked:
             warnings.warn(f"{masked} threshold rows masked "
                           "(band runs off the frequency grid)")

@@ -161,7 +161,7 @@ class FilamentCoil:
 
     spec: CoilSpec
     # accepted (>= 16) and counted by n_segments, but it changes no
-    # result; both go with the benchmark's own upkeep (ROADMAP item 10)
+    # result; both go with the benchmark's own upkeep (ROADMAP, "Benchmark upkeep")
     segments_per_turn: int
     rotation: np.ndarray = field(default_factory=lambda: np.eye(3))   # (3, 3)
     origin: np.ndarray = field(default_factory=lambda: np.zeros(3))   # (3,) m

@@ -5,8 +5,8 @@ reading (the power-ratio form is selectable), misalignment sweeps that
 rebuild the geometry per point, and source/load impedance studies on
 circuit.termination_scan. Sweep notes are warnings.
 
-Levels are in dBV of the received amplitude, |h| in dB plus
-20*log10(v_source); with a 1 V source they read as the transfer ratio.
+Levels are in dBV of the received amplitude, path_loss_db(h) plus
+path_loss_db(v_source); with a 1 V source they read as the transfer ratio.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .lumped import estimate_inductance
 from .field_coupling import (ConvergenceError, SeparationError,
                              SingularEvaluationError, mutual_inductance)
 from .circuit import (LinkCircuit, Spectrum, default_grid, frequency_sweep,
-                      received_power, receiver_capacitance, termination_scan,
-                      tune_capacitance)
+                      path_loss_db, received_power, receiver_capacitance,
+                      termination_scan, tune_capacitance)
 
 VOLTAGE = "voltage"
 POWER = "power"
@@ -128,11 +128,6 @@ class BandwidthCapacityRow:
         return self.bandwidth_hz is None
 
 
-@dataclass(frozen=True)
-class BandwidthStudy:
-    rows: Tuple[BandwidthCapacityRow, ...]
-
-
 def _band_edges(freqs: np.ndarray, mag_db: np.ndarray, drop_db: float) -> Tuple[float, float]:
     """Outermost crossings of (peak - drop_db), linear interpolation in dB."""
     peak = float(np.max(mag_db))
@@ -149,11 +144,6 @@ def _band_edges(freqs: np.ndarray, mag_db: np.ndarray, drop_db: float) -> Tuple[
     t = (thr - mag_db[j]) / (mag_db[j + 1] - mag_db[j])
     f_low, f_high = (freqs[j] + t * (freqs[j + 1] - freqs[j])).tolist()
     return f_low, f_high
-
-
-def _db(mags: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return 20.0 * np.log10(mags)
 
 
 def snr_db(signal_dbv: float, noise_floor_dbv: float) -> float:
@@ -173,26 +163,37 @@ def channel_capacity(bw: float, snr_db: float, convention: str = VOLTAGE) -> flo
     return bw * math.log2(1.0 + _snr_linear(snr_db, convention))
 
 
+def _peak_level(h: np.ndarray, v_source: float) -> Tuple[np.ndarray, float]:
+    """|h| in dB, and the received peak level in dBV at amplitude v_source.
+    h may be the transfer ratio or its magnitude."""
+    mag = path_loss_db(h)
+    return mag, float(np.max(mag)) + path_loss_db(v_source)
+
+
+def _band_capacity(freqs: np.ndarray, mag: np.ndarray, signal: float,
+                   noise_floor_dbv: float, convention: str) -> Tuple[float, float]:
+    """3 dB bandwidth of mag (dB), and the capacity at peak level signal (dBV)."""
+    f_low, f_high = _band_edges(freqs, mag, 3.0)
+    bw = f_high - f_low
+    return bw, channel_capacity(bw, snr_db(signal, noise_floor_dbv), convention)
+
+
 def capacity_report(spectrum: Spectrum, noise_floor_dbv: float = DEFAULT_NOISE_FLOOR_DBV,
                     convention: str = VOLTAGE) -> CapacityReport:
     """Budget at the 3 dB bandwidth of a spectrum's peak, whose level is
-    |h| in dB plus 20*log10(spectrum.v_source). The band's outermost
-    crossings interpolate linearly in dB; past a grid edge the band
-    raises TruncatedBandError."""
-    mag = _db(np.abs(spectrum.h))
-    f_low, f_high = _band_edges(spectrum.frequencies, mag, 3.0)
-    bw = f_high - f_low
-    signal = float(np.max(mag)) + 20.0 * math.log10(spectrum.v_source)
-    snr = snr_db(signal, noise_floor_dbv)
+    path_loss_db(h) plus path_loss_db(spectrum.v_source). The band's
+    outermost crossings interpolate linearly in dB; past a grid edge the
+    band raises TruncatedBandError."""
+    mag, signal = _peak_level(spectrum.h, spectrum.v_source)
+    bw, cap = _band_capacity(spectrum.frequencies, mag, signal, noise_floor_dbv, convention)
     return CapacityReport(
         bandwidth_hz=bw, signal_dbv=signal, noise_floor_dbv=noise_floor_dbv,
-        snr_db=snr, capacity_bps=channel_capacity(bw, snr, convention),
-        convention=convention,
+        snr_db=snr_db(signal, noise_floor_dbv), capacity_bps=cap, convention=convention,
     )
 
 
 def capacity_vs_bandwidth(spectrum: Spectrum, noise_floor_dbv: float = DEFAULT_NOISE_FLOOR_DBV,
-                          convention: str = VOLTAGE) -> BandwidthStudy:
+                          convention: str = VOLTAGE) -> Tuple[BandwidthCapacityRow, ...]:
     """Capacity across detection thresholds 1..30 dB below the peak.
 
     Widening the accepted band costs signal level; each row reports the
@@ -200,8 +201,7 @@ def capacity_vs_bandwidth(spectrum: Spectrum, noise_floor_dbv: float = DEFAULT_N
     the peak level as in capacity_report. Rows whose band runs off the
     grid are masked, not dropped.
     """
-    mag = _db(np.abs(spectrum.h))
-    peak = float(np.max(mag)) + 20.0 * math.log10(spectrum.v_source)
+    mag, peak = _peak_level(spectrum.h, spectrum.v_source)
     rows = []
     for threshold in range(1, 31):
         signal = peak - threshold
@@ -213,7 +213,7 @@ def capacity_vs_bandwidth(spectrum: Spectrum, noise_floor_dbv: float = DEFAULT_N
         bw = f_high - f_low
         cap = channel_capacity(bw, snr_db(signal, noise_floor_dbv), convention)
         rows.append(BandwidthCapacityRow(float(threshold), f_low, f_high, bw, signal, cap))
-    return BandwidthStudy(rows=tuple(rows))
+    return tuple(rows)
 
 
 def scenario_link(sc: Scenario, m: float, tuned: bool = True) -> LinkCircuit:
@@ -244,9 +244,8 @@ def scenario_link(sc: Scenario, m: float, tuned: bool = True) -> LinkCircuit:
     )
 
 
-def scenario_mutual_inductance(sc: Scenario, segments_per_turn: int = 360,
-                               tolerance: float = 1e-3) -> float:
-    """M (H) of the scenario's posed coil pair.
+def scenario_mutual_inductance(sc: Scenario, segments_per_turn: int = 360) -> float:
+    """M (H) of the scenario's posed coil pair at the default tolerance.
 
     The Neumann integral runs on the exact winding curves. Kept for its
     callers, segments_per_turn changes no result.
@@ -254,27 +253,25 @@ def scenario_mutual_inductance(sc: Scenario, segments_per_turn: int = 360,
     tx_pose, rx_pose = scenario_poses(sc)
     tx = apply_pose(build_filament_coil(sc.tx, segments_per_turn), tx_pose)
     rx = apply_pose(build_filament_coil(sc.rx, segments_per_turn), rx_pose)
-    return mutual_inductance(tx, rx, tolerance=tolerance).m
+    return mutual_inductance(tx, rx).m
 
 
 def _sweep_row(value: float, freqs: np.ndarray, h: np.ndarray, v_source: float,
                r_load: float, noise_floor_dbv: float, convention: str) -> SweepRow:
-    """Peak, 3 dB band and capacity of one transfer-ratio row h over freqs."""
+    """Peak, 3 dB band and capacity of one transfer-ratio row h over freqs:
+    capacity_report's, with the band and capacity masked where it raises
+    TruncatedBandError. p_rx_w is received_power of the linear peak."""
     mags = np.abs(h)
     pk = int(np.argmax(mags))
-    v_peak = float(mags[pk]) * v_source
-    if v_peak == 0.0:
+    if mags[pk] == 0.0:
         return SweepRow(value, None, None, None, None, None)
-    peak_db = 20.0 * math.log10(v_peak)
-    p_rx = received_power(v_peak, r_load)
+    mag, signal = _peak_level(mags, v_source)
     try:
-        f_low, f_high = _band_edges(freqs, _db(mags), 3.0)
-        bw = f_high - f_low
-        cap = channel_capacity(bw, snr_db(peak_db, noise_floor_dbv), convention)
+        bw, cap = _band_capacity(freqs, mag, signal, noise_floor_dbv, convention)
     except TruncatedBandError:
-        bw = None
-        cap = None
-    return SweepRow(value, peak_db, float(freqs[pk]), bw, cap, p_rx)
+        bw = cap = None
+    return SweepRow(value, signal, float(freqs[pk]), bw, cap,
+                    received_power(float(mags[pk]) * v_source, r_load))
 
 
 def _scenario_variant(sc: Scenario, axis: str, value: float) -> Scenario:
@@ -285,8 +282,7 @@ def _scenario_variant(sc: Scenario, axis: str, value: float) -> Scenario:
     return replace(sc, z_eye=value)
 
 
-def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float],
-                       tolerance: float = 1e-3, grid=None,
+def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float], grid=None,
                        noise_floor_dbv: float = DEFAULT_NOISE_FLOOR_DBV,
                        convention: str = VOLTAGE) -> SweepResult:
     """Re-pose the geometry along one axis and summarize each link.
@@ -315,8 +311,7 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float],
     rows = []
     for value in vals:
         try:
-            m = scenario_mutual_inductance(_scenario_variant(sc, axis, value),
-                                           tolerance=tolerance)
+            m = scenario_mutual_inductance(_scenario_variant(sc, axis, value))
             spectrum = frequency_sweep(replace(nominal, m=m), sweep_grid)
             rows.append(_sweep_row(value, spectrum.frequencies, spectrum.h, nominal.v_source,
                                    nominal.r_load, noise_floor_dbv, convention))

@@ -198,8 +198,8 @@ def test_criterion_08_capacity(capsys, nominal_m):
     spectrum = frequency_sweep(scenario_link(NOMINAL, nominal_m),
                                default_grid())
     study = capacity_vs_bandwidth(spectrum)
-    t3 = next(r for r in study.rows if r.threshold_db == 3.0)
-    t12 = next(r for r in study.rows if r.threshold_db == 12.0)
+    t3 = next(r for r in study if r.threshold_db == 3.0)
+    t12 = next(r for r in study if r.threshold_db == 12.0)
     ok = cap_err <= 1e-3 and t12.capacity_bps > t3.capacity_bps
     report(capsys, 8, "capacity", ok,
            f"1 MHz / 30 dB -> {cap / 1e6:.4f} Mbit/s ({cap_err * 100:.3f}% "

@@ -345,17 +345,34 @@ _SUBNORMAL_WM_LINK = (LinkCircuit(l_tx=1e-6, l_rx=1e-6, m=2.22507e-319, r_source
                       np.linspace(5e5, 1.5e6, 201))
 
 
+# a drawn link whose h = 9.1e-313 at index 186 is one unit in the last
+# place (5.4e-12 relative) from the reference
+_SUBNORMAL_H_LINK = (LinkCircuit(l_tx=1e-07, l_rx=1.9219772099568484e-06, m=9.7548e-318,
+                                 r_source=1.0, r_load=1.0, r_coil_tx=3.8875250625710525,
+                                 r_coil_rx=7.768281397291926),
+                     np.linspace(5e5, 1.5e6, 201))
+
+# one unit in the last place of a subnormal; below |h| = _ULP / 1e-12
+# (4.9e-312) it is more than 1e-12 of |h|, so no double meets that bound
+# there, and each part is checked to one unit instead
+_ULP = 2.0 ** -1074
+
+
 @settings(max_examples=200, deadline=None)
 @given(_random_links(parasitics=True))
 @example(_SHARP_LINK)
 @example(_SUBNORMAL_WM_LINK)
+@example(_SUBNORMAL_H_LINK)
 def test_h_and_source_current_match_the_extended_precision_solve(drawn):
     link, f = drawn
     i_in, _, _, i_load = _extended_branch_currents(link, f)
     terms, i_in_solved = circuit._link_terms(link, f)
     h = circuit._terminated(terms, link.r_source, link.r_load)
-    np.testing.assert_allclose(h, (i_load * link.r_load / link.v_source).astype(complex),
-                               rtol=1e-12, atol=0.0)
+    ref = (i_load * link.r_load / link.v_source).astype(complex)
+    tiny = np.abs(ref) < _ULP / 1e-12
+    np.testing.assert_allclose(h[~tiny], ref[~tiny], rtol=1e-12, atol=0.0)
+    for part in (np.real, np.imag):
+        np.testing.assert_allclose(part(h[tiny]), part(ref[tiny]), rtol=0.0, atol=_ULP)
     np.testing.assert_allclose(i_in_solved, i_in.astype(complex), rtol=1e-12, atol=0.0)
 
 
@@ -385,6 +402,9 @@ def test_received_power_is_amplitude_squared_over_load():
 def test_path_loss_handles_zeros_and_scales():
     assert path_loss_db(0.0) == float("-inf")
     assert path_loss_db(1.0) == 0.0
+    assert type(path_loss_db(0.5j)) is float
+    # an array converts elementwise, zeros to -inf as well
+    assert path_loss_db(np.array([0.0, -1.0, 10j])).tolist() == [float("-inf"), 0.0, 20.0]
     assert path_loss_db(10 * 0.003) - path_loss_db(0.003) == \
         pytest.approx(20.0, abs=1e-12)
 

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mqslink import cli, field_coupling
-from mqslink.circuit import default_grid, frequency_sweep
+from mqslink.circuit import default_grid, frequency_sweep, path_loss_db
 from mqslink.cli import (DEFAULT_CONFIG, ConfigError, _csv_text, _fmt,
                          _json_text, emit_field_map_csv, emit_spectrum_csv,
                          emit_sweep_csv, main, parse_config, run_scenario)
@@ -355,9 +355,8 @@ def test_capacity_budget_reads_the_source_amplitude(tmp_path):
     row = list(csv.DictReader((out / "sweep_r_load.csv").read_text().splitlines()))[1]
     assert float(row["param"]) == 1000.0                # the nominal r_load
     report = json.loads((out / "capacity_report.json").read_text())
-    assert report["signal_dbv"] == pytest.approx(float(row["peak_db"]), rel=1e-12, abs=0)
-    assert report["capacity_bps"] == pytest.approx(float(row["capacity_bps"]),
-                                                   rel=1e-12, abs=0)
+    assert report["signal_dbv"] == float(row["peak_db"])
+    assert report["capacity_bps"] == float(row["capacity_bps"])
     top = next(csv.DictReader((out / "capacity.csv").read_text().splitlines()))
     assert float(top["signal_dbv"]) == pytest.approx(
         report["signal_dbv"] - float(top["threshold_db"]), rel=1e-12, abs=0)
@@ -484,6 +483,15 @@ def test_run_succeeds_and_writes_the_advertised_files(small_run):
                 "capacity_report.json", "dual_mode.json", "sweep_tx_angle.csv",
                 "field_map.csv", "report.json"}
     assert {p.name for p in out.iterdir()} == expected
+
+
+def test_spectrum_csv_levels_are_path_loss_db_of_h(tmp_path):
+    sc = parse_text(tmp_path, "").scenario
+    spectrum = frequency_sweep(scenario_link(sc, scenario_mutual_inductance(sc)),
+                               default_grid())
+    emit_spectrum_csv(spectrum, tmp_path / "spectrum.csv")
+    rows = csv.DictReader((tmp_path / "spectrum.csv").read_text().splitlines())
+    assert [float(r["h_mag_db"]) for r in rows] == path_loss_db(spectrum.h).tolist()
 
 
 def test_spectrum_csv_shape_and_header(small_run):

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqslink import circuit, link_analysis
+from mqslink import circuit, field_coupling, link_analysis
 from mqslink.circuit import (LinkCircuit, default_grid, frequency_sweep,
-                             received_power, receiver_capacitance,
-                             tune_capacitance)
+                             path_loss_db, received_power,
+                             receiver_capacitance, tune_capacitance)
 from mqslink.field_coupling import mutual_inductance
 from mqslink.geometry import (CoilSpec, Scenario, apply_pose,
                               build_filament_coil, scenario_poses)
@@ -54,7 +54,7 @@ def nominal_spectrum():
 # -------------------------------------------------------------- bandwidth
 
 def test_three_db_band_of_the_nominal_link(nominal_spectrum):
-    row = capacity_vs_bandwidth(nominal_spectrum).rows[2]
+    row = capacity_vs_bandwidth(nominal_spectrum)[2]
     assert row.threshold_db == 3.0
     f_low, f_high, width = row.f_low_hz, row.f_high_hz, row.bandwidth_hz
     assert f_low == pytest.approx(BW3_LOW, rel=1e-12)
@@ -130,15 +130,15 @@ def test_capacity_report_rejects_inconsistent_fields():
 
 def test_threshold_study_masks_offgrid_rows_and_ranks_the_rest(nominal_spectrum):
     study = capacity_vs_bandwidth(nominal_spectrum)
-    assert [r.threshold_db for r in study.rows] == [float(t) for t in range(1, 31)]
-    masked = [r.threshold_db for r in study.rows if r.masked]
+    assert [r.threshold_db for r in study] == [float(t) for t in range(1, 31)]
+    masked = [r.threshold_db for r in study if r.masked]
     assert masked == [29.0, 30.0]
-    live = [r for r in study.rows if not r.masked]
+    live = [r for r in study if not r.masked]
     widths = [r.bandwidth_hz for r in live]
     assert all(b > a for a, b in zip(widths, widths[1:]))
     assert max(live, key=lambda r: r.capacity_bps).threshold_db == 28.0
-    t3 = next(r for r in study.rows if r.threshold_db == 3.0)
-    t12 = next(r for r in study.rows if r.threshold_db == 12.0)
+    t3 = next(r for r in study if r.threshold_db == 3.0)
+    t12 = next(r for r in study if r.threshold_db == 12.0)
     assert t3.capacity_bps == pytest.approx(1000699.0097581774, rel=1e-9)
     assert t12.capacity_bps == pytest.approx(2559445.899513709, rel=1e-9)
     assert t12.capacity_bps > t3.capacity_bps
@@ -231,11 +231,12 @@ def test_angle_sweep_rows_are_ordered_and_live():
         assert 25e6 <= row.peak_freq_hz <= 27e6
 
 
-def test_unreachable_tolerance_masks_points_instead_of_failing():
+def test_unreachable_tolerance_masks_points_instead_of_failing(monkeypatch):
+    # one refinement level gives no estimate, so every M raises ConvergenceError
+    monkeypatch.setattr(field_coupling, "_SPECTRAL_LEVELS", (8,))
     grid = np.linspace(25e6, 27e6, 51)
     with pytest.warns(UserWarning) as caught:
-        sweep = misalignment_sweep(NOMINAL, TX_ANGLE, [30.0, 50.0], tolerance=1e-15,
-                                   grid=grid)
+        sweep = misalignment_sweep(NOMINAL, TX_ANGLE, [30.0, 50.0], grid=grid)
     assert all(r.masked for r in sweep.rows)
     assert all(r.capacity_bps is None for r in sweep.rows)
     assert len(caught) == 2
@@ -348,18 +349,18 @@ def _per_load_sweep(link, field, values, grid, convention):
         spectrum = frequency_sweep(varied, grid)
         mags = np.abs(spectrum.h)
         pk = int(np.argmax(mags))
-        v_peak = float(mags[pk]) * link.v_source
-        if v_peak == 0.0:
+        if mags[pk] == 0.0:
             rows.append(SweepRow(v, None, None, None, None, None))
             continue
-        peak_db = 20.0 * math.log10(v_peak)
+        peak_db = float(np.max(path_loss_db(spectrum.h))) + path_loss_db(link.v_source)
         try:
             bw = capacity_report(spectrum).bandwidth_hz
             cap = channel_capacity(bw, snr_db(peak_db, -85.0), convention)
         except TruncatedBandError:
             bw = cap = None
         rows.append(SweepRow(v, peak_db, float(spectrum.frequencies[pk]), bw, cap,
-                             received_power(v_peak, varied.r_load)))
+                             received_power(float(mags[pk]) * link.v_source,
+                                            varied.r_load)))
     return tuple(rows)
 
 
@@ -422,6 +423,26 @@ def test_row_block_scans_equal_the_per_load_loop(drawn):
         reference = _per_load_dual_mode(link, loads, grid)
     assert report == reference
     assert [str(w.message) for w in caught] == [str(w.message) for w in expected]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_links(parasitics=True), st.sampled_from([VOLTAGE, POWER]))
+def test_a_sweep_row_is_the_capacity_report_of_its_spectrum(drawn, convention):
+    # untuned draws are flat over the grid, so their bands run off it
+    link, grid = drawn
+    (row,) = resistance_sweep(link, "r_load", [link.r_load], grid,
+                              convention=convention).rows
+    spectrum = frequency_sweep(link, grid)
+    if not np.any(spectrum.h):
+        assert row.masked
+        return
+    try:
+        report = capacity_report(spectrum, convention=convention)
+        expected = (report.signal_dbv, report.bandwidth_hz, report.capacity_bps)
+    except TruncatedBandError:
+        peak = float(np.max(path_loss_db(spectrum.h))) + path_loss_db(link.v_source)
+        expected = (peak, None, None)
+    assert (row.peak_db, row.bw3db_hz, row.capacity_bps) == expected
 
 
 def test_load_scans_solve_in_bounded_blocks_without_frequency_sweep(monkeypatch):

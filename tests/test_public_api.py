@@ -17,9 +17,10 @@ KEPT = {
     "tx_power",
     # point-evaluation API behind bench/make_refs.py and the field tests
     "b_field",
-    # k for the per-coil block of the run report (ROADMAP item 4)
+    # k for the per-coil block of the run report (ROADMAP, "A run explains itself")
     "coupling_coefficient",
-    # Wheeler cross-check of the current-sheet estimate (ROADMAP item 1)
+    # Wheeler cross-check of the current-sheet estimate (ROADMAP, "Filament
+    # self-inductance on the winding curve")
     "wheeler_inductance",
 }
 
