@@ -32,8 +32,8 @@ import time
 import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import (Callable, ClassVar, Dict, List, Optional, Protocol,
-                    Sequence, Tuple, Union)
+from typing import (Callable, Dict, List, Optional, Protocol, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -90,8 +90,6 @@ class Request(Protocol):
     wrote; build_link(tuned) gives the nominal link.
     """
 
-    label: str                    # the section name
-
     def run(self, config: ScenarioConfig, grid: np.ndarray, out: Path,
             build_link: Callable[[bool], LinkCircuit]) -> Tuple[str, ...]: ...
 
@@ -108,7 +106,7 @@ class ScenarioConfig:
     snr_convention: str
     segments_per_turn: int
     output_dir: str
-    requests: Tuple[Request, ...]
+    requests: Dict[str, Request]  # section name -> request, in file order
     config_digest: str            # sha256 of the config file bytes
 
     def frequency_grid(self) -> np.ndarray:
@@ -339,8 +337,8 @@ def parse_config(path: Union[str, Path], allow_defaults: bool = False) -> Scenar
                     "[analysis] segments_per_turn must be >= 16")
 
     # file order = execution order
-    requests = tuple(REQUESTS[name].parse(reader, name)
-                     for name in reader.sections if name in REQUESTS)
+    requests = {name: REQUESTS[name].parse(reader, name)
+                for name in reader.sections if name in REQUESTS}
 
     return ScenarioConfig(
         scenario=scenario, grid_start=grid["start"], grid_stop=grid["stop"],
@@ -479,36 +477,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_text(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {_json_text(v, indent + 1)}'
-                 for k, v in value.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{inner}{_json_text(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if not math.isfinite(v):
-            return "null"               # JSON has no inf/nan; mask instead
-        return format(v, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
-
-
 def _atomic_write(path: Path, text: str) -> None:
     """Write via a temp file in the same directory, then rename over."""
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
@@ -522,6 +490,11 @@ def _atomic_write(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _emit_json(payload, path: Path) -> None:
+    """payload as indented JSON; a NaN or infinite number raises ValueError."""
+    _atomic_write(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _csv_text(header: str, rows) -> str:
@@ -576,7 +549,7 @@ class RunReport:
 
     artifact_version: str
     config_digest: str
-    outputs: Tuple[Tuple[str, Tuple[str, ...]], ...]   # (request label, files)
+    outputs: Tuple[Tuple[str, Tuple[str, ...]], ...]   # (section name, files)
     timings_s: Tuple[Tuple[str, float], ...]
     warnings: Tuple[str, ...]
     failures: Tuple[str, ...]
@@ -587,13 +560,13 @@ def emit_report_json(report: RunReport, path: Path) -> None:
         "schema_version": REPORT_SCHEMA_VERSION,
         "artifact_version": report.artifact_version,
         "config_digest": report.config_digest,
-        "outputs": [{"request": label, "files": list(files)}
-                    for label, files in report.outputs],
-        "timings_s": {label: t for label, t in report.timings_s},
+        "outputs": [{"request": name, "files": list(files)}
+                    for name, files in report.outputs],
+        "timings_s": dict(report.timings_s),
         "warnings": list(report.warnings),
         "failures": list(report.failures),
     }
-    _atomic_write(path, _json_text(payload) + "\n")
+    _emit_json(payload, path)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +577,6 @@ class SpectrumRequest:
     """[spectrum]: the link's transfer spectrum, tuned and/or untuned."""
 
     modes: Tuple[str, ...]
-    label: ClassVar[str] = "spectrum"
 
     @classmethod
     def parse(cls, reader: _Reader, name: str) -> SpectrumRequest:
@@ -636,10 +608,6 @@ class MisalignmentSweepRequest:
     start: float
     stop: float
     step: float
-
-    @property
-    def label(self) -> str:
-        return f"sweep {self.axis}"
 
     @classmethod
     def parse(cls, reader: _Reader, name: str) -> MisalignmentSweepRequest:
@@ -684,10 +652,6 @@ class ResistanceSweepRequest:
     points: int
     spacing: str                  # log | linear
 
-    @property
-    def label(self) -> str:
-        return f"sweep {self.side}"
-
     @classmethod
     def parse(cls, reader: _Reader, name: str) -> ResistanceSweepRequest:
         schema = {"start": ("quantity", "resistance"),
@@ -723,7 +687,6 @@ class FieldMapRequest:
     coil: str                     # tx | rx
     grid: GridSpec
     current: float
-    label: ClassVar[str] = "field_map"
 
     @classmethod
     def parse(cls, reader: _Reader, name: str) -> FieldMapRequest:
@@ -763,8 +726,6 @@ class FieldMapRequest:
 class CapacityRequest:
     """[capacity]: Shannon capacity against bandwidth on the tuned link."""
 
-    label: ClassVar[str] = "capacity"
-
     @classmethod
     def parse(cls, reader: _Reader, name: str) -> CapacityRequest:
         for key in reader.sections[name]:
@@ -786,7 +747,7 @@ class CapacityRequest:
         except TruncatedBandError as exc:
             warnings.warn(f"{exc}; capacity_report.json not written")
             return ("capacity.csv",)
-        _atomic_write(out / "capacity_report.json", _json_text(asdict(rep)) + "\n")
+        _emit_json(asdict(rep), out / "capacity_report.json")
         return ("capacity.csv", "capacity_report.json")
 
 
@@ -797,7 +758,6 @@ class DualModeRequest:
     load_min: float
     load_max: float
     points: int
-    label: ClassVar[str] = "dual_mode"
 
     @classmethod
     def parse(cls, reader: _Reader, name: str) -> DualModeRequest:
@@ -824,7 +784,7 @@ class DualModeRequest:
             "v_rx_power_mode_v": dm.v_rx_power_mode,
             "v_rx_comm_mode_v": dm.v_rx_comm_mode,
         }
-        _atomic_write(out / "dual_mode.json", _json_text(payload) + "\n")
+        _emit_json(payload, out / "dual_mode.json")
         return ("dual_mode.json",)
 
 
@@ -878,23 +838,22 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> RunRe
     def build_link(tuned: bool) -> LinkCircuit:
         return scenario_link(sc, nominal_m(), tuned=tuned)
 
-    for req in config.requests:
-        label = req.label
+    for section, req in config.requests.items():
         m_before = m_cache["s"]
         t0 = time.perf_counter()
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 files = req.run(config, grid, out, build_link)
-            warn_list.extend(f"{label}: {w.message}" for w in caught)
-            outputs.append((label, files))
-            _log.info("%s -> %s (%.2f s)", label, ", ".join(files),
+            warn_list.extend(f"{section}: {w.message}" for w in caught)
+            outputs.append((section, files))
+            _log.info("%s -> %s (%.2f s)", section, ", ".join(files),
                       time.perf_counter() - t0)
         except Exception as exc:
-            failures.append(f"{label}: {exc}")
-            _log.error("%s failed: %s", label, exc)
+            failures.append(f"{section}: {exc}")
+            _log.error("%s failed: %s", section, exc)
         # exclusive: a nominal M computed on the way has its own entry
-        timings.append((label, time.perf_counter() - t0 - (m_cache["s"] - m_before)))
+        timings.append((section, time.perf_counter() - t0 - (m_cache["s"] - m_before)))
 
     report = RunReport(artifact_version=ARTIFACT_VERSION,
                        config_digest=config.config_digest,

@@ -18,7 +18,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Scenario, apply_pose, build_filament_coil, scenario_poses
+from .geometry import (Scenario, apply_pose, build_filament_coil, check_finite_fields,
+                       scenario_poses)
 from .lumped import estimate_inductance
 from .field_coupling import (ConvergenceError, SeparationError,
                              SingularEvaluationError, mutual_inductance)
@@ -68,6 +69,7 @@ class CapacityReport:
     convention: str = VOLTAGE
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.bandwidth_hz <= 0:
             raise ValueError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz!r}")
         if abs(self.snr_db - (self.signal_dbv - self.noise_floor_dbv)) > 1e-9:
@@ -92,6 +94,9 @@ class SweepRow:
     bw3db_hz: Optional[float]
     capacity_bps: Optional[float]
     p_rx_w: Optional[float]
+
+    def __post_init__(self):
+        check_finite_fields(self)
 
     @property
     def masked(self) -> bool:
@@ -123,13 +128,18 @@ class BandwidthCapacityRow:
     signal_dbv: Optional[float]
     capacity_bps: Optional[float]
 
+    def __post_init__(self):
+        check_finite_fields(self)
+
     @property
     def masked(self) -> bool:
         return self.bandwidth_hz is None
 
 
 def _band_edges(freqs: np.ndarray, mag_db: np.ndarray, drop_db: float) -> Tuple[float, float]:
-    """Outermost crossings of (peak - drop_db), linear interpolation in dB."""
+    """Outermost crossings of (peak - drop_db), linear interpolation in dB.
+    Next to a zero of h (-inf dB) the crossing is the sample at or above
+    the threshold, the limit of that interpolation."""
     peak = float(np.max(mag_db))
     thr = peak - drop_db
     above = mag_db >= thr
@@ -141,8 +151,11 @@ def _band_edges(freqs: np.ndarray, mag_db: np.ndarray, drop_db: float) -> Tuple[
         raise TruncatedBandError(
             f"{drop_db:g} dB band extends past the grid edge on the {' and '.join(sides)} side")
     j = np.array([i_lo - 1, i_hi])        # each edge lies in [j, j + 1]
-    t = (thr - mag_db[j]) / (mag_db[j + 1] - mag_db[j])
-    f_low, f_high = (freqs[j] + t * (freqs[j + 1] - freqs[j])).tolist()
+    lo, hi = mag_db[j], mag_db[j + 1]     # only the low edge's lo can be -inf
+    with np.errstate(invalid="ignore"):
+        t = (thr - lo) / (hi - lo)
+    f_low, f_high = np.where(lo == -np.inf, freqs[j + 1],
+                             freqs[j] + t * (freqs[j + 1] - freqs[j])).tolist()
     return f_low, f_high
 
 
@@ -158,8 +171,8 @@ def channel_capacity(bw: float, snr_db: float, convention: str = VOLTAGE) -> flo
     link budgets quoted in dBV; convention="power" selects the standard
     power-ratio form 10^(snr/10).
     """
-    if bw <= 0:
-        raise ValueError(f"bandwidth must be > 0, got {bw!r}")
+    if not 0 < bw < math.inf:
+        raise ValueError(f"bandwidth must be finite and > 0, got {bw!r}")
     return bw * math.log2(1.0 + _snr_linear(snr_db, convention))
 
 
@@ -363,6 +376,9 @@ class DualModeReport:
     p_rx_comm_mode: float
     v_rx_power_mode: float
     v_rx_comm_mode: float
+
+    def __post_init__(self):
+        check_finite_fields(self)
 
 
 def dual_mode_report(link: LinkCircuit, r_load_grid=None, grid=None) -> DualModeReport:

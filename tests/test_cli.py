@@ -9,7 +9,7 @@ import runpy
 import subprocess
 import sys
 import time
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, asdict, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +19,15 @@ from hypothesis import strategies as st
 
 from mqslink import cli, field_coupling
 from mqslink.circuit import default_grid, frequency_sweep, path_loss_db
-from mqslink.cli import (DEFAULT_CONFIG, ConfigError, _csv_text, _fmt,
-                         _json_text, emit_field_map_csv, emit_spectrum_csv,
-                         emit_sweep_csv, main, parse_config, run_scenario)
+from mqslink.cli import (DEFAULT_CONFIG, ConfigError, RunReport, _csv_text,
+                         _emit_json, _fmt, emit_field_map_csv,
+                         emit_report_json, emit_spectrum_csv, emit_sweep_csv,
+                         main, parse_config, run_scenario)
 from mqslink.geometry import CoilSpec, Scenario
 from mqslink.link_analysis import (DEFAULT_NOISE_FLOOR_DBV, VOLTAGE,
-                                   dual_mode_report, misalignment_sweep,
-                                   scenario_link, scenario_mutual_inductance)
+                                   capacity_report, dual_mode_report,
+                                   misalignment_sweep, scenario_link,
+                                   scenario_mutual_inductance)
 
 SMALL_RUN = """\
 [tx_coil]
@@ -118,10 +120,10 @@ def test_builtin_defaults_round_trip(tmp_path):
     from_empty = parse_config(write_config(tmp_path, "", "e.ini"),
                               allow_defaults=True)
     # every field but the requests and the file digest, floats bit for bit
-    assert replace(from_text, requests=(), config_digest="") == \
-        replace(from_empty, requests=(), config_digest="")
-    assert [r.label for r in from_text.requests] == ["spectrum", "capacity"]
-    assert from_empty.requests == ()
+    assert replace(from_text, requests={}, config_digest="") == \
+        replace(from_empty, requests={}, config_digest="")
+    assert list(from_text.requests) == ["spectrum", "capacity"]
+    assert from_empty.requests == {}
 
 
 def _bits(value):
@@ -140,7 +142,7 @@ def test_library_defaults_equal_the_printed_defaults(tmp_path):
     assert _bits(config.noise_floor_dbv) == _bits(DEFAULT_NOISE_FLOOR_DBV)
     assert config.snr_convention == VOLTAGE
     # dual_mode_report's default loads are an empty [dual_mode]'s loads
-    (request,) = parse_text(tmp_path, "[dual_mode]\n").requests
+    request = parse_text(tmp_path, "[dual_mode]\n").requests["dual_mode"]
     link = scenario_link(config.scenario, scenario_mutual_inductance(config.scenario))
     loads = np.geomspace(request.load_min, request.load_max, request.points)
     assert dual_mode_report(link) == dual_mode_report(link, r_load_grid=loads)
@@ -395,15 +397,24 @@ def test_csv_rows_read_as_if_each_cell_went_through_fmt(case):
     assert _csv_text(header, rows) == want + "\n"
 
 
-def test_json_emitter_and_masking():
-    payload = {"a": 1.5, "b": [True, None, 2], "c": {"d": float("inf")},
-               "e": "text"}
-    parsed = json.loads(_json_text(payload))
-    assert parsed == {"a": 1.5, "b": [True, None, 2], "c": {"d": None},
-                      "e": "text"}
-    assert _json_text(True) == "true"     # bool must not print as 1
+def test_json_files_hold_only_what_json_can(tmp_path):
+    payload = {"a": 1.5, "b": [True, None, 2], "c": {"d": -85.0}, "e": "text"}
+    _emit_json(payload, tmp_path / "ok.json")
+    text = (tmp_path / "ok.json").read_text()
+    assert json.loads(text) == payload
+    assert "\n    true,\n" in text          # bool must not print as 1
     with pytest.raises(TypeError):
-        _json_text({"x": object()})
+        _emit_json({"x": object()}, tmp_path / "object.json")
+    # a non-finite number raises instead of being written as null
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="JSON"):
+            _emit_json({"c": {"d": bad}}, tmp_path / "bad.json")
+    report = RunReport(artifact_version="0", config_digest="", outputs=(),
+                       timings_s=(("spectrum", math.nan),), warnings=(), failures=())
+    with pytest.raises(ValueError, match="JSON"):
+        emit_report_json(report, tmp_path / "report.json")
+    # neither the target nor a temp file is left
+    assert [p.name for p in tmp_path.iterdir()] == ["ok.json"]
 
 
 def test_field_map_rows_mask_with_empty_cells(tmp_path):
@@ -426,9 +437,10 @@ def test_every_request_kind_runs_end_to_end(tmp_path):
     assert set(cli.REQUESTS) == set(sections)
     config = parse_config(write_config(tmp_path, ALL_REQUESTS))
     assert config.frequency_grid().size == 201
-    # file order, and each label is its section name
-    assert [r.label for r in config.requests] == sections
-    report = run_scenario(config, out_dir=str(tmp_path / "out"))
+    # keyed by section name, in file order
+    assert list(config.requests) == sections
+    out = tmp_path / "out"
+    report = run_scenario(config, out_dir=str(out))
     assert report.failures == ()
     # the README's table of files per request
     assert dict(report.outputs) == {
@@ -440,7 +452,21 @@ def test_every_request_kind_runs_end_to_end(tmp_path):
         "dual_mode": ("dual_mode.json",),
     }
     written = {f for _, files in report.outputs for f in files} | {"report.json"}
-    assert {p.name for p in (tmp_path / "out").iterdir()} == written
+    assert {p.name for p in out.iterdir()} == written
+    # the JSON files hold the library's values, bit for bit
+    sc, grid = config.scenario, config.frequency_grid()
+    link = scenario_link(sc, scenario_mutual_inductance(sc, config.segments_per_turn))
+    rep = capacity_report(frequency_sweep(link, grid),
+                          noise_floor_dbv=config.noise_floor_dbv,
+                          convention=config.snr_convention)
+    saved = json.loads((out / "capacity_report.json").read_text())
+    assert {k: _bits(v) for k, v in saved.items()} == \
+        {k: _bits(v) for k, v in asdict(rep).items()}
+    request = config.requests["dual_mode"]
+    loads = np.geomspace(request.load_min, request.load_max, request.points)
+    dm = dual_mode_report(link, r_load_grid=loads, grid=grid)
+    saved = json.loads((out / "dual_mode.json").read_text())
+    assert list(map(_bits, saved.values())) == list(map(_bits, astuple(dm)))
 
 
 def test_traced_run_sees_every_layer_it_patches(tmp_path, monkeypatch):

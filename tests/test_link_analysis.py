@@ -11,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqslink import circuit, field_coupling, link_analysis
-from mqslink.circuit import (LinkCircuit, default_grid, frequency_sweep,
+from mqslink.circuit import (LinkCircuit, Spectrum, default_grid, frequency_sweep,
                              path_loss_db, received_power,
                              receiver_capacitance, tune_capacitance)
 from mqslink.field_coupling import mutual_inductance
 from mqslink.geometry import (CoilSpec, Scenario, apply_pose,
                               build_filament_coil, scenario_poses)
 from mqslink.link_analysis import (AXIAL, LATERAL, POWER, TX_ANGLE, VOLTAGE,
-                                   CapacityReport, DualModeReport,
+                                   BandwidthCapacityRow, CapacityReport,
+                                   DualModeReport,
                                    SweepResult, SweepRow,
                                    TruncatedBandError, capacity_report,
                                    capacity_vs_bandwidth, channel_capacity,
@@ -78,6 +79,24 @@ def test_fully_truncated_band_reports_both_sides():
         capacity_report(spectrum)
 
 
+@pytest.mark.parametrize("h, zero_side", [([0.1, 0.0, 1.0, 0.9, 0.1], "low"),
+                                          ([0.1, 0.9, 1.0, 0.0, 0.1], "high")])
+def test_a_band_edge_next_to_a_zero_of_h_is_the_sample_above(h, zero_side):
+    # linear interpolation in dB toward a -inf dB sample tends to the
+    # sample at or above the threshold; the other edge keeps its bits
+    freqs = np.array([1e6, 2e6, 3e6, 4e6, 5e6])
+    spectrum = Spectrum(frequencies=freqs, h=np.array(h), z11=np.ones(5))
+    mag = path_loss_db(np.array(h))
+    i = 3 if zero_side == "low" else 0      # the other edge lies in [i, i + 1]
+    t = (-3.0 - mag[i]) / (mag[i + 1] - mag[i])
+    other = freqs[i] + t * (freqs[i + 1] - freqs[i])
+    f_low, f_high = (3e6, other) if zero_side == "low" else (other, 3e6)
+    row = capacity_vs_bandwidth(spectrum)[2]
+    assert (row.f_low_hz, row.f_high_hz) == (f_low, f_high)
+    assert capacity_report(spectrum).bandwidth_hz == row.bandwidth_hz == f_high - f_low
+    assert row.bandwidth_hz == pytest.approx(1109241.108, abs=1e-3)
+
+
 # --------------------------------------------------------------- capacity
 
 def test_snr_is_a_level_difference():
@@ -94,8 +113,9 @@ def test_channel_capacity_under_both_conventions():
 
 
 def test_channel_capacity_validation():
-    with pytest.raises(ValueError, match="bandwidth"):
-        channel_capacity(0.0, 30.0)
+    for bw in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="bandwidth"):
+            channel_capacity(bw, 30.0)
     with pytest.raises(ValueError, match="convention"):
         channel_capacity(1e6, 30.0, convention="amplitude")
 
@@ -126,6 +146,28 @@ def test_capacity_report_rejects_inconsistent_fields():
         CapacityReport(bandwidth_hz=1e6, signal_dbv=-55.0,
                        noise_floor_dbv=-85.0, snr_db=30.0,
                        capacity_bps=4e6)
+
+
+_VALUES = {
+    CapacityReport: dict(bandwidth_hz=1e6, signal_dbv=-55.0, noise_floor_dbv=-85.0,
+                         snr_db=30.0, capacity_bps=channel_capacity(1e6, 30.0)),
+    BandwidthCapacityRow: dict(threshold_db=3.0, f_low_hz=25.9e6, f_high_hz=26.1e6,
+                               bandwidth_hz=2e5, signal_dbv=-60.0, capacity_bps=1e6),
+    SweepRow: dict(value=1.0, peak_db=-60.0, peak_freq_hz=26e6, bw3db_hz=2e5,
+                   capacity_bps=1e6, p_rx_w=1e-9),
+    DualModeReport: dict(power_mode_r_load=10.0, comm_mode_r_load=1e3,
+                         p_rx_power_mode=1e-6, p_rx_comm_mode=1e-7,
+                         v_rx_power_mode=1e-3, v_rx_comm_mode=1e-2),
+}
+
+
+@pytest.mark.parametrize("cls, name, bad", [
+    (cls, name, bad) for cls, values in _VALUES.items() for name in values
+    for bad in (math.nan, math.inf, -math.inf)])
+def test_link_budget_values_reject_nan_and_infinities(cls, name, bad):
+    cls(**_VALUES[cls])
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        cls(**{**_VALUES[cls], name: bad})
 
 
 def test_threshold_study_masks_offgrid_rows_and_ranks_the_rest(nominal_spectrum):
