@@ -20,6 +20,7 @@ manifest, which is written even when requests fail.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -161,7 +162,6 @@ _SCENARIO_SCHEMAS = {"tx_coil": _COIL_SCHEMA, "rx_coil": _COIL_SCHEMA,
                      "placement": _PLACEMENT_SCHEMA, "circuit": _CIRCUIT_SCHEMA,
                      "frequency_grid": _GRID_SCHEMA, "analysis": _ANALYSIS_SCHEMA,
                      "output": _OUTPUT_SCHEMA}
-_SCENARIO_SECTIONS = tuple(_SCENARIO_SCHEMAS)
 
 # Scenario field -> the (section, key) it is read from; tx and rx are CoilSpecs
 _SCENARIO_KEYS = {
@@ -309,7 +309,7 @@ def parse_config(path: Union[str, Path], allow_defaults: bool = False) -> Scenar
     anchored messages.
     """
     reader = _Reader(path)
-    known = _SCENARIO_SECTIONS + tuple(REQUESTS)
+    known = (*_SCENARIO_SCHEMAS, *REQUESTS)
     for name in reader.sections:
         if name not in known:
             reader.fail(name, None, f"unknown section [{name}]; known sections: "
@@ -319,8 +319,7 @@ def parse_config(path: Union[str, Path], allow_defaults: bool = False) -> Scenar
                 if allow_defaults else {})
     read = {name: reader.section(name, schema, defaults.get(name, {}))
             for name, schema in _SCENARIO_SCHEMAS.items()}
-    tx, rx = (reader.build(name, CoilSpec, {},
-                           **{f.name: read[name][f.name] for f in fields(CoilSpec)})
+    tx, rx = (reader.build(name, CoilSpec, {}, **read[name])
               for name in ("tx_coil", "rx_coil"))
     scenario = reader.build("circuit", Scenario, _SCENARIO_KEYS, tx=tx, rx=rx, **{
         field: read[section][key] for field, (section, key) in _SCENARIO_KEYS.items()})
@@ -547,7 +546,6 @@ def emit_capacity_csv(study: Sequence[BandwidthCapacityRow], path: Path) -> None
 class RunReport:
     """What one `mqslink run` did: outputs, timings, complaints."""
 
-    artifact_version: str
     config_digest: str
     outputs: Tuple[Tuple[str, Tuple[str, ...]], ...]   # (section name, files)
     timings_s: Tuple[Tuple[str, float], ...]
@@ -558,7 +556,7 @@ class RunReport:
 def emit_report_json(report: RunReport, path: Path) -> None:
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "artifact_version": report.artifact_version,
+        "artifact_version": ARTIFACT_VERSION,
         "config_digest": report.config_digest,
         "outputs": [{"request": name, "files": list(files)}
                     for name, files in report.outputs],
@@ -612,11 +610,11 @@ class MisalignmentSweepRequest:
     @classmethod
     def parse(cls, reader: _Reader, name: str) -> MisalignmentSweepRequest:
         axis = name.split(" ", 1)[1]
-        dim = "angle" if axis == "tx_angle" else "length"
+        _, lo, hi, unit = SWEEP_RANGES[axis]
+        dim = next(d for d, units in _UNITS.items() if unit in units)
         schema = {"start": ("quantity", dim), "stop": ("quantity", dim),
                   "step": ("quantity", dim)}
         vals = reader.section(name, schema, {})
-        lo, hi, unit = SWEEP_RANGES[axis]
         if vals["step"] <= 0:
             reader.fail(name, "step", f"[{name}] step must be > 0")
         if vals["stop"] < vals["start"]:
@@ -824,22 +822,19 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> RunRe
             warn_list.append(f"{name} coil inductance is {est.source} and "
                              "low-confidence for this geometry")
 
-    m_cache: Dict[str, float] = {"s": 0.0}
-
+    @functools.cache                # a failing M is not cached
     def nominal_m() -> float:
-        if "m" not in m_cache:
-            t0 = time.perf_counter()
-            m_cache["m"] = scenario_mutual_inductance(sc, config.segments_per_turn)
-            m_cache["s"] = time.perf_counter() - t0
-            timings.append(("mutual_inductance", m_cache["s"]))
-            _log.info("mutual inductance %.6g H (%.2f s)", m_cache["m"], m_cache["s"])
-        return m_cache["m"]
+        t0 = time.perf_counter()
+        m = scenario_mutual_inductance(sc, config.segments_per_turn)
+        timings.append(("mutual_inductance", time.perf_counter() - t0))
+        _log.info("mutual inductance %.6g H (%.2f s)", m, timings[-1][1])
+        return m
 
     def build_link(tuned: bool) -> LinkCircuit:
         return scenario_link(sc, nominal_m(), tuned=tuned)
 
     for section, req in config.requests.items():
-        m_before = m_cache["s"]
+        before = len(timings)
         t0 = time.perf_counter()
         try:
             with warnings.catch_warnings(record=True) as caught:
@@ -853,10 +848,10 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> RunRe
             failures.append(f"{section}: {exc}")
             _log.error("%s failed: %s", section, exc)
         # exclusive: a nominal M computed on the way has its own entry
-        timings.append((section, time.perf_counter() - t0 - (m_cache["s"] - m_before)))
+        nested = sum(s for _, s in timings[before:])
+        timings.append((section, time.perf_counter() - t0 - nested))
 
-    report = RunReport(artifact_version=ARTIFACT_VERSION,
-                       config_digest=config.config_digest,
+    report = RunReport(config_digest=config.config_digest,
                        outputs=tuple(outputs), timings_s=tuple(timings),
                        warnings=tuple(warn_list), failures=tuple(failures))
     emit_report_json(report, out / "report.json")

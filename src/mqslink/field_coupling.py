@@ -128,12 +128,10 @@ class CouplingResult:
     convergence_estimate: float
 
     def __post_init__(self):
-        if not math.isfinite(self.m):
-            raise ValueError(f"m must be finite, got {self.m!r}")
-        if not (0.0 <= self.convergence_estimate < math.inf):
+        check_finite_fields(self)
+        if self.convergence_estimate < 0:
             raise ValueError(
-                f"convergence_estimate must be finite and >= 0, got {self.convergence_estimate!r}"
-            )
+                f"convergence_estimate must be >= 0, got {self.convergence_estimate!r}")
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,11 @@ DEFAULT_SPHERE_RADIUS = 12e-3
 
 
 def check_finite_fields(value) -> None:
-    """Raise ValueError, naming the field, if a float field of the
-    dataclass instance value is NaN or infinite."""
+    """Raise ValueError, naming the field, if a float field (Python or
+    numpy) of the dataclass instance value is NaN or infinite."""
     for f in fields(value):
         x = getattr(value, f.name)
-        if isinstance(x, float) and not math.isfinite(x):
+        if isinstance(x, (float, np.floating)) and not math.isfinite(x):
             raise ValueError(f"{f.name} must be finite, got {x!r}")
 
 
@@ -53,7 +53,9 @@ class CoilSpec:
         "flat-spiral" (planar) or "helical" (winding projected onto a
         sphere, as for a coil moulded onto a contact lens).
     sphere_radius : float, optional
-        Sphere radius for the helical shape (m). Defaults to 12 mm.
+        Sphere radius for the helical shape (m). Defaults to 12 mm. It
+        must exceed the outermost turn radius, where the winding's sag
+        would otherwise turn vertical.
     conductivity : float
         Wire conductivity sigma (S/m). Default is copper.
     parasitic_capacitance : float, optional
@@ -98,12 +100,11 @@ class CoilSpec:
         if self.resistance_override is not None and self.resistance_override < 0:
             raise ValueError(f"resistance_override must be >= 0, got {self.resistance_override!r}")
         if self.shape == HELICAL:
-            # the outermost turn must still fit on the sphere
             r_sphere = self.sphere_radius if self.sphere_radius is not None else DEFAULT_SPHERE_RADIUS
-            r_max = self.inner_radius + (self.turns - 1) * self.pitch
-            if r_sphere < r_max:
+            r_max = float(turn_radii(self)[-1])
+            if r_sphere <= r_max:
                 raise ValueError(
-                    f"sphere_radius {r_sphere!r} is smaller than the outermost "
+                    f"sphere_radius {r_sphere!r} must exceed the outermost "
                     f"turn radius {r_max!r}"
                 )
 
@@ -138,8 +139,7 @@ class Pose:
         if len(c) != 3 or not all(math.isfinite(v) for v in c):
             raise ValueError(f"center must be a finite 3-vector, got {self.center!r}")
         object.__setattr__(self, "center", c)
-        if not math.isfinite(self.tilt_angle_deg):
-            raise ValueError(f"tilt_angle_deg must be finite, got {self.tilt_angle_deg!r}")
+        check_finite_fields(self)
 
     def rotation_matrix(self) -> np.ndarray:
         """3x3 rotation about y by tilt_angle_deg (right-handed, det +1)."""
@@ -173,6 +173,8 @@ class FilamentCoil:
             )
         for name in ("rotation", "origin"):
             arr = np.array(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite, got {arr.tolist()!r}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -36,11 +36,12 @@ TX_ANGLE = "tx_angle"
 LATERAL = "lateral"
 AXIAL = "axial"
 
-# documented sweep domains: angle in deg, offsets in m
+# each misalignment axis: the Scenario field it moves and that field's
+# documented domain and unit
 SWEEP_RANGES = {
-    TX_ANGLE: (0.0, 90.0, "deg"),
-    LATERAL: (0.0, 0.200, "m"),
-    AXIAL: (0.050, 0.300, "m"),
+    TX_ANGLE: ("tx_angle_deg", 0.0, 90.0, "deg"),
+    LATERAL: ("x_eye", 0.0, 0.200, "m"),
+    AXIAL: ("z_eye", 0.050, 0.300, "m"),
 }
 
 
@@ -107,7 +108,6 @@ class SweepRow:
 class SweepResult:
     """Ordered sweep of one scalar parameter with per-point summaries."""
 
-    param: str
     unit: str
     rows: Tuple[SweepRow, ...]
 
@@ -287,21 +287,13 @@ def _sweep_row(value: float, freqs: np.ndarray, h: np.ndarray, v_source: float,
                     received_power(float(mags[pk]) * v_source, r_load))
 
 
-def _scenario_variant(sc: Scenario, axis: str, value: float) -> Scenario:
-    if axis == TX_ANGLE:
-        return replace(sc, tx_angle_deg=value)
-    if axis == LATERAL:
-        return replace(sc, x_eye=value)
-    return replace(sc, z_eye=value)
-
-
 def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float], grid=None,
                        noise_floor_dbv: float = DEFAULT_NOISE_FLOOR_DBV,
                        convention: str = VOLTAGE) -> SweepResult:
     """Re-pose the geometry along one axis and summarize each link.
 
-    axis is tx_angle (deg, 0-90), lateral = x_eye (m, 0-0.2), or
-    axial = z_eye (m, 0.05-0.3). The tuning capacitors are computed
+    axis is a key of SWEEP_RANGES, whose row names the Scenario field
+    it moves and that field's domain. The tuning capacitors are computed
     once from the scenario's inductances and tuned_frequency and held
     fixed across the sweep: the worn device is tuned once, not per
     pose. Points whose field integration fails are masked rows, and
@@ -311,7 +303,7 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float], grid=No
     """
     if axis not in SWEEP_RANGES:
         raise ValueError(f"axis must be one of {sorted(SWEEP_RANGES)}, got {axis!r}")
-    lo, hi, unit = SWEEP_RANGES[axis]
+    field, lo, hi, unit = SWEEP_RANGES[axis]
     vals = sorted(float(v) for v in values)
     if not vals:
         raise ValueError("values must be non-empty")
@@ -324,7 +316,7 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float], grid=No
     rows = []
     for value in vals:
         try:
-            m = scenario_mutual_inductance(_scenario_variant(sc, axis, value))
+            m = scenario_mutual_inductance(replace(sc, **{field: value}))
             spectrum = frequency_sweep(replace(nominal, m=m), sweep_grid)
             rows.append(_sweep_row(value, spectrum.frequencies, spectrum.h, nominal.v_source,
                                    nominal.r_load, noise_floor_dbv, convention))
@@ -337,7 +329,7 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float], grid=No
     elif axis != LATERAL and sc.x_eye == 0.0:
         warnings.warn("x_eye = 0 places the receiver on the transmitter axis; "
                       "not a wearable placement, kept and flagged", stacklevel=2)
-    return SweepResult(param=axis, unit=unit, rows=tuple(rows))
+    return SweepResult(unit=unit, rows=tuple(rows))
 
 
 def resistance_sweep(link: LinkCircuit, field: str, values: Sequence[float],
@@ -358,7 +350,7 @@ def resistance_sweep(link: LinkCircuit, field: str, values: Sequence[float],
             r_load = v if field == "r_load" else link.r_load
             rows.append(_sweep_row(v, sweep_grid, row, link.v_source, r_load,
                                    noise_floor_dbv, convention))
-    return SweepResult(param=field, unit="ohm", rows=tuple(rows))
+    return SweepResult(unit="ohm", rows=tuple(rows))
 
 
 @dataclass(frozen=True)

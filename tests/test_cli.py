@@ -198,10 +198,18 @@ def test_radian_angles_convert(tmp_path):
     ("[circuit]\nesr_mode = fixed\n", r"\.ini:2: unknown key 'esr_mode' in \[circuit\]"),
     ("[rx_coil]\nturns = 5\nresistance_override = -1 ohm\n",
      r"\.ini:3: resistance_override must be >= 0"),
+    # the nominal rx's outermost turn radius, 4 mm + 4 x 0.637 mm, to the bit
+    ("[rx_coil]\nshape = helical\nsphere_radius = 0.006548 m\n",
+     r"\.ini:3: sphere_radius .* must exceed"),
     ("[sweep tx_angle]\nstart = 10 deg\nstop = 95 deg\nstep = 5 deg\n",
      "within"),
     ("[sweep tx_angle]\nstart = 30 deg\nstop = 20 deg\nstep = 5 deg\n",
      "stop"),
+    # each axis takes the unit dimension of its SWEEP_RANGES row
+    ("[sweep tx_angle]\nstart = 10 mm\nstop = 20 mm\nstep = 5 mm\n",
+     r"\.ini:2: .*unknown unit 'mm'"),
+    ("[sweep lateral]\nstart = 0 deg\nstop = 20 deg\nstep = 5 deg\n",
+     r"\.ini:2: .*unknown unit 'deg'"),
     ("[frequency_grid]\npoints = 1\n", "points"),
     ("[frequency_grid]\nstart = 30 MHz\nstop = 20 MHz\n", "start"),
     ("[analysis]\nsegments_per_turn = 8\n", "segments_per_turn"),
@@ -409,7 +417,7 @@ def test_json_files_hold_only_what_json_can(tmp_path):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="JSON"):
             _emit_json({"c": {"d": bad}}, tmp_path / "bad.json")
-    report = RunReport(artifact_version="0", config_digest="", outputs=(),
+    report = RunReport(config_digest="", outputs=(),
                        timings_s=(("spectrum", math.nan),), warnings=(), failures=())
     with pytest.raises(ValueError, match="JSON"):
         emit_report_json(report, tmp_path / "report.json")
@@ -432,7 +440,7 @@ def test_field_map_rows_mask_with_empty_cells(tmp_path):
 
 def test_every_request_kind_runs_end_to_end(tmp_path):
     sections = [name for name in re.findall(r"^\[(.+)\]$", ALL_REQUESTS, flags=re.M)
-                if name not in cli._SCENARIO_SECTIONS]
+                if name not in cli._SCENARIO_SCHEMAS]
     assert ALL_REQUESTS.count("segments_per_turn = 64") == 1
     assert set(cli.REQUESTS) == set(sections)
     config = parse_config(write_config(tmp_path, ALL_REQUESTS))
@@ -820,6 +828,27 @@ def test_timings_are_exclusive_per_layer(tmp_path, monkeypatch):
     assert timings["mutual_inductance"] >= 0.3
     assert 0.0 <= timings["spectrum"]
     assert timings["spectrum"] + timings["mutual_inductance"] <= wall
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_nominal_m_is_solved_once_and_a_failure_retried(tmp_path, monkeypatch, fails):
+    calls = []
+    exact = cli.scenario_mutual_inductance
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        if fails:
+            raise field_coupling.SeparationError("coils overlap")
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "scenario_mutual_inductance", counted)
+    config = parse_config(write_config(tmp_path, SMALL_RUN), allow_defaults=True)
+    report = run_scenario(config, out_dir=str(tmp_path / "out"))
+    needing_m = ("spectrum", "capacity", "dual_mode")      # the link requests
+    assert len(calls) == (len(needing_m) if fails else 1)
+    assert [f.split(":")[0] for f in report.failures] == (list(needing_m) if fails else [])
+    booked = [name for name, _ in report.timings_s].count("mutual_inductance")
+    assert booked == (0 if fails else 1)
 
 
 def test_unsaturated_dual_mode_scan_is_reported_as_a_warning(tmp_path):

@@ -973,3 +973,13 @@ def test_coupling_coefficient_rejects_unphysical_m():
 def test_coupling_result_validation():
     with pytest.raises(ValueError, match="convergence_estimate"):
         CouplingResult(m=1e-9, convergence_estimate=-1.0)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    *((dict(m=bad), "m") for bad in (math.nan, math.inf, -math.inf, np.float32("inf"))),
+    *((dict(convergence_estimate=bad), "convergence_estimate")
+      for bad in (math.nan, math.inf)),
+])
+def test_coupling_result_rejects_non_finite_values_naming_the_field(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        CouplingResult(**{"m": 1e-9, "convergence_estimate": 1e-6, **kwargs})

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from mqslink.geometry import (DEFAULT_SPHERE_RADIUS, HELICAL, CoilSpec, Pose,
-                              Scenario, apply_pose, build_filament_coil,
+from mqslink.geometry import (DEFAULT_SPHERE_RADIUS, HELICAL, CoilSpec, FilamentCoil,
+                              Pose, Scenario, apply_pose, build_filament_coil,
                               scenario_poses, turn_radii, winding_curve)
 from references import polyline
 
@@ -61,6 +61,14 @@ def test_helical_coil_must_fit_on_its_sphere():
     with pytest.raises(ValueError, match="sphere_radius"):
         CoilSpec(turns=5, inner_radius=11e-3, wire_diameter=0.137e-3,
                  wire_spacing=0.5e-3, shape=HELICAL, sphere_radius=12e-3)
+    # on a sphere whose radius equals the outermost turn radius the
+    # winding's sag is vertical, and its tangent infinite, at its outer end
+    r_max = float(turn_radii(RX)[-1])
+    with pytest.raises(ValueError, match="^sphere_radius .* must exceed"):
+        CoilSpec(5, 4e-3, 0.137e-3, 0.5e-3, shape=HELICAL, sphere_radius=r_max)
+    just_fits = CoilSpec(5, 4e-3, 0.137e-3, 0.5e-3, shape=HELICAL,
+                         sphere_radius=float(np.nextafter(r_max, 1.0)))
+    assert np.all(np.isfinite(winding_curve(just_fits, [0.0, 5.0, 10.0 * math.pi])[1]))
 
 
 def _wire_length(coil, per_turn):
@@ -176,6 +184,21 @@ def test_filament_arrays_are_frozen():
         coil.rotation[0, 0] = 2.0
     with pytest.raises(ValueError):
         coil.origin[0] = 1.0
+
+
+@pytest.mark.parametrize("name", ["origin", "rotation"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_filament_coil_rejects_a_non_finite_placement(name, bad):
+    value = np.eye(3) if name == "rotation" else np.array([0.0, 0.0, 0.1])
+    value.flat[0] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        FilamentCoil(RX, 64, **{name: value})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float32("nan")])
+def test_pose_rejects_a_non_finite_tilt(bad):
+    with pytest.raises(ValueError, match="^tilt_angle_deg must be finite"):
+        Pose(center=(0.0, 0.0, 0.1), tilt_angle_deg=bad)
 
 
 def test_tilt_rotates_axis_from_vertical_to_forward():

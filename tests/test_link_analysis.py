@@ -264,7 +264,7 @@ def test_misalignment_sweep_validation():
 def test_angle_sweep_rows_are_ordered_and_live():
     grid = np.linspace(25e6, 27e6, 201)
     sweep = misalignment_sweep(NOMINAL, TX_ANGLE, [60.0, 20.0, 40.0], grid=grid)
-    assert sweep.param == TX_ANGLE and sweep.unit == "deg"
+    assert sweep.unit == "deg"
     assert [r.value for r in sweep.rows] == [20.0, 40.0, 60.0]
     assert not any(r.masked for r in sweep.rows)
     for row in sweep.rows:
@@ -313,7 +313,7 @@ def test_source_resistance_loads_the_resonator():
     sweep = resistance_sweep(link, "r_source", [10.0, 50.0, 200.0, 1e3])
     peaks = [r.peak_db for r in sweep.rows]
     assert all(b < a for a, b in zip(peaks, peaks[1:]))
-    assert sweep.param == "r_source" and sweep.unit == "ohm"
+    assert sweep.unit == "ohm"
 
 
 def test_received_voltage_saturates_with_load():
@@ -338,7 +338,7 @@ def test_resistance_sweep_validation():
 def test_sweep_result_requires_ordered_rows():
     row = SweepRow(2.0, -60.0, 26e6, 1e5, 1e6, 1e-9)
     with pytest.raises(ValueError, match="increasing"):
-        SweepResult(param="r_load", unit="ohm",
+        SweepResult(unit="ohm",
                     rows=(row, replace(row, value=1.0)))
     assert SweepRow(1.0, None, None, None, None, None).masked
     assert not row.masked
