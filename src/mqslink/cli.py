@@ -116,7 +116,8 @@ class ScenarioConfig:
 
 # ---------------------------------------------------------------------------
 # schemas: key -> (kind, detail). kind is count | quantity | optional_quantity
-# | enum | string; detail is the unit dimension or the enum values.
+# | enum | string; detail is a count's least value (or None), a quantity's
+# unit dimension or the enum values.
 
 _COIL_SCHEMA = {
     "turns": ("count", None),
@@ -147,13 +148,13 @@ _CIRCUIT_SCHEMA = {
 _GRID_SCHEMA = {
     "start": ("quantity", "frequency"),
     "stop": ("quantity", "frequency"),
-    "points": ("count", None),
+    "points": ("count", 2),
 }
 
 _ANALYSIS_SCHEMA = {
     "noise_floor": ("quantity", "level"),
     "snr_convention": ("enum", (VOLTAGE, POWER)),
-    "segments_per_turn": ("count", None),
+    "segments_per_turn": ("count", 16),
 }
 
 _OUTPUT_SCHEMA = {"directory": ("string", None)}
@@ -164,15 +165,10 @@ _SCENARIO_SCHEMAS = {"tx_coil": _COIL_SCHEMA, "rx_coil": _COIL_SCHEMA,
                      "output": _OUTPUT_SCHEMA}
 
 # Scenario field -> the (section, key) it is read from; tx and rx are CoilSpecs
-_SCENARIO_KEYS = {
-    "x_eye": ("placement", "x_eye"),
-    "z_eye": ("placement", "z_eye"),
-    "tx_angle_deg": ("placement", "tx_angle"),
-    "r_source": ("circuit", "r_source"),
-    "r_load": ("circuit", "r_load"),
-    "tuned_frequency": ("circuit", "tuned_frequency"),
-    "v_source": ("circuit", "source_amplitude"),
-}
+_RENAMED = {"tx_angle": "tx_angle_deg", "source_amplitude": "v_source"}
+_SCENARIO_KEYS = {_RENAMED.get(key, key): (section, key)
+                  for section in ("placement", "circuit")
+                  for key in _SCENARIO_SCHEMAS[section]}
 
 
 class _Reader:
@@ -241,6 +237,8 @@ class _Reader:
             if not re.fullmatch(r"[+-]?\d+", raw):
                 self.fail(section, key,
                           f"{where} takes a bare integer count; got {raw!r}")
+            if detail is not None and int(raw) < detail:
+                self.fail(section, key, f"{where} must be >= {detail}")
             return int(raw)
         if kind == "optional_quantity" and raw.lower() == "none":
             return None
@@ -325,15 +323,9 @@ def parse_config(path: Union[str, Path], allow_defaults: bool = False) -> Scenar
         field: read[section][key] for field, (section, key) in _SCENARIO_KEYS.items()})
 
     grid, analysis = read["frequency_grid"], read["analysis"]
-    if grid["points"] < 2:
-        reader.fail("frequency_grid", "points",
-                    "[frequency_grid] points must be >= 2")
     if not 0 < grid["start"] < grid["stop"]:
         reader.fail("frequency_grid", "start" if grid["start"] <= 0 else "stop",
                     "[frequency_grid] needs 0 < start < stop")
-    if analysis["segments_per_turn"] < 16:
-        reader.fail("analysis", "segments_per_turn",
-                    "[analysis] segments_per_turn must be >= 16")
 
     # file order = execution order
     requests = {name: REQUESTS[name].parse(reader, name)
@@ -654,14 +646,12 @@ class ResistanceSweepRequest:
     def parse(cls, reader: _Reader, name: str) -> ResistanceSweepRequest:
         schema = {"start": ("quantity", "resistance"),
                   "stop": ("quantity", "resistance"),
-                  "points": ("count", None), "spacing": ("enum", ("log", "linear"))}
+                  "points": ("count", 2), "spacing": ("enum", ("log", "linear"))}
         vals = reader.section(name, schema, {"spacing": "log"})
         if vals["start"] <= 0:
             reader.fail(name, "start", f"[{name}] start must be > 0")
         if vals["stop"] <= vals["start"]:
             reader.fail(name, "stop", f"[{name}] stop must be > start")
-        if vals["points"] < 2:
-            reader.fail(name, "points", f"[{name}] points must be >= 2")
         return cls(side=name.split(" ", 1)[1], **vals)
 
     def values(self) -> np.ndarray:
@@ -761,14 +751,12 @@ class DualModeRequest:
     def parse(cls, reader: _Reader, name: str) -> DualModeRequest:
         schema = {"load_min": ("quantity", "resistance"),
                   "load_max": ("quantity", "resistance"),
-                  "points": ("count", None)}
+                  "points": ("count", 2)}
         defaults = {"load_min": "0.1 ohm", "load_max": "10 kohm", "points": "101"}
         vals = reader.section(name, schema, defaults)
         if vals["load_min"] <= 0 or vals["load_max"] <= vals["load_min"]:
             reader.fail(name, "load_min" if vals["load_min"] <= 0 else "load_max",
                         "[dual_mode] needs 0 < load_min < load_max")
-        if vals["points"] < 2:
-            reader.fail(name, "points", "[dual_mode] points must be >= 2")
         return cls(**vals)
 
     def run(self, config, grid, out, build_link):
@@ -792,11 +780,8 @@ REQUESTS: Dict[str, type] = {
     "capacity": CapacityRequest,
     "dual_mode": DualModeRequest,
     "field_map": FieldMapRequest,
-    "sweep tx_angle": MisalignmentSweepRequest,
-    "sweep lateral": MisalignmentSweepRequest,
-    "sweep axial": MisalignmentSweepRequest,
-    "sweep r_source": ResistanceSweepRequest,
-    "sweep r_load": ResistanceSweepRequest,
+    **{f"sweep {axis}": MisalignmentSweepRequest for axis in SWEEP_RANGES},
+    **{f"sweep {side}": ResistanceSweepRequest for side in ("r_source", "r_load")},
 }
 
 
@@ -846,7 +831,6 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> RunRe
                       time.perf_counter() - t0)
         except Exception as exc:
             failures.append(f"{section}: {exc}")
-            _log.error("%s failed: %s", section, exc)
         # exclusive: a nominal M computed on the way has its own entry
         nested = sum(s for _, s in timings[before:])
         timings.append((section, time.perf_counter() - t0 - nested))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -287,6 +287,17 @@ def _sweep_row(value: float, freqs: np.ndarray, h: np.ndarray, v_source: float,
                     received_power(float(mags[pk]) * v_source, r_load))
 
 
+def _sweep_values(values: Sequence[float]) -> List[float]:
+    """values as sorted floats; an empty list or a repeated value raises ValueError."""
+    vals = sorted(float(v) for v in values)
+    if not vals:
+        raise ValueError("values must be non-empty")
+    for a, b in zip(vals, vals[1:]):
+        if a == b:
+            raise ValueError(f"values must not repeat; got {a:g} more than once")
+    return vals
+
+
 def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float], grid=None,
                        noise_floor_dbv: float = DEFAULT_NOISE_FLOOR_DBV,
                        convention: str = VOLTAGE) -> SweepResult:
@@ -304,9 +315,7 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float], grid=No
     if axis not in SWEEP_RANGES:
         raise ValueError(f"axis must be one of {sorted(SWEEP_RANGES)}, got {axis!r}")
     field, lo, hi, unit = SWEEP_RANGES[axis]
-    vals = sorted(float(v) for v in values)
-    if not vals:
-        raise ValueError("values must be non-empty")
+    vals = _sweep_values(values)
     if vals[0] < lo or vals[-1] > hi:
         raise ValueError(f"{axis} values must lie within [{lo:g}, {hi:g}] {unit}")
 
@@ -339,9 +348,7 @@ def resistance_sweep(link: LinkCircuit, field: str, values: Sequence[float],
     if field not in ("r_source", "r_load"):
         raise ValueError(f"field must be r_source or r_load, got {field!r}")
     sweep_grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    vals = sorted(float(v) for v in values)
-    if not vals:
-        raise ValueError("values must be non-empty")
+    vals = _sweep_values(values)
     if vals[0] <= 0:
         raise ValueError(f"{field} values must be > 0")
     rows = []

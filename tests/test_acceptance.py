@@ -18,8 +18,7 @@ from mqslink.circuit import (LinkCircuit, default_grid, frequency_sweep,
                              transfer_ratio_untuned, tune_capacitance,
                              tx_power)
 from mqslink.field_coupling import coaxial_mutual_oracle, mutual_inductance
-from mqslink.geometry import (CoilSpec, Pose, Scenario, apply_pose,
-                              build_filament_coil)
+from mqslink.geometry import CoilSpec, Pose, apply_pose, build_filament_coil
 from mqslink.link_analysis import (TX_ANGLE, AXIAL, capacity_vs_bandwidth,
                                    channel_capacity, misalignment_sweep,
                                    resistance_sweep, scenario_link,
@@ -27,14 +26,8 @@ from mqslink.link_analysis import (TX_ANGLE, AXIAL, capacity_vs_bandwidth,
 from mqslink.lumped import (LOW_CONFIDENCE, current_sheet_inductance,
                             estimate_inductance)
 from mqslink.cli import main as cli_main
+from nominal import L_TX, NOMINAL, RX, TX
 from references import flux_mutual_inductance
-
-RX = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
-              wire_spacing=0.5e-3)
-TX = CoilSpec(turns=5, inner_radius=60e-3, wire_diameter=0.137e-3,
-              wire_spacing=0.5e-3)
-NOMINAL = Scenario(tx=replace(TX, inductance_override=35e-6), rx=RX,
-                   x_eye=92e-3, z_eye=150e-3, tx_angle_deg=40.0)
 
 
 @pytest.fixture(scope="module")
@@ -66,18 +59,18 @@ def test_criterion_02_tx_inductance_discrepancy(capsys):
     est = estimate_inductance(TX)
     link = scenario_link(NOMINAL, m=0.0)
     ok = (l_formula < 15e-6 and est.validity_flag == LOW_CONFIDENCE
-          and link.l_tx == 35e-6)
+          and link.l_tx == L_TX)
     report(capsys, 2, "tx_inductance_discrepancy", ok,
            f"formula {l_formula * 1e6:.2f} uH < 15, flag {est.validity_flag}, "
            f"link uses {link.l_tx * 1e6:.0f} uH override")
 
 
 def test_criterion_03_tuning(capsys):
-    c_tx = tune_capacitance(35e-6, 26e6)
+    c_tx = tune_capacitance(L_TX, 26e6)
     c_err = abs(c_tx - 1.07e-12) / 1.07e-12
     l_rx = current_sheet_inductance(RX)
-    c_rx = receiver_capacitance(35e-6, c_tx, l_rx)
-    f_tx = 1.0 / (2 * math.pi * math.sqrt(35e-6 * c_tx))
+    c_rx = receiver_capacitance(L_TX, c_tx, l_rx)
+    f_tx = 1.0 / (2 * math.pi * math.sqrt(L_TX * c_tx))
     f_rx = 1.0 / (2 * math.pi * math.sqrt(l_rx * c_rx))
     f_err = abs(f_tx - f_rx) / f_tx
     ok = c_err <= 0.01 and f_err <= 1e-12

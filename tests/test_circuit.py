@@ -14,20 +14,11 @@ from mqslink.circuit import (LinkCircuit, Spectrum, default_grid,
                              tune_capacitance, tx_power)
 from mqslink.geometry import CoilSpec
 from mqslink.lumped import ac_resistance
-
-RX = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
-              wire_spacing=0.5e-3)
-TX = CoilSpec(turns=5, inner_radius=60e-3, wire_diameter=0.137e-3,
-              wire_spacing=0.5e-3)
-
-L_TX = 35e-6                       # measured override used throughout
-L_RX = 3.816942603467716e-07       # current-sheet value for the small coil
-M_NOMINAL = 3.9074457990719537e-10
+from nominal import L_RX, L_TX, M_NOMINAL, PEAK_DB, RX, TX
 
 C_TX = 1.0705957696781254e-12
 C_RX = 9.816980717680136e-11
 
-PEAK_DB = -58.86457577086184       # tuned nominal link at 26 MHz
 UNTUNED_MAX_DB = -99.05829339910385
 TXP_PEAK_W = 0.00893163188676889
 Z11_PEAK_RE = 5.980811383492899
@@ -64,7 +55,7 @@ def test_tune_capacitance_rejects_nonpositive_inputs():
     with pytest.raises(ValueError):
         tune_capacitance(0.0, 26e6)
     with pytest.raises(ValueError):
-        tune_capacitance(35e-6, -1.0)
+        tune_capacitance(L_TX, -1.0)
     with pytest.raises(ValueError):
         receiver_capacitance(L_TX, 0.0, L_RX)
 
@@ -171,6 +162,13 @@ def test_solver_rejects_nonpositive_frequencies():
         frequency_sweep(link, [0.0])
     with pytest.raises(ValueError, match="frequency"):
         transfer_ratio_untuned(_nominal_link(tuned=False), -1e6)
+
+
+def test_termination_scan_rejects_a_two_dimensional_grid():
+    scan = circuit.termination_scan(_nominal_link(), "r_load", np.array([1e3]),
+                                    np.full((2, 2), 26e6))
+    with pytest.raises(ValueError, match="^frequency grid must be a non-empty 1-D array$"):
+        next(scan)
 
 
 def test_untuned_form_refuses_reactive_parts():

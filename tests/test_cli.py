@@ -241,6 +241,22 @@ def test_radian_angles_convert(tmp_path):
     ("[field_map]\nplane = xz\naxis1_start = 5 mm\naxis1_stop = 1 mm\naxis1_points = 3\n"
      "axis2_start = 50 mm\naxis2_stop = 90 mm\naxis2_points = 3\n",
      r"\.ini:4: axis1_stop must be > axis1_start"),
+    ("x_eye = 92 mm\n", r"\.ini:1: key 'x_eye' comes before the first section"),
+    ("[output]\ndirectory =\n", r"\.ini:2: \[output\] directory must not be empty"),
+    ("[analysis]\nsnr_convention = amplitude\n",
+     r"\.ini:2: \[analysis\] snr_convention must be one of voltage, power; got 'amplitude'"),
+    ("[placement]\nx_eye = abc mm\n", r"\.ini:2: \[placement\] x_eye: cannot parse number 'abc'"),
+    ("[sweep tx_angle]\nstart = 10 deg\nstop = 20 deg\nstep = 0 deg\n",
+     r"\.ini:4: \[sweep tx_angle\] step must be > 0"),
+    ("[sweep r_load]\nstart = 0 ohm\nstop = 10 ohm\npoints = 3\n",
+     r"\.ini:2: \[sweep r_load\] start must be > 0"),
+    ("[sweep r_load]\nstart = 10 ohm\nstop = 10 ohm\npoints = 3\n",
+     r"\.ini:3: \[sweep r_load\] stop must be > start"),
+    # each section's schema carries its count's minimum
+    ("[sweep r_load]\nstart = 1 ohm\nstop = 10 ohm\npoints = 1\n",
+     r"\.ini:4: \[sweep r_load\] points must be >= 2$"),
+    ("[dual_mode]\npoints = 1\n", r"\.ini:2: \[dual_mode\] points must be >= 2$"),
+    ("[capacity]\nrate = 1\n", r"\.ini:2: \[capacity\] takes no keys; got 'rate'"),
 ])
 def test_bad_configs_are_rejected(tmp_path, snippet, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -425,6 +441,20 @@ def test_json_files_hold_only_what_json_can(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["ok.json"]
 
 
+def test_a_failed_write_leaves_the_target_and_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        cli._atomic_write(target, "new\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    assert target.read_text() == "old\n"
+
+
 def test_field_map_rows_mask_with_empty_cells(tmp_path):
     points = np.array([[0.05, 0.0, 0.1], [0.06, 0.0, 0.1]])
     b = np.array([[1e-9, 0.0, -2e-9], [np.nan, np.nan, np.nan]])
@@ -480,7 +510,9 @@ def test_every_request_kind_runs_end_to_end(tmp_path):
 def test_traced_run_sees_every_layer_it_patches(tmp_path, monkeypatch):
     # bench/traced_run.py wraps mqslink.cli's module globals; a request
     # that bound a layer function early, or a global that went away,
-    # would leave a span missing from the trace
+    # would leave a span missing from the trace. install() looks up every
+    # attribute it patches, so a renamed one fails the run outright, as
+    # it would fail a traced run of the bench's own pose_sweep config
     script = ROOT / "bench" / "traced_run.py"
     monkeypatch.setattr(sys, "path", list(sys.path))    # the script prepends src/
     traced_run = runpy.run_path(str(script), run_name="traced_run")
@@ -491,14 +523,19 @@ def test_traced_run_sees_every_layer_it_patches(tmp_path, monkeypatch):
             patched.add(name)
 
     traced_run["install"](Names())
-    trace = tmp_path / "trace.json"
-    proc = subprocess.run([sys.executable, str(script),
-                           str(write_config(tmp_path, ALL_REQUESTS)),
-                           str(tmp_path / "out"), str(trace)],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    spans = {span[0] for span in json.loads(trace.read_text())["spans"]}
-    assert patched and patched <= spans, patched - spans
+    bench = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
+    pose_sweep = bench["make_config"](bench["WORKLOADS"]["pose_sweep"], DEFAULT_CONFIG, 1)
+    spans = {}
+    for name, text in (("all_requests", ALL_REQUESTS), ("pose_sweep", pose_sweep)):
+        trace = tmp_path / f"{name}.json"
+        proc = subprocess.run([sys.executable, str(script),
+                               str(write_config(tmp_path, text, f"{name}.ini")),
+                               str(tmp_path / name), str(trace)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (name, proc.stderr)
+        spans[name] = {span[0] for span in json.loads(trace.read_text())["spans"]}
+        assert "cli.main" in spans[name], name
+    assert patched and patched <= spans["all_requests"], patched - spans["all_requests"]
 
 
 @pytest.fixture(scope="module")
@@ -701,8 +738,9 @@ def test_an_output_path_that_cannot_be_made_exits_2(tmp_path, capsys, monkeypatc
         assert "Traceback" not in err
 
 
-def test_failing_request_is_isolated(tmp_path, capsys):
-    colliding = write_config(tmp_path, """\
+# the rx grown to the tx and placed on it: the coils overlap, so the
+# spectrum, which needs M, fails and the field map does not
+COLLIDING = """\
 [rx_coil]
 turns = 5
 inner_radius = 60 mm
@@ -735,7 +773,11 @@ axis1_points = 2
 axis2_start = -20 mm
 axis2_stop = 20 mm
 axis2_points = 2
-""")
+"""
+
+
+def test_failing_request_is_isolated(tmp_path, capsys):
+    colliding = write_config(tmp_path, COLLIDING)
     out = tmp_path / "out"
     assert main(["run", str(colliding), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -746,6 +788,33 @@ axis2_points = 2
     assert [o["request"] for o in report["outputs"]] == ["field_map"]
     assert (out / "field_map.csv").exists()
     assert not (out / "spectrum_tuned.csv").exists()
+
+
+def test_a_failed_request_prints_one_stderr_line(tmp_path):
+    # main prints the report's failure and nothing else speaks of it; a
+    # child process, since pytest's own log handlers would hide a log line
+    proc = subprocess.run([sys.executable, "-m", "mqslink", "run",
+                           str(write_config(tmp_path, COLLIDING)), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("failed: spectrum: "), lines
+
+
+def test_capacity_band_off_the_grid_writes_the_table_without_the_report(tmp_path):
+    config = write_config(tmp_path, "[frequency_grid]\nstart = 25.99 MHz\n"
+                                    "stop = 26.01 MHz\npoints = 11\n\n[capacity]\n")
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["capacity.csv", "report.json"]
+    rows = (out / "capacity.csv").read_text().splitlines()[1:]
+    assert len(rows) == 30 and all(row.endswith(",,,,,") for row in rows)
+    report = json.loads((out / "report.json").read_text())
+    assert report["outputs"] == [{"request": "capacity", "files": ["capacity.csv"]}]
+    assert [w for w in report["warnings"] if w.startswith("capacity: ")] == [
+        "capacity: 30 threshold rows masked (band runs off the frequency grid)",
+        "capacity: 3 dB band extends past the grid edge on the low and high side; "
+        "capacity_report.json not written"]
 
 
 def test_field_map_warns_of_points_stopped_at_the_refinement_cap(tmp_path, monkeypatch):

@@ -23,20 +23,13 @@ from mqslink.field_coupling import (ConvergenceError, CouplingResult,
                                     mutual_inductance)
 from mqslink.geometry import (HELICAL, CoilSpec, Pose, Scenario, apply_pose,
                               build_filament_coil, scenario_poses)
+from nominal import L_RX, L_TX, M_NOMINAL, NOMINAL, RX, TX
 from references import disk_frames, flux_mutual_inductance, polyline
-
-RX = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
-              wire_spacing=0.5e-3)
-TX = CoilSpec(turns=5, inner_radius=60e-3, wire_diameter=0.137e-3,
-              wire_spacing=0.5e-3)
-NOMINAL = Scenario(tx=replace(TX, inductance_override=35e-6), rx=RX,
-                   x_eye=92e-3, z_eye=150e-3, tx_angle_deg=40.0)
 
 # pytest.approx adds an absolute tolerance of 1e-12 unless given one,
 # which would swamp any relative tolerance on inductances of ~1e-10 H;
 # every approx in this file passes abs=0
 
-M_NOMINAL = 3.9074457990719537e-10    # _polyline_neumann, 360 segments/turn
 M_FLUX_NOMINAL = 3.884941691187825e-10  # flux_mutual_inductance, tx curve field
 # _polyline_neumann at 360 and 720 segments/turn, Richardson-extrapolated:
 # (4 M(720) - M(360)) / 3, since the polyline error falls as segments^-2
@@ -956,11 +949,19 @@ def test_separation_early_out_agrees_with_the_exact_pass(center, scale,
 
 
 def test_coupling_coefficient_normalizes_m():
-    k = coupling_coefficient(M_NOMINAL, 35e-6, 3.816942603467716e-07)
-    expected = M_NOMINAL / math.sqrt(35e-6 * 3.816942603467716e-07)
+    k = coupling_coefficient(M_NOMINAL, L_TX, L_RX)
+    expected = M_NOMINAL / math.sqrt(L_TX * L_RX)
     assert k == pytest.approx(expected, rel=1e-12, abs=0)
     assert 0.0 < k < 1.0
-    assert coupling_coefficient(-M_NOMINAL, 35e-6, 3.8e-7) > 0
+    assert coupling_coefficient(-M_NOMINAL, L_TX, 3.8e-7) > 0
+
+
+def test_bad_arguments_are_rejected_before_any_integral():
+    tx, rx = _nominal_pair()
+    with pytest.raises(ValueError, match=r"^tolerance must be > 0, got 0$"):
+        mutual_inductance(tx, rx, tolerance=0)
+    with pytest.raises(ValueError, match=r"3-vector or \(n, 3\) array, got shape \(2,\)$"):
+        b_field(tx, 1.0, (0.0, 0.1))
 
 
 def test_coupling_coefficient_rejects_unphysical_m():

@@ -8,12 +8,8 @@ import pytest
 from mqslink.geometry import (DEFAULT_SPHERE_RADIUS, HELICAL, CoilSpec, FilamentCoil,
                               Pose, Scenario, apply_pose, build_filament_coil,
                               scenario_poses, turn_radii, winding_curve)
+from nominal import PLACEMENT, RX, TX
 from references import polyline
-
-RX = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
-              wire_spacing=0.5e-3)
-TX = CoilSpec(turns=5, inner_radius=60e-3, wire_diameter=0.137e-3,
-              wire_spacing=0.5e-3)
 
 
 def test_turn_radii_advance_by_pitch():
@@ -195,6 +191,11 @@ def test_filament_coil_rejects_a_non_finite_placement(name, bad):
         FilamentCoil(RX, 64, **{name: value})
 
 
+def test_pose_rejects_a_center_that_is_not_a_3_vector():
+    with pytest.raises(ValueError, match=r"^center must be a finite 3-vector, got \(0, 0\)$"):
+        Pose(center=(0, 0))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float32("nan")])
 def test_pose_rejects_a_non_finite_tilt(bad):
     with pytest.raises(ValueError, match="^tilt_angle_deg must be finite"):
@@ -244,7 +245,7 @@ def test_rotation_matrix_is_proper():
 
 
 def test_scenario_poses_place_tx_at_origin_and_rx_at_the_eye():
-    sc = Scenario(tx=TX, rx=RX, x_eye=92e-3, z_eye=150e-3, tx_angle_deg=40.0)
+    sc = Scenario(tx=TX, rx=RX, **PLACEMENT)
     tx_pose, rx_pose = scenario_poses(sc)
     assert tx_pose.center == (0.0, 0.0, 0.0)
     assert tx_pose.tilt_angle_deg == 40.0
@@ -266,7 +267,7 @@ def test_scenario_poses_place_tx_at_origin_and_rx_at_the_eye():
       for bad in (math.nan, math.inf)),
 ])
 def test_scenario_rejects_bad_values_naming_the_field(kwargs, field):
-    base = dict(tx=TX, rx=RX, x_eye=92e-3, z_eye=150e-3, tx_angle_deg=40.0)
+    base = dict(tx=TX, rx=RX, **PLACEMENT)
     base.update(kwargs)
     with pytest.raises(ValueError, match=field):
         Scenario(**base)

@@ -15,8 +15,7 @@ from mqslink.circuit import (LinkCircuit, Spectrum, default_grid, frequency_swee
                              path_loss_db, received_power,
                              receiver_capacitance, tune_capacitance)
 from mqslink.field_coupling import mutual_inductance
-from mqslink.geometry import (CoilSpec, Scenario, apply_pose,
-                              build_filament_coil, scenario_poses)
+from mqslink.geometry import apply_pose, build_filament_coil, scenario_poses
 from mqslink.link_analysis import (AXIAL, LATERAL, POWER, TX_ANGLE, VOLTAGE,
                                    BandwidthCapacityRow, CapacityReport,
                                    DualModeReport,
@@ -28,21 +27,12 @@ from mqslink.link_analysis import (AXIAL, LATERAL, POWER, TX_ANGLE, VOLTAGE,
                                    scenario_link, scenario_mutual_inductance,
                                    snr_db)
 from mqslink.lumped import ac_resistance, current_sheet_inductance
+from nominal import L_RX, L_TX, M_NOMINAL, NOMINAL, PEAK_DB, RX, TX
 from test_circuit import _random_links
-
-RX = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
-              wire_spacing=0.5e-3)
-TX = CoilSpec(turns=5, inner_radius=60e-3, wire_diameter=0.137e-3,
-              wire_spacing=0.5e-3)
-NOMINAL = Scenario(tx=replace(TX, inductance_override=35e-6), rx=RX,
-                   x_eye=92e-3, z_eye=150e-3, tx_angle_deg=40.0)
-
-M_NOMINAL = 3.9074457990719537e-10
 
 BW3_LOW = 25874525.733524043
 BW3_HIGH = 26128515.657878127
 BW3_WIDTH = 253989.92435408384
-PEAK_DBV = -58.86457577086184
 CAPACITY_NOMINAL = 1120219.2181389725
 
 
@@ -122,8 +112,8 @@ def test_channel_capacity_validation():
 
 def test_capacity_report_of_the_nominal_link(nominal_spectrum):
     report = capacity_report(nominal_spectrum)
-    assert report.signal_dbv == pytest.approx(PEAK_DBV, abs=1e-9)
-    assert report.snr_db == pytest.approx(PEAK_DBV + 85.0, abs=1e-9)
+    assert report.signal_dbv == pytest.approx(PEAK_DB, abs=1e-9)
+    assert report.snr_db == pytest.approx(PEAK_DB + 85.0, abs=1e-9)
     assert report.bandwidth_hz == pytest.approx(BW3_WIDTH, rel=1e-12)
     assert report.capacity_bps == pytest.approx(CAPACITY_NOMINAL, rel=1e-9)
     assert report.convention == VOLTAGE
@@ -146,6 +136,14 @@ def test_capacity_report_rejects_inconsistent_fields():
         CapacityReport(bandwidth_hz=1e6, signal_dbv=-55.0,
                        noise_floor_dbv=-85.0, snr_db=30.0,
                        capacity_bps=4e6)
+    with pytest.raises(ValueError, match="^bandwidth_hz must be > 0, got 0.0$"):
+        CapacityReport(bandwidth_hz=0.0, signal_dbv=-55.0, noise_floor_dbv=-85.0,
+                       snr_db=30.0, capacity_bps=0.0)
+    # at -400 dB, 1 + SNR rounds to 1: a capacity of -1e-13 passes the
+    # consistency check and only the sign rule rejects it
+    with pytest.raises(ValueError, match="^capacity must be >= 0$"):
+        CapacityReport(bandwidth_hz=1e6, signal_dbv=-485.0, noise_floor_dbv=-85.0,
+                       snr_db=-400.0, capacity_bps=-1e-13)
 
 
 _VALUES = {
@@ -190,11 +188,11 @@ def test_threshold_study_masks_offgrid_rows_and_ranks_the_rest(nominal_spectrum)
 
 def test_scenario_link_wires_the_lumped_pieces():
     link = scenario_link(NOMINAL, m=M_NOMINAL)
-    assert link.l_tx == 35e-6                       # measured override wins
-    assert link.l_rx == pytest.approx(3.816942603467716e-07, rel=1e-12, abs=0)
+    assert link.l_tx == L_TX                        # measured override wins
+    assert link.l_rx == pytest.approx(L_RX, rel=1e-12, abs=0)
     assert link.m == M_NOMINAL
     assert link.r_source == 50.0 and link.r_load == 1e3
-    assert link.c_tx == pytest.approx(tune_capacitance(35e-6, 26e6), rel=1e-15, abs=0)
+    assert link.c_tx == pytest.approx(tune_capacitance(L_TX, 26e6), rel=1e-15, abs=0)
     assert link.c_rx == pytest.approx(link.l_tx * link.c_tx / link.l_rx,
                                       rel=1e-15, abs=0)
     assert link.esr_tx == NOMINAL.tx and link.esr_rx == RX
@@ -207,9 +205,9 @@ def test_scenario_link_wires_the_lumped_pieces():
 def test_each_coil_takes_its_own_loss():
     # a measured tx loss beside a skin-effect rx, and the other way round
     l_rx = current_sheet_inductance(RX)
-    c_tx = tune_capacitance(35e-6, 26e6)
-    common = dict(l_tx=35e-6, l_rx=l_rx, m=M_NOMINAL, r_source=50.0, r_load=1e3,
-                  c_tx=c_tx, c_rx=receiver_capacitance(35e-6, c_tx, l_rx))
+    c_tx = tune_capacitance(L_TX, 26e6)
+    common = dict(l_tx=L_TX, l_rx=l_rx, m=M_NOMINAL, r_source=50.0, r_load=1e3,
+                  c_tx=c_tx, c_rx=receiver_capacitance(L_TX, c_tx, l_rx))
     grid = default_grid()
     for tx_ohm, rx_ohm, direct in (
             (6.0, None, LinkCircuit(r_coil_tx=6.0, esr_rx=RX, **common)),
@@ -293,6 +291,9 @@ def test_on_axis_placement_is_flagged():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         misalignment_sweep(replace(NOMINAL, x_eye=0.0), LATERAL, [0.05, 0.1], grid=grid)
+    # any other axis keeps x_eye, so x_eye = 0 is on axis at every point
+    with pytest.warns(UserWarning, match="^x_eye = 0 places the receiver on the transmitter axis"):
+        misalignment_sweep(replace(NOMINAL, x_eye=0.0), AXIAL, [0.15], grid=grid)
 
 
 def test_sweep_reports_the_scenario_termination():
@@ -333,6 +334,26 @@ def test_resistance_sweep_validation():
         resistance_sweep(link, "r_load", [])
     with pytest.raises(ValueError, match="> 0"):
         resistance_sweep(link, "r_load", [0.0, 10.0])
+
+
+def test_a_repeated_sweep_value_is_named_before_any_solve(monkeypatch):
+    calls = []
+
+    def counting(name):
+        exact = getattr(link_analysis, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return exact(*args, **kwargs)
+        return counted
+
+    for name in ("scenario_mutual_inductance", "termination_scan"):
+        monkeypatch.setattr(link_analysis, name, counting(name))
+    with pytest.raises(ValueError, match="^values must not repeat; got 10 more than once$"):
+        misalignment_sweep(NOMINAL, TX_ANGLE, [10, 20, 10])
+    with pytest.raises(ValueError, match="^values must not repeat; got 5 more than once$"):
+        resistance_sweep(scenario_link(NOMINAL, m=M_NOMINAL), "r_load", [5, 5])
+    assert calls == []
 
 
 def test_sweep_result_requires_ordered_rows():
@@ -568,7 +589,7 @@ def test_dual_mode_finds_the_closed_form_optimum_load():
     r_star = ac_resistance(RX, f0) + wm * wm / r_total
     v_lim = wm * link.v_source / r_total
     assert r_star == pytest.approx(0.54312, abs=5e-6)
-    assert 20.0 * math.log10(v_lim) == pytest.approx(PEAK_DBV, abs=5e-3)
+    assert 20.0 * math.log10(v_lim) == pytest.approx(PEAK_DB, abs=5e-3)
 
     loads = np.geomspace(0.01, 1e4, 2001)
     step = loads[1] / loads[0]

@@ -12,11 +12,7 @@ from mqslink.lumped import (CURRENT_SHEET, LOW_CONFIDENCE, TRUSTED,
                             USER_SUPPLIED, ac_resistance,
                             current_sheet_inductance, estimate_inductance,
                             skin_depth, wheeler_inductance, wheeler_validity)
-
-RX = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
-              wire_spacing=0.5e-3)
-TX = CoilSpec(turns=5, inner_radius=60e-3, wire_diameter=0.137e-3,
-              wire_spacing=0.5e-3)
+from nominal import L_RX, L_TX, RX, TX
 
 # pytest.approx adds an absolute tolerance of 1e-12 unless given one,
 # which would swamp any relative tolerance on microhenries or on skin
@@ -24,7 +20,7 @@ TX = CoilSpec(turns=5, inner_radius=60e-3, wire_diameter=0.137e-3,
 
 # frozen reference values for the two build coils
 WHEELER_RX = 3.8587851286822313e-07
-SHEET_RX = 3.816942603467716e-07
+SHEET_RX = L_RX
 SHEET_TX = 8.814884391012745e-06
 SKIN_26MHZ = 1.2960431495631124e-05
 R_RX_26MHZ = 0.5430476906598128
@@ -79,6 +75,13 @@ def test_inductance_scales_as_turns_squared():
     assert vals[1] == pytest.approx(vals[2], rel=1e-9, abs=0)
 
 
+def test_current_sheet_rejects_a_coil_without_width():
+    # a config can reach this: one turn of vanishing wire, no spacing
+    with pytest.raises(ValueError,
+                       match="^outer diameter 0.008 must exceed inner diameter 0.008$"):
+        current_sheet_inductance(CoilSpec(1, 4e-3, 1e-30, 0.0))
+
+
 def test_wheeler_rejects_helical_shapes():
     spec = CoilSpec(turns=5, inner_radius=4e-3, wire_diameter=0.137e-3,
                     wire_spacing=0.5e-3, shape=HELICAL)
@@ -102,8 +105,8 @@ def test_validity_flags_low_turn_counts_and_fat_wire():
 
 
 def test_estimate_prefers_a_supplied_measurement():
-    est = estimate_inductance(replace(TX, inductance_override=35e-6))
-    assert est.value == 35e-6
+    est = estimate_inductance(replace(TX, inductance_override=L_TX))
+    assert est.value == L_TX
     assert est.source == USER_SUPPLIED
     assert est.validity_flag == TRUSTED
 
