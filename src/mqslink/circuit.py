@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .geometry import CoilSpec, check_finite_fields
+from .geometry import CoilSpec, check_fields
 from .lumped import ac_resistance
 
 FrequencyLike = Union[float, np.ndarray]
@@ -42,7 +42,7 @@ class LinkCircuit:
     resistance, evaluated on the whole frequency grid at once.
     c_tx / c_rx are the series tuning capacitors; absent (None) means
     that side is untuned, the capacitor position shorted. Parasitic
-    capacitances, when given, sit in parallel with their coil.
+    capacitances, when supplied, sit in parallel with their coil.
     """
 
     l_tx: float
@@ -61,24 +61,14 @@ class LinkCircuit:
     esr_rx: Optional[CoilSpec] = None
 
     def __post_init__(self):
-        check_finite_fields(self)
-        if self.l_tx <= 0 or self.l_rx <= 0:
-            raise ValueError("coil inductances must be > 0")
+        check_fields(self, positive=("l_tx", "l_rx", "r_source", "r_load", "c_tx", "c_rx",
+                                     "v_source", "parasitic_tx", "parasitic_rx"),
+                     nonnegative=("r_coil_tx", "r_coil_rx"))
         if self.m * self.m > self.l_tx * self.l_rx:
             raise ValueError(
                 f"m^2 = {self.m * self.m!r} exceeds l_tx*l_rx = {self.l_tx * self.l_rx!r} "
                 "(coupling coefficient above 1)"
             )
-        if self.r_source <= 0 or self.r_load <= 0:
-            raise ValueError("r_source and r_load must be > 0")
-        if self.r_coil_tx < 0 or self.r_coil_rx < 0:
-            raise ValueError("coil resistances must be >= 0")
-        if self.v_source <= 0:
-            raise ValueError(f"v_source must be > 0, got {self.v_source!r}")
-        for name in ("c_tx", "c_rx", "parasitic_tx", "parasitic_rx"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be > 0 when given, got {value!r}")
         for name in ("esr_tx", "esr_rx"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, CoilSpec):
@@ -127,9 +117,7 @@ class Spectrum:
     v_source: float = 1.0
 
     def __post_init__(self):
-        check_finite_fields(self)
-        if self.v_source <= 0:
-            raise ValueError(f"v_source must be > 0, got {self.v_source!r}")
+        check_fields(self, positive=("v_source",))
         f = np.asarray(self.frequencies, dtype=float)
         h = np.asarray(self.h, dtype=complex)
         z = np.asarray(self.z11, dtype=complex)
@@ -223,12 +211,17 @@ def termination_scan(link: LinkCircuit, field: str, values: np.ndarray,
                      grid: np.ndarray):
     """Yield (values block, h block) of the link re-terminated at each value.
 
-    field is r_source or r_load; values must be > 0. The coefficients,
-    coil ESR included, are formed once per scan, and each block takes up
-    to _SCAN_ELEMENTS // len(grid) values. With two or more grid points
-    row k is bit-identical to frequency_sweep(replace(link,
-    field=value_k), grid).h. The grid and finiteness checks are a Spectrum's.
+    field is r_source or r_load, and every value must be finite and > 0
+    (LinkCircuit's rule for that field): the first that is not raises
+    ValueError, naming the field and the value, before any solve. The
+    coefficients, coil ESR included, are formed once per scan, and each
+    block takes up to _SCAN_ELEMENTS // len(grid) values. With two or
+    more grid points row k is bit-identical to frequency_sweep(replace(link,
+    field=value_k), grid).h. The grid and h's finiteness checks are a Spectrum's.
     """
+    bad = values[~(np.isfinite(values) & (values > 0))]
+    if bad.size:
+        raise ValueError(f"{field} values must be finite and > 0, got {bad[0].item()!r}")
     _check_grid(grid)
     terms, _ = _link_terms(link, grid)
     rows = max(1, _SCAN_ELEMENTS // len(grid))

@@ -184,7 +184,7 @@ class _Reader:
                 raise ConfigError(f"cannot read config: {exc}")
         self.digest = hashlib.sha256(raw).hexdigest()
         try:
-            text = raw.decode("utf-8")
+            text = raw.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config is not UTF-8: {exc}", self.path)
 

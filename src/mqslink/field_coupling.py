@@ -42,8 +42,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .constants import MU0
-from .geometry import (CoilSpec, FilamentCoil, check_finite_fields, turn_radii,
-                       winding_curve)
+from .geometry import CoilSpec, FilamentCoil, check_fields, turn_radii, winding_curve
 
 # pair budget per block of every pair kernel: the field kernel and the
 # curve distance's nearest-node search (point-node pairs) and the
@@ -128,10 +127,7 @@ class CouplingResult:
     convergence_estimate: float
 
     def __post_init__(self):
-        check_finite_fields(self)
-        if self.convergence_estimate < 0:
-            raise ValueError(
-                f"convergence_estimate must be >= 0, got {self.convergence_estimate!r}")
+        check_fields(self, nonnegative=("convergence_estimate",))
 
 
 @dataclass(frozen=True)
@@ -154,7 +150,7 @@ class GridSpec:
     axis2_points: int
 
     def __post_init__(self):
-        check_finite_fields(self)
+        check_fields(self)
         if self.plane not in ("xy", "xz", "yz"):
             raise ValueError(f"plane must be one of 'xy', 'xz', 'yz', got {self.plane!r}")
         for name in ("axis1", "axis2"):

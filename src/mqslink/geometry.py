@@ -25,13 +25,24 @@ HELICAL = "helical"
 DEFAULT_SPHERE_RADIUS = 12e-3
 
 
-def check_finite_fields(value) -> None:
-    """Raise ValueError, naming the field, if a float field (Python or
-    numpy) of the dataclass instance value is NaN or infinite."""
+def check_fields(value, positive=(), nonnegative=()) -> None:
+    """Apply a record's finiteness and sign rules to the dataclass
+    instance value; each ValueError starts with the field's name.
+
+    Every float field (Python or numpy) must be finite. Then, in the
+    order the fields are declared, each field named in positive must be
+    > 0 and each in nonnegative >= 0, unless it is None.
+    """
     for f in fields(value):
         x = getattr(value, f.name)
         if isinstance(x, (float, np.floating)) and not math.isfinite(x):
             raise ValueError(f"{f.name} must be finite, got {x!r}")
+    for f in fields(value):
+        x = getattr(value, f.name)
+        if x is not None and f.name in positive and not x > 0:
+            raise ValueError(f"{f.name} must be > 0, got {x!r}")
+        if x is not None and f.name in nonnegative and not x >= 0:
+            raise ValueError(f"{f.name} must be >= 0, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -80,25 +91,14 @@ class CoilSpec:
     resistance_override: Optional[float] = None
 
     def __post_init__(self):
-        check_finite_fields(self)
+        check_fields(self, positive=("inner_radius", "wire_diameter", "sphere_radius",
+                                     "conductivity", "parasitic_capacitance",
+                                     "inductance_override"),
+                     nonnegative=("wire_spacing", "resistance_override"))
         if not isinstance(self.turns, int) or self.turns < 1:
             raise ValueError(f"turns must be an integer >= 1, got {self.turns!r}")
-        if self.inner_radius <= 0:
-            raise ValueError(f"inner_radius must be > 0, got {self.inner_radius!r}")
-        if self.wire_diameter <= 0:
-            raise ValueError(f"wire_diameter must be > 0, got {self.wire_diameter!r}")
-        if self.wire_spacing < 0:
-            raise ValueError(f"wire_spacing must be >= 0, got {self.wire_spacing!r}")
         if self.shape not in (FLAT_SPIRAL, HELICAL):
             raise ValueError(f"shape must be {FLAT_SPIRAL!r} or {HELICAL!r}, got {self.shape!r}")
-        if self.conductivity <= 0:
-            raise ValueError(f"conductivity must be > 0, got {self.conductivity!r}")
-        for name in ("sphere_radius", "parasitic_capacitance", "inductance_override"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value!r}")
-        if self.resistance_override is not None and self.resistance_override < 0:
-            raise ValueError(f"resistance_override must be >= 0, got {self.resistance_override!r}")
         if self.shape == HELICAL:
             r_sphere = self.sphere_radius if self.sphere_radius is not None else DEFAULT_SPHERE_RADIUS
             r_max = float(turn_radii(self)[-1])
@@ -139,7 +139,7 @@ class Pose:
         if len(c) != 3 or not all(math.isfinite(v) for v in c):
             raise ValueError(f"center must be a finite 3-vector, got {self.center!r}")
         object.__setattr__(self, "center", c)
-        check_finite_fields(self)
+        check_fields(self)
 
     def rotation_matrix(self) -> np.ndarray:
         """3x3 rotation about y by tilt_angle_deg (right-handed, det +1)."""
@@ -226,16 +226,10 @@ class Scenario:
     v_source: float = 1.0        # V peak
 
     def __post_init__(self):
-        check_finite_fields(self)
-        if self.x_eye < 0:
-            raise ValueError(f"x_eye must be >= 0, got {self.x_eye!r}")
-        if self.z_eye < 0:
-            raise ValueError(f"z_eye must be >= 0, got {self.z_eye!r}")
+        check_fields(self, positive=("r_source", "r_load", "tuned_frequency", "v_source"),
+                     nonnegative=("x_eye", "z_eye"))
         if not 0.0 <= self.tx_angle_deg <= 90.0:
             raise ValueError(f"tx_angle_deg must be in [0, 90], got {self.tx_angle_deg!r}")
-        for name in ("r_source", "r_load", "tuned_frequency", "v_source"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
 
 
 def turn_radii(spec: CoilSpec) -> np.ndarray:

@@ -18,8 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import (Scenario, apply_pose, build_filament_coil, check_finite_fields,
-                       scenario_poses)
+from .geometry import Scenario, apply_pose, build_filament_coil, check_fields, scenario_poses
 from .lumped import estimate_inductance
 from .field_coupling import (ConvergenceError, SeparationError,
                              SingularEvaluationError, mutual_inductance)
@@ -70,9 +69,7 @@ class CapacityReport:
     convention: str = VOLTAGE
 
     def __post_init__(self):
-        check_finite_fields(self)
-        if self.bandwidth_hz <= 0:
-            raise ValueError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz!r}")
+        check_fields(self, positive=("bandwidth_hz",), nonnegative=("capacity_bps",))
         if abs(self.snr_db - (self.signal_dbv - self.noise_floor_dbv)) > 1e-9:
             raise ValueError("snr_db inconsistent with signal and noise levels")
         expected = self.bandwidth_hz * math.log2(1.0 + _snr_linear(self.snr_db, self.convention))
@@ -80,8 +77,6 @@ class CapacityReport:
             raise ValueError(
                 f"capacity_bps {self.capacity_bps!r} inconsistent with BW*log2(1+SNR) = {expected!r}"
             )
-        if self.capacity_bps < 0:
-            raise ValueError("capacity must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -97,7 +92,7 @@ class SweepRow:
     p_rx_w: Optional[float]
 
     def __post_init__(self):
-        check_finite_fields(self)
+        check_fields(self)
 
     @property
     def masked(self) -> bool:
@@ -129,7 +124,7 @@ class BandwidthCapacityRow:
     capacity_bps: Optional[float]
 
     def __post_init__(self):
-        check_finite_fields(self)
+        check_fields(self)
 
     @property
     def masked(self) -> bool:
@@ -233,8 +228,8 @@ def scenario_link(sc: Scenario, m: float, tuned: bool = True) -> LinkCircuit:
     """Assemble the LinkCircuit a scenario implies at mutual inductance m.
 
     Each coil's inductance is estimate_inductance of its spec, a measured
-    inductance_override when given. Each coil's loss is its spec's
-    resistance_override when given, else its skin-effect resistance on
+    inductance_override when supplied. Each coil's loss is its spec's
+    resistance_override when supplied, else its skin-effect resistance on
     the whole solver grid. Tuning capacitors (when tuned) resonate both
     meshes at the scenario's tuned_frequency using those inductances.
     """
@@ -288,10 +283,15 @@ def _sweep_row(value: float, freqs: np.ndarray, h: np.ndarray, v_source: float,
 
 
 def _sweep_values(values: Sequence[float]) -> List[float]:
-    """values as sorted floats; an empty list or a repeated value raises ValueError."""
-    vals = sorted(float(v) for v in values)
+    """values as sorted floats; an empty list, a NaN or infinite value or a
+    repeated value raises ValueError."""
+    vals = [float(v) for v in values]
     if not vals:
         raise ValueError("values must be non-empty")
+    for v in vals:
+        if not math.isfinite(v):
+            raise ValueError(f"values must be finite; got {v:g}")
+    vals.sort()
     for a, b in zip(vals, vals[1:]):
         if a == b:
             raise ValueError(f"values must not repeat; got {a:g} more than once")
@@ -349,8 +349,6 @@ def resistance_sweep(link: LinkCircuit, field: str, values: Sequence[float],
         raise ValueError(f"field must be r_source or r_load, got {field!r}")
     sweep_grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     vals = _sweep_values(values)
-    if vals[0] <= 0:
-        raise ValueError(f"{field} values must be > 0")
     rows = []
     for block, h in termination_scan(link, field, np.array(vals), sweep_grid):
         for v, row in zip(block.tolist(), h):
@@ -377,7 +375,7 @@ class DualModeReport:
     v_rx_comm_mode: float
 
     def __post_init__(self):
-        check_finite_fields(self)
+        check_fields(self)
 
 
 def dual_mode_report(link: LinkCircuit, r_load_grid=None, grid=None) -> DualModeReport:
@@ -388,8 +386,8 @@ def dual_mode_report(link: LinkCircuit, r_load_grid=None, grid=None) -> DualMode
     """
     loads = (np.logspace(-1, 4, 101) if r_load_grid is None
              else np.asarray(r_load_grid, dtype=float))
-    if np.any(loads <= 0) or len(loads) < 2 or np.any(np.diff(loads) <= 0):
-        raise ValueError("r_load grid must be > 0 and strictly increasing")
+    if len(loads) < 2 or np.any(np.diff(loads) <= 0):
+        raise ValueError("r_load grid must hold at least two strictly increasing loads")
     sweep_grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     v_rx = np.concatenate([np.max(np.abs(h), axis=1) for _, h in
                            termination_scan(link, "r_load", loads, sweep_grid)])

@@ -171,6 +171,20 @@ def test_termination_scan_rejects_a_two_dimensional_grid():
         next(scan)
 
 
+@pytest.mark.parametrize("field, values, bad", [
+    ("r_load", [-1.0, 0.0], "-1.0"),
+    ("r_load", [1e3, 0.0], "0.0"),
+    ("r_source", [50.0, math.nan], "nan"),
+    ("r_source", [math.inf], "inf"),
+])
+def test_termination_scan_rejects_a_bad_value_before_any_solve(monkeypatch, field, values,
+                                                                bad):
+    monkeypatch.setattr(circuit, "_link_terms", None)   # any solve would raise TypeError
+    scan = circuit.termination_scan(_nominal_link(), field, np.array(values), default_grid())
+    with pytest.raises(ValueError, match=f"^{field} values must be finite and > 0, got {bad}$"):
+        next(scan)
+
+
 def test_untuned_form_refuses_reactive_parts():
     with pytest.raises(ValueError, match="capacitors"):
         transfer_ratio_untuned(_nominal_link(), 26e6)
@@ -410,14 +424,17 @@ def test_path_loss_handles_zeros_and_scales():
 # ------------------------------------------------------------- validation
 
 @pytest.mark.parametrize("overrides, match", [
-    (dict(l_tx=0.0), "inductances"),
+    (dict(l_tx=0.0), "^l_tx must be > 0, got 0.0$"),
     (dict(m=1e-3), "coupling"),
-    (dict(r_source=0.0), "r_source"),
-    (dict(r_load=-1.0), "r_source"),
-    (dict(r_coil_tx=-0.1), "resistances"),
+    (dict(r_source=0.0), "^r_source must be > 0, got 0.0$"),
+    (dict(r_load=-1.0), "^r_load must be > 0, got -1.0$"),
+    (dict(r_coil_tx=-0.1), "^r_coil_tx must be >= 0, got -0.1$"),
     (dict(v_source=0.0), "v_source"),
     (dict(c_tx=0.0), "c_tx"),
     (dict(parasitic_rx=-1e-12), "parasitic_rx"),
+    *((dict([(name, -1e-9)]), f"^{name} must be (> 0|>= 0), got")
+      for name in ("l_tx", "l_rx", "r_source", "r_load", "v_source", "c_tx", "c_rx",
+                   "parasitic_tx", "parasitic_rx", "r_coil_tx", "r_coil_rx")),
     *((dict([(name, bad)]), f"^{name} must be finite")
       for name in ("l_tx", "l_rx", "m", "r_source", "r_load", "r_coil_tx", "r_coil_rx",
                    "c_tx", "c_rx", "v_source", "parasitic_tx", "parasitic_rx")

@@ -157,6 +157,13 @@ def test_digest_is_the_sha256_of_the_file(tmp_path):
     path = write_config(tmp_path, SMALL_RUN)
     config = parse_config(path, allow_defaults=True)
     assert config.config_digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    # a UTF-8 byte-order mark (as Windows Notepad writes) is not config text,
+    # but the digest still covers it
+    bom = tmp_path / "bom.ini"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    with_bom = parse_config(bom, allow_defaults=True)
+    assert with_bom.config_digest == hashlib.sha256(bom.read_bytes()).hexdigest()
+    assert replace(with_bom, config_digest="") == replace(config, config_digest="")
 
 
 def test_unit_tags_scale_into_si(tmp_path):

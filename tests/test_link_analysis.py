@@ -141,7 +141,7 @@ def test_capacity_report_rejects_inconsistent_fields():
                        snr_db=30.0, capacity_bps=0.0)
     # at -400 dB, 1 + SNR rounds to 1: a capacity of -1e-13 passes the
     # consistency check and only the sign rule rejects it
-    with pytest.raises(ValueError, match="^capacity must be >= 0$"):
+    with pytest.raises(ValueError, match="^capacity_bps must be >= 0, got -1e-13$"):
         CapacityReport(bandwidth_hz=1e6, signal_dbv=-485.0, noise_floor_dbv=-85.0,
                        snr_db=-400.0, capacity_bps=-1e-13)
 
@@ -353,6 +353,11 @@ def test_a_repeated_sweep_value_is_named_before_any_solve(monkeypatch):
         misalignment_sweep(NOMINAL, TX_ANGLE, [10, 20, 10])
     with pytest.raises(ValueError, match="^values must not repeat; got 5 more than once$"):
         resistance_sweep(scenario_link(NOMINAL, m=M_NOMINAL), "r_load", [5, 5])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^values must be finite; got {bad:g}$"):
+            misalignment_sweep(NOMINAL, TX_ANGLE, [10, 20, bad])
+        with pytest.raises(ValueError, match=f"^values must be finite; got {bad:g}$"):
+            resistance_sweep(scenario_link(NOMINAL, m=M_NOMINAL), "r_load", [5, bad])
     assert calls == []
 
 
@@ -397,8 +402,11 @@ def test_dual_mode_rejects_bad_load_grids():
     link = scenario_link(NOMINAL, m=M_NOMINAL)
     with pytest.raises(ValueError, match="r_load grid"):
         dual_mode_report(link, r_load_grid=[10.0, 5.0])
-    with pytest.raises(ValueError, match="r_load grid"):
+    with pytest.raises(ValueError, match=r"^r_load values must be finite and > 0, got 0\.0$"):
         dual_mode_report(link, r_load_grid=[0.0, 5.0])
+    for loads, bad in (([1.0, math.nan, 3.0], "nan"), ([1.0, 3.0, math.inf], "inf")):
+        with pytest.raises(ValueError, match=f"^r_load values must be finite and > 0, got {bad}$"):
+            dual_mode_report(link, r_load_grid=loads)
 
 
 # ------------------------------------------------- per-load reference scans
