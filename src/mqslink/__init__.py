@@ -13,12 +13,11 @@ from .cli import (ConfigError, RunReport, ScenarioConfig, main, parse_config,
                   run_scenario)
 from .circuit import (LinkCircuit, Spectrum, default_grid, frequency_sweep,
                       path_loss_db, received_power, receiver_capacitance,
-                      transfer_ratio_untuned, tune_capacitance, tx_power)
+                      tune_capacitance, tx_power)
 from .constants import MU0
 from .field_coupling import (ConvergenceError, CouplingResult, GridSpec,
                              SeparationError, SingularEvaluationError,
-                             b_field, coaxial_mutual_oracle,
-                             coupling_coefficient, field_map,
+                             b_field, coupling_coefficient, field_map,
                              mutual_inductance)
 from .geometry import (FLAT_SPIRAL, HELICAL, CoilSpec, FilamentCoil, Pose,
                        Scenario, apply_pose, build_filament_coil,

@@ -9,9 +9,9 @@ D = R_L*(R_s*c11 + c01) + (R_s*c10 + c00) with frequency-only
 coefficients, formed once per grid, so each termination (a scalar or a
 (rows, 1) column) costs a few elementwise operations. Only this module
 closes a link: frequency_sweep at its own terminations, termination_scan
-at many values of one. Without the capacitors and coil loss it reduces
-to the classical untuned two-mesh transfer expression, which tests
-enforce rather than assume.
+at many values of one. Without the capacitors it reduces to the
+classical untuned two-mesh transfer expression, which tests enforce
+against tests/references.py rather than assume.
 
 Amplitude convention: v_source is a peak amplitude. tx_power is the cycle
 average (1/2)*Re(V*conj(I)); received_power (each sweep p_rx_w, dual-mode
@@ -231,32 +231,6 @@ def termination_scan(link: LinkCircuit, field: str, values: np.ndarray,
                                   field: block[:, None]})
         _check_finite(h)
         yield block, h
-
-
-def transfer_ratio_untuned(link: LinkCircuit, f: FrequencyLike):
-    """V_rx/V_source of the capacitor-free link by the direct two-mesh form.
-
-    H = jwM*R_load / ((jwL_tx + R_s)(jwL_rx + R_l) + w^2 M^2) with the
-    coil losses folded into the source and load positions (R_s =
-    r_source + coil ESR, R_l = r_load + coil ESR) and the numerator
-    keeping the bare r_load, since V_rx is measured across it alone.
-    Kept as an independent expression: the general solver must reduce
-    to this exactly, and tests hold the pair together.
-    """
-    if link.c_tx is not None or link.c_rx is not None:
-        raise ValueError("untuned transfer ratio requires both tuning capacitors absent")
-    if link.parasitic_tx is not None or link.parasitic_rx is not None:
-        raise ValueError("untuned transfer ratio requires parasitic capacitances absent")
-    farr = np.asarray(f, dtype=float)
-    if np.any(farr <= 0):
-        raise ValueError("frequency must be > 0")
-    w = 2.0 * math.pi * farr
-    r_s = link.r_source + link.coil_resistance_tx(farr)
-    r_l = link.r_load + link.coil_resistance_rx(farr)
-    wm = w * link.m
-    h = (1j * wm * link.r_load
-         / ((1j * w * link.l_tx + r_s) * (1j * w * link.l_rx + r_l) + wm * wm))
-    return complex(h) if np.ndim(f) == 0 else h
 
 
 def tune_capacitance(l: float, f0: float, parasitic: Optional[float] = None) -> float:

@@ -31,7 +31,7 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import (Callable, Dict, List, Optional, Protocol, Sequence,
                     Tuple, Union)
@@ -68,19 +68,20 @@ class ConfigError(Exception):
         super().__init__(prefix + message)
 
 
-# SI multipliers per dimension; the angle table converts to degrees.
-_UNITS: Dict[str, Dict[str, float]] = {
-    "length": {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6},
-    "frequency": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9},
-    "resistance": {"ohm": 1.0, "kohm": 1e3, "Mohm": 1e6,
-                   "Ω": 1.0, "kΩ": 1e3, "MΩ": 1e6},
-    "capacitance": {"F": 1.0, "uF": 1e-6, "nF": 1e-9, "pF": 1e-12},
-    "inductance": {"H": 1.0, "mH": 1e-3, "uH": 1e-6, "nH": 1e-9},
-    "voltage": {"V": 1.0, "mV": 1e-3},
-    "current": {"A": 1.0, "mA": 1e-3},
-    "conductivity": {"S/m": 1.0, "MS/m": 1e6},
-    "angle": {"deg": 1.0, "rad": 180.0 / math.pi},
-    "level": {"dBV": 1.0},
+# Each tag's power of ten to SI per dimension: "0.137 mm" reads as the
+# decimal 0.137e-3, the double nearest it. Angles are in degrees; rad is
+# the one tag that also scales by a factor.
+_UNITS: Dict[str, Dict[str, int]] = {
+    "length": {"m": 0, "cm": -2, "mm": -3, "um": -6},
+    "frequency": {"Hz": 0, "kHz": 3, "MHz": 6, "GHz": 9},
+    "resistance": {"ohm": 0, "kohm": 3, "Mohm": 6, "Ω": 0, "kΩ": 3, "MΩ": 6},
+    "capacitance": {"F": 0, "uF": -6, "nF": -9, "pF": -12},
+    "inductance": {"H": 0, "mH": -3, "uH": -6, "nH": -9},
+    "voltage": {"V": 0, "mV": -3},
+    "current": {"A": 0, "mA": -3},
+    "conductivity": {"S/m": 0, "MS/m": 6},
+    "angle": {"deg": 0, "rad": 0},
+    "level": {"dBV": 0},
 }
 
 class Request(Protocol):
@@ -88,11 +89,13 @@ class Request(Protocol):
 
     run computes the analysis, writes its files into `out`, reports its
     notes through warnings.warn and returns the names of the files it
-    wrote; build_link(tuned) gives the nominal link.
+    wrote; build_link(tuned) gives the nominal link and spectrum(tuned)
+    its solve on grid, each computed once per run.
     """
 
     def run(self, config: ScenarioConfig, grid: np.ndarray, out: Path,
-            build_link: Callable[[bool], LinkCircuit]) -> Tuple[str, ...]: ...
+            build_link: Callable[[bool], LinkCircuit],
+            spectrum: Callable[[bool], Spectrum]) -> Tuple[str, ...]: ...
 
 
 @dataclass(frozen=True)
@@ -256,10 +259,14 @@ class _Reader:
             self.fail(section, key,
                       f"{where}: unknown unit {unit!r}; accepted: {accepted}")
         try:
-            magnitude = float(number)
+            value = float(number)
+            if math.isfinite(value):    # nan and inf have no exponent to shift
+                mantissa, _, exponent = number.lower().partition("e")
+                value = float(f"{mantissa}e{int(exponent or 0) + units[unit]}")
         except ValueError:
             self.fail(section, key, f"{where}: cannot parse number {number!r}")
-        value = magnitude * units[unit]
+        if unit == "rad":
+            value *= 180.0 / math.pi
         if not math.isfinite(value):
             self.fail(section, key, f"{where} must be finite; got {raw!r}")
         return value
@@ -282,14 +289,14 @@ class _Reader:
         return out
 
     def build(self, section: str, cls, keys: Dict, **kwargs):
-        """cls(**kwargs). A ValueError fails at the first field its message
-        names, at keys[field] = (section, key) or else at [section] field."""
+        """cls(**kwargs). A ValueError's message starts with the field it
+        rejects, and fails at keys[field] = (section, key) or else at
+        [section] field (the section header if field is not a key)."""
         try:
             return cls(**kwargs)
         except ValueError as exc:
             message = str(exc)
-            names = {f.name for f in fields(cls)}
-            field = next((w for w in re.findall(r"\w+", message) if w in names), None)
+            field = message.split(" ", 1)[0]
             self.fail(*keys.get(field, (section, field)), message)
 
 
@@ -368,7 +375,7 @@ inner_radius = 4 mm
 wire_diameter = 0.137 mm
 wire_spacing = 0.5 mm
 shape = flat-spiral
-# shape = helical needs the mounting sphere radius, e.g. 12 mm
+# shape = helical winds onto a sphere; sphere_radius = none takes 12 mm
 sphere_radius = none
 conductivity = 5.8e7 S/m
 inductance_override = none
@@ -489,19 +496,9 @@ def _emit_json(payload, path: Path) -> None:
 
 
 def _csv_text(header: str, rows) -> str:
-    """CSV text: the header, then one line per row of cells.
-
-    A row of finite floats is written through one %.17g template; any
-    other row (a None, a string, an int or a non-finite float in it) is
-    joined cell by cell through _fmt. Both give the same text.
-    """
-    template = ",".join(["%.17g"] * (header.count(",") + 1))
+    """CSV text: the header, then one line per row, each cell through _fmt."""
     lines = [header]
-    for cells in rows:
-        if all(type(c) is float for c in cells) and math.isfinite(sum(cells)):
-            lines.append(template % cells)
-        else:
-            lines.append(",".join([_fmt(c) for c in cells]))
+    lines.extend(",".join([_fmt(c) for c in cells]) for cells in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -580,12 +577,11 @@ class SpectrumRequest:
             reader.fail(name, "modes", "[spectrum] modes repeats a mode")
         return cls(modes=tokens)
 
-    def run(self, config, grid, out, build_link):
+    def run(self, config, grid, out, build_link, spectrum):
         files = []
         for mode in self.modes:
-            spectrum = frequency_sweep(build_link(mode == "tuned"), grid)
             fname = f"spectrum_{mode}.csv"
-            emit_spectrum_csv(spectrum, out / fname)
+            emit_spectrum_csv(spectrum(mode == "tuned"), out / fname)
             files.append(fname)
         return tuple(files)
 
@@ -622,7 +618,7 @@ class MisalignmentSweepRequest:
         vals[-1] = min(vals[-1], self.stop)   # accumulation must not pass stop
         return vals
 
-    def run(self, config, grid, out, build_link):
+    def run(self, config, grid, out, build_link, spectrum):
         sweep = misalignment_sweep(
             config.scenario, self.axis, self.values(), grid=grid,
             noise_floor_dbv=config.noise_floor_dbv,
@@ -659,7 +655,7 @@ class ResistanceSweepRequest:
             return np.geomspace(self.start, self.stop, self.points)
         return np.linspace(self.start, self.stop, self.points)
 
-    def run(self, config, grid, out, build_link):
+    def run(self, config, grid, out, build_link, spectrum):
         sweep = resistance_sweep(build_link(True), self.side, self.values(),
                                  grid=grid, noise_floor_dbv=config.noise_floor_dbv,
                                  convention=config.snr_convention)
@@ -696,7 +692,7 @@ class FieldMapRequest:
         return cls(coil=coil, grid=reader.build(name, GridSpec, {}, **vals),
                    current=current)
 
-    def run(self, config, grid, out, build_link):
+    def run(self, config, grid, out, build_link, spectrum):
         sc = config.scenario
         tx_pose, rx_pose = scenario_poses(sc)
         spec, pose = (sc.tx, tx_pose) if self.coil == "tx" else (sc.rx, rx_pose)
@@ -720,18 +716,18 @@ class CapacityRequest:
             reader.fail(name, key, f"[capacity] takes no keys; got {key!r}")
         return cls()
 
-    def run(self, config, grid, out, build_link):
-        spectrum = frequency_sweep(build_link(True), grid)
+    def run(self, config, grid, out, build_link, spectrum):
+        tuned = spectrum(True)
         budget = dict(noise_floor_dbv=config.noise_floor_dbv,
                       convention=config.snr_convention)
-        study = capacity_vs_bandwidth(spectrum, **budget)
+        study = capacity_vs_bandwidth(tuned, **budget)
         masked = sum(1 for row in study if row.masked)
         if masked:
             warnings.warn(f"{masked} threshold rows masked "
                           "(band runs off the frequency grid)")
         emit_capacity_csv(study, out / "capacity.csv")
         try:
-            rep = capacity_report(spectrum, **budget)
+            rep = capacity_report(tuned, **budget)
         except TruncatedBandError as exc:
             warnings.warn(f"{exc}; capacity_report.json not written")
             return ("capacity.csv",)
@@ -759,7 +755,7 @@ class DualModeRequest:
                         "[dual_mode] needs 0 < load_min < load_max")
         return cls(**vals)
 
-    def run(self, config, grid, out, build_link):
+    def run(self, config, grid, out, build_link, spectrum):
         loads = np.geomspace(self.load_min, self.load_max, self.points)
         dm = dual_mode_report(build_link(True), r_load_grid=loads, grid=grid)
         payload = {
@@ -807,7 +803,8 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> RunRe
             warn_list.append(f"{name} coil inductance is {est.source} and "
                              "low-confidence for this geometry")
 
-    @functools.cache                # a failing M is not cached
+    # a failing call is not cached, so the next request retries it
+    @functools.cache
     def nominal_m() -> float:
         t0 = time.perf_counter()
         m = scenario_mutual_inductance(sc, config.segments_per_turn)
@@ -815,8 +812,13 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> RunRe
         _log.info("mutual inductance %.6g H (%.2f s)", m, timings[-1][1])
         return m
 
+    @functools.cache
     def build_link(tuned: bool) -> LinkCircuit:
         return scenario_link(sc, nominal_m(), tuned=tuned)
+
+    @functools.cache                # booked in the first request that asks
+    def spectrum(tuned: bool) -> Spectrum:
+        return frequency_sweep(build_link(tuned), grid)
 
     for section, req in config.requests.items():
         before = len(timings)
@@ -824,7 +826,7 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> RunRe
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                files = req.run(config, grid, out, build_link)
+                files = req.run(config, grid, out, build_link, spectrum)
             warn_list.extend(f"{section}: {w.message}" for w in caught)
             outputs.append((section, files))
             _log.info("%s -> %s (%.2f s)", section, ", ".join(files),

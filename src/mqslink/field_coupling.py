@@ -22,9 +22,7 @@ below, and the exact distance (a nearest node polished by Gauss-Newton
 steps on the winding angle) runs only for points that bound cannot
 clear; it is elementwise, so masks do not depend on the blocking.
 Mutual inductance is the Neumann double line integral by Gauss-Legendre
-quadrature on the exact winding curves. A closed-form coaxial-loop
-formula built on AGM elliptic integrals is the analytic reference for
-the kernel.
+quadrature on the exact winding curves.
 
 Self-inductance is deliberately not computed here (the filament limit
 is singular); the lumped module owns it. The wire radius enters only as
@@ -150,15 +148,12 @@ class GridSpec:
     axis2_points: int
 
     def __post_init__(self):
-        check_fields(self)
+        check_fields(self, counts={"axis1_points": 2, "axis2_points": 2})
         if self.plane not in ("xy", "xz", "yz"):
             raise ValueError(f"plane must be one of 'xy', 'xz', 'yz', got {self.plane!r}")
         for name in ("axis1", "axis2"):
             start = getattr(self, name + "_start")
             stop = getattr(self, name + "_stop")
-            n = getattr(self, name + "_points")
-            if not isinstance(n, int) or n < 2:
-                raise ValueError(f"{name}_points must be an int >= 2, got {n!r}")
             if not start < stop:
                 raise ValueError(f"{name}_stop must be > {name}_start, got [{start!r}, {stop!r}]")
 
@@ -670,37 +665,3 @@ def coupling_coefficient(m: float, l_tx: float, l_rx: float) -> float:
             f"|k| = {k:.6g} >= 1: mutual inductance inconsistent with the coil inductances"
         )
     return k
-
-
-def _ellipke(k: float) -> Tuple[float, float]:
-    # complete elliptic integrals K(k), E(k) by AGM; k is the modulus
-    a, b = 1.0, math.sqrt(1.0 - k * k)
-    c = k
-    csum = 0.5 * c * c
-    n = 0
-    while abs(c) > 1e-16 and n < 60:
-        a, b, c = (a + b) / 2.0, math.sqrt(a * b), (a - b) / 2.0
-        n += 1
-        csum += 2.0 ** (n - 1) * c * c
-    big_k = math.pi / (2.0 * a)
-    return big_k, big_k * (1.0 - csum)
-
-
-def coaxial_mutual_oracle(r1: float, r2: float, z: float) -> float:
-    """Closed-form M (H) of two coaxial circular loops separated by z.
-
-    Maxwell's formula: with k^2 = 4 r1 r2/((r1+r2)^2 + z^2),
-    M = mu0 sqrt(r1 r2) ((2/k - k) K(k) - (2/k) E(k)). The elliptic
-    integrals come from the AGM iteration, accurate to ~1e-15, so this
-    serves as the analytic reference for the numerical integrators.
-    """
-    if r1 <= 0 or r2 <= 0:
-        raise ValueError("loop radii must be > 0")
-    k_sq = 4.0 * r1 * r2 / ((r1 + r2) ** 2 + z * z)
-    if k_sq >= 1.0 - 1e-15:
-        raise SingularEvaluationError(
-            "coincident coaxial loops (r1 = r2, z = 0): M diverges in the filament limit"
-        )
-    k = math.sqrt(k_sq)
-    big_k, big_e = _ellipke(k)
-    return MU0 * math.sqrt(r1 * r2) * ((2.0 / k - k) * big_k - (2.0 / k) * big_e)

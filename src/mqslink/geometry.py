@@ -25,12 +25,14 @@ HELICAL = "helical"
 DEFAULT_SPHERE_RADIUS = 12e-3
 
 
-def check_fields(value, positive=(), nonnegative=()) -> None:
-    """Apply a record's finiteness and sign rules to the dataclass
+def check_fields(value, positive=(), nonnegative=(), counts=None) -> None:
+    """Apply a record's finiteness, count and sign rules to the dataclass
     instance value; each ValueError starts with the field's name.
 
     Every float field (Python or numpy) must be finite. Then, in the
-    order the fields are declared, each field named in positive must be
+    order the fields are declared, each field named in counts (a dict of
+    field -> least value) must be an integer (Python or numpy, not a
+    bool) at least that value, and each field named in positive must be
     > 0 and each in nonnegative >= 0, unless it is None.
     """
     for f in fields(value):
@@ -39,6 +41,10 @@ def check_fields(value, positive=(), nonnegative=()) -> None:
             raise ValueError(f"{f.name} must be finite, got {x!r}")
     for f in fields(value):
         x = getattr(value, f.name)
+        least = (counts or {}).get(f.name)
+        if least is not None and (isinstance(x, bool) or not isinstance(x, (int, np.integer))
+                                  or x < least):
+            raise ValueError(f"{f.name} must be an integer >= {least}, got {x!r}")
         if x is not None and f.name in positive and not x > 0:
             raise ValueError(f"{f.name} must be > 0, got {x!r}")
         if x is not None and f.name in nonnegative and not x >= 0:
@@ -94,9 +100,8 @@ class CoilSpec:
         check_fields(self, positive=("inner_radius", "wire_diameter", "sphere_radius",
                                      "conductivity", "parasitic_capacitance",
                                      "inductance_override"),
-                     nonnegative=("wire_spacing", "resistance_override"))
-        if not isinstance(self.turns, int) or self.turns < 1:
-            raise ValueError(f"turns must be an integer >= 1, got {self.turns!r}")
+                     nonnegative=("wire_spacing", "resistance_override"),
+                     counts={"turns": 1})
         if self.shape not in (FLAT_SPIRAL, HELICAL):
             raise ValueError(f"shape must be {FLAT_SPIRAL!r} or {HELICAL!r}, got {self.shape!r}")
         if self.shape == HELICAL:
@@ -167,10 +172,7 @@ class FilamentCoil:
     origin: np.ndarray = field(default_factory=lambda: np.zeros(3))   # (3,) m
 
     def __post_init__(self):
-        if self.segments_per_turn < 16:
-            raise ValueError(
-                f"segments_per_turn must be >= 16, got {self.segments_per_turn!r}"
-            )
+        check_fields(self, counts={"segments_per_turn": 16})
         for name in ("rotation", "origin"):
             arr = np.array(getattr(self, name), dtype=float)
             if not np.all(np.isfinite(arr)):

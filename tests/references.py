@@ -1,15 +1,19 @@
-"""Test-side references built from a coil's exact winding curve.
+"""Test-side references: closed forms and curve-built cross-checks.
 
-The polyline that the older kernels ran on, and the flux route to
-mutual inductance: both are cross-checks of the package's curve
-kernels, not part of the package.
+Maxwell's coaxial-loop mutual inductance and the untuned two-mesh
+transfer ratio are the analytic oracles the numerics are held to. The
+polyline that the older kernels ran on, and the flux route to mutual
+inductance, are cross-checks of the package's curve kernels. None of
+them is part of the package.
 """
 
 import math
 
 import numpy as np
 
+from mqslink.constants import MU0
 from mqslink.field_coupling import (ConvergenceError, SeparationError,
+                                    SingularEvaluationError,
                                     _check_separation, _coupling_floor,
                                     _curve_distance, _curve_field,
                                     _gauss_legendre)
@@ -102,3 +106,63 @@ def flux_mutual_inductance(tx, rx, tolerance=1e-3):
         f"(last relative change {estimate:.3e})",
         value=prev, estimate=estimate,
     )
+
+
+def _ellipke(k):
+    # complete elliptic integrals K(k), E(k) by AGM; k is the modulus
+    a, b = 1.0, math.sqrt(1.0 - k * k)
+    c = k
+    csum = 0.5 * c * c
+    n = 0
+    while abs(c) > 1e-16 and n < 60:
+        a, b, c = (a + b) / 2.0, math.sqrt(a * b), (a - b) / 2.0
+        n += 1
+        csum += 2.0 ** (n - 1) * c * c
+    big_k = math.pi / (2.0 * a)
+    return big_k, big_k * (1.0 - csum)
+
+
+def coaxial_mutual_oracle(r1, r2, z):
+    """Closed-form M (H) of two coaxial circular loops separated by z.
+
+    Maxwell's formula: with k^2 = 4 r1 r2/((r1+r2)^2 + z^2),
+    M = mu0 sqrt(r1 r2) ((2/k - k) K(k) - (2/k) E(k)). The elliptic
+    integrals come from the AGM iteration, accurate to ~1e-15, so this
+    serves as the analytic reference for the numerical integrators.
+    """
+    if r1 <= 0 or r2 <= 0:
+        raise ValueError("loop radii must be > 0")
+    k_sq = 4.0 * r1 * r2 / ((r1 + r2) ** 2 + z * z)
+    if k_sq >= 1.0 - 1e-15:
+        raise SingularEvaluationError(
+            "coincident coaxial loops (r1 = r2, z = 0): M diverges in the filament limit"
+        )
+    k = math.sqrt(k_sq)
+    big_k, big_e = _ellipke(k)
+    return MU0 * math.sqrt(r1 * r2) * ((2.0 / k - k) * big_k - (2.0 / k) * big_e)
+
+
+def transfer_ratio_untuned(link, f):
+    """V_rx/V_source of the capacitor-free link by the direct two-mesh form.
+
+    H = jwM*R_load / ((jwL_tx + R_s)(jwL_rx + R_l) + w^2 M^2) with the
+    coil losses folded into the source and load positions (R_s =
+    r_source + coil ESR, R_l = r_load + coil ESR) and the numerator
+    keeping the bare r_load, since V_rx is measured across it alone.
+    Kept as an independent expression: the general solver must reduce
+    to this exactly, and tests hold the pair together.
+    """
+    if link.c_tx is not None or link.c_rx is not None:
+        raise ValueError("untuned transfer ratio requires both tuning capacitors absent")
+    if link.parasitic_tx is not None or link.parasitic_rx is not None:
+        raise ValueError("untuned transfer ratio requires parasitic capacitances absent")
+    farr = np.asarray(f, dtype=float)
+    if np.any(farr <= 0):
+        raise ValueError("frequency must be > 0")
+    w = 2.0 * math.pi * farr
+    r_s = link.r_source + link.coil_resistance_tx(farr)
+    r_l = link.r_load + link.coil_resistance_rx(farr)
+    wm = w * link.m
+    h = (1j * wm * link.r_load
+         / ((1j * w * link.l_tx + r_s) * (1j * w * link.l_rx + r_l) + wm * wm))
+    return complex(h) if np.ndim(f) == 0 else h

@@ -15,9 +15,8 @@ import pytest
 
 from mqslink.circuit import (LinkCircuit, default_grid, frequency_sweep,
                              received_power, receiver_capacitance,
-                             transfer_ratio_untuned, tune_capacitance,
-                             tx_power)
-from mqslink.field_coupling import coaxial_mutual_oracle, mutual_inductance
+                             tune_capacitance, tx_power)
+from mqslink.field_coupling import mutual_inductance
 from mqslink.geometry import CoilSpec, Pose, apply_pose, build_filament_coil
 from mqslink.link_analysis import (TX_ANGLE, AXIAL, capacity_vs_bandwidth,
                                    channel_capacity, misalignment_sweep,
@@ -27,7 +26,8 @@ from mqslink.lumped import (LOW_CONFIDENCE, current_sheet_inductance,
                             estimate_inductance)
 from mqslink.cli import main as cli_main
 from nominal import L_TX, NOMINAL, RX, TX
-from references import flux_mutual_inductance
+from references import (coaxial_mutual_oracle, flux_mutual_inductance,
+                        transfer_ratio_untuned)
 
 
 @pytest.fixture(scope="module")

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from mqslink import circuit
 from mqslink.circuit import (LinkCircuit, Spectrum, default_grid,
                              frequency_sweep, path_loss_db, received_power,
-                             receiver_capacitance, transfer_ratio_untuned,
-                             tune_capacitance, tx_power)
+                             receiver_capacitance, tune_capacitance,
+                             tx_power)
 from mqslink.geometry import CoilSpec
 from mqslink.lumped import ac_resistance
 from nominal import L_RX, L_TX, M_NOMINAL, PEAK_DB, RX, TX
+from references import transfer_ratio_untuned
 
 C_TX = 1.0705957696781254e-12
 C_RX = 9.816980717680136e-11

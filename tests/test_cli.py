@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from dataclasses import MISSING, asdict, astuple, fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from mqslink.link_analysis import (DEFAULT_NOISE_FLOOR_DBV, VOLTAGE,
                                    capacity_report, dual_mode_report,
                                    misalignment_sweep, scenario_link,
                                    scenario_mutual_inductance)
+from nominal import NOMINAL
 
 SMALL_RUN = """\
 [tx_coil]
@@ -126,6 +128,10 @@ def test_builtin_defaults_round_trip(tmp_path):
     assert from_empty.requests == {}
 
 
+def test_the_empty_config_is_the_nominal_link(tmp_path):
+    assert parse_text(tmp_path, "").scenario == NOMINAL
+
+
 def _bits(value):
     return value.hex() if isinstance(value, float) else value
 
@@ -182,6 +188,31 @@ tuned_frequency = 26 MHz
     assert sc.z_eye == pytest.approx(0.15)
     assert sc.r_load == 1000.0
     assert sc.tuned_frequency == 26e6
+
+
+# every power-of-ten tag, "rad" being the one tag that is a factor
+_POWER_TAGS = [(dim, unit) for dim, units in cli._UNITS.items()
+               for unit in units if unit != "rad"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.from_regex(r"[+-]?(\d{1,20}\.?\d{0,20}|\.\d{1,20})([eE][+-]?\d{1,3})?",
+                     fullmatch=True),
+       st.sampled_from(_POWER_TAGS))
+@example("0.137", ("length", "mm"))
+@example("35", ("inductance", "uH"))
+@example("1.7976931348623157e308", ("frequency", "kHz"))
+def test_tagged_numbers_read_as_the_double_nearest_their_decimal(number, tag):
+    dim, unit = tag
+    reader = cli._Reader("<text>", b"")
+    exact = Fraction(number) * Fraction(10) ** cli._UNITS[dim][unit]
+    try:
+        want = float(exact)
+    except OverflowError:
+        with pytest.raises(ConfigError, match="must be finite"):
+            reader._value("s", "k", f"{number} {unit}", "quantity", dim)
+        return
+    assert reader._value("s", "k", f"{number} {unit}", "quantity", dim) == want
 
 
 def test_unicode_resistance_aliases(tmp_path):
@@ -420,8 +451,6 @@ _ANY_CELLS = (_FLOAT_CELLS | st.none() | st.integers() | st.booleans()
               (float("inf"), float("-inf"), 0.5), (None, 1.5, "ohm"),
               (10**17, True, 2.5), (1.7976931348623157e308, 1.7976931348623157e308, 1.0)]))
 def test_csv_rows_read_as_if_each_cell_went_through_fmt(case):
-    # the one-template fast path and the cell-by-cell fallback must
-    # write the same text
     n, rows = case
     header = ",".join(f"c{i}" for i in range(n))
     want = "\n".join([header] + [",".join(_fmt(c) for c in row) for row in rows])
@@ -925,6 +954,22 @@ def test_nominal_m_is_solved_once_and_a_failure_retried(tmp_path, monkeypatch, f
     assert [f.split(":")[0] for f in report.failures] == (list(needing_m) if fails else [])
     booked = [name for name, _ in report.timings_s].count("mutual_inductance")
     assert booked == (0 if fails else 1)
+
+
+def test_the_tuned_spectrum_is_solved_once_per_run(tmp_path, monkeypatch):
+    tuned = []
+    exact = cli.frequency_sweep
+
+    def counted(link, grid):
+        tuned.append(link.c_tx is not None)
+        return exact(link, grid)
+
+    monkeypatch.setattr(cli, "frequency_sweep", counted)
+    config = parse_config(write_config(tmp_path, small_scenario(
+        "", "[spectrum]\nmodes = tuned untuned\n\n[capacity]\n")), allow_defaults=True)
+    report = run_scenario(config, out_dir=str(tmp_path / "out"))
+    assert report.failures == ()
+    assert tuned == [True, False]
 
 
 def test_unsaturated_dual_mode_scan_is_reported_as_a_warning(tmp_path):

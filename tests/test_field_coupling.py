@@ -17,14 +17,14 @@ from mqslink.field_coupling import (ConvergenceError, CouplingResult,
                                     SingularEvaluationError,
                                     _check_separation, _closest_approach,
                                     _coupling_floor, _curve_distance,
-                                    _ellipke, _neumann_sum, b_field,
-                                    coaxial_mutual_oracle,
+                                    _neumann_sum, b_field,
                                     coupling_coefficient, field_map,
                                     mutual_inductance)
 from mqslink.geometry import (HELICAL, CoilSpec, Pose, Scenario, apply_pose,
                               build_filament_coil, scenario_poses)
 from nominal import L_RX, L_TX, M_NOMINAL, NOMINAL, RX, TX
-from references import disk_frames, flux_mutual_inductance, polyline
+from references import (_ellipke, coaxial_mutual_oracle, disk_frames,
+                        flux_mutual_inductance, polyline)
 
 # pytest.approx adds an absolute tolerance of 1e-12 unless given one,
 # which would swamp any relative tolerance on inductances of ~1e-10 H;
@@ -598,6 +598,10 @@ def test_grid_points_run_row_major_with_axis1_slow():
     (dict(plane="ab"), "plane"),
     (dict(axis1_points=1), "axis1_points"),
     (dict(axis2_points=1), "axis2_points"),
+    # a count is a Python or numpy integer, never a bool
+    (dict(axis1_points=True), r"^axis1_points must be an integer >= 2, got True$"),
+    (dict(axis2_points=3.0), r"^axis2_points must be an integer >= 2, got 3\.0$"),
+    (dict(axis2_points=np.int64(1)), r"^axis2_points must be an integer >= 2"),
     (dict(axis1_start=1.0, axis1_stop=-1.0), "axis1"),
     (dict(offset=math.nan), "^offset must be finite"),
     (dict(offset=math.inf), "^offset must be finite"),
@@ -612,6 +616,13 @@ def test_grid_spec_validation(kwargs, match):
     base.update(kwargs)
     with pytest.raises(ValueError, match=match):
         GridSpec(**base)
+
+
+def test_grid_spec_counts_accept_numpy_integers():
+    grid = GridSpec(plane="xy", offset=0.0, axis1_start=-1.0, axis1_stop=1.0,
+                    axis1_points=np.int64(3), axis2_start=-1.0, axis2_stop=1.0,
+                    axis2_points=np.int32(2))
+    assert grid.points().shape == (6, 3)
 
 
 def test_field_map_masks_points_on_the_wire_and_keeps_the_rest():

@@ -1,6 +1,7 @@
 """Coil specs, filament discretization, and posing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,10 @@ def test_diameter_properties():
 @pytest.mark.parametrize("kwargs, field", [
     (dict(turns=0), "turns"),
     (dict(turns=2.5), "turns"),
+    # a count is a Python or numpy integer, never a bool
+    (dict(turns=True), r"^turns must be an integer >= 1, got True$"),
+    (dict(turns=np.int64(0)), r"^turns must be an integer >= 1, got np\.int64\(0\)$"),
+    (dict(turns=np.float64(5.0)), r"^turns must be an integer >= 1"),
     (dict(inner_radius=0.0), "inner_radius"),
     (dict(wire_diameter=-1e-4), "wire_diameter"),
     (dict(wire_spacing=-1e-4), "wire_spacing"),
@@ -51,6 +56,13 @@ def test_coil_spec_rejects_bad_values_naming_the_field(kwargs, field):
     base.update(kwargs)
     with pytest.raises(ValueError, match=field):
         CoilSpec(**base)
+
+
+def test_counts_accept_numpy_integers():
+    spec = CoilSpec(turns=np.int64(5), inner_radius=4e-3, wire_diameter=0.137e-3,
+                    wire_spacing=0.5e-3)
+    assert spec == RX
+    assert build_filament_coil(spec, np.int32(16)).n_segments == 80
 
 
 def test_helical_coil_must_fit_on_its_sphere():
@@ -169,9 +181,11 @@ def test_refinement_halves_the_chord_error():
     assert err[1] / err[2] == pytest.approx(4.0, rel=0.05)
 
 
-def test_too_coarse_discretization_is_rejected():
-    with pytest.raises(ValueError, match="segments_per_turn"):
-        build_filament_coil(RX, segments_per_turn=15)
+@pytest.mark.parametrize("bad", [15, np.int64(15), 16.0, True])
+def test_too_coarse_discretization_is_rejected(bad):
+    with pytest.raises(ValueError, match=f"^segments_per_turn must be an integer >= 16, "
+                                         f"got {re.escape(repr(bad))}$"):
+        build_filament_coil(RX, segments_per_turn=bad)
 
 
 def test_filament_arrays_are_frozen():

@@ -11,9 +11,8 @@ PACKAGE = Path(mqslink.__file__).parent
 
 # Re-exports that no other module reads, each kept for a stated reason.
 KEPT = {
-    # acceptance oracles: closed forms the tests check the numerics against
-    "coaxial_mutual_oracle",
-    "transfer_ratio_untuned",
+    # source power for the efficiency figures (ROADMAP, "Powering: efficiency
+    # and optimal loads in closed form")
     "tx_power",
     # point-evaluation API behind bench/make_refs.py and the field tests
     "b_field",
