@@ -88,11 +88,11 @@ def _coil_resistance(spec: Optional[CoilSpec], r_fixed: float, f: FrequencyLike)
 
 
 def _check_grid(f: np.ndarray) -> None:
-    """Raise ValueError unless f is a non-empty, positive, increasing 1-D grid."""
+    """Raise ValueError unless f is a non-empty, finite, positive, increasing 1-D grid."""
     if f.ndim != 1 or len(f) < 1:
         raise ValueError("frequency grid must be a non-empty 1-D array")
-    if np.any(f <= 0):
-        raise ValueError("frequencies must be > 0")
+    if not np.all(np.isfinite(f) & (f > 0)):
+        raise ValueError("frequencies must be finite and > 0")
     if len(f) > 1 and np.any(np.diff(f) <= 0):
         raise ValueError("frequency grid must be strictly increasing")
 
@@ -118,9 +118,10 @@ class Spectrum:
 
     def __post_init__(self):
         check_fields(self, positive=("v_source",))
-        f = np.asarray(self.frequencies, dtype=float)
-        h = np.asarray(self.h, dtype=complex)
-        z = np.asarray(self.z11, dtype=complex)
+        # copies, so freezing them leaves the caller's arrays writable
+        f = np.array(self.frequencies, dtype=float)
+        h = np.array(self.h, dtype=complex)
+        z = np.array(self.z11, dtype=complex)
         _check_grid(f)
         if h.shape != f.shape or z.shape != f.shape:
             raise ValueError("h and z11 must match the frequency grid shape")
@@ -157,8 +158,8 @@ def _link_terms(link: LinkCircuit, f: FrequencyLike):
     few bits (a 3.5e-12 error at wM = 7e-313).
     """
     farr = np.asarray(f, dtype=float)
-    if np.any(farr <= 0):
-        raise ValueError("frequency must be > 0")
+    if not np.all(np.isfinite(farr) & (farr > 0)):
+        raise ValueError("frequency must be finite and > 0")
     w = (2.0 * math.pi * farr).astype(np.longdouble)
     jw = 1j * w
     z1 = link.coil_resistance_tx(farr) + jw * link.l_tx

@@ -260,8 +260,8 @@ class _Reader:
                       f"{where}: unknown unit {unit!r}; accepted: {accepted}")
         try:
             value = float(number)
-            if math.isfinite(value):    # nan and inf have no exponent to shift
-                mantissa, _, exponent = number.lower().partition("e")
+            mantissa, _, exponent = number.lower().partition("e")
+            if math.isfinite(float(mantissa)):    # nan and inf have no exponent to shift
                 value = float(f"{mantissa}e{int(exponent or 0) + units[unit]}")
         except ValueError:
             self.fail(section, key, f"{where}: cannot parse number {number!r}")

@@ -21,6 +21,10 @@ the nearest field node's distance, less the node slack, bounds it from
 below, and the exact distance (a nearest node polished by Gauss-Newton
 steps on the winding angle) runs only for points that bound cannot
 clear; it is elementwise, so masks do not depend on the blocking.
+The separation check samples each coil at arc steps of one wire
+diameter against the other's exact curve, cutting runs of samples until
+the distances at their ends, less the node slack and half their arc,
+clear them, or every sample is measured.
 Mutual inductance is the Neumann double line integral by Gauss-Legendre
 quadrature on the exact winding curves.
 
@@ -83,8 +87,10 @@ _ROUNDING = 2.0 * 2.0**-52
 # the curve distance: nodes per turn of its nearest-node search, and
 # the clipped Gauss-Newton steps that polish each candidate node. Each
 # step shrinks a candidate's angle error by about the distance over the
-# curve's radius of curvature, under 0.05 for every mask and
-# separation decision here (at most 0.14 mm against at least 4 mm)
+# curve's radius of curvature, under 0.05 for every mask decision and
+# every separation decision near the threshold (at most 0.14 mm against
+# at least 4 mm); farther off they may stall, within the node slack
+# that the separation check allows for
 _DISTANCE_NODES = 64
 _DISTANCE_STEPS = 6
 
@@ -545,37 +551,53 @@ def _coupling_floor(tx: FilamentCoil, rx: FilamentCoil) -> float:
     return MU0 * math.pi * s_tx * s_rx / (2.0 * d_eff**3)
 
 
-def _closest_approach(tx: FilamentCoil, rx: FilamentCoil) -> float:
-    # each curve sampled at arc steps no longer than the combined wire
-    # exclusion, against the other's exact curve, both ways
-    step = (tx.wire_diameter + rx.wire_diameter) / 2.0
-    worst = math.inf
-    for a, b in ((tx, rx), (rx, tx)):
-        turns = a.spec.turns
-        per_turn = math.ceil(2.0 * math.pi * _top_speed(a.spec) / step)
-        samples, _ = a.curve(np.linspace(0.0, 2.0 * math.pi * turns, turns * per_turn + 1))
-        worst = min(worst, float(_curve_distance(b, samples).min()))
-    return worst
+def _clear_samples(a: FilamentCoil, b: FilamentCoil) -> bool:
+    # a sampled at equal angle steps of at most one threshold of arc
+    # (np.linspace's values) against b's exact curve, lazily: no sample
+    # of a run is within the threshold if its end samples are farther
+    # than the threshold, b's node slack and half the run's arc (half
+    # its angle times the speed at its outer end, the largest on it),
+    # and other runs are cut until every sample is cleared or measured.
+    # True if a gap between neighbouring samples stays uncleared
+    threshold = (a.wire_diameter + b.wire_diameter) / 2.0
+    stop = 2.0 * math.pi * a.spec.turns
+    count = a.spec.turns * math.ceil(2.0 * math.pi * _top_speed(a.spec) / threshold)
+    slack = math.pi / _DISTANCE_NODES * _top_speed(b.spec)
+    lo = np.arange(a.spec.turns * _BASE_PANELS + 1) * count // (a.spec.turns * _BASE_PANELS)
+    lo, hi, gap = lo[:-1], lo[1:], False
+    while len(lo):
+        ends, at = np.unique(np.r_[lo, hi], return_inverse=True)
+        points, tangents = a.curve(np.where(ends == count, stop, ends * (stop / count)))
+        d = _curve_distance(b, points)
+        if np.any(d <= threshold):
+            raise SeparationError(f"coil separation {float(d.min()):.3e} m is within the combined "
+                                  f"wire exclusion {threshold:.3e} m; filament model invalid")
+        d = d[at]
+        half = (hi - lo) * (stop / count / 2.0) * np.linalg.norm(tangents[at[len(lo):]], axis=1)
+        room = np.minimum(d[:len(lo)], d[len(lo):]) - slack - threshold
+        gap = gap or bool(np.any((room <= half) & (hi - lo == 1)))
+        split = (room <= half) & (hi - lo > 1)
+        lo, hi, half, room = lo[split], hi[split], half[split], room[split]
+        # pieces whose half arcs the run's room would clear, at least
+        # two, and single gaps where it has none
+        pieces = np.maximum(2, np.ceil(half / np.maximum(room, half / (hi - lo)))).astype(int)
+        run = np.repeat(np.arange(len(lo)), pieces)
+        j = np.arange(len(run)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        span, pieces = (hi - lo)[run], pieces[run]
+        lo, hi = lo[run] + span * j // pieces, lo[run] + span * (j + 1) // pieces
+    return gap
 
 
 def _check_separation(tx: FilamentCoil, rx: FilamentCoil) -> None:
-    # the filament model needs clearance beyond the mean wire diameter
-    threshold = (tx.wire_diameter + rx.wire_diameter) / 2.0
-    # |c(phi)| grows with phi for both shapes, so each coil lies in the
-    # ball about its origin that reaches its outer end; balls further
-    # apart than the threshold (with a margin far above rounding)
-    # settle the check without the pairwise pass
-    reach = sum(float(np.linalg.norm(winding_curve(c.spec, [2.0 * math.pi * c.spec.turns])[0]))
-                for c in (tx, rx))
-    span = float(np.linalg.norm(tx.origin - rx.origin))
-    if span - reach > threshold + 1e-9 * (span + reach):
-        return
-    d = _closest_approach(tx, rx)
-    if d <= threshold:
-        raise SeparationError(
-            f"coil separation {d:.3e} m is within the combined "
-            f"wire exclusion {threshold:.3e} m; filament model invalid"
-        )
+    # the filament model needs clearance beyond the mean wire diameter,
+    # with each coil sampled at arc steps of at most that clearance
+    # against the other's exact curve, both ways. The faster coil goes
+    # first, against the slower one's smaller node slack. Where it
+    # clears every run, no point of it is that close to the other coil,
+    # so the other way is needed only where a gap stays uncleared
+    b, a = sorted((tx, rx), key=lambda c: _top_speed(c.spec))
+    if _clear_samples(a, b):
+        _clear_samples(b, a)
 
 
 @functools.lru_cache(maxsize=None)
@@ -634,7 +656,7 @@ def mutual_inductance(tx: FilamentCoil, rx: FilamentCoil,
     convergence_estimate is the relative change of the last refinement,
     judged against a dipole-scale floor near symmetry nulls.
     """
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
 
     _check_separation(tx, rx)
@@ -657,8 +679,9 @@ def mutual_inductance(tx: FilamentCoil, rx: FilamentCoil,
 
 def coupling_coefficient(m: float, l_tx: float, l_rx: float) -> float:
     """k = |M|/sqrt(L_tx*L_rx); |k| >= 1 signals inconsistent inputs."""
-    if l_tx <= 0 or l_rx <= 0:
-        raise ValueError("inductances must be > 0")
+    if not (math.isfinite(m) and 0 < l_tx < math.inf and 0 < l_rx < math.inf):
+        raise ValueError(f"m must be finite and the inductances finite and > 0, "
+                         f"got m={m!r}, l_tx={l_tx!r}, l_rx={l_rx!r}")
     k = abs(m) / math.sqrt(l_tx * l_rx)
     if k >= 1.0:
         raise ValueError(

@@ -108,11 +108,13 @@ def estimate_inductance(spec: CoilSpec) -> InductanceEstimate:
 
 def skin_depth(f, sigma: float):
     """Skin depth delta = 1/sqrt(pi f sigma mu0) (m); f may be an array."""
-    if np.any(np.asarray(f) <= 0):
-        raise ValueError(f"frequency must be > 0, got {float(np.min(f))!r}")
+    farr = np.asarray(f, dtype=float)
+    bad = farr[~(np.isfinite(farr) & (farr > 0))]
+    if bad.size:
+        raise ValueError(f"frequency must be finite and > 0, got {bad[0].item()!r}")
     if sigma <= 0:
         raise ValueError(f"conductivity must be > 0, got {sigma!r}")
-    delta = 1.0 / np.sqrt(math.pi * np.asarray(f, dtype=float) * sigma * MU0)
+    delta = 1.0 / np.sqrt(math.pi * farr * sigma * MU0)
     return float(delta) if np.ndim(f) == 0 else delta
 
 

@@ -2,9 +2,9 @@
 
 Maxwell's coaxial-loop mutual inductance and the untuned two-mesh
 transfer ratio are the analytic oracles the numerics are held to. The
-polyline that the older kernels ran on, and the flux route to mutual
-inductance, are cross-checks of the package's curve kernels. None of
-them is part of the package.
+polyline that the older kernels ran on, the flux route to mutual
+inductance and the dense closest-approach sampler are cross-checks of
+the package's curve kernels. None of them is part of the package.
 """
 
 import math
@@ -16,7 +16,7 @@ from mqslink.field_coupling import (ConvergenceError, SeparationError,
                                     SingularEvaluationError,
                                     _check_separation, _coupling_floor,
                                     _curve_distance, _curve_field,
-                                    _gauss_legendre)
+                                    _gauss_legendre, _top_speed)
 from mqslink.geometry import winding_curve
 
 # quadrature ladder for flux disks: (radial Gauss-Legendre nodes,
@@ -51,6 +51,20 @@ def disk_frames(coil, per_turn=360):
     height = winding_curve(spec, phi)[0][:, 2]
     return [(coil.origin + n * float(np.mean(height[i * per_turn:(i + 1) * per_turn + 1])),
              float(radii[i]), e1, e2) for i in range(spec.turns)]
+
+
+def closest_approach(tx, rx):
+    """Closest approach (m) of two posed coils by dense sampling: each
+    curve sampled at arc steps no longer than the combined wire
+    exclusion, against the other's exact curve, both ways."""
+    step = (tx.wire_diameter + rx.wire_diameter) / 2.0
+    worst = math.inf
+    for a, b in ((tx, rx), (rx, tx)):
+        turns = a.spec.turns
+        per_turn = math.ceil(2.0 * math.pi * _top_speed(a.spec) / step)
+        samples, _ = a.curve(np.linspace(0.0, 2.0 * math.pi * turns, turns * per_turn + 1))
+        worst = min(worst, float(_curve_distance(b, samples).min()))
+    return worst
 
 
 def flux_mutual_inductance(tx, rx, tolerance=1e-3):

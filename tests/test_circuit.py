@@ -12,8 +12,9 @@ from mqslink.circuit import (LinkCircuit, Spectrum, default_grid,
                              frequency_sweep, path_loss_db, received_power,
                              receiver_capacitance, tune_capacitance,
                              tx_power)
+from mqslink.constants import COPPER_CONDUCTIVITY
 from mqslink.geometry import CoilSpec
-from mqslink.lumped import ac_resistance
+from mqslink.lumped import ac_resistance, skin_depth
 from nominal import L_RX, L_TX, M_NOMINAL, PEAK_DB, RX, TX
 from references import transfer_ratio_untuned
 
@@ -163,6 +164,37 @@ def test_solver_rejects_nonpositive_frequencies():
         frequency_sweep(link, [0.0])
     with pytest.raises(ValueError, match="frequency"):
         transfer_ratio_untuned(_nominal_link(tuned=False), -1e6)
+
+
+@pytest.mark.parametrize("grid", [[25e6, math.nan, 27e6], [math.nan], [25e6, math.inf]],
+                         ids=["nan-inside", "nan", "inf"])
+def test_non_finite_frequencies_fail_before_any_solve(grid):
+    grid = np.array(grid)
+    link = _nominal_link()
+    with pytest.raises(ValueError, match="^frequency must be finite and > 0$"):
+        frequency_sweep(link, grid)
+    with pytest.raises(ValueError, match="^frequencies must be finite and > 0$"):
+        next(circuit.termination_scan(link, "r_load", np.array([1e3]), grid))
+    ones = np.ones(len(grid), dtype=complex)
+    with pytest.raises(ValueError, match="^frequencies must be finite and > 0$"):
+        Spectrum(frequencies=grid, h=ones, z11=ones)
+    with pytest.raises(ValueError, match=r"^frequency must be finite and > 0, got (nan|inf)$"):
+        skin_depth(grid, COPPER_CONDUCTIVITY)
+
+
+def test_spectrum_freezes_copies_and_leaves_the_callers_arrays_writable():
+    grid = np.linspace(20e6, 30e6, 11)
+    swept = frequency_sweep(_nominal_link(), grid)
+    h, z11 = swept.h.copy(), swept.z11.copy()
+    direct = Spectrum(frequencies=grid, h=h, z11=z11)
+    for arr in (grid, h, z11):
+        arr *= 2.0
+    for spectrum in (swept, direct):
+        assert spectrum.frequencies[-1] == 30e6
+        for arr in (spectrum.frequencies, spectrum.h, spectrum.z11):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+    assert direct.h.tolist() == swept.h.tolist()
 
 
 def test_termination_scan_rejects_a_two_dimensional_grid():

@@ -202,6 +202,7 @@ _POWER_TAGS = [(dim, unit) for dim, units in cli._UNITS.items()
 @example("0.137", ("length", "mm"))
 @example("35", ("inductance", "uH"))
 @example("1.7976931348623157e308", ("frequency", "kHz"))
+@example(".1E310", ("length", "cm"))    # the text overflows, the tagged value does not
 def test_tagged_numbers_read_as_the_double_nearest_their_decimal(number, tag):
     dim, unit = tag
     reader = cli._Reader("<text>", b"")

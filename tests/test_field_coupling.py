@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mqslink import field_coupling
@@ -15,16 +15,17 @@ from mqslink.constants import MU0
 from mqslink.field_coupling import (ConvergenceError, CouplingResult,
                                     GridSpec, SeparationError,
                                     SingularEvaluationError,
-                                    _check_separation, _closest_approach,
-                                    _coupling_floor, _curve_distance,
-                                    _neumann_sum, b_field,
+                                    _check_separation, _coupling_floor,
+                                    _curve_distance, _neumann_sum,
+                                    _top_speed, b_field,
                                     coupling_coefficient, field_map,
                                     mutual_inductance)
-from mqslink.geometry import (HELICAL, CoilSpec, Pose, Scenario, apply_pose,
-                              build_filament_coil, scenario_poses)
+from mqslink.geometry import (HELICAL, CoilSpec, FilamentCoil, Pose, Scenario,
+                              apply_pose, build_filament_coil, scenario_poses,
+                              turn_radii)
 from nominal import L_RX, L_TX, M_NOMINAL, NOMINAL, RX, TX
-from references import (_ellipke, coaxial_mutual_oracle, disk_frames,
-                        flux_mutual_inductance, polyline)
+from references import (_ellipke, closest_approach, coaxial_mutual_oracle,
+                        disk_frames, flux_mutual_inductance, polyline)
 
 # pytest.approx adds an absolute tolerance of 1e-12 unless given one,
 # which would swamp any relative tolerance on inductances of ~1e-10 H;
@@ -46,8 +47,8 @@ def _loop(radius, wire=1e-4):
     return build_filament_coil(spec, _SPT)
 
 
-def _nominal_pair(rx_spec=RX):
-    tx_pose, rx_pose = scenario_poses(NOMINAL)
+def _nominal_pair(rx_spec=RX, scenario=NOMINAL):
+    tx_pose, rx_pose = scenario_poses(scenario)
     tx = apply_pose(build_filament_coil(TX, _SPT), tx_pose)
     rx = apply_pose(build_filament_coil(rx_spec, _SPT), rx_pose)
     return tx, rx
@@ -575,10 +576,20 @@ def test_curve_distance_reads_an_offset_along_a_normal(spec):
 
 def test_closest_approach_of_coaxial_loops_is_the_closed_form():
     for r1, r2, z in ((0.02, 0.0195, 0.001), (0.02, 0.021, 0.0), (0.02, 0.02, 0.002)):
+        gap = math.hypot(r1 - r2, z)
         a = _loop(r1)
         b = apply_pose(_loop(r2), Pose(center=(0.0, 0.0, z)))
-        assert _closest_approach(a, b) == pytest.approx(math.hypot(r1 - r2, z),
-                                                        rel=1e-12, abs=0)
+        assert closest_approach(a, b) == pytest.approx(gap, rel=1e-12, abs=0)
+        # the check raises with the wire just thicker than the gap, and
+        # passes with it just thinner
+        for wire in (gap * (1 + 1e-3), gap * (1 - 1e-3)):
+            a = _loop(r1, wire)
+            b = apply_pose(_loop(r2, wire), Pose(center=(0.0, 0.0, z)))
+            if wire > gap:
+                with pytest.raises(SeparationError):
+                    _check_separation(a, b)
+            else:
+                _check_separation(a, b)
 
 
 # --------------------------------------------------------------- field_map
@@ -928,12 +939,64 @@ def test_spectral_route_still_checks_separation():
 
 # ------------------------------------------------- separation check
 
-def test_far_coils_skip_the_pairwise_separation_pass(monkeypatch):
-    def pairwise(*args):
-        raise AssertionError("pairwise pass ran for well separated coils")
+def _points_per_level(monkeypatch, tx, rx):
+    # the points of each _curve_distance call of one check, one call
+    # per level of runs of samples
+    calls = []
+    distance = field_coupling._curve_distance
 
-    monkeypatch.setattr(field_coupling, "_closest_approach", pairwise)
-    _check_separation(*_nominal_pair())
+    def counted(coil, points):
+        calls.append(len(points))
+        return distance(coil, points)
+
+    monkeypatch.setattr(field_coupling, "_curve_distance", counted)
+    _check_separation(tx, rx)
+    return calls
+
+
+def test_far_coils_settle_the_separation_check_in_few_levels(monkeypatch):
+    # the nominal pair settles on the ends of the tx's level-0 runs of
+    # samples, two a turn, and the rx is never sampled
+    assert _points_per_level(monkeypatch, *_nominal_pair()) == [2 * TX.turns + 1]
+    # close poses, where each coil's bounding ball holds the other's
+    # centre, within two levels
+    for x_eye, z_eye in ((0.03, 0.05), (0.0, 0.06)):
+        pair = _nominal_pair(scenario=replace(NOMINAL, x_eye=x_eye, z_eye=z_eye))
+        assert len(_points_per_level(monkeypatch, *pair)) <= 2
+
+
+def test_near_equator_coil_refines_only_its_outer_end(monkeypatch):
+    # a helical rx whose sphere only just clears its outer turn is fast
+    # near that end alone, so it takes no more points than one well
+    # inside its sphere, within a factor of 2
+    scenario = replace(NOMINAL, x_eye=0.03, z_eye=0.05)
+    r_out = float(turn_radii(RX).max())
+    near, inside = (
+        sum(_points_per_level(monkeypatch, *_nominal_pair(
+            replace(RX, shape=HELICAL, sphere_radius=r_out * (1.0 + rel)), scenario)))
+        for rel in (1e-9, 1e-2))
+    assert near <= 2 * inside
+
+
+def test_separation_check_measures_the_dense_samples(monkeypatch):
+    # coaxial loops just outside the threshold leave no run of samples
+    # cleared, so the check measures every sample both ways; they are
+    # np.linspace's angles at arc steps of at most the threshold
+    a = _loop(0.02)
+    b = apply_pose(_loop(0.02), Pose(center=(0.0, 0.0, a.wire_diameter * (1 + 1e-6))))
+    angles = []
+    curve = FilamentCoil.curve
+
+    def recorded(coil, phi):
+        angles.append(phi)
+        return curve(coil, phi)
+
+    monkeypatch.setattr(FilamentCoil, "curve", recorded)
+    _check_separation(a, b)
+    per_turn = math.ceil(2.0 * math.pi * _top_speed(a.spec) / a.wire_diameter)
+    assert np.array_equal(np.unique(np.concatenate(angles)),
+                          np.linspace(0.0, 2.0 * math.pi, per_turn + 1))
+    assert sum(map(len, angles)) > 2 * per_turn
 
 
 _SMALL = CoilSpec(turns=2, inner_radius=8e-3, wire_diameter=1e-3,
@@ -944,13 +1007,20 @@ _SMALL = CoilSpec(turns=2, inner_radius=8e-3, wire_diameter=1e-3,
 @given(center=st.tuples(*[st.floats(-0.02, 0.02)] * 3),
        scale=st.sampled_from([1.0, 10.0]),
        tilt_a=st.floats(0.0, 360.0), tilt_b=st.floats(0.0, 360.0))
+@example(center=(0.0, 0.0, _SMALL.wire_diameter * (1 - 1e-3)), scale=1.0, tilt_a=0.0, tilt_b=0.0)
+@example(center=(0.0, 0.0, _SMALL.wire_diameter * (1 + 1e-3)), scale=1.0, tilt_a=0.0, tilt_b=0.0)
+# 0.81 thresholds apart, nearest at the outer end of one coil
+@example(center=(-0.0069, 0.0073, -0.0087), scale=1.0, tilt_a=252.0, tilt_b=318.0)
+# 0.94 thresholds apart, within one threshold only at samples of the
+# coil sampled second
+@example(center=(-0.0022, -0.00966, 0.00818), scale=1.0, tilt_a=240.7, tilt_b=24.1)
 def test_separation_early_out_agrees_with_the_exact_pass(center, scale,
                                                          tilt_a, tilt_b):
     a = apply_pose(build_filament_coil(_SMALL, 24), Pose(tilt_angle_deg=tilt_a))
     b = apply_pose(build_filament_coil(_SMALL, 24),
                    Pose(center=tuple(scale * c for c in center),
                         tilt_angle_deg=tilt_b))
-    exact = _closest_approach(a, b) <= _SMALL.wire_diameter
+    exact = closest_approach(a, b) <= _SMALL.wire_diameter
     try:
         _check_separation(a, b)
     except SeparationError:
@@ -971,6 +1041,8 @@ def test_bad_arguments_are_rejected_before_any_integral():
     tx, rx = _nominal_pair()
     with pytest.raises(ValueError, match=r"^tolerance must be > 0, got 0$"):
         mutual_inductance(tx, rx, tolerance=0)
+    with pytest.raises(ValueError, match=r"^tolerance must be > 0, got nan$"):
+        mutual_inductance(tx, rx, tolerance=math.nan)
     with pytest.raises(ValueError, match=r"3-vector or \(n, 3\) array, got shape \(2,\)$"):
         b_field(tx, 1.0, (0.0, 0.1))
 
@@ -980,6 +1052,10 @@ def test_coupling_coefficient_rejects_unphysical_m():
         coupling_coefficient(1e-6, 1e-6, 1e-6)     # |k| = 1
     with pytest.raises(ValueError):
         coupling_coefficient(1e-9, 0.0, 1e-6)
+    for args in ((math.nan, 1e-6, 1e-6), (1e-9, math.nan, 1e-6), (1e-9, 1e-6, math.nan),
+                 (1e-9, math.inf, 1e-6), (math.inf, 1e-6, 1e-6)):
+        with pytest.raises(ValueError, match="finite"):
+            coupling_coefficient(*args)
 
 
 def test_coupling_result_validation():
