@@ -241,8 +241,10 @@ def tune_capacitance(l: float, f0: float, parasitic: Optional[float] = None) -> 
     value, since the parallel parasitic then dominates the series
     capacitor and the tuning loses meaning.
     """
-    if l <= 0 or f0 <= 0:
-        raise ValueError("inductance and frequency must be > 0")
+    if not (0 < l < math.inf and 0 < f0 < math.inf):
+        raise ValueError("inductance and frequency must be finite and > 0")
+    if parasitic is not None and not 0 < parasitic < math.inf:
+        raise ValueError(f"parasitic must be finite and > 0, got {parasitic!r}")
     c = 1.0 / ((2.0 * math.pi * f0) ** 2 * l)
     if parasitic is not None and parasitic >= c:
         warnings.warn(
@@ -259,8 +261,8 @@ def receiver_capacitance(l_tx: float, c_tx: float, l_rx: float) -> float:
     C_rx = L_tx*C_tx/L_rx, i.e. L_tx*C_tx = L_rx*C_rx, so the two
     1/(2 pi sqrt(LC)) frequencies coincide.
     """
-    if l_tx <= 0 or c_tx <= 0 or l_rx <= 0:
-        raise ValueError("all arguments must be > 0")
+    if not all(0 < x < math.inf for x in (l_tx, c_tx, l_rx)):
+        raise ValueError("all arguments must be finite and > 0")
     return l_tx * c_tx / l_rx
 
 
@@ -285,8 +287,11 @@ def received_power(v_rx, r_load: float) -> float:
     cycle-average dissipation of a sinusoid); kept in that form so
     levels compare directly against voltage-derived link budgets.
     """
-    if r_load <= 0:
-        raise ValueError(f"r_load must be > 0, got {r_load!r}")
+    bad = np.asarray(v_rx)[~np.isfinite(v_rx)]
+    if bad.size:
+        raise ValueError(f"v_rx must be finite, got {bad[0].item()!r}")
+    if not 0 < r_load < math.inf:
+        raise ValueError(f"r_load must be finite and > 0, got {r_load!r}")
     return abs(v_rx) ** 2 / r_load
 
 

@@ -57,6 +57,14 @@ def _snr_linear(snr_db: float, convention: str) -> float:
     raise ValueError(f"convention must be {VOLTAGE!r} or {POWER!r}, got {convention!r}")
 
 
+def _check_budget(noise_floor_dbv: float, convention: str) -> None:
+    """Reject a NaN or infinite noise floor and an unknown convention in the
+    words of CapacityReport and channel_capacity, before any solve."""
+    if not math.isfinite(noise_floor_dbv):
+        raise ValueError(f"noise_floor_dbv must be finite, got {noise_floor_dbv!r}")
+    _snr_linear(0.0, convention)          # raises for an unknown convention
+
+
 @dataclass(frozen=True)
 class CapacityReport:
     """Shannon link budget at one operating point."""
@@ -131,27 +139,26 @@ class BandwidthCapacityRow:
         return self.bandwidth_hz is None
 
 
-def _band_edges(freqs: np.ndarray, mag_db: np.ndarray, drop_db: float) -> Tuple[float, float]:
-    """Outermost crossings of (peak - drop_db), linear interpolation in dB.
-    Next to a zero of h (-inf dB) the crossing is the sample at or above
-    the threshold, the limit of that interpolation."""
-    peak = float(np.max(mag_db))
-    thr = peak - drop_db
-    above = mag_db >= thr
-    i_lo = int(np.argmax(above))                      # first index at/above
-    i_hi = len(above) - 1 - int(np.argmax(above[::-1]))  # last index at/above
-    sides = [s for s, trunc in (("low", i_lo == 0), ("high", i_hi == len(above) - 1))
-             if trunc]
-    if sides:
-        raise TruncatedBandError(
-            f"{drop_db:g} dB band extends past the grid edge on the {' and '.join(sides)} side")
-    j = np.array([i_lo - 1, i_hi])        # each edge lies in [j, j + 1]
-    lo, hi = mag_db[j], mag_db[j + 1]     # only the low edge's lo can be -inf
-    with np.errstate(invalid="ignore"):
-        t = (thr - lo) / (hi - lo)
-    f_low, f_high = np.where(lo == -np.inf, freqs[j + 1],
-                             freqs[j] + t * (freqs[j + 1] - freqs[j])).tolist()
-    return f_low, f_high
+def _bands(freqs: np.ndarray, mag: np.ndarray, drop) -> Tuple[np.ndarray, ...]:
+    """Peak, (rows, 2) edges at (peak - drop) and low/high cut masks of each dB
+    row of mag (rows, F); drop is a scalar or one value per row. Edges interpolate
+    linearly in dB; next to a zero of h (-inf dB) an edge is the sample at or above
+    the threshold, that interpolation's limit. A cut side's edge is meaningless."""
+    peak = np.max(mag, axis=1)
+    thr = peak - drop
+    above = mag >= thr[:, None]
+    n = mag.shape[1]
+    i_lo = np.argmax(above, axis=1)                      # first index at/above
+    i_hi = n - 1 - np.argmax(above[:, ::-1], axis=1)     # last index at/above
+    cut_low, cut_high = i_lo == 0, i_hi == n - 1
+    # each edge lies in [j, j + 1]; a cut side clamps j (to -1 on a one-point grid)
+    j = np.minimum(np.maximum(np.stack([i_lo - 1, i_hi], axis=1), 0), n - 2)
+    rows = np.arange(len(mag))[:, None]
+    lo, hi = mag[rows, j], mag[rows, j + 1]   # uncut, only the low edge's lo can be -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (thr[:, None] - lo) / (hi - lo)
+        edges = np.where(lo == -np.inf, freqs[j + 1], freqs[j] + t * (freqs[j + 1] - freqs[j]))
+    return peak, edges, cut_low, cut_high
 
 
 def snr_db(signal_dbv: float, noise_floor_dbv: float) -> float:
@@ -168,22 +175,9 @@ def channel_capacity(bw: float, snr_db: float, convention: str = VOLTAGE) -> flo
     """
     if not 0 < bw < math.inf:
         raise ValueError(f"bandwidth must be finite and > 0, got {bw!r}")
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db!r}")
     return bw * math.log2(1.0 + _snr_linear(snr_db, convention))
-
-
-def _peak_level(h: np.ndarray, v_source: float) -> Tuple[np.ndarray, float]:
-    """|h| in dB, and the received peak level in dBV at amplitude v_source.
-    h may be the transfer ratio or its magnitude."""
-    mag = path_loss_db(h)
-    return mag, float(np.max(mag)) + path_loss_db(v_source)
-
-
-def _band_capacity(freqs: np.ndarray, mag: np.ndarray, signal: float,
-                   noise_floor_dbv: float, convention: str) -> Tuple[float, float]:
-    """3 dB bandwidth of mag (dB), and the capacity at peak level signal (dBV)."""
-    f_low, f_high = _band_edges(freqs, mag, 3.0)
-    bw = f_high - f_low
-    return bw, channel_capacity(bw, snr_db(signal, noise_floor_dbv), convention)
 
 
 def capacity_report(spectrum: Spectrum, noise_floor_dbv: float = DEFAULT_NOISE_FLOOR_DBV,
@@ -192,12 +186,17 @@ def capacity_report(spectrum: Spectrum, noise_floor_dbv: float = DEFAULT_NOISE_F
     path_loss_db(h) plus path_loss_db(spectrum.v_source). The band's
     outermost crossings interpolate linearly in dB; past a grid edge the
     band raises TruncatedBandError."""
-    mag, signal = _peak_level(spectrum.h, spectrum.v_source)
-    bw, cap = _band_capacity(spectrum.frequencies, mag, signal, noise_floor_dbv, convention)
-    return CapacityReport(
-        bandwidth_hz=bw, signal_dbv=signal, noise_floor_dbv=noise_floor_dbv,
-        snr_db=snr_db(signal, noise_floor_dbv), capacity_bps=cap, convention=convention,
-    )
+    _check_budget(noise_floor_dbv, convention)
+    peak, edges, cut_low, cut_high = _bands(spectrum.frequencies,
+                                            path_loss_db(spectrum.h)[None], 3.0)
+    sides = " and ".join(s for s, cut in (("low", cut_low[0]), ("high", cut_high[0])) if cut)
+    if sides:
+        raise TruncatedBandError(f"3 dB band extends past the grid edge on the {sides} side")
+    f_low, f_high = edges[0].tolist()
+    signal = float(peak[0]) + path_loss_db(spectrum.v_source)
+    snr = snr_db(signal, noise_floor_dbv)
+    return CapacityReport(f_high - f_low, signal, noise_floor_dbv, snr,
+                          channel_capacity(f_high - f_low, snr, convention), convention)
 
 
 def capacity_vs_bandwidth(spectrum: Spectrum, noise_floor_dbv: float = DEFAULT_NOISE_FLOOR_DBV,
@@ -209,18 +208,21 @@ def capacity_vs_bandwidth(spectrum: Spectrum, noise_floor_dbv: float = DEFAULT_N
     the peak level as in capacity_report. Rows whose band runs off the
     grid are masked, not dropped.
     """
-    mag, peak = _peak_level(spectrum.h, spectrum.v_source)
+    _check_budget(noise_floor_dbv, convention)
+    thresholds = np.arange(1.0, 31.0)
+    mag = np.broadcast_to(path_loss_db(spectrum.h), (len(thresholds), len(spectrum.h)))
+    peak, edges, cut_low, cut_high = _bands(spectrum.frequencies, mag, thresholds)
+    level = float(peak[0]) + path_loss_db(spectrum.v_source)
     rows = []
-    for threshold in range(1, 31):
-        signal = peak - threshold
-        try:
-            f_low, f_high = _band_edges(spectrum.frequencies, mag, float(threshold))
-        except TruncatedBandError:
-            rows.append(BandwidthCapacityRow(float(threshold), None, None, None, None, None))
+    for threshold, (f_low, f_high), cut in zip(thresholds.tolist(), edges.tolist(),
+                                               (cut_low | cut_high).tolist()):
+        if cut:
+            rows.append(BandwidthCapacityRow(threshold, None, None, None, None, None))
             continue
+        signal = level - threshold
         bw = f_high - f_low
         cap = channel_capacity(bw, snr_db(signal, noise_floor_dbv), convention)
-        rows.append(BandwidthCapacityRow(float(threshold), f_low, f_high, bw, signal, cap))
+        rows.append(BandwidthCapacityRow(threshold, f_low, f_high, bw, signal, cap))
     return tuple(rows)
 
 
@@ -264,22 +266,30 @@ def scenario_mutual_inductance(sc: Scenario, segments_per_turn: int = 360) -> fl
     return mutual_inductance(tx, rx).m
 
 
-def _sweep_row(value: float, freqs: np.ndarray, h: np.ndarray, v_source: float,
-               r_load: float, noise_floor_dbv: float, convention: str) -> SweepRow:
-    """Peak, 3 dB band and capacity of one transfer-ratio row h over freqs:
-    capacity_report's, with the band and capacity masked where it raises
-    TruncatedBandError. p_rx_w is received_power of the linear peak."""
+def _sweep_rows(values: List[float], freqs: np.ndarray, h: np.ndarray, v_source: float,
+                r_loads: List[float], noise_floor_dbv: float, convention: str) -> List[SweepRow]:
+    """Peak, 3 dB band and capacity of each transfer-ratio row of h
+    (rows, F) over freqs: capacity_report's, with the band and capacity
+    masked where the band runs off the grid, and the whole row masked
+    where h is 0 throughout. p_rx_w is received_power of the linear peak
+    at that row's load."""
     mags = np.abs(h)
-    pk = int(np.argmax(mags))
-    if mags[pk] == 0.0:
-        return SweepRow(value, None, None, None, None, None)
-    mag, signal = _peak_level(mags, v_source)
-    try:
-        bw, cap = _band_capacity(freqs, mag, signal, noise_floor_dbv, convention)
-    except TruncatedBandError:
+    pk = np.argmax(mags, axis=1)
+    peak, edges, cut_low, cut_high = _bands(freqs, path_loss_db(mags), 3.0)
+    rows = []
+    for i, value in enumerate(values):
+        top = float(mags[i, pk[i]])
+        if top == 0.0:
+            rows.append(SweepRow(value, None, None, None, None, None))
+            continue
+        signal = float(peak[i]) + path_loss_db(v_source)
         bw = cap = None
-    return SweepRow(value, signal, float(freqs[pk]), bw, cap,
-                    received_power(float(mags[pk]) * v_source, r_load))
+        if not (cut_low[i] or cut_high[i]):
+            bw = float(edges[i, 1] - edges[i, 0])
+            cap = channel_capacity(bw, snr_db(signal, noise_floor_dbv), convention)
+        rows.append(SweepRow(value, signal, float(freqs[pk[i]]), bw, cap,
+                             received_power(top * v_source, r_loads[i])))
+    return rows
 
 
 def _sweep_values(values: Sequence[float]) -> List[float]:
@@ -312,6 +322,7 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float], grid=No
     warning. Terminations, source and coil losses are sc's (see
     scenario_link): set them on sc to sweep another link.
     """
+    _check_budget(noise_floor_dbv, convention)
     if axis not in SWEEP_RANGES:
         raise ValueError(f"axis must be one of {sorted(SWEEP_RANGES)}, got {axis!r}")
     field, lo, hi, unit = SWEEP_RANGES[axis]
@@ -327,8 +338,8 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float], grid=No
         try:
             m = scenario_mutual_inductance(replace(sc, **{field: value}))
             spectrum = frequency_sweep(replace(nominal, m=m), sweep_grid)
-            rows.append(_sweep_row(value, spectrum.frequencies, spectrum.h, nominal.v_source,
-                                   nominal.r_load, noise_floor_dbv, convention))
+            rows += _sweep_rows([value], sweep_grid, spectrum.h[None], nominal.v_source,
+                                [nominal.r_load], noise_floor_dbv, convention)
         except (ConvergenceError, SeparationError, SingularEvaluationError) as exc:
             rows.append(SweepRow(value, None, None, None, None, None))
             warnings.warn(f"{axis} = {value:g} {unit}: point masked: {exc}", stacklevel=2)
@@ -345,16 +356,16 @@ def resistance_sweep(link: LinkCircuit, field: str, values: Sequence[float],
                      grid=None, noise_floor_dbv: float = DEFAULT_NOISE_FLOOR_DBV,
                      convention: str = VOLTAGE) -> SweepResult:
     """Re-terminate one side (field is r_source or r_load) and summarize."""
+    _check_budget(noise_floor_dbv, convention)
     if field not in ("r_source", "r_load"):
         raise ValueError(f"field must be r_source or r_load, got {field!r}")
     sweep_grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     vals = _sweep_values(values)
     rows = []
     for block, h in termination_scan(link, field, np.array(vals), sweep_grid):
-        for v, row in zip(block.tolist(), h):
-            r_load = v if field == "r_load" else link.r_load
-            rows.append(_sweep_row(v, sweep_grid, row, link.v_source, r_load,
-                                   noise_floor_dbv, convention))
+        r_loads = block.tolist() if field == "r_load" else [link.r_load] * len(block)
+        rows += _sweep_rows(block.tolist(), sweep_grid, h, link.v_source, r_loads,
+                            noise_floor_dbv, convention)
     return SweepResult(unit="ohm", rows=tuple(rows))
 
 

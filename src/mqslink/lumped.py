@@ -112,8 +112,8 @@ def skin_depth(f, sigma: float):
     bad = farr[~(np.isfinite(farr) & (farr > 0))]
     if bad.size:
         raise ValueError(f"frequency must be finite and > 0, got {bad[0].item()!r}")
-    if sigma <= 0:
-        raise ValueError(f"conductivity must be > 0, got {sigma!r}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"conductivity must be finite and > 0, got {sigma!r}")
     delta = 1.0 / np.sqrt(math.pi * farr * sigma * MU0)
     return float(delta) if np.ndim(f) == 0 else delta
 

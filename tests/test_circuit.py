@@ -60,6 +60,16 @@ def test_tune_capacitance_rejects_nonpositive_inputs():
         tune_capacitance(L_TX, -1.0)
     with pytest.raises(ValueError):
         receiver_capacitance(L_TX, 0.0, L_RX)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^inductance and frequency must be finite and > 0$"):
+            tune_capacitance(bad, 26e6)
+        with pytest.raises(ValueError, match="^inductance and frequency must be finite and > 0$"):
+            tune_capacitance(L_TX, bad)
+        with pytest.raises(ValueError, match="^all arguments must be finite and > 0$"):
+            receiver_capacitance(bad, 1e-12, 1e-7)
+    for bad in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match=f"^parasitic must be finite and > 0, got {bad!r}$"):
+            tune_capacitance(L_TX, 26e6, parasitic=bad)
 
 
 def test_dominant_parasitic_triggers_a_warning():
@@ -442,6 +452,14 @@ def test_received_power_is_amplitude_squared_over_load():
     assert received_power(3 + 4j, 100.0) == pytest.approx(0.25)
     with pytest.raises(ValueError):
         received_power(1.0, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^r_load must be finite and > 0, got {bad!r}$"):
+            received_power(1.0, bad)
+    for bad in (math.nan, math.inf, -math.inf, complex(1.0, math.nan)):
+        with pytest.raises(ValueError, match="^v_rx must be finite, got"):
+            received_power(bad, 1.0)
+    with pytest.raises(ValueError, match="^v_rx must be finite, got inf$"):
+        received_power(np.array([1.0, math.inf]), 1.0)
 
 
 def test_path_loss_handles_zeros_and_scales():

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mqslink import circuit, field_coupling, link_analysis
@@ -108,6 +108,9 @@ def test_channel_capacity_validation():
             channel_capacity(bw, 30.0)
     with pytest.raises(ValueError, match="convention"):
         channel_capacity(1e6, 30.0, convention="amplitude")
+    for snr in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^snr_db must be finite, got {snr!r}$"):
+            channel_capacity(1e6, snr)
 
 
 def test_capacity_report_of_the_nominal_link(nominal_spectrum):
@@ -166,6 +169,31 @@ def test_link_budget_values_reject_nan_and_infinities(cls, name, bad):
     cls(**_VALUES[cls])
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         cls(**{**_VALUES[cls], name: bad})
+
+
+@pytest.mark.parametrize("noise, convention, match", [
+    (math.nan, VOLTAGE, "^noise_floor_dbv must be finite, got nan$"),
+    (math.inf, VOLTAGE, "^noise_floor_dbv must be finite, got inf$"),
+    (-math.inf, VOLTAGE, "^noise_floor_dbv must be finite, got -inf$"),
+    (-85.0, "bogus", "^convention must be 'voltage' or 'power', got 'bogus'$")])
+def test_a_bad_noise_floor_or_convention_is_named_before_any_solve(
+        monkeypatch, nominal_spectrum, noise, convention, match):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return mutual_inductance(*args, **kwargs)
+
+    monkeypatch.setattr(link_analysis, "mutual_inductance", counted)
+    budget = dict(noise_floor_dbv=noise, convention=convention)
+    link = scenario_link(NOMINAL, m=M_NOMINAL)
+    for budget_of in (lambda: capacity_report(nominal_spectrum, **budget),
+                      lambda: capacity_vs_bandwidth(nominal_spectrum, **budget),
+                      lambda: resistance_sweep(link, "r_load", [1.0, 10.0], **budget),
+                      lambda: misalignment_sweep(NOMINAL, TX_ANGLE, [10.0, 20.0], **budget)):
+        with pytest.raises(ValueError, match=match):
+            budget_of()
+    assert calls == []
 
 
 def test_threshold_study_masks_offgrid_rows_and_ranks_the_rest(nominal_spectrum):
@@ -269,6 +297,14 @@ def test_angle_sweep_rows_are_ordered_and_live():
         assert row.peak_db < 0
         assert row.p_rx_w > 0
         assert 25e6 <= row.peak_freq_hz <= 27e6
+        # each row is the capacity report of its own spectrum, bit for bit
+        m = scenario_mutual_inductance(replace(NOMINAL, tx_angle_deg=row.value))
+        spectrum = frequency_sweep(replace(scenario_link(NOMINAL, 0.0), m=m), grid)
+        report = capacity_report(spectrum)
+        p_rx = received_power(float(np.max(np.abs(spectrum.h))) * NOMINAL.v_source,
+                              NOMINAL.r_load)
+        assert (row.peak_db, row.bw3db_hz, row.capacity_bps, row.p_rx_w) == \
+            (report.signal_dbv, report.bandwidth_hz, report.capacity_bps, p_rx)
 
 
 def test_unreachable_tolerance_masks_points_instead_of_failing(monkeypatch):
@@ -410,8 +446,9 @@ def test_dual_mode_rejects_bad_load_grids():
 
 
 # ------------------------------------------------- per-load reference scans
-# The scans once re-solved the whole spectrum per load; these copies of
-# that loop are the reference the row-block scans must equal exactly.
+# The scans once re-solved the whole spectrum per load, and the threshold
+# study found each band in its own pass; these copies of those loops are
+# the reference the row-block scans and the one band pass must equal exactly.
 
 def _per_load_sweep(link, field, values, grid, convention):
     rows = []
@@ -432,6 +469,41 @@ def _per_load_sweep(link, field, values, grid, convention):
         rows.append(SweepRow(v, peak_db, float(spectrum.frequencies[pk]), bw, cap,
                              received_power(float(mags[pk]) * link.v_source,
                                             varied.r_load)))
+    return tuple(rows)
+
+
+def _band_edges(freqs, mag_db, drop_db):
+    """Outermost crossings of (peak - drop_db), linear interpolation in dB;
+    next to a zero of h, the sample at or above. None past a grid edge."""
+    peak = float(np.max(mag_db))
+    thr = peak - drop_db
+    above = mag_db >= thr
+    i_lo = int(np.argmax(above))
+    i_hi = len(above) - 1 - int(np.argmax(above[::-1]))
+    if i_lo == 0 or i_hi == len(above) - 1:
+        return None
+    j = np.array([i_lo - 1, i_hi])
+    lo, hi = mag_db[j], mag_db[j + 1]
+    with np.errstate(invalid="ignore"):
+        t = (thr - lo) / (hi - lo)
+    return tuple(np.where(lo == -np.inf, freqs[j + 1],
+                          freqs[j] + t * (freqs[j + 1] - freqs[j])).tolist())
+
+
+def _per_threshold_study(spectrum, convention):
+    mag = path_loss_db(spectrum.h)
+    peak = float(np.max(mag)) + path_loss_db(spectrum.v_source)
+    rows = []
+    for threshold in range(1, 31):
+        signal = peak - threshold
+        edges = _band_edges(spectrum.frequencies, mag, float(threshold))
+        if edges is None:
+            rows.append(BandwidthCapacityRow(float(threshold), None, None, None, None, None))
+            continue
+        f_low, f_high = edges
+        bw = f_high - f_low
+        cap = channel_capacity(bw, snr_db(signal, -85.0), convention)
+        rows.append(BandwidthCapacityRow(float(threshold), f_low, f_high, bw, signal, cap))
     return tuple(rows)
 
 
@@ -514,6 +586,39 @@ def test_a_sweep_row_is_the_capacity_report_of_its_spectrum(drawn, convention):
         peak = float(np.max(path_loss_db(spectrum.h))) + path_loss_db(link.v_source)
         expected = (peak, None, None)
     assert (row.peak_db, row.bw3db_hz, row.capacity_bps) == expected
+
+
+@st.composite
+def _studied_spectra(draw):
+    """A random link's spectrum on 1 to 1001 points, with up to four
+    samples near the peak, or now and then every sample, set to a zero of h."""
+    link, grid = draw(_random_links(parasitics=True))
+    spectrum = frequency_sweep(link, np.linspace(grid[0], grid[-1],
+                                                 draw(st.sampled_from([1, 5, 201, 1001]))))
+    h = spectrum.h.copy()
+    pk = int(np.argmax(np.abs(h)))
+    if draw(st.integers(0, 9)) == 9:
+        h[:] = 0.0
+    for offset in draw(st.lists(st.integers(-12, 12), max_size=4)):
+        h[min(max(pk + offset, 0), len(h) - 1)] = 0.0
+    return replace(spectrum, h=h), draw(st.sampled_from([VOLTAGE, POWER]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_studied_spectra())
+@example((Spectrum(frequencies=np.array([1e6, 2e6, 3e6, 4e6, 5e6]),
+                   h=np.array([0.1, 0.0, 1.0, 0.0, 0.1]), z11=np.ones(5)), VOLTAGE))
+def test_threshold_study_equals_the_per_threshold_loop(drawn):
+    # untuned draws are flat, so their bands run off the grid; a peak
+    # sample between two zeros of h has a 0 Hz band, rejected alike
+    spectrum, convention = drawn
+    outcomes = []
+    for study in (capacity_vs_bandwidth, _per_threshold_study):
+        try:
+            outcomes.append(study(spectrum, convention=convention))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_load_scans_solve_in_bounded_blocks_without_frequency_sweep(monkeypatch):

@@ -134,6 +134,9 @@ def test_skin_depth_rejects_nonpositive_inputs():
         skin_depth(0.0, COPPER_CONDUCTIVITY)
     with pytest.raises(ValueError):
         skin_depth(26e6, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^conductivity must be finite and > 0, got {bad!r}$"):
+            skin_depth(26e6, bad)
 
 
 def test_ac_resistance_frozen_values():
