@@ -823,16 +823,17 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> RunRe
     for section, req in config.requests.items():
         before = len(timings)
         t0 = time.perf_counter()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+        # a request's notes are kept whether or not it completes
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
                 files = req.run(config, grid, out, build_link, spectrum)
-            warn_list.extend(f"{section}: {w.message}" for w in caught)
-            outputs.append((section, files))
-            _log.info("%s -> %s (%.2f s)", section, ", ".join(files),
-                      time.perf_counter() - t0)
-        except Exception as exc:
-            failures.append(f"{section}: {exc}")
+                outputs.append((section, files))
+                _log.info("%s -> %s (%.2f s)", section, ", ".join(files),
+                          time.perf_counter() - t0)
+            except Exception as exc:
+                failures.append(f"{section}: {exc}")
+        warn_list.extend(f"{section}: {w.message}" for w in caught)
         # exclusive: a nominal M computed on the way has its own entry
         nested = sum(s for _, s in timings[before:])
         timings.append((section, time.perf_counter() - t0 - nested))

@@ -15,12 +15,13 @@ are sized so their planes stay in a core's L2 cache, which leaves B's
 last bits to the BLAS summation order of each block's rows.
 A point near the wire starts from the uniform panels bisected only
 where they are long against their distance to it, so only the panels
-near it refine, and sums its own nodes in a fixed order. The wire
-masks and the coil separation check read the distance to the curve:
-the nearest field node's distance, less the node slack, bounds it from
-below, and the exact distance (a nearest node polished by Gauss-Newton
-steps on the winding angle) runs only for points that bound cannot
-clear; it is elementwise, so masks do not depend on the blocking.
+near it refine, and sums its own nodes in a fixed order. Every point
+is summed on the uniform panels first, and one radius around the
+level-0 nodes routes it: a point beyond it shares the uniform panels
+and is clear of the wire, and every other point is masked by its exact
+distance to the curve (a nearest node polished by Gauss-Newton steps on
+the winding angle) and, if valid, halves its own panels. That distance
+is elementwise, so masks do not depend on the blocking.
 The separation check samples each coil at arc steps of one wire
 diameter against the other's exact curve, cutting runs of samples until
 the distances at their ends, less the node slack and half their arc,
@@ -39,7 +40,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -192,16 +193,11 @@ def _uniform_panels(turns: int, level: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.arange(count) * width, np.full(count, width)
 
 
-def _node_sum(points: np.ndarray, nodes: np.ndarray, dl: np.ndarray,
-              skip_within: Optional[float] = None):
-    """sum dl x (p - r)/|p - r|^3 over the nodes, at each point.
-
-    With skip_within, also each point's nearest-node distance; rows
-    within skip_within of a node are left zero, which keeps points on
-    the wire out of the reciprocal.
-    """
-    b = np.zeros((len(points), 3))
-    nearest = np.full(len(points), math.inf)
+def _node_sum(points: np.ndarray, nodes: np.ndarray, dl: np.ndarray):
+    """sum dl x (p - r)/|p - r|^3 over the nodes, at each point, and each
+    point's nearest-node distance."""
+    b = np.empty((len(points), 3))
+    nearest = np.empty(len(points))
     pt, nt = np.ascontiguousarray(points.T), np.ascontiguousarray(nodes.T)
     rows = max(1, _BLOCK_PAIRS // len(nodes))
     # planes: point - node as x, y, z, then r^2 (turned into |r|^-3 in
@@ -215,17 +211,7 @@ def _node_sum(points: np.ndarray, nodes: np.ndarray, dl: np.ndarray,
         np.multiply(rel[0], rel[0], out=w)
         for k in (1, 2):
             w += np.multiply(rel[k], rel[k], out=s)
-        keep = slice(None)
-        if skip_within is not None:
-            near = np.sqrt(w.min(axis=1))
-            nearest[i0:i0 + rows] = near
-            keep = near > skip_within
-            if not keep.all():
-                # move the kept rows to the top of each plane
-                kept = np.count_nonzero(keep)
-                for plane in buf[:4, :p.shape[1]]:
-                    plane[:kept] = plane[keep]
-                *rel, w, s = buf[:, :kept]
+        nearest[i0:i0 + rows] = np.sqrt(w.min(axis=1))
         # |p - r|^-3, built in place
         np.sqrt(w, out=s)
         w *= s
@@ -235,9 +221,9 @@ def _node_sum(points: np.ndarray, nodes: np.ndarray, dl: np.ndarray,
         # beside the wire, where re-centring on a distant origin would
         # cancel several digits
         m = [np.multiply(w, r, out=s) @ dl for r in rel]
-        b[i0:i0 + rows][keep] = np.column_stack([m[2][:, 1] - m[1][:, 2],
-                                                 m[0][:, 2] - m[2][:, 0],
-                                                 m[1][:, 0] - m[0][:, 1]])
+        b[i0:i0 + rows] = np.column_stack([m[2][:, 1] - m[1][:, 2],
+                                           m[0][:, 2] - m[2][:, 0],
+                                           m[1][:, 0] - m[0][:, 1]])
     return b, nearest
 
 
@@ -448,46 +434,43 @@ def _curve_field(coil: FilamentCoil, points: np.ndarray, tolerance=None):
     within half a wire diameter of the winding curve; b is zero there.
     Each level sums Biot-Savart, mu0/4pi sum dl x (p - r)/|p - r|^3, over
     Gauss-Legendre panels of winding angle, and halves every panel for
-    the next. Points clear of the wire share uniform panels; each point
-    near it starts from the uniform panels bisected where they reach
-    beyond _PANEL_REACH times their distance to it, so only the panels
-    near it refine. A point stops once its estimate, the change of its
-    last halving relative to max(|B|, a floor at the coil's field
-    scale) plus its rounding, is at most `tolerance` (a scalar or one
-    per point; _FIELD_TOLERANCE by default). Points still above it at
-    the level cap keep their last estimate.
+    the next. Every point sums level 0 on the uniform panels; one beyond
+    `clear` of every node shares them from there, and every other one is
+    masked by its exact curve distance and, if valid, starts from the
+    uniform panels bisected where they reach beyond _PANEL_REACH times
+    their distance to it, so only the panels near it refine. A point
+    stops once its estimate, the change of its last halving relative to
+    max(|B|, a floor at the coil's field scale) plus its rounding, is at
+    most `tolerance` (a scalar or one per point; _FIELD_TOLERANCE by
+    default). Points still above it at the level cap keep their last
+    estimate.
     """
     ladder = _Ladder(coil, points, tolerance)
     turns, speed = coil.spec.turns, ladder.speed
 
     # level 0 on the uniform panels, with the nearest-node distance. A
     # point of the curve lies within `slack` of a node (half the widest
-    # node gap, or the gap at a panel's end), so points further than
-    # `reach` from every node lie outside the exclusion zone
+    # node gap, or the gap at a panel's end), so a point further than
+    # `clear` from every node lies outside the exclusion zone and at
+    # least 1/_PANEL_REACH of a uniform panel's length from the curve
     start, width = _uniform_panels(turns, 0)
     frac = (_gauss_legendre(_PANEL_NODES)[0] + 1.0) / 2.0
     slack = width[0] * speed * max(np.diff(frac).max() / 2.0, frac[0])
     exclusion = coil.wire_diameter / 2.0
-    reach = exclusion + slack
-    # points further than `clear` from every node lie at least
-    # 1/_PANEL_REACH of a uniform panel's length from the curve, and
-    # share the uniform panels; level 0 sums only those
-    clear = max(reach, width[0] * speed / _PANEL_REACH + slack)
-    b0, nearest = _node_sum(ladder.local, *_panel_nodes(coil.spec, start, width),
-                            skip_within=clear)
-    # only points the bound cannot clear (with a margin far above
-    # rounding) need the exact curve distance
-    valid = np.ones(len(points), dtype=bool)
-    unsure = np.flatnonzero(nearest - reach <= 1e-9 * (nearest + reach))
-    if len(unsure):
-        valid[unsure[_curve_distance(coil, points[unsure]) <= exclusion]] = False
-    shared = nearest > clear
-    shared[unsure] = False
-
+    clear = max(exclusion, width[0] * speed / _PANEL_REACH) + slack
+    # a point on a node sums to inf or nan, and is masked below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b0, nearest = _node_sum(ladder.local, *_panel_nodes(coil.spec, start, width))
+    # beyond `clear` by a margin far above rounding
+    shared = nearest - clear > 1e-9 * (nearest + clear)
     todo = np.flatnonzero(shared)
     ladder.shared(todo, b0[todo], nearest[todo] - slack)
-    # every other valid point, a bounded number at a time
-    todo = np.flatnonzero(valid & ~shared)
+    near = np.flatnonzero(~shared)
+    valid = np.ones(len(points), dtype=bool)
+    if len(near):
+        valid[near] = _curve_distance(coil, points[near]) > exclusion
+    # the valid near points, a bounded number at a time
+    todo = near[valid[near]]
     for i0 in range(0, len(todo), _OWN_POINTS):
         ladder.own(todo[i0:i0 + _OWN_POINTS])
     b = ladder.b @ coil.rotation.T
@@ -514,6 +497,8 @@ def b_field(coil: FilamentCoil, current: float, point) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(point, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"point must be a 3-vector or (n, 3) array, got shape {np.shape(point)}")
+    if not np.isfinite(pts).all():
+        raise ValueError("point must be finite")
     b, valid, estimate = _curve_field(coil, pts)
     if not valid.all():
         worst = float(_curve_distance(coil, pts[~valid]).min())

@@ -20,8 +20,7 @@ import numpy as np
 
 from .geometry import Scenario, apply_pose, build_filament_coil, check_fields, scenario_poses
 from .lumped import estimate_inductance
-from .field_coupling import (ConvergenceError, SeparationError,
-                             SingularEvaluationError, mutual_inductance)
+from .field_coupling import ConvergenceError, SeparationError, mutual_inductance
 from .circuit import (LinkCircuit, Spectrum, default_grid, frequency_sweep,
                       path_loss_db, received_power, receiver_capacitance,
                       termination_scan, tune_capacitance)
@@ -140,10 +139,12 @@ class BandwidthCapacityRow:
 
 
 def _bands(freqs: np.ndarray, mag: np.ndarray, drop) -> Tuple[np.ndarray, ...]:
-    """Peak, (rows, 2) edges at (peak - drop) and low/high cut masks of each dB
-    row of mag (rows, F); drop is a scalar or one value per row. Edges interpolate
-    linearly in dB; next to a zero of h (-inf dB) an edge is the sample at or above
-    the threshold, that interpolation's limit. A cut side's edge is meaningless."""
+    """Peak, (rows, 2) edges at (peak - drop), low/high cut masks and a
+    zero-width mask of each dB row of mag (rows, F); drop is a scalar or one
+    value per row. Edges interpolate linearly in dB; next to a zero of h (-inf
+    dB) an edge is the sample at or above the threshold, that interpolation's
+    limit, so a lone sample between two zeros has coinciding edges. A cut
+    side's edge is meaningless."""
     peak = np.max(mag, axis=1)
     thr = peak - drop
     above = mag >= thr[:, None]
@@ -158,7 +159,7 @@ def _bands(freqs: np.ndarray, mag: np.ndarray, drop) -> Tuple[np.ndarray, ...]:
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (thr[:, None] - lo) / (hi - lo)
         edges = np.where(lo == -np.inf, freqs[j + 1], freqs[j] + t * (freqs[j + 1] - freqs[j]))
-    return peak, edges, cut_low, cut_high
+    return peak, edges, cut_low, cut_high, edges[:, 0] == edges[:, 1]
 
 
 def snr_db(signal_dbv: float, noise_floor_dbv: float) -> float:
@@ -185,14 +186,16 @@ def capacity_report(spectrum: Spectrum, noise_floor_dbv: float = DEFAULT_NOISE_F
     """Budget at the 3 dB bandwidth of a spectrum's peak, whose level is
     path_loss_db(h) plus path_loss_db(spectrum.v_source). The band's
     outermost crossings interpolate linearly in dB; past a grid edge the
-    band raises TruncatedBandError."""
+    band raises TruncatedBandError, and a band of zero width ValueError."""
     _check_budget(noise_floor_dbv, convention)
-    peak, edges, cut_low, cut_high = _bands(spectrum.frequencies,
-                                            path_loss_db(spectrum.h)[None], 3.0)
+    peak, edges, cut_low, cut_high, empty = _bands(spectrum.frequencies,
+                                                   path_loss_db(spectrum.h)[None], 3.0)
     sides = " and ".join(s for s, cut in (("low", cut_low[0]), ("high", cut_high[0])) if cut)
     if sides:
         raise TruncatedBandError(f"3 dB band extends past the grid edge on the {sides} side")
     f_low, f_high = edges[0].tolist()
+    if empty[0]:
+        raise ValueError(f"3 dB band has zero width: both edges at {f_low!r} Hz")
     signal = float(peak[0]) + path_loss_db(spectrum.v_source)
     snr = snr_db(signal, noise_floor_dbv)
     return CapacityReport(f_high - f_low, signal, noise_floor_dbv, snr,
@@ -206,16 +209,16 @@ def capacity_vs_bandwidth(spectrum: Spectrum, noise_floor_dbv: float = DEFAULT_N
     Widening the accepted band costs signal level; each row reports the
     band at (peak - threshold) and the capacity at that reduced level,
     the peak level as in capacity_report. Rows whose band runs off the
-    grid are masked, not dropped.
+    grid or has zero width are masked, not dropped.
     """
     _check_budget(noise_floor_dbv, convention)
     thresholds = np.arange(1.0, 31.0)
     mag = np.broadcast_to(path_loss_db(spectrum.h), (len(thresholds), len(spectrum.h)))
-    peak, edges, cut_low, cut_high = _bands(spectrum.frequencies, mag, thresholds)
+    peak, edges, cut_low, cut_high, empty = _bands(spectrum.frequencies, mag, thresholds)
     level = float(peak[0]) + path_loss_db(spectrum.v_source)
     rows = []
     for threshold, (f_low, f_high), cut in zip(thresholds.tolist(), edges.tolist(),
-                                               (cut_low | cut_high).tolist()):
+                                               (cut_low | cut_high | empty).tolist()):
         if cut:
             rows.append(BandwidthCapacityRow(threshold, None, None, None, None, None))
             continue
@@ -270,12 +273,12 @@ def _sweep_rows(values: List[float], freqs: np.ndarray, h: np.ndarray, v_source:
                 r_loads: List[float], noise_floor_dbv: float, convention: str) -> List[SweepRow]:
     """Peak, 3 dB band and capacity of each transfer-ratio row of h
     (rows, F) over freqs: capacity_report's, with the band and capacity
-    masked where the band runs off the grid, and the whole row masked
-    where h is 0 throughout. p_rx_w is received_power of the linear peak
-    at that row's load."""
+    masked where the band runs off the grid or has zero width, and the
+    whole row masked where h is 0 throughout. p_rx_w is received_power
+    of the linear peak at that row's load."""
     mags = np.abs(h)
     pk = np.argmax(mags, axis=1)
-    peak, edges, cut_low, cut_high = _bands(freqs, path_loss_db(mags), 3.0)
+    peak, edges, cut_low, cut_high, empty = _bands(freqs, path_loss_db(mags), 3.0)
     rows = []
     for i, value in enumerate(values):
         top = float(mags[i, pk[i]])
@@ -284,7 +287,7 @@ def _sweep_rows(values: List[float], freqs: np.ndarray, h: np.ndarray, v_source:
             continue
         signal = float(peak[i]) + path_loss_db(v_source)
         bw = cap = None
-        if not (cut_low[i] or cut_high[i]):
+        if not (cut_low[i] or cut_high[i] or empty[i]):
             bw = float(edges[i, 1] - edges[i, 0])
             cap = channel_capacity(bw, snr_db(signal, noise_floor_dbv), convention)
         rows.append(SweepRow(value, signal, float(freqs[pk[i]]), bw, cap,
@@ -340,7 +343,7 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float], grid=No
             spectrum = frequency_sweep(replace(nominal, m=m), sweep_grid)
             rows += _sweep_rows([value], sweep_grid, spectrum.h[None], nominal.v_source,
                                 [nominal.r_load], noise_floor_dbv, convention)
-        except (ConvergenceError, SeparationError, SingularEvaluationError) as exc:
+        except (ConvergenceError, SeparationError) as exc:
             rows.append(SweepRow(value, None, None, None, None, None))
             warnings.warn(f"{axis} = {value:g} {unit}: point masked: {exc}", stacklevel=2)
     if axis == LATERAL and any(v == 0.0 for v in vals):

@@ -9,6 +9,7 @@ import runpy
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import MISSING, asdict, astuple, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -825,6 +826,31 @@ def test_failing_request_is_isolated(tmp_path, capsys):
     assert [o["request"] for o in report["outputs"]] == ["field_map"]
     assert (out / "field_map.csv").exists()
     assert not (out / "spectrum_tuned.csv").exists()
+
+
+class _NotingRequest:
+    """A request that warns and then fails, or succeeds, as told."""
+
+    def __init__(self, note, error=None):
+        self.note, self.error = note, error
+
+    def run(self, config, grid, out, build_link, spectrum):
+        warnings.warn(self.note)
+        if self.error is not None:
+            raise self.error
+        return ("kept.csv",)
+
+
+def test_a_failed_requests_warnings_reach_the_report(tmp_path):
+    # a sweep may mask points and then fail to write its CSV: its notes
+    # are kept beside its failure
+    config = replace(parse_text(tmp_path, ""), requests={
+        "stub": _NotingRequest("half the rows masked", OSError("disk full")),
+        "fine": _NotingRequest("all rows kept")})
+    report = run_scenario(config, out_dir=str(tmp_path / "out"))
+    assert report.warnings[-2:] == ("stub: half the rows masked", "fine: all rows kept")
+    assert report.failures == ("stub: disk full",)
+    assert report.outputs == (("fine", ("kept.csv",)),)
 
 
 def test_a_failed_request_prints_one_stderr_line(tmp_path):

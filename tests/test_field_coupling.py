@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -322,9 +323,9 @@ def test_kernel_blocks_leave_masks_and_fields_unchanged(spec, monkeypatch):
 # Each reads the module's block budget when called, so it blocks as the
 # kernel does; the kernels must reproduce them bit for bit.
 
-def _broadcast_node_sum(points, nodes, dl, skip_within=None):
-    b = np.zeros((len(points), 3))
-    nearest = np.full(len(points), math.inf)
+def _broadcast_node_sum(points, nodes, dl):
+    b = np.empty((len(points), 3))
+    nearest = np.empty(len(points))
     rows = max(1, field_coupling._BLOCK_PAIRS // len(nodes))
     for i0 in range(0, len(points), rows):
         p = points[i0:i0 + rows]
@@ -332,20 +333,14 @@ def _broadcast_node_sum(points, nodes, dl, skip_within=None):
         w = rel[0] * rel[0]
         w += rel[1] * rel[1]
         w += rel[2] * rel[2]
-        keep = slice(None)
-        if skip_within is not None:
-            near = np.sqrt(w.min(axis=1))
-            nearest[i0:i0 + rows] = near
-            keep = near > skip_within
-            if not keep.all():
-                rel, w = [r[keep] for r in rel], w[keep]
+        nearest[i0:i0 + rows] = np.sqrt(w.min(axis=1))
         s = np.sqrt(w)
         w *= s
         np.reciprocal(w, out=w)
         m = [np.multiply(w, r, out=s) @ dl for r in rel]
-        b[i0:i0 + rows][keep] = np.column_stack([m[2][:, 1] - m[1][:, 2],
-                                                 m[0][:, 2] - m[2][:, 0],
-                                                 m[1][:, 0] - m[0][:, 1]])
+        b[i0:i0 + rows] = np.column_stack([m[2][:, 1] - m[1][:, 2],
+                                           m[0][:, 2] - m[2][:, 0],
+                                           m[1][:, 0] - m[0][:, 1]])
     return b, nearest
 
 
@@ -365,40 +360,29 @@ def _shared_panels(coil, level):
         coil.spec, *field_coupling._uniform_panels(coil.spec.turns, level))
 
 
-# near-node distance that drops rows of the grazing points' blocks
-_SKIP = 2e-3
-
-
 @pytest.mark.parametrize("block_pairs", [None, 1000], ids=["default", "small"])
 def test_pair_kernels_match_their_broadcast_form(block_pairs, monkeypatch):
-    # a ragged last block, blocks with rows dropped between kept ones,
-    # and (with a small budget) many blocks
+    # a ragged last block and (with a small budget) many blocks
     if block_pairs is not None:
         monkeypatch.setattr(field_coupling, "_BLOCK_PAIRS", block_pairs)
     coil = build_filament_coil(_DOME, 64)
     pts = _grazing_points(coil)
-    nodes, dl = _shared_panels(coil, 0)
-    rows = field_coupling._BLOCK_PAIRS // len(nodes)
+    rows = field_coupling._BLOCK_PAIRS // len(_shared_panels(coil, 0)[0])
     assert 1 < rows < len(pts) and len(pts) % rows
-    want = _broadcast_node_sum(pts, nodes, dl, skip_within=_SKIP)
-    dropped = want[1] <= _SKIP
-    assert any(blk.any() and not blk[0] and not blk[-1]
-               for blk in np.split(dropped, range(rows, len(pts), rows)))
-    for got, ref in zip(field_coupling._node_sum(pts, nodes, dl, skip_within=_SKIP), want):
-        assert np.array_equal(got, ref)
-    nodes, dl = _shared_panels(coil, 2)
-    assert np.array_equal(field_coupling._node_sum(pts, nodes, dl)[0],
-                          _broadcast_node_sum(pts, nodes, dl)[0])
+    for level in (0, 2):
+        nodes, dl = _shared_panels(coil, level)
+        for got, ref in zip(field_coupling._node_sum(pts, nodes, dl),
+                            _broadcast_node_sum(pts, nodes, dl)):
+            assert np.array_equal(got, ref)
 
 
 def test_pair_kernels_match_their_broadcast_form_at_one_point():
     coil = build_filament_coil(_DOME, 64)
     pt = np.array([[0.003, -0.001, 0.002]])
     nodes, dl = _shared_panels(coil, 1)
-    for skip in (None, _SKIP, 1.0):
-        for got, ref in zip(field_coupling._node_sum(pt, nodes, dl, skip_within=skip),
-                            _broadcast_node_sum(pt, nodes, dl, skip_within=skip)):
-            assert np.array_equal(got, ref)
+    for got, ref in zip(field_coupling._node_sum(pt, nodes, dl),
+                        _broadcast_node_sum(pt, nodes, dl)):
+        assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("tilted", [False, True], ids=["nominal", "tilted"])
@@ -427,7 +411,7 @@ def test_pair_kernels_keep_block_sized_buffers():
     axis = np.outer(np.linspace(0.05, 1.0, 4_000), [0.0, 0.0, 1.0])
     nodes, dl = _shared_panels(coil, 0)
     calls = [
-        (lambda: field_coupling._node_sum(pts, nodes, dl, skip_within=_SKIP),
+        (lambda: field_coupling._node_sum(pts, nodes, dl),
          field_coupling._BLOCK_PAIRS, 7 * 8 * len(pts)),
         # per point: its coordinates in the coil's frame, their
         # contiguous copy and its distance. On the axis far out, every
@@ -498,8 +482,8 @@ _MASK_COIL = apply_pose(
                 min_size=1, max_size=40))
 def test_vertex_early_out_masks_exactly_the_points_inside_the_wire(draws):
     # points at 0..5 exclusion radii from a spot on the curve straddle
-    # both the exclusion radius and the early-out reach (exclusion plus
-    # the level-0 node slack, about 3 exclusion radii here)
+    # both the exclusion radius and the routing radius `clear` (about 4.7
+    # exclusion radii here)
     coil = _MASK_COIL
     exclusion = coil.wire_diameter / 2.0
     pts = []
@@ -525,6 +509,53 @@ def test_maps_far_from_the_wire_skip_the_curve_distance_pass(monkeypatch):
                     axis2_points=7)
     b = field_map(tx, 1.0, grid)
     assert b.shape == (63, 3) and np.isfinite(b).all()
+
+
+@pytest.mark.parametrize("spec", [_FLAT, _DOME], ids=["flat", "helical"])
+def test_only_points_within_the_clear_radius_take_the_curve_distance(spec, monkeypatch):
+    # the level-0 nodes' slack and the radius beyond which a point
+    # shares the uniform panels, as the field kernel defines them
+    coil = apply_pose(build_filament_coil(spec, 64),
+                      Pose(center=(0.01, -0.002, 0.03), tilt_angle_deg=37.0))
+    pts = _grazing_points(coil)
+    start, width = field_coupling._uniform_panels(spec.turns, 0)
+    frac = (field_coupling._gauss_legendre(field_coupling._PANEL_NODES)[0] + 1.0) / 2.0
+    speed = _top_speed(spec)
+    slack = width[0] * speed * max(np.diff(frac).max() / 2.0, frac[0])
+    clear = max(coil.wire_diameter / 2.0, width[0] * speed / field_coupling._PANEL_REACH) + slack
+    local = (pts - coil.origin) @ coil.rotation
+    _, nearest = _broadcast_node_sum(local, *_shared_panels(coil, 0))
+    # no point so close to the radius that the routing margin decides it
+    assert np.all(np.abs(nearest - clear) > 1e-6 * clear)
+    within = nearest <= clear
+    assert 0 < np.count_nonzero(within) < len(pts)
+
+    seen = []
+    distance = field_coupling._curve_distance
+
+    def recorded(c, points):
+        seen.append(points.copy())
+        return distance(c, points)
+
+    monkeypatch.setattr(field_coupling, "_curve_distance", recorded)
+    field_coupling._curve_field(coil, pts)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], pts[within])
+
+
+def test_a_point_on_a_level0_node_is_masked_without_warnings():
+    # its level-0 sum divides by a zero distance; the map masks the
+    # point and no RuntimeWarning escapes
+    coil = build_filament_coil(_FLAT, 64)
+    nodes, _ = field_coupling._panel_nodes(_FLAT, *field_coupling._uniform_panels(_FLAT.turns, 0))
+    x, y, z = nodes[37]
+    grid = GridSpec(plane="xy", offset=z, axis1_start=x, axis1_stop=x + 1e-3, axis1_points=2,
+                    axis2_start=y, axis2_stop=y + 1e-3, axis2_points=2)
+    assert np.array_equal(grid.points()[0], nodes[37])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = field_map(coil, 1.0, grid)
+    assert np.isnan(b[0]).all() and np.isfinite(b[1:]).all()
 
 
 def test_every_point_on_the_exact_curve_is_masked():
@@ -1045,6 +1076,9 @@ def test_bad_arguments_are_rejected_before_any_integral():
         mutual_inductance(tx, rx, tolerance=math.nan)
     with pytest.raises(ValueError, match=r"3-vector or \(n, 3\) array, got shape \(2,\)$"):
         b_field(tx, 1.0, (0.0, 0.1))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^point must be finite$"):
+            b_field(tx, 1.0, [[0.0, 0.0, 0.1], [0.0, bad, 0.1]])
 
 
 def test_coupling_coefficient_rejects_unphysical_m():

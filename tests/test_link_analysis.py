@@ -87,6 +87,24 @@ def test_a_band_edge_next_to_a_zero_of_h_is_the_sample_above(h, zero_side):
     assert row.bandwidth_hz == pytest.approx(1109241.108, abs=1e-3)
 
 
+def test_a_band_between_two_zeros_of_h_is_masked_and_named():
+    # both edges of a lone sample between zeros of h fall on it: thresholds
+    # 1..26 dB give bands of zero width, masked like a cut band in the
+    # threshold study and the sweep rows; from 27 dB the band reaches the
+    # -26.02 dB samples and is live
+    freqs = np.arange(1.0, 8.0) * 1e6
+    h = np.array([0.01, 0.05, 0.0, 1.0, 0.0, 0.05, 0.01])
+    spectrum = Spectrum(frequencies=freqs, h=h, z11=np.ones(7))
+    study = capacity_vs_bandwidth(spectrum)
+    assert [row.masked for row in study] == [True] * 26 + [False] * 4
+    assert all(row.f_low_hz < 2e6 and row.f_high_hz > 6e6 for row in study[26:])
+    with pytest.raises(ValueError, match=r"^3 dB band has zero width: both edges at 4000000\.0 Hz$"):
+        capacity_report(spectrum)
+    (row,) = link_analysis._sweep_rows([1.0], freqs, h[None], 1.0, [50.0], -85.0, VOLTAGE)
+    assert (row.peak_db, row.peak_freq_hz, row.bw3db_hz, row.capacity_bps) == \
+        (0.0, 4e6, None, None)
+
+
 # --------------------------------------------------------------- capacity
 
 def test_snr_is_a_level_difference():
@@ -497,7 +515,7 @@ def _per_threshold_study(spectrum, convention):
     for threshold in range(1, 31):
         signal = peak - threshold
         edges = _band_edges(spectrum.frequencies, mag, float(threshold))
-        if edges is None:
+        if edges is None or edges[0] == edges[1]:
             rows.append(BandwidthCapacityRow(float(threshold), None, None, None, None, None))
             continue
         f_low, f_high = edges
@@ -610,15 +628,10 @@ def _studied_spectra(draw):
                    h=np.array([0.1, 0.0, 1.0, 0.0, 0.1]), z11=np.ones(5)), VOLTAGE))
 def test_threshold_study_equals_the_per_threshold_loop(drawn):
     # untuned draws are flat, so their bands run off the grid; a peak
-    # sample between two zeros of h has a 0 Hz band, rejected alike
+    # sample between two zeros of h has a 0 Hz band, masked alike
     spectrum, convention = drawn
-    outcomes = []
-    for study in (capacity_vs_bandwidth, _per_threshold_study):
-        try:
-            outcomes.append(study(spectrum, convention=convention))
-        except ValueError as exc:
-            outcomes.append(str(exc))
-    assert outcomes[0] == outcomes[1]
+    assert capacity_vs_bandwidth(spectrum, convention=convention) == \
+        _per_threshold_study(spectrum, convention)
 
 
 def test_load_scans_solve_in_bounded_blocks_without_frequency_sweep(monkeypatch):
