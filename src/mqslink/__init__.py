@@ -11,9 +11,9 @@ laptop.
 
 from .cli import (ConfigError, RunReport, ScenarioConfig, main, parse_config,
                   run_scenario)
-from .circuit import (LinkCircuit, Spectrum, default_grid, frequency_sweep,
-                      path_loss_db, received_power, receiver_capacitance,
-                      tune_capacitance, tx_power)
+from .circuit import (LinkCircuit, Spectrum, frequency_sweep, path_loss_db,
+                      received_power, receiver_capacitance, tune_capacitance,
+                      tx_power)
 from .constants import MU0
 from .field_coupling import (ConvergenceError, CouplingResult, GridSpec,
                              SeparationError, SingularEvaluationError,

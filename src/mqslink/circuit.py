@@ -1,7 +1,7 @@
 """Resonant two-coil circuit: the terminated series-series link.
 
-Each side is a series tuning capacitor and a coil with its ESR (fixed,
-or its CoilSpec's skin-effect resistance), with an optional parasitic
+Each side is a series tuning capacitor and a coil with its loss (a
+fixed resistance, or its CoilSpec's), with an optional parasitic
 capacitance across the coil; the source resistance and the load close
 the sides. The response is bilinear in those two terminations (Pozar,
 Microwave Engineering, 4th ed., 2012, sec. 4.3): one denominator
@@ -21,6 +21,7 @@ p_rx_*) is |V|^2/R, twice that, so a ratio of the two reads efficiency 2x high.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -37,9 +38,9 @@ FrequencyLike = Union[float, np.ndarray]
 class LinkCircuit:
     """Lumped model of the full link at one geometric configuration.
 
-    Coil losses are fixed (r_coil_tx / r_coil_rx) unless esr_tx / esr_rx
-    holds a CoilSpec; that side then uses the coil's skin-effect
-    resistance, evaluated on the whole frequency grid at once.
+    esr_tx / esr_rx is a coil's loss: a fixed resistance (ohm), or a
+    CoilSpec, which gives its resistance_override when supplied and
+    else its skin-effect resistance on the whole frequency grid at once.
     c_tx / c_rx are the series tuning capacitors; absent (None) means
     that side is untuned, the capacitor position shorted. Parasitic
     capacitances, when supplied, sit in parallel with their coil.
@@ -50,41 +51,41 @@ class LinkCircuit:
     m: float
     r_source: float
     r_load: float
-    r_coil_tx: float = 0.0
-    r_coil_rx: float = 0.0
     c_tx: Optional[float] = None
     c_rx: Optional[float] = None
     v_source: float = 1.0
     parasitic_tx: Optional[float] = None
     parasitic_rx: Optional[float] = None
-    esr_tx: Optional[CoilSpec] = None
-    esr_rx: Optional[CoilSpec] = None
+    esr_tx: Union[float, CoilSpec] = 0.0
+    esr_rx: Union[float, CoilSpec] = 0.0
 
     def __post_init__(self):
+        fixed = [n for n in ("esr_tx", "esr_rx") if not isinstance(getattr(self, n), CoilSpec)]
+        for name in fixed:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a resistance or a CoilSpec, got {value!r}")
         check_fields(self, positive=("l_tx", "l_rx", "r_source", "r_load", "c_tx", "c_rx",
                                      "v_source", "parasitic_tx", "parasitic_rx"),
-                     nonnegative=("r_coil_tx", "r_coil_rx"))
+                     nonnegative=fixed)
         if self.m * self.m > self.l_tx * self.l_rx:
             raise ValueError(
                 f"m^2 = {self.m * self.m!r} exceeds l_tx*l_rx = {self.l_tx * self.l_rx!r} "
                 "(coupling coefficient above 1)"
             )
-        for name in ("esr_tx", "esr_rx"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, CoilSpec):
-                raise TypeError(f"{name} must be a CoilSpec or None, got {value!r}")
 
     def coil_resistance_tx(self, f: FrequencyLike) -> np.ndarray:
-        return _coil_resistance(self.esr_tx, self.r_coil_tx, f)
+        return _coil_resistance(self.esr_tx, f)
 
     def coil_resistance_rx(self, f: FrequencyLike) -> np.ndarray:
-        return _coil_resistance(self.esr_rx, self.r_coil_rx, f)
+        return _coil_resistance(self.esr_rx, f)
 
 
-def _coil_resistance(spec: Optional[CoilSpec], r_fixed: float, f: FrequencyLike) -> np.ndarray:
-    """Coil loss (ohm) at each f: the spec's skin-effect ESR, else r_fixed."""
-    r = r_fixed if spec is None else ac_resistance(spec, f)
-    return np.broadcast_to(r, np.shape(f)).astype(float)[()]
+def _coil_resistance(esr: Union[float, CoilSpec], f: FrequencyLike) -> np.ndarray:
+    """Coil loss (ohm) at each f of a LinkCircuit's esr_tx or esr_rx."""
+    if isinstance(esr, CoilSpec):
+        esr = ac_resistance(esr, f) if esr.resistance_override is None else esr.resistance_override
+    return np.broadcast_to(esr, np.shape(f)).astype(float)[()]
 
 
 def _check_grid(f: np.ndarray) -> None:
@@ -264,11 +265,6 @@ def receiver_capacitance(l_tx: float, c_tx: float, l_rx: float) -> float:
     if not all(0 < x < math.inf for x in (l_tx, c_tx, l_rx)):
         raise ValueError("all arguments must be finite and > 0")
     return l_tx * c_tx / l_rx
-
-
-def default_grid() -> np.ndarray:
-    """Standard sweep grid: 20-30 MHz, 1001 points."""
-    return np.linspace(20e6, 30e6, 1001)
 
 
 def frequency_sweep(link: LinkCircuit, grid) -> Spectrum:

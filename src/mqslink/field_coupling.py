@@ -499,6 +499,8 @@ def b_field(coil: FilamentCoil, current: float, point) -> np.ndarray:
         raise ValueError(f"point must be a 3-vector or (n, 3) array, got shape {np.shape(point)}")
     if not np.isfinite(pts).all():
         raise ValueError("point must be finite")
+    if not math.isfinite(current):
+        raise ValueError(f"current must be finite, got {current!r}")
     b, valid, estimate = _curve_field(coil, pts)
     if not valid.all():
         worst = float(_curve_distance(coil, pts[~valid]).min())
@@ -518,6 +520,8 @@ def field_map(coil: FilamentCoil, current: float, grid: GridSpec) -> np.ndarray:
     aborting the map. Points that stop at the refinement cap above
     tolerance raise one warning with their count and worst estimate.
     """
+    if not math.isfinite(current):
+        raise ValueError(f"current must be finite, got {current!r}")
     b, valid, estimate = _curve_field(coil, grid.points())
     _warn_unconverged(estimate, valid)
     b *= float(current)

@@ -29,17 +29,19 @@ def check_fields(value, positive=(), nonnegative=(), counts=None) -> None:
     """Apply a record's finiteness, count and sign rules to the dataclass
     instance value; each ValueError starts with the field's name.
 
-    Every float field (Python or numpy) must be finite. Then, in the
-    order the fields are declared, each field named in counts (a dict of
-    field -> least value) must be an integer (Python or numpy, not a
-    bool) at least that value, and each field named in positive must be
-    > 0 and each in nonnegative >= 0, unless it is None.
+    Only init fields are checked (a record derives the others). Every
+    float field (Python or numpy) must be finite. Then, in the order the
+    fields are declared, each field named in counts (a dict of field ->
+    least value) must be an integer (Python or numpy, not a bool) at
+    least that value, and each field named in positive must be > 0 and
+    each in nonnegative >= 0, unless it is None.
     """
-    for f in fields(value):
+    given = [f for f in fields(value) if f.init]
+    for f in given:
         x = getattr(value, f.name)
         if isinstance(x, (float, np.floating)) and not math.isfinite(x):
             raise ValueError(f"{f.name} must be finite, got {x!r}")
-    for f in fields(value):
+    for f in given:
         x = getattr(value, f.name)
         least = (counts or {}).get(f.name)
         if least is not None and (isinstance(x, bool) or not isinstance(x, (int, np.integer))
@@ -72,7 +74,7 @@ class CoilSpec:
     sphere_radius : float, optional
         Sphere radius for the helical shape (m). Defaults to 12 mm. It
         must exceed the outermost turn radius, where the winding's sag
-        would otherwise turn vertical.
+        would otherwise turn vertical. A flat spiral takes none.
     conductivity : float
         Wire conductivity sigma (S/m). Default is copper.
     parasitic_capacitance : float, optional
@@ -104,6 +106,8 @@ class CoilSpec:
                      counts={"turns": 1})
         if self.shape not in (FLAT_SPIRAL, HELICAL):
             raise ValueError(f"shape must be {FLAT_SPIRAL!r} or {HELICAL!r}, got {self.shape!r}")
+        if self.shape == FLAT_SPIRAL and self.sphere_radius is not None:
+            raise ValueError(f"sphere_radius {self.sphere_radius!r} is for the helical shape only")
         if self.shape == HELICAL:
             r_sphere = self.sphere_radius if self.sphere_radius is not None else DEFAULT_SPHERE_RADIUS
             r_max = float(turn_radii(self)[-1])

@@ -1,9 +1,10 @@
 """Link budgets and parametric studies on top of the circuit solver.
 
-Bandwidth extraction, Shannon capacity under the voltage-ratio SNR
-reading (the power-ratio form is selectable), misalignment sweeps that
-rebuild the geometry per point, and source/load impedance studies on
-circuit.termination_scan. Sweep notes are warnings.
+Bandwidth extraction, Shannon capacity under a voltage- or power-ratio
+SNR reading, misalignment sweeps that rebuild the geometry per point,
+and source/load impedance studies on circuit.termination_scan. Sweep
+notes are warnings. The caller gives every run setting: the frequency
+grid, a dual-mode study's loads, the noise floor and the SNR convention.
 
 Levels are in dBV of the received amplitude, path_loss_db(h) plus
 path_loss_db(v_source); with a 1 V source they read as the transfer ratio.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,14 +22,11 @@ import numpy as np
 from .geometry import Scenario, apply_pose, build_filament_coil, check_fields, scenario_poses
 from .lumped import estimate_inductance
 from .field_coupling import ConvergenceError, SeparationError, mutual_inductance
-from .circuit import (LinkCircuit, Spectrum, default_grid, frequency_sweep,
-                      path_loss_db, received_power, receiver_capacitance,
-                      termination_scan, tune_capacitance)
+from .circuit import (LinkCircuit, Spectrum, frequency_sweep, path_loss_db, received_power,
+                      receiver_capacitance, termination_scan, tune_capacitance)
 
 VOLTAGE = "voltage"
 POWER = "power"
-
-DEFAULT_NOISE_FLOOR_DBV = -85.0
 
 TX_ANGLE = "tx_angle"
 LATERAL = "lateral"
@@ -66,24 +64,22 @@ def _check_budget(noise_floor_dbv: float, convention: str) -> None:
 
 @dataclass(frozen=True)
 class CapacityReport:
-    """Shannon link budget at one operating point."""
+    """Shannon link budget at one operating point; snr_db and
+    capacity_bps are computed from the other fields."""
 
     bandwidth_hz: float
     signal_dbv: float
     noise_floor_dbv: float
-    snr_db: float
-    capacity_bps: float
-    convention: str = VOLTAGE
+    snr_db: float = field(init=False)
+    capacity_bps: float = field(init=False)
+    convention: str
 
     def __post_init__(self):
-        check_fields(self, positive=("bandwidth_hz",), nonnegative=("capacity_bps",))
-        if abs(self.snr_db - (self.signal_dbv - self.noise_floor_dbv)) > 1e-9:
-            raise ValueError("snr_db inconsistent with signal and noise levels")
-        expected = self.bandwidth_hz * math.log2(1.0 + _snr_linear(self.snr_db, self.convention))
-        if abs(self.capacity_bps - expected) > 1e-12 * max(abs(expected), 1.0):
-            raise ValueError(
-                f"capacity_bps {self.capacity_bps!r} inconsistent with BW*log2(1+SNR) = {expected!r}"
-            )
+        check_fields(self, positive=("bandwidth_hz",))
+        snr = snr_db(self.signal_dbv, self.noise_floor_dbv)
+        object.__setattr__(self, "snr_db", snr)
+        object.__setattr__(self, "capacity_bps",
+                           channel_capacity(self.bandwidth_hz, snr, self.convention))
 
 
 @dataclass(frozen=True)
@@ -167,12 +163,12 @@ def snr_db(signal_dbv: float, noise_floor_dbv: float) -> float:
     return signal_dbv - noise_floor_dbv
 
 
-def channel_capacity(bw: float, snr_db: float, convention: str = VOLTAGE) -> float:
+def channel_capacity(bw: float, snr_db: float, convention: str) -> float:
     """Shannon capacity BW*log2(1 + SNR_linear) in bit/s.
 
-    The default reads snr_db as a voltage ratio (10^(snr/20)), matching
-    link budgets quoted in dBV; convention="power" selects the standard
-    power-ratio form 10^(snr/10).
+    convention="voltage" reads snr_db as a voltage ratio (10^(snr/20)),
+    matching link budgets quoted in dBV; convention="power" selects the
+    standard power-ratio form 10^(snr/10).
     """
     if not 0 < bw < math.inf:
         raise ValueError(f"bandwidth must be finite and > 0, got {bw!r}")
@@ -181,8 +177,8 @@ def channel_capacity(bw: float, snr_db: float, convention: str = VOLTAGE) -> flo
     return bw * math.log2(1.0 + _snr_linear(snr_db, convention))
 
 
-def capacity_report(spectrum: Spectrum, noise_floor_dbv: float = DEFAULT_NOISE_FLOOR_DBV,
-                    convention: str = VOLTAGE) -> CapacityReport:
+def capacity_report(spectrum: Spectrum, noise_floor_dbv: float,
+                    convention: str) -> CapacityReport:
     """Budget at the 3 dB bandwidth of a spectrum's peak, whose level is
     path_loss_db(h) plus path_loss_db(spectrum.v_source). The band's
     outermost crossings interpolate linearly in dB; past a grid edge the
@@ -196,14 +192,12 @@ def capacity_report(spectrum: Spectrum, noise_floor_dbv: float = DEFAULT_NOISE_F
     f_low, f_high = edges[0].tolist()
     if empty[0]:
         raise ValueError(f"3 dB band has zero width: both edges at {f_low!r} Hz")
-    signal = float(peak[0]) + path_loss_db(spectrum.v_source)
-    snr = snr_db(signal, noise_floor_dbv)
-    return CapacityReport(f_high - f_low, signal, noise_floor_dbv, snr,
-                          channel_capacity(f_high - f_low, snr, convention), convention)
+    return CapacityReport(f_high - f_low, float(peak[0]) + path_loss_db(spectrum.v_source),
+                          noise_floor_dbv, convention)
 
 
-def capacity_vs_bandwidth(spectrum: Spectrum, noise_floor_dbv: float = DEFAULT_NOISE_FLOOR_DBV,
-                          convention: str = VOLTAGE) -> Tuple[BandwidthCapacityRow, ...]:
+def capacity_vs_bandwidth(spectrum: Spectrum, noise_floor_dbv: float,
+                          convention: str) -> Tuple[BandwidthCapacityRow, ...]:
     """Capacity across detection thresholds 1..30 dB below the peak.
 
     Widening the accepted band costs signal level; each row reports the
@@ -233,9 +227,8 @@ def scenario_link(sc: Scenario, m: float, tuned: bool = True) -> LinkCircuit:
     """Assemble the LinkCircuit a scenario implies at mutual inductance m.
 
     Each coil's inductance is estimate_inductance of its spec, a measured
-    inductance_override when supplied. Each coil's loss is its spec's
-    resistance_override when supplied, else its skin-effect resistance on
-    the whole solver grid. Tuning capacitors (when tuned) resonate both
+    inductance_override when supplied, and its loss is the spec itself
+    (see LinkCircuit). Tuning capacitors (when tuned) resonate both
     meshes at the scenario's tuned_frequency using those inductances.
     """
     l_tx = estimate_inductance(sc.tx).value
@@ -250,10 +243,7 @@ def scenario_link(sc: Scenario, m: float, tuned: bool = True) -> LinkCircuit:
         c_tx=c_tx, c_rx=c_rx, v_source=sc.v_source,
         parasitic_tx=sc.tx.parasitic_capacitance,
         parasitic_rx=sc.rx.parasitic_capacitance,
-        r_coil_tx=sc.tx.resistance_override or 0.0,
-        r_coil_rx=sc.rx.resistance_override or 0.0,
-        esr_tx=sc.tx if sc.tx.resistance_override is None else None,
-        esr_rx=sc.rx if sc.rx.resistance_override is None else None,
+        esr_tx=sc.tx, esr_rx=sc.rx,
     )
 
 
@@ -311,9 +301,8 @@ def _sweep_values(values: Sequence[float]) -> List[float]:
     return vals
 
 
-def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float], grid=None,
-                       noise_floor_dbv: float = DEFAULT_NOISE_FLOOR_DBV,
-                       convention: str = VOLTAGE) -> SweepResult:
+def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float], grid,
+                       noise_floor_dbv: float, convention: str) -> SweepResult:
     """Re-pose the geometry along one axis and summarize each link.
 
     axis is a key of SWEEP_RANGES, whose row names the Scenario field
@@ -333,15 +322,15 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float], grid=No
     if vals[0] < lo or vals[-1] > hi:
         raise ValueError(f"{axis} values must lie within [{lo:g}, {hi:g}] {unit}")
 
-    sweep_grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    grid = np.asarray(grid, dtype=float)
     # fixes tuning; m replaced per point
     nominal = scenario_link(sc, m=0.0)
     rows = []
     for value in vals:
         try:
             m = scenario_mutual_inductance(replace(sc, **{field: value}))
-            spectrum = frequency_sweep(replace(nominal, m=m), sweep_grid)
-            rows += _sweep_rows([value], sweep_grid, spectrum.h[None], nominal.v_source,
+            spectrum = frequency_sweep(replace(nominal, m=m), grid)
+            rows += _sweep_rows([value], grid, spectrum.h[None], nominal.v_source,
                                 [nominal.r_load], noise_floor_dbv, convention)
         except (ConvergenceError, SeparationError) as exc:
             rows.append(SweepRow(value, None, None, None, None, None))
@@ -356,18 +345,17 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float], grid=No
 
 
 def resistance_sweep(link: LinkCircuit, field: str, values: Sequence[float],
-                     grid=None, noise_floor_dbv: float = DEFAULT_NOISE_FLOOR_DBV,
-                     convention: str = VOLTAGE) -> SweepResult:
+                     grid, noise_floor_dbv: float, convention: str) -> SweepResult:
     """Re-terminate one side (field is r_source or r_load) and summarize."""
     _check_budget(noise_floor_dbv, convention)
     if field not in ("r_source", "r_load"):
         raise ValueError(f"field must be r_source or r_load, got {field!r}")
-    sweep_grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    grid = np.asarray(grid, dtype=float)
     vals = _sweep_values(values)
     rows = []
-    for block, h in termination_scan(link, field, np.array(vals), sweep_grid):
+    for block, h in termination_scan(link, field, np.array(vals), grid):
         r_loads = block.tolist() if field == "r_load" else [link.r_load] * len(block)
-        rows += _sweep_rows(block.tolist(), sweep_grid, h, link.v_source, r_loads,
+        rows += _sweep_rows(block.tolist(), grid, h, link.v_source, r_loads,
                             noise_floor_dbv, convention)
     return SweepResult(unit="ohm", rows=tuple(rows))
 
@@ -392,19 +380,19 @@ class DualModeReport:
         check_fields(self)
 
 
-def dual_mode_report(link: LinkCircuit, r_load_grid=None, grid=None) -> DualModeReport:
-    """Pick power-mode and comm-mode loads from a log-spaced R_load scan.
+def dual_mode_report(link: LinkCircuit, r_load_grid, grid) -> DualModeReport:
+    """Pick power-mode and comm-mode loads from a scan of the link over the
+    increasing loads r_load_grid, each solved on the frequency grid.
 
     The saturated voltage is read at the largest load; a warning says so
     when it still rises by more than 1% over the top decade of loads.
     """
-    loads = (np.logspace(-1, 4, 101) if r_load_grid is None
-             else np.asarray(r_load_grid, dtype=float))
+    loads = np.asarray(r_load_grid, dtype=float)
     if len(loads) < 2 or np.any(np.diff(loads) <= 0):
         raise ValueError("r_load grid must hold at least two strictly increasing loads")
-    sweep_grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     v_rx = np.concatenate([np.max(np.abs(h), axis=1) for _, h in
-                           termination_scan(link, "r_load", loads, sweep_grid)])
+                           termination_scan(link, "r_load", loads,
+                                            np.asarray(grid, dtype=float))])
     v_rx *= link.v_source
     p_rx = np.array([received_power(v, r) for v, r in zip(v_rx.tolist(), loads.tolist())])
     i_power = int(np.argmax(p_rx))

@@ -1,8 +1,10 @@
 """The nominal link of the tests, stated once: the two build coils, the
-pose of `mqslink defaults`, and the values pinned on that link. A change
-of coil geometry re-pins them here."""
+pose of `mqslink defaults`, its run settings, and the values pinned on
+that link. A change of coil geometry re-pins them here."""
 
 from dataclasses import replace
+
+import numpy as np
 
 from mqslink.geometry import CoilSpec, Scenario
 
@@ -18,3 +20,14 @@ NOMINAL = Scenario(tx=replace(TX, inductance_override=L_TX), rx=RX, **PLACEMENT)
 
 M_NOMINAL = 3.9074457990719537e-10    # _polyline_neumann, 360 segments/turn
 PEAK_DB = -58.86457577086184          # tuned nominal link at 26 MHz; dBV at 1 V
+
+# the run settings of `mqslink defaults`, which the library takes from
+# its caller: the [frequency_grid], the [analysis] budget and the loads
+# of an empty [dual_mode]
+GRID = np.linspace(20e6, 30e6, 1001)              # Hz
+GRID.setflags(write=False)
+NOISE_FLOOR_DBV = -85.0
+CONVENTION = "voltage"
+DUAL_MODE_LOADS = np.geomspace(0.1, 10e3, 101)    # ohm
+DUAL_MODE_LOADS.setflags(write=False)
+BUDGET = dict(noise_floor_dbv=NOISE_FLOOR_DBV, convention=CONVENTION)

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mqslink.circuit import (LinkCircuit, default_grid, frequency_sweep,
+from mqslink.circuit import (LinkCircuit, frequency_sweep,
                              received_power, receiver_capacitance,
                              tune_capacitance, tx_power)
 from mqslink.field_coupling import mutual_inductance
@@ -25,7 +25,7 @@ from mqslink.link_analysis import (TX_ANGLE, AXIAL, capacity_vs_bandwidth,
 from mqslink.lumped import (LOW_CONFIDENCE, current_sheet_inductance,
                             estimate_inductance)
 from mqslink.cli import main as cli_main
-from nominal import L_TX, NOMINAL, RX, TX
+from nominal import BUDGET, GRID, L_TX, NOMINAL, RX, TX
 from references import (coaxial_mutual_oracle, flux_mutual_inductance,
                         transfer_ratio_untuned)
 
@@ -139,7 +139,7 @@ def test_criterion_05_circuit_reduction(capsys):
         link = LinkCircuit(
             l_tx=l_tx, l_rx=l_rx, m=k * math.sqrt(l_tx * l_rx),
             r_source=10 ** rng.uniform(0, 4), r_load=10 ** rng.uniform(0, 4),
-            r_coil_tx=rng.uniform(0, 10), r_coil_rx=rng.uniform(0, 10))
+            esr_tx=rng.uniform(0, 10), esr_rx=rng.uniform(0, 10))
         freqs = np.sort(10 ** rng.uniform(4, 8, 5))
         h1 = frequency_sweep(link, freqs).h
         h2 = transfer_ratio_untuned(link, freqs)
@@ -156,7 +156,7 @@ def test_criterion_05_circuit_reduction(capsys):
 def test_criterion_06_resonant_gain(capsys, nominal_m):
     tuned_link = scenario_link(NOMINAL, nominal_m)
     untuned_link = scenario_link(NOMINAL, nominal_m, tuned=False)
-    grid = default_grid()
+    grid = GRID
     t0 = time.perf_counter()
     tuned = frequency_sweep(tuned_link, grid)
     elapsed = time.perf_counter() - t0
@@ -170,12 +170,12 @@ def test_criterion_06_resonant_gain(capsys, nominal_m):
 
 def test_criterion_07_robustness(capsys):
     angles = misalignment_sweep(NOMINAL, TX_ANGLE,
-                                [20.0, 30.0, 40.0, 50.0, 60.0])
+                                [20.0, 30.0, 40.0, 50.0, 60.0], GRID, **BUDGET)
     peaks = [r.peak_db for r in angles.rows]
     spread = max(peaks) - min(peaks)
 
     axial = misalignment_sweep(NOMINAL, AXIAL,
-                               [0.100, 0.150, 0.200, 0.250, 0.300])
+                               [0.100, 0.150, 0.200, 0.250, 0.300], GRID, **BUDGET)
     mags = [10 ** (r.peak_db / 20.0) for r in axial.rows]
     monotone = all(b < a for a, b in zip(mags, mags[1:]))
     ok = spread <= 10.0 and monotone
@@ -188,9 +188,8 @@ def test_criterion_07_robustness(capsys):
 def test_criterion_08_capacity(capsys, nominal_m):
     cap = channel_capacity(1e6, snr_db(-55.0, -85.0), convention="voltage")
     cap_err = abs(cap - 5.03e6) / 5.03e6
-    spectrum = frequency_sweep(scenario_link(NOMINAL, nominal_m),
-                               default_grid())
-    study = capacity_vs_bandwidth(spectrum)
+    spectrum = frequency_sweep(scenario_link(NOMINAL, nominal_m), GRID)
+    study = capacity_vs_bandwidth(spectrum, **BUDGET)
     t3 = next(r for r in study if r.threshold_db == 3.0)
     t12 = next(r for r in study if r.threshold_db == 12.0)
     ok = cap_err <= 1e-3 and t12.capacity_bps > t3.capacity_bps
@@ -203,15 +202,15 @@ def test_criterion_08_capacity(capsys, nominal_m):
 def test_criterion_09_impedance_study(capsys, nominal_m):
     link = scenario_link(NOMINAL, nominal_m)
     src = resistance_sweep(link, "r_source",
-                           [10.0, 25.0, 50.0, 100.0, 250.0, 1000.0])
+                           [10.0, 25.0, 50.0, 100.0, 250.0, 1000.0], GRID, **BUDGET)
     src_peaks = [r.peak_db for r in src.rows]
     decreasing = all(b < a for a, b in zip(src_peaks, src_peaks[1:]))
 
-    load = resistance_sweep(link, "r_load", [1e3, 1e4])
+    load = resistance_sweep(link, "r_load", [1e3, 1e4], GRID, **BUDGET)
     v1k, v10k = (10 ** (r.peak_db / 20.0) for r in load.rows)
     sat_change = abs(v10k - v1k) / v1k
 
-    spectrum = frequency_sweep(link, default_grid())
+    spectrum = frequency_sweep(link, GRID)
     f_peak = float(spectrum.frequencies[np.argmax(np.abs(spectrum.h))])
     p_tx = tx_power(link, f_peak)
     ok = decreasing and sat_change < 0.10 and 5e-3 <= p_tx <= 20e-3
@@ -298,7 +297,7 @@ def test_criterion_10_determinism_and_passivity(capsys, tmp_path, nominal_m):
         replace(scenario_link(NOMINAL, nominal_m), r_load=1e4),
         replace(scenario_link(NOMINAL, nominal_m), r_source=10.0),
     ]
-    grid = default_grid()
+    grid = GRID
     worst_margin = math.inf
     for link in corpus:
         spectrum = frequency_sweep(link, grid)

@@ -1,6 +1,7 @@
 """Two-mesh circuit solver, tuning, and power bookkeeping."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mqslink import circuit
-from mqslink.circuit import (LinkCircuit, Spectrum, default_grid,
-                             frequency_sweep, path_loss_db, received_power,
+from mqslink.circuit import (LinkCircuit, Spectrum, frequency_sweep,
+                             path_loss_db, received_power,
                              receiver_capacitance, tune_capacitance,
                              tx_power)
 from mqslink.constants import COPPER_CONDUCTIVITY
 from mqslink.geometry import CoilSpec
 from mqslink.lumped import ac_resistance, skin_depth
-from nominal import L_RX, L_TX, M_NOMINAL, PEAK_DB, RX, TX
+from nominal import GRID, L_RX, L_TX, M_NOMINAL, PEAK_DB, RX, TX
 from references import transfer_ratio_untuned
 
 C_TX = 1.0705957696781254e-12
@@ -95,7 +96,7 @@ def test_general_solver_reduces_to_the_untuned_form():
         link = LinkCircuit(
             l_tx=l_tx, l_rx=l_rx, m=k * math.sqrt(l_tx * l_rx),
             r_source=10 ** rng.uniform(0, 4), r_load=10 ** rng.uniform(0, 4),
-            r_coil_tx=rng.uniform(0, 10), r_coil_rx=rng.uniform(0, 10),
+            esr_tx=rng.uniform(0, 10), esr_rx=rng.uniform(0, 10),
         )
         if rng.uniform() < 0.5:
             esr_tx, esr_rx = (CoilSpec(turns=int(rng.integers(1, 8)),
@@ -112,7 +113,7 @@ def test_general_solver_reduces_to_the_untuned_form():
 
 def test_nominal_tuned_peak_is_frozen():
     link = _nominal_link()
-    spec = frequency_sweep(link, default_grid())
+    spec = frequency_sweep(link, GRID)
     idx = int(np.argmax(np.abs(spec.h)))
     assert spec.frequencies[idx] == 26e6
     assert path_loss_db(spec.h[idx]) == pytest.approx(PEAK_DB, abs=1e-9)
@@ -122,7 +123,7 @@ def test_nominal_tuned_peak_is_frozen():
 
 def test_untuned_link_is_flat_and_weak_in_band():
     link = _nominal_link(tuned=False)
-    spec = frequency_sweep(link, default_grid())
+    spec = frequency_sweep(link, GRID)
     mags = np.abs(spec.h)
     assert 20 * math.log10(mags.max()) == pytest.approx(UNTUNED_MAX_DB,
                                                         abs=1e-9)
@@ -130,20 +131,27 @@ def test_untuned_link_is_flat_and_weak_in_band():
 
 
 def test_tuning_gain_is_frozen():
-    tuned = frequency_sweep(_nominal_link(), default_grid())
-    untuned = frequency_sweep(_nominal_link(tuned=False), default_grid())
+    tuned = frequency_sweep(_nominal_link(), GRID)
+    untuned = frequency_sweep(_nominal_link(tuned=False), GRID)
     gain = 20 * math.log10(np.abs(tuned.h).max() / np.abs(untuned.h).max())
     assert gain == pytest.approx(40.193717628242005, abs=1e-9)
 
 
-def test_spec_esr_takes_precedence_over_the_fixed_value():
-    link = _nominal_link(tuned=False, r_coil_tx=3.0,
-                         esr_tx=TX, esr_rx=None, r_coil_rx=0.0)
-    assert float(link.coil_resistance_tx(26e6)) == ac_resistance(TX, 26e6)
-    assert float(link.coil_resistance_rx(26e6)) == 0.0
-    arr = link.coil_resistance_tx(np.array([1e6, 2e6]))
-    np.testing.assert_allclose(arr, [ac_resistance(TX, 1e6), ac_resistance(TX, 2e6)],
-                               rtol=0.0, atol=0.0)
+_LOSS_F = np.array([1e6, 2e6, 26e6])
+
+
+@pytest.mark.parametrize("esr_tx, expected", [
+    (TX, ac_resistance(TX, _LOSS_F).tolist()),
+    (replace(TX, resistance_override=3.0), [3.0, 3.0, 3.0]),
+    (6.0, [6.0, 6.0, 6.0]),
+], ids=["skin-effect", "measured", "fixed"])
+def test_a_specs_measured_loss_is_the_links_loss(esr_tx, expected):
+    # a spec gives its resistance_override when it has one, else its
+    # skin-effect resistance; a number is a loss fixed over frequency
+    link = _nominal_link(tuned=False, esr_tx=esr_tx)
+    assert link.coil_resistance_tx(_LOSS_F).tolist() == expected
+    assert float(link.coil_resistance_tx(26e6)) == expected[-1]
+    assert link.coil_resistance_rx(_LOSS_F).tolist() == ac_resistance(RX, _LOSS_F).tolist()
 
 
 def test_a_sweep_evaluates_each_coil_loss_once_on_the_whole_grid(monkeypatch):
@@ -154,18 +162,21 @@ def test_a_sweep_evaluates_each_coil_loss_once_on_the_whole_grid(monkeypatch):
         return ac_resistance(spec, f)
 
     monkeypatch.setattr(circuit, "ac_resistance", counting)
-    grid = default_grid()
+    grid = GRID
     frequency_sweep(_nominal_link(), grid)
     assert len(calls) == 2
     assert {spec for spec, _ in calls} == {TX, RX}
     assert all(shape == grid.shape for _, shape in calls)
 
 
-def test_esr_fields_reject_anything_but_a_spec():
-    with pytest.raises(TypeError, match="esr_tx"):
-        _nominal_link(esr_tx=lambda f: 1.0)
-    with pytest.raises(TypeError, match="esr_rx"):
-        _nominal_link(esr_rx=2.5)
+@pytest.mark.parametrize("bad", [lambda f: 1.0, None, True], ids=["callable", "none", "bool"])
+def test_esr_fields_reject_anything_but_a_spec(bad):
+    # ... or a resistance: a real number (an int too), not a bool
+    for name in ("esr_tx", "esr_rx"):
+        with pytest.raises(TypeError, match=f"^{name} must be a resistance or a CoilSpec"):
+            _nominal_link(**{name: bad})
+    assert _nominal_link(esr_rx=2.5).coil_resistance_rx(26e6) == 2.5
+    assert _nominal_link(esr_rx=0).coil_resistance_rx(26e6) == 0.0
 
 
 def test_solver_rejects_nonpositive_frequencies():
@@ -223,7 +234,7 @@ def test_termination_scan_rejects_a_two_dimensional_grid():
 def test_termination_scan_rejects_a_bad_value_before_any_solve(monkeypatch, field, values,
                                                                 bad):
     monkeypatch.setattr(circuit, "_link_terms", None)   # any solve would raise TypeError
-    scan = circuit.termination_scan(_nominal_link(), field, np.array(values), default_grid())
+    scan = circuit.termination_scan(_nominal_link(), field, np.array(values), GRID)
     with pytest.raises(ValueError, match=f"^{field} values must be finite and > 0, got {bad}$"):
         next(scan)
 
@@ -239,7 +250,7 @@ def test_untuned_form_refuses_reactive_parts():
 def test_parasitics_reshape_the_response():
     plain = _nominal_link()
     shunted = _nominal_link(parasitic_tx=5e-12, parasitic_rx=2e-12)
-    f = default_grid()
+    f = GRID
     h0 = frequency_sweep(plain, f).h
     h1 = frequency_sweep(shunted, f).h
     assert np.max(np.abs(h0 - h1)) > 0
@@ -297,7 +308,7 @@ def _random_links(draw, parasitics):
     if draw(st.booleans()):
         kwargs.update(esr_tx=draw(_SPECS), esr_rx=draw(_SPECS))
     else:
-        kwargs.update(r_coil_tx=draw(st.floats(0, 10)), r_coil_rx=draw(st.floats(0, 10)))
+        kwargs.update(esr_tx=draw(st.floats(0, 10)), esr_rx=draw(st.floats(0, 10)))
     if parasitics:
         for side, c in (("parasitic_tx", c_tx), ("parasitic_rx", c_rx)):
             kwargs[side] = draw(st.none() | st.floats(-3, -1).map(lambda e, c=c: c * 10 ** e))
@@ -396,15 +407,15 @@ def test_power_balance_with_parasitics(drawn):
 # wM = 7e-313 rounds into double's subnormal range unless _link_terms
 # lifts the terms
 _SUBNORMAL_WM_LINK = (LinkCircuit(l_tx=1e-6, l_rx=1e-6, m=2.22507e-319, r_source=1.0,
-                                  r_load=1.0, r_coil_tx=0.0, r_coil_rx=0.0),
+                                  r_load=1.0, esr_tx=0.0, esr_rx=0.0),
                       np.linspace(5e5, 1.5e6, 201))
 
 
 # a drawn link whose h = 9.1e-313 at index 186 is one unit in the last
 # place (5.4e-12 relative) from the reference
 _SUBNORMAL_H_LINK = (LinkCircuit(l_tx=1e-07, l_rx=1.9219772099568484e-06, m=9.7548e-318,
-                                 r_source=1.0, r_load=1.0, r_coil_tx=3.8875250625710525,
-                                 r_coil_rx=7.768281397291926),
+                                 r_source=1.0, r_load=1.0, esr_tx=3.8875250625710525,
+                                 esr_rx=7.768281397291926),
                      np.linspace(5e5, 1.5e6, 201))
 
 # one unit in the last place of a subnormal; below |h| = _ULP / 1e-12
@@ -479,15 +490,15 @@ def test_path_loss_handles_zeros_and_scales():
     (dict(m=1e-3), "coupling"),
     (dict(r_source=0.0), "^r_source must be > 0, got 0.0$"),
     (dict(r_load=-1.0), "^r_load must be > 0, got -1.0$"),
-    (dict(r_coil_tx=-0.1), "^r_coil_tx must be >= 0, got -0.1$"),
+    (dict(esr_tx=-0.1), "^esr_tx must be >= 0, got -0.1$"),
     (dict(v_source=0.0), "v_source"),
     (dict(c_tx=0.0), "c_tx"),
     (dict(parasitic_rx=-1e-12), "parasitic_rx"),
     *((dict([(name, -1e-9)]), f"^{name} must be (> 0|>= 0), got")
       for name in ("l_tx", "l_rx", "r_source", "r_load", "v_source", "c_tx", "c_rx",
-                   "parasitic_tx", "parasitic_rx", "r_coil_tx", "r_coil_rx")),
+                   "parasitic_tx", "parasitic_rx", "esr_tx", "esr_rx")),
     *((dict([(name, bad)]), f"^{name} must be finite")
-      for name in ("l_tx", "l_rx", "m", "r_source", "r_load", "r_coil_tx", "r_coil_rx",
+      for name in ("l_tx", "l_rx", "m", "r_source", "r_load", "esr_tx", "esr_rx",
                    "c_tx", "c_rx", "v_source", "parasitic_tx", "parasitic_rx")
       for bad in (math.nan, math.inf)),
 ])
@@ -517,9 +528,3 @@ def test_spectrum_validation():
     with pytest.raises(ValueError):
         spec.h[0] = 0.0
 
-
-def test_default_grid_shape():
-    grid = default_grid()
-    assert len(grid) == 1001
-    assert grid[0] == 20e6 and grid[-1] == 30e6
-    assert np.allclose(np.diff(grid), 10e3)

@@ -20,17 +20,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mqslink import cli, field_coupling
-from mqslink.circuit import default_grid, frequency_sweep, path_loss_db
+from mqslink.circuit import frequency_sweep, path_loss_db
 from mqslink.cli import (DEFAULT_CONFIG, ConfigError, RunReport, _csv_text,
                          _emit_json, _fmt, emit_field_map_csv,
                          emit_report_json, emit_spectrum_csv, emit_sweep_csv,
                          main, parse_config, run_scenario)
 from mqslink.geometry import CoilSpec, Scenario
-from mqslink.link_analysis import (DEFAULT_NOISE_FLOOR_DBV, VOLTAGE,
-                                   capacity_report, dual_mode_report,
+from mqslink.link_analysis import (capacity_report, dual_mode_report,
                                    misalignment_sweep, scenario_link,
                                    scenario_mutual_inductance)
-from nominal import NOMINAL
+from nominal import (CONVENTION, DUAL_MODE_LOADS, GRID, NOISE_FLOOR_DBV,
+                     NOMINAL)
 
 SMALL_RUN = """\
 [tx_coil]
@@ -138,21 +138,21 @@ def _bits(value):
 
 
 def test_library_defaults_equal_the_printed_defaults(tmp_path):
-    # the library repeats the nominal values of `mqslink defaults`;
-    # [rx_coil] leaves every defaulted CoilSpec field at its default
+    # the records' field defaults repeat the nominal values of `mqslink
+    # defaults`; [rx_coil] leaves every defaulted CoilSpec field at its
+    # default. The run settings have no library default: the tests state
+    # them once, in tests/nominal.py
     config = parse_text(tmp_path, "")
     for cls, parsed in ((Scenario, config.scenario), (CoilSpec, config.scenario.rx)):
         for f in fields(cls):
             if f.default is not MISSING:
                 assert _bits(getattr(parsed, f.name)) == _bits(f.default), f.name
-    assert config.frequency_grid().tobytes() == default_grid().tobytes()
-    assert _bits(config.noise_floor_dbv) == _bits(DEFAULT_NOISE_FLOOR_DBV)
-    assert config.snr_convention == VOLTAGE
-    # dual_mode_report's default loads are an empty [dual_mode]'s loads
+    assert config.frequency_grid().tobytes() == GRID.tobytes()
+    assert _bits(config.noise_floor_dbv) == _bits(NOISE_FLOOR_DBV)
+    assert config.snr_convention == CONVENTION
     request = parse_text(tmp_path, "[dual_mode]\n").requests["dual_mode"]
-    link = scenario_link(config.scenario, scenario_mutual_inductance(config.scenario))
     loads = np.geomspace(request.load_min, request.load_max, request.points)
-    assert dual_mode_report(link) == dual_mode_report(link, r_load_grid=loads)
+    assert loads.tobytes() == DUAL_MODE_LOADS.tobytes()
 
 
 def test_strict_mode_requires_the_scenario_sections(tmp_path):
@@ -241,6 +241,9 @@ def test_radian_angles_convert(tmp_path):
     # the nominal rx's outermost turn radius, 4 mm + 4 x 0.637 mm, to the bit
     ("[rx_coil]\nshape = helical\nsphere_radius = 0.006548 m\n",
      r"\.ini:3: sphere_radius .* must exceed"),
+    # a flat spiral takes no sphere radius
+    ("[rx_coil]\nshape = flat-spiral\nsphere_radius = 20 mm\n",
+     r"\.ini:3: sphere_radius 0\.02 is for the helical shape only$"),
     ("[sweep tx_angle]\nstart = 10 deg\nstop = 95 deg\nstep = 5 deg\n",
      "within"),
     ("[sweep tx_angle]\nstart = 30 deg\nstop = 20 deg\nstep = 5 deg\n",
@@ -398,8 +401,7 @@ def test_fixed_and_lossless_coils_run_end_to_end(tmp_path, r_tx, r_rx):
     sc, grid = config.scenario, config.frequency_grid()
     # the coil losses set on the LinkCircuit directly, not through the config
     m = scenario_mutual_inductance(sc, config.segments_per_turn)
-    link = replace(scenario_link(sc, m), esr_tx=None, esr_rx=None,
-                   r_coil_tx=r_tx, r_coil_rx=r_rx)
+    link = replace(scenario_link(sc, m), esr_tx=r_tx, esr_rx=r_rx)
     emit_spectrum_csv(frequency_sweep(link, grid), tmp_path / "spectrum.csv")
     assert (out / "spectrum_tuned.csv").read_bytes() == \
         (tmp_path / "spectrum.csv").read_bytes()
@@ -597,7 +599,7 @@ def test_run_succeeds_and_writes_the_advertised_files(small_run):
 def test_spectrum_csv_levels_are_path_loss_db_of_h(tmp_path):
     sc = parse_text(tmp_path, "").scenario
     spectrum = frequency_sweep(scenario_link(sc, scenario_mutual_inductance(sc)),
-                               default_grid())
+                               GRID)
     emit_spectrum_csv(spectrum, tmp_path / "spectrum.csv")
     rows = csv.DictReader((tmp_path / "spectrum.csv").read_text().splitlines())
     assert [float(r["h_mag_db"]) for r in rows] == path_loss_db(spectrum.h).tolist()

@@ -1068,7 +1068,7 @@ def test_coupling_coefficient_normalizes_m():
     assert coupling_coefficient(-M_NOMINAL, L_TX, 3.8e-7) > 0
 
 
-def test_bad_arguments_are_rejected_before_any_integral():
+def test_bad_arguments_are_rejected_before_any_integral(monkeypatch):
     tx, rx = _nominal_pair()
     with pytest.raises(ValueError, match=r"^tolerance must be > 0, got 0$"):
         mutual_inductance(tx, rx, tolerance=0)
@@ -1079,6 +1079,14 @@ def test_bad_arguments_are_rejected_before_any_integral():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match=r"^point must be finite$"):
             b_field(tx, 1.0, [[0.0, 0.0, 0.1], [0.0, bad, 0.1]])
+    # a NaN current would read as wire-masked rows of a field map
+    monkeypatch.setattr(field_coupling, "_curve_field", None)   # an integral raises TypeError
+    grid = GridSpec("xz", 0.0, -0.05, 0.05, 3, 0.05, 0.15, 3)
+    for bad in (math.nan, math.inf, -math.inf):
+        for evaluate in (lambda: b_field(tx, bad, (0.0, 0.0, 0.1)),
+                         lambda: field_map(tx, bad, grid)):
+            with pytest.raises(ValueError, match=f"^current must be finite, got {bad!r}$"):
+                evaluate()
 
 
 def test_coupling_coefficient_rejects_unphysical_m():

@@ -40,6 +40,7 @@ def test_diameter_properties():
     (dict(shape="square"), "shape"),
     (dict(conductivity=0.0), "conductivity"),
     (dict(sphere_radius=-1e-3), "sphere_radius"),
+    (dict(sphere_radius=0.02), r"^sphere_radius 0\.02 is for the helical shape only$"),
     (dict(parasitic_capacitance=0.0), "parasitic_capacitance"),
     (dict(inductance_override=0.0), "inductance_override"),
     (dict(inductance_override=-1e-6), "inductance_override"),

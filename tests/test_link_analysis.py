@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mqslink import circuit, field_coupling, link_analysis
-from mqslink.circuit import (LinkCircuit, Spectrum, default_grid, frequency_sweep,
+from mqslink.circuit import (LinkCircuit, Spectrum, frequency_sweep,
                              path_loss_db, received_power,
                              receiver_capacitance, tune_capacitance)
 from mqslink.field_coupling import mutual_inductance
@@ -27,7 +27,8 @@ from mqslink.link_analysis import (AXIAL, LATERAL, POWER, TX_ANGLE, VOLTAGE,
                                    scenario_link, scenario_mutual_inductance,
                                    snr_db)
 from mqslink.lumped import ac_resistance, current_sheet_inductance
-from nominal import L_RX, L_TX, M_NOMINAL, NOMINAL, PEAK_DB, RX, TX
+from nominal import (BUDGET, DUAL_MODE_LOADS, GRID, L_RX, L_TX, M_NOMINAL,
+                     NOISE_FLOOR_DBV, NOMINAL, PEAK_DB, RX, TX)
 from test_circuit import _random_links
 
 BW3_LOW = 25874525.733524043
@@ -39,13 +40,13 @@ CAPACITY_NOMINAL = 1120219.2181389725
 @pytest.fixture(scope="module")
 def nominal_spectrum():
     link = scenario_link(NOMINAL, m=M_NOMINAL)
-    return frequency_sweep(link, default_grid())
+    return frequency_sweep(link, GRID)
 
 
 # -------------------------------------------------------------- bandwidth
 
 def test_three_db_band_of_the_nominal_link(nominal_spectrum):
-    row = capacity_vs_bandwidth(nominal_spectrum)[2]
+    row = capacity_vs_bandwidth(nominal_spectrum, **BUDGET)[2]
     assert row.threshold_db == 3.0
     f_low, f_high, width = row.f_low_hz, row.f_high_hz, row.bandwidth_hz
     assert f_low == pytest.approx(BW3_LOW, rel=1e-12)
@@ -59,14 +60,14 @@ def test_band_running_off_the_grid_raises_with_partial_edges():
     # grid stops before the upper 3 dB crossing
     spectrum = frequency_sweep(link, np.linspace(25.5e6, 26.0e6, 201))
     with pytest.raises(TruncatedBandError, match="on the high side"):
-        capacity_report(spectrum)
+        capacity_report(spectrum, **BUDGET)
 
 
 def test_fully_truncated_band_reports_both_sides():
     link = scenario_link(NOMINAL, m=M_NOMINAL)
     spectrum = frequency_sweep(link, np.linspace(25.95e6, 26.05e6, 101))
     with pytest.raises(TruncatedBandError, match="on the low and high side"):
-        capacity_report(spectrum)
+        capacity_report(spectrum, **BUDGET)
 
 
 @pytest.mark.parametrize("h, zero_side", [([0.1, 0.0, 1.0, 0.9, 0.1], "low"),
@@ -81,9 +82,9 @@ def test_a_band_edge_next_to_a_zero_of_h_is_the_sample_above(h, zero_side):
     t = (-3.0 - mag[i]) / (mag[i + 1] - mag[i])
     other = freqs[i] + t * (freqs[i + 1] - freqs[i])
     f_low, f_high = (3e6, other) if zero_side == "low" else (other, 3e6)
-    row = capacity_vs_bandwidth(spectrum)[2]
+    row = capacity_vs_bandwidth(spectrum, **BUDGET)[2]
     assert (row.f_low_hz, row.f_high_hz) == (f_low, f_high)
-    assert capacity_report(spectrum).bandwidth_hz == row.bandwidth_hz == f_high - f_low
+    assert capacity_report(spectrum, **BUDGET).bandwidth_hz == row.bandwidth_hz == f_high - f_low
     assert row.bandwidth_hz == pytest.approx(1109241.108, abs=1e-3)
 
 
@@ -95,11 +96,11 @@ def test_a_band_between_two_zeros_of_h_is_masked_and_named():
     freqs = np.arange(1.0, 8.0) * 1e6
     h = np.array([0.01, 0.05, 0.0, 1.0, 0.0, 0.05, 0.01])
     spectrum = Spectrum(frequencies=freqs, h=h, z11=np.ones(7))
-    study = capacity_vs_bandwidth(spectrum)
+    study = capacity_vs_bandwidth(spectrum, **BUDGET)
     assert [row.masked for row in study] == [True] * 26 + [False] * 4
     assert all(row.f_low_hz < 2e6 and row.f_high_hz > 6e6 for row in study[26:])
     with pytest.raises(ValueError, match=r"^3 dB band has zero width: both edges at 4000000\.0 Hz$"):
-        capacity_report(spectrum)
+        capacity_report(spectrum, **BUDGET)
     (row,) = link_analysis._sweep_rows([1.0], freqs, h[None], 1.0, [50.0], -85.0, VOLTAGE)
     assert (row.peak_db, row.peak_freq_hz, row.bw3db_hz, row.capacity_bps) == \
         (0.0, 4e6, None, None)
@@ -112,27 +113,27 @@ def test_snr_is_a_level_difference():
 
 
 def test_channel_capacity_under_both_conventions():
-    assert channel_capacity(1e6, 30.0) == \
+    assert channel_capacity(1e6, 30.0, VOLTAGE) == \
         pytest.approx(5027807.6733505195, rel=1e-12)
     assert channel_capacity(1e6, 30.0, convention=POWER) == \
         pytest.approx(9967226.258835994, rel=1e-12)
-    assert channel_capacity(1e6, 30.0) == \
+    assert channel_capacity(1e6, 30.0, VOLTAGE) == \
         pytest.approx(1e6 * math.log2(1 + 10 ** 1.5), rel=1e-15)
 
 
 def test_channel_capacity_validation():
     for bw in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="bandwidth"):
-            channel_capacity(bw, 30.0)
+            channel_capacity(bw, 30.0, VOLTAGE)
     with pytest.raises(ValueError, match="convention"):
         channel_capacity(1e6, 30.0, convention="amplitude")
     for snr in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"^snr_db must be finite, got {snr!r}$"):
-            channel_capacity(1e6, snr)
+            channel_capacity(1e6, snr, VOLTAGE)
 
 
 def test_capacity_report_of_the_nominal_link(nominal_spectrum):
-    report = capacity_report(nominal_spectrum)
+    report = capacity_report(nominal_spectrum, **BUDGET)
     assert report.signal_dbv == pytest.approx(PEAK_DB, abs=1e-9)
     assert report.snr_db == pytest.approx(PEAK_DB + 85.0, abs=1e-9)
     assert report.bandwidth_hz == pytest.approx(BW3_WIDTH, rel=1e-12)
@@ -141,35 +142,31 @@ def test_capacity_report_of_the_nominal_link(nominal_spectrum):
 
 
 def test_source_level_shifts_the_budget(nominal_spectrum):
-    base = capacity_report(nominal_spectrum)
-    hot = capacity_report(replace(nominal_spectrum, v_source=10.0))
+    base = capacity_report(nominal_spectrum, **BUDGET)
+    hot = capacity_report(replace(nominal_spectrum, v_source=10.0), **BUDGET)
     assert hot.signal_dbv == pytest.approx(base.signal_dbv + 20.0)
     assert hot.snr_db == pytest.approx(base.snr_db + 20.0)
     assert hot.capacity_bps > base.capacity_bps
 
 
-def test_capacity_report_rejects_inconsistent_fields():
-    with pytest.raises(ValueError, match="snr_db"):
-        CapacityReport(bandwidth_hz=1e6, signal_dbv=-55.0,
-                       noise_floor_dbv=-85.0, snr_db=25.0,
-                       capacity_bps=5027807.6733505195)
-    with pytest.raises(ValueError, match="capacity_bps"):
-        CapacityReport(bandwidth_hz=1e6, signal_dbv=-55.0,
-                       noise_floor_dbv=-85.0, snr_db=30.0,
-                       capacity_bps=4e6)
+def test_capacity_report_derives_its_snr_and_capacity():
+    for signal, convention in ((-55.0, VOLTAGE), (-55.0, POWER), (-485.0, VOLTAGE)):
+        report = CapacityReport(1e6, signal, NOISE_FLOOR_DBV, convention)
+        snr = snr_db(signal, NOISE_FLOOR_DBV)
+        assert (report.snr_db, report.capacity_bps) == \
+            (snr, channel_capacity(1e6, snr, convention))
+    for derived in ("snr_db", "capacity_bps"):
+        with pytest.raises(TypeError, match=derived):
+            CapacityReport(bandwidth_hz=1e6, signal_dbv=-55.0, noise_floor_dbv=-85.0,
+                           convention=VOLTAGE, **{derived: 30.0})
     with pytest.raises(ValueError, match="^bandwidth_hz must be > 0, got 0.0$"):
         CapacityReport(bandwidth_hz=0.0, signal_dbv=-55.0, noise_floor_dbv=-85.0,
-                       snr_db=30.0, capacity_bps=0.0)
-    # at -400 dB, 1 + SNR rounds to 1: a capacity of -1e-13 passes the
-    # consistency check and only the sign rule rejects it
-    with pytest.raises(ValueError, match="^capacity_bps must be >= 0, got -1e-13$"):
-        CapacityReport(bandwidth_hz=1e6, signal_dbv=-485.0, noise_floor_dbv=-85.0,
-                       snr_db=-400.0, capacity_bps=-1e-13)
+                       convention=VOLTAGE)
 
 
 _VALUES = {
     CapacityReport: dict(bandwidth_hz=1e6, signal_dbv=-55.0, noise_floor_dbv=-85.0,
-                         snr_db=30.0, capacity_bps=channel_capacity(1e6, 30.0)),
+                         convention=VOLTAGE),
     BandwidthCapacityRow: dict(threshold_db=3.0, f_low_hz=25.9e6, f_high_hz=26.1e6,
                                bandwidth_hz=2e5, signal_dbv=-60.0, capacity_bps=1e6),
     SweepRow: dict(value=1.0, peak_db=-60.0, peak_freq_hz=26e6, bw3db_hz=2e5,
@@ -182,6 +179,7 @@ _VALUES = {
 
 @pytest.mark.parametrize("cls, name, bad", [
     (cls, name, bad) for cls, values in _VALUES.items() for name in values
+    if name != "convention"
     for bad in (math.nan, math.inf, -math.inf)])
 def test_link_budget_values_reject_nan_and_infinities(cls, name, bad):
     cls(**_VALUES[cls])
@@ -207,15 +205,16 @@ def test_a_bad_noise_floor_or_convention_is_named_before_any_solve(
     link = scenario_link(NOMINAL, m=M_NOMINAL)
     for budget_of in (lambda: capacity_report(nominal_spectrum, **budget),
                       lambda: capacity_vs_bandwidth(nominal_spectrum, **budget),
-                      lambda: resistance_sweep(link, "r_load", [1.0, 10.0], **budget),
-                      lambda: misalignment_sweep(NOMINAL, TX_ANGLE, [10.0, 20.0], **budget)):
+                      lambda: resistance_sweep(link, "r_load", [1.0, 10.0], GRID, **budget),
+                      lambda: misalignment_sweep(NOMINAL, TX_ANGLE, [10.0, 20.0], GRID,
+                                                 **budget)):
         with pytest.raises(ValueError, match=match):
             budget_of()
     assert calls == []
 
 
 def test_threshold_study_masks_offgrid_rows_and_ranks_the_rest(nominal_spectrum):
-    study = capacity_vs_bandwidth(nominal_spectrum)
+    study = capacity_vs_bandwidth(nominal_spectrum, **BUDGET)
     assert [r.threshold_db for r in study] == [float(t) for t in range(1, 31)]
     masked = [r.threshold_db for r in study if r.masked]
     assert masked == [29.0, 30.0]
@@ -254,16 +253,15 @@ def test_each_coil_takes_its_own_loss():
     c_tx = tune_capacitance(L_TX, 26e6)
     common = dict(l_tx=L_TX, l_rx=l_rx, m=M_NOMINAL, r_source=50.0, r_load=1e3,
                   c_tx=c_tx, c_rx=receiver_capacitance(L_TX, c_tx, l_rx))
-    grid = default_grid()
     for tx_ohm, rx_ohm, direct in (
-            (6.0, None, LinkCircuit(r_coil_tx=6.0, esr_rx=RX, **common)),
-            (None, 0.5, LinkCircuit(r_coil_rx=0.5, esr_tx=NOMINAL.tx, **common))):
+            (6.0, None, LinkCircuit(esr_tx=6.0, esr_rx=RX, **common)),
+            (None, 0.5, LinkCircuit(esr_rx=0.5, esr_tx=NOMINAL.tx, **common))):
         sc = replace(NOMINAL, tx=replace(NOMINAL.tx, resistance_override=tx_ohm),
                      rx=replace(RX, resistance_override=rx_ohm))
         link = scenario_link(sc, m=M_NOMINAL)
-        assert link == direct
-        assert frequency_sweep(link, grid).h.tobytes() == \
-            frequency_sweep(direct, grid).h.tobytes()
+        assert (link.esr_tx, link.esr_rx) == (sc.tx, sc.rx)
+        assert frequency_sweep(link, GRID).h.tobytes() == \
+            frequency_sweep(direct, GRID).h.tobytes()
     assert link.coil_resistance_rx(26e6) == 0.5
     assert link.coil_resistance_tx(26e6) == ac_resistance(NOMINAL.tx, 26e6)
 
@@ -296,18 +294,18 @@ def test_scenario_mutual_inductance_matches_direct_composition():
 
 def test_misalignment_sweep_validation():
     with pytest.raises(ValueError, match="axis"):
-        misalignment_sweep(NOMINAL, "roll", [10.0])
+        misalignment_sweep(NOMINAL, "roll", [10.0], GRID, **BUDGET)
     with pytest.raises(ValueError, match="non-empty"):
-        misalignment_sweep(NOMINAL, TX_ANGLE, [])
+        misalignment_sweep(NOMINAL, TX_ANGLE, [], GRID, **BUDGET)
     with pytest.raises(ValueError, match="within"):
-        misalignment_sweep(NOMINAL, TX_ANGLE, [95.0])
+        misalignment_sweep(NOMINAL, TX_ANGLE, [95.0], GRID, **BUDGET)
     with pytest.raises(ValueError, match="within"):
-        misalignment_sweep(NOMINAL, AXIAL, [0.010])
+        misalignment_sweep(NOMINAL, AXIAL, [0.010], GRID, **BUDGET)
 
 
 def test_angle_sweep_rows_are_ordered_and_live():
     grid = np.linspace(25e6, 27e6, 201)
-    sweep = misalignment_sweep(NOMINAL, TX_ANGLE, [60.0, 20.0, 40.0], grid=grid)
+    sweep = misalignment_sweep(NOMINAL, TX_ANGLE, [60.0, 20.0, 40.0], grid=grid, **BUDGET)
     assert sweep.unit == "deg"
     assert [r.value for r in sweep.rows] == [20.0, 40.0, 60.0]
     assert not any(r.masked for r in sweep.rows)
@@ -318,7 +316,7 @@ def test_angle_sweep_rows_are_ordered_and_live():
         # each row is the capacity report of its own spectrum, bit for bit
         m = scenario_mutual_inductance(replace(NOMINAL, tx_angle_deg=row.value))
         spectrum = frequency_sweep(replace(scenario_link(NOMINAL, 0.0), m=m), grid)
-        report = capacity_report(spectrum)
+        report = capacity_report(spectrum, **BUDGET)
         p_rx = received_power(float(np.max(np.abs(spectrum.h))) * NOMINAL.v_source,
                               NOMINAL.r_load)
         assert (row.peak_db, row.bw3db_hz, row.capacity_bps, row.p_rx_w) == \
@@ -330,7 +328,7 @@ def test_unreachable_tolerance_masks_points_instead_of_failing(monkeypatch):
     monkeypatch.setattr(field_coupling, "_SPECTRAL_LEVELS", (8,))
     grid = np.linspace(25e6, 27e6, 51)
     with pytest.warns(UserWarning) as caught:
-        sweep = misalignment_sweep(NOMINAL, TX_ANGLE, [30.0, 50.0], grid=grid)
+        sweep = misalignment_sweep(NOMINAL, TX_ANGLE, [30.0, 50.0], grid=grid, **BUDGET)
     assert all(r.masked for r in sweep.rows)
     assert all(r.capacity_bps is None for r in sweep.rows)
     assert len(caught) == 2
@@ -340,20 +338,21 @@ def test_unreachable_tolerance_masks_points_instead_of_failing(monkeypatch):
 def test_on_axis_placement_is_flagged():
     grid = np.linspace(25e6, 27e6, 51)
     with pytest.warns(UserWarning, match="transmitter axis"):
-        misalignment_sweep(NOMINAL, LATERAL, [0.0, 0.092], grid=grid)
+        misalignment_sweep(NOMINAL, LATERAL, [0.0, 0.092], grid=grid, **BUDGET)
     # a lateral sweep replaces x_eye, so x_eye = 0 alone places nothing on axis
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        misalignment_sweep(replace(NOMINAL, x_eye=0.0), LATERAL, [0.05, 0.1], grid=grid)
+        misalignment_sweep(replace(NOMINAL, x_eye=0.0), LATERAL, [0.05, 0.1], grid=grid,
+                           **BUDGET)
     # any other axis keeps x_eye, so x_eye = 0 is on axis at every point
     with pytest.warns(UserWarning, match="^x_eye = 0 places the receiver on the transmitter axis"):
-        misalignment_sweep(replace(NOMINAL, x_eye=0.0), AXIAL, [0.15], grid=grid)
+        misalignment_sweep(replace(NOMINAL, x_eye=0.0), AXIAL, [0.15], grid=grid, **BUDGET)
 
 
 def test_sweep_reports_the_scenario_termination():
     grid = np.linspace(25e6, 27e6, 51)
     sc = replace(NOMINAL, r_load=10.0, v_source=2.0)
-    sweep = misalignment_sweep(sc, TX_ANGLE, [40.0], grid=grid)
+    sweep = misalignment_sweep(sc, TX_ANGLE, [40.0], grid=grid, **BUDGET)
     (row,) = sweep.rows
     m = scenario_mutual_inductance(sc, segments_per_turn=48)
     h = frequency_sweep(scenario_link(sc, m), grid).h
@@ -365,7 +364,7 @@ def test_sweep_reports_the_scenario_termination():
 
 def test_source_resistance_loads_the_resonator():
     link = scenario_link(NOMINAL, m=M_NOMINAL)
-    sweep = resistance_sweep(link, "r_source", [10.0, 50.0, 200.0, 1e3])
+    sweep = resistance_sweep(link, "r_source", [10.0, 50.0, 200.0, 1e3], GRID, **BUDGET)
     peaks = [r.peak_db for r in sweep.rows]
     assert all(b < a for a, b in zip(peaks, peaks[1:]))
     assert sweep.unit == "ohm"
@@ -373,7 +372,7 @@ def test_source_resistance_loads_the_resonator():
 
 def test_received_voltage_saturates_with_load():
     link = scenario_link(NOMINAL, m=M_NOMINAL)
-    sweep = resistance_sweep(link, "r_load", [100.0, 1e3, 1e4])
+    sweep = resistance_sweep(link, "r_load", [100.0, 1e3, 1e4], GRID, **BUDGET)
     peaks = [r.peak_db for r in sweep.rows]
     assert all(b > a for a, b in zip(peaks, peaks[1:]))
     # near saturation the step from 1k to 10k is small
@@ -383,11 +382,11 @@ def test_received_voltage_saturates_with_load():
 def test_resistance_sweep_validation():
     link = scenario_link(NOMINAL, m=M_NOMINAL)
     with pytest.raises(ValueError, match="field"):
-        resistance_sweep(link, "r_coil_tx", [10.0])
+        resistance_sweep(link, "r_coil_tx", [10.0], GRID, **BUDGET)
     with pytest.raises(ValueError, match="non-empty"):
-        resistance_sweep(link, "r_load", [])
+        resistance_sweep(link, "r_load", [], GRID, **BUDGET)
     with pytest.raises(ValueError, match="> 0"):
-        resistance_sweep(link, "r_load", [0.0, 10.0])
+        resistance_sweep(link, "r_load", [0.0, 10.0], GRID, **BUDGET)
 
 
 def test_a_repeated_sweep_value_is_named_before_any_solve(monkeypatch):
@@ -404,14 +403,16 @@ def test_a_repeated_sweep_value_is_named_before_any_solve(monkeypatch):
     for name in ("scenario_mutual_inductance", "termination_scan"):
         monkeypatch.setattr(link_analysis, name, counting(name))
     with pytest.raises(ValueError, match="^values must not repeat; got 10 more than once$"):
-        misalignment_sweep(NOMINAL, TX_ANGLE, [10, 20, 10])
+        misalignment_sweep(NOMINAL, TX_ANGLE, [10, 20, 10], GRID, **BUDGET)
     with pytest.raises(ValueError, match="^values must not repeat; got 5 more than once$"):
-        resistance_sweep(scenario_link(NOMINAL, m=M_NOMINAL), "r_load", [5, 5])
+        resistance_sweep(scenario_link(NOMINAL, m=M_NOMINAL), "r_load", [5, 5], GRID,
+                         **BUDGET)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"^values must be finite; got {bad:g}$"):
-            misalignment_sweep(NOMINAL, TX_ANGLE, [10, 20, bad])
+            misalignment_sweep(NOMINAL, TX_ANGLE, [10, 20, bad], GRID, **BUDGET)
         with pytest.raises(ValueError, match=f"^values must be finite; got {bad:g}$"):
-            resistance_sweep(scenario_link(NOMINAL, m=M_NOMINAL), "r_load", [5, bad])
+            resistance_sweep(scenario_link(NOMINAL, m=M_NOMINAL), "r_load", [5, bad], GRID,
+                             **BUDGET)
     assert calls == []
 
 
@@ -429,7 +430,7 @@ def test_sweep_result_requires_ordered_rows():
 def test_dual_mode_loads_split_as_designed():
     link = scenario_link(NOMINAL, m=M_NOMINAL)
     grid = np.linspace(25.5e6, 26.5e6, 201)
-    report = dual_mode_report(link, grid=grid)
+    report = dual_mode_report(link, DUAL_MODE_LOADS, grid)
     assert report.comm_mode_r_load > report.power_mode_r_load
     assert report.p_rx_power_mode >= report.p_rx_comm_mode
     assert report.v_rx_comm_mode > report.v_rx_power_mode
@@ -439,28 +440,28 @@ def test_dual_mode_loads_split_as_designed():
 def test_dual_mode_warns_when_the_loads_stop_short_of_saturation():
     link = scenario_link(NOMINAL, m=M_NOMINAL)
     with pytest.warns(UserWarning, match="still rises .* over 1-10 ohm"):
-        dual_mode_report(link, r_load_grid=np.geomspace(0.1, 10.0, 31))
+        dual_mode_report(link, np.geomspace(0.1, 10.0, 31), GRID)
     # under a decade, the rise is judged over the whole scan
     with pytest.warns(UserWarning, match="over 2-10 ohm"):
-        dual_mode_report(link, r_load_grid=np.geomspace(2.0, 10.0, 9))
+        dual_mode_report(link, np.geomspace(2.0, 10.0, 9), GRID)
 
 
 def test_dual_mode_default_loads_saturate_without_warning():
     link = scenario_link(NOMINAL, m=M_NOMINAL)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dual_mode_report(link)
+        dual_mode_report(link, DUAL_MODE_LOADS, GRID)
 
 
 def test_dual_mode_rejects_bad_load_grids():
     link = scenario_link(NOMINAL, m=M_NOMINAL)
     with pytest.raises(ValueError, match="r_load grid"):
-        dual_mode_report(link, r_load_grid=[10.0, 5.0])
+        dual_mode_report(link, [10.0, 5.0], GRID)
     with pytest.raises(ValueError, match=r"^r_load values must be finite and > 0, got 0\.0$"):
-        dual_mode_report(link, r_load_grid=[0.0, 5.0])
+        dual_mode_report(link, [0.0, 5.0], GRID)
     for loads, bad in (([1.0, math.nan, 3.0], "nan"), ([1.0, 3.0, math.inf], "inf")):
         with pytest.raises(ValueError, match=f"^r_load values must be finite and > 0, got {bad}$"):
-            dual_mode_report(link, r_load_grid=loads)
+            dual_mode_report(link, loads, GRID)
 
 
 # ------------------------------------------------- per-load reference scans
@@ -480,8 +481,8 @@ def _per_load_sweep(link, field, values, grid, convention):
             continue
         peak_db = float(np.max(path_loss_db(spectrum.h))) + path_loss_db(link.v_source)
         try:
-            bw = capacity_report(spectrum).bandwidth_hz
-            cap = channel_capacity(bw, snr_db(peak_db, -85.0), convention)
+            bw = capacity_report(spectrum, **BUDGET).bandwidth_hz
+            cap = channel_capacity(bw, snr_db(peak_db, NOISE_FLOOR_DBV), convention)
         except TruncatedBandError:
             bw = cap = None
         rows.append(SweepRow(v, peak_db, float(spectrum.frequencies[pk]), bw, cap,
@@ -520,7 +521,7 @@ def _per_threshold_study(spectrum, convention):
             continue
         f_low, f_high = edges
         bw = f_high - f_low
-        cap = channel_capacity(bw, snr_db(signal, -85.0), convention)
+        cap = channel_capacity(bw, snr_db(signal, NOISE_FLOOR_DBV), convention)
         rows.append(BandwidthCapacityRow(float(threshold), f_low, f_high, bw, signal, cap))
     return tuple(rows)
 
@@ -573,7 +574,7 @@ def _scans(draw):
 def test_row_block_scans_equal_the_per_load_loop(drawn):
     link, grid, values, convention = drawn
     for field in ("r_source", "r_load"):
-        sweep = resistance_sweep(link, field, values, grid, convention=convention)
+        sweep = resistance_sweep(link, field, values, grid, NOISE_FLOOR_DBV, convention)
         assert sweep.rows == _per_load_sweep(link, field, values, grid, convention)
     loads = values if len(values) > 1 else np.array([values[0], 2.0 * values[0]])
     with warnings.catch_warnings(record=True) as caught:
@@ -591,14 +592,14 @@ def test_row_block_scans_equal_the_per_load_loop(drawn):
 def test_a_sweep_row_is_the_capacity_report_of_its_spectrum(drawn, convention):
     # untuned draws are flat over the grid, so their bands run off it
     link, grid = drawn
-    (row,) = resistance_sweep(link, "r_load", [link.r_load], grid,
-                              convention=convention).rows
+    (row,) = resistance_sweep(link, "r_load", [link.r_load], grid, NOISE_FLOOR_DBV,
+                              convention).rows
     spectrum = frequency_sweep(link, grid)
     if not np.any(spectrum.h):
         assert row.masked
         return
     try:
-        report = capacity_report(spectrum, convention=convention)
+        report = capacity_report(spectrum, NOISE_FLOOR_DBV, convention)
         expected = (report.signal_dbv, report.bandwidth_hz, report.capacity_bps)
     except TruncatedBandError:
         peak = float(np.max(path_loss_db(spectrum.h))) + path_loss_db(link.v_source)
@@ -630,7 +631,7 @@ def test_threshold_study_equals_the_per_threshold_loop(drawn):
     # untuned draws are flat, so their bands run off the grid; a peak
     # sample between two zeros of h has a 0 Hz band, masked alike
     spectrum, convention = drawn
-    assert capacity_vs_bandwidth(spectrum, convention=convention) == \
+    assert capacity_vs_bandwidth(spectrum, NOISE_FLOOR_DBV, convention) == \
         _per_threshold_study(spectrum, convention)
 
 
@@ -650,11 +651,11 @@ def test_load_scans_solve_in_bounded_blocks_without_frequency_sweep(monkeypatch)
     monkeypatch.setattr(circuit, "_terminated", counting_blocks)
     monkeypatch.setattr(link_analysis, "frequency_sweep", forbidden)
     link = scenario_link(NOMINAL, m=M_NOMINAL)
-    grid = default_grid()
+    grid = GRID
     dual_mode_report(link, r_load_grid=np.geomspace(0.1, 1e4, 451), grid=grid)
     assert sum(sizes) == 451 * len(grid)
     for field in ("r_source", "r_load"):
-        resistance_sweep(link, field, np.geomspace(1.0, 1e4, 224), grid)
+        resistance_sweep(link, field, np.geomspace(1.0, 1e4, 224), grid, **BUDGET)
     assert sum(sizes) == (451 + 2 * 224) * len(grid)
     assert max(sizes) <= circuit._SCAN_ELEMENTS
 
@@ -668,12 +669,12 @@ def test_load_scans_evaluate_each_coil_loss_once_on_the_whole_grid(monkeypatch):
 
     monkeypatch.setattr(circuit, "ac_resistance", counting)
     link = scenario_link(NOMINAL, m=M_NOMINAL)
-    grid = default_grid()
+    grid = GRID
     dual_mode_report(link, r_load_grid=np.geomspace(0.1, 1e4, 451), grid=grid)
     scans = [list(calls)]
     for field in ("r_source", "r_load"):
         calls.clear()
-        resistance_sweep(link, field, np.geomspace(1.0, 1e4, 224), grid)
+        resistance_sweep(link, field, np.geomspace(1.0, 1e4, 224), grid, **BUDGET)
         scans.append(list(calls))
     for scan in scans:
         assert len(scan) == 2
@@ -684,7 +685,7 @@ def test_load_scans_evaluate_each_coil_loss_once_on_the_whole_grid(monkeypatch):
 def test_load_scans_keep_the_spectrum_checks(monkeypatch):
     link = scenario_link(NOMINAL, m=M_NOMINAL)
     with pytest.raises(ValueError, match="increasing"):
-        resistance_sweep(link, "r_load", [1.0], grid=[26e6, 25e6])
+        resistance_sweep(link, "r_load", [1.0], [26e6, 25e6], **BUDGET)
     with pytest.raises(ValueError, match="increasing"):
         dual_mode_report(link, r_load_grid=[1.0, 2.0], grid=[26e6, 26e6])
 
@@ -697,9 +698,9 @@ def test_load_scans_keep_the_spectrum_checks(monkeypatch):
 
     monkeypatch.setattr(circuit, "_terminated", non_finite)
     with pytest.raises(ValueError, match="finite"):
-        resistance_sweep(link, "r_source", [10.0, 20.0])
+        resistance_sweep(link, "r_source", [10.0, 20.0], GRID, **BUDGET)
     with pytest.raises(ValueError, match="finite"):
-        dual_mode_report(link)
+        dual_mode_report(link, DUAL_MODE_LOADS, GRID)
 
 
 def test_dual_mode_finds_the_closed_form_optimum_load():
