@@ -45,7 +45,7 @@ from typing import Tuple
 import numpy as np
 
 from .constants import MU0
-from .geometry import CoilSpec, FilamentCoil, check_fields, turn_radii, winding_curve
+from .geometry import FilamentCoil, check_fields
 
 # pair budget per block of every pair kernel: the field kernel and the
 # curve distance's nearest-node search (point-node pairs) and the
@@ -175,21 +175,21 @@ class GridSpec:
         return np.column_stack([cols["x"], cols["y"], cols["z"]])
 
 
-def _panel_nodes(spec: CoilSpec, start: np.ndarray, width: np.ndarray):
+def _panel_nodes(coil: FilamentCoil, start: np.ndarray, width: np.ndarray):
     # _PANEL_NODES Gauss-Legendre nodes on each panel of winding angle
     # [start, start + width]: local points and tangent * weight, the
     # line element per node
     nodes, weights = _gauss_legendre(_PANEL_NODES)
     phi = start[:, None] + width[:, None] * ((nodes + 1.0) / 2.0)
-    points, tangents = winding_curve(spec, phi.ravel())
+    points, tangents = coil.local(phi.ravel())
     return points, tangents * (width[:, None] / 2.0 * weights).reshape(-1, 1)
 
 
-def _uniform_panels(turns: int, level: int) -> Tuple[np.ndarray, np.ndarray]:
+def _uniform_panels(coil: FilamentCoil, level: int) -> Tuple[np.ndarray, np.ndarray]:
     # level 0 splits each turn into _BASE_PANELS equal panels, and each
     # level halves them
-    count = turns * _BASE_PANELS << level
-    width = 2.0 * math.pi * turns / count
+    count = coil.turns * _BASE_PANELS << level
+    width = coil.stop / count
     return np.arange(count) * width, np.full(count, width)
 
 
@@ -227,26 +227,26 @@ def _node_sum(points: np.ndarray, nodes: np.ndarray, dl: np.ndarray):
     return b, nearest
 
 
-def _panel_distance(spec, points, owner, start, width, speed):
+def _panel_distance(coil, points, owner, start, width):
     # a lower bound on the distance from points[owner] to each panel:
     # every point of the panel lies within half its arc length
-    # (width * speed) of its middle
-    mid, _ = winding_curve(spec, start + width / 2.0)
+    # (width * top speed) of its middle
+    mid, _ = coil.local(start + width / 2.0)
     gap = points[owner] - mid
-    return np.sqrt(np.sum(gap * gap, axis=1)) - width * (speed / 2.0)
+    return np.sqrt(np.sum(gap * gap, axis=1)) - width * (coil.top_speed / 2.0)
 
 
-def _graded_panels(spec, points, speed):
+def _graded_panels(coil, points):
     # each point's level-0 panels: the uniform ones, bisected while wider
     # than _PANEL_REACH times their distance to the point (in winding
     # angle); sorted by point, then angle
-    start, width = _uniform_panels(spec.turns, 0)
+    start, width = _uniform_panels(coil, 0)
     owner = np.repeat(np.arange(len(points)), len(start))
     start, width = np.tile(start, len(points)), np.tile(width, len(points))
-    reach = _PANEL_REACH / speed
+    reach = _PANEL_REACH / coil.top_speed
     done = []
     while True:
-        dist = _panel_distance(spec, points, owner, start, width, speed)
+        dist = _panel_distance(coil, points, owner, start, width)
         split = (width > reach * dist) & (width > _MIN_WIDTH)
         if not split.any():
             break
@@ -260,7 +260,7 @@ def _graded_panels(spec, points, speed):
     return owner[order], start[order], width[order]
 
 
-def _panel_sum(spec, points, owner, start, width):
+def _panel_sum(coil, points, owner, start, width):
     # each point's sum over its own panels and its nearest-node distance,
     # in blocks of whole points within the pair budget; a point's nodes
     # are summed in angle order whatever the blocking
@@ -273,7 +273,7 @@ def _panel_sum(spec, points, owner, start, width):
     while g0 < len(heads):
         g1 = max(g0 + 1, int(np.searchsorted(ends, heads[g0] + limit, side="right")))
         sl = slice(heads[g0], ends[g1 - 1])
-        nodes, dl = _panel_nodes(spec, start[sl], width[sl])
+        nodes, dl = _panel_nodes(coil, start[sl], width[sl])
         x, y, z = (np.repeat(points[owner[sl]], _PANEL_NODES, axis=0) - nodes).T
         w = x * x + y * y + z * z
         groups = (heads[g0:g1] - heads[g0]) * _PANEL_NODES
@@ -288,13 +288,7 @@ def _panel_sum(spec, points, owner, start, width):
     return b, nearest
 
 
-def _top_speed(spec: CoilSpec) -> float:
-    # the winding's speed |dr/dphi| grows outward with its radius and
-    # sag, so its outer end bounds it
-    return float(np.linalg.norm(winding_curve(spec, [2.0 * math.pi * spec.turns])[1]))
-
-
-def _polish(spec: CoilSpec, local: np.ndarray, owner: np.ndarray, angle: np.ndarray,
+def _polish(coil: FilamentCoil, local: np.ndarray, owner: np.ndarray, angle: np.ndarray,
             out: np.ndarray) -> None:
     # clipped Gauss-Newton steps on the winding angle from each candidate
     # node, within half a node gap of it, _CANDIDATES at a time; each
@@ -304,12 +298,12 @@ def _polish(spec: CoilSpec, local: np.ndarray, owner: np.ndarray, angle: np.ndar
         who, phi = owner[j:j + _CANDIDATES], angle[j:j + _CANDIDATES]
         target = local[who]
         lo = np.maximum(phi - half, 0.0)
-        hi = np.minimum(phi + half, 2.0 * math.pi * spec.turns)
+        hi = np.minimum(phi + half, coil.stop)
         for _ in range(_DISTANCE_STEPS):
-            c, t = winding_curve(spec, phi)
+            c, t = coil.local(phi)
             c -= target
             phi = np.clip(phi - np.sum(c * t, axis=1) / np.sum(t * t, axis=1), lo, hi)
-        c = winding_curve(spec, phi)[0] - target
+        c = coil.local(phi)[0] - target
         np.minimum.at(out, who, np.sqrt(np.sum(c * c, axis=1)))
 
 
@@ -328,10 +322,9 @@ def _curve_distance(coil: FilamentCoil, points: np.ndarray) -> np.ndarray:
     elementwise, so the result depends neither on the blocking nor on
     the batching.
     """
-    spec = coil.spec
-    phi = np.arange(spec.turns * _DISTANCE_NODES + 1) * (2.0 * math.pi / _DISTANCE_NODES)
-    nodes = np.ascontiguousarray(winding_curve(spec, phi)[0].T)
-    slack = math.pi / _DISTANCE_NODES * _top_speed(spec)
+    phi = np.arange(coil.turns * _DISTANCE_NODES + 1) * (2.0 * math.pi / _DISTANCE_NODES)
+    nodes = np.ascontiguousarray(coil.local(phi)[0].T)
+    slack = math.pi / _DISTANCE_NODES * coil.top_speed
     local = (points - coil.origin) @ coil.rotation
     pt = np.ascontiguousarray(local.T)
     out = np.empty(len(points))
@@ -356,7 +349,7 @@ def _curve_distance(coil: FilamentCoil, points: np.ndarray) -> np.ndarray:
         angle.append(phi[col])
         pending += len(row)
         if pending >= _CANDIDATES or i0 + rows >= len(points):
-            _polish(spec, local, np.concatenate(owner), np.concatenate(angle), out)
+            _polish(coil, local, np.concatenate(owner), np.concatenate(angle), out)
             owner, angle, pending = [], [], 0
     return out
 
@@ -366,19 +359,19 @@ class _Ladder:
     what they have reached so far, and the refinement settings."""
 
     def __init__(self, coil: FilamentCoil, points: np.ndarray, tolerance):
-        spec = self.spec = coil.spec
-        radii = turn_radii(spec)
+        self.coil = coil
+        radii = coil.radii
         self.local = (points - coil.origin) @ coil.rotation
         self.b = np.zeros_like(self.local)
         self.estimate = np.zeros(len(points))
         self.tolerance = np.broadcast_to(
             _FIELD_TOLERANCE if tolerance is None else tolerance, len(points))
-        turns = spec.turns
-        self.speed = _top_speed(spec)
-        self.floor = _FIELD_FLOOR * 2.0 * math.pi * turns / float(np.mean(radii))
+        # the floor's scale mu0 N I / (2 r_mean) reads the turn radii,
+        # unchanged from the spec's, as _coupling_floor does (see there)
+        self.floor = _FIELD_FLOOR * 2.0 * math.pi * coil.turns / float(np.mean(radii))
         # coordinate and winding-angle span, in metres, for the rounding
         self.span = np.sqrt(np.sum(self.local * self.local, axis=1)) + \
-            float(np.max(radii)) * (1.0 + 2.0 * math.pi * turns)
+            float(np.max(radii)) * (1.0 + coil.stop)
 
     def record(self, todo, cur, prev, ratio):
         # keep the level just summed for the points in todo and return
@@ -400,7 +393,7 @@ class _Ladder:
         for level in range(1, _FIELD_LEVELS):
             if not len(todo):
                 break
-            nodes, dl = _panel_nodes(self.spec, *_uniform_panels(self.spec.turns, level))
+            nodes, dl = _panel_nodes(self.coil, *_uniform_panels(self.coil, level))
             cur, _ = _node_sum(self.local[todo], nodes, dl)
             go = self.record(todo, cur, prev, ratio)
             todo, prev, ratio = todo[go], cur[go], ratio[go]
@@ -408,14 +401,14 @@ class _Ladder:
     def own(self, todo):
         # points that halve their own panels; owners index todo
         points = self.local[todo]
-        owner, start, width = _graded_panels(self.spec, points, self.speed)
+        owner, start, width = _graded_panels(self.coil, points)
         for level in range(_FIELD_LEVELS):
             if not len(todo):
                 break
             if level:
                 owner, width = owner.repeat(2), width.repeat(2) / 2.0
                 start = start.repeat(2) + np.tile([0.0, 1.0], len(width) // 2) * width
-            cur, near = _panel_sum(self.spec, points, owner, start, width)
+            cur, near = _panel_sum(self.coil, points, owner, start, width)
             if level:
                 go = self.record(todo, cur, prev, self.span[todo] / near)
             else:
@@ -446,21 +439,21 @@ def _curve_field(coil: FilamentCoil, points: np.ndarray, tolerance=None):
     estimate.
     """
     ladder = _Ladder(coil, points, tolerance)
-    turns, speed = coil.spec.turns, ladder.speed
+    speed = coil.top_speed
 
     # level 0 on the uniform panels, with the nearest-node distance. A
     # point of the curve lies within `slack` of a node (half the widest
     # node gap, or the gap at a panel's end), so a point further than
     # `clear` from every node lies outside the exclusion zone and at
     # least 1/_PANEL_REACH of a uniform panel's length from the curve
-    start, width = _uniform_panels(turns, 0)
+    start, width = _uniform_panels(coil, 0)
     frac = (_gauss_legendre(_PANEL_NODES)[0] + 1.0) / 2.0
     slack = width[0] * speed * max(np.diff(frac).max() / 2.0, frac[0])
     exclusion = coil.wire_diameter / 2.0
     clear = max(exclusion, width[0] * speed / _PANEL_REACH) + slack
     # a point on a node sums to inf or nan, and is masked below
     with np.errstate(divide="ignore", invalid="ignore"):
-        b0, nearest = _node_sum(ladder.local, *_panel_nodes(coil.spec, start, width))
+        b0, nearest = _node_sum(ladder.local, *_panel_nodes(coil, start, width))
     # beyond `clear` by a margin far above rounding
     shared = nearest - clear > 1e-9 * (nearest + clear)
     todo = np.flatnonzero(shared)
@@ -531,9 +524,13 @@ def field_map(coil: FilamentCoil, current: float, grid: GridSpec) -> np.ndarray:
 
 def _coupling_floor(tx: FilamentCoil, rx: FilamentCoil) -> float:
     # dipole-scale coupling magnitude; the convergence denominator so
-    # symmetry nulls (M -> 0) are not chased to relative precision
+    # symmetry nulls (M -> 0) are not chased to relative precision. It
+    # and _Ladder's field floor read the turn radii (pi sum r^2 is the
+    # turns' area); a curve that is not a set of turns must choose its
+    # enclosed area, 1/2 int r^2 dphi, or keep the turn radii, and a
+    # changed floor can change the level a refinement stops at
     d = float(np.linalg.norm(rx.origin - tx.origin))
-    r_tx, r_rx = turn_radii(tx.spec), turn_radii(rx.spec)
+    r_tx, r_rx = tx.radii, rx.radii
     d_eff = max(d, float(r_tx.max()), float(r_rx.max()))
     s_tx = float(np.sum(r_tx**2))
     s_rx = float(np.sum(r_rx**2))
@@ -549,20 +546,19 @@ def _clear_samples(a: FilamentCoil, b: FilamentCoil) -> bool:
     # and other runs are cut until every sample is cleared or measured.
     # True if a gap between neighbouring samples stays uncleared
     threshold = (a.wire_diameter + b.wire_diameter) / 2.0
-    stop = 2.0 * math.pi * a.spec.turns
-    count = a.spec.turns * math.ceil(2.0 * math.pi * _top_speed(a.spec) / threshold)
-    slack = math.pi / _DISTANCE_NODES * _top_speed(b.spec)
-    lo = np.arange(a.spec.turns * _BASE_PANELS + 1) * count // (a.spec.turns * _BASE_PANELS)
+    count = a.turns * math.ceil(2.0 * math.pi * a.top_speed / threshold)
+    slack = math.pi / _DISTANCE_NODES * b.top_speed
+    lo = np.arange(a.turns * _BASE_PANELS + 1) * count // (a.turns * _BASE_PANELS)
     lo, hi, gap = lo[:-1], lo[1:], False
     while len(lo):
         ends, at = np.unique(np.r_[lo, hi], return_inverse=True)
-        points, tangents = a.curve(np.where(ends == count, stop, ends * (stop / count)))
+        points, tangents = a.curve(np.where(ends == count, a.stop, ends * (a.stop / count)))
         d = _curve_distance(b, points)
         if np.any(d <= threshold):
             raise SeparationError(f"coil separation {float(d.min()):.3e} m is within the combined "
                                   f"wire exclusion {threshold:.3e} m; filament model invalid")
         d = d[at]
-        half = (hi - lo) * (stop / count / 2.0) * np.linalg.norm(tangents[at[len(lo):]], axis=1)
+        half = (hi - lo) * (a.stop / count / 2.0) * np.linalg.norm(tangents[at[len(lo):]], axis=1)
         room = np.minimum(d[:len(lo)], d[len(lo):]) - slack - threshold
         gap = gap or bool(np.any((room <= half) & (hi - lo == 1)))
         split = (room <= half) & (hi - lo > 1)
@@ -584,7 +580,7 @@ def _check_separation(tx: FilamentCoil, rx: FilamentCoil) -> None:
     # first, against the slower one's smaller node slack. Where it
     # clears every run, no point of it is that close to the other coil,
     # so the other way is needed only where a gap stays uncleared
-    b, a = sorted((tx, rx), key=lambda c: _top_speed(c.spec))
+    b, a = sorted((tx, rx), key=lambda c: c.top_speed)
     if _clear_samples(a, b):
         _clear_samples(b, a)
 
@@ -603,10 +599,9 @@ def _curve_nodes(coil: FilamentCoil, n: int):
     # n Gauss-Legendre nodes on each turn's 2 pi of winding angle:
     # world points and tangent * weight, the line element per node
     nodes, weights = _gauss_legendre(n)
-    turns = coil.spec.turns
-    phi = math.pi * (2.0 * np.arange(turns)[:, None] + 1.0 + nodes[None, :])
+    phi = math.pi * (2.0 * np.arange(coil.turns)[:, None] + 1.0 + nodes[None, :])
     points, tangents = coil.curve(phi.ravel())
-    return points, tangents * np.tile(math.pi * weights, turns)[:, None]
+    return points, tangents * np.tile(math.pi * weights, coil.turns)[:, None]
 
 
 def _neumann_sum(m1: np.ndarray, d1: np.ndarray, m2: np.ndarray, d2: np.ndarray) -> float:

@@ -10,6 +10,7 @@ axis; tilt 90 points the axis along +x.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
@@ -109,13 +110,17 @@ class CoilSpec:
         if self.shape == FLAT_SPIRAL and self.sphere_radius is not None:
             raise ValueError(f"sphere_radius {self.sphere_radius!r} is for the helical shape only")
         if self.shape == HELICAL:
-            r_sphere = self.sphere_radius if self.sphere_radius is not None else DEFAULT_SPHERE_RADIUS
             r_max = float(turn_radii(self)[-1])
-            if r_sphere <= r_max:
+            if self.sphere <= r_max:
                 raise ValueError(
-                    f"sphere_radius {r_sphere!r} must exceed the outermost "
+                    f"sphere_radius {self.sphere!r} must exceed the outermost "
                     f"turn radius {r_max!r}"
                 )
+
+    @property
+    def sphere(self) -> float:
+        """The helical shape's sphere radius: sphere_radius, or DEFAULT_SPHERE_RADIUS (m)."""
+        return DEFAULT_SPHERE_RADIUS if self.sphere_radius is None else self.sphere_radius
 
     @property
     def pitch(self) -> float:
@@ -161,11 +166,11 @@ class Pose:
 class FilamentCoil:
     """A coil's winding placed in the world: its spec plus a pose.
 
-    ``rotation`` and ``origin`` place the local frame of the winding
-    ``spec`` describes in the world (world = rotation @ local + origin),
-    and ``curve`` evaluates that exact winding at any angle. Fields,
-    mutual inductance, the wire exclusion masks and the coil separation
-    check all come from that curve.
+    ``local`` evaluates the exact winding ``spec`` describes at any
+    angle in the frame ``rotation`` and ``origin`` place in the world
+    (world = rotation @ local + origin); ``curve`` gives it in the world.
+    Fields, M, the wire masks and the separation check read a coil only
+    through its curve attributes, so its parametrization lives here.
     """
 
     spec: CoilSpec
@@ -199,13 +204,34 @@ class FilamentCoil:
         """turns * segments_per_turn."""
         return self.spec.turns * self.segments_per_turn
 
-    def curve(self, phi) -> tuple[np.ndarray, np.ndarray]:
-        """World points and d/dphi tangents of the exact winding at phi.
+    @property
+    def turns(self) -> int:
+        """N: the winding angle runs over N equal turns of 2 pi."""
+        return self.spec.turns
 
-        phi (rad) runs from 0 at the inner end to 2*pi*turns at the
-        outer end; see winding_curve.
-        """
-        points, tangents = winding_curve(self.spec, phi)
+    @property
+    def stop(self) -> float:
+        """The winding angle's end, 2 pi N (rad)."""
+        return 2.0 * math.pi * self.spec.turns
+
+    @functools.cached_property
+    def top_speed(self) -> float:
+        """The largest |d curve/d phi| (m/rad), at the outer end: it grows with radius and sag."""
+        return float(np.linalg.norm(self.local([self.stop])[1]))
+
+    @property
+    def radii(self) -> np.ndarray:
+        """(turns,) radii of the turns (m); see turn_radii."""
+        return turn_radii(self.spec)
+
+    def local(self, phi) -> tuple[np.ndarray, np.ndarray]:
+        """Local points and d/dphi tangents of the exact winding at phi (rad),
+        from 0 at the inner end to stop at the outer end; see winding_curve."""
+        return winding_curve(self.spec, phi)
+
+    def curve(self, phi) -> tuple[np.ndarray, np.ndarray]:
+        """World points and d/dphi tangents of the exact winding at phi."""
+        points, tangents = self.local(phi)
         return points @ self.rotation.T + self.origin, tangents @ self.rotation.T
 
 
@@ -268,9 +294,8 @@ def winding_curve(spec: CoilSpec, phi) -> tuple[np.ndarray, np.ndarray]:
     r = radii[0] + (radii[-1] - radii[0]) * (phi / (2.0 * math.pi * spec.turns))
     z = dz = np.zeros_like(r)
     if spec.shape == HELICAL:
-        r_sphere = spec.sphere_radius if spec.sphere_radius is not None else DEFAULT_SPHERE_RADIUS
-        root = np.sqrt(r_sphere**2 - r**2)
-        z = -(r_sphere - root)
+        root = np.sqrt(spec.sphere**2 - r**2)
+        z = -(spec.sphere - root)
         # the sag turns vertical where the winding meets the equator
         with np.errstate(divide="ignore", invalid="ignore"):
             dz = -slope * r / root

@@ -1,13 +1,15 @@
 """Test-side references: closed forms and curve-built cross-checks.
 
 Maxwell's coaxial-loop mutual inductance and the untuned two-mesh
-transfer ratio are the analytic oracles the numerics are held to. The
+transfer ratio are the analytic oracles the numerics are held to, and
+Ring is the exact circle they describe, posed like a coil. The
 polyline that the older kernels ran on, the flux route to mutual
 inductance and the dense closest-approach sampler are cross-checks of
 the package's curve kernels. None of them is part of the package.
 """
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,8 +18,42 @@ from mqslink.field_coupling import (ConvergenceError, SeparationError,
                                     SingularEvaluationError,
                                     _check_separation, _coupling_floor,
                                     _curve_distance, _curve_field,
-                                    _gauss_legendre, _top_speed)
-from mqslink.geometry import winding_curve
+                                    _gauss_legendre)
+from mqslink.geometry import FilamentCoil
+
+
+@dataclass(frozen=True, eq=False)
+class Ring:
+    """An exact circle of `radius` (m) about its local z axis, traced
+    counter-clockwise from +x: one closed turn, whatever rule a spiral
+    winding follows. It has the curve attributes the field_coupling
+    kernels read from a FilamentCoil, and apply_pose poses it."""
+
+    radius: float
+    wire_diameter: float = 1e-4
+    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
+    origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
+
+    turns = 1
+    stop = 2.0 * math.pi
+    # placed in the world as a coil's winding is
+    axis = FilamentCoil.axis
+    curve = FilamentCoil.curve
+
+    @property
+    def top_speed(self):
+        return self.radius
+
+    @property
+    def radii(self):
+        return np.array([self.radius])
+
+    def local(self, phi):
+        phi = np.asarray(phi, dtype=float)
+        cos, sin = np.cos(phi), np.sin(phi)
+        zero = np.zeros_like(phi)
+        return (np.column_stack([self.radius * cos, self.radius * sin, zero]),
+                np.column_stack([-self.radius * sin, self.radius * cos, zero]))
 
 # quadrature ladder for flux disks: (radial Gauss-Legendre nodes,
 # uniform angular nodes), each level doubling the previous
@@ -27,8 +63,7 @@ FLUX_LEVELS = ((8, 16), (16, 32), (32, 64), (64, 128))
 def polyline(coil, per_turn):
     """(turns * per_turn + 1, 3) vertices: the posed curve at equal angle
     steps. Segment i runs from vertex i to vertex i + 1."""
-    turns = coil.spec.turns
-    return coil.curve(np.linspace(0.0, 2.0 * math.pi * turns, turns * per_turn + 1))[0]
+    return coil.curve(np.linspace(0.0, coil.stop, coil.turns * per_turn + 1))[0]
 
 
 def disk_frames(coil, per_turn=360):
@@ -39,18 +74,17 @@ def disk_frames(coil, per_turn=360):
     sits on the coil axis at the mean height of the turn's per_turn + 1
     vertices; normals share the coil axis.
     """
-    spec = coil.spec
     n = coil.axis
     helper = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
     e1 = np.cross(n, helper)
     e1 = e1 / np.linalg.norm(e1)
     e2 = np.cross(n, e1)
-    mid, _ = winding_curve(spec, 2.0 * math.pi * (np.arange(spec.turns) + 0.5))
+    mid, _ = coil.local(2.0 * math.pi * (np.arange(coil.turns) + 0.5))
     radii = np.hypot(mid[:, 0], mid[:, 1])
-    phi = np.linspace(0.0, 2.0 * math.pi * spec.turns, spec.turns * per_turn + 1)
-    height = winding_curve(spec, phi)[0][:, 2]
+    phi = np.linspace(0.0, coil.stop, coil.turns * per_turn + 1)
+    height = coil.local(phi)[0][:, 2]
     return [(coil.origin + n * float(np.mean(height[i * per_turn:(i + 1) * per_turn + 1])),
-             float(radii[i]), e1, e2) for i in range(spec.turns)]
+             float(radii[i]), e1, e2) for i in range(coil.turns)]
 
 
 def closest_approach(tx, rx):
@@ -60,9 +94,8 @@ def closest_approach(tx, rx):
     step = (tx.wire_diameter + rx.wire_diameter) / 2.0
     worst = math.inf
     for a, b in ((tx, rx), (rx, tx)):
-        turns = a.spec.turns
-        per_turn = math.ceil(2.0 * math.pi * _top_speed(a.spec) / step)
-        samples, _ = a.curve(np.linspace(0.0, 2.0 * math.pi * turns, turns * per_turn + 1))
+        per_turn = math.ceil(2.0 * math.pi * a.top_speed / step)
+        samples, _ = a.curve(np.linspace(0.0, a.stop, a.turns * per_turn + 1))
         worst = min(worst, float(_curve_distance(b, samples).min()))
     return worst
 

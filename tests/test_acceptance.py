@@ -26,7 +26,7 @@ from mqslink.lumped import (LOW_CONFIDENCE, current_sheet_inductance,
                             estimate_inductance)
 from mqslink.cli import main as cli_main
 from nominal import BUDGET, GRID, L_TX, NOMINAL, RX, TX
-from references import (coaxial_mutual_oracle, flux_mutual_inductance,
+from references import (Ring, coaxial_mutual_oracle, flux_mutual_inductance,
                         transfer_ratio_untuned)
 
 
@@ -82,17 +82,12 @@ def test_criterion_03_tuning(capsys):
 def test_criterion_04_coupling_kernel(capsys):
     t0 = time.perf_counter()
 
-    def loop(radius, segments=720):
-        spec = CoilSpec(turns=1, inner_radius=radius, wire_diameter=1e-4,
-                        wire_spacing=0.0)
-        return build_filament_coil(spec, segments_per_turn=segments)
-
     r1 = 0.05
     worst_oracle = 0.0
-    base = loop(r1)
+    base = Ring(r1)
     for ratio in (0.05, 0.2, 1.0):
         for zr in (0.5, 1.0, 5.0):
-            inner = apply_pose(loop(ratio * r1), Pose(center=(0, 0, zr * r1)))
+            inner = apply_pose(Ring(ratio * r1), Pose(center=(0, 0, zr * r1)))
             got = mutual_inductance(base, inner).m
             want = coaxial_mutual_oracle(r1, ratio * r1, zr * r1)
             worst_oracle = max(worst_oracle, abs(got - want) / abs(want))

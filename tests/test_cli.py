@@ -155,6 +155,27 @@ def test_library_defaults_equal_the_printed_defaults(tmp_path):
     assert loads.tobytes() == DUAL_MODE_LOADS.tobytes()
 
 
+def test_printed_request_examples_write_out_the_parsers_defaults(tmp_path):
+    # a request key that `mqslink defaults` prints and its parser can
+    # default must be printed at that default: leaving it out of
+    # ALL_REQUESTS, one key at a time, leaves the request as it was
+    lines = ALL_REQUESTS.splitlines(keepends=True)
+    full = parse_config(write_config(tmp_path, ALL_REQUESTS)).requests
+    defaulted, section = [], None
+    for i, line in enumerate(lines):
+        header = re.fullmatch(r"\[(.+)\]\n", line)
+        section = header[1] if header else section
+        if section not in cli.REQUESTS or not re.match(r"\w+ = ", line):
+            continue
+        try:
+            config = parse_config(write_config(tmp_path, "".join(lines[:i] + lines[i + 1:])))
+        except ConfigError:
+            continue    # a required key
+        assert config.requests[section] == full[section], f"[{section}] {line.strip()}"
+        defaulted.append(line)
+    assert defaulted
+
+
 def test_strict_mode_requires_the_scenario_sections(tmp_path):
     with pytest.raises(ConfigError, match=r"\[tx_coil\]"):
         parse_config(write_config(tmp_path, ""), allow_defaults=False)

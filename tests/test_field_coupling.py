@@ -17,15 +17,14 @@ from mqslink.field_coupling import (ConvergenceError, CouplingResult,
                                     GridSpec, SeparationError,
                                     SingularEvaluationError,
                                     _check_separation, _coupling_floor,
-                                    _curve_distance, _neumann_sum,
-                                    _top_speed, b_field,
+                                    _curve_distance, _neumann_sum, b_field,
                                     coupling_coefficient, field_map,
                                     mutual_inductance)
-from mqslink.geometry import (HELICAL, CoilSpec, FilamentCoil, Pose, Scenario,
+from mqslink.geometry import (HELICAL, CoilSpec, Pose, Scenario,
                               apply_pose, build_filament_coil, scenario_poses,
                               turn_radii)
 from nominal import L_RX, L_TX, M_NOMINAL, NOMINAL, RX, TX
-from references import (_ellipke, closest_approach, coaxial_mutual_oracle,
+from references import (Ring, _ellipke, closest_approach, coaxial_mutual_oracle,
                         disk_frames, flux_mutual_inductance, polyline)
 
 # pytest.approx adds an absolute tolerance of 1e-12 unless given one,
@@ -40,12 +39,6 @@ M_NOMINAL_EXTRAPOLATED = 3.9078144520416973e-10
 
 # a coil still takes segments_per_turn, but no result depends on it
 _SPT = 16
-
-
-def _loop(radius, wire=1e-4):
-    spec = CoilSpec(turns=1, inner_radius=radius, wire_diameter=wire,
-                    wire_spacing=0.0)
-    return build_filament_coil(spec, _SPT)
 
 
 def _nominal_pair(rx_spec=RX, scenario=NOMINAL):
@@ -107,7 +100,7 @@ def test_oracle_rejects_nonpositive_radii():
 # --------------------------------------------------------------- b_field
 
 def test_loop_center_field_matches_the_analytic_value():
-    coil = _loop(0.01)
+    coil = Ring(0.01)
     b = b_field(coil, 1.0, np.zeros(3))
     assert b.shape == (3,)
     assert b[2] == pytest.approx(MU0 * 1.0 / (2 * 0.01), rel=1e-12, abs=0)
@@ -117,7 +110,7 @@ def test_loop_center_field_matches_the_analytic_value():
 
 def test_on_axis_field_matches_the_analytic_profile():
     r = 0.02
-    coil = _loop(r)
+    coil = Ring(r)
     for z in (0.01, 0.05, 0.2):
         b = b_field(coil, 2.0, np.array([0.0, 0.0, z]))
         expected = MU0 * 2.0 * r**2 / (2.0 * (r**2 + z**2) ** 1.5)
@@ -125,14 +118,14 @@ def test_on_axis_field_matches_the_analytic_profile():
 
 
 def test_field_scales_linearly_with_current():
-    coil = _loop(0.01)
+    coil = Ring(0.01)
     p = np.array([0.005, 0.002, 0.004])
     np.testing.assert_allclose(b_field(coil, 3.0, p), 3.0 * b_field(coil, 1.0, p),
                                rtol=1e-13)
 
 
 def test_field_accepts_point_batches():
-    coil = _loop(0.01)
+    coil = Ring(0.01)
     pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.01], [0.0, 0.0, 0.02]])
     b = b_field(coil, 1.0, pts)
     assert b.shape == (3, 3)
@@ -140,7 +133,7 @@ def test_field_accepts_point_batches():
 
 
 def test_field_inside_the_wire_is_refused():
-    coil = _loop(0.01, wire=1e-3)
+    coil = Ring(0.01, wire_diameter=1e-3)
     with pytest.raises(SingularEvaluationError):
         b_field(coil, 1.0, np.array([0.01, 0.0, 0.0]))
 
@@ -160,7 +153,7 @@ def _loop_field(radius, current, p):
     return np.array([b_rho * x / rho, b_rho * y / rho, b_z])
 
 
-def test_off_axis_field_converges_to_the_closed_form_loop():
+def test_off_axis_field_converges_to_the_closed_formRing():
     radius, wire = 0.01, 1e-4
     exclusion = wire / 2.0
     pts = np.array([
@@ -172,7 +165,7 @@ def test_off_axis_field_converges_to_the_closed_form_loop():
     want = np.array([_loop_field(radius, 1.5, p) for p in pts])
     # B comes from the exact circle, so only quadrature error is left,
     # even three exclusion radii from the wire
-    loop = _loop(radius, wire=wire)
+    loop = Ring(radius, wire_diameter=wire)
     got = b_field(loop, 1.5, pts)
     err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
     assert err.max() <= 1e-10
@@ -284,7 +277,7 @@ def test_kernel_matches_the_per_pair_form(spec, tilt):
 
 
 def _level0_nodes(coil):
-    return coil.spec.turns * field_coupling._BASE_PANELS * field_coupling._PANEL_NODES
+    return coil.turns * field_coupling._BASE_PANELS * field_coupling._PANEL_NODES
 
 
 @pytest.mark.parametrize("spec", [_FLAT, _DOME], ids=["flat", "helical"])
@@ -356,8 +349,7 @@ def _broadcast_neumann_sum(m1, d1, m2, d2):
 
 
 def _shared_panels(coil, level):
-    return field_coupling._panel_nodes(
-        coil.spec, *field_coupling._uniform_panels(coil.spec.turns, level))
+    return field_coupling._panel_nodes(coil, *field_coupling._uniform_panels(coil, level))
 
 
 @pytest.mark.parametrize("block_pairs", [None, 1000], ids=["default", "small"])
@@ -518,9 +510,9 @@ def test_only_points_within_the_clear_radius_take_the_curve_distance(spec, monke
     coil = apply_pose(build_filament_coil(spec, 64),
                       Pose(center=(0.01, -0.002, 0.03), tilt_angle_deg=37.0))
     pts = _grazing_points(coil)
-    start, width = field_coupling._uniform_panels(spec.turns, 0)
+    start, width = field_coupling._uniform_panels(coil, 0)
     frac = (field_coupling._gauss_legendre(field_coupling._PANEL_NODES)[0] + 1.0) / 2.0
-    speed = _top_speed(spec)
+    speed = coil.top_speed
     slack = width[0] * speed * max(np.diff(frac).max() / 2.0, frac[0])
     clear = max(coil.wire_diameter / 2.0, width[0] * speed / field_coupling._PANEL_REACH) + slack
     local = (pts - coil.origin) @ coil.rotation
@@ -547,7 +539,7 @@ def test_a_point_on_a_level0_node_is_masked_without_warnings():
     # its level-0 sum divides by a zero distance; the map masks the
     # point and no RuntimeWarning escapes
     coil = build_filament_coil(_FLAT, 64)
-    nodes, _ = field_coupling._panel_nodes(_FLAT, *field_coupling._uniform_panels(_FLAT.turns, 0))
+    nodes, _ = _shared_panels(coil, 0)
     x, y, z = nodes[37]
     grid = GridSpec(plane="xy", offset=z, axis1_start=x, axis1_stop=x + 1e-3, axis1_points=2,
                     axis2_start=y, axis2_stop=y + 1e-3, axis2_points=2)
@@ -571,9 +563,8 @@ def test_every_point_on_the_exact_curve_is_masked():
 
 
 def test_curve_distance_of_one_turn_is_the_circle_distance():
-    # a one-turn winding has slope 0, so it is an exact circle of radius
-    # r. Points within a tenth of r of the wire, where the polish
-    # converges fast, on a posed loop
+    # points within a tenth of r of an exact circle of radius r, where
+    # the polish converges fast, on a posed loop
     r = 0.01
     pose = Pose(center=(0.02, -0.01, 0.05), tilt_angle_deg=37.0)
     rng = np.random.default_rng(21)
@@ -582,7 +573,7 @@ def test_curve_distance_of_one_turn_is_the_circle_distance():
     rho, z = r + d * np.cos(psi), d * np.sin(psi)
     local = np.column_stack([rho * np.cos(theta), rho * np.sin(theta), z])
     pts = local @ pose.rotation_matrix().T + np.asarray(pose.center)
-    got = _curve_distance(apply_pose(_loop(r), pose), pts)
+    got = _curve_distance(apply_pose(Ring(r), pose), pts)
     np.testing.assert_allclose(got, np.sqrt((rho - r) ** 2 + z * z), rtol=1e-10, atol=0)
 
 
@@ -608,14 +599,14 @@ def test_curve_distance_reads_an_offset_along_a_normal(spec):
 def test_closest_approach_of_coaxial_loops_is_the_closed_form():
     for r1, r2, z in ((0.02, 0.0195, 0.001), (0.02, 0.021, 0.0), (0.02, 0.02, 0.002)):
         gap = math.hypot(r1 - r2, z)
-        a = _loop(r1)
-        b = apply_pose(_loop(r2), Pose(center=(0.0, 0.0, z)))
+        a = Ring(r1)
+        b = apply_pose(Ring(r2), Pose(center=(0.0, 0.0, z)))
         assert closest_approach(a, b) == pytest.approx(gap, rel=1e-12, abs=0)
         # the check raises with the wire just thicker than the gap, and
         # passes with it just thinner
         for wire in (gap * (1 + 1e-3), gap * (1 - 1e-3)):
-            a = _loop(r1, wire)
-            b = apply_pose(_loop(r2, wire), Pose(center=(0.0, 0.0, z)))
+            a = Ring(r1, wire)
+            b = apply_pose(Ring(r2, wire), Pose(center=(0.0, 0.0, z)))
             if wire > gap:
                 with pytest.raises(SeparationError):
                     _check_separation(a, b)
@@ -668,7 +659,7 @@ def test_grid_spec_counts_accept_numpy_integers():
 
 
 def test_field_map_masks_points_on_the_wire_and_keeps_the_rest():
-    coil = _loop(0.01, wire=1e-3)
+    coil = Ring(0.01, wire_diameter=1e-3)
     # middle column of axis1 passes exactly through the wire at (0.01, 0, 0)
     grid = GridSpec(plane="xy", offset=0.0, axis1_start=0.009,
                     axis1_stop=0.011, axis1_points=3, axis2_start=-0.001,
@@ -720,8 +711,8 @@ def _polyline_neumann(tx, rx, per_turn, tolerance=1e-3):
 
 
 def test_neumann_matches_the_coaxial_oracle():
-    a = _loop(0.03)
-    b = apply_pose(_loop(0.01), Pose(center=(0, 0, 0.04)))
+    a = Ring(0.03)
+    b = apply_pose(Ring(0.01), Pose(center=(0, 0, 0.04)))
     got, _ = _polyline_neumann(a, b, 720)
     want = coaxial_mutual_oracle(0.03, 0.01, 0.04)
     assert got == pytest.approx(want, rel=1e-4, abs=0)
@@ -774,8 +765,8 @@ def test_disk_frames_match_the_vertex_means(spec, pose):
 
 
 def test_reciprocity_of_the_neumann_route():
-    a = apply_pose(_loop(0.02), Pose(tilt_angle_deg=25.0))
-    b = apply_pose(_loop(0.008),
+    a = apply_pose(Ring(0.02), Pose(tilt_angle_deg=25.0))
+    b = apply_pose(Ring(0.008),
                    Pose(center=(0.01, 0.005, 0.06), tilt_angle_deg=70.0))
     m_ab = mutual_inductance(a, b).m
     m_ba = mutual_inductance(b, a).m
@@ -793,8 +784,8 @@ def test_orthogonal_centered_pose_couples_to_nothing():
 
 
 def test_convergence_estimate_bounds_the_next_refinement():
-    a = _loop(0.02)
-    b = apply_pose(_loop(0.008), Pose(center=(0.005, 0, 0.03)))
+    a = Ring(0.02)
+    b = apply_pose(Ring(0.008), Pose(center=(0.005, 0, 0.03)))
     coarse = mutual_inductance(a, b, tolerance=1e-3)
     fine = mutual_inductance(a, b, tolerance=coarse.convergence_estimate / 10)
     assert abs(fine.m - coarse.m) <= 2 * coarse.convergence_estimate * abs(coarse.m)
@@ -803,8 +794,8 @@ def test_convergence_estimate_bounds_the_next_refinement():
 def test_flux_route_reports_the_change_it_measured():
     # the rx disk passes 5 mm from the tx wire, so the flux ladder has
     # real work to do
-    a = _loop(0.03)
-    b = apply_pose(_loop(0.028), Pose(center=(0.0, 0.0, 0.005)))
+    a = Ring(0.03)
+    b = apply_pose(Ring(0.028), Pose(center=(0.0, 0.0, 0.005)))
     m, estimate = flux_mutual_inductance(a, b, tolerance=1e-3)
     assert 0.0 < estimate < 1e-3
     tight, _ = flux_mutual_inductance(a, b, tolerance=estimate / 10)
@@ -817,10 +808,10 @@ def test_spectral_matches_the_coaxial_oracle_on_the_kernel_grid():
     # the criterion-04 grid of one-turn coaxial loops; at tolerance 1e-5
     # every pose stops on a level whose error is below 1e-9
     r1 = 0.05
-    base = _loop(r1)
+    base = Ring(r1)
     for ratio in (0.05, 0.2, 1.0):
         for zr in (0.5, 1.0, 5.0):
-            inner = apply_pose(_loop(ratio * r1),
+            inner = apply_pose(Ring(ratio * r1),
                                Pose(center=(0, 0, zr * r1)))
             result = mutual_inductance(base, inner, tolerance=1e-5)
             want = coaxial_mutual_oracle(r1, ratio * r1, zr * r1)
@@ -861,7 +852,7 @@ def test_spectral_matches_the_closed_form_on_tilted_offset_loops():
     # the primary's axis and 40-80 mm above its plane, so it clears both
     # the primary's wire and its axis
     r_p, r_s = 0.03, 0.01
-    base = _loop(r_p)
+    base = Ring(r_p)
     rng = np.random.default_rng(8)
     for _ in range(8):
         azimuth = rng.uniform(0.0, 2.0 * math.pi)
@@ -869,7 +860,7 @@ def test_spectral_matches_the_closed_form_on_tilted_offset_loops():
         pose = Pose(center=(offset * math.cos(azimuth), offset * math.sin(azimuth),
                             rng.uniform(0.04, 0.08)),
                     tilt_angle_deg=rng.uniform(0.0, 360.0))
-        got = mutual_inductance(base, apply_pose(_loop(r_s), pose),
+        got = mutual_inductance(base, apply_pose(Ring(r_s), pose),
                                 tolerance=1e-9).m
         want = _tilted_loop_oracle(r_p, r_s, pose)
         assert got == pytest.approx(want, rel=1e-12, abs=0), pose
@@ -927,11 +918,11 @@ def test_spectral_coupling_is_invariant_under_rigid_motion():
 
 
 def test_spectral_sign_flips_when_the_receiver_turns_over():
-    a = _loop(0.03)
+    a = Ring(0.03)
     up = Pose(center=(0.01, 0.0, 0.04), tilt_angle_deg=30.0)
     down = Pose(center=(0.01, 0.0, 0.04), tilt_angle_deg=210.0)
-    m_up = mutual_inductance(a, apply_pose(_loop(0.01), up), tolerance=1e-9).m
-    m_down = mutual_inductance(a, apply_pose(_loop(0.01), down), tolerance=1e-9).m
+    m_up = mutual_inductance(a, apply_pose(Ring(0.01), up), tolerance=1e-9).m
+    m_down = mutual_inductance(a, apply_pose(Ring(0.01), down), tolerance=1e-9).m
     assert m_up > 0 > m_down
     assert m_down == pytest.approx(-m_up, rel=1e-9, abs=0)
     # a spiral turned over is not the same wire reversed, but the sign
@@ -951,8 +942,8 @@ def test_spectral_unreachable_tolerance_raises_with_the_last_estimate():
     assert err.value.value == pytest.approx(M_NOMINAL_EXTRAPOLATED, rel=1e-8, abs=0)
     assert err.value.estimate > 1e-16
     # a pair of coarse loops converges to 6.9e-16 and still misses 1e-16
-    a = _loop(0.02)
-    b = apply_pose(_loop(0.008), Pose(center=(0.005, 0, 0.03)))
+    a = Ring(0.02)
+    b = apply_pose(Ring(0.008), Pose(center=(0.005, 0, 0.03)))
     with pytest.raises(ConvergenceError) as err:
         mutual_inductance(a, b, tolerance=1e-16)
     assert math.isfinite(err.value.value)
@@ -961,8 +952,8 @@ def test_spectral_unreachable_tolerance_raises_with_the_last_estimate():
 
 def test_spectral_route_still_checks_separation():
     # interleaved loops: each passes through the other's wire
-    a = _loop(0.02, wire=0.5e-3)
-    b = apply_pose(_loop(0.02, wire=0.5e-3),
+    a = Ring(0.02, wire_diameter=0.5e-3)
+    b = apply_pose(Ring(0.02, wire_diameter=0.5e-3),
                    Pose(tilt_angle_deg=90.0))
     with pytest.raises(SeparationError):
         mutual_inductance(a, b)
@@ -1013,18 +1004,18 @@ def test_separation_check_measures_the_dense_samples(monkeypatch):
     # coaxial loops just outside the threshold leave no run of samples
     # cleared, so the check measures every sample both ways; they are
     # np.linspace's angles at arc steps of at most the threshold
-    a = _loop(0.02)
-    b = apply_pose(_loop(0.02), Pose(center=(0.0, 0.0, a.wire_diameter * (1 + 1e-6))))
+    a = Ring(0.02)
+    b = apply_pose(Ring(0.02), Pose(center=(0.0, 0.0, a.wire_diameter * (1 + 1e-6))))
     angles = []
-    curve = FilamentCoil.curve
+    curve = Ring.curve
 
     def recorded(coil, phi):
         angles.append(phi)
         return curve(coil, phi)
 
-    monkeypatch.setattr(FilamentCoil, "curve", recorded)
+    monkeypatch.setattr(Ring, "curve", recorded)
     _check_separation(a, b)
-    per_turn = math.ceil(2.0 * math.pi * _top_speed(a.spec) / a.wire_diameter)
+    per_turn = math.ceil(2.0 * math.pi * a.top_speed / a.wire_diameter)
     assert np.array_equal(np.unique(np.concatenate(angles)),
                           np.linspace(0.0, 2.0 * math.pi, per_turn + 1))
     assert sum(map(len, angles)) > 2 * per_turn

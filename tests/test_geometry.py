@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from mqslink.geometry import (DEFAULT_SPHERE_RADIUS, HELICAL, CoilSpec, Filament
                               Pose, Scenario, apply_pose, build_filament_coil,
                               scenario_poses, turn_radii, winding_curve)
 from nominal import PLACEMENT, RX, TX
-from references import polyline
+from references import Ring, polyline
 
 
 def test_turn_radii_advance_by_pitch():
@@ -78,6 +79,28 @@ def test_helical_coil_must_fit_on_its_sphere():
     just_fits = CoilSpec(5, 4e-3, 0.137e-3, 0.5e-3, shape=HELICAL,
                          sphere_radius=float(np.nextafter(r_max, 1.0)))
     assert np.all(np.isfinite(winding_curve(just_fits, [0.0, 5.0, 10.0 * math.pi])[1]))
+
+
+def test_no_sphere_radius_is_an_explicit_12_mm():
+    # the default sphere has one home: the curve and the fit check read
+    # the same radius whether it is left out or written
+    implicit = CoilSpec(5, 4e-3, 0.137e-3, 0.5e-3, shape=HELICAL)
+    explicit = replace(implicit, sphere_radius=12e-3)
+    phi = np.linspace(0.0, 2.0 * math.pi * 5, 5 * 64 + 1)
+    for got, want in zip(winding_curve(implicit, phi), winding_curve(explicit, phi)):
+        assert np.array_equal(got, want)
+    # outer turns just inside and just outside 12 mm
+    for shift, fits in ((-1e-12, True), (1e-12, False)):
+        verdicts = []
+        for sphere in (None, 12e-3):
+            try:
+                CoilSpec(5, 12e-3 - 4 * 0.637e-3 + shift, 0.137e-3, 0.5e-3,
+                         shape=HELICAL, sphere_radius=sphere)
+                verdicts.append("fits")
+            except ValueError as exc:
+                verdicts.append(str(exc))
+        assert verdicts[0] == verdicts[1]
+        assert (verdicts[0] == "fits") == fits, verdicts[0]
 
 
 def _wire_length(coil, per_turn):
@@ -173,10 +196,8 @@ def test_posed_vertices_are_the_local_vertices_moved(spec, tilt):
 
 def test_refinement_halves_the_chord_error():
     # polyline length of an inscribed polygon converges ~ 1/n^2
-    one = CoilSpec(turns=1, inner_radius=10e-3, wire_diameter=1e-4,
-                   wire_spacing=0.0)
     exact = 2.0 * math.pi * 10e-3
-    coil = build_filament_coil(one, 16)
+    coil = Ring(10e-3)
     err = [abs(_wire_length(coil, n) - exact) for n in (32, 64, 128)]
     assert err[0] / err[1] == pytest.approx(4.0, rel=0.05)
     assert err[1] / err[2] == pytest.approx(4.0, rel=0.05)

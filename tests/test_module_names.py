@@ -1,5 +1,6 @@
 """Names across src/ modules: no module imports another module's private
-name, and every module-level name is read somewhere in the repository."""
+name, every module-level name is read somewhere in the repository, and
+field_coupling knows a coil only through its curve."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,18 @@ def test_every_module_level_name_in_src_is_read():
               for path in SRC for line, name in _defined(_tree(path))
               if name not in read and not name.startswith("__")]
     assert unread == []
+
+
+def test_field_coupling_reads_a_coil_only_through_its_curve():
+    # how a winding is parametrized is decided in geometry alone: the
+    # kernels take the coil record and read its curve attributes, never
+    # its spec, and no kernel takes a spec, a turn count or a speed
+    tree = _tree(ROOT / "src" / "mqslink" / "field_coupling.py")
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == "geometry" for alias in node.names}
+    assert imported == {"FilamentCoil", "check_fields"}
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "spec"] == []
+    params = {arg.arg for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              for arg in node.args.args + node.args.kwonlyargs}
+    assert params.isdisjoint({"spec", "turns", "speed"})
