@@ -9,10 +9,13 @@ Configs are INI files. Every dimensioned value carries a unit tag
 Scenario sections ([tx_coil], [rx_coil], [placement], [circuit],
 [frequency_grid], [analysis], [output]) fall back to DEFAULT_CONFIG,
 the nominal config `mqslink defaults` prints; the presence of a request section ([spectrum],
-[sweep tx_angle], [field_map], ...) asks for that analysis. Each
-request section is one class in REQUESTS, which maps section names to
-classes: the class parses and checks its section, and its run method
-computes the analysis and writes its files. Outputs are CSV/JSON files
+[sweep tx_angle], [field_map], ...) asks for that analysis. Every
+section is read one way: its schema says how to read each value, and
+the record the values build (CoilSpec, Scenario, ScenarioConfig, or a
+request record) states every value rule. REQUESTS maps each request
+section's name to its record's constructor and schema; a request
+record's run method computes the analysis and writes its files.
+Outputs are CSV/JSON files
 written atomically (temp file, then rename) plus a report.json
 manifest, which is written even when requests fail.
 """
@@ -31,7 +34,7 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import (Callable, Dict, List, Optional, Protocol, Sequence,
                     Tuple, Union)
@@ -40,9 +43,9 @@ import numpy as np
 
 from .circuit import LinkCircuit, Spectrum, frequency_sweep, path_loss_db
 from .field_coupling import GridSpec, field_map
-from .geometry import (FLAT_SPIRAL, HELICAL, CoilSpec, Scenario, apply_pose,
-                       build_filament_coil, scenario_poses)
-from .link_analysis import (POWER, SWEEP_RANGES, VOLTAGE, BandwidthCapacityRow,
+from .geometry import (FLAT_SPIRAL, HELICAL, SWEEP_RANGES, CoilSpec, Scenario,
+                       apply_pose, build_filament_coil, check_fields, scenario_poses)
+from .link_analysis import (POWER, VOLTAGE, BandwidthCapacityRow,
                             SweepResult, TruncatedBandError, capacity_report,
                             capacity_vs_bandwidth, dual_mode_report,
                             misalignment_sweep, resistance_sweep,
@@ -85,7 +88,8 @@ _UNITS: Dict[str, Dict[str, int]] = {
 }
 
 class Request(Protocol):
-    """A request section, parsed by its class's parse(reader, name).
+    """A request section's record: REQUESTS[name] builds it from the
+    section's values and it checks them, as every record does.
 
     run computes the analysis, writes its files into `out`, reports its
     notes through warnings.warn and returns the names of the files it
@@ -96,6 +100,10 @@ class Request(Protocol):
     def run(self, config: ScenarioConfig, grid: np.ndarray, out: Path,
             build_link: Callable[[bool], LinkCircuit],
             spectrum: Callable[[bool], Spectrum]) -> Tuple[str, ...]: ...
+
+
+# the most float64 samples numpy can hold in one array
+_MAX_GRID_POINTS = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -113,14 +121,23 @@ class ScenarioConfig:
     requests: Dict[str, Request]  # section name -> request, in file order
     config_digest: str            # sha256 of the config file bytes
 
+    def __post_init__(self):
+        check_fields(self, positive=("grid_start",),
+                     counts={"grid_points": 2, "segments_per_turn": 16},
+                     ordered=(("grid_stop", ">", "grid_start"),))
+        if self.grid_points > _MAX_GRID_POINTS:
+            raise ValueError(f"grid_points must be at most {_MAX_GRID_POINTS}, "
+                             f"got {self.grid_points!r}")
+
     def frequency_grid(self) -> np.ndarray:
         return np.linspace(self.grid_start, self.grid_stop, self.grid_points)
 
 
 # ---------------------------------------------------------------------------
-# schemas: key -> (kind, detail). kind is count | quantity | optional_quantity
-# | enum | string; detail is a count's least value (or None), a quantity's
-# unit dimension or the enum values.
+# schemas: key -> (kind, detail) says how to read a value's text, and no
+# more: the record the values build states every value rule. kind is
+# count | quantity | optional_quantity | enum | string | words; detail is
+# a quantity's unit dimension, the enum values, or None.
 
 _COIL_SCHEMA = {
     "turns": ("count", None),
@@ -151,13 +168,13 @@ _CIRCUIT_SCHEMA = {
 _GRID_SCHEMA = {
     "start": ("quantity", "frequency"),
     "stop": ("quantity", "frequency"),
-    "points": ("count", 2),
+    "points": ("count", None),
 }
 
 _ANALYSIS_SCHEMA = {
     "noise_floor": ("quantity", "level"),
     "snr_convention": ("enum", (VOLTAGE, POWER)),
-    "segments_per_turn": ("count", 16),
+    "segments_per_turn": ("count", None),
 }
 
 _OUTPUT_SCHEMA = {"directory": ("string", None)}
@@ -167,11 +184,16 @@ _SCENARIO_SCHEMAS = {"tx_coil": _COIL_SCHEMA, "rx_coil": _COIL_SCHEMA,
                      "frequency_grid": _GRID_SCHEMA, "analysis": _ANALYSIS_SCHEMA,
                      "output": _OUTPUT_SCHEMA}
 
-# Scenario field -> the (section, key) it is read from; tx and rx are CoilSpecs
-_RENAMED = {"tx_angle": "tx_angle_deg", "source_amplitude": "v_source"}
-_SCENARIO_KEYS = {_RENAMED.get(key, key): (section, key)
-                  for section in ("placement", "circuit")
-                  for key in _SCENARIO_SCHEMAS[section]}
+# record field -> the (section, key) it is read from: Scenario's from
+# [placement] and [circuit] (tx and rx are CoilSpecs), ScenarioConfig's
+# from the run settings
+_RENAMED = {"tx_angle": "tx_angle_deg", "source_amplitude": "v_source",
+            "start": "grid_start", "stop": "grid_stop", "points": "grid_points",
+            "noise_floor": "noise_floor_dbv", "directory": "output_dir"}
+_SCENARIO_KEYS, _CONFIG_KEYS = ({_RENAMED.get(key, key): (section, key)
+                                 for section in sections for key in _SCENARIO_SCHEMAS[section]}
+                                for sections in (("placement", "circuit"),
+                                                 ("frequency_grid", "analysis", "output")))
 
 
 class _Reader:
@@ -226,10 +248,11 @@ class _Reader:
 
     def _value(self, section: str, key: str, raw: str, kind: str, detail):
         where = f"[{section}] {key}"
-        if kind == "string":
+        if kind in ("string", "words"):
             if not raw:
                 self.fail(section, key, f"{where} must not be empty")
-            return raw
+            return raw if kind == "string" else tuple(
+                word for word in re.split(r"[,\s]+", raw.lower()) if word)
         if kind == "enum":
             token = raw.lower()
             if token not in detail:
@@ -240,9 +263,10 @@ class _Reader:
             if not re.fullmatch(r"[+-]?\d+", raw):
                 self.fail(section, key,
                           f"{where} takes a bare integer count; got {raw!r}")
-            if detail is not None and int(raw) < detail:
-                self.fail(section, key, f"{where} must be >= {detail}")
-            return int(raw)
+            try:
+                return int(raw)
+            except ValueError:    # past int()'s digit limit
+                self.fail(section, key, f"{where} is too long a count ({len(raw)} digits)")
         if kind == "optional_quantity" and raw.lower() == "none":
             return None
         # quantity / optional_quantity: "<number> <unit>"
@@ -272,12 +296,14 @@ class _Reader:
         return value
 
     def section(self, name: str, schema: Dict, defaults: Dict[str, str]) -> Dict:
-        """[name] read by schema, in SI units. A key the file leaves out
-        is read from its text in defaults; one with no default is required."""
+        """[name] read by schema, in SI units: key -> (kind, detail), or a
+        request's (kind, detail, default text or None). A key the file
+        leaves out is read from its text in defaults, else from its
+        schema default; one with neither is required."""
         given = self.sections.get(name, {})
         out = {}
-        for key, (kind, detail) in schema.items():
-            raw = given.get(key, defaults.get(key))
+        for key, (kind, detail, *default) in schema.items():
+            raw = given.get(key, defaults.get(key, *default))
             if raw is None:
                 self.fail(name, None, f"[{name}] requires key {key!r}")
             out[key] = self._value(name, key, raw, kind, detail)
@@ -285,7 +311,7 @@ class _Reader:
             if key not in schema:
                 self.fail(name, key,
                           f"unknown key {key!r} in [{name}]; "
-                          f"allowed: {', '.join(sorted(schema))}")
+                          f"allowed: {', '.join(sorted(schema)) or 'none'}")
         return out
 
     def build(self, section: str, cls, keys: Dict, **kwargs):
@@ -328,23 +354,17 @@ def parse_config(path: Union[str, Path], allow_defaults: bool = False) -> Scenar
               for name in ("tx_coil", "rx_coil"))
     scenario = reader.build("circuit", Scenario, _SCENARIO_KEYS, tx=tx, rx=rx, **{
         field: read[section][key] for field, (section, key) in _SCENARIO_KEYS.items()})
+    config = reader.build("analysis", ScenarioConfig, _CONFIG_KEYS, scenario=scenario,
+                          requests={}, config_digest=reader.digest, **{
+        field: read[section][key] for field, (section, key) in _CONFIG_KEYS.items()})
 
-    grid, analysis = read["frequency_grid"], read["analysis"]
-    if not 0 < grid["start"] < grid["stop"]:
-        reader.fail("frequency_grid", "start" if grid["start"] <= 0 else "stop",
-                    "[frequency_grid] needs 0 < start < stop")
-
-    # file order = execution order
-    requests = {name: REQUESTS[name].parse(reader, name)
-                for name in reader.sections if name in REQUESTS}
-
-    return ScenarioConfig(
-        scenario=scenario, grid_start=grid["start"], grid_stop=grid["stop"],
-        grid_points=grid["points"], noise_floor_dbv=analysis["noise_floor"],
-        snr_convention=analysis["snr_convention"],
-        segments_per_turn=analysis["segments_per_turn"],
-        output_dir=read["output"]["directory"], requests=requests,
-        config_digest=reader.digest)
+    # read after the scenario, whose errors come first; file order = execution order
+    requests = {}
+    for name in reader.sections:
+        if name in REQUESTS:
+            make, schema = REQUESTS[name]
+            requests[name] = reader.build(name, make, {}, **reader.section(name, schema, {}))
+    return replace(config, requests=requests)
 
 
 DEFAULT_CONFIG = """\
@@ -557,7 +577,7 @@ def emit_report_json(report: RunReport, path: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# requests: one class per request section (see Request)
+# requests: one record class per request section (see Request and REQUESTS)
 
 @dataclass(frozen=True)
 class SpectrumRequest:
@@ -565,17 +585,11 @@ class SpectrumRequest:
 
     modes: Tuple[str, ...]
 
-    @classmethod
-    def parse(cls, reader: _Reader, name: str) -> SpectrumRequest:
-        vals = reader.section(name, {"modes": ("string", None)},
-                              {"modes": "tuned untuned"})
-        tokens = tuple(t for t in re.split(r"[,\s]+", vals["modes"].lower()) if t)
-        if not tokens or any(t not in ("tuned", "untuned") for t in tokens):
-            reader.fail(name, "modes",
-                        "[spectrum] modes must be a subset of: tuned untuned")
-        if len(set(tokens)) != len(tokens):
-            reader.fail(name, "modes", "[spectrum] modes repeats a mode")
-        return cls(modes=tokens)
+    def __post_init__(self):
+        if not self.modes or not set(self.modes) <= {"tuned", "untuned"}:
+            raise ValueError(f"modes must be a subset of: tuned untuned, got {self.modes!r}")
+        if len(set(self.modes)) < len(self.modes):
+            raise ValueError(f"modes repeats a mode, got {self.modes!r}")
 
     def run(self, config, grid, out, build_link, spectrum):
         files = []
@@ -595,22 +609,13 @@ class MisalignmentSweepRequest:
     stop: float
     step: float
 
-    @classmethod
-    def parse(cls, reader: _Reader, name: str) -> MisalignmentSweepRequest:
-        axis = name.split(" ", 1)[1]
-        _, lo, hi, unit = SWEEP_RANGES[axis]
-        dim = next(d for d, units in _UNITS.items() if unit in units)
-        schema = {"start": ("quantity", dim), "stop": ("quantity", dim),
-                  "step": ("quantity", dim)}
-        vals = reader.section(name, schema, {})
-        if vals["step"] <= 0:
-            reader.fail(name, "step", f"[{name}] step must be > 0")
-        if vals["stop"] < vals["start"]:
-            reader.fail(name, "stop", f"[{name}] stop must be >= start")
-        if vals["start"] < lo or vals["stop"] > hi:
-            reader.fail(name, "start" if vals["start"] < lo else "stop",
-                        f"[{name}] range must lie within [{lo:g}, {hi:g}] {unit}")
-        return cls(axis=axis, **vals)
+    def __post_init__(self):
+        check_fields(self, positive=("step",), ordered=(("stop", ">=", "start"),))
+        _, lo, hi, unit = SWEEP_RANGES[self.axis]
+        if self.start < lo or self.stop > hi:
+            name = "start" if self.start < lo else "stop"
+            raise ValueError(f"{name} must lie within [{lo:g}, {hi:g}] {unit}, "
+                             f"got {getattr(self, name)!r}")
 
     def values(self) -> np.ndarray:
         n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
@@ -638,17 +643,9 @@ class ResistanceSweepRequest:
     points: int
     spacing: str                  # log | linear
 
-    @classmethod
-    def parse(cls, reader: _Reader, name: str) -> ResistanceSweepRequest:
-        schema = {"start": ("quantity", "resistance"),
-                  "stop": ("quantity", "resistance"),
-                  "points": ("count", 2), "spacing": ("enum", ("log", "linear"))}
-        vals = reader.section(name, schema, {"spacing": "log"})
-        if vals["start"] <= 0:
-            reader.fail(name, "start", f"[{name}] start must be > 0")
-        if vals["stop"] <= vals["start"]:
-            reader.fail(name, "stop", f"[{name}] stop must be > start")
-        return cls(side=name.split(" ", 1)[1], **vals)
+    def __post_init__(self):
+        check_fields(self, positive=("start",), counts={"points": 2},
+                     ordered=(("stop", ">", "start"),))
 
     def values(self) -> np.ndarray:
         if self.spacing == "log":
@@ -672,26 +669,6 @@ class FieldMapRequest:
     grid: GridSpec
     current: float
 
-    @classmethod
-    def parse(cls, reader: _Reader, name: str) -> FieldMapRequest:
-        schema = {
-            "coil": ("enum", ("tx", "rx")),
-            "plane": ("enum", ("xy", "xz", "yz")),
-            "offset": ("quantity", "length"),
-            "axis1_start": ("quantity", "length"),
-            "axis1_stop": ("quantity", "length"),
-            "axis1_points": ("count", None),
-            "axis2_start": ("quantity", "length"),
-            "axis2_stop": ("quantity", "length"),
-            "axis2_points": ("count", None),
-            "current": ("quantity", "current"),
-        }
-        defaults = {"coil": "tx", "offset": "0 mm", "current": "1 A"}
-        vals = reader.section(name, schema, defaults)
-        coil, current = vals.pop("coil"), vals.pop("current")
-        return cls(coil=coil, grid=reader.build(name, GridSpec, {}, **vals),
-                   current=current)
-
     def run(self, config, grid, out, build_link, spectrum):
         sc = config.scenario
         tx_pose, rx_pose = scenario_poses(sc)
@@ -709,12 +686,6 @@ class FieldMapRequest:
 @dataclass(frozen=True)
 class CapacityRequest:
     """[capacity]: Shannon capacity against bandwidth on the tuned link."""
-
-    @classmethod
-    def parse(cls, reader: _Reader, name: str) -> CapacityRequest:
-        for key in reader.sections[name]:
-            reader.fail(name, key, f"[capacity] takes no keys; got {key!r}")
-        return cls()
 
     def run(self, config, grid, out, build_link, spectrum):
         tuned = spectrum(True)
@@ -743,17 +714,9 @@ class DualModeRequest:
     load_max: float
     points: int
 
-    @classmethod
-    def parse(cls, reader: _Reader, name: str) -> DualModeRequest:
-        schema = {"load_min": ("quantity", "resistance"),
-                  "load_max": ("quantity", "resistance"),
-                  "points": ("count", 2)}
-        defaults = {"load_min": "0.1 ohm", "load_max": "10 kohm", "points": "101"}
-        vals = reader.section(name, schema, defaults)
-        if vals["load_min"] <= 0 or vals["load_max"] <= vals["load_min"]:
-            reader.fail(name, "load_min" if vals["load_min"] <= 0 else "load_max",
-                        "[dual_mode] needs 0 < load_min < load_max")
-        return cls(**vals)
+    def __post_init__(self):
+        check_fields(self, positive=("load_min",), counts={"points": 2},
+                     ordered=(("load_max", ">", "load_min"),))
 
     def run(self, config, grid, out, build_link, spectrum):
         loads = np.geomspace(self.load_min, self.load_max, self.points)
@@ -770,14 +733,41 @@ class DualModeRequest:
         return ("dual_mode.json",)
 
 
-# request section name -> class, in the order error messages list them
-REQUESTS: Dict[str, type] = {
-    "spectrum": SpectrumRequest,
-    "capacity": CapacityRequest,
-    "dual_mode": DualModeRequest,
-    "field_map": FieldMapRequest,
-    **{f"sweep {axis}": MisalignmentSweepRequest for axis in SWEEP_RANGES},
-    **{f"sweep {side}": ResistanceSweepRequest for side in ("r_source", "r_load")},
+# request section name -> (record constructor, schema), in the order
+# error messages list them. A request's schema entry is (kind, detail,
+# default text, or None for a required key).
+REQUESTS: Dict[str, Tuple[Callable[..., Request], Dict]] = {
+    "spectrum": (SpectrumRequest, {"modes": ("words", None, "tuned untuned")}),
+    "capacity": (CapacityRequest, {}),
+    "dual_mode": (DualModeRequest, {
+        "load_min": ("quantity", "resistance", "0.1 ohm"),
+        "load_max": ("quantity", "resistance", "10 kohm"),
+        "points": ("count", None, "101"),
+    }),
+    "field_map": (lambda coil, current, **grid: FieldMapRequest(coil, GridSpec(**grid),
+                                                                current), {
+        "coil": ("enum", ("tx", "rx"), "tx"),
+        "plane": ("enum", ("xy", "xz", "yz"), None),
+        "offset": ("quantity", "length", "0 mm"),
+        "axis1_start": ("quantity", "length", None),
+        "axis1_stop": ("quantity", "length", None),
+        "axis1_points": ("count", None, None),
+        "axis2_start": ("quantity", "length", None),
+        "axis2_stop": ("quantity", "length", None),
+        "axis2_points": ("count", None, None),
+        "current": ("quantity", "current", "1 A"),
+    }),
+    # each axis reads the unit dimension of its SWEEP_RANGES row
+    **{f"sweep {axis}": (functools.partial(MisalignmentSweepRequest, axis), dict.fromkeys(
+        ("start", "stop", "step"),
+        ("quantity", next(d for d, units in _UNITS.items() if unit in units), None)))
+       for axis, (*_, unit) in SWEEP_RANGES.items()},
+    **{f"sweep {side}": (functools.partial(ResistanceSweepRequest, side), {
+        "start": ("quantity", "resistance", None),
+        "stop": ("quantity", "resistance", None),
+        "points": ("count", None, None),
+        "spacing": ("enum", ("log", "linear"), "log"),
+    }) for side in ("r_source", "r_load")},
 }
 
 

@@ -155,14 +155,11 @@ class GridSpec:
     axis2_points: int
 
     def __post_init__(self):
-        check_fields(self, counts={"axis1_points": 2, "axis2_points": 2})
+        check_fields(self, counts={"axis1_points": 2, "axis2_points": 2},
+                     ordered=(("axis1_stop", ">", "axis1_start"),
+                              ("axis2_stop", ">", "axis2_start")))
         if self.plane not in ("xy", "xz", "yz"):
             raise ValueError(f"plane must be one of 'xy', 'xz', 'yz', got {self.plane!r}")
-        for name in ("axis1", "axis2"):
-            start = getattr(self, name + "_start")
-            stop = getattr(self, name + "_stop")
-            if not start < stop:
-                raise ValueError(f"{name}_stop must be > {name}_start, got [{start!r}, {stop!r}]")
 
     def points(self) -> np.ndarray:
         """All sample positions, shape (axis1_points*axis2_points, 3)."""

@@ -25,17 +25,30 @@ HELICAL = "helical"
 # sphere radius used for helical coils when the spec does not supply one (m)
 DEFAULT_SPHERE_RADIUS = 12e-3
 
+TX_ANGLE = "tx_angle"
+LATERAL = "lateral"
+AXIAL = "axial"
 
-def check_fields(value, positive=(), nonnegative=(), counts=None) -> None:
-    """Apply a record's finiteness, count and sign rules to the dataclass
-    instance value; each ValueError starts with the field's name.
+# each misalignment axis: the Scenario field it moves and that field's
+# documented domain and unit; Scenario checks tx_angle_deg against its row
+SWEEP_RANGES = {
+    TX_ANGLE: ("tx_angle_deg", 0.0, 90.0, "deg"),
+    LATERAL: ("x_eye", 0.0, 0.200, "m"),
+    AXIAL: ("z_eye", 0.050, 0.300, "m"),
+}
+
+
+def check_fields(value, positive=(), nonnegative=(), counts=None, ordered=()) -> None:
+    """Apply a record's finiteness, count, sign and order rules to the
+    dataclass instance value; each ValueError starts with the field's name.
 
     Only init fields are checked (a record derives the others). Every
     float field (Python or numpy) must be finite. Then, in the order the
     fields are declared, each field named in counts (a dict of field ->
     least value) must be an integer (Python or numpy, not a bool) at
     least that value, and each field named in positive must be > 0 and
-    each in nonnegative >= 0, unless it is None.
+    each in nonnegative >= 0, unless it is None. Last, each (high, op,
+    low) in ordered, op being ">" or ">=", must hold between two fields.
     """
     given = [f for f in fields(value) if f.init]
     for f in given:
@@ -52,6 +65,10 @@ def check_fields(value, positive=(), nonnegative=(), counts=None) -> None:
             raise ValueError(f"{f.name} must be > 0, got {x!r}")
         if x is not None and f.name in nonnegative and not x >= 0:
             raise ValueError(f"{f.name} must be >= 0, got {x!r}")
+    for high, op, low in ordered:
+        a, b = getattr(value, low), getattr(value, high)
+        if not (b > a if op == ">" else b >= a):
+            raise ValueError(f"{high} must be {op} {low}, got [{a!r}, {b!r}]")
 
 
 @dataclass(frozen=True)
@@ -260,8 +277,10 @@ class Scenario:
     def __post_init__(self):
         check_fields(self, positive=("r_source", "r_load", "tuned_frequency", "v_source"),
                      nonnegative=("x_eye", "z_eye"))
-        if not 0.0 <= self.tx_angle_deg <= 90.0:
-            raise ValueError(f"tx_angle_deg must be in [0, 90], got {self.tx_angle_deg!r}")
+        _, lo, hi, _ = SWEEP_RANGES[TX_ANGLE]
+        angle = self.tx_angle_deg
+        if not lo <= angle <= hi:
+            raise ValueError(f"tx_angle_deg must be in [{lo:g}, {hi:g}], got {angle!r}")
 
 
 def turn_radii(spec: CoilSpec) -> np.ndarray:

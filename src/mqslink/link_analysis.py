@@ -19,7 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Scenario, apply_pose, build_filament_coil, check_fields, scenario_poses
+from .geometry import (LATERAL, SWEEP_RANGES, Scenario, apply_pose, build_filament_coil,
+                       check_fields, scenario_poses)
 from .lumped import estimate_inductance
 from .field_coupling import ConvergenceError, SeparationError, mutual_inductance
 from .circuit import (LinkCircuit, Spectrum, frequency_sweep, path_loss_db, received_power,
@@ -27,18 +28,6 @@ from .circuit import (LinkCircuit, Spectrum, frequency_sweep, path_loss_db, rece
 
 VOLTAGE = "voltage"
 POWER = "power"
-
-TX_ANGLE = "tx_angle"
-LATERAL = "lateral"
-AXIAL = "axial"
-
-# each misalignment axis: the Scenario field it moves and that field's
-# documented domain and unit
-SWEEP_RANGES = {
-    TX_ANGLE: ("tx_angle_deg", 0.0, 90.0, "deg"),
-    LATERAL: ("x_eye", 0.0, 0.200, "m"),
-    AXIAL: ("z_eye", 0.050, 0.300, "m"),
-}
 
 
 class TruncatedBandError(Exception):

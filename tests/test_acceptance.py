@@ -17,8 +17,9 @@ from mqslink.circuit import (LinkCircuit, frequency_sweep,
                              received_power, receiver_capacitance,
                              tune_capacitance, tx_power)
 from mqslink.field_coupling import mutual_inductance
-from mqslink.geometry import CoilSpec, Pose, apply_pose, build_filament_coil
-from mqslink.link_analysis import (TX_ANGLE, AXIAL, capacity_vs_bandwidth,
+from mqslink.geometry import (AXIAL, TX_ANGLE, CoilSpec, Pose, apply_pose,
+                              build_filament_coil)
+from mqslink.link_analysis import (capacity_vs_bandwidth,
                                    channel_capacity, misalignment_sweep,
                                    resistance_sweep, scenario_link,
                                    scenario_mutual_inductance, snr_db)

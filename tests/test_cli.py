@@ -176,6 +176,46 @@ def test_printed_request_examples_write_out_the_parsers_defaults(tmp_path):
     assert defaulted
 
 
+def _readme_keys(text):
+    # "- `[sweep r_source|r_load]`: `start`, ..." -> {"sweep r_source": [...], ...}
+    keys = {}
+    for name, body in re.findall(r"^- `\[(.+?)\]`:(.*?)(?=^- |\Z)", text, flags=re.M | re.S):
+        head, _, tails = name.rpartition(" ")
+        for tail in tails.split("|"):
+            keys[f"{head} {tail}".strip()] = re.findall(r"`([^`]+)`", body)
+    return keys
+
+
+def test_readme_request_keys_match_the_schemas():
+    # README states each request's required keys and defaults a third
+    # time, beside the schemas and the printed examples
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    text = readme.split("\nRequest keys are ", 1)[1].split("\n```", 1)[0]
+    required, defaults = text.split("\nThese have defaults:\n")
+    tables = {name: [(key, default) for key, (*_, default) in schema.items()]
+              for name, (_, schema) in cli.REQUESTS.items()}
+    assert _readme_keys(required) == {
+        name: listed for name, keys in tables.items()
+        if (listed := [key for key, default in keys if default is None])}
+    assert _readme_keys(defaults.split("\n\n`[", 1)[0]) == {
+        name: listed for name, keys in tables.items()
+        if (listed := [f"{key} = {default}" for key, default in keys if default is not None])}
+    assert re.findall(r"`\[(\w+)\]` takes no keys", text) == \
+        [name for name, keys in tables.items() if not keys]
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: cli.DualModeRequest(0.0, 10.0, 101), "load_min"),
+    (lambda: cli.ResistanceSweepRequest("r_load", 10.0, 10.0, 3, "log"), "stop"),
+    (lambda: cli.MisalignmentSweepRequest("tx_angle", 0.0, 95.0, 5.0), "stop"),
+    (lambda: cli.SpectrumRequest(("tuned", "tuned")), "modes"),
+])
+def test_request_records_reject_bad_values_built_directly(build, field):
+    # each request record checks its own values, as CoilSpec and Scenario do
+    with pytest.raises(ValueError, match=f"^{field} "):
+        build()
+
+
 def test_strict_mode_requires_the_scenario_sections(tmp_path):
     with pytest.raises(ConfigError, match=r"\[tx_coil\]"):
         parse_config(write_config(tmp_path, ""), allow_defaults=False)
@@ -266,19 +306,23 @@ def test_radian_angles_convert(tmp_path):
     ("[rx_coil]\nshape = flat-spiral\nsphere_radius = 20 mm\n",
      r"\.ini:3: sphere_radius 0\.02 is for the helical shape only$"),
     ("[sweep tx_angle]\nstart = 10 deg\nstop = 95 deg\nstep = 5 deg\n",
-     "within"),
+     r"\.ini:3: stop must lie within \[0, 90\] deg, got 95\.0$"),
     ("[sweep tx_angle]\nstart = 30 deg\nstop = 20 deg\nstep = 5 deg\n",
-     "stop"),
+     r"\.ini:3: stop must be >= start, got \[30\.0, 20\.0\]$"),
     # each axis takes the unit dimension of its SWEEP_RANGES row
     ("[sweep tx_angle]\nstart = 10 mm\nstop = 20 mm\nstep = 5 mm\n",
      r"\.ini:2: .*unknown unit 'mm'"),
     ("[sweep lateral]\nstart = 0 deg\nstop = 20 deg\nstep = 5 deg\n",
      r"\.ini:2: .*unknown unit 'deg'"),
-    ("[frequency_grid]\npoints = 1\n", "points"),
-    ("[frequency_grid]\nstart = 30 MHz\nstop = 20 MHz\n", "start"),
-    ("[analysis]\nsegments_per_turn = 8\n", "segments_per_turn"),
-    ("[spectrum]\nmodes = tuned tuned\n", "repeats"),
-    ("[spectrum]\nmodes = sideways\n", "modes"),
+    ("[frequency_grid]\npoints = 1\n", r"\.ini:2: grid_points must be an integer >= 2, got 1$"),
+    ("[frequency_grid]\nstart = 30 MHz\nstop = 20 MHz\n",
+     r"\.ini:3: grid_stop must be > grid_start, got \[30000000\.0, 20000000\.0\]$"),
+    ("[analysis]\nsegments_per_turn = 8\n",
+     r"\.ini:2: segments_per_turn must be an integer >= 16, got 8$"),
+    ("[spectrum]\nmodes = tuned tuned\n",
+     r"\.ini:2: modes repeats a mode, got \('tuned', 'tuned'\)$"),
+    ("[spectrum]\nmodes = sideways\n",
+     r"\.ini:2: modes must be a subset of: tuned untuned, got \('sideways',\)$"),
     ("[dual_mode]\npoints = 3.5\n", "integer"),
     ("[circuit]\nr_load = 1 kohm\nr_load = 2 kohm\n", "r_load"),
     ("[circuit]\nsource_amplitude = 0 V\n", r"\.ini:2: v_source must be > 0"),
@@ -294,14 +338,15 @@ def test_radian_angles_convert(tmp_path):
     ("[analysis]\nnoise_floor = nan dBV\n", r"\.ini:2: .* must be finite"),
     # a range error is reported at the key whose value is out of range
     ("[sweep lateral]\nstart = -5 mm\nstop = 100 mm\nstep = 5 mm\n",
-     r"\.ini:2: .*must lie within"),
+     r"\.ini:2: start must lie within \[0, 0\.2\] m, got -0\.005$"),
     ("[sweep axial]\nstart = 100 mm\nstop = 400 mm\nstep = 50 mm\n",
-     r"\.ini:3: .*must lie within"),
-    ("[frequency_grid]\nstart = 0 MHz\n", r"\.ini:2: .*0 < start < stop"),
-    ("[frequency_grid]\nstart = 25 MHz\nstop = 21 MHz\n", r"\.ini:3: .*0 < start < stop"),
-    ("[dual_mode]\nload_min = 0 ohm\n", r"\.ini:2: .*0 < load_min < load_max"),
+     r"\.ini:3: stop must lie within \[0\.05, 0\.3\] m, got 0\.4$"),
+    ("[frequency_grid]\nstart = 0 MHz\n", r"\.ini:2: grid_start must be > 0, got 0\.0$"),
+    ("[frequency_grid]\nstart = 25 MHz\nstop = 21 MHz\n",
+     r"\.ini:3: grid_stop must be > grid_start, got \[25000000\.0, 21000000\.0\]$"),
+    ("[dual_mode]\nload_min = 0 ohm\n", r"\.ini:2: load_min must be > 0, got 0\.0$"),
     ("[dual_mode]\nload_min = 5 ohm\nload_max = 2 ohm\n",
-     r"\.ini:3: .*0 < load_min < load_max"),
+     r"\.ini:3: load_max must be > load_min, got \[5\.0, 2\.0\]$"),
     ("[field_map]\nplane = xz\naxis1_start = 5 mm\naxis1_stop = 1 mm\naxis1_points = 3\n"
      "axis2_start = 50 mm\naxis2_stop = 90 mm\naxis2_points = 3\n",
      r"\.ini:4: axis1_stop must be > axis1_start"),
@@ -311,16 +356,30 @@ def test_radian_angles_convert(tmp_path):
      r"\.ini:2: \[analysis\] snr_convention must be one of voltage, power; got 'amplitude'"),
     ("[placement]\nx_eye = abc mm\n", r"\.ini:2: \[placement\] x_eye: cannot parse number 'abc'"),
     ("[sweep tx_angle]\nstart = 10 deg\nstop = 20 deg\nstep = 0 deg\n",
-     r"\.ini:4: \[sweep tx_angle\] step must be > 0"),
+     r"\.ini:4: step must be > 0, got 0\.0$"),
     ("[sweep r_load]\nstart = 0 ohm\nstop = 10 ohm\npoints = 3\n",
-     r"\.ini:2: \[sweep r_load\] start must be > 0"),
+     r"\.ini:2: start must be > 0, got 0\.0$"),
     ("[sweep r_load]\nstart = 10 ohm\nstop = 10 ohm\npoints = 3\n",
-     r"\.ini:3: \[sweep r_load\] stop must be > start"),
-    # each section's schema carries its count's minimum
+     r"\.ini:3: stop must be > start, got \[10\.0, 10\.0\]$"),
+    # each request record states its count's minimum
     ("[sweep r_load]\nstart = 1 ohm\nstop = 10 ohm\npoints = 1\n",
-     r"\.ini:4: \[sweep r_load\] points must be >= 2$"),
-    ("[dual_mode]\npoints = 1\n", r"\.ini:2: \[dual_mode\] points must be >= 2$"),
-    ("[capacity]\nrate = 1\n", r"\.ini:2: \[capacity\] takes no keys; got 'rate'"),
+     r"\.ini:4: points must be an integer >= 2, got 1$"),
+    ("[dual_mode]\npoints = 1\n", r"\.ini:2: points must be an integer >= 2, got 1$"),
+    ("[capacity]\nrate = 1\n", r"\.ini:2: unknown key 'rate' in \[capacity\]; allowed: none$"),
+    # a count past int()'s 4300-digit limit, and a grid numpy cannot hold
+    pytest.param("[frequency_grid]\npoints = " + "9" * 5000 + "\n",
+                 r"\.ini:2: \[frequency_grid\] points is too long a count \(5000 digits\)$",
+                 id="frequency_grid-5000-digit-points"),
+    pytest.param("[dual_mode]\npoints = " + "9" * 5000 + "\n",
+                 r"\.ini:2: \[dual_mode\] points is too long a count \(5000 digits\)$",
+                 id="dual_mode-5000-digit-points"),
+    pytest.param("[field_map]\nplane = xz\naxis1_start = 1 mm\naxis1_stop = 5 mm\n"
+                 "axis1_points = " + "9" * 5000 + "\naxis2_start = 50 mm\n"
+                 "axis2_stop = 90 mm\naxis2_points = 3\n",
+                 r"\.ini:5: \[field_map\] axis1_points is too long a count \(5000 digits\)$",
+                 id="field_map-5000-digit-axis1_points"),
+    ("[frequency_grid]\npoints = 10000000000000000000\n",
+     r"\.ini:2: grid_points must be at most 1152921504606846975, got 10000000000000000000$"),
 ])
 def test_bad_configs_are_rejected(tmp_path, snippet, fragment):
     with pytest.raises(ConfigError, match=fragment):

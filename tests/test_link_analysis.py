@@ -15,8 +15,9 @@ from mqslink.circuit import (LinkCircuit, Spectrum, frequency_sweep,
                              path_loss_db, received_power,
                              receiver_capacitance, tune_capacitance)
 from mqslink.field_coupling import mutual_inductance
-from mqslink.geometry import apply_pose, build_filament_coil, scenario_poses
-from mqslink.link_analysis import (AXIAL, LATERAL, POWER, TX_ANGLE, VOLTAGE,
+from mqslink.geometry import (AXIAL, LATERAL, TX_ANGLE, apply_pose, build_filament_coil,
+                              scenario_poses)
+from mqslink.link_analysis import (POWER, VOLTAGE,
                                    BandwidthCapacityRow, CapacityReport,
                                    DualModeReport,
                                    SweepResult, SweepRow,
