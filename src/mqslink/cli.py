@@ -102,10 +102,6 @@ class Request(Protocol):
             spectrum: Callable[[bool], Spectrum]) -> Tuple[str, ...]: ...
 
 
-# the most float64 samples numpy can hold in one array
-_MAX_GRID_POINTS = np.iinfo(np.intp).max // 8
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A parsed config: the scenario, solver knobs, and requested analyses."""
@@ -125,9 +121,6 @@ class ScenarioConfig:
         check_fields(self, positive=("grid_start",),
                      counts={"grid_points": 2, "segments_per_turn": 16},
                      ordered=(("grid_stop", ">", "grid_start"),))
-        if self.grid_points > _MAX_GRID_POINTS:
-            raise ValueError(f"grid_points must be at most {_MAX_GRID_POINTS}, "
-                             f"got {self.grid_points!r}")
 
     def frequency_grid(self) -> np.ndarray:
         return np.linspace(self.grid_start, self.grid_stop, self.grid_points)
@@ -522,13 +515,24 @@ def _csv_text(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _float_csv_text(header: str, columns: Sequence[np.ndarray]) -> str:
+    """_csv_text of the float columns' rows. An all-finite row takes one
+    %-format, whose "%.17g" writes what _fmt's format(v, ".17g") does;
+    a row with a masked cell goes cell by cell through _fmt."""
+    values = np.column_stack(columns)
+    line = ",".join(["%.17g"] * values.shape[1])
+    finite = np.isfinite(values).all(axis=1).tolist()
+    lines = [header]
+    lines.extend(line % tuple(cells) if ok else ",".join([_fmt(c) for c in cells])
+                 for cells, ok in zip(values.tolist(), finite))
+    return "\n".join(lines) + "\n"
+
+
 def emit_spectrum_csv(spectrum: Spectrum, path: Path) -> None:
     h, z = spectrum.h, spectrum.z11
-    rows = zip(spectrum.frequencies.tolist(), h.real.tolist(), h.imag.tolist(),
-               path_loss_db(h).tolist(),
-               z.real.tolist(), z.imag.tolist())
-    _atomic_write(path, _csv_text(
-        "frequency_hz,h_real,h_imag,h_mag_db,z11_real_ohm,z11_imag_ohm", rows))
+    _atomic_write(path, _float_csv_text(
+        "frequency_hz,h_real,h_imag,h_mag_db,z11_real_ohm,z11_imag_ohm",
+        (spectrum.frequencies, h.real, h.imag, path_loss_db(h), z.real, z.imag)))
 
 
 def emit_sweep_csv(sweep: SweepResult, path: Path) -> None:
@@ -540,8 +544,7 @@ def emit_sweep_csv(sweep: SweepResult, path: Path) -> None:
 
 def emit_field_map_csv(points: np.ndarray, b: np.ndarray, path: Path) -> None:
     """One row per point; a masked (NaN) B row gets empty cells."""
-    rows = map(tuple, np.hstack([points, b]).tolist())
-    _atomic_write(path, _csv_text("x,y,z,Bx,By,Bz", rows))
+    _atomic_write(path, _float_csv_text("x,y,z,Bx,By,Bz", (*points.T, *b.T)))
 
 
 def emit_capacity_csv(study: Sequence[BandwidthCapacityRow], path: Path) -> None:

@@ -6,9 +6,18 @@ panels of winding angle whose every panel halves from one level to the
 next; a point stops once its last halving moved B by at most 1e-10
 relative, and that change (plus a rounding term) is its error estimate.
 Points clear of the wire share uniform panels, summed per block of
-points by matrix products over the point-to-node offsets. Every pair
-kernel (those sums, the nearest-node search of the curve distance and
-the Neumann sum) builds its offsets as one contiguous (points, nodes)
+points by matrix products. A point at least rho from every level-0
+node, rho being the largest |r| of those nodes in the coil's frame,
+takes the far form: one product gives |p - r|^2 in the Gram form
+|p|^2 + |r|^2 - 2 p.r, and one more against the node columns
+[dl, r x dl] gives B = (sum w dl) x p + sum w (r x dl). There
+|p| <= 2 |p - r| and |r| <= |p - r| (within the nodes' slack at finer
+levels), so neither product cancels more than a few units of
+rounding; the far form moves B's last digits only, and its rounding
+estimate is scaled by the Gram form's growth. Every other shared point
+sums over the point-to-node offsets themselves. Every offset kernel
+(that sum, the nearest-node search of the curve distance and the
+Neumann sum) builds its offsets as one contiguous (points, nodes)
 plane per coordinate, from contiguous coordinate rows, in a buffer
 allocated once per call and reused by every block. The field blocks
 are sized so their planes stay in a core's L2 cache, which leaves B's
@@ -155,9 +164,11 @@ class GridSpec:
     axis2_points: int
 
     def __post_init__(self):
+        # points() holds 3 coordinates of every point in one array
         check_fields(self, counts={"axis1_points": 2, "axis2_points": 2},
                      ordered=(("axis1_stop", ">", "axis1_start"),
-                              ("axis2_stop", ">", "axis2_start")))
+                              ("axis2_stop", ">", "axis2_start")),
+                     array=("axis1_points", "axis2_points", 3))
         if self.plane not in ("xy", "xz", "yz"):
             raise ValueError(f"plane must be one of 'xy', 'xz', 'yz', got {self.plane!r}")
 
@@ -222,6 +233,45 @@ def _node_sum(points: np.ndarray, nodes: np.ndarray, dl: np.ndarray):
                                            m[0][:, 2] - m[2][:, 0],
                                            m[1][:, 0] - m[0][:, 1]])
     return b, nearest
+
+
+def _far_sum(points: np.ndarray, nodes: np.ndarray, dl: np.ndarray, nearest: bool = False):
+    """_node_sum's B for points at least the coil's reach from every
+    node, by two matrix products per block: |p - r|^2 in the Gram form
+    |p|^2 + |r|^2 - 2 p.r, and sum w dl x (p - r) as
+    (sum w dl) x p + sum w (r x dl). With nearest, each point's
+    nearest-node distance too."""
+    b = np.empty((len(points), 3))
+    near = np.empty(len(points))
+    # point rows [p, |p|^2, 1] against node columns [-2 r, 1, |r|^2],
+    # then the weights w = |p - r|^-3 against node rows [dl, r x dl]
+    gram = np.vstack([-2.0 * nodes.T, np.ones(len(nodes)), np.sum(nodes * nodes, axis=1)])
+    cols = np.hstack([dl, np.cross(nodes, dl)])
+    rows = max(1, _BLOCK_PAIRS // len(nodes))
+    # planes: |p - r|^2, turned into w in place, and its root
+    buf = np.empty((2, min(rows, len(points)), len(nodes)))
+    head = np.ones((min(rows, len(points)), 5))
+    sums = np.empty((min(rows, len(points)), 6))
+    for i0 in range(0, len(points), rows):
+        p = points[i0:i0 + rows]
+        w, s = buf[:, :len(p)]
+        a, m = head[:len(p)], sums[:len(p)]
+        a[:, :3] = p
+        np.einsum("ij,ij->i", p, p, out=a[:, 3])
+        np.matmul(a, gram, out=w)
+        if nearest:
+            near[i0:i0 + rows] = np.sqrt(w.min(axis=1))
+        np.sqrt(w, out=s)
+        w *= s
+        np.reciprocal(w, out=w)
+        np.matmul(w, cols, out=m)
+        (x, y, z), (u, v, t) = p.T, m[:, :3].T
+        out = b[i0:i0 + rows]
+        out[:, 0] = v * z - t * y
+        out[:, 1] = t * x - u * z
+        out[:, 2] = u * y - v * x
+        out += m[:, 3:]
+    return (b, near) if nearest else b
 
 
 def _panel_distance(coil, points, owner, start, width):
@@ -382,16 +432,19 @@ class _Ladder:
         self.estimate[todo] = change / scale + _ROUNDING * ratio
         return self.estimate[todo] > self.tolerance[todo]
 
-    def shared(self, todo, b0, dist):
-        # points that share the uniform panels, from their level-0 sums;
-        # dist bounds each one's distance to the curve from below
+    def shared(self, todo, b0, ratio, far):
+        # points that share the uniform panels, from their level-0 sums,
+        # summed by _far_sum if far, else _node_sum; ratio is each one's
+        # rounding scale (see record)
         self.b[todo], prev = b0, b0
-        ratio = self.span[todo] / dist
         for level in range(1, _FIELD_LEVELS):
             if not len(todo):
                 break
             nodes, dl = _panel_nodes(self.coil, *_uniform_panels(self.coil, level))
-            cur, _ = _node_sum(self.local[todo], nodes, dl)
+            if far:
+                cur = _far_sum(self.local[todo], nodes, dl)
+            else:
+                cur, _ = _node_sum(self.local[todo], nodes, dl)
             go = self.record(todo, cur, prev, ratio)
             todo, prev, ratio = todo[go], cur[go], ratio[go]
 
@@ -425,10 +478,12 @@ def _curve_field(coil: FilamentCoil, points: np.ndarray, tolerance=None):
     Each level sums Biot-Savart, mu0/4pi sum dl x (p - r)/|p - r|^3, over
     Gauss-Legendre panels of winding angle, and halves every panel for
     the next. Every point sums level 0 on the uniform panels; one beyond
-    `clear` of every node shares them from there, and every other one is
-    masked by its exact curve distance and, if valid, starts from the
-    uniform panels bisected where they reach beyond _PANEL_REACH times
-    their distance to it, so only the panels near it refine. A point
+    `clear` of every node shares them from there, by the far form
+    (_far_sum) if it is also at least `reach` from every node, and
+    every other one is masked by its exact curve distance and, if
+    valid, starts from the uniform panels bisected where they reach
+    beyond _PANEL_REACH times their distance to it, so only the panels
+    near it refine. A point
     stops once its estimate, the change of its last halving relative to
     max(|B|, a floor at the coil's field scale) plus its rounding, is at
     most `tolerance` (a scalar or one per point; _FIELD_TOLERANCE by
@@ -448,14 +503,31 @@ def _curve_field(coil: FilamentCoil, points: np.ndarray, tolerance=None):
     slack = width[0] * speed * max(np.diff(frac).max() / 2.0, frac[0])
     exclusion = coil.wire_diameter / 2.0
     clear = max(exclusion, width[0] * speed / _PANEL_REACH) + slack
-    # a point on a node sums to inf or nan, and is masked below
+    nodes, dl = _panel_nodes(coil, start, width)
+    # the coil's reach: the largest |r| of the level-0 nodes, read from
+    # the curve, so a helical coil's sag counts
+    reach = float(np.sqrt(np.max(np.sum(nodes * nodes, axis=1))))
+    # the far form first, on every point: those at least `reach` from
+    # every node and beyond `clear` by a margin far above rounding keep
+    # it, and the rest are summed again over their offsets. A point on
+    # a node sums to inf or nan, and is masked below
     with np.errstate(divide="ignore", invalid="ignore"):
-        b0, nearest = _node_sum(ladder.local, *_panel_nodes(coil, start, width))
-    # beyond `clear` by a margin far above rounding
+        b0, nearest = _far_sum(ladder.local, nodes, dl, nearest=True)
+    far = (nearest >= reach) & (nearest - clear > 1e-9 * (nearest + clear))
+    todo = np.flatnonzero(far)
+    # nearest - slack bounds a point's distance to the curve from below.
+    # The Gram form's squared distances carry rounding of eps (|p| +
+    # |r|)^2, up to ((|p| + reach) / nearest)^2 times that of _node_sum's
+    # offsets, and a far point's rounding scale grows with it
+    gram = ((np.sqrt(np.sum(ladder.local[todo] ** 2, axis=1)) + reach) / nearest[todo]) ** 2
+    ladder.shared(todo, b0[todo], ladder.span[todo] / (nearest[todo] - slack) * gram, True)
+    rest = np.flatnonzero(~far)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b0, nearest = _node_sum(ladder.local[rest], nodes, dl)
     shared = nearest - clear > 1e-9 * (nearest + clear)
-    todo = np.flatnonzero(shared)
-    ladder.shared(todo, b0[todo], nearest[todo] - slack)
-    near = np.flatnonzero(~shared)
+    todo = rest[shared]
+    ladder.shared(todo, b0[shared], ladder.span[todo] / (nearest[shared] - slack), False)
+    near = rest[~shared]
     valid = np.ones(len(points), dtype=bool)
     if len(near):
         valid[near] = _curve_distance(coil, points[near]) > exclusion

@@ -380,6 +380,21 @@ def test_radian_angles_convert(tmp_path):
                  id="field_map-5000-digit-axis1_points"),
     ("[frequency_grid]\npoints = 10000000000000000000\n",
      r"\.ini:2: grid_points must be at most 1152921504606846975, got 10000000000000000000$"),
+    # every request count is capped by the same rule, and a field map by
+    # its point count, 3 coordinates each
+    ("[dual_mode]\npoints = 10000000000000000000\n",
+     r"\.ini:2: points must be at most 1152921504606846975, got 10000000000000000000$"),
+    ("[sweep r_source]\nstart = 1 ohm\nstop = 10 ohm\npoints = 10000000000000000000\n",
+     r"\.ini:4: points must be at most 1152921504606846975, got 10000000000000000000$"),
+    ("[field_map]\nplane = xz\naxis1_start = 1 mm\naxis1_stop = 5 mm\n"
+     "axis1_points = 10000000000000000000\naxis2_start = 50 mm\n"
+     "axis2_stop = 90 mm\naxis2_points = 3\n",
+     r"\.ini:5: axis1_points must be at most 1152921504606846975, "
+     r"got 10000000000000000000$"),
+    ("[field_map]\nplane = xz\naxis1_start = 1 mm\naxis1_stop = 5 mm\naxis1_points = 3\n"
+     "axis2_start = 50 mm\naxis2_stop = 90 mm\naxis2_points = 1000000000000000000\n",
+     r"\.ini:8: axis2_points must be at most 128102389400760775 with axis1_points = 3, "
+     r"got 1000000000000000000$"),
 ])
 def test_bad_configs_are_rejected(tmp_path, snippet, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -539,6 +554,20 @@ def test_csv_rows_read_as_if_each_cell_went_through_fmt(case):
     header = ",".join(f"c{i}" for i in range(n))
     want = "\n".join([header] + [",".join(_fmt(c) for c in row) for row in rows])
     assert _csv_text(header, rows) == want + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(*[_FLOAT_CELLS] * n), min_size=1, max_size=8))))
+@example((3, [(-0.0, 5e-324, 0.1), (float("nan"), 1.0, 2.0),
+              (float("inf"), float("-inf"), 0.5), (1.7976931348623157e308, 1e16, 1e17)]))
+def test_float_csv_rows_match_the_cell_by_cell_text(case):
+    # an all-finite row takes one %-format, any other row _fmt per cell;
+    # both write the same bytes as _csv_text
+    n, rows = case
+    header = ",".join(f"c{i}" for i in range(n))
+    columns = [np.array(column, dtype=float) for column in zip(*rows)]
+    assert cli._float_csv_text(header, columns) == _csv_text(header, rows)
 
 
 def test_json_files_hold_only_what_json_can(tmp_path):

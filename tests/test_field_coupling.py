@@ -392,6 +392,77 @@ def test_neumann_sum_matches_its_broadcast_form(tilted, monkeypatch):
             assert _neumann_sum(*args) == _broadcast_neumann_sum(*args)
 
 
+def _reach(coil):
+    # the field kernel's far radius: the largest |r| of the level-0 nodes
+    nodes, _ = _shared_panels(coil, 0)
+    return float(np.sqrt(np.max(np.sum(nodes * nodes, axis=1))))
+
+
+def _magnitude_sum(points, nodes, dl):
+    # sum |dl x (p - r)| / |p - r|^3 over the nodes, at each point
+    rel = points[:, None, :] - nodes[None, :, :]
+    dist = np.linalg.norm(rel, axis=2)
+    return np.sum(np.linalg.norm(np.cross(dl[None], rel), axis=2) / dist**3, axis=1)
+
+
+@pytest.mark.parametrize("budget", ["row", "default", "whole"])
+def test_far_form_matches_the_node_sum_on_far_points(budget, monkeypatch):
+    # points at least the reach from every level-0 node, around a
+    # helical coil whose sag puts nodes outside its turn radii. The Gram
+    # form cancels at most a few units of rounding there, so B agrees
+    # with _node_sum's within the blocking bound above, measured against
+    # the sum of the nodes' |contributions|, and the nearest-node
+    # distance to a few units
+    coil = build_filament_coil(_DOME, 64)
+    reach = _reach(coil)
+    assert reach > float(turn_radii(_DOME)[-1])
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-4 * reach, 4 * reach, (3000, 3))
+    nodes0, dl0 = _shared_panels(coil, 0)
+    pts = pts[_broadcast_node_sum(pts, nodes0, dl0)[1] >= reach]
+    assert len(pts) > 1000
+    for level in (0, 2):
+        nodes, dl = _shared_panels(coil, level)
+        want, want_near = field_coupling._node_sum(pts, nodes, dl)
+        block = {"row": len(nodes), "default": field_coupling._BLOCK_PAIRS,
+                 "whole": len(pts) * len(nodes)}[budget]
+        monkeypatch.setattr(field_coupling, "_BLOCK_PAIRS", block)
+        b, near = field_coupling._far_sum(pts, nodes, dl, nearest=True)
+        assert np.array_equal(field_coupling._far_sum(pts, nodes, dl), b)
+        monkeypatch.undo()
+        err = np.linalg.norm(b - want, axis=1) / _magnitude_sum(pts, nodes, dl)
+        assert err.max() <= 1e-14
+        np.testing.assert_allclose(near, want_near, rtol=1e-14, atol=0)
+
+
+def test_only_points_beyond_the_reach_take_the_far_form(monkeypatch):
+    # two points on the axis of a flat coil, whose nearest level-0 node
+    # is the innermost one, at 1 - 1e-6 and 1 + 1e-6 times the reach.
+    # With the far form's B poisoned, the one inside keeps its B from
+    # _node_sum alone, and the one outside takes the far form's
+    coil = build_filament_coil(_FLAT, 64)
+    reach = _reach(coil)
+    nodes, dl = _shared_panels(coil, 0)
+    inner = float(np.sqrt(np.min(np.sum(nodes * nodes, axis=1))))
+    pts = np.array([[0.0, 0.0, math.sqrt((reach * f) ** 2 - inner**2)]
+                    for f in (1.0 - 1e-6, 1.0 + 1e-6)])
+    np.testing.assert_allclose(_broadcast_node_sum(pts, nodes, dl)[1],
+                               [reach * (1.0 - 1e-6), reach * (1.0 + 1e-6)], rtol=1e-12)
+    b, valid, _ = field_coupling._curve_field(coil, pts)
+    far = field_coupling._far_sum
+
+    def poisoned(*args, **kwargs):
+        out = far(*args, **kwargs)
+        (out[0] if isinstance(out, tuple) else out)[:] = np.nan
+        return out
+
+    monkeypatch.setattr(field_coupling, "_far_sum", poisoned)
+    b_poisoned, _, _ = field_coupling._curve_field(coil, pts)
+    assert valid.all() and np.isfinite(b).all()
+    assert np.array_equal(b_poisoned[0], b[0])
+    assert np.isnan(b_poisoned[1]).all()
+
+
 def test_pair_kernels_keep_block_sized_buffers():
     # numpy reports its buffers to tracemalloc. Whole-grid planes would
     # take 20k points x 96 nodes x 8 bytes = 15 MB each; each kernel's
@@ -414,6 +485,9 @@ def test_pair_kernels_keep_block_sized_buffers():
          7 * 8 * len(axis)),
         (lambda: _neumann_sum(pts, pts, nodes, dl),
          field_coupling._BLOCK_PAIRS, 6 * 8 * len(pts)),
+        # per point: its B and nearest-node distance
+        (lambda: field_coupling._far_sum(pts, nodes, dl, nearest=True),
+         field_coupling._BLOCK_PAIRS, 4 * 8 * len(pts)),
     ]
     for call, pairs, per_point in calls:
         tracemalloc.start()
@@ -425,13 +499,30 @@ def test_pair_kernels_keep_block_sized_buffers():
         assert peak <= 8 * pairs * 8 + per_point
 
 
-@pytest.mark.parametrize("spec", [_FLAT, _DOME], ids=["flat", "helical"])
-def test_estimates_bound_the_error_of_one_more_level(spec):
-    # a tolerance just under each point's estimate sends it one level
-    # past where it stopped
+def _posed_grazing(spec):
     coil = apply_pose(build_filament_coil(spec, 64),
                       Pose(center=(0.01, -0.002, 0.03), tilt_angle_deg=37.0))
-    pts = _grazing_points(coil)
+    return coil, _grazing_points(coil)
+
+
+def _bench_map():
+    # a map shaped like the benchmark's: 97 x 61 xz points on a 1/512 m
+    # lattice about the nominal posed tx, most of them far points
+    tx, _ = _nominal_pair()
+    step = 1.0 / 512.0
+    grid = GridSpec("xz", 0.0, -60 * step, 36 * step, 97, 26 * step, 86 * step, 61)
+    pts = grid.points()
+    nearest = _broadcast_node_sum((pts - tx.origin) @ tx.rotation, *_shared_panels(tx, 0))[1]
+    assert np.count_nonzero(nearest >= _reach(tx)) > len(pts) // 2
+    return tx, pts
+
+
+@pytest.mark.parametrize("case", [lambda: _posed_grazing(_FLAT), lambda: _posed_grazing(_DOME),
+                                  _bench_map], ids=["flat", "helical", "bench-map"])
+def test_estimates_bound_the_error_of_one_more_level(case):
+    # a tolerance just under each point's estimate sends it one level
+    # past where it stopped
+    coil, pts = case()
     b, valid, estimate = field_coupling._curve_field(coil, pts)
     finer, _, _ = field_coupling._curve_field(
         coil, pts, tolerance=np.where(valid, estimate * (1.0 - 1e-9), 1.0))
@@ -635,6 +726,12 @@ def test_grid_points_run_row_major_with_axis1_slow():
     (dict(axis1_points=True), r"^axis1_points must be an integer >= 2, got True$"),
     (dict(axis2_points=3.0), r"^axis2_points must be an integer >= 2, got 3\.0$"),
     (dict(axis2_points=np.int64(1)), r"^axis2_points must be an integer >= 2"),
+    # points() must fit 3 coordinates per point in one array; numpy
+    # counts whose product would wrap around in int64 are still caught
+    (dict(axis1_points=np.int64(2**40), axis2_points=np.int64(2**40)),
+     r"^axis1_points must be at most 349525 with axis2_points = 1099511627776, "
+     r"got 1099511627776$"),
+    (dict(axis2_points=2**60), r"^axis2_points must be at most 1152921504606846975"),
     (dict(axis1_start=1.0, axis1_stop=-1.0), "axis1"),
     (dict(offset=math.nan), "^offset must be finite"),
     (dict(offset=math.inf), "^offset must be finite"),
