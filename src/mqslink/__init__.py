@@ -15,7 +15,7 @@ from .circuit import (LinkCircuit, Spectrum, frequency_sweep, path_loss_db,
                       received_power, receiver_capacitance, tune_capacitance,
                       tx_power)
 from .constants import MU0
-from .field_coupling import (ConvergenceError, CouplingResult, GridSpec,
+from .field_coupling import (ConvergenceError, CouplingResult,
                              SeparationError, SingularEvaluationError,
                              b_field, coupling_coefficient, field_map,
                              mutual_inductance)

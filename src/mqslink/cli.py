@@ -42,9 +42,10 @@ from typing import (Callable, Dict, List, Optional, Protocol, Sequence,
 import numpy as np
 
 from .circuit import LinkCircuit, Spectrum, frequency_sweep, path_loss_db
-from .field_coupling import GridSpec, field_map
-from .geometry import (FLAT_SPIRAL, HELICAL, SWEEP_RANGES, CoilSpec, Scenario,
-                       apply_pose, build_filament_coil, check_fields, scenario_poses)
+from .field_coupling import field_map
+from .geometry import (FLAT_SPIRAL, HELICAL, MOST_VALUES, SWEEP_RANGES, CoilSpec,
+                       Scenario, apply_pose, build_filament_coil, check_fields,
+                       scenario_poses)
 from .link_analysis import (POWER, VOLTAGE, BandwidthCapacityRow,
                             SweepResult, TruncatedBandError, capacity_report,
                             capacity_vs_bandwidth, dual_mode_report,
@@ -509,30 +510,25 @@ def _emit_json(payload, path: Path) -> None:
 
 
 def _csv_text(header: str, rows) -> str:
-    """CSV text: the header, then one line per row, each cell through _fmt."""
+    """CSV text: the header, then one line per row, each cell as _fmt
+    writes it. A finite row of a float64 array takes one "%.17g" %-format
+    (finite "%.17g" text holds no "n", and nan and inf do), which writes
+    what _fmt's format(v, ".17g") does; any other row goes through _fmt."""
+    floats = isinstance(rows, np.ndarray) and rows.dtype == np.float64
+    line = ",".join(["%.17g"] * (header.count(",") + 1))
     lines = [header]
-    lines.extend(",".join([_fmt(c) for c in cells]) for cells in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _float_csv_text(header: str, columns: Sequence[np.ndarray]) -> str:
-    """_csv_text of the float columns' rows. An all-finite row takes one
-    %-format, whose "%.17g" writes what _fmt's format(v, ".17g") does;
-    a row with a masked cell goes cell by cell through _fmt."""
-    values = np.column_stack(columns)
-    line = ",".join(["%.17g"] * values.shape[1])
-    finite = np.isfinite(values).all(axis=1).tolist()
-    lines = [header]
-    lines.extend(line % tuple(cells) if ok else ",".join([_fmt(c) for c in cells])
-                 for cells, ok in zip(values.tolist(), finite))
+    for cells in rows.tolist() if floats else rows:
+        text = line % tuple(cells) if floats else "n"
+        lines.append(text if "n" not in text else ",".join([_fmt(c) for c in cells]))
     return "\n".join(lines) + "\n"
 
 
 def emit_spectrum_csv(spectrum: Spectrum, path: Path) -> None:
     h, z = spectrum.h, spectrum.z11
-    _atomic_write(path, _float_csv_text(
+    _atomic_write(path, _csv_text(
         "frequency_hz,h_real,h_imag,h_mag_db,z11_real_ohm,z11_imag_ohm",
-        (spectrum.frequencies, h.real, h.imag, path_loss_db(h), z.real, z.imag)))
+        np.column_stack((spectrum.frequencies, h.real, h.imag, path_loss_db(h),
+                         z.real, z.imag))))
 
 
 def emit_sweep_csv(sweep: SweepResult, path: Path) -> None:
@@ -544,7 +540,7 @@ def emit_sweep_csv(sweep: SweepResult, path: Path) -> None:
 
 def emit_field_map_csv(points: np.ndarray, b: np.ndarray, path: Path) -> None:
     """One row per point; a masked (NaN) B row gets empty cells."""
-    _atomic_write(path, _float_csv_text("x,y,z,Bx,By,Bz", (*points.T, *b.T)))
+    _atomic_write(path, _csv_text("x,y,z,Bx,By,Bz", np.hstack((points, b))))
 
 
 def emit_capacity_csv(study: Sequence[BandwidthCapacityRow], path: Path) -> None:
@@ -582,6 +578,13 @@ def emit_report_json(report: RunReport, path: Path) -> None:
 # ---------------------------------------------------------------------------
 # requests: one record class per request section (see Request and REQUESTS)
 
+# the values of each request's enum keys, read by its schema and its record
+_SIDES = ("r_source", "r_load")
+_SPACINGS = ("log", "linear")
+_COILS = ("tx", "rx")          # in the order scenario_poses returns their poses
+_PLANES = ("xy", "xz", "yz")
+
+
 @dataclass(frozen=True)
 class SpectrumRequest:
     """[spectrum]: the link's transfer spectrum, tuned and/or untuned."""
@@ -613,12 +616,16 @@ class MisalignmentSweepRequest:
     step: float
 
     def __post_init__(self):
-        check_fields(self, positive=("step",), ordered=(("stop", ">=", "start"),))
+        check_fields(self, choices={"axis": tuple(SWEEP_RANGES)}, positive=("step",),
+                     ordered=(("stop", ">=", "start"),))
         _, lo, hi, unit = SWEEP_RANGES[self.axis]
         if self.start < lo or self.stop > hi:
             name = "start" if self.start < lo else "stop"
             raise ValueError(f"{name} must lie within [{lo:g}, {hi:g}] {unit}, "
                              f"got {getattr(self, name)!r}")
+        if (self.stop - self.start) / self.step + 1.0 > MOST_VALUES:    # one array of values()
+            raise ValueError(f"step must leave at most {MOST_VALUES} values from "
+                             f"{self.start!r} to {self.stop!r}, got {self.step!r}")
 
     def values(self) -> np.ndarray:
         n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
@@ -647,7 +654,8 @@ class ResistanceSweepRequest:
     spacing: str                  # log | linear
 
     def __post_init__(self):
-        check_fields(self, positive=("start",), counts={"points": 2},
+        check_fields(self, choices={"side": _SIDES, "spacing": _SPACINGS},
+                     positive=("start",), counts={"points": 2},
                      ordered=(("stop", ">", "start"),))
 
     def values(self) -> np.ndarray:
@@ -666,23 +674,55 @@ class ResistanceSweepRequest:
 
 @dataclass(frozen=True)
 class FieldMapRequest:
-    """[field_map]: B of one coil, posed, on a planar grid."""
+    """[field_map]: B of one coil, posed, at the points of a grid on an
+    axis-aligned plane: plane names its two coordinates ("xy", "xz" or
+    "yz") and offset fixes the third. axis1 is the first letter's range,
+    axis2 the second's; points run row-major with axis1 as the slow index."""
 
     coil: str                     # tx | rx
-    grid: GridSpec
+    plane: str
+    offset: float
+    axis1_start: float
+    axis1_stop: float
+    axis1_points: int
+    axis2_start: float
+    axis2_stop: float
+    axis2_points: int
     current: float
+
+    def __post_init__(self):
+        check_fields(self, choices={"coil": _COILS, "plane": _PLANES},
+                     counts={"axis1_points": 2, "axis2_points": 2},
+                     ordered=(("axis1_stop", ">", "axis1_start"),
+                              ("axis2_stop", ">", "axis2_start")))
+        # points() holds 3 coordinates per point in one array; Python ints
+        # cannot wrap, and axis1 is the count reported on a tie
+        n = {"axis1_points": int(self.axis1_points), "axis2_points": int(self.axis2_points)}
+        big, other = sorted(n, key=n.get, reverse=True)
+        if 3 * n[big] * n[other] > MOST_VALUES:
+            raise ValueError(f"{big} must be at most {MOST_VALUES // (3 * n[other])} "
+                             f"with {other} = {n[other]}, got {n[big]}")
+
+    def points(self) -> np.ndarray:
+        """All sample positions, shape (axis1_points*axis2_points, 3)."""
+        a1 = np.linspace(self.axis1_start, self.axis1_stop, self.axis1_points)
+        a2 = np.linspace(self.axis2_start, self.axis2_stop, self.axis2_points)
+        points = np.full((a1.size * a2.size, 3), float(self.offset))
+        for axis, values in zip(self.plane, np.meshgrid(a1, a2, indexing="ij")):
+            points[:, "xyz".index(axis)] = values.ravel()
+        return points
 
     def run(self, config, grid, out, build_link, spectrum):
         sc = config.scenario
-        tx_pose, rx_pose = scenario_poses(sc)
-        spec, pose = (sc.tx, tx_pose) if self.coil == "tx" else (sc.rx, rx_pose)
+        spec, pose = getattr(sc, self.coil), scenario_poses(sc)[_COILS.index(self.coil)]
         coil = apply_pose(build_filament_coil(spec, config.segments_per_turn), pose)
-        b = field_map(coil, self.current, self.grid)
+        points = self.points()
+        b = field_map(coil, self.current, points)
         masked = int(np.isnan(b[:, 0]).sum())
         if masked:
             warnings.warn(f"{masked} of {len(b)} points inside the wire "
                           "exclusion zone are masked")
-        emit_field_map_csv(self.grid.points(), b, out / "field_map.csv")
+        emit_field_map_csv(points, b, out / "field_map.csv")
         return ("field_map.csv",)
 
 
@@ -747,10 +787,9 @@ REQUESTS: Dict[str, Tuple[Callable[..., Request], Dict]] = {
         "load_max": ("quantity", "resistance", "10 kohm"),
         "points": ("count", None, "101"),
     }),
-    "field_map": (lambda coil, current, **grid: FieldMapRequest(coil, GridSpec(**grid),
-                                                                current), {
-        "coil": ("enum", ("tx", "rx"), "tx"),
-        "plane": ("enum", ("xy", "xz", "yz"), None),
+    "field_map": (FieldMapRequest, {
+        "coil": ("enum", _COILS, "tx"),
+        "plane": ("enum", _PLANES, None),
         "offset": ("quantity", "length", "0 mm"),
         "axis1_start": ("quantity", "length", None),
         "axis1_stop": ("quantity", "length", None),
@@ -769,8 +808,8 @@ REQUESTS: Dict[str, Tuple[Callable[..., Request], Dict]] = {
         "start": ("quantity", "resistance", None),
         "stop": ("quantity", "resistance", None),
         "points": ("count", None, None),
-        "spacing": ("enum", ("log", "linear"), "log"),
-    }) for side in ("r_source", "r_load")},
+        "spacing": ("enum", _SPACINGS, "log"),
+    }) for side in _SIDES},
 }
 
 

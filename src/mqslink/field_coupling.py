@@ -144,45 +144,6 @@ class CouplingResult:
         check_fields(self, nonnegative=("convergence_estimate",))
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Axis-aligned planar sampling grid.
-
-    plane names the two in-plane coordinates ("xy", "xz", or "yz");
-    offset fixes the remaining coordinate. axis1 is the first letter's
-    range, axis2 the second's; samples run row-major with axis1 as the
-    slow index.
-    """
-
-    plane: str
-    offset: float
-    axis1_start: float
-    axis1_stop: float
-    axis1_points: int
-    axis2_start: float
-    axis2_stop: float
-    axis2_points: int
-
-    def __post_init__(self):
-        # points() holds 3 coordinates of every point in one array
-        check_fields(self, counts={"axis1_points": 2, "axis2_points": 2},
-                     ordered=(("axis1_stop", ">", "axis1_start"),
-                              ("axis2_stop", ">", "axis2_start")),
-                     array=("axis1_points", "axis2_points", 3))
-        if self.plane not in ("xy", "xz", "yz"):
-            raise ValueError(f"plane must be one of 'xy', 'xz', 'yz', got {self.plane!r}")
-
-    def points(self) -> np.ndarray:
-        """All sample positions, shape (axis1_points*axis2_points, 3)."""
-        a1 = np.linspace(self.axis1_start, self.axis1_stop, self.axis1_points)
-        a2 = np.linspace(self.axis2_start, self.axis2_stop, self.axis2_points)
-        g1, g2 = np.meshgrid(a1, a2, indexing="ij")
-        cols = {self.plane[0]: g1.ravel(), self.plane[1]: g2.ravel()}
-        normal = ({"x", "y", "z"} - set(self.plane)).pop()
-        cols[normal] = np.full(g1.size, float(self.offset))
-        return np.column_stack([cols["x"], cols["y"], cols["z"]])
-
-
 def _panel_nodes(coil: FilamentCoil, start: np.ndarray, width: np.ndarray):
     # _PANEL_NODES Gauss-Legendre nodes on each panel of winding angle
     # [start, start + width]: local points and tangent * weight, the
@@ -540,12 +501,37 @@ def _curve_field(coil: FilamentCoil, points: np.ndarray, tolerance=None):
     return MU0 / (4.0 * math.pi) * b, valid, ladder.estimate
 
 
-def _warn_unconverged(estimate: np.ndarray, valid: np.ndarray) -> None:
+def _evaluate(coil: FilamentCoil, current: float, point, mask: bool) -> np.ndarray:
+    """B (tesla) of the coil carrying `current` at a 3-vector or an
+    (n, 3) array of points, shape (n, 3). The points' shape and
+    finiteness and the current are checked before any integral. A point
+    within half a wire diameter of the winding curve raises
+    SingularEvaluationError, or with mask gets a NaN row. Points that
+    stop at the refinement cap above tolerance raise one warning with
+    their count and worst estimate.
+    """
+    pts = np.atleast_2d(np.asarray(point, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"point must be a 3-vector or (n, 3) array, got shape {np.shape(point)}")
+    if not np.isfinite(pts).all():
+        raise ValueError("point must be finite")
+    if not math.isfinite(current):
+        raise ValueError(f"current must be finite, got {current!r}")
+    b, valid, estimate = _curve_field(coil, pts)
+    if not (mask or valid.all()):
+        worst = float(_curve_distance(coil, pts[~valid]).min())
+        raise SingularEvaluationError(
+            f"evaluation point within {worst:.3e} m of the filament "
+            f"(exclusion zone {coil.wire_diameter / 2.0:.3e} m)"
+        )
     over = valid & (estimate > _FIELD_TOLERANCE)
     if over.any():
         warnings.warn(f"{int(over.sum())} of {len(estimate)} points stopped at the "
                       f"refinement cap above tolerance {_FIELD_TOLERANCE:g} "
                       f"(worst estimate {float(estimate[over].max()):.3e})")
+    b *= float(current)
+    b[~valid] = np.nan
+    return b
 
 
 def b_field(coil: FilamentCoil, current: float, point) -> np.ndarray:
@@ -556,39 +542,18 @@ def b_field(coil: FilamentCoil, current: float, point) -> np.ndarray:
     winding curve raises SingularEvaluationError. Points that stop at
     the refinement cap above tolerance raise a warning.
     """
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"point must be a 3-vector or (n, 3) array, got shape {np.shape(point)}")
-    if not np.isfinite(pts).all():
-        raise ValueError("point must be finite")
-    if not math.isfinite(current):
-        raise ValueError(f"current must be finite, got {current!r}")
-    b, valid, estimate = _curve_field(coil, pts)
-    if not valid.all():
-        worst = float(_curve_distance(coil, pts[~valid]).min())
-        raise SingularEvaluationError(
-            f"evaluation point within {worst:.3e} m of the filament "
-            f"(exclusion zone {coil.wire_diameter / 2.0:.3e} m)"
-        )
-    _warn_unconverged(estimate, valid)
-    b *= float(current)
+    b = _evaluate(coil, current, point, mask=False)
     return b[0] if np.ndim(point) == 1 else b
 
 
-def field_map(coil: FilamentCoil, current: float, grid: GridSpec) -> np.ndarray:
-    """B (tesla) at grid.points(), shape (n, 3), masking singular points.
+def field_map(coil: FilamentCoil, current: float, points) -> np.ndarray:
+    """B (tesla) at the (n, 3) points, shape (n, 3), masking singular points.
 
     Rows for points inside the wire's exclusion zone are NaN rather than
     aborting the map. Points that stop at the refinement cap above
     tolerance raise one warning with their count and worst estimate.
     """
-    if not math.isfinite(current):
-        raise ValueError(f"current must be finite, got {current!r}")
-    b, valid, estimate = _curve_field(coil, grid.points())
-    _warn_unconverged(estimate, valid)
-    b *= float(current)
-    b[~valid] = np.nan
-    return b
+    return _evaluate(coil, current, points, mask=True)
 
 
 def _coupling_floor(tx: FilamentCoil, rx: FilamentCoil) -> float:

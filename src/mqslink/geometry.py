@@ -39,25 +39,24 @@ SWEEP_RANGES = {
 
 # the most float64 values numpy can hold in one array (2^60 - 1 on a
 # 64-bit machine): no count may ask for more
-_MOST_VALUES = np.iinfo(np.intp).max // 8
+MOST_VALUES = np.iinfo(np.intp).max // 8
 
 
 def check_fields(value, positive=(), nonnegative=(), counts=None, ordered=(),
-                 array=()) -> None:
-    """Apply a record's finiteness, count, sign and order rules to the
-    dataclass instance value; each ValueError starts with the field's name.
+                 choices=None) -> None:
+    """Apply a record's finiteness, choice, count, sign and order rules to
+    the dataclass instance value; each ValueError starts with the field's
+    name.
 
     Only init fields are checked (a record derives the others). Every
     float field (Python or numpy) must be finite. Then, in the order the
-    fields are declared, each field named in counts (a dict of field ->
-    least value) must be an integer (Python or numpy, not a bool) at
-    least that value and at most _MOST_VALUES, and each field named in
-    positive must be > 0 and each in nonnegative >= 0, unless it is
-    None. Then each (high, op, low) in ordered, op being ">" or ">=",
-    must hold between two fields. Last, array names the count fields
-    that size one array, then its values per entry: ("a", "b", 3) for
-    a x b entries of 3 values. Their product must be at most
-    _MOST_VALUES too, and the largest count is the one reported.
+    fields are declared, each field named in choices (a dict of field ->
+    its values) must hold one of them, each field named in counts (a
+    dict of field -> least value) must be an integer (Python or numpy,
+    not a bool) at least that value and at most MOST_VALUES, and each
+    field named in positive must be > 0 and each in nonnegative >= 0,
+    unless it is None. Last, each (high, op, low) in ordered, op being
+    ">" or ">=", must hold between two fields.
     """
     given = [f for f in fields(value) if f.init]
     for f in given:
@@ -66,12 +65,16 @@ def check_fields(value, positive=(), nonnegative=(), counts=None, ordered=(),
             raise ValueError(f"{f.name} must be finite, got {x!r}")
     for f in given:
         x = getattr(value, f.name)
+        allowed = (choices or {}).get(f.name)
+        if allowed is not None and x not in allowed:
+            raise ValueError(f"{f.name} must be one of {', '.join(map(repr, allowed))}, "
+                             f"got {x!r}")
         least = (counts or {}).get(f.name)
         if least is not None and (isinstance(x, bool) or not isinstance(x, (int, np.integer))
                                   or x < least):
             raise ValueError(f"{f.name} must be an integer >= {least}, got {x!r}")
-        if least is not None and x > _MOST_VALUES:
-            raise ValueError(f"{f.name} must be at most {_MOST_VALUES}, got {x!r}")
+        if least is not None and x > MOST_VALUES:
+            raise ValueError(f"{f.name} must be at most {MOST_VALUES}, got {x!r}")
         if x is not None and f.name in positive and not x > 0:
             raise ValueError(f"{f.name} must be > 0, got {x!r}")
         if x is not None and f.name in nonnegative and not x >= 0:
@@ -80,17 +83,6 @@ def check_fields(value, positive=(), nonnegative=(), counts=None, ordered=(),
         a, b = getattr(value, low), getattr(value, high)
         if not (b > a if op == ">" else b >= a):
             raise ValueError(f"{high} must be {op} {low}, got [{a!r}, {b!r}]")
-    if array:
-        *names, per = array
-        # Python ints, so the product of numpy counts cannot wrap around
-        sizes = {name: int(getattr(value, name)) for name in names}
-        big = max(sizes, key=sizes.get)
-        others = {name: size for name, size in sizes.items() if name != big}
-        rest = per * math.prod(others.values())
-        if sizes[big] * rest > _MOST_VALUES:
-            pairs = ", ".join(f"{name} = {size}" for name, size in others.items())
-            raise ValueError(f"{big} must be at most {_MOST_VALUES // rest} with {pairs}, "
-                             f"got {sizes[big]}")
 
 
 @dataclass(frozen=True)

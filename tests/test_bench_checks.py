@@ -1,10 +1,15 @@
 """Each benchmark workload, run once, passes the benchmark's own output
 checks: bench/workloads.py's check_run, and m_err and b_err below the
-workload's ceilings, computed as bench/run.py computes them. A change
-that breaks one of them fails here instead of only in a benchmark run.
+workload's ceilings, computed as bench/run.py computes them. Each also
+runs under bench/traced_run.py, which wraps mqslink's layer functions by
+name, with the counts it reports. A change that breaks one of them
+fails here instead of only in a benchmark run.
 """
 
+import json
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +43,20 @@ def test_workload_run_passes_the_benchmark_checks(tmp_path, name):
         probes = b_field(coil, 1.0, BENCH["PROBES"])
     assert m_err < workload.m_ceiling
     assert BENCH["b_err"](probes, spt) < workload.b_ceiling
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("field_map", {"field_coupling.field_points": 5917}),
+    ("pose_sweep", {"link_analysis.rows": 3}),
+    ("load_study", {"link_analysis.rows": 448}),
+])
+def test_traced_run_counts_each_workload(tmp_path, name, counts):
+    config = tmp_path / f"{name}.ini"
+    config.write_text(BENCH["make_config"](BENCH["WORKLOADS"][name], cli.DEFAULT_CONFIG, 1))
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "traced_run.py"), str(config),
+                           str(tmp_path / "out"), str(trace)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(trace.read_text())["counts"]
+    assert {key: got.get(key) for key in counts} == counts

@@ -204,16 +204,76 @@ def test_readme_request_keys_match_the_schemas():
         [name for name, keys in tables.items() if not keys]
 
 
+# a valid [field_map] grid, for records built directly
+_GRID = dict(plane="xz", offset=0.0, axis1_start=-0.05, axis1_stop=0.05, axis1_points=3,
+             axis2_start=0.05, axis2_stop=0.15, axis2_points=3)
+
+
 @pytest.mark.parametrize("build, field", [
     (lambda: cli.DualModeRequest(0.0, 10.0, 101), "load_min"),
     (lambda: cli.ResistanceSweepRequest("r_load", 10.0, 10.0, 3, "log"), "stop"),
     (lambda: cli.MisalignmentSweepRequest("tx_angle", 0.0, 95.0, 5.0), "stop"),
     (lambda: cli.SpectrumRequest(("tuned", "tuned")), "modes"),
+    # an enum key's values, as its schema states them
+    (lambda: cli.ResistanceSweepRequest("r_load", 1.0, 10.0, 3, "cubic"), "spacing"),
+    (lambda: cli.ResistanceSweepRequest("r_coil", 1.0, 10.0, 3, "log"), "side"),
+    (lambda: cli.FieldMapRequest("txx", **_GRID, current=1.0), "coil"),
+    (lambda: cli.MisalignmentSweepRequest("roll", 0.0, 10.0, 5.0), "axis"),
+    (lambda: cli.FieldMapRequest("tx", **_GRID, current=math.nan), "current"),
+    (lambda: cli.MisalignmentSweepRequest("tx_angle", 0.0, 90.0, 1e-300), "step"),
 ])
 def test_request_records_reject_bad_values_built_directly(build, field):
     # each request record checks its own values, as CoilSpec and Scenario do
     with pytest.raises(ValueError, match=f"^{field} "):
         build()
+
+
+def test_grid_points_run_row_major_with_axis1_slow():
+    request = cli.FieldMapRequest(coil="tx", plane="xz", offset=0.002, axis1_start=-1.0,
+                                  axis1_stop=1.0, axis1_points=2, axis2_start=10.0,
+                                  axis2_stop=11.0, axis2_points=3, current=1.0)
+    pts = request.points()
+    assert pts.shape == (6, 3)
+    np.testing.assert_allclose(pts[:, 1], 0.002)        # y pinned by offset
+    np.testing.assert_allclose(pts[:3, 0], -1.0)        # axis1 held per row
+    np.testing.assert_allclose(pts[:3, 2], [10.0, 10.5, 11.0])
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(plane="ab"), "plane"),
+    (dict(axis1_points=1), "axis1_points"),
+    (dict(axis2_points=1), "axis2_points"),
+    # a count is a Python or numpy integer, never a bool
+    (dict(axis1_points=True), r"^axis1_points must be an integer >= 2, got True$"),
+    (dict(axis2_points=3.0), r"^axis2_points must be an integer >= 2, got 3\.0$"),
+    (dict(axis2_points=np.int64(1)), r"^axis2_points must be an integer >= 2"),
+    # points() must fit 3 coordinates per point in one array; numpy
+    # counts whose product would wrap around in int64 are still caught
+    (dict(axis1_points=np.int64(2**40), axis2_points=np.int64(2**40)),
+     r"^axis1_points must be at most 349525 with axis2_points = 1099511627776, "
+     r"got 1099511627776$"),
+    (dict(axis2_points=2**60), r"^axis2_points must be at most 1152921504606846975"),
+    (dict(axis1_start=1.0, axis1_stop=-1.0), "axis1"),
+    (dict(offset=math.nan), "^offset must be finite"),
+    (dict(offset=math.inf), "^offset must be finite"),
+    (dict(offset=-math.inf), "^offset must be finite"),
+    (dict(axis1_start=-math.inf), "^axis1_start must be finite"),
+    (dict(axis1_stop=math.inf), "^axis1_stop must be finite"),
+])
+def test_field_map_grid_validation(kwargs, match):
+    # the [field_map] record, built directly, checks its grid
+    base = dict(_GRID, plane="xy", offset=0.0, axis1_start=-1.0, axis1_stop=1.0,
+                axis2_start=-1.0, axis2_stop=1.0)
+    base.update(kwargs)
+    with pytest.raises(ValueError, match=match):
+        cli.FieldMapRequest("tx", **base, current=1.0)
+
+
+def test_field_map_grid_counts_accept_numpy_integers():
+    request = cli.FieldMapRequest(coil="tx", plane="xy", offset=0.0, axis1_start=-1.0,
+                                  axis1_stop=1.0, axis1_points=np.int64(3), axis2_start=-1.0,
+                                  axis2_stop=1.0, axis2_points=np.int32(2), current=1.0)
+    assert request.points().shape == (6, 3)
 
 
 def test_strict_mode_requires_the_scenario_sections(tmp_path):
@@ -357,6 +417,10 @@ def test_radian_angles_convert(tmp_path):
     ("[placement]\nx_eye = abc mm\n", r"\.ini:2: \[placement\] x_eye: cannot parse number 'abc'"),
     ("[sweep tx_angle]\nstart = 10 deg\nstop = 20 deg\nstep = 0 deg\n",
      r"\.ini:4: step must be > 0, got 0\.0$"),
+    # a step so small that its sweep's values would not fit in one array
+    ("[sweep tx_angle]\nstart = 0 deg\nstop = 90 deg\nstep = 1e-300 deg\n",
+     r"\.ini:4: step must leave at most 1152921504606846975 values from 0\.0 to 90\.0, "
+     r"got 1e-300$"),
     ("[sweep r_load]\nstart = 0 ohm\nstop = 10 ohm\npoints = 3\n",
      r"\.ini:2: start must be > 0, got 0\.0$"),
     ("[sweep r_load]\nstart = 10 ohm\nstop = 10 ohm\npoints = 3\n",
@@ -556,18 +620,31 @@ def test_csv_rows_read_as_if_each_cell_went_through_fmt(case):
     assert _csv_text(header, rows) == want + "\n"
 
 
+_MASKED_CELLS = st.none() | st.sampled_from(["deg", "m", "ohm", math.nan, math.inf, -math.inf])
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
-    st.tuples(*[_FLOAT_CELLS] * n), min_size=1, max_size=8))))
-@example((3, [(-0.0, 5e-324, 0.1), (float("nan"), 1.0, 2.0),
-              (float("inf"), float("-inf"), 0.5), (1.7976931348623157e308, 1e16, 1e17)]))
+    st.tuples(*[_FLOAT_CELLS | _MASKED_CELLS] * n), min_size=1, max_size=8))))
+@example((3, [(-0.0, 5e-324, 0.1), (math.nan, 1.0, 2.0), (math.inf, -math.inf, 0.5),
+              (None, 1.5, "ohm"), (20.0, "deg", None), (1.7976931348623157e308, 1e16, 1e17)]))
+@example((3, [(-0.0, 5e-324, 0.1), (math.nan, 1.0, 2.0), (math.inf, -math.inf, 0.5),
+              (1.7976931348623157e308, 1e16, 1e17)]))
 def test_float_csv_rows_match_the_cell_by_cell_text(case):
-    # an all-finite row takes one %-format, any other row _fmt per cell;
-    # both write the same bytes as _csv_text
+    # a float array's finite rows take one %-format each, and its
+    # non-finite rows and rows with None or text cells go cell by cell;
+    # each line reads as its row's cells through _fmt
     n, rows = case
     header = ",".join(f"c{i}" for i in range(n))
-    columns = [np.array(column, dtype=float) for column in zip(*rows)]
-    assert cli._float_csv_text(header, columns) == _csv_text(header, rows)
+    want = [header] + [",".join(_fmt(c) for c in cells) for cells in rows] + [""]
+    assert _csv_text(header, rows).split("\n") == want
+    if all(isinstance(c, float) for cells in rows for c in cells):
+        assert _csv_text(header, np.array(rows, dtype=float)).split("\n") == want
+
+
+def test_a_finite_float_row_takes_one_format(monkeypatch):
+    monkeypatch.setattr(cli, "_fmt", None)      # the cell-by-cell path raises TypeError
+    assert _csv_text("a,b", np.array([[0.5, 26000000.0]])) == "a,b\n0.5,26000000\n"
 
 
 def test_json_files_hold_only_what_json_can(tmp_path):

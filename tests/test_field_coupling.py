@@ -1,6 +1,7 @@
 """Field evaluation and mutual inductance: kernel, routes, oracle."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -12,10 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mqslink import field_coupling
+from mqslink.cli import FieldMapRequest
 from mqslink.constants import MU0
 from mqslink.field_coupling import (ConvergenceError, CouplingResult,
-                                    GridSpec, SeparationError,
-                                    SingularEvaluationError,
+                                    SeparationError, SingularEvaluationError,
                                     _check_separation, _coupling_floor,
                                     _curve_distance, _neumann_sum, b_field,
                                     coupling_coefficient, field_map,
@@ -39,6 +40,11 @@ M_NOMINAL_EXTRAPOLATED = 3.9078144520416973e-10
 
 # a coil still takes segments_per_turn, but no result depends on it
 _SPT = 16
+
+
+def _grid(plane, offset, axis1, axis2):
+    # the points of a [field_map] grid; axis1 and axis2 are (start, stop, points)
+    return FieldMapRequest("tx", plane, offset, *axis1, *axis2, 1.0).points()
 
 
 def _nominal_pair(rx_spec=RX, scenario=NOMINAL):
@@ -247,8 +253,7 @@ _DOME = CoilSpec(turns=3, inner_radius=4e-3, wire_diameter=0.3e-3,
 def _grazing_points(coil):
     # a grid over the winding in the coil plane and across it, plus
     # points at and around the exclusion radius from every third vertex
-    local = [GridSpec(plane, 0.0, -7e-3, 7e-3, 61, -7e-3, 7e-3, 61).points()
-             for plane in ("xy", "xz")]
+    local = [_grid(plane, 0.0, (-7e-3, 7e-3, 61), (-7e-3, 7e-3, 61)) for plane in ("xy", "xz")]
     grids = np.vstack(local) @ coil.rotation.T + coil.origin
     rng = np.random.default_rng(5)
     verts = polyline(coil, 64)[::3]
@@ -510,8 +515,7 @@ def _bench_map():
     # lattice about the nominal posed tx, most of them far points
     tx, _ = _nominal_pair()
     step = 1.0 / 512.0
-    grid = GridSpec("xz", 0.0, -60 * step, 36 * step, 97, 26 * step, 86 * step, 61)
-    pts = grid.points()
+    pts = _grid("xz", 0.0, (-60 * step, 36 * step, 97), (26 * step, 86 * step, 61))
     nearest = _broadcast_node_sum((pts - tx.origin) @ tx.rotation, *_shared_panels(tx, 0))[1]
     assert np.count_nonzero(nearest >= _reach(tx)) > len(pts) // 2
     return tx, pts
@@ -587,10 +591,7 @@ def test_maps_far_from_the_wire_skip_the_curve_distance_pass(monkeypatch):
 
     monkeypatch.setattr(field_coupling, "_curve_distance", pairwise)
     tx, _ = _nominal_pair()
-    grid = GridSpec(plane="xz", offset=0.0, axis1_start=-0.03, axis1_stop=0.03,
-                    axis1_points=9, axis2_start=0.02, axis2_stop=0.08,
-                    axis2_points=7)
-    b = field_map(tx, 1.0, grid)
+    b = field_map(tx, 1.0, _grid("xz", 0.0, (-0.03, 0.03, 9), (0.02, 0.08, 7)))
     assert b.shape == (63, 3) and np.isfinite(b).all()
 
 
@@ -632,12 +633,11 @@ def test_a_point_on_a_level0_node_is_masked_without_warnings():
     coil = build_filament_coil(_FLAT, 64)
     nodes, _ = _shared_panels(coil, 0)
     x, y, z = nodes[37]
-    grid = GridSpec(plane="xy", offset=z, axis1_start=x, axis1_stop=x + 1e-3, axis1_points=2,
-                    axis2_start=y, axis2_stop=y + 1e-3, axis2_points=2)
-    assert np.array_equal(grid.points()[0], nodes[37])
+    pts = _grid("xy", z, (x, x + 1e-3, 2), (y, y + 1e-3, 2))
+    assert np.array_equal(pts[0], nodes[37])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        b = field_map(coil, 1.0, grid)
+        b = field_map(coil, 1.0, pts)
     assert np.isnan(b[0]).all() and np.isfinite(b[1:]).all()
 
 
@@ -707,67 +707,16 @@ def test_closest_approach_of_coaxial_loops_is_the_closed_form():
 
 # --------------------------------------------------------------- field_map
 
-def test_grid_points_run_row_major_with_axis1_slow():
-    grid = GridSpec(plane="xz", offset=0.002, axis1_start=-1.0, axis1_stop=1.0,
-                    axis1_points=2, axis2_start=10.0, axis2_stop=11.0,
-                    axis2_points=3)
-    pts = grid.points()
-    assert pts.shape == (6, 3)
-    np.testing.assert_allclose(pts[:, 1], 0.002)        # y pinned by offset
-    np.testing.assert_allclose(pts[:3, 0], -1.0)        # axis1 held per row
-    np.testing.assert_allclose(pts[:3, 2], [10.0, 10.5, 11.0])
-
-
-@pytest.mark.parametrize("kwargs, match", [
-    (dict(plane="ab"), "plane"),
-    (dict(axis1_points=1), "axis1_points"),
-    (dict(axis2_points=1), "axis2_points"),
-    # a count is a Python or numpy integer, never a bool
-    (dict(axis1_points=True), r"^axis1_points must be an integer >= 2, got True$"),
-    (dict(axis2_points=3.0), r"^axis2_points must be an integer >= 2, got 3\.0$"),
-    (dict(axis2_points=np.int64(1)), r"^axis2_points must be an integer >= 2"),
-    # points() must fit 3 coordinates per point in one array; numpy
-    # counts whose product would wrap around in int64 are still caught
-    (dict(axis1_points=np.int64(2**40), axis2_points=np.int64(2**40)),
-     r"^axis1_points must be at most 349525 with axis2_points = 1099511627776, "
-     r"got 1099511627776$"),
-    (dict(axis2_points=2**60), r"^axis2_points must be at most 1152921504606846975"),
-    (dict(axis1_start=1.0, axis1_stop=-1.0), "axis1"),
-    (dict(offset=math.nan), "^offset must be finite"),
-    (dict(offset=math.inf), "^offset must be finite"),
-    (dict(offset=-math.inf), "^offset must be finite"),
-    (dict(axis1_start=-math.inf), "^axis1_start must be finite"),
-    (dict(axis1_stop=math.inf), "^axis1_stop must be finite"),
-])
-def test_grid_spec_validation(kwargs, match):
-    base = dict(plane="xy", offset=0.0, axis1_start=-1.0, axis1_stop=1.0,
-                axis1_points=3, axis2_start=-1.0, axis2_stop=1.0,
-                axis2_points=3)
-    base.update(kwargs)
-    with pytest.raises(ValueError, match=match):
-        GridSpec(**base)
-
-
-def test_grid_spec_counts_accept_numpy_integers():
-    grid = GridSpec(plane="xy", offset=0.0, axis1_start=-1.0, axis1_stop=1.0,
-                    axis1_points=np.int64(3), axis2_start=-1.0, axis2_stop=1.0,
-                    axis2_points=np.int32(2))
-    assert grid.points().shape == (6, 3)
-
-
 def test_field_map_masks_points_on_the_wire_and_keeps_the_rest():
     coil = Ring(0.01, wire_diameter=1e-3)
     # middle column of axis1 passes exactly through the wire at (0.01, 0, 0)
-    grid = GridSpec(plane="xy", offset=0.0, axis1_start=0.009,
-                    axis1_stop=0.011, axis1_points=3, axis2_start=-0.001,
-                    axis2_stop=0.001, axis2_points=3)
-    b = field_map(coil, 1.0, grid)
+    pts = _grid("xy", 0.0, (0.009, 0.011, 3), (-0.001, 0.001, 3))
+    b = field_map(coil, 1.0, pts)
     assert b.shape == (9, 3)
     masked = np.isnan(b).any(axis=1)
     assert masked.any() and not masked.all()
     assert np.isnan(b[masked]).all()            # a masked row is NaN throughout
     assert np.isfinite(b[~masked]).all()
-    pts = grid.points()
     on_wire = (np.abs(pts[:, 0] - 0.01) < 1e-12) & (pts[:, 1] == 0.0)
     assert on_wire.sum() == 1 and masked[on_wire].all()
 
@@ -1162,17 +1111,21 @@ def test_bad_arguments_are_rejected_before_any_integral(monkeypatch):
         mutual_inductance(tx, rx, tolerance=0)
     with pytest.raises(ValueError, match=r"^tolerance must be > 0, got nan$"):
         mutual_inductance(tx, rx, tolerance=math.nan)
-    with pytest.raises(ValueError, match=r"3-vector or \(n, 3\) array, got shape \(2,\)$"):
-        b_field(tx, 1.0, (0.0, 0.1))
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match=r"^point must be finite$"):
-            b_field(tx, 1.0, [[0.0, 0.0, 0.1], [0.0, bad, 0.1]])
-    # a NaN current would read as wire-masked rows of a field map
+    # b_field and field_map check their points and current on one path
     monkeypatch.setattr(field_coupling, "_curve_field", None)   # an integral raises TypeError
-    grid = GridSpec("xz", 0.0, -0.05, 0.05, 3, 0.05, 0.15, 3)
+    for evaluate in (b_field, field_map):
+        for shape in ((2,), (4, 2), (2, 3, 3)):
+            with pytest.raises(ValueError, match=rf"3-vector or \(n, 3\) array, "
+                                                 rf"got shape {re.escape(str(shape))}$"):
+                evaluate(tx, 1.0, np.zeros(shape))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"^point must be finite$"):
+                evaluate(tx, 1.0, [[0.0, 0.0, 0.1], [0.0, bad, 0.1]])
+    # a NaN current would read as wire-masked rows of a field map
+    pts = _grid("xz", 0.0, (-0.05, 0.05, 3), (0.05, 0.15, 3))
     for bad in (math.nan, math.inf, -math.inf):
         for evaluate in (lambda: b_field(tx, bad, (0.0, 0.0, 0.1)),
-                         lambda: field_map(tx, bad, grid)):
+                         lambda: field_map(tx, bad, pts)):
             with pytest.raises(ValueError, match=f"^current must be finite, got {bad!r}$"):
                 evaluate()
 
