@@ -103,6 +103,10 @@ class Request(Protocol):
             spectrum: Callable[[bool], Spectrum]) -> Tuple[str, ...]: ...
 
 
+# the SNR conventions, read by the [analysis] schema and ScenarioConfig
+_CONVENTIONS = (VOLTAGE, POWER)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A parsed config: the scenario, solver knobs, and requested analyses."""
@@ -119,7 +123,7 @@ class ScenarioConfig:
     config_digest: str            # sha256 of the config file bytes
 
     def __post_init__(self):
-        check_fields(self, positive=("grid_start",),
+        check_fields(self, positive=("grid_start",), choices={"snr_convention": _CONVENTIONS},
                      counts={"grid_points": 2, "segments_per_turn": 16},
                      ordered=(("grid_stop", ">", "grid_start"),))
 
@@ -167,7 +171,7 @@ _GRID_SCHEMA = {
 
 _ANALYSIS_SCHEMA = {
     "noise_floor": ("quantity", "level"),
-    "snr_convention": ("enum", (VOLTAGE, POWER)),
+    "snr_convention": ("enum", _CONVENTIONS),
     "segments_per_turn": ("count", None),
 }
 
@@ -511,15 +515,31 @@ def _emit_json(payload, path: Path) -> None:
 
 def _csv_text(header: str, rows) -> str:
     """CSV text: the header, then one line per row, each cell as _fmt
-    writes it. A finite row of a float64 array takes one "%.17g" %-format
-    (finite "%.17g" text holds no "n", and nan and inf do), which writes
-    what _fmt's format(v, ".17g") does; any other row goes through _fmt."""
-    floats = isinstance(rows, np.ndarray) and rows.dtype == np.float64
-    line = ",".join(["%.17g"] * (header.count(",") + 1))
+    writes it. Each row of a float64 array takes one %-format, its cells
+    as "%.17g" writes them, which is what _fmt's format(v, ".17g")
+    writes for a finite value; a column whose first value recurs (a
+    grid's coordinates) has each distinct value formatted once. A row
+    with a non-finite cell, and every row given as cells, goes through
+    _fmt."""
     lines = [header]
-    for cells in rows.tolist() if floats else rows:
-        text = line % tuple(cells) if floats else "n"
-        lines.append(text if "n" not in text else ",".join([_fmt(c) for c in cells]))
+    if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64):
+        lines += [",".join([_fmt(c) for c in cells]) for cells in rows]
+        return "\n".join(lines) + "\n"
+    columns, specs = [], []
+    for col in rows.T:
+        if np.count_nonzero(col == col[:1]) > 1:
+            # distinct bit patterns, so -0.0 keeps its sign
+            bits, at = np.unique(col.view(np.int64), return_inverse=True)
+            text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+            columns.append(text[at].tolist())
+            specs.append("%s")
+        else:
+            columns.append(col.tolist())
+            specs.append("%.17g")
+    line = ",".join(specs)
+    lines += [line % cells for cells in zip(*columns)]
+    for i in np.flatnonzero(~np.isfinite(rows).all(axis=1)).tolist():
+        lines[i + 1] = ",".join([_fmt(c) for c in rows[i].tolist()])
     return "\n".join(lines) + "\n"
 
 

@@ -6,16 +6,19 @@ panels of winding angle whose every panel halves from one level to the
 next; a point stops once its last halving moved B by at most 1e-10
 relative, and that change (plus a rounding term) is its error estimate.
 Points clear of the wire share uniform panels, summed per block of
-points by matrix products. A point at least rho from every level-0
-node, rho being the largest |r| of those nodes in the coil's frame,
-takes the far form: one product gives |p - r|^2 in the Gram form
-|p|^2 + |r|^2 - 2 p.r, and one more against the node columns
-[dl, r x dl] gives B = (sum w dl) x p + sum w (r x dl). There
-|p| <= 2 |p - r| and |r| <= |p - r| (within the nodes' slack at finer
-levels), so neither product cancels more than a few units of
-rounding; the far form moves B's last digits only, and its rounding
-estimate is scaled by the Gram form's growth. Every other shared point
-sums over the point-to-node offsets themselves. Every offset kernel
+points by matrix products. Most take the far form: one product gives
+|p - r|^2 in the Gram form |p|^2 + |r|^2 - 2 p.r, and one more against
+the node columns [dl, r x dl] gives B = (sum w dl) x p + sum w (r x dl).
+The Gram form rounds |p - r|^2 by eps (|p| + |r|)^2, up to its growth
+g = ((|p| + rho) / nearest)^2 times the offsets' rounding, rho being
+the largest |r| of the level-0 nodes in the coil's frame and nearest
+the point's nearest-node distance. A point takes the far form while g
+is at most 25 (every point at least rho from every node has g <= 9).
+There |p| and |r| are at most 5 |p - r| (within the nodes' slack at
+finer levels), so neither product cancels more than a few tens of
+units of rounding; the far form moves B's last digits only, and its
+rounding estimate is scaled by g. Every other shared point sums over
+the point-to-node offsets themselves. Every offset kernel
 (that sum, the nearest-node search of the curve distance and the
 Neumann sum) builds its offsets as one contiguous (points, nodes)
 plane per coordinate, from contiguous coordinate rows, in a buffer
@@ -36,7 +39,9 @@ diameter against the other's exact curve, cutting runs of samples until
 the distances at their ends, less the node slack and half their arc,
 clear them, or every sample is measured.
 Mutual inductance is the Neumann double line integral by Gauss-Legendre
-quadrature on the exact winding curves.
+quadrature on the exact winding curves. Every Gauss-Legendre rule is
+built here, by Newton steps on the Legendre recurrence, so no run loads
+numpy.polynomial.
 
 Self-inductance is deliberately not computed here (the filament limit
 is singular); the lumped module owns it. The wire radius enters only as
@@ -77,6 +82,13 @@ _MIN_WIDTH = 1e-9
 # their distance from it; a point at least 1/_PANEL_REACH of a uniform
 # panel's length from the curve shares the uniform panels instead
 _PANEL_REACH = 32.0
+
+# the far form's reach: a point clear of the wire takes it while its
+# Gram form's rounding growth ((|p| + rho) / nearest)^2 is at most this
+# (see _curve_field). Every point at least rho from every level-0 node
+# grows it by at most 9. At 25, B's blocking jitter on the tests'
+# grazing grids stays within its 1e-14 bound; at 64 it crosses it
+_GRAM_GROWTH = 25.0
 
 # field refinement: the level cap, the relative change of the last
 # halving a point stops at, and the floor of that change's scale, as a
@@ -197,11 +209,11 @@ def _node_sum(points: np.ndarray, nodes: np.ndarray, dl: np.ndarray):
 
 
 def _far_sum(points: np.ndarray, nodes: np.ndarray, dl: np.ndarray, nearest: bool = False):
-    """_node_sum's B for points at least the coil's reach from every
-    node, by two matrix products per block: |p - r|^2 in the Gram form
-    |p|^2 + |r|^2 - 2 p.r, and sum w dl x (p - r) as
-    (sum w dl) x p + sum w (r x dl). With nearest, each point's
-    nearest-node distance too."""
+    """_node_sum's B, for points whose Gram form grows rounding by at
+    most _GRAM_GROWTH (see _curve_field), by two matrix products per
+    block: |p - r|^2 in the Gram form |p|^2 + |r|^2 - 2 p.r, and
+    sum w dl x (p - r) as (sum w dl) x p + sum w (r x dl). With
+    nearest, each point's nearest-node distance too."""
     b = np.empty((len(points), 3))
     near = np.empty(len(points))
     # point rows [p, |p|^2, 1] against node columns [-2 r, 1, |r|^2],
@@ -440,12 +452,14 @@ def _curve_field(coil: FilamentCoil, points: np.ndarray, tolerance=None):
     Gauss-Legendre panels of winding angle, and halves every panel for
     the next. Every point sums level 0 on the uniform panels; one beyond
     `clear` of every node shares them from there, by the far form
-    (_far_sum) if it is also at least `reach` from every node, and
-    every other one is masked by its exact curve distance and, if
-    valid, starts from the uniform panels bisected where they reach
-    beyond _PANEL_REACH times their distance to it, so only the panels
-    near it refine. A point
-    stops once its estimate, the change of its last halving relative to
+    (_far_sum) if the Gram form's rounding growth ((|p| + reach) /
+    nearest)^2 is at most _GRAM_GROWTH, `reach` being the largest |r|
+    of the level-0 nodes and nearest the point's nearest-node distance,
+    and by _node_sum if not. Every other point is masked by its exact
+    curve distance and, if valid, starts from the uniform panels
+    bisected where they reach beyond _PANEL_REACH times their distance
+    to it, so only the panels near it refine. A point stops once its
+    estimate, the change of its last halving relative to
     max(|B|, a floor at the coil's field scale) plus its rounding, is at
     most `tolerance` (a scalar or one per point; _FIELD_TOLERANCE by
     default). Points still above it at the level cap keep their last
@@ -468,20 +482,21 @@ def _curve_field(coil: FilamentCoil, points: np.ndarray, tolerance=None):
     # the coil's reach: the largest |r| of the level-0 nodes, read from
     # the curve, so a helical coil's sag counts
     reach = float(np.sqrt(np.max(np.sum(nodes * nodes, axis=1))))
-    # the far form first, on every point: those at least `reach` from
-    # every node and beyond `clear` by a margin far above rounding keep
-    # it, and the rest are summed again over their offsets. A point on
-    # a node sums to inf or nan, and is masked below
+    # the far form first, on every point. The Gram form's squared
+    # distances carry rounding of eps (|p| + |r|)^2, up to its growth
+    # ((|p| + reach) / nearest)^2 times that of _node_sum's offsets.
+    # Those it grows by at most _GRAM_GROWTH and beyond `clear` by a
+    # margin far above rounding keep it, and the rest are summed again
+    # over their offsets. A point on a node sums to inf or nan, and is
+    # masked below
     with np.errstate(divide="ignore", invalid="ignore"):
         b0, nearest = _far_sum(ladder.local, nodes, dl, nearest=True)
-    far = (nearest >= reach) & (nearest - clear > 1e-9 * (nearest + clear))
+        gram = ((np.sqrt(np.sum(ladder.local * ladder.local, axis=1)) + reach) / nearest) ** 2
+    far = (gram <= _GRAM_GROWTH) & (nearest - clear > 1e-9 * (nearest + clear))
     todo = np.flatnonzero(far)
-    # nearest - slack bounds a point's distance to the curve from below.
-    # The Gram form's squared distances carry rounding of eps (|p| +
-    # |r|)^2, up to ((|p| + reach) / nearest)^2 times that of _node_sum's
-    # offsets, and a far point's rounding scale grows with it
-    gram = ((np.sqrt(np.sum(ladder.local[todo] ** 2, axis=1)) + reach) / nearest[todo]) ** 2
-    ladder.shared(todo, b0[todo], ladder.span[todo] / (nearest[todo] - slack) * gram, True)
+    # nearest - slack bounds a point's distance to the curve from below,
+    # and a far point's rounding scale grows with the Gram form's
+    ladder.shared(todo, b0[todo], ladder.span[todo] / (nearest[todo] - slack) * gram[todo], True)
     rest = np.flatnonzero(~far)
     with np.errstate(divide="ignore", invalid="ignore"):
         b0, nearest = _node_sum(ladder.local[rest], nodes, dl)
@@ -621,9 +636,32 @@ def _check_separation(tx: FilamentCoil, rx: FilamentCoil) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    # imported on first use, so parsing a config never loads it
-    from numpy.polynomial.legendre import leggauss
-    nodes, weights = leggauss(n)
+    # the n-point rule on [-1, 1], nodes ascending. Its roots in [0, 1)
+    # start from Tricomi's guess (error O(n^-4)) and take three Newton
+    # steps on the recurrence (j + 1) P_j+1 = (2j + 1) x P_j - j P_j-1,
+    # as P_j+1 = x P_j + j / (j + 1) (x P_j - P_j-1), in np.longdouble
+    # (64 bits of mantissa on x86-64; in float64 the smallest node ends
+    # up over an ulp off), which leaves the nodes and weights within
+    # half a double's ulp or so of the exact rule. The weight
+    # 2 / ((1 - x^2) P_n'(x)^2) is taken at the last step's start and
+    # moved to its end to first order: there d ln w / dx = -2x / (1 - x^2)
+    x = np.sin(math.pi * (n - 1 - 2 * np.arange((n + 1) // 2)) / (2 * n + 1))
+    x = ((1.0 - (1.0 - 1.0 / n) / (8.0 * n * n)) * x).astype(np.longdouble)
+    ratio = np.arange(1, n, dtype=np.longdouble) / np.arange(2, n + 1)
+    for _ in range(3):
+        p0, p1 = np.ones_like(x), x
+        for c in ratio:
+            t = x * p1
+            p0, p1 = p1, t + (t - p0) * c
+        s = (1.0 - x) * (1.0 + x)
+        d = n * (p0 - x * p1) / s          # P_n'(x)
+        step = p1 / d
+        w = 2.0 / (s * d * d) * (1.0 + 2.0 * x * step / s)
+        x = x - step
+    x, w = x.astype(float), w.astype(float)
+    # the rule is symmetric; an odd n's middle root is 0 throughout
+    nodes = np.concatenate([-x, x[::-1][n % 2:]])
+    weights = np.concatenate([w, w[::-1][n % 2:]])
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

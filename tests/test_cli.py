@@ -228,6 +228,15 @@ def test_request_records_reject_bad_values_built_directly(build, field):
         build()
 
 
+def test_scenario_config_built_directly_rejects_an_unknown_snr_convention(tmp_path):
+    # the [analysis] schema's values, checked by the record itself
+    config = parse_text(tmp_path, "")
+    assert replace(config, snr_convention="power").snr_convention == "power"
+    with pytest.raises(ValueError, match=r"^snr_convention must be one of 'voltage', 'power', "
+                                         r"got 'amplitude'$"):
+        replace(config, snr_convention="amplitude")
+
+
 def test_grid_points_run_row_major_with_axis1_slow():
     request = cli.FieldMapRequest(coil="tx", plane="xz", offset=0.002, axis1_start=-1.0,
                                   axis1_stop=1.0, axis1_points=2, axis2_start=10.0,
@@ -640,6 +649,35 @@ def test_float_csv_rows_match_the_cell_by_cell_text(case):
     assert _csv_text(header, rows).split("\n") == want
     if all(isinstance(c, float) for cells in rows for c in cells):
         assert _csv_text(header, np.array(rows, dtype=float)).split("\n") == want
+
+
+def _map_rows():
+    # a map's rows: x slow (with -0.0 beside 0.0), y fixed, z fast, and
+    # B as random doubles
+    rng = np.random.default_rng(7)
+    x = np.repeat([-0.0, 0.0, 0.1, -1.7976931348623157e308], 4)
+    z = np.tile([1.0, 1.0 / 3.0, 5e-324, 1e17], 4)
+    return np.column_stack([x, np.full(16, 2.5e-3), z, rng.standard_normal((16, 3))])
+
+
+def _masked_map_rows():
+    # the first and a later B row masked, and a non-finite coordinate
+    rows = _map_rows()
+    rows[[0, 9], 3:] = math.nan
+    rows[5, 2] = -math.inf
+    return rows
+
+
+@pytest.mark.parametrize("rows", [
+    _map_rows(), _masked_map_rows(), _map_rows()[:1],
+    np.random.default_rng(8).standard_normal((9, 4)) * 10.0 ** np.arange(-150, 150, 75),
+], ids=["grid", "masked", "one-row", "unique"])
+def test_repeated_float_columns_read_as_their_cells_through_fmt(rows):
+    # a column whose values recur has each distinct value formatted once;
+    # every line still reads as its row's cells through _fmt
+    header = ",".join(f"c{i}" for i in range(rows.shape[1]))
+    want = [header] + [",".join(_fmt(c) for c in cells) for cells in rows.tolist()]
+    assert _csv_text(header, rows) == "\n".join(want) + "\n"
 
 
 def test_a_finite_float_row_takes_one_format(monkeypatch):

@@ -2,10 +2,14 @@
 
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -410,22 +414,33 @@ def _magnitude_sum(points, nodes, dl):
     return np.sum(np.linalg.norm(np.cross(dl[None], rel), axis=2) / dist**3, axis=1)
 
 
+def _gram_growth(coil, pts):
+    # the far form's rounding growth ((|p| + reach) / nearest)^2, from the
+    # broadcast form's nearest level-0 node
+    nearest = _broadcast_node_sum(pts, *_shared_panels(coil, 0))[1]
+    return ((np.linalg.norm(pts, axis=1) + _reach(coil)) / nearest) ** 2
+
+
 @pytest.mark.parametrize("budget", ["row", "default", "whole"])
 def test_far_form_matches_the_node_sum_on_far_points(budget, monkeypatch):
-    # points at least the reach from every level-0 node, around a
-    # helical coil whose sag puts nodes outside its turn radii. The Gram
-    # form cancels at most a few units of rounding there, so B agrees
-    # with _node_sum's within the blocking bound above, measured against
-    # the sum of the nodes' |contributions|, and the nearest-node
+    # points the far form takes, those whose Gram form grows rounding by
+    # at most _GRAM_GROWTH, around a helical coil whose sag puts nodes
+    # outside its turn radii: those at least the reach from every
+    # level-0 node (growth at most 9) and hundreds closer in. The Gram
+    # form cancels at most a few tens of units of rounding there, so B
+    # agrees with _node_sum's within the blocking bound above, measured
+    # against the sum of the nodes' |contributions|, and the nearest-node
     # distance to a few units
     coil = build_filament_coil(_DOME, 64)
     reach = _reach(coil)
     assert reach > float(turn_radii(_DOME)[-1])
     rng = np.random.default_rng(11)
-    pts = rng.uniform(-4 * reach, 4 * reach, (3000, 3))
-    nodes0, dl0 = _shared_panels(coil, 0)
-    pts = pts[_broadcast_node_sum(pts, nodes0, dl0)[1] >= reach]
-    assert len(pts) > 1000
+    pts = np.vstack([rng.uniform(-4 * reach, 4 * reach, (3000, 3)),
+                     rng.uniform(-reach, reach, (1500, 3))])
+    growth = _gram_growth(coil, pts)
+    keep = growth <= field_coupling._GRAM_GROWTH
+    pts, growth = pts[keep], growth[keep]
+    assert len(pts) > 1000 and np.count_nonzero(growth > 9.0) > 300
     for level in (0, 2):
         nodes, dl = _shared_panels(coil, level)
         want, want_near = field_coupling._node_sum(pts, nodes, dl)
@@ -440,19 +455,26 @@ def test_far_form_matches_the_node_sum_on_far_points(budget, monkeypatch):
         np.testing.assert_allclose(near, want_near, rtol=1e-14, atol=0)
 
 
-def test_only_points_beyond_the_reach_take_the_far_form(monkeypatch):
-    # two points on the axis of a flat coil, whose nearest level-0 node
-    # is the innermost one, at 1 - 1e-6 and 1 + 1e-6 times the reach.
-    # With the far form's B poisoned, the one inside keeps its B from
-    # _node_sum alone, and the one outside takes the far form's
+def test_only_points_within_the_gram_growth_take_the_far_form(monkeypatch):
+    # two points in the plane of a flat coil, inside its inner turn, whose
+    # growth is 1 - 1e-6 and 1 + 1e-6 times _GRAM_GROWTH. With the far
+    # form's B poisoned, the one over it keeps its B from _node_sum
+    # alone, and the one under it takes the far form's
     coil = build_filament_coil(_FLAT, 64)
-    reach = _reach(coil)
-    nodes, dl = _shared_panels(coil, 0)
-    inner = float(np.sqrt(np.min(np.sum(nodes * nodes, axis=1))))
-    pts = np.array([[0.0, 0.0, math.sqrt((reach * f) ** 2 - inner**2)]
-                    for f in (1.0 - 1e-6, 1.0 + 1e-6)])
-    np.testing.assert_allclose(_broadcast_node_sum(pts, nodes, dl)[1],
-                               [reach * (1.0 - 1e-6), reach * (1.0 + 1e-6)], rtol=1e-12)
+    edge = field_coupling._GRAM_GROWTH
+    assert _gram_growth(coil, np.zeros((1, 3)))[0] < edge
+
+    def growth(x):
+        return _gram_growth(coil, np.array([[x, 0.0, 0.0]]))[0]
+
+    lo, hi = 0.0, _FLAT.inner_radius
+    while hi - lo > 1e-12 * hi:
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if growth(mid) < edge else (lo, mid)
+    slope = (growth(hi * (1.0 + 1e-6)) - growth(hi)) / (hi * 1e-6)
+    pts = np.array([[hi + f * 1e-6 * edge / slope, 0.0, 0.0] for f in (-1.0, 1.0)])
+    np.testing.assert_allclose(_gram_growth(coil, pts), [edge * (1.0 - 1e-6), edge * (1.0 + 1e-6)],
+                               rtol=1e-7)
     b, valid, _ = field_coupling._curve_field(coil, pts)
     far = field_coupling._far_sum
 
@@ -464,8 +486,8 @@ def test_only_points_beyond_the_reach_take_the_far_form(monkeypatch):
     monkeypatch.setattr(field_coupling, "_far_sum", poisoned)
     b_poisoned, _, _ = field_coupling._curve_field(coil, pts)
     assert valid.all() and np.isfinite(b).all()
-    assert np.array_equal(b_poisoned[0], b[0])
-    assert np.isnan(b_poisoned[1]).all()
+    assert np.isnan(b_poisoned[0]).all()
+    assert np.array_equal(b_poisoned[1], b[1])
 
 
 def test_pair_kernels_keep_block_sized_buffers():
@@ -1003,6 +1025,61 @@ def test_spectral_route_still_checks_separation():
                    Pose(tilt_angle_deg=90.0))
     with pytest.raises(SeparationError):
         mutual_inductance(a, b)
+
+
+def _legendre_rule(n):
+    # the n-point Gauss-Legendre rule to 40 digits: Newton on the
+    # three-term recurrence from the textbook guess cos(pi (4k - 1) /
+    # (4n + 2)), ascending
+    with mpmath.workdps(40):
+        nodes, weights = [], []
+        for k in range(n, 0, -1):
+            x = mpmath.cos(mpmath.pi * (4 * k - 1) / (4 * n + 2))
+            for _ in range(100):
+                p0, p1 = mpmath.mpf(1), x
+                for j in range(1, n):
+                    p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+                d = n * (p0 - x * p1) / (1 - x * x)
+                x -= p1 / d
+                if abs(p1 / d) < mpmath.mpf(10) ** -38:
+                    break
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * d * d))
+        assert abs(sum(weights) - 2) < mpmath.mpf(10) ** -35
+        return nodes, weights
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_gauss_legendre_rule_is_within_an_ulp(n):
+    # nodes and weights within one unit of double rounding of the exact
+    # rule (numpy's leggauss is within one for the nodes, and off by 36,
+    # 32, 263 and 5791 for the weights at these n)
+    nodes, weights = field_coupling._gauss_legendre(n)
+    for got, exact in zip((nodes, weights), _legendre_rule(n)):
+        assert len(got) == n
+        with mpmath.workdps(40):
+            err = [abs(mpmath.mpf(float(g)) - e) / abs(e) for g, e in zip(got, exact)]
+        assert float(max(err)) <= 2.0**-52
+
+
+def test_field_map_and_mutual_inductance_leave_numpy_polynomial_unloaded():
+    # field_coupling builds its quadrature rules itself, so a run never
+    # loads numpy.polynomial (a few ms of every process)
+    code = f"""if True:
+        import sys
+        sys.path.insert(0, {str(Path(__file__).parent)!r})
+        import mqslink
+        from mqslink.geometry import apply_pose, build_filament_coil, scenario_poses
+        from nominal import NOMINAL
+        tx, rx = (apply_pose(build_filament_coil(spec, {_SPT}), pose)
+                  for spec, pose in zip((NOMINAL.tx, NOMINAL.rx), scenario_poses(NOMINAL)))
+        mqslink.field_map(tx, 1.0, [[0.0, 0.0, 0.1]])
+        mqslink.mutual_inductance(tx, rx)
+        print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # ------------------------------------------------- separation check
