@@ -6,8 +6,9 @@ capacitance across the coil; the source resistance and the load close
 the sides. The response is bilinear in those two terminations (Pozar,
 Microwave Engineering, 4th ed., 2012, sec. 4.3): one denominator
 D = R_L*(R_s*c11 + c01) + (R_s*c10 + c00) with frequency-only
-coefficients, formed once per grid, so each termination (a scalar or a
-(rows, 1) column) costs a few elementwise operations. Only this module
+coefficients, formed once per link and grid and kept on the link, so
+each termination (a scalar or a (rows, 1) column) costs a few
+elementwise operations. Only this module
 closes a link: frequency_sweep at its own terminations, termination_scan
 at many values of one. Without the capacitors it reduces to the
 classical untuned two-mesh transfer expression, which tests enforce
@@ -98,7 +99,8 @@ def _check_grid(f: np.ndarray) -> None:
         raise ValueError("frequency grid must be strictly increasing")
 
 
-def _check_finite(values: np.ndarray) -> None:
+def check_finite(values: np.ndarray) -> None:
+    """Raise ValueError unless every value of a spectrum or scan is finite."""
     if not np.all(np.isfinite(values)):
         raise ValueError("spectrum values must be finite")
 
@@ -126,8 +128,8 @@ class Spectrum:
         _check_grid(f)
         if h.shape != f.shape or z.shape != f.shape:
             raise ValueError("h and z11 must match the frequency grid shape")
-        _check_finite(h)
-        _check_finite(z)
+        check_finite(h)
+        check_finite(z)
         for name, arr in (("frequencies", f), ("h", h), ("z11", z)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -188,6 +190,26 @@ def _link_terms(link: LinkCircuit, f: FrequencyLike):
             np.asarray(i_in, dtype=complex))
 
 
+def _grid_terms(link: LinkCircuit, grid: np.ndarray):
+    """_link_terms(link, grid), formed once per link and grid.
+
+    The link instance keeps the read-only terms of the last grid it was
+    solved on, keyed by that grid's shape and bytes, so the tuned
+    spectrum and every load scan of one link share one long-double
+    build. An equal link (m = 0.0 against -0.0) is another instance and
+    builds its own.
+    """
+    key = (grid.shape, grid.tobytes())
+    kept = getattr(link, "_terms", None)
+    if kept is None or kept[0] != key:
+        terms, i_in = _link_terms(link, grid)
+        for arr in (*terms, i_in):
+            arr.setflags(write=False)
+        kept = (key, (terms, i_in))
+        object.__setattr__(link, "_terms", kept)
+    return kept[1]
+
+
 def _terminated(terms, r_source, r_load):
     """h = jwM*R_L/D of the link with coefficients terms, closed by R_s and R_L.
 
@@ -206,6 +228,13 @@ def _terminated(terms, r_source, r_load):
 # 1001-point grid. A 451-load and two 224-load scans (2 shared cores)
 # took 51 ms at 1 row, 42 at 4, 38 at 8, 36 at 16 and 51 at 65; the
 # traced peak is 0.70 MiB up to 4 rows, 0.79 at 8 and 1.3 at 16.
+# Re-measured with one term build per link and the sweeps' band pass
+# over 4 blocks at once (median of 12 interleaved repeats, same cores):
+# 29 ms at 1 row, 19 at 4, 17 at 8, 16 at 16 and 24 at 65; traced peak
+# 0.70 MiB up to 4 rows, 1.2 at 8, 2.3 at 16 and 7.4 at 65. A 16-row
+# block alone solves slower than four 4-row ones (361 against 154 us),
+# and in a whole run 16- and 32-row blocks measured slower with a
+# higher peak RSS, so blocks stay at 4 rows.
 _SCAN_ELEMENTS = 4096
 
 
@@ -216,23 +245,24 @@ def termination_scan(link: LinkCircuit, field: str, values: np.ndarray,
     field is r_source or r_load, and every value must be finite and > 0
     (LinkCircuit's rule for that field): the first that is not raises
     ValueError, naming the field and the value, before any solve. The
-    coefficients, coil ESR included, are formed once per scan, and each
-    block takes up to _SCAN_ELEMENTS // len(grid) values. With two or
-    more grid points row k is bit-identical to frequency_sweep(replace(link,
-    field=value_k), grid).h. The grid and h's finiteness checks are a Spectrum's.
+    coefficients, coil ESR included, are the link's for this grid
+    (formed once per link and grid, shared with frequency_sweep), and
+    each block takes up to _SCAN_ELEMENTS // len(grid) values. With two
+    or more grid points row k is bit-identical to frequency_sweep(replace(link,
+    field=value_k), grid).h. The grid check is a Spectrum's; h is not
+    checked here: a caller passes the row maxima of |h| it takes to
+    check_finite, since a non-finite h makes its row's maximum non-finite.
     """
     bad = values[~(np.isfinite(values) & (values > 0))]
     if bad.size:
         raise ValueError(f"{field} values must be finite and > 0, got {bad[0].item()!r}")
     _check_grid(grid)
-    terms, _ = _link_terms(link, grid)
+    terms, _ = _grid_terms(link, grid)
     rows = max(1, _SCAN_ELEMENTS // len(grid))
     for start in range(0, len(values), rows):
         block = values[start:start + rows]
-        h = _terminated(terms, **{"r_source": link.r_source, "r_load": link.r_load,
-                                  field: block[:, None]})
-        _check_finite(h)
-        yield block, h
+        yield block, _terminated(terms, **{"r_source": link.r_source, "r_load": link.r_load,
+                                           field: block[:, None]})
 
 
 def tune_capacitance(l: float, f0: float, parasitic: Optional[float] = None) -> float:
@@ -268,27 +298,35 @@ def receiver_capacitance(l_tx: float, c_tx: float, l_rx: float) -> float:
 
 
 def frequency_sweep(link: LinkCircuit, grid) -> Spectrum:
-    """Solve the link at every grid frequency of an increasing grid."""
+    """Solve the link at every grid frequency of an increasing grid, on
+    the coefficients the link keeps for that grid (see _grid_terms)."""
     farr = np.asarray(grid, dtype=float)
-    terms, i_in = _link_terms(link, farr)
+    terms, i_in = _grid_terms(link, farr)
     h = _terminated(terms, link.r_source, link.r_load)
     z11 = link.v_source / i_in - link.r_source
     return Spectrum(frequencies=farr, h=h, z11=z11, v_source=link.v_source)
 
 
-def received_power(v_rx, r_load: float) -> float:
+def received_power(v_rx, r_load):
     """Load power as the amplitude-squared form P = |V_rx|^2/R_load.
 
     This is the plain V^2/R reading with V a peak amplitude (twice the
     cycle-average dissipation of a sinusoid); kept in that form so
     levels compare directly against voltage-derived link budgets.
+    v_rx and r_load may be scalars or arrays that broadcast; the square
+    is libm's pow, as Python's ** takes it, so each element keeps the
+    bits of a scalar call (numpy's x**2, a product, differs in the last
+    bit for about one value in 1200).
     """
     bad = np.asarray(v_rx)[~np.isfinite(v_rx)]
     if bad.size:
         raise ValueError(f"v_rx must be finite, got {bad[0].item()!r}")
-    if not 0 < r_load < math.inf:
-        raise ValueError(f"r_load must be finite and > 0, got {r_load!r}")
-    return abs(v_rx) ** 2 / r_load
+    loads = np.asarray(r_load)
+    bad = loads[~(np.isfinite(loads) & (loads > 0))]
+    if bad.size:
+        raise ValueError(f"r_load must be finite and > 0, got {bad[0].item()!r}")
+    p = np.float_power(np.abs(v_rx), 2) / r_load
+    return float(p) if np.ndim(p) == 0 else p
 
 
 def tx_power(link: LinkCircuit, f: FrequencyLike):

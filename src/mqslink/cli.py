@@ -552,10 +552,17 @@ def emit_spectrum_csv(spectrum: Spectrum, path: Path) -> None:
 
 
 def emit_sweep_csv(sweep: SweepResult, path: Path) -> None:
-    rows = ((row.value, sweep.unit, row.peak_db, row.peak_freq_hz,
-             row.bw3db_hz, row.capacity_bps, row.p_rx_w) for row in sweep.rows)
-    _atomic_write(path, _csv_text(
-        "param,param_unit,peak_db,peak_freq_hz,bw3db_hz,capacity_bps,p_rx_w", rows))
+    """One line per row. A row with every value takes one %-format that
+    carries the unit, each value as "%.17g" writes it, which is what _fmt
+    writes for a finite float; a row with a masked (None) cell goes through _fmt."""
+    line = "%.17g," + sweep.unit.replace("%", "%%") + ",%.17g" * 5
+    lines = ["param,param_unit,peak_db,peak_freq_hz,bw3db_hz,capacity_bps,p_rx_w"]
+    for row in sweep.rows:
+        cells = (row.value, row.peak_db, row.peak_freq_hz, row.bw3db_hz, row.capacity_bps,
+                 row.p_rx_w)
+        lines.append(",".join([_fmt(row.value), sweep.unit, *map(_fmt, cells[1:])])
+                     if None in cells else line % cells)
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def emit_field_map_csv(points: np.ndarray, b: np.ndarray, path: Path) -> None:

@@ -135,9 +135,7 @@ class CoilSpec:
                                      "conductivity", "parasitic_capacitance",
                                      "inductance_override"),
                      nonnegative=("wire_spacing", "resistance_override"),
-                     counts={"turns": 1})
-        if self.shape not in (FLAT_SPIRAL, HELICAL):
-            raise ValueError(f"shape must be {FLAT_SPIRAL!r} or {HELICAL!r}, got {self.shape!r}")
+                     counts={"turns": 1}, choices={"shape": (FLAT_SPIRAL, HELICAL)})
         if self.shape == FLAT_SPIRAL and self.sphere_radius is not None:
             raise ValueError(f"sphere_radius {self.sphere_radius!r} is for the helical shape only")
         if self.shape == HELICAL:

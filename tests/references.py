@@ -18,8 +18,10 @@ from mqslink.field_coupling import (ConvergenceError, SeparationError,
                                     SingularEvaluationError,
                                     _check_separation, _coupling_floor,
                                     _curve_distance, _curve_field,
-                                    _gauss_legendre)
-from mqslink.geometry import FilamentCoil
+                                    _curve_nodes, _gauss_legendre,
+                                    _neumann_sum)
+from mqslink.geometry import (CoilSpec, FilamentCoil, Pose, apply_pose,
+                              build_filament_coil)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,6 +155,83 @@ def flux_mutual_inductance(tx, rx, tolerance=1e-3):
         f"(last relative change {estimate:.3e})",
         value=prev, estimate=estimate,
     )
+
+
+def random_spiral_pairs(count=50, seed=2026):
+    """Criterion 04's posed (tx, rx) pairs of random 2- to 4-turn flat
+    spirals: a 20-35 mm tx tilted up to 30 degrees, and a 4-10 mm rx
+    50-80 mm above it, up to 30 mm off its axis, tilted up to 90 degrees."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        tx_spec = CoilSpec(turns=int(rng.integers(2, 5)),
+                           inner_radius=rng.uniform(0.020, 0.035),
+                           wire_diameter=0.2e-3, wire_spacing=0.4e-3)
+        rx_spec = CoilSpec(turns=int(rng.integers(2, 5)),
+                           inner_radius=rng.uniform(0.004, 0.010),
+                           wire_diameter=0.2e-3, wire_spacing=0.4e-3)
+        tx = apply_pose(build_filament_coil(tx_spec, 120),
+                        Pose(tilt_angle_deg=rng.uniform(0, 30)))
+        rx = apply_pose(build_filament_coil(rx_spec, 120),
+                        Pose(center=(rng.uniform(0, 0.030), 0.0, rng.uniform(0.050, 0.080)),
+                             tilt_angle_deg=rng.uniform(0, 90)))
+        pairs.append((tx, rx))
+    return pairs
+
+
+def closing_path(coil):
+    """(3, 3) vertices of the straight return from a coil's outer end
+    through its centre to its inner end. On a flat spiral of whole turns
+    the two legs lie on one line, and the path is the radial chord from
+    the outer end back to the inner end."""
+    (inner, outer), _ = coil.curve([0.0, coil.stop])
+    return np.array([outer, coil.origin, inner])
+
+
+def path_neumann(tx, path, nodes_per_leg=16):
+    """Neumann M (H) between tx's winding and the straight polyline path,
+    Gauss-Legendre on each leg against 64 nodes per tx turn."""
+    nodes, weights = _gauss_legendre(nodes_per_leg)
+    legs = list(zip(path[:-1], path[1:]))
+    points = np.vstack([a + np.outer((nodes + 1.0) / 2.0, b - a) for a, b in legs])
+    elements = np.vstack([np.outer(weights / 2.0, b - a) for a, b in legs])
+    return _neumann_sum(*_curve_nodes(tx, 64), points, elements)
+
+
+# cone quadrature: Gauss-Legendre nodes along each generator, and
+# composite Gauss-Legendre panels (with nodes per panel) per turn
+CONE_NODES, CONE_PANELS, CONE_PANEL_NODES = 24, 16, 16
+
+
+def cone_flux_mutual_inductance(tx, rx):
+    """M (H) as the flux of tx's field through the cone over rx's winding.
+
+    The cone S(s, phi) = c + s (r(phi) - c), s in [0, 1], joins rx's
+    centre c to each point r(phi) of its winding; its area element is
+    s (r - c) x r'(phi) ds dphi. Its boundary is the winding plus
+    closing_path(rx), so by Stokes' theorem the flux per ampere equals
+    the Neumann M of that closed curve, whatever the spiral rule, and it
+    spans a helical coil as well as a flat one. B comes from tx's winding
+    curve; a cone that enters tx's wire exclusion zone raises
+    SeparationError, as the disk route does.
+    """
+    s, ws = _gauss_legendre(CONE_NODES)
+    s, ws = (s + 1.0) / 2.0, ws / 2.0
+    x, wx = _gauss_legendre(CONE_PANEL_NODES)
+    width = 2.0 * math.pi / CONE_PANELS
+    starts = width * np.arange(rx.turns * CONE_PANELS)
+    phi = (starts[:, None] + width * (x + 1.0) / 2.0).ravel()
+    w_phi = np.tile(wx * width / 2.0, len(starts))
+    r, dr = rx.curve(phi)
+    spoke = r - rx.origin
+    points = rx.origin + s[:, None, None] * spoke[None, :, :]
+    areas = (s * ws)[:, None, None] * (np.cross(spoke, dr) * w_phi[:, None])[None, :, :]
+    b, valid, _ = _curve_field(tx, points.reshape(-1, 3))
+    if not valid.all():
+        d = float(_curve_distance(tx, points.reshape(-1, 3)[~valid]).min())
+        raise SeparationError("receiver cone enters the transmitter wire's "
+                              f"exclusion zone (closest approach {d:.3e} m)")
+    return float(np.sum(b * areas.reshape(-1, 3)))
 
 
 def _ellipke(k):

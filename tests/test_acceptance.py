@@ -17,8 +17,7 @@ from mqslink.circuit import (LinkCircuit, frequency_sweep,
                              received_power, receiver_capacitance,
                              tune_capacitance, tx_power)
 from mqslink.field_coupling import mutual_inductance
-from mqslink.geometry import (AXIAL, TX_ANGLE, CoilSpec, Pose, apply_pose,
-                              build_filament_coil)
+from mqslink.geometry import AXIAL, TX_ANGLE, Pose, apply_pose
 from mqslink.link_analysis import (capacity_vs_bandwidth,
                                    channel_capacity, misalignment_sweep,
                                    resistance_sweep, scenario_link,
@@ -28,7 +27,7 @@ from mqslink.lumped import (LOW_CONFIDENCE, current_sheet_inductance,
 from mqslink.cli import main as cli_main
 from nominal import BUDGET, GRID, L_TX, NOMINAL, RX, TX
 from references import (Ring, coaxial_mutual_oracle, flux_mutual_inductance,
-                        transfer_ratio_untuned)
+                        random_spiral_pairs, transfer_ratio_untuned)
 
 
 @pytest.fixture(scope="module")
@@ -93,22 +92,9 @@ def test_criterion_04_coupling_kernel(capsys):
             want = coaxial_mutual_oracle(r1, ratio * r1, zr * r1)
             worst_oracle = max(worst_oracle, abs(got - want) / abs(want))
 
-    rng = np.random.default_rng(2026)
     worst_routes = 0.0
     worst_recip = 0.0
-    for i in range(50):
-        tx_spec = CoilSpec(turns=int(rng.integers(2, 5)),
-                           inner_radius=rng.uniform(0.020, 0.035),
-                           wire_diameter=0.2e-3, wire_spacing=0.4e-3)
-        rx_spec = CoilSpec(turns=int(rng.integers(2, 5)),
-                           inner_radius=rng.uniform(0.004, 0.010),
-                           wire_diameter=0.2e-3, wire_spacing=0.4e-3)
-        a = apply_pose(build_filament_coil(tx_spec, 120),
-                       Pose(tilt_angle_deg=rng.uniform(0, 30)))
-        b = apply_pose(build_filament_coil(rx_spec, 120),
-                       Pose(center=(rng.uniform(0, 0.030), 0.0,
-                                    rng.uniform(0.050, 0.080)),
-                            tilt_angle_deg=rng.uniform(0, 90)))
+    for i, (a, b) in enumerate(random_spiral_pairs()):
         m_n = mutual_inductance(a, b).m
         m_f, _ = flux_mutual_inductance(a, b)
         worst_routes = max(worst_routes, abs(m_f - m_n) / abs(m_n))

@@ -19,16 +19,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mqslink import cli, field_coupling
+from mqslink import circuit, cli, field_coupling
 from mqslink.circuit import frequency_sweep, path_loss_db
 from mqslink.cli import (DEFAULT_CONFIG, ConfigError, RunReport, _csv_text,
                          _emit_json, _fmt, emit_field_map_csv,
                          emit_report_json, emit_spectrum_csv, emit_sweep_csv,
                          main, parse_config, run_scenario)
 from mqslink.geometry import CoilSpec, Scenario
-from mqslink.link_analysis import (capacity_report, dual_mode_report,
-                                   misalignment_sweep, scenario_link,
-                                   scenario_mutual_inductance)
+from mqslink.link_analysis import (SweepResult, SweepRow, capacity_report,
+                                   dual_mode_report, misalignment_sweep,
+                                   scenario_link, scenario_mutual_inductance)
 from nominal import (CONVENTION, DUAL_MODE_LOADS, GRID, NOISE_FLOOR_DBV,
                      NOMINAL)
 
@@ -685,6 +685,35 @@ def test_a_finite_float_row_takes_one_format(monkeypatch):
     assert _csv_text("a,b", np.array([[0.5, 26000000.0]])) == "a,b\n0.5,26000000\n"
 
 
+_FINITE_CELLS = _FLOAT_CELLS.filter(math.isfinite)
+_SWEEP_CELLS = st.none() | st.tuples(_FINITE_CELLS, _FINITE_CELLS,
+                                     st.none() | st.tuples(_FINITE_CELLS, _FINITE_CELLS),
+                                     _FINITE_CELLS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["ohm", "deg", "%", "a%sb"]),
+       st.dictionaries(_FINITE_CELLS, _SWEEP_CELLS, max_size=6))
+@example("ohm", {1.0: None, 2.0: (-60.0, 26e6, None, 1e-9), 3.0: (-0.0, 5e-324, (1e5, 1e6), 0.1)})
+def test_sweep_csv_reads_as_its_cells_through_fmt(tmp_path_factory, unit, cells):
+    # a row with every value takes one %-format carrying the unit, a
+    # (partly) masked row goes cell by cell; both read as the cell-by-cell text
+    rows = []
+    for value in sorted(cells):
+        if cells[value] is None:
+            rows.append(SweepRow(value, None, None, None, None, None))
+        else:
+            peak, f, band, p = cells[value]
+            rows.append(SweepRow(value, peak, f, *(band or (None, None)), p))
+    sweep = SweepResult(unit=unit, rows=tuple(rows))
+    path = tmp_path_factory.mktemp("sweep") / "sweep.csv"
+    emit_sweep_csv(sweep, path)
+    header = "param,param_unit,peak_db,peak_freq_hz,bw3db_hz,capacity_bps,p_rx_w"
+    assert path.read_text(encoding="utf-8") == _csv_text(header, [
+        (r.value, unit, r.peak_db, r.peak_freq_hz, r.bw3db_hz, r.capacity_bps, r.p_rx_w)
+        for r in rows])
+
+
 def test_json_files_hold_only_what_json_can(tmp_path):
     payload = {"a": 1.5, "b": [True, None, 2], "c": {"d": -85.0}, "e": "text"}
     _emit_json(payload, tmp_path / "ok.json")
@@ -1223,6 +1252,29 @@ def test_the_tuned_spectrum_is_solved_once_per_run(tmp_path, monkeypatch):
     report = run_scenario(config, out_dir=str(tmp_path / "out"))
     assert report.failures == ()
     assert tuned == [True, False]
+
+
+def test_a_run_builds_each_links_terms_once(tmp_path, monkeypatch):
+    # the tuned spectrum, the dual-mode scan and both termination sweeps
+    # share the tuned link's terms; the untuned spectrum builds its own
+    built = []
+    exact = circuit._link_terms
+
+    def counted(link, f):
+        built.append(link.c_tx is not None)
+        return exact(link, f)
+
+    monkeypatch.setattr(circuit, "_link_terms", counted)
+    sweeps = "".join(f"\n[sweep {side}]\nstart = 1 ohm\nstop = 10 kohm\npoints = 9\n"
+                     for side in ("r_source", "r_load"))
+    config = parse_config(write_config(tmp_path, small_scenario(
+        "", "[dual_mode]\n" + sweeps + "\n[spectrum]\nmodes = tuned untuned\n")),
+        allow_defaults=True)
+    report = run_scenario(config, out_dir=str(tmp_path / "out"))
+    assert report.failures == ()
+    assert [label for label, _ in report.outputs] == \
+        ["dual_mode", "sweep r_source", "sweep r_load", "spectrum"]
+    assert built == [True, False]
 
 
 def test_unsaturated_dual_mode_scan_is_reported_as_a_warning(tmp_path):

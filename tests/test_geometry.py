@@ -38,7 +38,7 @@ def test_diameter_properties():
     (dict(inner_radius=0.0), "inner_radius"),
     (dict(wire_diameter=-1e-4), "wire_diameter"),
     (dict(wire_spacing=-1e-4), "wire_spacing"),
-    (dict(shape="square"), "shape"),
+    (dict(shape="square"), r"^shape must be one of 'flat-spiral', 'helical', got 'square'$"),
     (dict(conductivity=0.0), "conductivity"),
     (dict(sphere_radius=-1e-3), "sphere_radius"),
     (dict(sphere_radius=0.02), r"^sphere_radius 0\.02 is for the helical shape only$"),

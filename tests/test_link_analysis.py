@@ -102,7 +102,8 @@ def test_a_band_between_two_zeros_of_h_is_masked_and_named():
     assert all(row.f_low_hz < 2e6 and row.f_high_hz > 6e6 for row in study[26:])
     with pytest.raises(ValueError, match=r"^3 dB band has zero width: both edges at 4000000\.0 Hz$"):
         capacity_report(spectrum, **BUDGET)
-    (row,) = link_analysis._sweep_rows([1.0], freqs, h[None], 1.0, [50.0], -85.0, VOLTAGE)
+    (row,) = link_analysis._sweep_rows([1.0], [link_analysis._row_summaries(freqs, h[None])],
+                                       1.0, 50.0, -85.0, VOLTAGE)     # h is its own |h|
     assert (row.peak_db, row.peak_freq_hz, row.bw3db_hz, row.capacity_bps) == \
         (0.0, 4e6, None, None)
 
@@ -554,7 +555,9 @@ def _scans(draw):
     The link comes from the power-balance strategy: tuned or untuned,
     spec or fixed ESR, with or without parasitics. On the larger grids
     the load count is 1, block - 1, block or block + 1 for the rows the
-    scans solve per block on that grid. A one-point grid is left out:
+    scans solve per block on that grid, or chunk - 1, chunk or chunk + 1
+    for the rows a sweep's band pass takes at once (_SUMMARY_BLOCKS
+    blocks). A one-point grid is left out:
     there numpy runs the broadcast along the rows, through other SIMD
     loops than the per-load solve, and a row may differ from it in the
     last bit.
@@ -562,7 +565,8 @@ def _scans(draw):
     link, f = draw(_random_links(parasitics=True))
     points = draw(st.sampled_from([2, 7, 201, 1001, 4097]))
     block = max(1, circuit._SCAN_ELEMENTS // points)
-    edges = sorted({1, block - 1, block, block + 1} - {0})
+    chunk = block * link_analysis._SUMMARY_BLOCKS
+    edges = sorted({1, block - 1, block, block + 1, chunk - 1, chunk, chunk + 1} - {0})
     count = draw(st.sampled_from(edges) if block <= 20 else st.integers(1, 3))
     lo = 10 ** draw(st.floats(-2, 2))
     values = np.geomspace(lo, lo * 10 ** draw(st.floats(1, 4)), count)
@@ -662,6 +666,7 @@ def test_load_scans_solve_in_bounded_blocks_without_frequency_sweep(monkeypatch)
 
 
 def test_load_scans_evaluate_each_coil_loss_once_on_the_whole_grid(monkeypatch):
+    # the dual-mode scan and both sweeps of one link share its terms
     calls = []
 
     def counting(spec, f):
@@ -672,15 +677,19 @@ def test_load_scans_evaluate_each_coil_loss_once_on_the_whole_grid(monkeypatch):
     link = scenario_link(NOMINAL, m=M_NOMINAL)
     grid = GRID
     dual_mode_report(link, r_load_grid=np.geomspace(0.1, 1e4, 451), grid=grid)
-    scans = [list(calls)]
     for field in ("r_source", "r_load"):
-        calls.clear()
         resistance_sweep(link, field, np.geomspace(1.0, 1e4, 224), grid, **BUDGET)
-        scans.append(list(calls))
-    for scan in scans:
-        assert len(scan) == 2
-        assert {spec for spec, _ in scan} == {NOMINAL.tx, RX}
-        assert all(shape == grid.shape for _, shape in scan)
+    assert len(calls) == 2
+    assert {spec for spec, _ in calls} == {NOMINAL.tx, RX}
+    assert all(shape == grid.shape for _, shape in calls)
+    # a grid of another shape or other values, or an equal link that is
+    # another instance, builds anew
+    for other in (grid + 1.0, grid[:-1]):
+        resistance_sweep(link, "r_load", [10.0], other, **BUDGET)
+    assert len(calls) == 6
+    resistance_sweep(scenario_link(NOMINAL, m=M_NOMINAL), "r_load", [10.0], grid + 1.0,
+                     **BUDGET)
+    assert len(calls) == 8
 
 
 def test_load_scans_keep_the_spectrum_checks(monkeypatch):
