@@ -94,13 +94,12 @@ class Request(Protocol):
 
     run computes the analysis, writes its files into `out`, reports its
     notes through warnings.warn and returns the names of the files it
-    wrote; build_link(tuned) gives the nominal link and spectrum(tuned)
-    its solve on grid, each computed once per run.
+    wrote; build_link(tuned) gives the nominal link, built once per run,
+    which keeps its terms for grid (see circuit._grid_terms).
     """
 
     def run(self, config: ScenarioConfig, grid: np.ndarray, out: Path,
-            build_link: Callable[[bool], LinkCircuit],
-            spectrum: Callable[[bool], Spectrum]) -> Tuple[str, ...]: ...
+            build_link: Callable[[bool], LinkCircuit]) -> Tuple[str, ...]: ...
 
 
 # the SNR conventions, read by the [analysis] schema and ScenarioConfig
@@ -482,15 +481,9 @@ modes = tuned untuned
 # ---------------------------------------------------------------------------
 # serialization
 
-def _fmt(value) -> str:
-    """One CSV cell. Masked (None or non-finite float) cells are empty."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            return ""
-        return format(value, ".17g")
-    return str(value)
+def _fmt(value: float) -> str:
+    """One CSV number as ".17g" writes it; a masked (non-finite) one is empty."""
+    return format(value, ".17g") if math.isfinite(value) else ""
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -513,33 +506,37 @@ def _emit_json(payload, path: Path) -> None:
     _atomic_write(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
-def _csv_text(header: str, rows) -> str:
-    """CSV text: the header, then one line per row, each cell as _fmt
-    writes it. Each row of a float64 array takes one %-format, its cells
-    as "%.17g" writes them, which is what _fmt's format(v, ".17g")
-    writes for a finite value; a column whose first value recurs (a
-    grid's coordinates) has each distinct value formatted once. A row
-    with a non-finite cell, and every row given as cells, goes through
-    _fmt."""
-    lines = [header]
-    if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64):
-        lines += [",".join([_fmt(c) for c in cells]) for cells in rows]
-        return "\n".join(lines) + "\n"
-    columns, specs = [], []
-    for col in rows.T:
+def _csv_text(header: str, columns) -> str:
+    """CSV text: the header, then one line per row. Each column is a 1-D
+    float64 array or a text cell that every row repeats (a sweep's
+    unit). A finite row takes one %-format, its numbers as "%.17g" writes
+    them, which is what _fmt's format(v, ".17g") writes for a finite
+    value; an array column whose first value recurs (a grid's
+    coordinates) has each distinct value formatted once. A row with a
+    non-finite number goes through _fmt, so its masked cells are empty."""
+    # values: each column as the masked-row pass reads it, by row index
+    values, cells, specs, finite = [], [], [], np.True_
+    for col in columns:
+        if isinstance(col, str):
+            values.append(col)
+            specs.append(col.replace("%", "%%"))
+            continue
+        finite = finite & np.isfinite(col)
         if np.count_nonzero(col == col[:1]) > 1:
             # distinct bit patterns, so -0.0 keeps its sign
             bits, at = np.unique(col.view(np.int64), return_inverse=True)
             text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
-            columns.append(text[at].tolist())
+            cells.append(text[at].tolist())
+            values.append(col)
             specs.append("%s")
         else:
-            columns.append(col.tolist())
+            cells.append(col.tolist())
+            values.append(cells[-1])
             specs.append("%.17g")
     line = ",".join(specs)
-    lines += [line % cells for cells in zip(*columns)]
-    for i in np.flatnonzero(~np.isfinite(rows).all(axis=1)).tolist():
-        lines[i + 1] = ",".join([_fmt(c) for c in rows[i].tolist()])
+    lines = [header] + [line % row for row in zip(*cells)]
+    for i in np.flatnonzero(~finite).tolist():
+        lines[i + 1] = ",".join([v if isinstance(v, str) else _fmt(v[i]) for v in values])
     return "\n".join(lines) + "\n"
 
 
@@ -547,34 +544,31 @@ def emit_spectrum_csv(spectrum: Spectrum, path: Path) -> None:
     h, z = spectrum.h, spectrum.z11
     _atomic_write(path, _csv_text(
         "frequency_hz,h_real,h_imag,h_mag_db,z11_real_ohm,z11_imag_ohm",
-        np.column_stack((spectrum.frequencies, h.real, h.imag, path_loss_db(h),
-                         z.real, z.imag))))
+        (spectrum.frequencies, h.real, h.imag, path_loss_db(h), z.real, z.imag)))
 
 
 def emit_sweep_csv(sweep: SweepResult, path: Path) -> None:
-    """One line per row. A row with every value takes one %-format that
-    carries the unit, each value as "%.17g" writes it, which is what _fmt
-    writes for a finite float; a row with a masked (None) cell goes through _fmt."""
-    line = "%.17g," + sweep.unit.replace("%", "%%") + ",%.17g" * 5
-    lines = ["param,param_unit,peak_db,peak_freq_hz,bw3db_hz,capacity_bps,p_rx_w"]
-    for row in sweep.rows:
-        cells = (row.value, row.peak_db, row.peak_freq_hz, row.bw3db_hz, row.capacity_bps,
-                 row.p_rx_w)
-        lines.append(",".join([_fmt(row.value), sweep.unit, *map(_fmt, cells[1:])])
-                     if None in cells else line % cells)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """One line per row; a masked (None) value is an empty cell."""
+    param, *values = np.array(
+        [(row.value, row.peak_db, row.peak_freq_hz, row.bw3db_hz, row.capacity_bps, row.p_rx_w)
+         for row in sweep.rows], dtype=float).reshape(-1, 6).T
+    _atomic_write(path, _csv_text(
+        "param,param_unit,peak_db,peak_freq_hz,bw3db_hz,capacity_bps,p_rx_w",
+        (param, sweep.unit, *values)))
 
 
 def emit_field_map_csv(points: np.ndarray, b: np.ndarray, path: Path) -> None:
     """One row per point; a masked (NaN) B row gets empty cells."""
-    _atomic_write(path, _csv_text("x,y,z,Bx,By,Bz", np.hstack((points, b))))
+    _atomic_write(path, _csv_text("x,y,z,Bx,By,Bz", (*points.T, *b.T)))
 
 
 def emit_capacity_csv(study: Sequence[BandwidthCapacityRow], path: Path) -> None:
-    rows = ((row.threshold_db, row.f_low_hz, row.f_high_hz, row.bandwidth_hz,
-             row.signal_dbv, row.capacity_bps) for row in study)
+    """One line per threshold; a masked (None) value is an empty cell."""
+    columns = np.array(
+        [(row.threshold_db, row.f_low_hz, row.f_high_hz, row.bandwidth_hz, row.signal_dbv,
+          row.capacity_bps) for row in study], dtype=float).reshape(-1, 6).T
     _atomic_write(path, _csv_text(
-        "threshold_db,f_low_hz,f_high_hz,bandwidth_hz,signal_dbv,capacity_bps", rows))
+        "threshold_db,f_low_hz,f_high_hz,bandwidth_hz,signal_dbv,capacity_bps", columns))
 
 
 @dataclass(frozen=True)
@@ -624,11 +618,11 @@ class SpectrumRequest:
         if len(set(self.modes)) < len(self.modes):
             raise ValueError(f"modes repeats a mode, got {self.modes!r}")
 
-    def run(self, config, grid, out, build_link, spectrum):
+    def run(self, config, grid, out, build_link):
         files = []
         for mode in self.modes:
             fname = f"spectrum_{mode}.csv"
-            emit_spectrum_csv(spectrum(mode == "tuned"), out / fname)
+            emit_spectrum_csv(frequency_sweep(build_link(mode == "tuned"), grid), out / fname)
             files.append(fname)
         return tuple(files)
 
@@ -660,7 +654,7 @@ class MisalignmentSweepRequest:
         vals[-1] = min(vals[-1], self.stop)   # accumulation must not pass stop
         return vals
 
-    def run(self, config, grid, out, build_link, spectrum):
+    def run(self, config, grid, out, build_link):
         sweep = misalignment_sweep(
             config.scenario, self.axis, self.values(), grid=grid,
             noise_floor_dbv=config.noise_floor_dbv,
@@ -690,7 +684,7 @@ class ResistanceSweepRequest:
             return np.geomspace(self.start, self.stop, self.points)
         return np.linspace(self.start, self.stop, self.points)
 
-    def run(self, config, grid, out, build_link, spectrum):
+    def run(self, config, grid, out, build_link):
         sweep = resistance_sweep(build_link(True), self.side, self.values(),
                                  grid=grid, noise_floor_dbv=config.noise_floor_dbv,
                                  convention=config.snr_convention)
@@ -739,7 +733,7 @@ class FieldMapRequest:
             points[:, "xyz".index(axis)] = values.ravel()
         return points
 
-    def run(self, config, grid, out, build_link, spectrum):
+    def run(self, config, grid, out, build_link):
         sc = config.scenario
         spec, pose = getattr(sc, self.coil), scenario_poses(sc)[_COILS.index(self.coil)]
         coil = apply_pose(build_filament_coil(spec, config.segments_per_turn), pose)
@@ -757,8 +751,8 @@ class FieldMapRequest:
 class CapacityRequest:
     """[capacity]: Shannon capacity against bandwidth on the tuned link."""
 
-    def run(self, config, grid, out, build_link, spectrum):
-        tuned = spectrum(True)
+    def run(self, config, grid, out, build_link):
+        tuned = frequency_sweep(build_link(True), grid)
         budget = dict(noise_floor_dbv=config.noise_floor_dbv,
                       convention=config.snr_convention)
         study = capacity_vs_bandwidth(tuned, **budget)
@@ -788,18 +782,10 @@ class DualModeRequest:
         check_fields(self, positive=("load_min",), counts={"points": 2},
                      ordered=(("load_max", ">", "load_min"),))
 
-    def run(self, config, grid, out, build_link, spectrum):
+    def run(self, config, grid, out, build_link):
         loads = np.geomspace(self.load_min, self.load_max, self.points)
         dm = dual_mode_report(build_link(True), r_load_grid=loads, grid=grid)
-        payload = {
-            "power_mode_r_load_ohm": dm.power_mode_r_load,
-            "comm_mode_r_load_ohm": dm.comm_mode_r_load,
-            "p_rx_power_mode_w": dm.p_rx_power_mode,
-            "p_rx_comm_mode_w": dm.p_rx_comm_mode,
-            "v_rx_power_mode_v": dm.v_rx_power_mode,
-            "v_rx_comm_mode_v": dm.v_rx_comm_mode,
-        }
-        _emit_json(payload, out / "dual_mode.json")
+        _emit_json(asdict(dm), out / "dual_mode.json")
         return ("dual_mode.json",)
 
 
@@ -875,10 +861,6 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> RunRe
     def build_link(tuned: bool) -> LinkCircuit:
         return scenario_link(sc, nominal_m(), tuned=tuned)
 
-    @functools.cache                # booked in the first request that asks
-    def spectrum(tuned: bool) -> Spectrum:
-        return frequency_sweep(build_link(tuned), grid)
-
     for section, req in config.requests.items():
         before = len(timings)
         t0 = time.perf_counter()
@@ -886,7 +868,7 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> RunRe
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                files = req.run(config, grid, out, build_link, spectrum)
+                files = req.run(config, grid, out, build_link)
                 outputs.append((section, files))
                 _log.info("%s -> %s (%.2f s)", section, ", ".join(files),
                           time.perf_counter() - t0)

@@ -42,6 +42,12 @@ SWEEP_RANGES = {
 MOST_VALUES = np.iinfo(np.intp).max // 8
 
 
+@functools.cache
+def _init_names(cls) -> tuple:
+    """The names of the dataclass cls's init fields, in declared order."""
+    return tuple(f.name for f in fields(cls) if f.init)
+
+
 def check_fields(value, positive=(), nonnegative=(), counts=None, ordered=(),
                  choices=None) -> None:
     """Apply a record's finiteness, choice, count, sign and order rules to
@@ -58,27 +64,27 @@ def check_fields(value, positive=(), nonnegative=(), counts=None, ordered=(),
     unless it is None. Last, each (high, op, low) in ordered, op being
     ">" or ">=", must hold between two fields.
     """
-    given = [f for f in fields(value) if f.init]
-    for f in given:
-        x = getattr(value, f.name)
+    names = _init_names(type(value))
+    for name in names:
+        x = getattr(value, name)
         if isinstance(x, (float, np.floating)) and not math.isfinite(x):
-            raise ValueError(f"{f.name} must be finite, got {x!r}")
-    for f in given:
-        x = getattr(value, f.name)
-        allowed = (choices or {}).get(f.name)
+            raise ValueError(f"{name} must be finite, got {x!r}")
+    for name in names if positive or nonnegative or counts or choices else ():
+        x = getattr(value, name)
+        allowed = (choices or {}).get(name)
         if allowed is not None and x not in allowed:
-            raise ValueError(f"{f.name} must be one of {', '.join(map(repr, allowed))}, "
+            raise ValueError(f"{name} must be one of {', '.join(map(repr, allowed))}, "
                              f"got {x!r}")
-        least = (counts or {}).get(f.name)
+        least = (counts or {}).get(name)
         if least is not None and (isinstance(x, bool) or not isinstance(x, (int, np.integer))
                                   or x < least):
-            raise ValueError(f"{f.name} must be an integer >= {least}, got {x!r}")
+            raise ValueError(f"{name} must be an integer >= {least}, got {x!r}")
         if least is not None and x > MOST_VALUES:
-            raise ValueError(f"{f.name} must be at most {MOST_VALUES}, got {x!r}")
-        if x is not None and f.name in positive and not x > 0:
-            raise ValueError(f"{f.name} must be > 0, got {x!r}")
-        if x is not None and f.name in nonnegative and not x >= 0:
-            raise ValueError(f"{f.name} must be >= 0, got {x!r}")
+            raise ValueError(f"{name} must be at most {MOST_VALUES}, got {x!r}")
+        if x is not None and name in positive and not x > 0:
+            raise ValueError(f"{name} must be > 0, got {x!r}")
+        if x is not None and name in nonnegative and not x >= 0:
+            raise ValueError(f"{name} must be >= 0, got {x!r}")
     for high, op, low in ordered:
         a, b = getattr(value, low), getattr(value, high)
         if not (b > a if op == ">" else b >= a):

@@ -387,15 +387,16 @@ class DualModeReport:
 
     power mode maximizes delivered power; comm mode is the smallest
     load reaching 95% of the saturated received voltage. p_rx_* are
-    received_power values: |V|^2/R_load, twice the cycle average.
+    received_power values: |V|^2/R_load, twice the cycle average. Each
+    field name, its unit the suffix, is its key in dual_mode.json.
     """
 
-    power_mode_r_load: float
-    comm_mode_r_load: float
-    p_rx_power_mode: float
-    p_rx_comm_mode: float
-    v_rx_power_mode: float
-    v_rx_comm_mode: float
+    power_mode_r_load_ohm: float
+    comm_mode_r_load_ohm: float
+    p_rx_power_mode_w: float
+    p_rx_comm_mode_w: float
+    v_rx_power_mode_v: float
+    v_rx_comm_mode_v: float
 
     def __post_init__(self):
         check_fields(self)
@@ -427,10 +428,10 @@ def dual_mode_report(link: LinkCircuit, r_load_grid, grid) -> DualModeReport:
     reaching = np.nonzero(v_rx >= 0.95 * v_sat)[0]
     i_comm = int(reaching[0])
     return DualModeReport(
-        power_mode_r_load=float(loads[i_power]),
-        comm_mode_r_load=float(loads[i_comm]),
-        p_rx_power_mode=float(p_rx[i_power]),
-        p_rx_comm_mode=float(p_rx[i_comm]),
-        v_rx_power_mode=float(v_rx[i_power]),
-        v_rx_comm_mode=float(v_rx[i_comm]),
+        power_mode_r_load_ohm=float(loads[i_power]),
+        comm_mode_r_load_ohm=float(loads[i_comm]),
+        p_rx_power_mode_w=float(p_rx[i_power]),
+        p_rx_comm_mode_w=float(p_rx[i_comm]),
+        v_rx_power_mode_v=float(v_rx[i_power]),
+        v_rx_comm_mode_v=float(v_rx[i_comm]),
     )

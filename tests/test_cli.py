@@ -10,7 +10,7 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import MISSING, asdict, astuple, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -604,51 +604,47 @@ def test_csv_cells_round_trip_doubles():
     rng = np.random.default_rng(3)
     for x in rng.uniform(-1e8, 1e8, 50):
         assert float(_fmt(float(x))) == float(x)
-    assert _fmt(None) == ""
     assert _fmt(float("nan")) == ""
     assert _fmt(float("-inf")) == ""
     assert _fmt(26000000.0) == "26000000"
 
 
+_MAX = 1.7976931348623157e308
 _FLOAT_CELLS = st.floats() | st.sampled_from(
-    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 7, 1.7976931348623157e308])
-_ANY_CELLS = (_FLOAT_CELLS | st.none() | st.integers() | st.booleans()
-              | st.text(alphabet="abz Ω_-.", max_size=4))
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 7, _MAX])
+# a few values drawn often, so columns repeat them (a grid's coordinates)
+_NUMBER_CELLS = _FLOAT_CELLS | st.sampled_from([0.0, -0.0, 0.1])
+_TEXT_CELLS = (st.sampled_from(["deg", "m", "ohm", "%", "a%sb", "%%"])
+               | st.text(alphabet="abz Ω_-.%", max_size=4))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
-    st.tuples(*[_FLOAT_CELLS] * n) | st.tuples(*[_ANY_CELLS] * n), max_size=8))))
-@example((3, [(-0.0, 5e-324, 0.1), (float("nan"), 1.0, 2.0),
-              (float("inf"), float("-inf"), 0.5), (None, 1.5, "ohm"),
-              (10**17, True, 2.5), (1.7976931348623157e308, 1.7976931348623157e308, 1.0)]))
-def test_csv_rows_read_as_if_each_cell_went_through_fmt(case):
-    n, rows = case
-    header = ",".join(f"c{i}" for i in range(n))
-    want = "\n".join([header] + [",".join(_fmt(c) for c in row) for row in rows])
-    assert _csv_text(header, rows) == want + "\n"
+def _layouts_and_rows(layout):
+    # layout: a text cell per text column and None per number column
+    row = st.tuples(*[_NUMBER_CELLS] * layout.count(None))
+    return st.tuples(st.just(layout), st.lists(row, max_size=8))
 
 
-_MASKED_CELLS = st.none() | st.sampled_from(["deg", "m", "ohm", math.nan, math.inf, -math.inf])
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
-    st.tuples(*[_FLOAT_CELLS | _MASKED_CELLS] * n), min_size=1, max_size=8))))
-@example((3, [(-0.0, 5e-324, 0.1), (math.nan, 1.0, 2.0), (math.inf, -math.inf, 0.5),
-              (None, 1.5, "ohm"), (20.0, "deg", None), (1.7976931348623157e308, 1e16, 1e17)]))
-@example((3, [(-0.0, 5e-324, 0.1), (math.nan, 1.0, 2.0), (math.inf, -math.inf, 0.5),
-              (1.7976931348623157e308, 1e16, 1e17)]))
-def test_float_csv_rows_match_the_cell_by_cell_text(case):
-    # a float array's finite rows take one %-format each, and its
-    # non-finite rows and rows with None or text cells go cell by cell;
-    # each line reads as its row's cells through _fmt
-    n, rows = case
-    header = ",".join(f"c{i}" for i in range(n))
-    want = [header] + [",".join(_fmt(c) for c in cells) for cells in rows] + [""]
-    assert _csv_text(header, rows).split("\n") == want
-    if all(isinstance(c, float) for cells in rows for c in cells):
-        assert _csv_text(header, np.array(rows, dtype=float)).split("\n") == want
+@settings(max_examples=800, deadline=None)
+@given(st.lists(st.none() | _TEXT_CELLS, min_size=1, max_size=7)
+       .filter(lambda layout: None in layout).flatmap(_layouts_and_rows))
+@example(([None] * 3, [(-0.0, 5e-324, 0.1), (math.nan, 1.0, 2.0), (math.inf, -math.inf, 0.5),
+                       (_MAX, _MAX, 1.0), (_MAX, 1e16, 1e17)]))
+@example(([None, "ohm", None, None], [(1.0, math.nan, math.nan), (2.0, -60.0, 26e6),
+                                      (-0.0, 5e-324, math.nan)]))
+@example(([None, "%", None], [(-0.0, 0.1), (math.inf, 0.5), (0.0, 0.1), (0.0, -0.0)]))
+@example((["a%sb", None, None], [(0.5, 26000000.0), (-0.0, math.nan), (_MAX, 1e17)]))
+def test_csv_lines_read_as_their_cells_through_fmt(case):
+    # a line reads as its row's numbers through _fmt (a masked one
+    # empty) and its text cells as given, whichever route formats it
+    layout, rows = case
+    numbers = iter(np.array(rows, dtype=float).reshape(len(rows), layout.count(None)).T)
+    columns = [next(numbers) if kind is None else kind for kind in layout]
+    header = ",".join(f"c{i}" for i in range(len(layout)))
+    want = [header]
+    for row in rows:
+        cells = iter(row)
+        want.append(",".join(_fmt(next(cells)) if kind is None else kind for kind in layout))
+    assert _csv_text(header, columns) == "\n".join(want) + "\n"
 
 
 def _map_rows():
@@ -677,41 +673,28 @@ def test_repeated_float_columns_read_as_their_cells_through_fmt(rows):
     # every line still reads as its row's cells through _fmt
     header = ",".join(f"c{i}" for i in range(rows.shape[1]))
     want = [header] + [",".join(_fmt(c) for c in cells) for cells in rows.tolist()]
-    assert _csv_text(header, rows) == "\n".join(want) + "\n"
+    assert _csv_text(header, rows.T) == "\n".join(want) + "\n"
 
 
-def test_a_finite_float_row_takes_one_format(monkeypatch):
+def test_a_finite_row_takes_one_format(monkeypatch):
     monkeypatch.setattr(cli, "_fmt", None)      # the cell-by-cell path raises TypeError
-    assert _csv_text("a,b", np.array([[0.5, 26000000.0]])) == "a,b\n0.5,26000000\n"
+    assert _csv_text("a,u,b", (np.array([0.5, -0.0]), "%", np.array([26000000.0, 0.1]))) \
+        == "a,u,b\n0.5,%,26000000\n-0,%,0.10000000000000001\n"
 
 
-_FINITE_CELLS = _FLOAT_CELLS.filter(math.isfinite)
-_SWEEP_CELLS = st.none() | st.tuples(_FINITE_CELLS, _FINITE_CELLS,
-                                     st.none() | st.tuples(_FINITE_CELLS, _FINITE_CELLS),
-                                     _FINITE_CELLS)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["ohm", "deg", "%", "a%sb"]),
-       st.dictionaries(_FINITE_CELLS, _SWEEP_CELLS, max_size=6))
-@example("ohm", {1.0: None, 2.0: (-60.0, 26e6, None, 1e-9), 3.0: (-0.0, 5e-324, (1e5, 1e6), 0.1)})
-def test_sweep_csv_reads_as_its_cells_through_fmt(tmp_path_factory, unit, cells):
-    # a row with every value takes one %-format carrying the unit, a
-    # (partly) masked row goes cell by cell; both read as the cell-by-cell text
-    rows = []
-    for value in sorted(cells):
-        if cells[value] is None:
-            rows.append(SweepRow(value, None, None, None, None, None))
-        else:
-            peak, f, band, p = cells[value]
-            rows.append(SweepRow(value, peak, f, *(band or (None, None)), p))
-    sweep = SweepResult(unit=unit, rows=tuple(rows))
-    path = tmp_path_factory.mktemp("sweep") / "sweep.csv"
-    emit_sweep_csv(sweep, path)
+@pytest.mark.parametrize("unit", ["ohm", "deg", "%", "a%sb"])
+def test_sweep_csv_rows_carry_the_unit_and_mask_none_cells(tmp_path, unit):
+    rows = (SweepRow(1.0, None, None, None, None, None),
+            SweepRow(2.0, -60.0, 26e6, None, None, 1e-9),
+            SweepRow(3.0, -0.0, 5e-324, 1e5, 1e6, 0.1))
+    path = tmp_path / "sweep.csv"
+    emit_sweep_csv(SweepResult(unit=unit, rows=rows), path)
     header = "param,param_unit,peak_db,peak_freq_hz,bw3db_hz,capacity_bps,p_rx_w"
-    assert path.read_text(encoding="utf-8") == _csv_text(header, [
-        (r.value, unit, r.peak_db, r.peak_freq_hz, r.bw3db_hz, r.capacity_bps, r.p_rx_w)
-        for r in rows])
+    want = [header, f"1,{unit},,,,,", f"2,{unit},-60,26000000,,,1.0000000000000001e-09",
+            f"3,{unit},-0,4.9406564584124654e-324,100000,1000000,0.10000000000000001"]
+    assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
+    emit_sweep_csv(SweepResult(unit=unit, rows=()), path)
+    assert path.read_text(encoding="utf-8") == header + "\n"
 
 
 def test_json_files_hold_only_what_json_can(tmp_path):
@@ -797,7 +780,16 @@ def test_every_request_kind_runs_end_to_end(tmp_path):
     loads = np.geomspace(request.load_min, request.load_max, request.points)
     dm = dual_mode_report(link, r_load_grid=loads, grid=grid)
     saved = json.loads((out / "dual_mode.json").read_text())
-    assert list(map(_bits, saved.values())) == list(map(_bits, astuple(dm)))
+    assert list(saved) == list(asdict(dm))
+    assert {k: _bits(v) for k, v in saved.items()} == \
+        {k: _bits(v) for k, v in asdict(dm).items()}
+    # every CSV line holds the header's cell count, and no masked cell
+    # is written as nan or inf
+    for path in out.glob("*.csv"):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        assert {line.count(",") for line in lines} == {lines[0].count(",")}, path.name
+        assert not re.search(r"nan|inf", text, re.I), path.name
 
 
 def test_traced_run_sees_every_layer_it_patches(tmp_path, monkeypatch):
@@ -1089,7 +1081,7 @@ class _NotingRequest:
     def __init__(self, note, error=None):
         self.note, self.error = note, error
 
-    def run(self, config, grid, out, build_link, spectrum):
+    def run(self, config, grid, out, build_link):
         warnings.warn(self.note)
         if self.error is not None:
             raise self.error
@@ -1238,25 +1230,10 @@ def test_nominal_m_is_solved_once_and_a_failure_retried(tmp_path, monkeypatch, f
     assert booked == (0 if fails else 1)
 
 
-def test_the_tuned_spectrum_is_solved_once_per_run(tmp_path, monkeypatch):
-    tuned = []
-    exact = cli.frequency_sweep
-
-    def counted(link, grid):
-        tuned.append(link.c_tx is not None)
-        return exact(link, grid)
-
-    monkeypatch.setattr(cli, "frequency_sweep", counted)
-    config = parse_config(write_config(tmp_path, small_scenario(
-        "", "[spectrum]\nmodes = tuned untuned\n\n[capacity]\n")), allow_defaults=True)
-    report = run_scenario(config, out_dir=str(tmp_path / "out"))
-    assert report.failures == ()
-    assert tuned == [True, False]
-
-
 def test_a_run_builds_each_links_terms_once(tmp_path, monkeypatch):
-    # the tuned spectrum, the dual-mode scan and both termination sweeps
-    # share the tuned link's terms; the untuned spectrum builds its own
+    # the tuned spectrum, the capacity study, the dual-mode scan and both
+    # termination sweeps share the tuned link's terms; the untuned
+    # spectrum builds its own
     built = []
     exact = circuit._link_terms
 
@@ -1268,12 +1245,12 @@ def test_a_run_builds_each_links_terms_once(tmp_path, monkeypatch):
     sweeps = "".join(f"\n[sweep {side}]\nstart = 1 ohm\nstop = 10 kohm\npoints = 9\n"
                      for side in ("r_source", "r_load"))
     config = parse_config(write_config(tmp_path, small_scenario(
-        "", "[dual_mode]\n" + sweeps + "\n[spectrum]\nmodes = tuned untuned\n")),
+        "", "[dual_mode]\n" + sweeps + "\n[spectrum]\nmodes = tuned untuned\n\n[capacity]\n")),
         allow_defaults=True)
     report = run_scenario(config, out_dir=str(tmp_path / "out"))
     assert report.failures == ()
     assert [label for label, _ in report.outputs] == \
-        ["dual_mode", "sweep r_source", "sweep r_load", "spectrum"]
+        ["dual_mode", "sweep r_source", "sweep r_load", "spectrum", "capacity"]
     assert built == [True, False]
 
 

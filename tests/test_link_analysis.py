@@ -173,9 +173,9 @@ _VALUES = {
                                bandwidth_hz=2e5, signal_dbv=-60.0, capacity_bps=1e6),
     SweepRow: dict(value=1.0, peak_db=-60.0, peak_freq_hz=26e6, bw3db_hz=2e5,
                    capacity_bps=1e6, p_rx_w=1e-9),
-    DualModeReport: dict(power_mode_r_load=10.0, comm_mode_r_load=1e3,
-                         p_rx_power_mode=1e-6, p_rx_comm_mode=1e-7,
-                         v_rx_power_mode=1e-3, v_rx_comm_mode=1e-2),
+    DualModeReport: dict(power_mode_r_load_ohm=10.0, comm_mode_r_load_ohm=1e3,
+                         p_rx_power_mode_w=1e-6, p_rx_comm_mode_w=1e-7,
+                         v_rx_power_mode_v=1e-3, v_rx_comm_mode_v=1e-2),
 }
 
 
@@ -433,10 +433,10 @@ def test_dual_mode_loads_split_as_designed():
     link = scenario_link(NOMINAL, m=M_NOMINAL)
     grid = np.linspace(25.5e6, 26.5e6, 201)
     report = dual_mode_report(link, DUAL_MODE_LOADS, grid)
-    assert report.comm_mode_r_load > report.power_mode_r_load
-    assert report.p_rx_power_mode >= report.p_rx_comm_mode
-    assert report.v_rx_comm_mode > report.v_rx_power_mode
-    assert report.v_rx_comm_mode > 0.9 * report.v_rx_power_mode
+    assert report.comm_mode_r_load_ohm > report.power_mode_r_load_ohm
+    assert report.p_rx_power_mode_w >= report.p_rx_comm_mode_w
+    assert report.v_rx_comm_mode_v > report.v_rx_power_mode_v
+    assert report.v_rx_comm_mode_v > 0.9 * report.v_rx_power_mode_v
 
 
 def test_dual_mode_warns_when_the_loads_stop_short_of_saturation():
@@ -736,12 +736,12 @@ def test_dual_mode_finds_the_closed_form_optimum_load():
     # distance, and there V_rx is V_lim/2 to within a grid step
     nearest = loads[np.argmin(np.abs(np.log(loads / r_star)))]
     assert r_star / step < nearest < r_star * step
-    assert report.power_mode_r_load == nearest
-    assert v_lim / 2 / step < report.v_rx_power_mode < v_lim / 2 * step
+    assert report.power_mode_r_load_ohm == nearest
+    assert v_lim / 2 / step < report.v_rx_power_mode_v < v_lim / 2 * step
     # comm mode: the first load at or past the 95% crossing of V_rx(R_max)
     v_sat = v_lim * loads[-1] / (loads[-1] + r_star)
     assert v_lim * (1.0 - r_star / loads[-1]) < v_sat < v_lim
     c = 0.95 * v_sat
     r_comm = c * r_star / (v_lim - c)
-    assert r_comm <= report.comm_mode_r_load < r_comm * step
-    assert c <= report.v_rx_comm_mode < c * step
+    assert r_comm <= report.comm_mode_r_load_ohm < r_comm * step
+    assert c <= report.v_rx_comm_mode_v < c * step
