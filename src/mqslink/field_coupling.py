@@ -27,13 +27,15 @@ are sized so their planes stay in a core's L2 cache, which leaves B's
 last bits to the BLAS summation order of each block's rows.
 A point near the wire starts from the uniform panels bisected only
 where they are long against their distance to it, so only the panels
-near it refine, and sums its own nodes in a fixed order. Every point
-is summed on the uniform panels first, and one radius around the
-level-0 nodes routes it: a point beyond it shares the uniform panels
-and is clear of the wire, and every other point is masked by its exact
-distance to the curve (a nearest node polished by Gauss-Newton steps on
-the winding angle) and, if valid, halves its own panels. That distance
-is elementwise, so masks do not depend on the blocking.
+near it refine, and sums its own nodes in a fixed order. One level-0
+pass of the far form on the uniform panels routes every point, by its
+nearest-node distance: a point beyond one radius around the nodes
+shares the uniform panels and is clear of the wire, and keeps that
+pass's sum while g is at most 25, or is summed over its offsets from
+level 0 if not; every other point goes straight to its exact distance
+to the curve (a nearest node polished by Gauss-Newton steps on the
+winding angle), which masks it, and, if valid, halves its own panels.
+That distance is elementwise, so masks do not depend on the blocking.
 The separation check samples each coil at arc steps of one wire
 diameter against the other's exact curve, cutting runs of samples until
 the distances at their ends, less the node slack and half their arc,
@@ -174,11 +176,9 @@ def _uniform_panels(coil: FilamentCoil, level: int) -> Tuple[np.ndarray, np.ndar
     return np.arange(count) * width, np.full(count, width)
 
 
-def _node_sum(points: np.ndarray, nodes: np.ndarray, dl: np.ndarray):
-    """sum dl x (p - r)/|p - r|^3 over the nodes, at each point, and each
-    point's nearest-node distance."""
+def _node_sum(points: np.ndarray, nodes: np.ndarray, dl: np.ndarray) -> np.ndarray:
+    """sum dl x (p - r)/|p - r|^3 over the nodes, at each point."""
     b = np.empty((len(points), 3))
-    nearest = np.empty(len(points))
     pt, nt = np.ascontiguousarray(points.T), np.ascontiguousarray(nodes.T)
     rows = max(1, _BLOCK_PAIRS // len(nodes))
     # planes: point - node as x, y, z, then r^2 (turned into |r|^-3 in
@@ -192,7 +192,6 @@ def _node_sum(points: np.ndarray, nodes: np.ndarray, dl: np.ndarray):
         np.multiply(rel[0], rel[0], out=w)
         for k in (1, 2):
             w += np.multiply(rel[k], rel[k], out=s)
-        nearest[i0:i0 + rows] = np.sqrt(w.min(axis=1))
         # |p - r|^-3, built in place
         np.sqrt(w, out=s)
         w *= s
@@ -205,7 +204,7 @@ def _node_sum(points: np.ndarray, nodes: np.ndarray, dl: np.ndarray):
         b[i0:i0 + rows] = np.column_stack([m[2][:, 1] - m[1][:, 2],
                                            m[0][:, 2] - m[2][:, 0],
                                            m[1][:, 0] - m[0][:, 1]])
-    return b, nearest
+    return b
 
 
 def _far_sum(points: np.ndarray, nodes: np.ndarray, dl: np.ndarray, nearest: bool = False):
@@ -405,19 +404,18 @@ class _Ladder:
         self.estimate[todo] = change / scale + _ROUNDING * ratio
         return self.estimate[todo] > self.tolerance[todo]
 
-    def shared(self, todo, b0, ratio, far):
-        # points that share the uniform panels, from their level-0 sums,
-        # summed by _far_sum if far, else _node_sum; ratio is each one's
-        # rounding scale (see record)
+    def shared(self, todo, ratio, kernel, b0=None):
+        # points that share the uniform panels, summed by kernel (_far_sum
+        # or _node_sum) from their level-0 sums b0, or from level 0 if
+        # none are given; ratio is each one's rounding scale (see record)
+        if b0 is None:
+            b0 = kernel(self.local[todo], *_panel_nodes(self.coil, *_uniform_panels(self.coil, 0)))
         self.b[todo], prev = b0, b0
         for level in range(1, _FIELD_LEVELS):
             if not len(todo):
                 break
             nodes, dl = _panel_nodes(self.coil, *_uniform_panels(self.coil, level))
-            if far:
-                cur = _far_sum(self.local[todo], nodes, dl)
-            else:
-                cur, _ = _node_sum(self.local[todo], nodes, dl)
+            cur = kernel(self.local[todo], nodes, dl)
             go = self.record(todo, cur, prev, ratio)
             todo, prev, ratio = todo[go], cur[go], ratio[go]
 
@@ -450,16 +448,17 @@ def _curve_field(coil: FilamentCoil, points: np.ndarray, tolerance=None):
     within half a wire diameter of the winding curve; b is zero there.
     Each level sums Biot-Savart, mu0/4pi sum dl x (p - r)/|p - r|^3, over
     Gauss-Legendre panels of winding angle, and halves every panel for
-    the next. Every point sums level 0 on the uniform panels; one beyond
-    `clear` of every node shares them from there, by the far form
-    (_far_sum) if the Gram form's rounding growth ((|p| + reach) /
-    nearest)^2 is at most _GRAM_GROWTH, `reach` being the largest |r|
-    of the level-0 nodes and nearest the point's nearest-node distance,
-    and by _node_sum if not. Every other point is masked by its exact
-    curve distance and, if valid, starts from the uniform panels
-    bisected where they reach beyond _PANEL_REACH times their distance
-    to it, so only the panels near it refine. A point stops once its
-    estimate, the change of its last halving relative to
+    the next. One level-0 pass of the far form (_far_sum) on the uniform
+    panels routes every point by its nearest-node distance `nearest`: a
+    point beyond `clear` of every node shares those panels, and keeps
+    that pass's sum and the far form if the Gram form's rounding growth
+    ((|p| + reach) / nearest)^2 is at most _GRAM_GROWTH, `reach` being
+    the largest |r| of the level-0 nodes, or is summed by _node_sum from
+    level 0 if not. Every other point goes straight to its exact curve
+    distance, which masks it, and, if valid, starts from the uniform
+    panels bisected where they reach beyond _PANEL_REACH times their
+    distance to it, so only the panels near it refine. A point stops
+    once its estimate, the change of its last halving relative to
     max(|B|, a floor at the coil's field scale) plus its rounding, is at
     most `tolerance` (a scalar or one per point; _FIELD_TOLERANCE by
     default). Points still above it at the level cap keep their last
@@ -482,28 +481,30 @@ def _curve_field(coil: FilamentCoil, points: np.ndarray, tolerance=None):
     # the coil's reach: the largest |r| of the level-0 nodes, read from
     # the curve, so a helical coil's sag counts
     reach = float(np.sqrt(np.max(np.sum(nodes * nodes, axis=1))))
-    # the far form first, on every point. The Gram form's squared
-    # distances carry rounding of eps (|p| + |r|)^2, up to its growth
-    # ((|p| + reach) / nearest)^2 times that of _node_sum's offsets.
-    # Those it grows by at most _GRAM_GROWTH and beyond `clear` by a
-    # margin far above rounding keep it, and the rest are summed again
-    # over their offsets. A point on a node sums to inf or nan, and is
-    # masked below
+    # the route is decided here, by one level-0 pass of the far form and
+    # its nearest-node distance. The Gram form's squared distances carry
+    # rounding of eps (|p| + |r|)^2, up to its growth
+    # g = ((|p| + reach) / nearest)^2 times that of _node_sum's offsets,
+    # so the nearest distance rounds by at most about eps g of itself. At
+    # the `clear` radius g is at most about 144 on the nominal coils
+    # (|p| + reach is under 3 reach there, and `clear` about reach / 4),
+    # and the margin of `shared` tops that rounding more than 1e4 times.
+    # A point on a node sums to inf or nan, and is masked below
     with np.errstate(divide="ignore", invalid="ignore"):
         b0, nearest = _far_sum(ladder.local, nodes, dl, nearest=True)
         gram = ((np.sqrt(np.sum(ladder.local * ladder.local, axis=1)) + reach) / nearest) ** 2
-    far = (gram <= _GRAM_GROWTH) & (nearest - clear > 1e-9 * (nearest + clear))
-    todo = np.flatnonzero(far)
-    # nearest - slack bounds a point's distance to the curve from below,
-    # and a far point's rounding scale grows with the Gram form's
-    ladder.shared(todo, b0[todo], ladder.span[todo] / (nearest[todo] - slack) * gram[todo], True)
-    rest = np.flatnonzero(~far)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b0, nearest = _node_sum(ladder.local[rest], nodes, dl)
+        # nearest - slack bounds a point's distance to the curve from below
+        ratio = ladder.span / (nearest - slack)
     shared = nearest - clear > 1e-9 * (nearest + clear)
-    todo = rest[shared]
-    ladder.shared(todo, b0[shared], ladder.span[todo] / (nearest[shared] - slack), False)
-    near = rest[~shared]
+    far = shared & (gram <= _GRAM_GROWTH)
+    # a far point keeps its far-form sum, and its rounding scale grows
+    # with the Gram form's; every other shared point is summed over its
+    # offsets from level 0
+    todo = np.flatnonzero(far)
+    ladder.shared(todo, ratio[todo] * gram[todo], _far_sum, b0[todo])
+    todo = np.flatnonzero(shared & ~far)
+    ladder.shared(todo, ratio[todo], _node_sum)
+    near = np.flatnonzero(~shared)
     valid = np.ones(len(points), dtype=bool)
     if len(near):
         valid[near] = _curve_distance(coil, points[near]) > exclusion
@@ -511,9 +512,7 @@ def _curve_field(coil: FilamentCoil, points: np.ndarray, tolerance=None):
     todo = near[valid[near]]
     for i0 in range(0, len(todo), _OWN_POINTS):
         ladder.own(todo[i0:i0 + _OWN_POINTS])
-    b = ladder.b @ coil.rotation.T
-    b[~valid] = 0.0
-    return MU0 / (4.0 * math.pi) * b, valid, ladder.estimate
+    return MU0 / (4.0 * math.pi) * (ladder.b @ coil.rotation.T), valid, ladder.estimate
 
 
 def _evaluate(coil: FilamentCoil, current: float, point, mask: bool) -> np.ndarray:

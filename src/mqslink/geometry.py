@@ -30,7 +30,7 @@ LATERAL = "lateral"
 AXIAL = "axial"
 
 # each misalignment axis: the Scenario field it moves and that field's
-# documented domain and unit; Scenario checks tx_angle_deg against its row
+# documented domain and unit; Scenario checks each field against its row
 SWEEP_RANGES = {
     TX_ANGLE: ("tx_angle_deg", 0.0, 90.0, "deg"),
     LATERAL: ("x_eye", 0.0, 0.200, "m"),
@@ -293,12 +293,11 @@ class Scenario:
     v_source: float = 1.0        # V peak
 
     def __post_init__(self):
-        check_fields(self, positive=("r_source", "r_load", "tuned_frequency", "v_source"),
-                     nonnegative=("x_eye", "z_eye"))
-        _, lo, hi, _ = SWEEP_RANGES[TX_ANGLE]
-        angle = self.tx_angle_deg
-        if not lo <= angle <= hi:
-            raise ValueError(f"tx_angle_deg must be in [{lo:g}, {hi:g}], got {angle!r}")
+        check_fields(self, positive=("r_source", "r_load", "tuned_frequency", "v_source"))
+        for name, lo, hi, unit in SWEEP_RANGES.values():
+            x = getattr(self, name)
+            if not lo <= x <= hi:
+                raise ValueError(f"{name} must lie within [{lo:g}, {hi:g}] {unit}, got {x!r}")
 
 
 def turn_radii(spec: CoilSpec) -> np.ndarray:

@@ -410,6 +410,10 @@ def test_radian_angles_convert(tmp_path):
      r"\.ini:2: start must lie within \[0, 0\.2\] m, got -0\.005$"),
     ("[sweep axial]\nstart = 100 mm\nstop = 400 mm\nstep = 50 mm\n",
      r"\.ini:3: stop must lie within \[0\.05, 0\.3\] m, got 0\.4$"),
+    ("[placement]\nx_eye = 92 mm\nz_eye = 40 mm\n",
+     r"\.ini:3: z_eye must lie within \[0\.05, 0\.3\] m, got 0\.04$"),
+    ("[placement]\nx_eye = 250 mm\n", r"\.ini:2: x_eye must lie within \[0, 0\.2\] m, got 0\.25$"),
+    ("[placement]\nx_eye = 1e300 mm\n", r"\.ini:2: x_eye must lie within \[0, 0\.2\] m, got 1e\+297$"),
     ("[frequency_grid]\nstart = 0 MHz\n", r"\.ini:2: grid_start must be > 0, got 0\.0$"),
     ("[frequency_grid]\nstart = 25 MHz\nstop = 21 MHz\n",
      r"\.ini:3: grid_stop must be > grid_start, got \[25000000\.0, 21000000\.0\]$"),
@@ -1023,8 +1027,9 @@ def test_an_output_path_that_cannot_be_made_exits_2(tmp_path, capsys, monkeypatc
         assert "Traceback" not in err
 
 
-# the rx grown to the tx and placed on it: the coils overlap, so the
-# spectrum, which needs M, fails and the field map does not
+# the rx grown to the tx and placed across it, at the edge of the
+# placement domain: the coils' wires cross, so the spectrum, which needs
+# M, fails and the field map does not
 COLLIDING = """\
 [rx_coil]
 turns = 5
@@ -1034,8 +1039,8 @@ wire_spacing = 0.5 mm
 
 [placement]
 x_eye = 0 mm
-z_eye = 0 mm
-tx_angle = 0 deg
+z_eye = 50 mm
+tx_angle = 90 deg
 
 [frequency_grid]
 start = 25.5 MHz

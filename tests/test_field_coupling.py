@@ -326,6 +326,8 @@ def test_kernel_blocks_leave_masks_and_fields_unchanged(spec, monkeypatch):
 # strided node columns or (rows, N, 3) temporaries, and fresh planes.
 # Each reads the module's block budget when called, so it blocks as the
 # kernel does; the kernels must reproduce them bit for bit.
+# _broadcast_node_sum also returns each point's nearest-node distance,
+# which the tests read as the router's reference.
 
 def _broadcast_node_sum(points, nodes, dl):
     b = np.empty((len(points), 3))
@@ -374,18 +376,16 @@ def test_pair_kernels_match_their_broadcast_form(block_pairs, monkeypatch):
     assert 1 < rows < len(pts) and len(pts) % rows
     for level in (0, 2):
         nodes, dl = _shared_panels(coil, level)
-        for got, ref in zip(field_coupling._node_sum(pts, nodes, dl),
-                            _broadcast_node_sum(pts, nodes, dl)):
-            assert np.array_equal(got, ref)
+        assert np.array_equal(field_coupling._node_sum(pts, nodes, dl),
+                              _broadcast_node_sum(pts, nodes, dl)[0])
 
 
 def test_pair_kernels_match_their_broadcast_form_at_one_point():
     coil = build_filament_coil(_DOME, 64)
     pt = np.array([[0.003, -0.001, 0.002]])
     nodes, dl = _shared_panels(coil, 1)
-    for got, ref in zip(field_coupling._node_sum(pt, nodes, dl),
-                        _broadcast_node_sum(pt, nodes, dl)):
-        assert np.array_equal(got, ref)
+    assert np.array_equal(field_coupling._node_sum(pt, nodes, dl),
+                          _broadcast_node_sum(pt, nodes, dl)[0])
 
 
 @pytest.mark.parametrize("tilted", [False, True], ids=["nominal", "tilted"])
@@ -445,7 +445,7 @@ def test_far_form_matches_the_node_sum_on_far_points(budget, monkeypatch):
     assert len(pts) > 1000 and np.count_nonzero(growth > 9.0) > 300
     for level in (0, 2):
         nodes, dl = _shared_panels(coil, level)
-        want, want_near = field_coupling._node_sum(pts, nodes, dl)
+        want, want_near = _broadcast_node_sum(pts, nodes, dl)
         block = {"row": len(nodes), "default": field_coupling._BLOCK_PAIRS,
                  "whole": len(pts) * len(nodes)}[budget]
         monkeypatch.setattr(field_coupling, "_BLOCK_PAIRS", block)
@@ -619,18 +619,20 @@ def test_maps_far_from_the_wire_skip_the_curve_distance_pass(monkeypatch):
     assert b.shape == (63, 3) and np.isfinite(b).all()
 
 
-@pytest.mark.parametrize("spec", [_FLAT, _DOME], ids=["flat", "helical"])
-def test_only_points_within_the_clear_radius_take_the_curve_distance(spec, monkeypatch):
+def _clear_radius(coil):
     # the level-0 nodes' slack and the radius beyond which a point
     # shares the uniform panels, as the field kernel defines them
-    coil = apply_pose(build_filament_coil(spec, 64),
-                      Pose(center=(0.01, -0.002, 0.03), tilt_angle_deg=37.0))
-    pts = _grazing_points(coil)
     start, width = field_coupling._uniform_panels(coil, 0)
     frac = (field_coupling._gauss_legendre(field_coupling._PANEL_NODES)[0] + 1.0) / 2.0
     speed = coil.top_speed
     slack = width[0] * speed * max(np.diff(frac).max() / 2.0, frac[0])
-    clear = max(coil.wire_diameter / 2.0, width[0] * speed / field_coupling._PANEL_REACH) + slack
+    return max(coil.wire_diameter / 2.0, width[0] * speed / field_coupling._PANEL_REACH) + slack
+
+
+@pytest.mark.parametrize("spec", [_FLAT, _DOME], ids=["flat", "helical"])
+def test_only_points_within_the_clear_radius_take_the_curve_distance(spec, monkeypatch):
+    coil, pts = _posed_grazing(spec)
+    clear = _clear_radius(coil)
     local = (pts - coil.origin) @ coil.rotation
     _, nearest = _broadcast_node_sum(local, *_shared_panels(coil, 0))
     # no point so close to the radius that the routing margin decides it
@@ -649,6 +651,45 @@ def test_only_points_within_the_clear_radius_take_the_curve_distance(spec, monke
     field_coupling._curve_field(coil, pts)
     assert len(seen) == 1
     np.testing.assert_array_equal(seen[0], pts[within])
+
+
+@pytest.mark.parametrize("spec", [_FLAT, _DOME], ids=["flat", "helical"])
+def test_each_point_is_routed_by_one_level0_pass(spec, monkeypatch):
+    # the far form's level-0 pass sees every point once; _node_sum's
+    # level-0 call holds exactly the points beyond `clear` whose Gram
+    # growth is over _GRAM_GROWTH, and no point within `clear` reaches
+    # _node_sum at any level
+    coil, pts = _posed_grazing(spec)
+    clear, level0 = _clear_radius(coil), _level0_nodes(coil)
+    local = (pts - coil.origin) @ coil.rotation
+    nearest = _broadcast_node_sum(local, *_shared_panels(coil, 0))[1]
+    growth = _gram_growth(coil, local)
+    shared = nearest > clear
+    offset = shared & (growth > field_coupling._GRAM_GROWTH)
+    # no point so close to either edge that rounding decides it
+    assert np.all(np.abs(nearest - clear) > 1e-6 * clear)
+    assert np.all(np.abs(growth - field_coupling._GRAM_GROWTH)[shared] > 1e-6)
+    assert 0 < np.count_nonzero(offset) and 0 < np.count_nonzero(~shared)
+
+    calls = {}
+
+    def recorder(name):
+        kernel, seen = getattr(field_coupling, name), calls.setdefault(name, [])
+
+        def recorded(points, nodes, *args, **kwargs):
+            seen.append((len(nodes) == level0, points.copy()))
+            return kernel(points, nodes, *args, **kwargs)
+        return recorded
+
+    for name in ("_far_sum", "_node_sum"):
+        monkeypatch.setattr(field_coupling, name, recorder(name))
+    field_coupling._curve_field(coil, pts)
+    far0 = [p for first, p in calls["_far_sum"] if first]
+    assert len(far0) == 1 and np.array_equal(far0[0], local)
+    node0 = [p for first, p in calls["_node_sum"] if first]
+    assert len(node0) == 1 and np.array_equal(node0[0], local[offset])
+    reached = np.vstack([p for _, p in calls["_node_sum"]])
+    assert np.all(_broadcast_node_sum(reached, *_shared_panels(coil, 0))[1] > clear)
 
 
 def test_a_point_on_a_level0_node_is_masked_without_warnings():

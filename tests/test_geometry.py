@@ -292,6 +292,11 @@ def test_scenario_poses_place_tx_at_origin_and_rx_at_the_eye():
 @pytest.mark.parametrize("kwargs, field", [
     (dict(x_eye=-1e-3), "x_eye"),
     (dict(z_eye=-1e-3), "z_eye"),
+    # each placement field lies within its SWEEP_RANGES row
+    (dict(x_eye=1e297), "^x_eye must lie within"),
+    (dict(x_eye=0.25), "^x_eye must lie within"),
+    (dict(z_eye=0.04), "^z_eye must lie within"),
+    (dict(z_eye=0.31), "^z_eye must lie within"),
     (dict(tx_angle_deg=91.0), "tx_angle_deg"),
     (dict(tx_angle_deg=-1.0), "tx_angle_deg"),
     (dict(r_source=0.0), "r_source"),
