@@ -43,8 +43,8 @@ import numpy as np
 
 from .circuit import LinkCircuit, Spectrum, frequency_sweep, path_loss_db
 from .field_coupling import field_map
-from .geometry import (FLAT_SPIRAL, HELICAL, MOST_VALUES, SWEEP_RANGES, CoilSpec,
-                       Scenario, apply_pose, build_filament_coil, check_fields,
+from .geometry import (MOST_VALUES, SWEEP_RANGES, CoilSpec, Scenario, apply_pose,
+                       build_filament_coil, check_fields, check_placement,
                        scenario_poses)
 from .link_analysis import (POWER, VOLTAGE, BandwidthCapacityRow,
                             SweepResult, TruncatedBandError, capacity_report,
@@ -102,10 +102,6 @@ class Request(Protocol):
             build_link: Callable[[bool], LinkCircuit]) -> Tuple[str, ...]: ...
 
 
-# the SNR conventions, read by the [analysis] schema and ScenarioConfig
-_CONVENTIONS = (VOLTAGE, POWER)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A parsed config: the scenario, solver knobs, and requested analyses."""
@@ -122,9 +118,22 @@ class ScenarioConfig:
     config_digest: str            # sha256 of the config file bytes
 
     def __post_init__(self):
-        check_fields(self, positive=("grid_start",), choices={"snr_convention": _CONVENTIONS},
+        check_fields(self, positive=("grid_start",),
+                     choices={"snr_convention": (VOLTAGE, POWER)},
                      counts={"grid_points": 2, "segments_per_turn": 16},
                      ordered=(("grid_stop", ">", "grid_start"),))
+        # frequency_grid's points are i * step + grid_start, the product and
+        # the sum each rounded by at most half an ulp of grid_stop, and its
+        # last is grid_stop: a step above 3 such ulps keeps them increasing,
+        # if the step is a normal double (a subnormal one has no relative
+        # rounding bound, and i times its error can pass grid_stop)
+        least = max(3.0 * math.ulp(self.grid_stop), sys.float_info.min)
+        if not (self.grid_stop - self.grid_start) / (self.grid_points - 1) > least:
+            raise ValueError(f"grid_points must leave a step above {least!r} Hz from "
+                             f"{self.grid_start!r} to {self.grid_stop!r} Hz, "
+                             f"got {self.grid_points!r}")
+        if not self.output_dir:
+            raise ValueError("output_dir must not be empty")
 
     def frequency_grid(self) -> np.ndarray:
         return np.linspace(self.grid_start, self.grid_stop, self.grid_points)
@@ -133,15 +142,15 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 # schemas: key -> (kind, detail) says how to read a value's text, and no
 # more: the record the values build states every value rule. kind is
-# count | quantity | optional_quantity | enum | string | words; detail is
-# a quantity's unit dimension, the enum values, or None.
+# count | quantity | optional_quantity | word | string | words; detail is
+# a quantity's unit dimension, else None.
 
 _COIL_SCHEMA = {
     "turns": ("count", None),
     "inner_radius": ("quantity", "length"),
     "wire_diameter": ("quantity", "length"),
     "wire_spacing": ("quantity", "length"),
-    "shape": ("enum", (FLAT_SPIRAL, HELICAL)),
+    "shape": ("word", None),
     "sphere_radius": ("optional_quantity", "length"),
     "conductivity": ("quantity", "conductivity"),
     "inductance_override": ("optional_quantity", "inductance"),
@@ -170,7 +179,7 @@ _GRID_SCHEMA = {
 
 _ANALYSIS_SCHEMA = {
     "noise_floor": ("quantity", "level"),
-    "snr_convention": ("enum", _CONVENTIONS),
+    "snr_convention": ("word", None),
     "segments_per_turn": ("count", None),
 }
 
@@ -244,18 +253,15 @@ class _Reader:
         raise ConfigError(message, self.path, line)
 
     def _value(self, section: str, key: str, raw: str, kind: str, detail):
+        """raw read as its kind says; only text that cannot be read as
+        that kind fails here."""
         where = f"[{section}] {key}"
-        if kind in ("string", "words"):
-            if not raw:
-                self.fail(section, key, f"{where} must not be empty")
-            return raw if kind == "string" else tuple(
-                word for word in re.split(r"[,\s]+", raw.lower()) if word)
-        if kind == "enum":
-            token = raw.lower()
-            if token not in detail:
-                self.fail(section, key,
-                          f"{where} must be one of {', '.join(detail)}; got {raw!r}")
-            return token
+        if kind == "string":
+            return raw
+        if kind == "word":
+            return raw.lower()
+        if kind == "words":
+            return tuple(word for word in re.split(r"[,\s]+", raw.lower()) if word)
         if kind == "count":
             if not re.fullmatch(r"[+-]?\d+", raw):
                 self.fail(section, key,
@@ -288,8 +294,6 @@ class _Reader:
             self.fail(section, key, f"{where}: cannot parse number {number!r}")
         if unit == "rad":
             value *= 180.0 / math.pi
-        if not math.isfinite(value):
-            self.fail(section, key, f"{where} must be finite; got {raw!r}")
         return value
 
     def section(self, name: str, schema: Dict, defaults: Dict[str, str]) -> Dict:
@@ -599,11 +603,8 @@ def emit_report_json(report: RunReport, path: Path) -> None:
 # ---------------------------------------------------------------------------
 # requests: one record class per request section (see Request and REQUESTS)
 
-# the values of each request's enum keys, read by its schema and its record
 _SIDES = ("r_source", "r_load")
-_SPACINGS = ("log", "linear")
 _COILS = ("tx", "rx")          # in the order scenario_poses returns their poses
-_PLANES = ("xy", "xz", "yz")
 
 
 @dataclass(frozen=True)
@@ -639,11 +640,8 @@ class MisalignmentSweepRequest:
     def __post_init__(self):
         check_fields(self, choices={"axis": tuple(SWEEP_RANGES)}, positive=("step",),
                      ordered=(("stop", ">=", "start"),))
-        _, lo, hi, unit = SWEEP_RANGES[self.axis]
-        if self.start < lo or self.stop > hi:
-            name = "start" if self.start < lo else "stop"
-            raise ValueError(f"{name} must lie within [{lo:g}, {hi:g}] {unit}, "
-                             f"got {getattr(self, name)!r}")
+        for name in ("start", "stop"):
+            check_placement(self.axis, name, getattr(self, name))
         if (self.stop - self.start) / self.step + 1.0 > MOST_VALUES:    # one array of values()
             raise ValueError(f"step must leave at most {MOST_VALUES} values from "
                              f"{self.start!r} to {self.stop!r}, got {self.step!r}")
@@ -675,7 +673,7 @@ class ResistanceSweepRequest:
     spacing: str                  # log | linear
 
     def __post_init__(self):
-        check_fields(self, choices={"side": _SIDES, "spacing": _SPACINGS},
+        check_fields(self, choices={"side": _SIDES, "spacing": ("log", "linear")},
                      positive=("start",), counts={"points": 2},
                      ordered=(("stop", ">", "start"),))
 
@@ -712,7 +710,7 @@ class FieldMapRequest:
     current: float
 
     def __post_init__(self):
-        check_fields(self, choices={"coil": _COILS, "plane": _PLANES},
+        check_fields(self, choices={"coil": _COILS, "plane": ("xy", "xz", "yz")},
                      counts={"axis1_points": 2, "axis2_points": 2},
                      ordered=(("axis1_stop", ">", "axis1_start"),
                               ("axis2_stop", ">", "axis2_start")))
@@ -801,8 +799,8 @@ REQUESTS: Dict[str, Tuple[Callable[..., Request], Dict]] = {
         "points": ("count", None, "101"),
     }),
     "field_map": (FieldMapRequest, {
-        "coil": ("enum", _COILS, "tx"),
-        "plane": ("enum", _PLANES, None),
+        "coil": ("word", None, "tx"),
+        "plane": ("word", None, None),
         "offset": ("quantity", "length", "0 mm"),
         "axis1_start": ("quantity", "length", None),
         "axis1_stop": ("quantity", "length", None),
@@ -821,7 +819,7 @@ REQUESTS: Dict[str, Tuple[Callable[..., Request], Dict]] = {
         "start": ("quantity", "resistance", None),
         "stop": ("quantity", "resistance", None),
         "points": ("count", None, None),
-        "spacing": ("enum", _SPACINGS, "log"),
+        "spacing": ("word", None, "log"),
     }) for side in _SIDES},
 }
 

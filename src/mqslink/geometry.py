@@ -30,7 +30,7 @@ LATERAL = "lateral"
 AXIAL = "axial"
 
 # each misalignment axis: the Scenario field it moves and that field's
-# documented domain and unit; Scenario checks each field against its row
+# documented domain and unit; check_placement states the domain's rule
 SWEEP_RANGES = {
     TX_ANGLE: ("tx_angle_deg", 0.0, 90.0, "deg"),
     LATERAL: ("x_eye", 0.0, 0.200, "m"),
@@ -40,6 +40,14 @@ SWEEP_RANGES = {
 # the most float64 values numpy can hold in one array (2^60 - 1 on a
 # 64-bit machine): no count may ask for more
 MOST_VALUES = np.iinfo(np.intp).max // 8
+
+
+def check_placement(axis: str, name: str, value: float) -> None:
+    """Refuse a value outside the domain of SWEEP_RANGES[axis] with a
+    ValueError that starts with name."""
+    _, lo, hi, unit = SWEEP_RANGES[axis]
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must lie within [{lo:g}, {hi:g}] {unit}, got {value!r}")
 
 
 @functools.cache
@@ -294,10 +302,8 @@ class Scenario:
 
     def __post_init__(self):
         check_fields(self, positive=("r_source", "r_load", "tuned_frequency", "v_source"))
-        for name, lo, hi, unit in SWEEP_RANGES.values():
-            x = getattr(self, name)
-            if not lo <= x <= hi:
-                raise ValueError(f"{name} must lie within [{lo:g}, {hi:g}] {unit}, got {x!r}")
+        for axis, (name, *_) in SWEEP_RANGES.items():
+            check_placement(axis, name, getattr(self, name))
 
 
 def turn_radii(spec: CoilSpec) -> np.ndarray:

@@ -329,29 +329,29 @@ def misalignment_sweep(sc: Scenario, axis: str, values: Sequence[float], grid,
     """Re-pose the geometry along one axis and summarize each link.
 
     axis is a key of SWEEP_RANGES, whose row names the Scenario field
-    it moves and that field's domain. The tuning capacitors are computed
-    once from the scenario's inductances and tuned_frequency and held
-    fixed across the sweep: the worn device is tuned once, not per
-    pose. Points whose field integration fails are masked rows, and
-    the sweep continues; a masked point or an on-axis receiver is a
-    warning. Terminations, source and coil losses are sc's (see
-    scenario_link): set them on sc to sweep another link.
+    it moves and that field's domain; each value's Scenario is built,
+    and so checked against the domain, before any solve. The tuning
+    capacitors are computed once from the scenario's inductances and
+    tuned_frequency and held fixed across the sweep: the worn device is
+    tuned once, not per pose. Points whose field integration fails are
+    masked rows, and the sweep continues; a masked point or an on-axis
+    receiver is a warning. Terminations, source and coil losses are
+    sc's (see scenario_link): set them on sc to sweep another link.
     """
     _check_budget(noise_floor_dbv, convention)
     if axis not in SWEEP_RANGES:
         raise ValueError(f"axis must be one of {sorted(SWEEP_RANGES)}, got {axis!r}")
-    field, lo, hi, unit = SWEEP_RANGES[axis]
+    field, *_, unit = SWEEP_RANGES[axis]
     vals = _sweep_values(values)
-    if vals[0] < lo or vals[-1] > hi:
-        raise ValueError(f"{axis} values must lie within [{lo:g}, {hi:g}] {unit}")
+    poses = [replace(sc, **{field: value}) for value in vals]
 
     grid = np.asarray(grid, dtype=float)
     # fixes tuning; m replaced per point
     nominal = scenario_link(sc, m=0.0)
     rows = []
-    for value in vals:
+    for value, posed in zip(vals, poses):
         try:
-            m = scenario_mutual_inductance(replace(sc, **{field: value}))
+            m = scenario_mutual_inductance(posed)
             spectrum = frequency_sweep(replace(nominal, m=m), grid)
             rows += _sweep_rows([value], [_row_summaries(grid, np.abs(spectrum.h)[None])],
                                 nominal.v_source, nominal.r_load, noise_floor_dbv, convention)

@@ -204,6 +204,11 @@ def test_readme_request_keys_match_the_schemas():
         [name for name, keys in tables.items() if not keys]
 
 
+# the nominal config's settings, for a ScenarioConfig built directly
+NOMINAL_CONFIG = cli.ScenarioConfig(NOMINAL, GRID[0], GRID[-1], len(GRID), NOISE_FLOOR_DBV,
+                                    CONVENTION, 360, "out", {}, "")
+
+
 # a valid [field_map] grid, for records built directly
 _GRID = dict(plane="xz", offset=0.0, axis1_start=-0.05, axis1_stop=0.05, axis1_points=3,
              axis2_start=0.05, axis2_stop=0.15, axis2_points=3)
@@ -235,6 +240,25 @@ def test_scenario_config_built_directly_rejects_an_unknown_snr_convention(tmp_pa
     with pytest.raises(ValueError, match=r"^snr_convention must be one of 'voltage', 'power', "
                                          r"got 'amplitude'$"):
         replace(config, snr_convention="amplitude")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=5e-324, max_value=1e300), st.integers(1, 2**16),
+       st.integers(2, 10**4))
+@example(20e6, 1, 1001)    # 20 MHz to the next double up
+@example(1.0, 1, 3)
+@example(20e6, 10**4, 1001)
+@example(2.225073858507203e-309, 188, 23)    # a subnormal step rounded up
+def test_every_accepted_frequency_grid_strictly_increases(start, ulps, points):
+    # stop lies a few ulps of start above it, where linspace's rounding
+    # could put two neighbouring points on the same double
+    stop = start + ulps * math.ulp(start)
+    try:
+        config = replace(NOMINAL_CONFIG, grid_start=start, grid_stop=stop, grid_points=points)
+    except ValueError as exc:
+        assert str(exc).startswith("grid_points must leave a step above ")
+        return
+    assert np.all(np.diff(config.frequency_grid()) > 0)
 
 
 def test_grid_points_run_row_major_with_axis1_slow():
@@ -334,6 +358,7 @@ _POWER_TAGS = [(dim, unit) for dim, units in cli._UNITS.items()
 @example("35", ("inductance", "uH"))
 @example("1.7976931348623157e308", ("frequency", "kHz"))
 @example(".1E310", ("length", "cm"))    # the text overflows, the tagged value does not
+@example("-1e400", ("length", "mm"))
 def test_tagged_numbers_read_as_the_double_nearest_their_decimal(number, tag):
     dim, unit = tag
     reader = cli._Reader("<text>", b"")
@@ -341,10 +366,31 @@ def test_tagged_numbers_read_as_the_double_nearest_their_decimal(number, tag):
     try:
         want = float(exact)
     except OverflowError:
-        with pytest.raises(ConfigError, match="must be finite"):
-            reader._value("s", "k", f"{number} {unit}", "quantity", dim)
-        return
+        # past the largest double: the signed infinity, which the record refuses
+        want = math.inf if exact > 0 else -math.inf
     assert reader._value("s", "k", f"{number} {unit}", "quantity", dim) == want
+
+
+def test_every_schema_entry_names_a_kind_the_reader_reads():
+    # a misspelled kind would fall through to the quantity branch and
+    # raise KeyError from _UNITS instead of a ConfigError
+    reader = cli._Reader("<text>", b"")
+    texts = {"count": ("3", 3), "word": ("Tx", "tx"), "string": ("out", "out"),
+             "words": ("tuned, Untuned", ("tuned", "untuned")),
+             "quantity": ("1 {}", 1.0), "optional_quantity": ("1 {}", 1.0)}
+    schemas = {**cli._SCENARIO_SCHEMAS, **{name: schema for name, (_, schema)
+                                           in cli.REQUESTS.items()}}
+    for name, schema in schemas.items():
+        for key, (kind, detail, *_) in schema.items():
+            assert kind in texts, f"[{name}] {key}: unknown kind {kind!r}"
+            if kind.endswith("quantity"):
+                assert detail in cli._UNITS, f"[{name}] {key}: unknown dimension {detail!r}"
+            else:
+                assert detail is None, f"[{name}] {key}: detail {detail!r}"
+            text, want = texts[kind]
+            # each dimension's first tag has power 0
+            raw = text.format(next(iter(cli._UNITS[detail])) if detail else "")
+            assert reader._value(name, key, raw, kind, detail) == want, f"[{name}] {key}"
 
 
 def test_unicode_resistance_aliases(tmp_path):
@@ -384,6 +430,12 @@ def test_radian_angles_convert(tmp_path):
     ("[sweep lateral]\nstart = 0 deg\nstop = 20 deg\nstep = 5 deg\n",
      r"\.ini:2: .*unknown unit 'deg'"),
     ("[frequency_grid]\npoints = 1\n", r"\.ini:2: grid_points must be an integer >= 2, got 1$"),
+    # grids whose neighbouring points would round onto the same double
+    ("[frequency_grid]\nstart = 20 MHz\nstop = 20.000000000000004 MHz\npoints = 1001\n",
+     r"\.ini:4: grid_points must leave a step above 1\.1175870895385742e-08 Hz from "
+     r"20000000\.0 to 20000000\.000000004 Hz, got 1001$"),
+    ("[frequency_grid]\nstart = 1 Hz\nstop = 1.0000000000000002 Hz\npoints = 3\n",
+     r"\.ini:4: grid_points must leave a step above "),
     ("[frequency_grid]\nstart = 30 MHz\nstop = 20 MHz\n",
      r"\.ini:3: grid_stop must be > grid_start, got \[30000000\.0, 20000000\.0\]$"),
     ("[analysis]\nsegments_per_turn = 8\n",
@@ -405,6 +457,7 @@ def test_radian_angles_convert(tmp_path):
     ("[circuit]\nr_load = inf ohm\n", r"\.ini:2: .* must be finite"),
     ("[tx_coil]\ninner_radius = nan mm\n", r"\.ini:2: .* must be finite"),
     ("[analysis]\nnoise_floor = nan dBV\n", r"\.ini:2: .* must be finite"),
+    ("[tx_coil]\ninner_radius = 1e400 mm\n", r"\.ini:2: inner_radius must be finite, got inf$"),
     # a range error is reported at the key whose value is out of range
     ("[sweep lateral]\nstart = -5 mm\nstop = 100 mm\nstep = 5 mm\n",
      r"\.ini:2: start must lie within \[0, 0\.2\] m, got -0\.005$"),
@@ -424,9 +477,21 @@ def test_radian_angles_convert(tmp_path):
      "axis2_start = 50 mm\naxis2_stop = 90 mm\naxis2_points = 3\n",
      r"\.ini:4: axis1_stop must be > axis1_start"),
     ("x_eye = 92 mm\n", r"\.ini:1: key 'x_eye' comes before the first section"),
-    ("[output]\ndirectory =\n", r"\.ini:2: \[output\] directory must not be empty"),
+    ("[output]\ndirectory =\n", r"\.ini:2: output_dir must not be empty$"),
+    ("[spectrum]\nmodes =\n", r"\.ini:2: modes must be a subset of: tuned untuned, got \(\)$"),
+    # each word key's values are its record's choices
     ("[analysis]\nsnr_convention = amplitude\n",
-     r"\.ini:2: \[analysis\] snr_convention must be one of voltage, power; got 'amplitude'"),
+     r"\.ini:2: snr_convention must be one of 'voltage', 'power', got 'amplitude'$"),
+    ("[tx_coil]\nshape = square\n",
+     r"\.ini:2: shape must be one of 'flat-spiral', 'helical', got 'square'$"),
+    ("[field_map]\ncoil = lens\nplane = xz\naxis1_start = 1 mm\naxis1_stop = 5 mm\n"
+     "axis1_points = 3\naxis2_start = 50 mm\naxis2_stop = 90 mm\naxis2_points = 3\n",
+     r"\.ini:2: coil must be one of 'tx', 'rx', got 'lens'$"),
+    ("[field_map]\nplane = XW\naxis1_start = 1 mm\naxis1_stop = 5 mm\naxis1_points = 3\n"
+     "axis2_start = 50 mm\naxis2_stop = 90 mm\naxis2_points = 3\n",
+     r"\.ini:2: plane must be one of 'xy', 'xz', 'yz', got 'xw'$"),
+    ("[sweep r_load]\nstart = 1 ohm\nstop = 10 ohm\npoints = 3\nspacing = cubic\n",
+     r"\.ini:5: spacing must be one of 'log', 'linear', got 'cubic'$"),
     ("[placement]\nx_eye = abc mm\n", r"\.ini:2: \[placement\] x_eye: cannot parse number 'abc'"),
     ("[sweep tx_angle]\nstart = 10 deg\nstop = 20 deg\nstep = 0 deg\n",
      r"\.ini:4: step must be > 0, got 0\.0$"),

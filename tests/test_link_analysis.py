@@ -294,7 +294,14 @@ def test_scenario_mutual_inductance_matches_direct_composition():
 
 # --------------------------------------------------------------- sweeps
 
-def test_misalignment_sweep_validation():
+def test_misalignment_sweep_validation(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return mutual_inductance(*args, **kwargs)
+
+    monkeypatch.setattr(link_analysis, "mutual_inductance", counted)
     with pytest.raises(ValueError, match="axis"):
         misalignment_sweep(NOMINAL, "roll", [10.0], GRID, **BUDGET)
     with pytest.raises(ValueError, match="non-empty"):
@@ -303,6 +310,10 @@ def test_misalignment_sweep_validation():
         misalignment_sweep(NOMINAL, TX_ANGLE, [95.0], GRID, **BUDGET)
     with pytest.raises(ValueError, match="within"):
         misalignment_sweep(NOMINAL, AXIAL, [0.010], GRID, **BUDGET)
+    # a valid first value is not solved before the second is refused
+    with pytest.raises(ValueError, match=r"^tx_angle_deg must lie within \[0, 90\] deg"):
+        misalignment_sweep(NOMINAL, TX_ANGLE, [40.0, 95.0], GRID, **BUDGET)
+    assert calls == []
 
 
 def test_angle_sweep_rows_are_ordered_and_live():
