@@ -94,11 +94,11 @@ class Request(Protocol):
 
     run computes the analysis, writes its files into `out`, reports its
     notes through warnings.warn and returns the names of the files it
-    wrote; build_link(tuned) gives the nominal link, built once per run,
-    which keeps its terms for grid (see circuit._grid_terms).
+    wrote; grid() and build_link(tuned) give the frequency grid and the
+    nominal link, built once per run, which keeps its terms for the grid.
     """
 
-    def run(self, config: ScenarioConfig, grid: np.ndarray, out: Path,
+    def run(self, config: ScenarioConfig, grid: Callable[[], np.ndarray], out: Path,
             build_link: Callable[[bool], LinkCircuit]) -> Tuple[str, ...]: ...
 
 
@@ -623,7 +623,7 @@ class SpectrumRequest:
         files = []
         for mode in self.modes:
             fname = f"spectrum_{mode}.csv"
-            emit_spectrum_csv(frequency_sweep(build_link(mode == "tuned"), grid), out / fname)
+            emit_spectrum_csv(frequency_sweep(build_link(mode == "tuned"), grid()), out / fname)
             files.append(fname)
         return tuple(files)
 
@@ -654,7 +654,7 @@ class MisalignmentSweepRequest:
 
     def run(self, config, grid, out, build_link):
         sweep = misalignment_sweep(
-            config.scenario, self.axis, self.values(), grid=grid,
+            config.scenario, self.axis, self.values(), grid=grid(),
             noise_floor_dbv=config.noise_floor_dbv,
             convention=config.snr_convention)
         fname = f"sweep_{self.axis}.csv"
@@ -684,7 +684,7 @@ class ResistanceSweepRequest:
 
     def run(self, config, grid, out, build_link):
         sweep = resistance_sweep(build_link(True), self.side, self.values(),
-                                 grid=grid, noise_floor_dbv=config.noise_floor_dbv,
+                                 grid=grid(), noise_floor_dbv=config.noise_floor_dbv,
                                  convention=config.snr_convention)
         fname = f"sweep_{self.side}.csv"
         emit_sweep_csv(sweep, out / fname)
@@ -750,7 +750,7 @@ class CapacityRequest:
     """[capacity]: Shannon capacity against bandwidth on the tuned link."""
 
     def run(self, config, grid, out, build_link):
-        tuned = frequency_sweep(build_link(True), grid)
+        tuned = frequency_sweep(build_link(True), grid())
         budget = dict(noise_floor_dbv=config.noise_floor_dbv,
                       convention=config.snr_convention)
         study = capacity_vs_bandwidth(tuned, **budget)
@@ -782,7 +782,7 @@ class DualModeRequest:
 
     def run(self, config, grid, out, build_link):
         loads = np.geomspace(self.load_min, self.load_max, self.points)
-        dm = dual_mode_report(build_link(True), r_load_grid=loads, grid=grid)
+        dm = dual_mode_report(build_link(True), r_load_grid=loads, grid=grid())
         _emit_json(asdict(dm), out / "dual_mode.json")
         return ("dual_mode.json",)
 
@@ -833,7 +833,6 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> RunRe
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     sc = config.scenario
-    grid = config.frequency_grid()
 
     timings: List[Tuple[str, float]] = []
     warn_list: List[str] = []
@@ -859,6 +858,7 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> RunRe
     def build_link(tuned: bool) -> LinkCircuit:
         return scenario_link(sc, nominal_m(), tuned=tuned)
 
+    grid = functools.cache(config.frequency_grid)    # built and cached as nominal_m is
     for section, req in config.requests.items():
         before = len(timings)
         t0 = time.perf_counter()

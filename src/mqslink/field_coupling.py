@@ -1,6 +1,7 @@
 """Magnetic coupling between posed filament coils.
 
-A coil is its exact winding curve, and every result here comes from it.
+A coil is its exact winding curve, and every result here comes from it;
+every grid is laid per smooth piece between its breaks (a spiral's turns).
 Fields come from Biot-Savart on that curve, by composite Gauss-Legendre
 panels of winding angle whose every panel halves from one level to the
 next; a point stops once its last halving moved B by at most 1e-10
@@ -72,7 +73,7 @@ from .geometry import FilamentCoil, check_fields
 _BLOCK_PAIRS = 32_768
 
 # the field kernel's panels: Gauss-Legendre nodes per panel, panels per
-# turn at level 0 (each level halves them), and the narrowest panel a
+# piece at level 0 (each level halves them), and the narrowest panel a
 # point's own panels are bisected to (rad). Only a point on the curve
 # itself would need that floor, and the exclusion mask, decided on the
 # curve, keeps every such point out; the floor is a guard
@@ -108,7 +109,7 @@ _OWN_POINTS = 1024
 # beside the wire by 3x or more
 _ROUNDING = 2.0 * 2.0**-52
 
-# the curve distance: nodes per turn of its nearest-node search, and
+# the curve distance: node gaps per piece of its nearest-node search, and
 # the clipped Gauss-Newton steps that polish each candidate node. Each
 # step shrinks a candidate's angle error by about the distance over the
 # curve's radius of curvature, under 0.05 for every mask decision and
@@ -122,7 +123,7 @@ _DISTANCE_STEPS = 6
 # doubles through its steps), so short blocks share the per-call cost
 _CANDIDATES = 4096
 
-# spectral refinement ladder: Gauss-Legendre nodes per turn
+# spectral refinement ladder: Gauss-Legendre nodes per piece
 _SPECTRAL_LEVELS = (8, 16, 32, 64)
 
 
@@ -158,6 +159,15 @@ class CouplingResult:
         check_fields(self, nonnegative=("convergence_estimate",))
 
 
+def _on_pieces(coil: FilamentCoil, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    # the points x of [-1, 1] laid on each piece [b_i, b_i+1] of coil.breaks,
+    # (pieces, len(x)), and the half lengths h_i: b_i + h_i (1 + x), summed as
+    # h_i (2i + 1 + x) + (b_i - 2i h_i), exact for dyadic x on equal pieces from 0
+    b, half = coil.breaks, np.diff(coil.breaks) / 2.0
+    twice = 2.0 * np.arange(len(half))
+    return (twice[:, None] + 1.0 + x) * half[:, None] + (b[:-1] - twice * half)[:, None], half
+
+
 def _panel_nodes(coil: FilamentCoil, start: np.ndarray, width: np.ndarray):
     # _PANEL_NODES Gauss-Legendre nodes on each panel of winding angle
     # [start, start + width]: local points and tangent * weight, the
@@ -169,11 +179,10 @@ def _panel_nodes(coil: FilamentCoil, start: np.ndarray, width: np.ndarray):
 
 
 def _uniform_panels(coil: FilamentCoil, level: int) -> Tuple[np.ndarray, np.ndarray]:
-    # level 0 splits each turn into _BASE_PANELS equal panels, and each
-    # level halves them
-    count = coil.turns * _BASE_PANELS << level
-    width = coil.stop / count
-    return np.arange(count) * width, np.full(count, width)
+    # level 0 splits each piece into _BASE_PANELS equal panels; each level halves them
+    count = _BASE_PANELS << level
+    start, half = _on_pieces(coil, np.arange(-count, count, 2) / count)
+    return start.ravel(), np.repeat(half * (2.0 / count), count)
 
 
 def _node_sum(points: np.ndarray, nodes: np.ndarray, dl: np.ndarray) -> np.ndarray:
@@ -307,43 +316,26 @@ def _panel_sum(coil, points, owner, start, width):
     return b, nearest
 
 
-def _polish(coil: FilamentCoil, local: np.ndarray, owner: np.ndarray, angle: np.ndarray,
-            out: np.ndarray) -> None:
-    # clipped Gauss-Newton steps on the winding angle from each candidate
-    # node, within half a node gap of it, _CANDIDATES at a time; each
-    # owner's entry of out drops to its nearest polished point
-    half = math.pi / _DISTANCE_NODES
-    for j in range(0, len(owner), _CANDIDATES):
-        who, phi = owner[j:j + _CANDIDATES], angle[j:j + _CANDIDATES]
-        target = local[who]
-        lo = np.maximum(phi - half, 0.0)
-        hi = np.minimum(phi + half, coil.stop)
-        for _ in range(_DISTANCE_STEPS):
-            c, t = coil.local(phi)
-            c -= target
-            phi = np.clip(phi - np.sum(c * t, axis=1) / np.sum(t * t, axis=1), lo, hi)
-        c = coil.local(phi)[0] - target
-        np.minimum.at(out, who, np.sqrt(np.sum(c * c, axis=1)))
-
-
 def _curve_distance(coil: FilamentCoil, points: np.ndarray) -> np.ndarray:
     """Distance from each of the (n, 3) points to the exact winding curve.
 
     Every point of the curve lies within half a node gap of winding
     angle, and so within `slack` (that half gap times the top speed), of
-    one of _DISTANCE_NODES nodes per turn. The nearest node's distance
-    bounds the answer from above, so only nodes within it plus `slack`
-    can hold the nearest point. Each such candidate is polished by
-    clipped Gauss-Newton steps on the angle, phi -= (c - p).c'/|c'|^2,
-    bracketed by its half gap, which converge while the distance is
-    below the curve's radius of curvature. Candidates are polished
-    _CANDIDATES at a time, gathered over blocks; every step is
-    elementwise, so the result depends neither on the blocking nor on
-    the batching.
+    one of _DISTANCE_NODES + 1 nodes per piece, one at each end. The
+    nearest node's distance bounds the answer from above, so only nodes
+    within it plus `slack` can hold the nearest point. Each such
+    candidate is polished by clipped Gauss-Newton steps on the angle,
+    phi -= (c - p).c'/|c'|^2, bracketed by its half gap within its piece
+    and an ulp short of its end, where `local` reads the next piece; they
+    converge while the distance is below the curve's radius of
+    curvature. Candidates are polished _CANDIDATES at a time, gathered
+    over blocks; every step is elementwise, so the result depends
+    neither on the blocking nor on the batching.
     """
-    phi = np.arange(coil.turns * _DISTANCE_NODES + 1) * (2.0 * math.pi / _DISTANCE_NODES)
+    phi = _on_pieces(coil, np.linspace(-1.0, 1.0, _DISTANCE_NODES + 1))[0].ravel()
     nodes = np.ascontiguousarray(coil.local(phi)[0].T)
-    slack = math.pi / _DISTANCE_NODES * coil.top_speed
+    half = np.diff(coil.breaks) / (2 * _DISTANCE_NODES)    # each piece's half node gap
+    slack = float(half.max()) * coil.top_speed
     local = (points - coil.origin) @ coil.rotation
     pt = np.ascontiguousarray(local.T)
     out = np.empty(len(points))
@@ -351,7 +343,7 @@ def _curve_distance(coil: FilamentCoil, points: np.ndarray) -> np.ndarray:
     # planes: the squared distance, summed (x + y) + z, and a scratch
     # plane
     buf = np.empty((2, min(rows, len(points)), len(phi)))
-    owner, angle, pending = [], [], 0
+    owner, cols, pending = [], [], 0
     for i0 in range(0, len(points), rows):
         p = pt[:, i0:i0 + rows]
         dist, tmp = buf[:, :p.shape[1]]
@@ -363,13 +355,25 @@ def _curve_distance(coil: FilamentCoil, points: np.ndarray) -> np.ndarray:
         near = out[i0:i0 + rows] = np.sqrt(dist.min(axis=1))
         # every row keeps at least its nearest node
         row, col = np.nonzero(dist <= ((near + slack) ** 2)[:, None])
-        row += i0
-        owner.append(row)
-        angle.append(phi[col])
+        owner.append(row + i0)
+        cols.append(col)
         pending += len(row)
-        if pending >= _CANDIDATES or i0 + rows >= len(points):
-            _polish(coil, local, np.concatenate(owner), np.concatenate(angle), out)
-            owner, angle, pending = [], [], 0
+        if pending < _CANDIDATES and i0 + rows < len(points):
+            continue
+        # polish the candidates gathered, _CANDIDATES at a time; out keeps each owner's nearest
+        who_all, node_all = np.concatenate(owner), np.concatenate(cols)
+        owner, cols, pending = [], [], 0
+        for j in range(0, len(who_all), _CANDIDATES):
+            who, node = who_all[j:j + _CANDIDATES], node_all[j:j + _CANDIDATES]
+            angle, piece, target = phi[node], node // (_DISTANCE_NODES + 1), local[who]
+            lo = np.maximum(angle - half[piece], coil.breaks[piece])
+            hi = np.minimum(angle + half[piece], np.nextafter(coil.breaks[piece + 1], -np.inf))
+            for _ in range(_DISTANCE_STEPS):
+                c, t = coil.local(angle)
+                c -= target
+                angle = np.clip(angle - np.sum(c * t, axis=1) / np.sum(t * t, axis=1), lo, hi)
+            c = coil.local(angle)[0] - target
+            np.minimum.at(out, who, np.sqrt(np.sum(c * c, axis=1)))
     return out
 
 
@@ -379,18 +383,15 @@ class _Ladder:
 
     def __init__(self, coil: FilamentCoil, points: np.ndarray, tolerance):
         self.coil = coil
-        radii = coil.radii
         self.local = (points - coil.origin) @ coil.rotation
         self.b = np.zeros_like(self.local)
         self.estimate = np.zeros(len(points))
         self.tolerance = np.broadcast_to(
             _FIELD_TOLERANCE if tolerance is None else tolerance, len(points))
-        # the floor's scale mu0 N I / (2 r_mean) reads the turn radii,
-        # unchanged from the spec's, as _coupling_floor does (see there)
-        self.floor = _FIELD_FLOOR * 2.0 * math.pi * coil.turns / float(np.mean(radii))
+        self.floor = _FIELD_FLOOR * 2.0 * math.pi * len(coil.radii) / float(np.mean(coil.radii))
         # coordinate and winding-angle span, in metres, for the rounding
         self.span = np.sqrt(np.sum(self.local * self.local, axis=1)) + \
-            float(np.max(radii)) * (1.0 + coil.stop)
+            float(np.max(coil.radii)) * (1.0 + coil.breaks[-1])
 
     def record(self, todo, cur, prev, ratio):
         # keep the level just summed for the points in todo and return
@@ -469,14 +470,14 @@ def _curve_field(coil: FilamentCoil, points: np.ndarray, tolerance=None):
 
     # level 0 on the uniform panels, with the nearest-node distance. A
     # point of the curve lies within `slack` of a node (half the widest
-    # node gap, or the gap at a panel's end), so a point further than
-    # `clear` from every node lies outside the exclusion zone and at
-    # least 1/_PANEL_REACH of a uniform panel's length from the curve
+    # node gap, or the gap at a panel's end, of the widest panel), so a
+    # point further than `clear` from every node lies outside the
+    # exclusion zone and at least 1/_PANEL_REACH of a panel from the curve
     start, width = _uniform_panels(coil, 0)
     frac = (_gauss_legendre(_PANEL_NODES)[0] + 1.0) / 2.0
-    slack = width[0] * speed * max(np.diff(frac).max() / 2.0, frac[0])
+    slack = width.max() * speed * max(np.diff(frac).max() / 2.0, frac[0])
     exclusion = coil.wire_diameter / 2.0
-    clear = max(exclusion, width[0] * speed / _PANEL_REACH) + slack
+    clear = max(exclusion, width.max() * speed / _PANEL_REACH) + slack
     nodes, dl = _panel_nodes(coil, start, width)
     # the coil's reach: the largest |r| of the level-0 nodes, read from
     # the curve, so a helical coil's sag counts
@@ -573,10 +574,10 @@ def field_map(coil: FilamentCoil, current: float, points) -> np.ndarray:
 def _coupling_floor(tx: FilamentCoil, rx: FilamentCoil) -> float:
     # dipole-scale coupling magnitude; the convergence denominator so
     # symmetry nulls (M -> 0) are not chased to relative precision. It
-    # and _Ladder's field floor read the turn radii (pi sum r^2 is the
-    # turns' area); a curve that is not a set of turns must choose its
-    # enclosed area, 1/2 int r^2 dphi, or keep the turn radii, and a
-    # changed floor can change the level a refinement stops at
+    # and _Ladder's field floor (mu0 N I / (2 r_mean), N their count) read
+    # the turn radii alone, not the curve (pi sum r^2 is the turns' area;
+    # the curve's, 1/2 int r^2 dphi, is ROADMAP "One coil, one geometry"'s
+    # choice), and a changed floor can change the level a refinement stops at
     d = float(np.linalg.norm(rx.origin - tx.origin))
     r_tx, r_rx = tx.radii, rx.radii
     d_eff = max(d, float(r_tx.max()), float(r_rx.max()))
@@ -586,38 +587,40 @@ def _coupling_floor(tx: FilamentCoil, rx: FilamentCoil) -> float:
 
 
 def _clear_samples(a: FilamentCoil, b: FilamentCoil) -> bool:
-    # a sampled at equal angle steps of at most one threshold of arc
-    # (np.linspace's values) against b's exact curve, lazily: no sample
-    # of a run is within the threshold if its end samples are farther
-    # than the threshold, b's node slack and half the run's arc (half
-    # its angle times the speed at its outer end, the largest on it),
-    # and other runs are cut until every sample is cleared or measured.
-    # True if a gap between neighbouring samples stays uncleared
+    # a sampled at equal angle steps of at most one threshold of arc per
+    # piece against b's exact curve, lazily: no sample of a run (at first
+    # the level-0 panels) is within the threshold if its end samples are
+    # farther than the threshold, b's node slack and half the run's arc
+    # (half its angle times the speed at its outer end, on a spiral the
+    # largest on it), and other runs are cut until every sample is cleared
+    # or measured. True if a gap between neighbouring samples stays uncleared
     threshold = (a.wire_diameter + b.wire_diameter) / 2.0
-    count = a.turns * math.ceil(2.0 * math.pi * a.top_speed / threshold)
-    slack = math.pi / _DISTANCE_NODES * b.top_speed
-    lo = np.arange(a.turns * _BASE_PANELS + 1) * count // (a.turns * _BASE_PANELS)
+    per = math.ceil(float(np.diff(a.breaks).max()) * a.top_speed / threshold)
+    phi, h = _on_pieces(a, np.arange(-per, per, 2) / per)
+    phi = np.r_[phi.ravel(), a.breaks[-1]]
+    slack = float(np.diff(b.breaks).max()) / (2 * _DISTANCE_NODES) * b.top_speed
+    lo = np.arange(_BASE_PANELS * len(h) + 1) * per // _BASE_PANELS
     lo, hi, gap = lo[:-1], lo[1:], False
     while len(lo):
         ends, at = np.unique(np.r_[lo, hi], return_inverse=True)
-        points, tangents = a.curve(np.where(ends == count, a.stop, ends * (a.stop / count)))
+        points, tangents = a.curve(phi[ends])
         d = _curve_distance(b, points)
         if np.any(d <= threshold):
             raise SeparationError(f"coil separation {float(d.min()):.3e} m is within the combined "
                                   f"wire exclusion {threshold:.3e} m; filament model invalid")
         d = d[at]
-        half = (hi - lo) * (a.stop / count / 2.0) * np.linalg.norm(tangents[at[len(lo):]], axis=1)
+        half = (hi - lo) * (h[lo // per] / per) * np.linalg.norm(tangents[at[len(lo):]], axis=1)
         room = np.minimum(d[:len(lo)], d[len(lo):]) - slack - threshold
         gap = gap or bool(np.any((room <= half) & (hi - lo == 1)))
         split = (room <= half) & (hi - lo > 1)
         lo, hi, half, room = lo[split], hi[split], half[split], room[split]
-        # pieces whose half arcs the run's room would clear, at least
+        # parts whose half arcs the run's room would clear, at least
         # two, and single gaps where it has none
-        pieces = np.maximum(2, np.ceil(half / np.maximum(room, half / (hi - lo)))).astype(int)
-        run = np.repeat(np.arange(len(lo)), pieces)
-        j = np.arange(len(run)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-        span, pieces = (hi - lo)[run], pieces[run]
-        lo, hi = lo[run] + span * j // pieces, lo[run] + span * (j + 1) // pieces
+        parts = np.maximum(2, np.ceil(half / np.maximum(room, half / (hi - lo)))).astype(int)
+        run = np.repeat(np.arange(len(lo)), parts)
+        j = np.arange(len(run)) - np.repeat(np.cumsum(parts) - parts, parts)
+        span, parts = (hi - lo)[run], parts[run]
+        lo, hi = lo[run] + span * j // parts, lo[run] + span * (j + 1) // parts
     return gap
 
 
@@ -667,12 +670,11 @@ def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _curve_nodes(coil: FilamentCoil, n: int):
-    # n Gauss-Legendre nodes on each turn's 2 pi of winding angle:
-    # world points and tangent * weight, the line element per node
+    # n Gauss-Legendre nodes per piece: world points and line elements (tangent * weight)
     nodes, weights = _gauss_legendre(n)
-    phi = math.pi * (2.0 * np.arange(coil.turns)[:, None] + 1.0 + nodes[None, :])
+    phi, half = _on_pieces(coil, nodes)
     points, tangents = coil.curve(phi.ravel())
-    return points, tangents * np.tile(math.pi * weights, coil.turns)[:, None]
+    return points, tangents * (half[:, None] * weights).reshape(-1, 1)
 
 
 def _neumann_sum(m1: np.ndarray, d1: np.ndarray, m2: np.ndarray, d2: np.ndarray) -> float:
@@ -704,7 +706,7 @@ def mutual_inductance(tx: FilamentCoil, rx: FilamentCoil,
     """Mutual inductance between two posed coils, signed by orientation.
 
     The Neumann double line integral on the exact winding curves of both
-    coils, with Gauss-Legendre nodes per turn doubling from 8 to 64; it
+    coils, with Gauss-Legendre nodes per piece doubling from 8 to 64; it
     converges exponentially. The coils must clear each other by more
     than their mean wire diameter, or SeparationError is raised.
 

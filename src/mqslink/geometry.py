@@ -247,20 +247,18 @@ class FilamentCoil:
         """turns * segments_per_turn."""
         return self.spec.turns * self.segments_per_turn
 
-    @property
-    def turns(self) -> int:
-        """N: the winding angle runs over N equal turns of 2 pi."""
-        return self.spec.turns
-
-    @property
-    def stop(self) -> float:
-        """The winding angle's end, 2 pi N (rad)."""
-        return 2.0 * math.pi * self.spec.turns
+    @functools.cached_property
+    def breaks(self) -> np.ndarray:
+        """(pieces + 1,) read-only, ascending ends of the winding angle's
+        smooth pieces (rad): for a spiral, its turns' ends 2 pi k, k = 0..N."""
+        breaks = 2.0 * math.pi * np.arange(self.spec.turns + 1)
+        breaks.setflags(write=False)
+        return breaks
 
     @functools.cached_property
     def top_speed(self) -> float:
-        """The largest |d curve/d phi| (m/rad), at the outer end: it grows with radius and sag."""
-        return float(np.linalg.norm(self.local([self.stop])[1]))
+        """The largest |d curve/d phi| on any piece (m/rad): the outer end's, as r and sag grow."""
+        return float(np.linalg.norm(self.local(self.breaks[-1:])[1]))
 
     @property
     def radii(self) -> np.ndarray:
@@ -269,7 +267,7 @@ class FilamentCoil:
 
     def local(self, phi) -> tuple[np.ndarray, np.ndarray]:
         """Local points and d/dphi tangents of the exact winding at phi (rad),
-        from 0 at the inner end to stop at the outer end; see winding_curve."""
+        from 0 at the inner end to breaks[-1] at the outer end; see winding_curve."""
         return winding_curve(self.spec, phi)
 
     def curve(self, phi) -> tuple[np.ndarray, np.ndarray]:

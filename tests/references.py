@@ -2,10 +2,13 @@
 
 Maxwell's coaxial-loop mutual inductance and the untuned two-mesh
 transfer ratio are the analytic oracles the numerics are held to, and
-Ring is the exact circle they describe, posed like a coil. The
-polyline that the older kernels ran on, the flux route to mutual
-inductance and the dense closest-approach sampler are cross-checks of
-the package's curve kernels. None of them is part of the package.
+Ring is the exact circle they describe, posed like a coil. Rectangle is
+a curve of four straight pieces with kinks at unequal steps of its
+parameter, whose field has a closed form too. The polyline that the
+older kernels ran on, the flux route to mutual inductance and the dense
+closest-approach sampler are cross-checks of the package's curve
+kernels; each reads a coil's pieces from its breaks. None of them is
+part of the package.
 """
 
 import math
@@ -27,7 +30,7 @@ from mqslink.geometry import (CoilSpec, FilamentCoil, Pose, apply_pose,
 @dataclass(frozen=True, eq=False)
 class Ring:
     """An exact circle of `radius` (m) about its local z axis, traced
-    counter-clockwise from +x: one closed turn, whatever rule a spiral
+    counter-clockwise from +x: one closed piece, whatever rule a spiral
     winding follows. It has the curve attributes the field_coupling
     kernels read from a FilamentCoil, and apply_pose poses it."""
 
@@ -36,11 +39,13 @@ class Ring:
     rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
     origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
-    turns = 1
-    stop = 2.0 * math.pi
     # placed in the world as a coil's winding is
     axis = FilamentCoil.axis
     curve = FilamentCoil.curve
+
+    @property
+    def breaks(self):
+        return np.array([0.0, 2.0 * math.pi])
 
     @property
     def top_speed(self):
@@ -57,36 +62,93 @@ class Ring:
         return (np.column_stack([self.radius * cos, self.radius * sin, zero]),
                 np.column_stack([-self.radius * sin, self.radius * cos, zero]))
 
+
+@dataclass(frozen=True, eq=False)
+class Rectangle:
+    """An exact rectangle of half-sides a along local x and b along local
+    y (m), traced counter-clockwise by arc length from the corner
+    (a, -b): four straight pieces, with the corners as breaks at 0, 2b,
+    2b + 2a, 4b + 2a and 4b + 4a, which are not equal steps when a != b.
+    Its one radius, which the kernels' floors read as a turn's, is that
+    of the circle of its area. apply_pose poses it."""
+
+    a: float
+    b: float
+    wire_diameter: float = 1e-4
+    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
+    origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
+
+    axis = FilamentCoil.axis
+    curve = FilamentCoil.curve
+    top_speed = 1.0
+
+    @property
+    def corners(self):
+        a, b = self.a, self.b
+        return np.array([[a, -b, 0.0], [a, b, 0.0], [-a, b, 0.0], [-a, -b, 0.0], [a, -b, 0.0]])
+
+    @property
+    def breaks(self):
+        return np.cumsum([0.0, 2.0 * self.b, 2.0 * self.a, 2.0 * self.b, 2.0 * self.a])
+
+    @property
+    def radii(self):
+        return np.array([math.sqrt(4.0 * self.a * self.b / math.pi)])
+
+    def local(self, phi):
+        phi = np.asarray(phi, dtype=float)
+        side = np.clip(np.searchsorted(self.breaks, phi, side="right") - 1, 0, 3)
+        step = np.diff(self.corners, axis=0)
+        tangent = step / np.linalg.norm(step, axis=1)[:, None]
+        return (self.corners[side] + (phi - self.breaks[side])[:, None] * tangent[side],
+                tangent[side])
+
+
+def piece_angles(coil, per_piece):
+    """(pieces * per_piece + 1,) parameter values: per_piece equal steps
+    on every piece of coil.breaks, and the curve's end."""
+    b = coil.breaks
+    steps = b[:-1, None] + np.diff(b)[:, None] * (np.arange(per_piece) / per_piece)
+    return np.r_[steps.ravel(), b[-1]]
+
+
+def longest_piece(coil):
+    """The longest piece of coil's parameter."""
+    return float(np.diff(coil.breaks).max())
+
+
 # quadrature ladder for flux disks: (radial Gauss-Legendre nodes,
 # uniform angular nodes), each level doubling the previous
 FLUX_LEVELS = ((8, 16), (16, 32), (32, 64), (64, 128))
 
 
-def polyline(coil, per_turn):
-    """(turns * per_turn + 1, 3) vertices: the posed curve at equal angle
-    steps. Segment i runs from vertex i to vertex i + 1."""
-    return coil.curve(np.linspace(0.0, coil.stop, coil.turns * per_turn + 1))[0]
+def polyline(coil, per_piece):
+    """(pieces * per_piece + 1, 3) vertices: the posed curve at equal
+    steps on every piece (piece_angles). Segment i runs from vertex i to
+    vertex i + 1."""
+    return coil.curve(piece_angles(coil, per_piece))[0]
 
 
-def disk_frames(coil, per_turn=360):
-    """Per-turn (center, radius, e1, e2) of flat spanning disks.
+def disk_frames(coil, per_piece=360):
+    """Per-piece (center, radius, e1, e2) of flat spanning disks, one for
+    each turn of a spiral.
 
-    The radius is the winding's at the turn's mid-angle: it grows
+    The radius is the winding's at the piece's mid-angle: it grows
     linearly with angle, so that is its mean over the turn. The center
-    sits on the coil axis at the mean height of the turn's per_turn + 1
-    vertices; normals share the coil axis.
+    sits on the coil axis at the mean height of the piece's
+    per_piece + 1 vertices; normals share the coil axis.
     """
     n = coil.axis
     helper = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
     e1 = np.cross(n, helper)
     e1 = e1 / np.linalg.norm(e1)
     e2 = np.cross(n, e1)
-    mid, _ = coil.local(2.0 * math.pi * (np.arange(coil.turns) + 0.5))
+    b = coil.breaks
+    mid, _ = coil.local((b[:-1] + b[1:]) / 2.0)
     radii = np.hypot(mid[:, 0], mid[:, 1])
-    phi = np.linspace(0.0, coil.stop, coil.turns * per_turn + 1)
-    height = coil.local(phi)[0][:, 2]
-    return [(coil.origin + n * float(np.mean(height[i * per_turn:(i + 1) * per_turn + 1])),
-             float(radii[i]), e1, e2) for i in range(coil.turns)]
+    height = coil.local(piece_angles(coil, per_piece))[0][:, 2]
+    return [(coil.origin + n * float(np.mean(height[i * per_piece:(i + 1) * per_piece + 1])),
+             float(radii[i]), e1, e2) for i in range(len(b) - 1)]
 
 
 def closest_approach(tx, rx):
@@ -96,8 +158,8 @@ def closest_approach(tx, rx):
     step = (tx.wire_diameter + rx.wire_diameter) / 2.0
     worst = math.inf
     for a, b in ((tx, rx), (rx, tx)):
-        per_turn = math.ceil(2.0 * math.pi * a.top_speed / step)
-        samples, _ = a.curve(np.linspace(0.0, a.stop, a.turns * per_turn + 1))
+        per_piece = math.ceil(longest_piece(a) * a.top_speed / step)
+        samples, _ = a.curve(piece_angles(a, per_piece))
         worst = min(worst, float(_curve_distance(b, samples).min()))
     return worst
 
@@ -184,13 +246,13 @@ def closing_path(coil):
     through its centre to its inner end. On a flat spiral of whole turns
     the two legs lie on one line, and the path is the radial chord from
     the outer end back to the inner end."""
-    (inner, outer), _ = coil.curve([0.0, coil.stop])
+    (inner, outer), _ = coil.curve(coil.breaks[[0, -1]])
     return np.array([outer, coil.origin, inner])
 
 
 def path_neumann(tx, path, nodes_per_leg=16):
     """Neumann M (H) between tx's winding and the straight polyline path,
-    Gauss-Legendre on each leg against 64 nodes per tx turn."""
+    Gauss-Legendre on each leg against 64 nodes per tx piece."""
     nodes, weights = _gauss_legendre(nodes_per_leg)
     legs = list(zip(path[:-1], path[1:]))
     points = np.vstack([a + np.outer((nodes + 1.0) / 2.0, b - a) for a, b in legs])
@@ -199,7 +261,7 @@ def path_neumann(tx, path, nodes_per_leg=16):
 
 
 # cone quadrature: Gauss-Legendre nodes along each generator, and
-# composite Gauss-Legendre panels (with nodes per panel) per turn
+# composite Gauss-Legendre panels (with nodes per panel) per piece
 CONE_NODES, CONE_PANELS, CONE_PANEL_NODES = 24, 16, 16
 
 
@@ -218,10 +280,10 @@ def cone_flux_mutual_inductance(tx, rx):
     s, ws = _gauss_legendre(CONE_NODES)
     s, ws = (s + 1.0) / 2.0, ws / 2.0
     x, wx = _gauss_legendre(CONE_PANEL_NODES)
-    width = 2.0 * math.pi / CONE_PANELS
-    starts = width * np.arange(rx.turns * CONE_PANELS)
-    phi = (starts[:, None] + width * (x + 1.0) / 2.0).ravel()
-    w_phi = np.tile(wx * width / 2.0, len(starts))
+    width = np.repeat(np.diff(rx.breaks) / CONE_PANELS, CONE_PANELS)[:, None]
+    starts = piece_angles(rx, CONE_PANELS)[:-1, None]
+    phi = (starts + width * (x + 1.0) / 2.0).ravel()
+    w_phi = (wx * width / 2.0).ravel()
     r, dr = rx.curve(phi)
     spoke = r - rx.origin
     points = rx.origin + s[:, None, None] * spoke[None, :, :]

@@ -1300,6 +1300,52 @@ def test_nominal_m_is_solved_once_and_a_failure_retried(tmp_path, monkeypatch, f
     assert booked == (0 if fails else 1)
 
 
+def test_an_unallocatable_grid_fails_each_request_that_reads_it(tmp_path, monkeypatch, capsys):
+    # validate accepts the grid: its step is far above the ulp floor, and
+    # it builds no grid. Its 728 TiB, refused here as numpy refuses them,
+    # are asked for by the first request that reads it, inside that
+    # request's isolation, and by the next one again
+    def unallocatable(config):
+        raise MemoryError("Unable to allocate 728. TiB for an array")
+
+    monkeypatch.setattr(cli.ScenarioConfig, "frequency_grid", unallocatable)
+    grid = "[frequency_grid]\nstart = 20 MHz\nstop = 30 MHz\npoints = 100000000000000\n"
+    config = write_config(tmp_path, grid + "\n[spectrum]\n\n[capacity]\n" +
+                          COLLIDING[COLLIDING.index("[field_map]"):])
+    assert main(["validate", str(config)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[:2] for line in err[:2]] == [["failed", " spectrum"],
+                                                         ["failed", " capacity"]]
+    report = json.loads((out / "report.json").read_text())
+    assert [f.split(":")[0] for f in report["failures"]] == ["spectrum", "capacity"]
+    assert [o["request"] for o in report["outputs"]] == ["field_map"]
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_the_grid_is_built_once_on_demand_and_a_failure_retried(tmp_path, monkeypatch, fails):
+    calls = []
+    exact = cli.ScenarioConfig.frequency_grid
+
+    def counted(config):
+        calls.append(config)
+        if fails:
+            raise MemoryError("no room for the grid")
+        return exact(config)
+
+    monkeypatch.setattr(cli.ScenarioConfig, "frequency_grid", counted)
+    config = parse_config(write_config(tmp_path, SMALL_RUN), allow_defaults=True)
+    report = run_scenario(config, out_dir=str(tmp_path / "out"))
+    needing_grid = ("spectrum", "capacity", "dual_mode", "sweep tx_angle")
+    assert len(calls) == (len(needing_grid) if fails else 1)
+    assert [f.split(":")[0] for f in report.failures] == (list(needing_grid) if fails else [])
+    # a config with no request never builds it
+    calls.clear()
+    assert run_scenario(replace(config, requests={}), out_dir=str(tmp_path / "none")).failures == ()
+    assert calls == []
+
+
 def test_a_run_builds_each_links_terms_once(tmp_path, monkeypatch):
     # the tuned spectrum, the capacity study, the dual-mode scan and both
     # termination sweeps share the tuned link's terms; the untuned

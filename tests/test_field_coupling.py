@@ -25,14 +25,14 @@ from mqslink.field_coupling import (ConvergenceError, CouplingResult,
                                     _curve_distance, _neumann_sum, b_field,
                                     coupling_coefficient, field_map,
                                     mutual_inductance)
-from mqslink.geometry import (HELICAL, CoilSpec, Pose, Scenario,
+from mqslink.geometry import (HELICAL, CoilSpec, FilamentCoil, Pose, Scenario,
                               apply_pose, build_filament_coil, scenario_poses,
                               turn_radii)
 from nominal import L_RX, L_TX, M_NOMINAL, NOMINAL, RX, TX
-from references import (Ring, _ellipke, closest_approach, closing_path,
+from references import (Rectangle, Ring, _ellipke, closest_approach, closing_path,
                         coaxial_mutual_oracle, cone_flux_mutual_inductance, disk_frames,
-                        flux_mutual_inductance, path_neumann, polyline,
-                        random_spiral_pairs)
+                        flux_mutual_inductance, longest_piece, path_neumann,
+                        piece_angles, polyline, random_spiral_pairs)
 
 # pytest.approx adds an absolute tolerance of 1e-12 unless given one,
 # which would swamp any relative tolerance on inductances of ~1e-10 H;
@@ -288,7 +288,7 @@ def test_kernel_matches_the_per_pair_form(spec, tilt):
 
 
 def _level0_nodes(coil):
-    return coil.turns * field_coupling._BASE_PANELS * field_coupling._PANEL_NODES
+    return (len(coil.breaks) - 1) * field_coupling._BASE_PANELS * field_coupling._PANEL_NODES
 
 
 @pytest.mark.parametrize("spec", [_FLAT, _DOME], ids=["flat", "helical"])
@@ -621,12 +621,13 @@ def test_maps_far_from_the_wire_skip_the_curve_distance_pass(monkeypatch):
 
 def _clear_radius(coil):
     # the level-0 nodes' slack and the radius beyond which a point
-    # shares the uniform panels, as the field kernel defines them
-    start, width = field_coupling._uniform_panels(coil, 0)
+    # shares the uniform panels, as the field kernel defines them on its
+    # widest level-0 panel
+    widest = float(field_coupling._uniform_panels(coil, 0)[1].max())
     frac = (field_coupling._gauss_legendre(field_coupling._PANEL_NODES)[0] + 1.0) / 2.0
     speed = coil.top_speed
-    slack = width[0] * speed * max(np.diff(frac).max() / 2.0, frac[0])
-    return max(coil.wire_diameter / 2.0, width[0] * speed / field_coupling._PANEL_REACH) + slack
+    slack = widest * speed * max(np.diff(frac).max() / 2.0, frac[0])
+    return max(coil.wire_diameter / 2.0, widest * speed / field_coupling._PANEL_REACH) + slack
 
 
 @pytest.mark.parametrize("spec", [_FLAT, _DOME], ids=["flat", "helical"])
@@ -768,6 +769,120 @@ def test_closest_approach_of_coaxial_loops_is_the_closed_form():
                     _check_separation(a, b)
             else:
                 _check_separation(a, b)
+
+
+# --------------------------------------------------------------- pieces
+
+_RECT = apply_pose(Rectangle(3e-3, 2e-3), Pose(center=(0.01, -0.004, 0.02), tilt_angle_deg=33.0))
+
+
+def test_rectangle_field_on_its_axis_is_the_closed_form():
+    # four straight pieces of unequal length, kinked at their breaks:
+    # B on the axis at height z is mu0 I a b / (pi sqrt(a^2 + b^2 + z^2))
+    # (1 / (a^2 + z^2) + 1 / (b^2 + z^2)), and at the centre
+    # mu0 I sqrt(a^2 + b^2) / (pi a b)
+    a, b = _RECT.a, _RECT.b
+    z = np.array([0.0, 1e-3, 3e-3, 1e-2, 3e-2])
+    field, valid, estimate = field_coupling._curve_field(
+        _RECT, np.outer(z, _RECT.axis) + _RECT.origin)
+    want = MU0 * a * b / (math.pi * np.sqrt(a * a + b * b + z * z)) * \
+        (1.0 / (a * a + z * z) + 1.0 / (b * b + z * z))
+    assert want[0] == pytest.approx(MU0 * math.hypot(a, b) / (math.pi * a * b), rel=1e-15, abs=0)
+    assert valid.all()
+    err = np.linalg.norm(field - np.outer(want, _RECT.axis), axis=1) / want
+    assert np.all(err <= estimate)
+
+
+def test_every_point_on_a_rectangle_is_masked():
+    # its long pieces have the widest level-0 node gaps, which the field
+    # kernel's routing radius must allow for: on a 6 x 2 mm rectangle a
+    # point midway between two nodes of a long piece lies farther from
+    # every node than a radius taken from a short piece
+    rect = apply_pose(Rectangle(3e-3, 1e-3), Pose(center=(0.01, 0.0, 0.02), tilt_angle_deg=50.0))
+    on, _ = rect.curve(piece_angles(rect, 400))
+    _, valid, _ = field_coupling._curve_field(rect, on)
+    assert not valid.any()
+
+
+def _segment_distance(points, start, end):
+    # exact distance from each point to the straight segment [start, end]
+    step = end - start
+    t = np.clip((points - start) @ step / (step @ step), 0.0, 1.0)
+    return np.linalg.norm(points - start - t[:, None] * step, axis=1)
+
+
+def test_rectangle_curve_distance_is_the_segment_distance():
+    # points inside, outside and beyond the corners, whose nearest point
+    # may be a kink: each piece polishes its candidates within itself
+    a, b = _RECT.a, _RECT.b
+    rng = np.random.default_rng(3)
+    local = np.column_stack([rng.uniform(-2 * a, 2 * a, 500), rng.uniform(-2 * b, 2 * b, 500),
+                             rng.uniform(-1e-3, 1e-3, 500)])
+    corners = _RECT.corners
+    want = np.min([_segment_distance(local, corners[k], corners[k + 1]) for k in range(4)],
+                  axis=0)
+    got = _curve_distance(_RECT, local @ _RECT.rotation.T + _RECT.origin)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_rectangle_curve_distance_near_a_kink_is_the_segment_distance():
+    # inside each corner, nearest to the piece ending there at half of
+    # its half node gap from the kink: only that piece's end node
+    # brackets the nearest point, and local at the kink reads the next piece
+    corners = _RECT.corners
+    step = np.diff(corners, axis=0)
+    length = np.linalg.norm(step, axis=1)
+    tangent = step / length[:, None]
+    inward = np.column_stack([-tangent[:, 1], tangent[:, 0], np.zeros(4)])
+    delta = length / (4 * field_coupling._DISTANCE_NODES)
+    local = corners[1:] - delta[:, None] * tangent + 0.2 * delta[:, None] * inward
+    want = np.min([_segment_distance(local, corners[k], corners[k + 1]) for k in range(4)],
+                  axis=0)
+    np.testing.assert_allclose(want, 0.2 * delta, rtol=1e-12)
+    got = _curve_distance(_RECT, local @ _RECT.rotation.T + _RECT.origin)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_rectangle_and_ring_mutual_inductance_is_reciprocal():
+    ring = apply_pose(Ring(4e-3), Pose(center=(0.012, -0.003, 0.032), tilt_angle_deg=20.0))
+    m_ab = mutual_inductance(_RECT, ring).m
+    m_ba = mutual_inductance(ring, _RECT).m
+    assert m_ab == pytest.approx(m_ba, rel=1e-12, abs=0)
+
+
+class _MidTurnBreaks(FilamentCoil):
+    """A coil whose every turn is split at its middle: the same smooth
+    curve, with a break where it has no kink."""
+
+    @property
+    def breaks(self):
+        b = super().breaks
+        return np.sort(np.r_[b, (b[:-1] + b[1:]) / 2.0])
+
+
+def test_a_smooth_breakpoint_moves_m_and_b_within_their_estimates():
+    # each grid is laid on half turns instead of turns: on the nominal
+    # pair, M and a field map through each coil's wire move by no more
+    # than the two runs' estimates
+    poses = scenario_poses(NOMINAL)
+    (tx, rx), (split_tx, split_rx) = (
+        (apply_pose(kind(spec, _SPT), pose) for spec, pose in zip((TX, RX), poses))
+        for kind in (FilamentCoil, _MidTurnBreaks))
+    assert len(split_tx.breaks) == 2 * TX.turns + 1
+    m, split = mutual_inductance(tx, rx), mutual_inductance(split_tx, split_rx)
+    assert abs(split.m - m.m) / max(abs(m.m), _coupling_floor(tx, rx)) <= \
+        m.convergence_estimate + split.convergence_estimate
+    for coil, split_coil, half in ((tx, split_tx, 0.08), (rx, split_rx, 0.012)):
+        local = _grid("xz", 0.0, (-half, half, 33), (-half / 2.0, half / 2.0, 17))
+        pts = local @ coil.rotation.T + coil.origin
+        b, valid, estimate = field_coupling._curve_field(coil, pts)
+        b_split, valid_split, estimate_split = field_coupling._curve_field(split_coil, pts)
+        np.testing.assert_array_equal(valid_split, valid)
+        assert 0 < np.count_nonzero(~valid)
+        floor = MU0 / (4.0 * math.pi) * field_coupling._Ladder(coil, pts[:1], None).floor
+        moved = np.linalg.norm(b_split - b, axis=1) / \
+            np.maximum(np.linalg.norm(b, axis=1), floor)
+        assert np.all((moved <= estimate + estimate_split)[valid])
 
 
 # --------------------------------------------------------------- field_map
@@ -1196,7 +1311,8 @@ def test_near_equator_coil_refines_only_its_outer_end(monkeypatch):
 def test_separation_check_measures_the_dense_samples(monkeypatch):
     # coaxial loops just outside the threshold leave no run of samples
     # cleared, so the check measures every sample both ways; they are
-    # np.linspace's angles at arc steps of at most the threshold
+    # the ring's one piece [0, 2 pi] at equal steps of at most the
+    # threshold of arc, pi (1 + x) for x = -1, -1 + 2 / per, ..., and its end
     a = Ring(0.02)
     b = apply_pose(Ring(0.02), Pose(center=(0.0, 0.0, a.wire_diameter * (1 + 1e-6))))
     angles = []
@@ -1208,10 +1324,10 @@ def test_separation_check_measures_the_dense_samples(monkeypatch):
 
     monkeypatch.setattr(Ring, "curve", recorded)
     _check_separation(a, b)
-    per_turn = math.ceil(2.0 * math.pi * a.top_speed / a.wire_diameter)
-    assert np.array_equal(np.unique(np.concatenate(angles)),
-                          np.linspace(0.0, 2.0 * math.pi, per_turn + 1))
-    assert sum(map(len, angles)) > 2 * per_turn
+    per = math.ceil(longest_piece(a) * a.top_speed / a.wire_diameter)
+    steps = (1.0 + np.arange(-per, per, 2) / per) * math.pi
+    assert np.array_equal(np.unique(np.concatenate(angles)), np.r_[steps, 2.0 * math.pi])
+    assert sum(map(len, angles)) > 2 * per
 
 
 _SMALL = CoilSpec(turns=2, inner_radius=8e-3, wire_diameter=1e-3,

@@ -11,7 +11,7 @@ from mqslink.geometry import (DEFAULT_SPHERE_RADIUS, HELICAL, CoilSpec, Filament
                               Pose, Scenario, apply_pose, build_filament_coil,
                               scenario_poses, turn_radii, winding_curve)
 from nominal import PLACEMENT, RX, TX
-from references import Ring, polyline
+from references import Ring, piece_angles, polyline
 
 
 def test_turn_radii_advance_by_pitch():
@@ -154,6 +154,20 @@ def test_vertices_sample_the_winding_curve(spec):
 
 
 @pytest.mark.parametrize("spec", [RX, HELICAL_RX], ids=["flat", "helical"])
+def test_a_spirals_pieces_are_its_turns(spec):
+    # read-only breaks at 2 pi k, and a top speed no sample of any piece
+    # exceeds
+    coil = apply_pose(build_filament_coil(spec, 16), Pose(center=(0.01, 0.0, 0.02),
+                                                          tilt_angle_deg=30.0))
+    np.testing.assert_array_equal(coil.breaks, 2.0 * math.pi * np.arange(spec.turns + 1))
+    with pytest.raises(ValueError, match="read-only"):
+        coil.breaks[1] = 0.0
+    speed = np.linalg.norm(coil.curve(piece_angles(coil, 256))[1], axis=1)
+    assert np.argmax(speed) == len(speed) - 1
+    assert speed[-1] == pytest.approx(coil.top_speed, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("spec", [RX, HELICAL_RX], ids=["flat", "helical"])
 def test_curve_tangents_are_the_angle_derivative(spec):
     phi = np.linspace(0.1, 2.0 * math.pi * spec.turns - 0.1, 50)
     h = 1e-6
@@ -188,7 +202,8 @@ def test_posed_vertices_are_the_local_vertices_moved(spec, tilt):
     # local vertices rotated and then translated
     pose = Pose(center=(0.092, -0.004, 0.15), tilt_angle_deg=tilt)
     posed = apply_pose(build_filament_coil(spec, 16), pose)
-    phi = np.linspace(0.0, 2.0 * math.pi * spec.turns, spec.turns * 64 + 1)
+    phi = piece_angles(posed, 64)
+    assert len(phi) == spec.turns * 64 + 1
     rot = pose.rotation_matrix()
     moved = winding_curve(spec, phi)[0] @ rot.T + np.asarray(pose.center)
     assert np.array_equal(polyline(posed, 64), moved)

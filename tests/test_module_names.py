@@ -5,6 +5,8 @@ field_coupling knows a coil only through its curve."""
 import ast
 from pathlib import Path
 
+from mqslink.geometry import CoilSpec, build_filament_coil
+from references import Ring
 from test_public_api import _loaded_names
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,14 +49,20 @@ def test_every_module_level_name_in_src_is_read():
 
 def test_field_coupling_reads_a_coil_only_through_its_curve():
     # how a winding is parametrized is decided in geometry alone: the
-    # kernels take the coil record and read its curve attributes, never
-    # its spec, and no kernel takes a spec, a turn count or a speed
+    # kernels take the coil record and read its curve attributes, its
+    # pieces among them, never its spec, a turn count or the end of its
+    # angle, and no kernel takes a spec, a turn count or a speed. Neither
+    # the coil record nor the tests' ring has those attributes to read
     tree = _tree(ROOT / "src" / "mqslink" / "field_coupling.py")
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 and (node.module or "").split(".")[-1] == "geometry" for alias in node.names}
     assert imported == {"FilamentCoil", "check_fields"}
-    assert [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "spec"] == []
+    assert [f"{node.lineno}: .{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in {"spec", "turns", "stop"}] == []
     params = {arg.arg for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
               for arg in node.args.args + node.args.kwonlyargs}
     assert params.isdisjoint({"spec", "turns", "speed"})
+    coil = build_filament_coil(CoilSpec(turns=3, inner_radius=4e-3, wire_diameter=1e-4,
+                                        wire_spacing=1e-4), 16)
+    for curve in (coil, Ring(0.01)):
+        assert not any(hasattr(curve, name) for name in ("turns", "stop")), type(curve).__name__
